@@ -62,7 +62,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     out: str = "."
-    tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, path):
@@ -70,10 +69,8 @@ class ExperimentConfig:
             doc = json.loads(FsPath(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
-        schema = json.loads(resources.files("loopgas.schemas")
-                            .joinpath("experiment.schema.json").read_text())
         try:
-            jsonschema.validate(doc, schema)
+            jsonschema.validate(doc, _schema())
         except jsonschema.ValidationError as exc:
             raise ConfigError(f"config schema violation: {exc.message}")
         torus = doc["torus"]
@@ -105,7 +102,7 @@ class ExperimentConfig:
             n_max=doc.get("n_max", 3), L0=doc.get("L0", 4),
             v_l1_threshold=doc.get("v_l1_threshold", 0.1),
             seed=doc.get("seed", 0), workers=doc.get("workers", 1),
-            out=doc.get("out", "."), tolerances=doc.get("tolerances", {}))
+            out=doc.get("out", "."))
 
     def require(self, *names):
         for name in names:
@@ -134,6 +131,20 @@ class ExperimentConfig:
             self.require("lam")
             return self.lam
         raise ConfigError("lambda_rule must be set")
+
+
+def _schema():
+    return json.loads(resources.files("loopgas.schemas")
+                      .joinpath("experiment.schema.json").read_text())
+
+
+def _override(config, name, value):
+    '''Set a command-line override after checking it against the schema.'''
+    try:
+        jsonschema.validate(value, _schema()["properties"][name])
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"--{name}: {exc.message}")
+    setattr(config, name, value)
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -208,7 +219,8 @@ def run_meanfield_sweep(config):
 
     for i, nu in enumerate(config.nu_list):
         params = InteractionParams(torus=torus, vL=vL, nu=nu,
-                                   mode="meanfield", kappa=kappa)
+                                   mode="meanfield", R=config.potential.R,
+                                   kappa=kappa)
         if use_oracle:
             n_cap = max(250, int(40.0 / (kappa * nu)) + 50)
             res = grand_partition(params, kappa=kappa, n_cap=n_cap)
@@ -379,7 +391,8 @@ def _grid_ensemble(config, nu):
     mode = "meanfield" if config.lambda_rule == "nu_squared" else "generic"
     params = InteractionParams(torus=torus, vL=vL, nu=nu, mode=mode,
                                lam=None if mode == "meanfield"
-                               else config.lam_for(nu), kappa=config.kappa)
+                               else config.lam_for(nu), R=config.potential.R,
+                               kappa=config.kappa)
     intensity = LoopIntensity(torus, "ginibre", config.kappa, nu=nu)
     return EnsembleSpec(torus, params, intensity, "ginibre")
 
@@ -423,7 +436,8 @@ def run_symanzik_z(config):
     ests = []
     for eps in config.eps_list:
         params = InteractionParams(torus=torus, vL=vL, nu=1.0, lam=lam,
-                                   mode="generic", kappa=config.kappa)
+                                   mode="generic", R=config.potential.R,
+                                   kappa=config.kappa)
         intensity = LoopIntensity(torus, "symanzik_eps", config.kappa,
                                   eps=eps)
         spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
@@ -560,9 +574,9 @@ def main(argv=None):
         if args.out is not None:
             config.out = args.out
         if args.seed is not None:
-            config.seed = args.seed
+            _override(config, "seed", args.seed)
         if args.workers is not None:
-            config.workers = args.workers
+            _override(config, "workers", args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -570,6 +584,10 @@ def main(argv=None):
         result = RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, MemoryError, RuntimeError) as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     if args.command == "selftest":
         return 1 if result else 0

@@ -1,16 +1,14 @@
 '''Combinatorics and cluster-expansion engine: connected graphs, trees,
 the Kruskal map and its preimage bracket, Ursell functions, the tree
 bound with its resummation identity, degree-constrained tree counts,
-truncated expansion series for log Z and correlation kernels, and
-numeric checks of the Riemann-sum and vertex-integration bounds.
+the truncated expansion series for log Z, and a numeric check of the
+Riemann-sum bound.
 
-The expansion is built on the loop measures
-  mu(dw)        = nu sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}(dw) e^{-V(w,w)/2},
-  muhat_{y,x}   = sum_{T in nu N*} e^{-kappa T} W^{L,T}_{y,x}(dw) e^{-V(w,w)/2},
+The expansion is built on the loop measure
+  mu(dw) = nu sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}(dw) e^{-V(w,w)/2},
 with Mayer factor zeta(w, wt) = e^{-V(w,wt)/2} - 1 and
   X(w_1..w_p) = sum_{n >= max(p,1)} n!/(n-p)! int mu^{(n-p)} phi(w_1..w_n),
-phi the Ursell function.  Then log Z = X - X^0 and
-  Gamma_p(x,y) = sum_pi int muhat^{(p)} sum_{partitions} prod_blocks X(block).
+phi the Ursell function.  Then log Z = X - X^0.
 '''
 
 import itertools
@@ -20,9 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interactions import v_ginibre_pair
-from .loop_mc import McEstimate, _chunks, _welford_merge, run_mc
-from .paths import sample_free_walk
+from .interactions import pair_matrix
+from .loop_mc import _chunks, _welford_merge
 
 MAX_ENUM_N = 7
 MAX_URSELL_N = 6
@@ -128,11 +125,20 @@ def trees(n):
 
 
 def trees_with_degrees(deltas):
-    '''All trees with the prescribed degree sequence.'''
+    '''All trees with the prescribed degree sequence: vertex i appears
+    delta_i - 1 times in the Prufer code, so the trees are the decoded
+    distinct permutations of that multiset.'''
     deltas = tuple(int(d) for d in deltas)
-    for t in trees(len(deltas)):
-        if t.degree_sequence() == deltas:
-            yield t
+    n = len(deltas)
+    _check_enum_budget(n, MAX_ENUM_N, "tree")
+    if tree_count(deltas) == 0:
+        return
+    if n == 1:
+        yield Graph(1, frozenset())
+        return
+    code = [v for v, d in enumerate(deltas) for _ in range(d - 1)]
+    for seq in sorted(set(itertools.permutations(code))):
+        yield Graph(n, _prufer_decode(n, seq))
 
 
 def tree_count(deltas):
@@ -308,26 +314,18 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def _pair_interaction(params):
-    return lambda a, b: v_ginibre_pair(a, b, params)
-
-
-def _self_weight(path, pair):
-    val = pair(path, path)
-    return 0.0 if np.isinf(val) else math.exp(-0.5 * val)
-
-
-def _zeta_matrix(paths, pair):
-    '''Mayer factors zeta_ij = e^{-V(w_i, w_j)} - 1 between distinct
-    loops: in the total interaction (1/2) sum_{i,j} V, the two ordered
+def _weight_and_zeta(paths, spec, n_fixed):
+    '''Self-interaction weight prod e^{-V(w, w)/2} of the drawn loops (all
+    but the first n_fixed paths) and the Mayer factors
+    zeta_ij = e^{-V(w_i, w_j)} - 1 between distinct paths, from one pair
+    matrix: in the total interaction (1/2) sum_{i,j} V, the two ordered
     pairs (i, j), (j, i) cancel the 1/2, so each unordered pair carries
     the full Boltzmann factor e^{-V}; only self pairs keep e^{-V/2}.'''
-    n = len(paths)
-    V = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            V[i, j] = V[j, i] = pair(paths[i], paths[j])
-    return np.exp(-V) - 1.0, V
+    V = pair_matrix(paths, spec.params, spec.kind)
+    weight = math.prod(np.exp(-0.5 * np.diag(V)[n_fixed:]).tolist())
+    zeta = np.exp(-V) - 1.0
+    np.fill_diagonal(zeta, 0.0)
+    return weight, zeta
 
 
 def _require_ginibre(spec):
@@ -354,14 +352,12 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         raise ValueError("truncation budget is n_max <= 4")
     if n_max < max(p, 1):
         raise ValueError("n_max below the leading order")
-    pair = _pair_interaction(spec.params)
     mass = spec.intensity.total_mass
     orders = list(range(max(p, 1), n_max + 1))
 
     def order_value(n, rng, bound_mode=False):
         drawn = [spec.intensity.sample_loop(rng) for _ in range(n - p)]
-        weight = math.prod(_self_weight(w, pair) for w in drawn)
-        zeta, _ = _zeta_matrix(list(fixed_paths) + drawn, pair)
+        weight, zeta = _weight_and_zeta(list(fixed_paths) + drawn, spec, p)
         phi = tree_sum(zeta) if bound_mode else ursell(zeta)
         factor = (math.factorial(n) // math.factorial(n - p)) * mass ** (n - p)
         return factor * weight * phi, weight
@@ -427,68 +423,6 @@ def log_Z_via_expansion(spec, n_max, n_samples, seed, workers=1):
     return report
 
 
-def gamma_via_expansion(spec, p, xs, ys, n_max, n_samples, seed, workers=1):
-    '''Expansion estimate of the kernel entry Gamma_p(x, y):
-    sum over endpoint permutations of open paths drawn from the
-    normalized duration law (with the muhat normalization and
-    self-interaction weight), times the partition sum of per-block
-    one-sample X estimates.  Unbiased because the loop draws of distinct
-    blocks are independent within a sample.'''
-    _require_ginibre(spec)
-    if p < 1 or p > 2:
-        raise ValueError("p must be 1 or 2 (partition enumeration budget)")
-    xs = [int(x) for x in np.atleast_1d(xs)]
-    ys = [int(y) for y in np.atleast_1d(ys)]
-    if len(xs) != p or len(ys) != p:
-        raise ValueError("x and y must have length p")
-    pair = _pair_interaction(spec.params)
-    mass = spec.intensity.total_mass
-    law = spec.duration_law()
-    perms = list(itertools.permutations(range(p)))
-    parts_list = list(_partitions(range(p)))
-
-    def one_block_X(block_paths, rng):
-        b = len(block_paths)
-        total = 0.0
-        for n in range(b, n_max + 1):
-            drawn = [spec.intensity.sample_loop(rng) for _ in range(n - b)]
-            weight = math.prod(_self_weight(w, pair) for w in drawn)
-            zeta, _ = _zeta_matrix(block_paths + drawn, pair)
-            factor = (math.factorial(n) // math.factorial(n - b)
-                      ) * mass ** (n - b)
-            total += factor * weight * ursell(zeta)
-        return total
-
-    def one(rng):
-        val = 0.0
-        for pi in perms:
-            opens, hit = [], True
-            for i in range(p):
-                T = float(law.sample(rng))
-                path = sample_free_walk(spec.torus, xs[i], T, rng)
-                if path.end != ys[pi[i]]:
-                    hit = False
-                    break
-                opens.append(path)
-            if not hit:
-                continue
-            weight = math.prod(law.normalization * _self_weight(w, pair)
-                               for w in opens)
-            part_sum = 0.0
-            for partition in parts_list:
-                prod = 1.0
-                for block in partition:
-                    prod *= one_block_X([opens[i] for i in block], rng)
-                part_sum += prod
-            val += weight * part_sum
-        return val
-
-    mean, se, count = run_mc(one, n_samples, seed, workers)
-    meta = {"kind": "gamma_expansion", "p": p, "x": xs, "y": ys,
-            "n_max": n_max, "workers": workers}
-    return McEstimate(mean, se, count, seed, meta)
-
-
 # -- bound harnesses ---------------------------------------------------------
 
 def grid_exponential_moment(kappa, nu, q, tol=1e-15):
@@ -521,73 +455,3 @@ def riemann_sum_bound_check(kappa_grid, nu_factors, q_grid):
                 rows.append({"kappa": kappa, "nu": nu, "q": q,
                              "lhs": lhs, "rhs": rhs, "ratio": ratio})
     return {"C": c_max, "rows": rows}
-
-
-def integration_bound_check(spec, q_grid, n_samples, seed, workers=1,
-                            reference_duration=None):
-    '''MC estimates of the four vertex-integration left-hand sides for a
-    fixed constant reference loop, against their stated right-hand sides:
-      (i)   int mu(dwt) T^q |zeta(w, wt)|        vs T(w) q! ||v||_1 / kappa^{q+1}
-      (ii)  nu sum_y int muhat_{y,x} T^q |zeta|  vs T(w) (q+1)! ||v||_1 / kappa^{q+2}
-      (iii) int mu(dwt) T^q  (q >= 1)            vs (q-1)! |Lambda| / kappa^q
-      (iv)  nu sum_y int muhat_{y,x} T^q         vs q! / kappa^{q+1}
-    Reports per-clause fitted constants (max LHS/RHS over the q grid).'''
-    _require_ginibre(spec)
-    if spec.params.mode != "meanfield":
-        raise ValueError("bound harness expects the mean-field coupling")
-    pair = _pair_interaction(spec.params)
-    nu, kappa = spec.params.nu, spec.intensity.kappa
-    mass = spec.intensity.total_mass
-    c_hat = math.exp(-kappa * nu) / (1.0 - math.exp(-kappa * nu))
-    v_l1 = float(np.sum(np.abs(spec.params.vL)))
-    T_ref = reference_duration if reference_duration is not None else nu
-    ref = sample_free_walk(spec.torus, 0, T_ref, np.random.default_rng(0))
-    law = spec.duration_law()
-    rows, consts = [], {k: 0.0 for k in ("i", "ii", "iii", "iv")}
-    for qi, q in enumerate(q_grid):
-        def closed_plain(rng):
-            wt = spec.intensity.sample_loop(rng)
-            return mass * _self_weight(wt, pair) * wt.duration ** q
-
-        def closed_zeta(rng):
-            wt = spec.intensity.sample_loop(rng)
-            z = abs(math.exp(-0.5 * pair(ref, wt)) - 1.0)
-            return mass * _self_weight(wt, pair) * wt.duration ** q * z
-
-        def open_plain(rng):
-            T = float(law.sample(rng))
-            wt = sample_free_walk(spec.torus, 0, T, rng)
-            return nu * c_hat * _self_weight(wt, pair) * T ** q
-
-        def open_zeta(rng):
-            T = float(law.sample(rng))
-            wt = sample_free_walk(spec.torus, 0, T, rng)
-            z = abs(math.exp(-0.5 * pair(ref, wt)) - 1.0)
-            return nu * c_hat * _self_weight(wt, pair) * T ** q * z
-
-        ests = {}
-        ests["i"] = run_mc(closed_zeta, n_samples, seed + 10 * qi, workers)
-        ests["ii"] = run_mc(open_zeta, n_samples, seed + 10 * qi + 1, workers)
-        ests["iii"] = (run_mc(closed_plain, n_samples,
-                              seed + 10 * qi + 2, workers)
-                       if q >= 1 else None)
-        ests["iv"] = run_mc(open_plain, n_samples, seed + 10 * qi + 3, workers)
-        rhs = {
-            "i": T_ref * math.factorial(q) * v_l1 / kappa ** (q + 1),
-            "ii": T_ref * math.factorial(q + 1) * v_l1 / kappa ** (q + 2),
-            "iii": (math.factorial(q - 1) * spec.torus.n_sites / kappa ** q
-                    if q >= 1 else None),
-            "iv": math.factorial(q) / kappa ** (q + 1),
-        }
-        row = {"q": q}
-        for key in ("i", "ii", "iii", "iv"):
-            if ests[key] is None:
-                continue
-            mean, se, _ = ests[key]
-            ratio = mean / rhs[key]
-            consts[key] = max(consts[key], ratio)
-            row[key] = {"lhs": mean, "lhs_se": se, "rhs": rhs[key],
-                        "ratio": ratio}
-        rows.append(row)
-    return {"constants": consts, "rows": rows, "T_ref": T_ref,
-            "v_l1": v_l1}

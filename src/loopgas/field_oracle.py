@@ -40,10 +40,6 @@ class GaussianField:
         return z / math.sqrt(2.0) @ self.factor
 
 
-def sample_field(gf, rng):
-    return gf.sample(rng)
-
-
 def _quartic_weight(fields, vmat):
     '''W = 1/2 sum_{x,y} |phi(x)|^2 v(x-y) |phi(y)|^2, batched.'''
     dens = np.abs(fields) ** 2

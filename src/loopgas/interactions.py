@@ -1,7 +1,11 @@
-'''Exact loop-loop interaction functionals for piecewise-constant paths.
+'''Exact loop interaction functionals for piecewise-constant paths.
 
-All time integrals are evaluated by merging the jump events of the two
-paths involved; there is no quadrature error anywhere in this module.
+The interaction of a loop configuration is one quadratic form in an
+occupation field: the folded occupation N(t, x), t in [0, nu), of the
+grid ensemble, V = (lam / 2 nu) int_0^nu N(t)^T v N(t) dt, and the summed
+local time l of the continuum ensemble, V = (lam / 2) l^T v l.  N is
+constant between the jump times mod nu, so the integral is an exact sum
+over slices; there is no quadrature error anywhere in this module.
 +inf is an absorbing interaction value (hard core), mapped downstream to
 Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
 '''
@@ -52,9 +56,10 @@ class InteractionParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-
-    def v(self, site_a, site_b):
-        return self.vL[self.torus.diff_table[site_a, site_b]]
+        origin = self.torus.index_of(np.zeros(self.torus.d, dtype=np.int64))
+        if self.R not in (0, 1) or (self.R == 1) != bool(
+                np.isposinf(self.vL[origin])):
+            raise ValueError("R = 1 iff vL is +inf at the origin")
 
 
 def v_tilde_table(vL, torus, R):
@@ -65,137 +70,82 @@ def v_tilde_table(vL, torus, R):
     return out
 
 
-def v_cl_pair(w, wt, vL, torus):
-    '''int_0^T int_0^Tt v(w(t) - wt(tt)) dt dtt, exactly.'''
-    t0, t1, s = w.segments()
-    u0, u1, su = wt.segments()
-    lens = t1 - t0
-    lenu = u1 - u0
-    vmat = vL[torus.diff_table[np.ix_(s, su)]]
-    if np.isinf(vmat).any():
-        return np.inf
-    return float(lens @ vmat @ lenu)
-
-
-def _window_views(path, nu):
-    '''Decompose a grid-duration path into duration-nu windows.
-
-    Returns a list over windows a = 0..T/nu-1 of (bounds, sites): bounds
-    is the increasing array of relative times 0 = r_0 < ... < r_m = nu
-    and sites[i] the site on [r_i, r_{i+1}).  Constant windows are
-    returned as (None, site) for the fast path.
-    '''
-    n_win = int(round(path.duration / nu))
-    if path.is_constant:
-        return [(None, path.start)] * n_win
-    t0, t1, sites = path.segments()
-    views = []
-    for a in range(n_win):
-        lo, hi = a * nu, (a + 1) * nu
-        i = np.searchsorted(t1, lo, side="right")
-        j = np.searchsorted(t0, hi, side="left")
-        if j - i == 1:
-            views.append((None, int(sites[i])))
-        else:
-            bounds = np.concatenate(([lo], t0[i + 1:j], [hi])) - lo
-            views.append((bounds, sites[i:j]))
-    return views
-
-
-def _overlap_value(view_a, view_b, nu, v_of):
-    '''int_0^nu v(a(t) - b(t)) dt for two window views.'''
-    ba, sa = view_a
-    bb, sb = view_b
-    if ba is None and bb is None:
-        return nu * v_of(sa, sb)
-    if ba is None:
-        ba, sa = np.array([0.0, nu]), np.array([sa])
-    if bb is None:
-        bb, sb = np.array([0.0, nu]), np.array([sb])
-    cuts = np.union1d(ba, bb)
-    ia = np.searchsorted(ba, cuts[:-1], side="right") - 1
-    ib = np.searchsorted(bb, cuts[:-1], side="right") - 1
-    total = 0.0
-    for k in range(len(cuts) - 1):
-        val = v_of(int(sa[ia[k]]), int(sb[ib[k]]))
-        if np.isinf(val):
-            return np.inf
-        total += (cuts[k + 1] - cuts[k]) * val
-    return total
-
-
 def _check_grid(path, nu):
     n = path.duration / nu
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise ValueError(f"duration {path.duration} not on the grid nu N*")
 
 
-def v_ginibre_pair(w, wt, params, skip_diagonal=False):
-    '''Grid-window interaction
-    (lam/nu^2) nu sum_{s<T} nu sum_{st<Tt} (1/nu) int_0^nu v(w(s+t)-wt(st+t)) dt,
-    i.e. (lam/nu) times the sum of exact window-overlap integrals.
+def _occupations(config, params, kind):
+    '''Slice weights w (K,) and stacked per-loop occupations N (loops, K,
+    sites) such that the pair interaction of loops i, j is
+    sum_k w_k N[i, k] v N[j, k]^T.
 
-    skip_diagonal drops the s = st terms (only meaningful for the self
-    pair w is wt; used by the large-mass self interaction).
+    Grid ensemble: [0, nu) is cut at every jump time mod nu, and
+    N[i, k, x] counts the windows a of loop i with w_i(a nu + t) = x for t
+    in slice k; w_k = lam |slice k| / nu.  Continuum ensemble: one slice
+    holding the local times, w = lam.
     '''
-    nu, lam = params.nu, params.lam
-    _check_grid(w, nu)
-    _check_grid(wt, nu)
-    if lam == 0.0:
-        return 0.0
-    v_of = lambda a, b: params.vL[params.torus.diff_table[a, b]]
-    va = _window_views(w, nu)
-    vb = va if wt is w else _window_views(wt, nu)
-    total = 0.0
-    for a, wa in enumerate(va):
-        for b, wb in enumerate(vb):
-            if skip_diagonal and a == b:
-                continue
-            val = _overlap_value(wa, wb, nu, v_of)
-            if np.isinf(val):
-                return np.inf
-            total += val
-    return lam / nu * total
+    n_sites = params.torus.n_sites
+    if kind != "ginibre":
+        N = np.array([w.local_time_table(n_sites) for w in config])
+        return np.array([params.lam]), N.reshape(len(config), 1, n_sites)
+    nu = params.nu
+    for w in config:
+        _check_grid(w, nu)
+    cuts = np.unique(np.concatenate(
+        [[0.0, nu]] + [np.mod(w.jump_times, nu) for w in config]))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    K = len(mid)
+    slot = np.arange(K) * n_sites
+    N = np.empty((len(config), K, n_sites))
+    for i, w in enumerate(config):
+        t = nu * np.arange(round(w.duration / nu))[:, None] + mid
+        sites = np.concatenate(([w.start], w.jump_sites))[
+            np.searchsorted(w.jump_times, t, side="right")]
+        N[i] = np.bincount((slot + sites).ravel(),
+                           minlength=K * n_sites).reshape(K, n_sites)
+    return params.lam / nu * np.diff(cuts), N
 
 
-def v_total(config, pair_fn):
-    '''V(w_1..w_n) = 1/2 sum_{i,j} pair(w_i, w_j), self terms included.'''
-    total = 0.0
-    for i, wi in enumerate(config):
-        for j, wj in enumerate(config):
-            if j < i:
-                continue
-            val = pair_fn(wi, wj)
-            if np.isinf(val):
-                return np.inf
-            total += val if i == j else 2.0 * val
-    return 0.5 * total
+def _form(w, N, vmat):
+    '''P[i, j] = sum_k w_k N[i, k] vmat N[j, k]^T; +inf where an infinite
+    vmat entry meets sites occupied in a common slice of positive weight
+    (masked, so that 0 * inf never makes a NaN).'''
+    n, K, s = N.shape
+    core = np.isinf(vmat)
+    weighted = (w[:, None] * N) @ np.where(core, 0.0, vmat)
+    P = weighted.reshape(n, K * s) @ N.reshape(n, K * s).T
+    if core.any():
+        occ = (N > 0) * (w > 0)[:, None]
+        hits = (occ @ core).reshape(n, K * s) @ occ.reshape(n, K * s).T
+        P[hits] = np.inf
+    return P
 
 
-def v_total_largemass(config, params):
-    '''Large-mass total interaction (lam = 1):
-    1/2 sum_{i != j} V(w_i, w_j) + 1/2 sum_i Vtilde(w_i)
-    + (v(0)/(2 nu)) |T| 1{R = 0},
-    with Vtilde the self window sum excluding the diagonal r = s pairs.
+def pair_matrix(config, params, kind):
+    '''Matrix of pair interactions V(w_i, w_j) of a loop configuration,
+    self pairs on the diagonal (kind "ginibre" or "symanzik_eps").'''
+    w, N = _occupations(config, params, kind)
+    return _form(w, N, params.vL[params.torus.diff_table])
+
+
+def v_total(config, params, kind):
+    '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a configuration,
+    n = sum_i N_i its occupation field; equal to 1/2 sum_{i,j} V(w_i, w_j).
+
+    Large-mass mode (lam = 1) with R = 1 drops the self term of each
+    window: the configuration is killed (+inf) iff two windows share a
+    site at some time, and otherwise interacts through v-tilde.
     '''
-    if params.mode != "largemass":
-        raise ValueError("v_total_largemass requires largemass mode")
-    total = 0.0
-    for i, wi in enumerate(config):
-        tilde = v_ginibre_pair(wi, wi, params, skip_diagonal=True)
-        if np.isinf(tilde):
+    w, N = _occupations(config, params, kind)
+    n = N.sum(axis=0)[None]
+    vL = params.vL
+    if params.mode == "largemass" and params.R == 1:
+        if np.any(n > 1):
             return np.inf
-        total += 0.5 * tilde
-        for wj in config[i + 1:]:
-            val = v_ginibre_pair(wi, wj, params)
-            if np.isinf(val):
-                return np.inf
-            total += val
-    if params.R == 0:
-        origin = params.torus.index_of(np.zeros(params.torus.d, dtype=np.int64))
-        v0 = params.vL[origin]
-        total += v0 / (2.0 * params.nu) * sum(w.duration for w in config)
-    return total
+        vL = v_tilde_table(vL, params.torus, 1)
+    return 0.5 * float(_form(w, n, vL[params.torus.diff_table])[0, 0])
 
 
 def v_lm(kvec, xvec, vL, torus, R):

@@ -61,10 +61,6 @@ class Torus:
         m = np.minimum(c, self.L - c)
         return np.sqrt(np.sum(m * m, axis=-1))
 
-    def diff_index(self, i, j):
-        '''Site index of coords(i) - coords(j) mod L.'''
-        return self.diff_table[i, j]
-
     @property
     def diff_table(self):
         if self._diff_table is None:
@@ -120,11 +116,6 @@ class HeatKernel:
     def matrix(self, t):
         '''psi^{L,t}(x-y) as an n_sites x n_sites matrix.'''
         return self.table(t)[self.torus.diff_table]
-
-
-def heat_kernel(hk, t):
-    '''Functional form of HeatKernel.table.'''
-    return hk.table(t)
 
 
 def heat_kernel_infinite(d, t, x, tail_tol=1e-10, method="quadrature"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .interactions import v_cl_pair, v_ginibre_pair, v_total, v_total_largemass
+from .interactions import v_total
 from .lattice import laplacian_matrix
 from .paths import GinibreDurationLaw, SymanzikDurationLaw, sample_free_walk
 
@@ -59,14 +59,7 @@ class EnsembleSpec:
             raise ValueError("intensity kind does not match ensemble kind")
 
     def total_interaction(self, config):
-        if self.kind == "ginibre":
-            if self.params.mode == "largemass":
-                return v_total_largemass(config, self.params)
-            pair = lambda a, b: v_ginibre_pair(a, b, self.params)
-            return v_total(config, pair)
-        pair = lambda a, b: self.params.lam * v_cl_pair(
-            a, b, self.params.vL, self.torus)
-        return v_total(config, pair)
+        return v_total(config, self.params, self.kind)
 
     def duration_law(self):
         if self.kind == "ginibre":

@@ -93,14 +93,6 @@ def sample_free_walk(torus, x, T, rng):
                 np.array(keep_s, dtype=np.int64))
 
 
-def position(path, t):
-    return path.position(t)
-
-
-def local_time(path, site):
-    return path.local_time(site)
-
-
 class GinibreDurationLaw:
     '''Normalized grid law P(T = nu*k) = e^{-kappa nu k} / c, k >= 1.
 
@@ -248,7 +240,3 @@ class LoopIntensity:
         raise RuntimeError(
             f"bridge rejection budget exceeded (T={T}, acceptance "
             f"~ {self.hk.at_origin(T):.3e})")
-
-
-def sample_loop(intensity, rng, max_tries=10000):
-    return intensity.sample_loop(rng, max_tries=max_tries)

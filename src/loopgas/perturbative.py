@@ -36,10 +36,6 @@ def _k_cutoff(kappa, nu, tol=1e-14):
     return max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
 
 
-def _psi_hat(rates, t):
-    return np.exp(-t * rates)
-
-
 def _f_hat_table(torus, rates, v_grid, nu, k_max):
     '''f_hat[m] = Fourier symbol of v^L(u) psi^{nu m}(u), m = 0..k_max.'''
     shape = (torus.L,) * torus.d

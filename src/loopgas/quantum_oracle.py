@@ -252,6 +252,11 @@ def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     '''Xi = sum_n e^{-kappa nu n} tr(e^{-H_n} P+), adaptively truncated;
     returns the relative partition function Z = Xi / Xi(v=0) computed with
     matched truncation.'''
+    return _grand_sum(params, kappa, tol, n_cap, dim_cap)[0]
+
+
+def _grand_sum(params, kappa, tol, n_cap, dim_cap):
+    '''grand_partition's result and the BoseBlocks it diagonalized.'''
     if kappa is None:
         kappa = params.kappa
     if kappa is None or kappa * params.nu <= 0:
@@ -292,7 +297,7 @@ def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
         Xi=float(Xi), Xi0=Xi0, Z_rel=float(Xi / Xi0),
         terms=terms, terms_free=list(terms_free), n_max=n,
         tail_bound=float(tail),
-        metadata={"kappa": kappa, "tol": tol})
+        metadata={"kappa": kappa, "tol": tol}), blocks
 
 
 def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
@@ -307,9 +312,7 @@ def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
         raise ValueError("p must be >= 1")
     if kappa is None:
         kappa = params.kappa
-    res = grand_partition(params, kappa=kappa, tol=tol, n_cap=n_cap,
-                          dim_cap=dim_cap)
-    blocks = BoseBlocks(params)
+    res, blocks = _grand_sum(params, kappa, tol, n_cap, dim_cap)
     m = params.torus.n_sites
     fugacity = np.exp(-kappa * params.nu)
     tuples = list(itertools.product(range(m), repeat=p))

@@ -163,3 +163,56 @@ def test_volume_experiment(tmp_path):
     assert g_rows[0] == ["nu", "L", "g"]
     meta = json.loads((out / "volume_meta.json").read_text())
     assert all(v["cauchy"] for v in meta["verdicts"])
+
+
+def _ginibre_doc(**kw):
+    doc = {"experiment": "ginibre-z", "torus": {"d": 1, "L": 3},
+           "potential": {"d": 1, "R": 0, "entries": [[[0], 0.5]]},
+           "nu": 0.5, "kappa": 1.0, "lambda_rule": "explicit",
+           "lambda": 0.2, "n_samples": 50}
+    doc.update(kw)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def test_overrides_checked_against_schema(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _ginibre_doc())
+    out = str(tmp_path / "out")
+    assert main(["ginibre-z", "--config", cfg, "--out", out,
+                 "--workers", "0"]) == 2
+    assert main(["ginibre-z", "--config", cfg, "--out", out,
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "--seed" in err
+    assert main(["ginibre-z", "--config", cfg, "--out", out,
+                 "--seed", "3", "--workers", "2"]) == 0
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ZeroDivisionError,
+                                   MemoryError, RuntimeError])
+def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                             error):
+    from loopgas import cli
+
+    def fail(config):
+        raise error("budget exceeded")
+
+    monkeypatch.setitem(cli.RUNNERS, "ginibre-z", fail)
+    cfg = _write_config(tmp_path, _ginibre_doc())
+    assert main(["ginibre-z", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget exceeded" in err
+
+
+def test_tolerances_field_rejected(tmp_path):
+    cfg = _write_config(tmp_path, _ginibre_doc(tolerances={"z": 0.1}))
+    assert main(["ginibre-z", "--config", cfg]) == 2
+
+
+def test_ginibre_z_off_grid_nu(tmp_path):
+    # nu = 0.1 is not dyadic: window bounds are not exact in floating point
+    cfg = _write_config(tmp_path, _ginibre_doc(
+        torus={"d": 1, "L": 4}, nu=None, nu_list=[0.1], n_samples=200))
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "ginibre_z.json").read_text())
+    assert 0.0 < doc["mean"] < 1.0

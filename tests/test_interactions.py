@@ -1,17 +1,128 @@
-'''Exact interaction functionals: classical pair integrals, grid-window
-sums, totals, and the infinite-mass particle interaction.'''
-
-import math
+'''Exact interaction functionals: the occupation-field kernel against the
+pairwise window-overlap oracle and direct quadratures, totals, the
+large-mass rules, and the infinite-mass particle interaction.'''
 
 import numpy as np
 import pytest
 
 from loopgas.interactions import (
-    InteractionParams, v_cl_pair, v_ginibre_pair, v_lm, v_tilde_table,
-    v_total, v_total_largemass)
+    InteractionParams, _check_grid, pair_matrix, v_lm, v_tilde_table,
+    v_total)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.paths import Path, sample_free_walk
 
+
+# -- oracle: the pairwise window-overlap implementation ------------------------
+# Merges the jump events of two paths window by window and sums the exact
+# overlap integrals pair by pair.  Kept only as an independent reference
+# for the occupation-field kernel; its window bounds are exact only for
+# dyadic nu.
+
+def _window_views(path, nu):
+    n_win = int(round(path.duration / nu))
+    if path.is_constant:
+        return [(None, path.start)] * n_win
+    t0, t1, sites = path.segments()
+    views = []
+    for a in range(n_win):
+        lo, hi = a * nu, (a + 1) * nu
+        i = np.searchsorted(t1, lo, side="right")
+        j = np.searchsorted(t0, hi, side="left")
+        if j - i == 1:
+            views.append((None, int(sites[i])))
+        else:
+            bounds = np.concatenate(([lo], t0[i + 1:j], [hi])) - lo
+            views.append((bounds, sites[i:j]))
+    return views
+
+
+def _overlap_value(view_a, view_b, nu, v_of):
+    ba, sa = view_a
+    bb, sb = view_b
+    if ba is None and bb is None:
+        return nu * v_of(sa, sb)
+    if ba is None:
+        ba, sa = np.array([0.0, nu]), np.array([sa])
+    if bb is None:
+        bb, sb = np.array([0.0, nu]), np.array([sb])
+    cuts = np.union1d(ba, bb)
+    ia = np.searchsorted(ba, cuts[:-1], side="right") - 1
+    ib = np.searchsorted(bb, cuts[:-1], side="right") - 1
+    total = 0.0
+    for k in range(len(cuts) - 1):
+        val = v_of(int(sa[ia[k]]), int(sb[ib[k]]))
+        if np.isinf(val):
+            return np.inf
+        total += (cuts[k + 1] - cuts[k]) * val
+    return total
+
+
+def v_ginibre_pair(w, wt, params, skip_diagonal=False):
+    '''(lam/nu) sum_{a,b} int_0^nu v(w(a nu + t) - wt(b nu + t)) dt;
+    skip_diagonal drops the a = b terms of a self pair.'''
+    nu, lam = params.nu, params.lam
+    _check_grid(w, nu)
+    _check_grid(wt, nu)
+    if lam == 0.0:
+        return 0.0
+    v_of = lambda a, b: params.vL[params.torus.diff_table[a, b]]
+    va = _window_views(w, nu)
+    vb = va if wt is w else _window_views(wt, nu)
+    total = 0.0
+    for a, wa in enumerate(va):
+        for b, wb in enumerate(vb):
+            if skip_diagonal and a == b:
+                continue
+            val = _overlap_value(wa, wb, nu, v_of)
+            if np.isinf(val):
+                return np.inf
+            total += val
+    return lam / nu * total
+
+
+def v_cl_pair(w, wt, vL, torus):
+    '''int_0^T int_0^Tt v(w(t) - wt(tt)) dt dtt over constant pieces.'''
+    t0, t1, s = w.segments()
+    u0, u1, su = wt.segments()
+    vmat = vL[torus.diff_table[np.ix_(s, su)]]
+    if np.isinf(vmat).any():
+        return np.inf
+    return float((t1 - t0) @ vmat @ (u1 - u0))
+
+
+def v_total_pairwise(config, pair_fn):
+    '''1/2 sum_{i,j} pair(w_i, w_j), self terms included.'''
+    total = 0.0
+    for i, wi in enumerate(config):
+        for j, wj in enumerate(config):
+            val = pair_fn(wi, wj)
+            if np.isinf(val):
+                return np.inf
+            total += 0.5 * val
+    return total
+
+
+def v_total_largemass(config, params):
+    '''1/2 sum_{i != j} V(w_i, w_j) + 1/2 sum_i Vtilde(w_i)
+    + (v(0)/(2 nu)) |T| 1{R = 0}, Vtilde without the a = b windows.'''
+    total = 0.0
+    for i, wi in enumerate(config):
+        tilde = v_ginibre_pair(wi, wi, params, skip_diagonal=True)
+        if np.isinf(tilde):
+            return np.inf
+        total += 0.5 * tilde
+        for wj in config[i + 1:]:
+            val = v_ginibre_pair(wi, wj, params)
+            if np.isinf(val):
+                return np.inf
+            total += val
+    if params.R == 0:
+        total += params.vL[0] / (2.0 * params.nu) * sum(
+            w.duration for w in config)
+    return total
+
+
+# -- helpers -------------------------------------------------------------------
 
 def _params(torus, vL, nu=0.5, lam=0.2, **kw):
     return InteractionParams(torus=torus, vL=vL, nu=nu, lam=lam,
@@ -28,16 +139,118 @@ def _riemann_pair(w, wt, vL, torus, n_grid=4000):
     return float(vals.sum()) * (w.duration / n_grid) * (wt.duration / n_grid)
 
 
+def _random_potential(d, L, R, rng):
+    entries = {}
+    for _ in range(3):
+        x = tuple(int(c) for c in rng.integers(-1, 2, d))
+        if tuple(-c for c in x) not in entries and not (R and not any(x)):
+            entries[x] = float(rng.random())
+    return periodize_potential(PotentialSpec(d, R, entries), L)
+
+
+def _close(new, ref):
+    if np.isinf(ref):
+        return np.isinf(new)
+    return not np.isinf(new) and abs(new - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+# -- cross-check of the kernel against the oracle ------------------------------
+
+CASES = ("generic", "meanfield", "largemass_R0", "largemass_R1", "continuum")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_kernel_matches_window_overlap_oracle(case):
+    '''v_total and pair_matrix against the pairwise oracle on 216 random
+    configurations: 12 per (nu, L, d) in {0.5, 0.25, 0.125} x {2, 3, 4}
+    x {1, 2}.  Finite values agree to 1e-12 relative; +inf exactly.'''
+    rng = np.random.default_rng(CASES.index(case))
+    R = 1 if case == "largemass_R1" else 0
+    kind = "symanzik_eps" if case == "continuum" else "ginibre"
+    n_inf = n_checked = 0
+    for nu in (0.5, 0.25, 0.125):
+        for L in (2, 3, 4):
+            for d in (1, 2):
+                torus = Torus(d, L)
+                vL = _random_potential(d, L, R, rng)
+                if case == "meanfield":
+                    params = InteractionParams(torus=torus, vL=vL, nu=nu,
+                                               mode="meanfield")
+                elif case.startswith("largemass"):
+                    params = InteractionParams(torus=torus, vL=vL, nu=nu,
+                                               mode="largemass", kappa0=1.0,
+                                               R=R)
+                else:
+                    params = _params(torus, vL, nu=nu, lam=0.7)
+                if case == "continuum":
+                    pair = lambda a, b: params.lam * v_cl_pair(a, b, vL, torus)
+                else:
+                    pair = lambda a, b: v_ginibre_pair(a, b, params)
+                for _ in range(12):
+                    n = int(rng.integers(0, 3 if R else 5))
+                    config = []
+                    for _ in range(n):
+                        T = (rng.exponential(1.0) + 1e-3 if case == "continuum"
+                             else nu * int(rng.integers(1, 4 if R else 6)))
+                        x = int(rng.integers(torus.n_sites))
+                        config.append(sample_free_walk(torus, x, T, rng))
+                    ref = (v_total_largemass(config, params)
+                           if case.startswith("largemass")
+                           else v_total_pairwise(config, pair))
+                    new = v_total(config, params, kind)
+                    assert _close(new, ref), (nu, L, d, new, ref)
+                    n_inf += np.isinf(ref)
+                    n_checked += 1
+                    P = pair_matrix(config, params, kind)
+                    assert P.shape == (n, n)
+                    for i in range(n):
+                        for j in range(n):
+                            assert _close(P[i, j], pair(config[i], config[j]))
+    assert n_checked == 216
+    if R:
+        assert 0 < n_inf < n_checked     # both branches exercised
+
+
+def test_largemass_hard_core_rule():
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.4}), 3)
+    params = InteractionParams(torus=torus, vL=vL, nu=0.5, mode="largemass",
+                               kappa0=1.0, R=1)
+    # one window per site: no double occupation, V = v(1)
+    assert v_total([Path(0, 0.5), Path(1, 0.5)], params,
+                   "ginibre") == pytest.approx(0.4)
+    # two windows of one loop on a site at the same time are killed
+    assert np.isinf(v_total([Path(0, 1.0)], params, "ginibre"))
+    # so are two loops meeting on a slice of the folded time
+    meet = Path(1, 0.5, np.array([0.3]), np.array([0]))
+    assert np.isinf(v_total([Path(0, 0.5), meet], params, "ginibre"))
+    assert v_total([], params, "ginibre") == 0.0
+
+
+def test_zero_coupling_with_hard_core_is_zero():
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 1, {}), 3)
+    params = _params(torus, vL, lam=0.0, R=1)
+    config = [Path(0, 0.5), Path(0, 1.0)]
+    assert v_total(config, params, "ginibre") == 0.0
+    assert v_total(config, params, "symanzik_eps") == 0.0
+    assert not pair_matrix(config, params, "ginibre").any()
+
+
+# -- the kernel against direct quadratures -------------------------------------
+
 def test_v_cl_pair_vs_quadrature():
     torus = Torus(1, 3)
     vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5, (1,): 0.2}), 3)
+    params = _params(torus, vL, nu=1.0, lam=1.0)
     rng = np.random.default_rng(2)
     for _ in range(5):
         w = sample_free_walk(torus, 0, 1.3, rng)
         wt = sample_free_walk(torus, 1, 0.9, rng)
-        exact = v_cl_pair(w, wt, vL, torus)
         approx = _riemann_pair(w, wt, vL, torus)
-        assert abs(exact - approx) < 5e-3
+        assert abs(v_cl_pair(w, wt, vL, torus) - approx) < 5e-3
+        P = pair_matrix([w, wt], params, "symanzik_eps")
+        assert abs(P[0, 1] - approx) < 5e-3
 
 
 def test_v_cl_pair_hard_core_absorbing():
@@ -45,6 +258,11 @@ def test_v_cl_pair_hard_core_absorbing():
     vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.1}), 3)
     w = Path(0, 1.0)
     assert np.isinf(v_cl_pair(w, w, vL, torus))
+    params = _params(torus, vL, nu=1.0, lam=1.0, R=1)
+    assert np.isinf(v_total([w], params, "symanzik_eps"))
+    P = pair_matrix([w, Path(1, 1.0)], params, "symanzik_eps")
+    assert np.isinf(P[0, 0]) and np.isinf(P[1, 1])
+    assert P[0, 1] == pytest.approx(0.1)
 
 
 def test_v_ginibre_pair_constant_paths():
@@ -56,6 +274,8 @@ def test_v_ginibre_pair_constant_paths():
     wt = Path(1, 1.5)    # 3 windows
     expected = params.lam / params.nu * 2 * 3 * params.nu * vL[torus.diff_table[0, 1]]
     assert v_ginibre_pair(w, wt, params) == pytest.approx(expected)
+    assert pair_matrix([w, wt], params, "ginibre")[0, 1] == pytest.approx(
+        expected)
 
 
 def test_v_ginibre_pair_matches_window_quadrature():
@@ -80,14 +300,63 @@ def test_v_ginibre_pair_matches_window_quadrature():
                         w.position(s * nu + t), wt.position(st * nu + t)]]
         expected = params.lam / nu * total
         assert abs(v_ginibre_pair(w, wt, params) - expected) < 5e-3
+        P = pair_matrix([w, wt], params, "ginibre")
+        assert abs(P[0, 1] - expected) < 5e-3
+
+
+def _window_quadrature_total(config, params, n_grid):
+    '''Midpoint quadrature of (lam/nu) 1/2 sum over pairs of windows
+    (u, u') of int_0^nu v(u(t) - u'(t)) dt, with a bound on its error:
+    each jump inside a window breaks at most one grid cell of each pair
+    it belongs to, and a broken cell is off by at most dt (max v - min v).'''
+    nu, lam = params.nu, params.lam
+    dt = nu / n_grid
+    t = (np.arange(n_grid) + 0.5) * dt
+    units, n_jumps = [], 0
+    for w in config:
+        for a in range(int(round(w.duration / nu))):
+            units.append([w.position(a * nu + s) for s in t])
+            inside = (w.jump_times > a * nu) & (w.jump_times < (a + 1) * nu)
+            n_jumps += int(np.count_nonzero(inside))
+    U = np.array(units)
+    vals = params.vL[params.torus.diff_table[U[:, None, :], U[None, :, :]]]
+    quad = 0.5 * lam / nu * dt * float(vals.sum())
+    spread = float(params.vL.max() - params.vL.min())
+    return quad, lam / nu * dt * spread * len(units) * n_jumps
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.05, 0.3])
+def test_off_grid_nu_matches_window_quadrature(nu):
+    '''Non-dyadic nu, where the windows' float bounds differ from nu.'''
+    rng = np.random.default_rng(int(nu * 1000))
+    torus = Torus(1, 4)
+    vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5, (1,): 0.2}), 4)
+    params = _params(torus, vL, nu=nu, lam=0.3)
+    for _ in range(10):
+        config = [sample_free_walk(torus, int(rng.integers(4)),
+                                   nu * int(rng.integers(1, 8)), rng)
+                  for _ in range(int(rng.integers(1, 4)))]
+        quad, err = _window_quadrature_total(config, params, n_grid=400)
+        assert abs(v_total(config, params, "ginibre") - quad) <= err + 1e-12
+        P = pair_matrix(config, params, "ginibre")
+        assert 0.5 * P.sum() == pytest.approx(
+            v_total(config, params, "ginibre"), rel=1e-12)
 
 
 def test_v_ginibre_pair_rejects_off_grid():
     torus = Torus(1, 3)
-    vL = np.zeros(3)
-    params = _params(torus, vL)
+    params = _params(torus, np.zeros(3))
+    config = [Path(0, 0.7), Path(0, 0.5)]
     with pytest.raises(ValueError):
-        v_ginibre_pair(Path(0, 0.7), Path(0, 0.5), params)
+        v_total(config, params, "ginibre")
+    with pytest.raises(ValueError):
+        pair_matrix(config, params, "ginibre")
+    # nu = 0.1: 0.3 is on the grid although 0.3 / 0.1 is not exactly 3 in
+    # floating point
+    off = _params(torus, np.zeros(3), nu=0.1)
+    assert v_total([Path(0, 0.3)], off, "ginibre") == 0.0
+    with pytest.raises(ValueError):
+        v_total([Path(0, 0.35)], off, "ginibre")
 
 
 def test_v_total_counts_pairs_once():
@@ -95,12 +364,13 @@ def test_v_total_counts_pairs_once():
     vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5}), 3)
     params = _params(torus, vL)
     config = [Path(0, 0.5), Path(0, 0.5), Path(1, 0.5)]
-    pair = lambda a, b: v_ginibre_pair(a, b, params)
+    P = pair_matrix(config, params, "ginibre")
     direct = 0.0
     for i, wi in enumerate(config):
         for j, wj in enumerate(config):
-            direct += 0.5 * pair(wi, wj)
-    assert v_total(config, pair) == pytest.approx(direct)
+            direct += 0.5 * v_ginibre_pair(wi, wj, params)
+    assert v_total(config, params, "ginibre") == pytest.approx(direct)
+    assert 0.5 * P.sum() == pytest.approx(direct)
 
 
 def test_v_tilde_table_zeroes_core():
@@ -124,15 +394,8 @@ def test_v_total_largemass_decomposition():
                 for w in config)
     cross = v_ginibre_pair(config[0], config[1], params)
     counter = vL[0] / (2 * nu) * (2 * nu + 3 * nu)
-    assert v_total_largemass(config, params) == pytest.approx(
+    assert v_total(config, params, "ginibre") == pytest.approx(
         tilde + cross + counter)
-
-
-def test_v_total_largemass_requires_mode():
-    torus = Torus(1, 3)
-    params = _params(torus, np.zeros(3))
-    with pytest.raises(ValueError):
-        v_total_largemass([], params)
 
 
 def test_v_lm_soft_and_hard():
@@ -162,3 +425,15 @@ def test_interaction_params_modes():
                           mode="meanfield", kappa=1.0)
     with pytest.raises(ValueError):
         InteractionParams(torus=torus, vL=vL, nu=0.5, mode="generic")
+    # R = 1 iff vL is +inf at the origin
+    hard = periodize_potential(PotentialSpec(1, 1, {}), 3)
+    with pytest.raises(ValueError):
+        InteractionParams(torus=torus, vL=hard, nu=0.5, mode="largemass",
+                          kappa0=1.0)
+    with pytest.raises(ValueError):
+        InteractionParams(torus=torus, vL=vL, nu=0.5, mode="largemass",
+                          kappa0=1.0, R=1)
+    with pytest.raises(ValueError):
+        InteractionParams(torus=torus, vL=vL, nu=0.5, lam=0.1, R=2)
+    assert InteractionParams(torus=torus, vL=hard, nu=0.5, mode="largemass",
+                             kappa0=1.0, R=1).R == 1

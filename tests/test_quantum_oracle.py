@@ -140,3 +140,25 @@ def test_feynman_kac():
     V = rng.uniform(0.0, 1.0, torus.n_sites)
     report = feynman_kac_check(torus, V, t=1.0, n_samples=40000, seed=23)
     assert report["pass"], f"max z = {report['max_z']:.2f}"
+
+
+def test_reduced_density_matrix_diagonalizes_each_block_once(monkeypatch):
+    params = _params(L=2, kappa=2.0)
+    K_ref = reduced_density_matrix(params, 1)
+    built, eig_calls = [], []
+    build = BoseBlocks.hamiltonian_block
+    eigh = np.linalg.eigh
+
+    def counting_build(self, n):
+        built.append(n)
+        return build(self, n)
+
+    def counting_eigh(a, *args, **kwargs):
+        eig_calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(BoseBlocks, "hamiltonian_block", counting_build)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    K = reduced_density_matrix(params, 1)
+    assert len(built) == len(set(built)) == len(eig_calls) > 0
+    assert np.array_equal(K, K_ref)
