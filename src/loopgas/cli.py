@@ -195,6 +195,10 @@ def run_meanfield_sweep(config):
     kappa, p = config.kappa, config.p
     xs = config.x if config.x is not None else [0] * p
     ys = config.y if config.y is not None else [0] * p
+    for name, sites in (("x", xs), ("y", ys)):
+        if len(sites) != p or not all(0 <= s < torus.n_sites for s in sites):
+            raise ConfigError(f"{name} must list p = {p} sites of the torus "
+                              f"(0..{torus.n_sites - 1}), got {sites}")
     use_oracle = _use_oracle(torus, p, config.n_max)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
     print(f"meanfield: quantum side via {chooser} "
@@ -585,7 +589,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, MemoryError, RuntimeError) as exc:
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"{args.command} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .interactions import pair_matrix
-from .loop_mc import _chunks, _welford_merge
+from .loop_mc import run_mc
 
 MAX_ENUM_N = 7
 MAX_URSELL_N = 6
@@ -347,6 +347,9 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     order-(n_max + 1) remainder magnitude.
     '''
     _require_ginibre(spec)
+    if spec.params.R == 1:
+        raise ValueError("the cluster expansion needs a finite potential "
+                         "(R = 0): a hard core makes every self weight 0")
     p = len(fixed_paths)
     if n_max > 4:
         raise ValueError("truncation budget is n_max <= 4")
@@ -355,52 +358,36 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     mass = spec.intensity.total_mass
     orders = list(range(max(p, 1), n_max + 1))
 
-    def order_value(n, rng, bound_mode=False):
-        drawn = [spec.intensity.sample_loop(rng) for _ in range(n - p)]
-        weight, zeta = _weight_and_zeta(list(fixed_paths) + drawn, spec, p)
-        phi = tree_sum(zeta) if bound_mode else ursell(zeta)
+    def draw(n, bound_mode=False):
         factor = (math.factorial(n) // math.factorial(n - p)) * mass ** (n - p)
-        return factor * weight * phi, weight
+
+        def sample(rng, count):
+            out = []
+            for _ in range(count):
+                drawn = [spec.intensity.sample_loop(rng) for _ in range(n - p)]
+                weight, zeta = _weight_and_zeta(list(fixed_paths) + drawn,
+                                                spec, p)
+                phi = tree_sum(zeta) if bound_mode else ursell(zeta)
+                out.append((factor * weight * phi, weight, weight * weight))
+            return out
+        return sample
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "ess": [], "mass": mass}
     for n in orders:
-        vals, wts = _order_mc(order_value, n, n_samples, seed + n, workers)
-        report["means"].append(vals[0])
-        report["std_errors"].append(vals[1])
-        report["ess"].append(wts)
-    rem = _order_mc(lambda n, rng: order_value(n, rng, bound_mode=True),
-                    n_max + 1, n_samples, seed + n_max + 1, workers)
-    report["remainder"] = rem[0][0]
-    report["remainder_se"] = rem[0][1]
+        # columns (value, w, w^2): ESS = (sum w)^2 / sum w^2
+        mean, se, count = run_mc(draw(n), n_samples, seed + n, workers)
+        report["means"].append(float(mean[0]))
+        report["std_errors"].append(float(se[0]))
+        report["ess"].append(
+            float(count * mean[1] ** 2 / mean[2]) if mean[2] > 0 else 0.0)
+    rem, rem_se, _ = run_mc(draw(n_max + 1, bound_mode=True), n_samples,
+                            seed + n_max + 1, workers)
+    report["remainder"] = float(rem[0])
+    report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))
     report["total_se"] = float(math.sqrt(sum(s * s for s in report["std_errors"])))
     return report
-
-
-def _order_mc(order_value, n, n_samples, seed, workers):
-    '''Deterministic ordered-reduction MC for one expansion order;
-    returns ((mean, std_error), effective sample size of the weights).'''
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    parts = []
-    w_sum = w_sq = 0.0
-    for w, n_w in enumerate(_chunks(n_samples, workers)):
-        rng = np.random.default_rng(streams[w])
-        c, m, m2 = 0, 0.0, 0.0
-        for _ in range(n_w):
-            x, wt = order_value(n, rng)
-            w_sum += wt
-            w_sq += wt * wt
-            c += 1
-            d = x - m
-            m += d / c
-            m2 += d * (x - m)
-        parts.append((c, m, m2))
-    count, mean, M2 = _welford_merge(parts)
-    var = M2 / (count - 1) if count > 1 else 0.0
-    se = math.sqrt(var / count) if count else 0.0
-    ess = w_sum * w_sum / w_sq if w_sq > 0 else 0.0
-    return (mean, se), ess
 
 
 def expansion_csv_rows(report):

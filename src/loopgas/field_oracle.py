@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from .lattice import check_positive_type, laplacian_matrix
-from .loop_mc import McEstimate, _chunks, _welford_merge
+from .loop_mc import McEstimate, run_mc
 
 
 class GaussianField:
@@ -46,26 +46,6 @@ def _quartic_weight(fields, vmat):
     return 0.5 * np.einsum("ax,xy,ay->a", dens, vmat, dens)
 
 
-def _batched_mc(make_values, n_samples, seed, workers):
-    '''Deterministic parallel-reduction MC over vectorized batches.
-
-    make_values(rng, count) -> array of count sample values.
-    '''
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    parts = []
-    for w, n_w in enumerate(_chunks(n_samples, workers)):
-        rng = np.random.default_rng(streams[w])
-        vals = np.asarray(make_values(rng, n_w), dtype=float)
-        if n_w:
-            m = float(vals.mean())
-            parts.append((n_w, m, float(np.sum((vals - m) ** 2))))
-        else:
-            parts.append((0, 0.0, 0.0))
-    count, mean, M2 = _welford_merge(parts)
-    var = M2 / (count - 1) if count > 1 else 0.0
-    return mean, math.sqrt(var / count) if count else 0.0, count
-
-
 def estimate_Zcl(gf, vL, n_samples, seed, workers=1, lam=1.0):
     '''MC estimate of Z^cl = E_mu[e^{-lam W}] with the quartic weight W.'''
     vmat = np.asarray(vL)[gf.torus.diff_table]
@@ -76,7 +56,7 @@ def estimate_Zcl(gf, vL, n_samples, seed, workers=1, lam=1.0):
         fields = gf.sample(rng, count)
         return np.exp(-lam * _quartic_weight(fields, vmat))
 
-    mean, se, count = _batched_mc(values, n_samples, seed, workers)
+    mean, se, count = run_mc(values, n_samples, seed, workers)
     return McEstimate(mean, se, count, seed,
                       {"kind": "Zcl", "lam": lam, "workers": workers})
 
@@ -102,7 +82,7 @@ def estimate_gamma_cl(gf, vL, p, xs, ys, n_samples, seed, workers=1,
         out = mono * np.exp(-lam * _quartic_weight(fields, vmat))
         return out.real
 
-    num_mean, num_se, count = _batched_mc(values, n_samples, seed, workers)
+    num_mean, num_se, count = run_mc(values, n_samples, seed, workers)
     meta = {"kind": "gamma_cl", "p": p, "x": xs, "y": ys, "lam": lam,
             "workers": workers}
     if not normalized:
@@ -169,7 +149,7 @@ def hubbard_stratonovich_check(v_pt, torus, f, n_samples, seed, workers=1):
         sigma = rng.standard_normal((count, len(f))) @ factor.T
         return np.cos(sigma @ f)
 
-    mean, se, count = _batched_mc(values, n_samples, seed, workers)
+    mean, se, count = run_mc(values, n_samples, seed, workers)
     z = abs(mean - target) / max(se, 1e-15)
     return {"pass": bool(z <= 3.0 and exact_gap <= 1e-12),
             "mc": mean, "mc_se": se, "target": target, "z": z,

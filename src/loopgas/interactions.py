@@ -134,14 +134,15 @@ def v_total(config, params, kind):
     '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a configuration,
     n = sum_i N_i its occupation field; equal to 1/2 sum_{i,j} V(w_i, w_j).
 
-    Large-mass mode (lam = 1) with R = 1 drops the self term of each
-    window: the configuration is killed (+inf) iff two windows share a
-    site at some time, and otherwise interacts through v-tilde.
+    In the grid ensemble a hard core (R = 1) is exclusion, in every mode:
+    the configuration is killed (+inf) iff two windows share a site at
+    some time, and otherwise interacts through v-tilde (no self term of
+    a window), as the quantum oracle's hard-core bosons do.
     '''
     w, N = _occupations(config, params, kind)
     n = N.sum(axis=0)[None]
     vL = params.vL
-    if params.mode == "largemass" and params.R == 1:
+    if kind == "ginibre" and params.R == 1:
         if np.any(n > 1):
             return np.inf
         vL = v_tilde_table(vL, params.torus, 1)

@@ -22,6 +22,10 @@ from .interactions import v_lm, v_tilde_table
 from .lattice import periodize_potential
 from .paths import Path
 
+# Most occupation fields one occupation sum may enumerate; the shipped
+# configs need at most 31^3 = 29,791.
+MAX_OCCUPATION_FIELDS = 10 ** 6
+
 
 @dataclass
 class LmParams:
@@ -85,6 +89,10 @@ def occupation_sum(params, Q_fixed=None):
     Q = np.zeros(n, dtype=np.int64) if Q_fixed is None else np.asarray(
         Q_fixed, dtype=np.int64)
     cap, tail = _site_cap(params)
+    if (cap + 1) ** n > MAX_OCCUPATION_FIELDS:
+        raise MemoryError(
+            f"occupation sum over {(cap + 1) ** n} fields exceeds the "
+            f"budget of {MAX_OCCUPATION_FIELDS}")
     if params.R == 1 and np.any(Q > 1):
         return 0.0, 0.0
     vmat = _energy_table(params)

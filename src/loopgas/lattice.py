@@ -183,23 +183,6 @@ class PotentialSpec:
         return sum(self.entries.values())
 
     @classmethod
-    def from_function(cls, d, R, func, radius):
-        '''Tabulate v(x) = func(x) on the cube |x_i| <= radius.
-
-        Per-site values below 1e-14 are dropped (the spec-level tail
-        truncation threshold); callers declare radius large enough that
-        the dropped tail is below their tolerance.
-        '''
-        entries = {}
-        for site in itertools.product(range(-radius, radius + 1), repeat=d):
-            if R == 1 and all(c == 0 for c in site):
-                continue
-            val = float(func(np.array(site)))
-            if val >= 1e-14:
-                entries[site] = val
-        return cls(d, R, entries)
-
-    @classmethod
     def from_json(cls, doc):
         '''Load from {"d": int, "R": 0|1, "entries": [[x-vector, value], ...]}.
 

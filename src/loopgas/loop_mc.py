@@ -87,26 +87,35 @@ def _welford_merge(parts):
 
 
 def run_mc(sample_fn, n_samples, seed, workers=1):
-    '''Average sample_fn(rng) over n_samples with deterministic reduction.
+    '''Average the samples of sample_fn(rng, count) over n_samples with
+    a deterministic reduction; the single reducer of every estimator.
 
-    Returns (mean, std_error, count).  sample_fn must be a pure function
-    of the rng stream.
+    sample_fn returns count samples drawn from rng, with shape (count,)
+    or (count, k), and must be a pure function of the rng stream.  Each
+    worker chunk takes a two-pass mean and sum of squared deviations per
+    column; the chunks are merged in worker order.  Returns (mean,
+    std_error, count): floats for scalar samples, length-k arrays for
+    vector samples.
     '''
     streams = np.random.SeedSequence(seed).spawn(workers)
     parts = []
-    for w, n_w in enumerate(_chunks(n_samples, workers)):
-        rng = np.random.default_rng(streams[w])
-        c, m, m2 = 0, 0.0, 0.0
-        for _ in range(n_w):
-            x = sample_fn(rng)
-            c += 1
-            d = x - m
-            m += d / c
-            m2 += d * (x - m)
-        parts.append((c, m, m2))
+    scalar = True
+    for stream, n_w in zip(streams, _chunks(n_samples, workers)):
+        if n_w == 0:
+            continue
+        vals = np.asarray(sample_fn(np.random.default_rng(stream), n_w),
+                          dtype=float)
+        scalar = vals.ndim == 1
+        # one contiguous row per column, so that each column is reduced
+        # exactly as a scalar run of that column would be
+        cols = np.ascontiguousarray(vals.reshape(n_w, -1).T)
+        m = cols.mean(axis=1)
+        m2 = ((cols - m[:, None]) ** 2).sum(axis=1)
+        parts.append((n_w, m[0], m2[0]) if scalar else (n_w, m, m2))
     count, mean, M2 = _welford_merge(parts)
-    var = M2 / (count - 1) if count > 1 else 0.0
-    return mean, math.sqrt(var / count) if count else 0.0, count
+    var = M2 / (count - 1) if count > 1 else 0.0 * M2
+    se = np.sqrt(var / count) if count else var
+    return (float(mean), float(se), count) if scalar else (mean, se, count)
 
 
 def _draw_background(intensity, rng):
@@ -124,7 +133,8 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
         V = spec.total_interaction(config)
         return 0.0 if np.isinf(V) else math.exp(-V)
 
-    mean, se, count = run_mc(one, n_samples, seed, workers)
+    mean, se, count = run_mc(lambda rng, n: [one(rng) for _ in range(n)],
+                             n_samples, seed, workers)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
     meta.update(spec.intensity.metadata)
@@ -165,7 +175,9 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                 total += norm_p * math.exp(-V)
         return total
 
-    num_mean, num_se, count = run_mc(one, n_samples, seed, workers)
+    num_mean, num_se, count = run_mc(
+        lambda rng, n: [one(rng) for _ in range(n)], n_samples, seed,
+        workers)
     # independent stream for the denominator (fixed derived seed)
     denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63
     denom = estimate_rel_partition(

@@ -20,40 +20,29 @@ import math
 
 import numpy as np
 
-
-def _symbols(torus, vL):
-    '''Laplacian eigenvalues lambda_xi and the Fourier transform of
-    v^L * psi^tau for all needed tau, given on the frequency grid.'''
-    shape = (torus.L,) * torus.d
-    k = np.meshgrid(*[2.0 * np.pi * np.arange(torus.L) / torus.L] * torus.d,
-                    indexing="ij")
-    rates = sum(1.0 - np.cos(ki) for ki in k)
-    v_grid = np.asarray(vL).reshape(shape)
-    return rates.ravel(), v_grid
+from .lattice import HeatKernel
 
 
 def _k_cutoff(kappa, nu, tol=1e-14):
     return max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
 
 
-def _f_hat_table(torus, rates, v_grid, nu, k_max):
+def _f_hat_table(hk, vL, nu, k_max):
     '''f_hat[m] = Fourier symbol of v^L(u) psi^{nu m}(u), m = 0..k_max.'''
-    shape = (torus.L,) * torus.d
-    out = np.empty((k_max + 1, rates.size))
-    for m in range(k_max + 1):
-        psi = np.fft.ifftn(np.exp(-nu * m * rates.reshape(shape))).real
-        f = v_grid * psi
-        out[m] = np.fft.fftn(f).real.ravel()
-    return out
+    shape = hk.rates.shape
+    return np.array([np.fft.fftn((vL * hk.table(nu * m)).reshape(shape))
+                     .real.ravel() for m in range(k_max + 1)])
 
 
 def gamma1_first_order(torus, nu, kappa, vL, lam):
     '''Dense Gamma_1 kernel to first order in lam.'''
-    rates, v_grid = _symbols(torus, vL)
+    hk = HeatKernel(torus)
+    rates = hk.rates.ravel()
+    vL = np.asarray(vL)
     k_max = _k_cutoff(kappa, nu)
     a = np.exp(-nu * (kappa + rates))
     gamma_free = a / (1.0 - a)
-    f_hat = _f_hat_table(torus, rates, v_grid, nu, k_max)
+    f_hat = _f_hat_table(hk, vL, nu, k_max)
     # self term: (lam/2) sum_k e^{-kappa nu k} sum_{a,b<k}
     #            e^{-(nu k - nu|a-b|) rates} f_hat[|a-b|]
     S = np.zeros_like(rates)
@@ -67,22 +56,18 @@ def gamma1_first_order(torus, nu, kappa, vL, lam):
     # background term: E[V(w, background)] = lam Vbar rho' k for a k-window
     # path, so the symbol picks up sum_k k a_xi^k = a/(1-a)^2
     rho = loop_density(torus, nu, kappa)
-    v_bar = float(np.sum(np.asarray(vL)))
+    v_bar = float(np.sum(vL))
     B = lam * rho * v_bar * a / (1.0 - a) ** 2
     symbol = gamma_free - S - B
-    shape = (torus.L,) * torus.d
-    table = np.fft.ifftn(symbol.reshape(shape)).real.ravel()
+    table = np.fft.ifftn(symbol.reshape(hk.rates.shape)).real.ravel()
     return table[torus.diff_table]
 
 
 def loop_density(torus, nu, kappa):
     '''rho' = sum_{T in nu N*} e^{-kappa T} psi^{L,T}(0): the expected
     particle density of the free Poisson loop gas.'''
-    rates, _ = _symbols(torus, np.zeros(torus.n_sites))
-    k_max = _k_cutoff(kappa, nu)
-    k = np.arange(1, k_max + 1)
-    # psi^T(0) = mean of the symbol over the frequency grid
-    psi0 = np.exp(-nu * np.outer(k, rates)).mean(axis=1)
+    k = np.arange(1, _k_cutoff(kappa, nu) + 1)
+    psi0 = HeatKernel(torus).at_origin(nu * k)
     return float(np.sum(np.exp(-kappa * nu * k) * psi0))
 
 
@@ -93,23 +78,20 @@ def log_z_first_order(torus, nu, kappa, vL, lam):
              = lam |Lambda| sum_k (e^{-kappa nu k}/k) sum_{a,b<k} h_{nu k}(nu|a-b|),
       h_T(tau) = sum_u psi^tau(u) psi^{T-tau}(u) v^L(u),
       A_pair = lam |Lambda| Vbar rho'^2.'''
-    rates, v_grid = _symbols(torus, vL)
+    hk = HeatKernel(torus)
     k_max = _k_cutoff(kappa, nu)
-    shape = (torus.L,) * torus.d
-    # psi tables for all needed multiples of nu
-    psi = np.array([np.fft.ifftn(np.exp(-nu * m * rates.reshape(shape))).real
-                    for m in range(k_max + 1)])
-    v_flat = v_grid
+    psi = [hk.table(nu * m) for m in range(k_max + 1)]
+    vL = np.asarray(vL)
     a_self = 0.0
     for k in range(1, k_max + 1):
         w = math.exp(-kappa * nu * k) / k
-        inner = k * float(np.sum(psi[0] * psi[k] * v_flat))
+        inner = k * float(np.sum(psi[0] * psi[k] * vL))
         for m in range(1, k):
-            inner += 2.0 * (k - m) * float(np.sum(psi[m] * psi[k - m] * v_flat))
+            inner += 2.0 * (k - m) * float(np.sum(psi[m] * psi[k - m] * vL))
         a_self += w * inner
     a_self *= lam * torus.n_sites
     rho = loop_density(torus, nu, kappa)
-    a_pair = lam * torus.n_sites * float(np.sum(np.asarray(vL))) * rho ** 2
+    a_pair = lam * torus.n_sites * float(np.sum(vL)) * rho ** 2
     return -0.5 * (a_self + a_pair)
 
 

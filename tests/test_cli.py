@@ -188,7 +188,7 @@ def test_overrides_checked_against_schema(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, ZeroDivisionError,
-                                   MemoryError, RuntimeError])
+                                   MemoryError, RuntimeError, ValueError])
 def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                              error):
     from loopgas import cli
@@ -216,3 +216,29 @@ def test_ginibre_z_off_grid_nu(tmp_path):
     assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "ginibre_z.json").read_text())
     assert 0.0 < doc["mean"] < 1.0
+
+
+_MEANFIELD = {"experiment": "meanfield", "torus": {"d": 1, "L": 2},
+              "potential": {"d": 1, "R": 0, "entries": [[[0], 1.0]]},
+              "kappa": 1.0, "nu_list": [0.2], "lambda_rule": "nu_squared"}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (dict(_MEANFIELD, p=2, x=[0]), "x must list p = 2 sites"),
+    (dict(_MEANFIELD, x=[7]), "x must list p = 1 sites"),
+    (dict(_MEANFIELD, y=[-1]), "y must list p = 1 sites"),
+    ({"experiment": "largemass", "torus": {"d": 1, "L": 2},
+      "potential": {"d": 1, "R": 0, "entries": [[[0], 0.3]]},
+      "kappa0": 0.01, "nu_list": [0.2], "lambda_rule": "one"},
+     "exceeds the budget"),
+    ({"experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
+      "potential": {"d": 1, "R": 1, "entries": []}, "nu": 0.5,
+      "kappa": 1.5, "lambda_rule": "nu_squared", "n_samples": 10,
+      "n_max": 2}, "R = 0"),
+])
+def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
+    cfg = _write_config(tmp_path, doc)
+    assert main([doc["experiment"], "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err

@@ -210,3 +210,18 @@ def test_expansion_budget_guards():
         estimate_X(spec, [], n_max=5, n_samples=10, seed=0)
     with pytest.raises(ValueError):
         ursell(np.zeros((7, 7)))
+
+
+def test_expansion_rejects_hard_core():
+    # the pair matrix keeps each loop's self term v(0) = +inf, so every
+    # self weight would be 0 and the series would read log Z = -X0
+    from loopgas.interactions import InteractionParams
+    from loopgas.lattice import PotentialSpec, periodize_potential
+    from loopgas.loop_mc import EnsembleSpec
+    spec = _expansion_spec()
+    vL = periodize_potential(PotentialSpec(1, 1, {}), 3)
+    params = InteractionParams(torus=spec.torus, vL=vL, nu=spec.params.nu,
+                               mode="meanfield", R=1, kappa=1.5)
+    hard = EnsembleSpec(spec.torus, params, spec.intensity, "ginibre")
+    with pytest.raises(ValueError, match="R = 0"):
+        log_Z_via_expansion(hard, n_max=2, n_samples=10, seed=0)

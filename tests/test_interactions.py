@@ -232,9 +232,24 @@ def test_zero_coupling_with_hard_core_is_zero():
     vL = periodize_potential(PotentialSpec(1, 1, {}), 3)
     params = _params(torus, vL, lam=0.0, R=1)
     config = [Path(0, 0.5), Path(0, 1.0)]
-    assert v_total(config, params, "ginibre") == 0.0
     assert v_total(config, params, "symanzik_eps") == 0.0
     assert not pair_matrix(config, params, "ginibre").any()
+    # in the grid ensemble the hard core is exclusion, not coupling: two
+    # windows on one site are killed at any lam, one window per site is free
+    assert np.isinf(v_total(config, params, "ginibre"))
+    assert v_total([Path(0, 0.5), Path(1, 0.5)], params, "ginibre") == 0.0
+
+
+@pytest.mark.parametrize("mode", ["generic", "meanfield"])
+def test_hard_core_is_exclusion_in_every_grid_mode(mode):
+    # as in large-mass mode (test_largemass_hard_core_rule)
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.4}), 3)
+    params = InteractionParams(torus=torus, vL=vL, nu=0.5, mode=mode, R=1,
+                               lam=1.0 if mode == "generic" else None)
+    assert v_total([Path(0, 0.5), Path(1, 0.5)], params,
+                   "ginibre") == pytest.approx(params.lam * 0.4)
+    assert np.isinf(v_total([Path(0, 1.0)], params, "ginibre"))
 
 
 # -- the kernel against direct quadratures -------------------------------------

@@ -124,3 +124,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LmParams(torus=Torus(1, 3), potential=PotentialSpec(2, 0, {}),
                  kappa0=1.0)
+
+
+def test_occupation_sum_budget():
+    # kappa0 = 0.01 on L = 2 would enumerate about 11 million fields
+    with pytest.raises(MemoryError):
+        occupation_sum(_soft(L=2, kappa0=0.01))

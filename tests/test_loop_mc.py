@@ -38,14 +38,69 @@ def test_welford_merge_matches_numpy():
 
 
 def test_run_mc_deterministic_and_worker_dependent_streams():
-    def sample(rng):
-        return float(rng.random())
+    def sample(rng, count):
+        return rng.random(count)
 
     a = run_mc(sample, 500, seed=42, workers=3)
     b = run_mc(sample, 500, seed=42, workers=3)
     assert a == b                      # bit-exact reproduction
     c = run_mc(sample, 500, seed=43, workers=3)
     assert a[0] != c[0]
+
+
+def test_run_mc_vector_columns_match_scalar_runs():
+    def sample(rng, count):
+        x = rng.normal(size=count)
+        return np.stack([x, np.exp(x), x * x], axis=1)
+
+    mean, se, count = run_mc(sample, 1001, seed=4, workers=3)
+    assert mean.shape == se.shape == (3,) and count == 1001
+    for j in range(3):
+        col = run_mc(lambda rng, n: sample(rng, n)[:, j], 1001, seed=4,
+                     workers=3)
+        assert col == (mean[j], se[j], count)     # bit-exact per column
+
+
+def test_run_mc_worker_counts_agree():
+    def sample(rng, count):
+        return rng.exponential(size=count)
+
+    one = run_mc(sample, 4000, seed=6, workers=1)
+    three = run_mc(sample, 4000, seed=6, workers=3)
+    assert abs(one[0] - three[0]) <= 3.0 * math.hypot(one[1], three[1])
+
+
+def _hard_core_spec(L, nu, mode, lam=0.5, kappa=1.0):
+    torus = Torus(1, L)
+    vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.3}), L)
+    params = InteractionParams(torus=torus, vL=vL, nu=nu, mode=mode, R=1,
+                               lam=lam if mode == "generic" else None,
+                               kappa=kappa)
+    intensity = LoopIntensity(torus, "ginibre", kappa=kappa, nu=nu)
+    return EnsembleSpec(torus, params, intensity, "ginibre")
+
+
+@pytest.mark.parametrize("L,nu,mode", [(3, 0.5, "generic"),
+                                       (3, 0.5, "meanfield"),
+                                       (2, 0.25, "generic")])
+def test_hard_core_partition_against_oracle(L, nu, mode):
+    # the loop Z is relative to the untruncated free gas,
+    # prod_xi (1 - w_xi) with w_xi = e^{-nu (kappa + lambda_xi)}
+    from loopgas.lattice import HeatKernel
+    from loopgas.quantum_oracle import grand_partition
+    spec = _hard_core_spec(L, nu, mode)
+    w = np.exp(-nu * (spec.intensity.kappa + HeatKernel(spec.torus).rates))
+    exact = grand_partition(spec.params).Xi * float(np.prod(1.0 - w))
+    est = estimate_rel_partition(spec, 20000, seed=1, workers=2)
+    assert est.std_error < 0.005
+    assert abs(est.mean - exact) <= 3.0 * est.std_error
+
+
+def test_hard_core_gamma_against_oracle():
+    spec = _hard_core_spec(3, 0.5, "generic")
+    K = reduced_density_matrix(spec.params, p=1)
+    est = estimate_gamma_p(spec, 1, [0], [0], 20000, seed=2, workers=2)
+    assert abs(est.mean - K[0, 0]) <= 3.0 * est.std_error
 
 
 def test_free_partition_is_one():
