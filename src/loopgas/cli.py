@@ -193,12 +193,9 @@ def run_meanfield_sweep(config):
     torus = config.torus()
     vL = config.vL(torus)
     kappa, p = config.kappa, config.p
-    xs = config.x if config.x is not None else [0] * p
-    ys = config.y if config.y is not None else [0] * p
-    for name, sites in (("x", xs), ("y", ys)):
-        if len(sites) != p or not all(0 <= s < torus.n_sites for s in sites):
-            raise ConfigError(f"{name} must list p = {p} sites of the torus "
-                              f"(0..{torus.n_sites - 1}), got {sites}")
+    xs, ys = torus.check_sites(
+        p, [0] * p if config.x is None else config.x,
+        [0] * p if config.y is None else config.y)
     use_oracle = _use_oracle(torus, p, config.n_max)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
     print(f"meanfield: quantum side via {chooser} "
@@ -348,8 +345,10 @@ def run_volume_sweep(config):
             g_diff = abs(gs[lo] - gs[hi])
             diffs.append((gamma_diff, g_diff))
             diff_rows.append([nu, lo, hi, gamma_diff, g_diff])
-        cauchy = all(b[0] < a[0] and b[1] < a[1]
-                     for a, b in zip(diffs, diffs[1:]))
+        # no verdict (null) without two successive differences to compare
+        pairs = list(zip(diffs, diffs[1:]))
+        cauchy = (all(b[0] < a[0] and b[1] < a[1] for a, b in pairs)
+                  if pairs else None)
         verdicts.append({"nu": nu, "cauchy": cauchy})
     _write_csv(config.out, "volume_g.csv", ["nu", "L", "g"], g_rows)
     _write_csv(config.out, "volume_diffs.csv",

@@ -69,10 +69,7 @@ def estimate_gamma_cl(gf, vL, p, xs, ys, n_samples, seed, workers=1,
 
     normalized=False returns the unnormalized moment (numerator only).
     '''
-    xs = [int(x) for x in np.atleast_1d(xs)]
-    ys = [int(y) for y in np.atleast_1d(ys)]
-    if len(xs) != p or len(ys) != p:
-        raise ValueError("x and y must have length p")
+    xs, ys = gf.torus.check_sites(p, xs, ys)
     vmat = np.asarray(vL)[gf.torus.diff_table]
 
     def values(rng, count):

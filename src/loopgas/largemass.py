@@ -8,8 +8,10 @@ sum over site-occupation fields q: [z^m] exp(sum_k e^{-kappa0 k} z^k / k)
 = [z^m] (1 - e^{-kappa0} z)^{-1} = e^{-kappa0 m}, so the unnormalized
 partition sum equals sum_q prod_x e^{-kappa0 q_x} e^{-E(q)} with
 E(q) = (1/2) q^T V q (R=0) or the off-diagonal half sum over occupied
-sites with q <= 1 (R=1).  A direct truncated particle sum is kept as an
-independent cross-check oracle.
+sites with q <= 1 (R=1).  The kernels are moments of the same measure on
+q: Gamma_p^lm(x, y) = |perms| E[prod_s C(q_s, m_s)], so Gamma_1^lm(x, x)
+= E[q_x].  A direct truncated particle sum is kept as an independent
+cross-check oracle.
 '''
 
 import itertools
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .interactions import v_lm, v_tilde_table
 from .lattice import periodize_potential
@@ -29,7 +32,11 @@ MAX_OCCUPATION_FIELDS = 10 ** 6
 
 @dataclass
 class LmParams:
-    '''Truncated-sum parameters for the infinite-mass quantities.'''
+    '''Truncated-sum parameters for the infinite-mass quantities.
+
+    The occupation sums truncate each site's occupation so that the
+    dropped fields weigh less than tol.  k_max and n_max bound only the
+    cross-check z_lm_particle_sum (occupation numbers and particles).'''
     torus: object
     potential: object        # PotentialSpec
     kappa0: float
@@ -81,29 +88,28 @@ def _energy_table(params):
     return params.vL[params.torus.diff_table]
 
 
-def occupation_sum(params, Q_fixed=None):
-    '''Unnormalized partition sum over occupation fields on top of an
-    optional fixed field Q (the Z^lm(k, x) numerator); returns
-    (value, tail bound).'''
+def _occupation_fields(params):
+    '''The truncated occupation fields q (rows) with their weights
+    a^{|q|} e^{-E(q)} and the tail bound of the truncation.'''
     n = params.torus.n_sites
-    Q = np.zeros(n, dtype=np.int64) if Q_fixed is None else np.asarray(
-        Q_fixed, dtype=np.int64)
     cap, tail = _site_cap(params)
     if (cap + 1) ** n > MAX_OCCUPATION_FIELDS:
         raise MemoryError(
             f"occupation sum over {(cap + 1) ** n} fields exceeds the "
             f"budget of {MAX_OCCUPATION_FIELDS}")
-    if params.R == 1 and np.any(Q > 1):
-        return 0.0, 0.0
     vmat = _energy_table(params)
     grid = np.array(list(itertools.product(range(cap + 1), repeat=n)),
                     dtype=np.int64)
-    if params.R == 1:
-        grid = grid[np.all(grid + Q <= 1, axis=1)]
-    t = grid + Q
-    energy = 0.5 * np.einsum("qs,st,qt->q", t, vmat, t)
+    energy = 0.5 * np.einsum("qs,st,qt->q", grid, vmat, grid)
     with np.errstate(over="ignore"):
         weights = params.a ** grid.sum(axis=1) * np.exp(-energy)
+    return grid, weights, tail
+
+
+def occupation_sum(params):
+    '''Unnormalized partition sum over occupation fields; returns
+    (value, tail bound).'''
+    _, weights, tail = _occupation_fields(params)
     return float(np.sum(weights)), tail
 
 
@@ -159,37 +165,27 @@ def z_lm_particle_sum(params):
 def gamma_lm(params, p, xs, ys):
     '''Kernel entry Gamma_p^lm(x, y) = sum over occupation vectors k and
     permutations pi of e^{-kappa0 |k|} delta(pi y - x) Z^lm(k, x)/Z^lm;
-    zero unless y is a permutation of x (no hopping at infinite mass).'''
-    torus = params.torus
-    xs = [int(x) for x in np.atleast_1d(xs)]
-    ys = [int(y) for y in np.atleast_1d(ys)]
-    if len(xs) != p or len(ys) != p:
-        raise ValueError("x and y must have length p")
-    perms = [pi for pi in itertools.permutations(range(p))
-             if all(ys[pi[i]] == xs[i] for i in range(p))]
+    zero unless y is a permutation of x (no hopping at infinite mass).
+    Shifting the field by sum_i k_i e_{x_i} turns the sum over k into the
+    occupation moment |perms| E[prod_s C(q_s, m_s)], m_s the multiplicity
+    of site s in x.'''
+    xs, ys = params.torus.check_sites(p, xs, ys)
+    perms = sum(all(ys[pi[i]] == xs[i] for i in range(p))
+                for pi in itertools.permutations(range(p)))
     if not perms:
         return 0.0
-    denom, _ = occupation_sum(params)
-    k_top = 1 if params.R == 1 else params.k_max
-    total = 0.0
-    for ks in itertools.product(range(1, k_top + 1), repeat=p):
-        Q = np.zeros(torus.n_sites, dtype=np.int64)
-        for k, x in zip(ks, xs):
-            Q[x] += k
-        num, _ = occupation_sum(params, Q_fixed=Q)
-        total += len(perms) * params.a ** sum(ks) * num
-    return total / denom
+    grid, weights, _ = _occupation_fields(params)
+    sites, mult = np.unique(xs, return_counts=True)
+    moment = special.comb(grid[:, sites], mult).prod(axis=1)
+    return perms * float(weights @ moment) / float(np.sum(weights))
 
 
 def gamma_lm_matrix(params, p=1):
-    '''Dense p=1 kernel (diagonal); kept in the oracle kernel layout.'''
+    '''Dense p=1 kernel diag(E[q_x]); kept in the oracle kernel layout.'''
     if p != 1:
         raise ValueError("dense export implemented for p = 1")
-    n = params.torus.n_sites
-    K = np.zeros((n, n))
-    for x in range(n):
-        K[x, x] = gamma_lm(params, 1, [x], [x])
-    return K
+    grid, weights, _ = _occupation_fields(params)
+    return np.diag(weights @ grid / np.sum(weights))
 
 
 def gibbs_potential_lm(params):

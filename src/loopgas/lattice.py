@@ -61,6 +61,19 @@ class Torus:
         m = np.minimum(c, self.L - c)
         return np.sqrt(np.sum(m * m, axis=-1))
 
+    def check_sites(self, p, xs, ys):
+        '''xs and ys as lists of ints; ValueError unless each lists p
+        sites of the torus (0..n_sites-1).'''
+        out = []
+        for name, sites in (("x", xs), ("y", ys)):
+            sites = [int(s) for s in np.atleast_1d(sites)]
+            if len(sites) != p or not all(0 <= s < self.n_sites
+                                          for s in sites):
+                raise ValueError(f"{name} must list p = {p} sites of the "
+                                 f"torus (0..{self.n_sites - 1}), got {sites}")
+            out.append(sites)
+        return out
+
     @property
     def diff_table(self):
         if self._diff_table is None:

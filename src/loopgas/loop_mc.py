@@ -147,10 +147,7 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     open-path representation; permutations enumerated (p <= 4).'''
     if p < 1 or p > 4:
         raise ValueError("p must be in 1..4 (permutation enumeration)")
-    xs = [int(x) for x in np.atleast_1d(xs)]
-    ys = [int(y) for y in np.atleast_1d(ys)]
-    if len(xs) != p or len(ys) != p:
-        raise ValueError("x and y must have length p")
+    xs, ys = spec.torus.check_sites(p, xs, ys)
     law = spec.duration_law()
     perms = list(itertools.permutations(range(p)))
     norm_p = law.normalization ** p

@@ -1,98 +1,74 @@
 '''Deterministic first-order (in the coupling) evaluation of the grid
-ensemble's relative log partition function and one-particle kernel.
+ensemble's relative log partition function and one-particle kernel, in
+the Hartree-Fock form of the free Bose gas.
 
 All kernels are translation invariant on the torus, so everything is
-computed through Fourier symbols.  With Mayer expansion to first order
-in lam (valid for small ||v||_1):
+computed through Fourier symbols.  With a_xi = e^{-nu(kappa + lambda_xi)}
+the free one-particle symbol is g = a/(1-a); its inverse transform
+Gamma_free(u) = sum_k e^{-kappa nu k} psi^{nu k}(u) is the free kernel and
+rho' = Gamma_free(0) the density of the free Poisson loop gas.  To first
+order in lam (valid for small ||v||_1):
 
-  Gamma_1 = Gamma_free - S - B + O(lam^2),
-  log Z   = -(A_self + A_pair)/2 + O(lam^2),
+  Gamma_1 symbol = g - lam a/(1-a)^2 [v(0)/2 + F(v Gamma_free) + rho' Vbar],
+  log Z = -(lam |Lambda|/2) [v(0) rho' + sum_u v(u) Gamma_free(u)^2
+                             + Vbar rho'^2],
 
-where S is the open path's self-interaction term, B the interaction with
-the Poisson loop background (spatially uniform with density
-rho' = sum_T e^{-kappa T} psi^T(0)), and A_self/A_pair the background
-self and pair energies.  Used by the volume sweeps, where exact oracles
-are out of reach; the truncation error is O(lam^2 ||v||_1^2) uniformly
-in L, so successive-volume differences remain meaningful.
+with F the Fourier transform and Vbar = sum_u v(u).  These are the sums
+over loop durations nu k in closed form.  The open path's self
+interaction gives the v(0)/2 and exchange F(v Gamma_free) terms, since
+sum_j j a^j = a/(1-a)^2; its interaction with the uniform Poisson loop
+background gives the direct term rho' Vbar.  In log Z a closed loop's
+self energy sum_{a,b<k} h(|a-b|) is k sum_{m<k} h(m), which cancels the
+1/k of the loop measure and leaves the self and exchange terms; the
+background pair energy gives Vbar rho'^2.  Used by the volume sweeps,
+where exact oracles are out of reach; the truncation error is
+O(lam^2 ||v||_1^2) uniformly in L, so successive-volume differences
+remain meaningful.
 '''
-
-import math
 
 import numpy as np
 
 from .lattice import HeatKernel
 
 
-def _k_cutoff(kappa, nu, tol=1e-14):
-    return max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
+def _free_gas(torus, nu, kappa):
+    '''(a, Gamma_free): the symbol a_xi = e^{-nu(kappa + lambda_xi)} and
+    the free kernel Gamma_free(u) as a flat table (site 0 is u = 0).'''
+    a = np.exp(-nu * (kappa + HeatKernel(torus).rates))
+    return a, np.fft.ifftn(a / (1.0 - a)).real.ravel()
 
 
-def _f_hat_table(hk, vL, nu, k_max):
-    '''f_hat[m] = Fourier symbol of v^L(u) psi^{nu m}(u), m = 0..k_max.'''
-    shape = hk.rates.shape
-    return np.array([np.fft.fftn((vL * hk.table(nu * m)).reshape(shape))
-                     .real.ravel() for m in range(k_max + 1)])
+def _finite_potential(vL):
+    vL = np.asarray(vL, dtype=float)
+    if not np.all(np.isfinite(vL)):
+        raise ValueError("the first-order engine needs a finite potential "
+                         "(R = 0); a hard core has no expansion in lam")
+    return vL
 
 
 def gamma1_first_order(torus, nu, kappa, vL, lam):
     '''Dense Gamma_1 kernel to first order in lam.'''
-    hk = HeatKernel(torus)
-    rates = hk.rates.ravel()
-    vL = np.asarray(vL)
-    k_max = _k_cutoff(kappa, nu)
-    a = np.exp(-nu * (kappa + rates))
-    gamma_free = a / (1.0 - a)
-    f_hat = _f_hat_table(hk, vL, nu, k_max)
-    # self term: (lam/2) sum_k e^{-kappa nu k} sum_{a,b<k}
-    #            e^{-(nu k - nu|a-b|) rates} f_hat[|a-b|]
-    S = np.zeros_like(rates)
-    for k in range(1, k_max + 1):
-        w = math.exp(-kappa * nu * k)
-        inner = k * f_hat[0] * np.exp(-nu * k * rates)
-        for m in range(1, k):
-            inner += 2.0 * (k - m) * np.exp(-nu * (k - m) * rates) * f_hat[m]
-        S += w * inner
-    S *= 0.5 * lam
-    # background term: E[V(w, background)] = lam Vbar rho' k for a k-window
-    # path, so the symbol picks up sum_k k a_xi^k = a/(1-a)^2
-    rho = loop_density(torus, nu, kappa)
-    v_bar = float(np.sum(vL))
-    B = lam * rho * v_bar * a / (1.0 - a) ** 2
-    symbol = gamma_free - S - B
-    table = np.fft.ifftn(symbol.reshape(hk.rates.shape)).real.ravel()
-    return table[torus.diff_table]
+    vL = _finite_potential(vL)
+    a, gamma_free = _free_gas(torus, nu, kappa)
+    exchange = np.fft.fftn((vL * gamma_free).reshape(a.shape)).real
+    potential = 0.5 * vL[0] + exchange + gamma_free[0] * np.sum(vL)
+    symbol = a / (1.0 - a) - lam * a / (1.0 - a) ** 2 * potential
+    return np.fft.ifftn(symbol).real.ravel()[torus.diff_table]
 
 
 def loop_density(torus, nu, kappa):
     '''rho' = sum_{T in nu N*} e^{-kappa T} psi^{L,T}(0): the expected
     particle density of the free Poisson loop gas.'''
-    k = np.arange(1, _k_cutoff(kappa, nu) + 1)
-    psi0 = HeatKernel(torus).at_origin(nu * k)
-    return float(np.sum(np.exp(-kappa * nu * k) * psi0))
+    return float(_free_gas(torus, nu, kappa)[1][0])
 
 
 def log_z_first_order(torus, nu, kappa, vL, lam):
-    '''Relative log partition function to first order in lam:
-    -(A_self + A_pair)/2 with
-      A_self = nu sum_T (e^{-kappa T}/T) int W^T V(w, w)
-             = lam |Lambda| sum_k (e^{-kappa nu k}/k) sum_{a,b<k} h_{nu k}(nu|a-b|),
-      h_T(tau) = sum_u psi^tau(u) psi^{T-tau}(u) v^L(u),
-      A_pair = lam |Lambda| Vbar rho'^2.'''
-    hk = HeatKernel(torus)
-    k_max = _k_cutoff(kappa, nu)
-    psi = [hk.table(nu * m) for m in range(k_max + 1)]
-    vL = np.asarray(vL)
-    a_self = 0.0
-    for k in range(1, k_max + 1):
-        w = math.exp(-kappa * nu * k) / k
-        inner = k * float(np.sum(psi[0] * psi[k] * vL))
-        for m in range(1, k):
-            inner += 2.0 * (k - m) * float(np.sum(psi[m] * psi[k - m] * vL))
-        a_self += w * inner
-    a_self *= lam * torus.n_sites
-    rho = loop_density(torus, nu, kappa)
-    a_pair = lam * torus.n_sites * float(np.sum(vL)) * rho ** 2
-    return -0.5 * (a_self + a_pair)
+    '''Relative log partition function to first order in lam.'''
+    vL = _finite_potential(vL)
+    gamma_free = _free_gas(torus, nu, kappa)[1]
+    rho = gamma_free[0]
+    energy = vL[0] * rho + vL @ gamma_free ** 2 + np.sum(vL) * rho ** 2
+    return -0.5 * lam * torus.n_sites * float(energy)
 
 
 def gibbs_potential_first_order(torus, nu, kappa, vL, lam):

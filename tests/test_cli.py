@@ -150,19 +150,32 @@ def test_meanfield_experiment(tmp_path):
     assert diffs[1] < diffs[0]
 
 
+_VOLUME = {"experiment": "volume", "torus": {"d": 1, "L_list": [4, 6, 8]},
+           "potential": {"d": 1, "R": 0,
+                         "entries": [[[0], 0.03], [[1], 0.01]]},
+           "kappa": 1.0, "nu_list": [0.25], "lambda_rule": "nu_squared",
+           "L0": 4}
+
+
 def test_volume_experiment(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "experiment": "volume", "torus": {"d": 1, "L_list": [4, 6, 8]},
-        "potential": {"d": 1, "R": 0,
-                      "entries": [[[0], 0.03], [[1], 0.01]]},
-        "kappa": 1.0, "nu_list": [0.25], "lambda_rule": "nu_squared",
-        "L0": 4})
+    cfg = _write_config(tmp_path, _VOLUME)
     out = tmp_path / "out"
     assert main(["volume", "--config", cfg, "--out", str(out)]) == 0
     g_rows = _read_csv(out / "volume_g.csv")
     assert g_rows[0] == ["nu", "L", "g"]
     meta = json.loads((out / "volume_meta.json").read_text())
     assert all(v["cauchy"] for v in meta["verdicts"])
+
+
+def test_volume_two_volumes_give_no_verdict(tmp_path):
+    # one successive difference: nothing to compare, so the verdict is null
+    cfg = _write_config(tmp_path, dict(_VOLUME, torus={"d": 1,
+                                                       "L_list": [4, 6]}))
+    out = tmp_path / "out"
+    assert main(["volume", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "volume_meta.json").read_text())
+    assert [v["cauchy"] for v in meta["verdicts"]] == [None]
+    assert len(_read_csv(out / "volume_diffs.csv")) == 2
 
 
 def _ginibre_doc(**kw):
@@ -235,6 +248,8 @@ _MEANFIELD = {"experiment": "meanfield", "torus": {"d": 1, "L": 2},
       "potential": {"d": 1, "R": 1, "entries": []}, "nu": 0.5,
       "kappa": 1.5, "lambda_rule": "nu_squared", "n_samples": 10,
       "n_max": 2}, "R = 0"),
+    (dict(_VOLUME, potential={"d": 1, "R": 1, "entries": [[[1], 0.01]]}),
+     "finite potential"),
 ])
 def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
     cfg = _write_config(tmp_path, doc)

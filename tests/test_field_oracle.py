@@ -109,3 +109,10 @@ def test_correlation_inequality():
     # lam = 0 recovers the Wick value itself
     row0 = report["rows"][0]
     assert abs(row0["value"] - report["wick_value"]) <= 3.0 * row0["se"]
+
+
+@pytest.mark.parametrize("site", [-1, 3])
+def test_gamma_cl_rejects_off_torus_sites(site):
+    gf, vL = _setup()
+    with pytest.raises(ValueError):
+        estimate_gamma_cl(gf, vL, 1, [site], [0], 10, seed=1)

@@ -1,14 +1,16 @@
 '''Infinite-mass classical quantities: occupation sums, closed forms,
 cross-check particle sums, particle/loop dictionaries.'''
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from loopgas.largemass import (
-    LmParams, gamma_lm, gamma_lm_matrix, gibbs_potential_lm, occupation_sum,
-    particles_to_loops, weighted_particle_view, z_lm, z_lm_particle_sum)
+    LmParams, _energy_table, _site_cap, gamma_lm, gamma_lm_matrix,
+    gibbs_potential_lm, occupation_sum, particles_to_loops,
+    weighted_particle_view, z_lm, z_lm_particle_sum)
 from loopgas.lattice import PotentialSpec, Torus
 
 
@@ -75,21 +77,69 @@ def test_particle_sum_budget_guard():
         z_lm_particle_sum(params)
 
 
+def _shifted_sum(params, Q):
+    '''Z^lm(k, x) numerator: sum over occupation fields q up to the
+    library's per-site cap of a^{|q|} e^{-E(q + Q)}.'''
+    cap, _ = _site_cap(params)
+    n = params.torus.n_sites
+    vmat = _energy_table(params)
+    total = 0.0
+    for q in itertools.product(range(cap + 1), repeat=n):
+        t = np.array(q) + Q
+        if params.R == 1 and np.any(t > 1):
+            continue
+        total += params.a ** sum(q) * math.exp(-0.5 * t @ vmat @ t)
+    return total
+
+
+def _direct_gamma(params, xs, n_perms, k_top):
+    # by definition, for y a permutation of x:
+    # Gamma_p(x, y) = |perms| sum_k a^{|k|} Z(add k_i at x_i) / Z
+    denom = _shifted_sum(params, 0)
+    total = 0.0
+    for ks in itertools.product(range(1, k_top + 1), repeat=len(xs)):
+        Q = np.zeros(params.torus.n_sites, dtype=np.int64)
+        for k, x in zip(ks, xs):
+            Q[x] += k
+        total += params.a ** sum(ks) * _shifted_sum(params, Q)
+    return n_perms * total / denom
+
+
 def test_gamma_lm_soft_direct_sum():
-    # Gamma_1(x, x) = sum_k a^k Z(add k at x) / Z by definition
     params = _soft()
-    denom, _ = occupation_sum(params)
-    a = params.a
-    direct = 0.0
-    for k in range(1, params.k_max + 1):
-        Q = np.zeros(3, dtype=np.int64)
-        Q[0] = k
-        num, _ = occupation_sum(params, Q_fixed=Q)
-        direct += a ** k * num
-    assert gamma_lm(params, 1, [0], [0]) == pytest.approx(direct / denom,
-                                                          abs=1e-12)
+    # a^61 = e^{-122}: the sum over k is exhausted well before 60
+    direct = _direct_gamma(params, [0], 1, 60)
+    assert gamma_lm(params, 1, [0], [0]) == pytest.approx(direct, abs=1e-12)
+    assert gamma_lm_matrix(params)[0, 0] == pytest.approx(direct, abs=1e-12)
     # no hopping at infinite mass
     assert gamma_lm(params, 1, [0], [2]) == 0.0
+
+
+@pytest.mark.parametrize("xs,n_perms", [([0, 1], 1), ([1, 1], 2)])
+def test_gamma_lm_p2_direct_sum(xs, n_perms):
+    params = _soft(L=2)
+    direct = _direct_gamma(params, xs, n_perms, 20)
+    assert gamma_lm(params, 2, xs, xs[::-1]) == pytest.approx(direct,
+                                                               abs=1e-12)
+
+
+def test_gamma_lm_hard_core_direct_sum():
+    params = LmParams(torus=Torus(1, 3),
+                      potential=PotentialSpec(1, 1, {(1,): 0.4}), kappa0=0.5)
+    for xs, ys in (([1], [1]), ([0, 2], [2, 0])):
+        direct = _direct_gamma(params, xs, 1, 1)
+        assert gamma_lm(params, len(xs), xs, ys) == pytest.approx(
+            direct, abs=1e-12)
+    # pure hard core: independent sites, Gamma_2 = (a/(1+a))^2
+    a = math.exp(-1.0)
+    assert gamma_lm(_hard(), 2, [0, 2], [0, 2]) == pytest.approx(
+        (a / (1 + a)) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("site", [-1, 3])
+def test_gamma_lm_rejects_off_torus_sites(site):
+    with pytest.raises(ValueError):
+        gamma_lm(_soft(), 1, [site], [site])
 
 
 def test_gamma_lm_p2_permutation_structure():

@@ -139,3 +139,12 @@ def test_positive_type_check():
     bad[1] = bad[4] = 1.0  # pure cosine takes negative Fourier values
     ok, mn = check_positive_type(bad, torus)
     assert not ok and mn < 0
+
+
+def test_check_sites():
+    torus = Torus(2, 2)
+    assert torus.check_sites(2, np.array([0, 3]), [3, 0]) == [[0, 3], [3, 0]]
+    assert torus.check_sites(1, 2, [1]) == [[2], [1]]
+    for xs, ys in (([0], [0, 1]), ([4], [0]), ([0], [-1])):
+        with pytest.raises(ValueError):
+            torus.check_sites(1, xs, ys)

@@ -170,3 +170,9 @@ def test_estimate_serialization():
     assert '"mean"' in doc and '"seed"' in doc
     row = est.csv_row()
     assert row[0] == est.mean and row[3] == 11
+
+
+@pytest.mark.parametrize("site", [-1, 3])
+def test_gamma_p_rejects_off_torus_sites(site):
+    with pytest.raises(ValueError):
+        estimate_gamma_p(_grid_spec(), 1, [0], [site], 10, seed=1)

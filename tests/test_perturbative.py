@@ -1,5 +1,6 @@
 '''First-order coupling expansion: free limit, small-coupling accuracy
-against the exact oracle, and the quadratic scaling of its error.'''
+against the exact oracle, the quadratic scaling of its error, and the
+closed forms against the term-by-term sums over loop durations.'''
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from loopgas.interactions import InteractionParams
-from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from loopgas.lattice import (
+    HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas.loop_mc import free_gas_gamma1
 from loopgas.perturbative import (
     gamma1_first_order, gibbs_potential_first_order, log_z_first_order,
@@ -96,3 +98,68 @@ def test_translation_invariance_and_symmetry():
         for y in range(3):
             assert K[x, y] == pytest.approx(K[0, torus.diff_table[y, x]],
                                             abs=1e-12)
+
+
+def test_hard_core_rejected():
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.01}), 3)
+    with pytest.raises(ValueError):
+        gamma1_first_order(torus, 0.5, 1.0, vL, 0.1)
+    with pytest.raises(ValueError):
+        log_z_first_order(torus, 0.5, 1.0, vL, 0.1)
+
+
+def _duration_sums(torus, nu, kappa, vL, lam, tol=1e-17):
+    '''Reference: (Gamma_1, log Z) as term-by-term sums over loop durations
+    nu k, k <= k_max, and window offsets nu m, with k_max set by tol.'''
+    hk = HeatKernel(torus)
+    shape = hk.rates.shape
+    rates = hk.rates.ravel()
+    k_max = max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
+    psi = [hk.table(nu * m) for m in range(k_max + 1)]
+    f_hat = [np.fft.fftn((vL * psi[m]).reshape(shape)).real.ravel()
+             for m in range(k_max + 1)]
+    k = np.arange(1, k_max + 1)
+    rho = float(np.sum(np.exp(-kappa * nu * k) * hk.at_origin(nu * k)))
+    a = np.exp(-nu * (kappa + rates))
+    # open path: (lam/2) sum_k e^{-kappa nu k} sum_{a,b<k}
+    #            e^{-(nu k - nu|a-b|) rates} f_hat[|a-b|], plus the
+    # background term lam rho' Vbar sum_k k a^k
+    S = np.zeros_like(rates)
+    for k in range(1, k_max + 1):
+        inner = k * f_hat[0] * np.exp(-nu * k * rates)
+        for m in range(1, k):
+            inner += 2.0 * (k - m) * np.exp(-nu * (k - m) * rates) * f_hat[m]
+        S += math.exp(-kappa * nu * k) * inner
+    B = lam * rho * float(np.sum(vL)) * a / (1.0 - a) ** 2
+    symbol = a / (1.0 - a) - 0.5 * lam * S - B
+    gamma = np.fft.ifftn(symbol.reshape(shape)).real.ravel()
+    # loops: lam |Lambda| sum_k (e^{-kappa nu k}/k) sum_{a,b<k} h_k(|a-b|),
+    # h_k(m) = sum_u psi^{nu m}(u) psi^{nu(k-m)}(u) v(u)
+    a_self = 0.0
+    for k in range(1, k_max + 1):
+        inner = k * float(np.sum(psi[0] * psi[k] * vL))
+        for m in range(1, k):
+            inner += 2.0 * (k - m) * float(np.sum(psi[m] * psi[k - m] * vL))
+        a_self += math.exp(-kappa * nu * k) / k * inner
+    a_pair = float(np.sum(vL)) * rho ** 2
+    log_z = -0.5 * lam * torus.n_sites * (a_self + a_pair)
+    return gamma[torus.diff_table], log_z
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+def test_closed_forms_match_duration_sums(d, L):
+    rng = np.random.default_rng(10 * d + L)
+    torus = Torus(d, L)
+    entries = {}
+    for _ in range(4):
+        entries[tuple(int(c) for c in rng.integers(0, 3, d))] = \
+            float(rng.uniform(0.0, 0.05))
+    vL = periodize_potential(PotentialSpec(d, 0, entries), L)
+    nu, kappa, lam = rng.uniform(0.2, 0.6), rng.uniform(0.8, 1.5), 0.1
+    K_ref, log_z_ref = _duration_sums(torus, nu, kappa, vL, lam)
+    K = gamma1_first_order(torus, nu, kappa, vL, lam)
+    assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
+    assert log_z_first_order(torus, nu, kappa, vL, lam) == pytest.approx(
+        log_z_ref, rel=1e-12)
