@@ -29,9 +29,13 @@ from .loop_mc import (EnsembleSpec, estimate_gamma_p, estimate_rel_partition,
                       free_gas_gamma1)
 from .paths import LoopIntensity, sample_free_walk
 from .quantum_oracle import (feynman_kac_check, grand_partition,
-                             reduced_density_matrix)
+                             oracle_size, reduced_density_matrix)
 
-ORACLE_STATE_BUDGET = 10 ** 5
+# The mean-field sweep runs the exact oracle while its largest momentum
+# sector fits the oracle's dim_cap and its diagonalizations, summed over
+# the sweep, stay within this many dim^3 (tens of seconds of eigh).
+ORACLE_DIM_CAP = 6000
+ORACLE_EIGH_BUDGET = 10 ** 11
 
 
 class ConfigError(Exception):
@@ -177,8 +181,21 @@ def _fit_order(nus, diffs):
     return float(slope), r2
 
 
-def _use_oracle(torus, p, n_max):
-    return torus.n_sites ** (p + n_max) <= ORACLE_STATE_BUDGET
+def _meanfield_n_cap(kappa, nu):
+    return max(250, int(40.0 / (kappa * nu)) + 50)
+
+
+def _use_oracle(params_list, kappa):
+    '''Whether the exact oracle fits a mean-field sweep over params_list,
+    and its size: the largest sector and the summed dim^3 of the
+    diagonalizations over the sweep, counted without building a block.'''
+    sizes = [oracle_size(params, kappa,
+                         n_cap=_meanfield_n_cap(kappa, params.nu))
+             for params in params_list]
+    size = {"max_sector_dim": max(s["max_sector_dim"] for s in sizes),
+            "eigh_dim3": sum(s["eigh_dim3"] for s in sizes)}
+    return (size["max_sector_dim"] <= ORACLE_DIM_CAP
+            and size["eigh_dim3"] <= ORACLE_EIGH_BUDGET), size
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -196,10 +213,13 @@ def run_meanfield_sweep(config):
     xs, ys = torus.check_sites(
         p, [0] * p if config.x is None else config.x,
         [0] * p if config.y is None else config.y)
-    use_oracle = _use_oracle(torus, p, config.n_max)
+    params_list = [InteractionParams(torus=torus, vL=vL, nu=nu,
+                                     mode="meanfield", R=config.potential.R,
+                                     kappa=kappa) for nu in config.nu_list]
+    use_oracle, size = _use_oracle(params_list, kappa)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
-    print(f"meanfield: quantum side via {chooser} "
-          f"(|Lambda|^(p+n_max) = {torus.n_sites ** (p + config.n_max)})")
+    print(f"meanfield: quantum side via {chooser} (largest sector "
+          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})")
     classical_exact = torus.n_sites == 1
 
     gamma_rows, z_rows = [], []
@@ -218,12 +238,9 @@ def run_meanfield_sweep(config):
         z_cl, z_cl_se = z_est.mean, z_est.std_error
         g_cl, g_cl_se = g_est.mean, g_est.std_error
 
-    for i, nu in enumerate(config.nu_list):
-        params = InteractionParams(torus=torus, vL=vL, nu=nu,
-                                   mode="meanfield", R=config.potential.R,
-                                   kappa=kappa)
+    for i, (nu, params) in enumerate(zip(config.nu_list, params_list)):
         if use_oracle:
-            n_cap = max(250, int(40.0 / (kappa * nu)) + 50)
+            n_cap = _meanfield_n_cap(kappa, nu)
             res = grand_partition(params, kappa=kappa, n_cap=n_cap)
             z_q, z_q_se = res.Z_rel, 0.0
             K = reduced_density_matrix(params, p, kappa, n_cap=n_cap)
@@ -257,8 +274,8 @@ def run_meanfield_sweep(config):
             slope, r2 = _fit_order(config.nu_list, diffs)
             fit[name] = {"order": slope, "r_squared": r2}
     _write_json(config.out, "meanfield_fit.json",
-                {"fit": fit, "chooser": chooser, "seed": config.seed,
-                 "workers": config.workers})
+                {"fit": fit, "chooser": chooser, "oracle_size": size,
+                 "seed": config.seed, "workers": config.workers})
     return {"gamma_rows": gamma_rows, "z_rows": z_rows, "fit": fit}
 
 

@@ -3,10 +3,14 @@ deterministic reruns.'''
 
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from loopgas import cli
 from loopgas.cli import ConfigError, ExperimentConfig, main
+from loopgas.interactions import InteractionParams
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -148,6 +152,27 @@ def test_meanfield_experiment(tmp_path):
     rows = _read_csv(out / "meanfield_gamma.csv")
     diffs = [float(r[-1]) for r in rows[1:]]
     assert diffs[1] < diffs[0]
+
+
+def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
+    # meanfield_single_site.json physics on L = 3 at nu = 0.1 (p = 1,
+    # n_max = 3): the grand sum would reach momentum sectors of dimension
+    # 22510, beyond the oracle's dim_cap, so the sweep takes loop_mc; the
+    # decision diagonalizes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chooser diagonalized a block")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent
+                                     / "configs" / "meanfield_single_site.json")
+    torus = cfg.torus(3)
+    params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=0.1,
+                               mode="meanfield", kappa=cfg.kappa)
+    use_oracle, size = cli._use_oracle([params], cfg.kappa)
+    assert not use_oracle
+    assert size["max_sector_dim"] == 22510 > cli.ORACLE_DIM_CAP
+    assert size["eigh_dim3"] == pytest.approx(1.8134066970924e15, rel=1e-12)
 
 
 _VOLUME = {"experiment": "volume", "torus": {"d": 1, "L_list": [4, 6, 8]},
