@@ -25,8 +25,7 @@ from .interactions import InteractionParams
 from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
                       heat_kernel_infinite, load_potential,
                       periodize_potential)
-from .loop_mc import (EnsembleSpec, estimate_gamma_p, estimate_rel_partition,
-                      free_gas_gamma1)
+from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
 from .paths import LoopIntensity, sample_free_walk
 from .quantum_oracle import (feynman_kac_check, grand_partition,
                              oracle_size, reduced_density_matrix)
@@ -77,7 +76,6 @@ class ExperimentConfig:
             jsonschema.validate(doc, _schema())
         except jsonschema.ValidationError as exc:
             raise ConfigError(f"config schema violation: {exc.message}")
-        torus = doc["torus"]
         pot = doc.get("potential")
         if isinstance(pot, str):
             base = FsPath(path).parent
@@ -93,20 +91,13 @@ class ExperimentConfig:
                     entries={tuple(xs): val for xs, val in pot["entries"]})
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"bad inline potential: {exc}")
-        nu_list = doc.get("nu_list") or ([doc["nu"]] if "nu" in doc else [])
-        eps_list = doc.get("eps_list") or ([doc["eps"]] if "eps" in doc else [])
-        return cls(
-            experiment=doc["experiment"], d=torus["d"], L=torus.get("L"),
-            L_list=torus.get("L_list"), potential=pot, nu_list=nu_list,
-            kappa=doc.get("kappa"), kappa0=doc.get("kappa0"),
-            lambda_rule=doc.get("lambda_rule"), lam=doc.get("lambda"),
-            eps_list=eps_list, t_list=doc.get("t_list", []),
-            p=doc.get("p", 1), x=doc.get("x"), y=doc.get("y"),
-            n_samples=doc.get("n_samples", 20000),
-            n_max=doc.get("n_max", 3), L0=doc.get("L0", 4),
-            v_l1_threshold=doc.get("v_l1_threshold", 0.1),
-            seed=doc.get("seed", 0), workers=doc.get("workers", 1),
-            out=doc.get("out", "."))
+        kw = {("lam" if key == "lambda" else key): val
+              for key, val in doc.items()
+              if key not in ("torus", "potential", "nu", "eps")}
+        for one, many in (("nu", "nu_list"), ("eps", "eps_list")):
+            if one in doc and not doc.get(many):
+                kw[many] = [doc[one]]
+        return cls(**kw, **doc["torus"], potential=pot)
 
     def require(self, *names):
         for name in names:
@@ -540,9 +531,12 @@ def run_selftest(config):
     spec = EnsembleSpec(torus, params, intensity, "ginibre")
     z0 = estimate_rel_partition(spec, 200, rng_seed + 3)
     record("loop_mc.free_partition", abs(z0.mean - 1.0) < 1e-12)
-    free = free_gas_gamma1(params, torus, 1.5)
+    # Gamma_free(u) = sum_k e^{-kappa nu k} psi^{nu k}(u), cut at k = 60;
+    # 0 <= psi <= 1 bounds the tail by e^{-61 kappa nu}/(1 - e^{-kappa nu})
+    loops = sum(math.exp(-0.75 * k) * hk.table(0.5 * k)
+                for k in range(1, 61))[torus.diff_table]
     pert = perturbative.gamma1_first_order(torus, 0.5, 1.5, np.zeros(3), 0.25)
-    record("perturbative.free_limit", np.abs(free - pert).max() < 1e-10)
+    record("perturbative.free_limit", np.abs(loops - pert).max() < 1e-12)
 
     failures = sum(1 for _, ok in results if not ok)
     print(f"selftest: {len(results) - failures}/{len(results)} passed")

@@ -13,24 +13,23 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .lattice import check_positive_type, laplacian_matrix
+from .lattice import HeatKernel, check_positive_type
 from .loop_mc import McEstimate, run_mc
 
 
 class GaussianField:
-    '''Complex Gaussian measure with covariance C = (-Delta/2 + kappa)^{-1}.'''
+    '''Complex Gaussian measure with covariance C = (-Delta/2 + kappa)^{-1}:
+    the multiplier 1/(kappa + lambda_xi), sampled through the symmetric
+    factor (kappa + lambda_xi)^{-1/2}.'''
 
     def __init__(self, torus, kappa):
-        if kappa <= 0:
+        if not kappa > 0:
             raise ValueError("kappa must be > 0 (covariance must be SPD)")
         self.torus = torus
         self.kappa = float(kappa)
-        prec = kappa * np.eye(torus.n_sites) - 0.5 * laplacian_matrix(torus)
-        self.covariance = np.linalg.inv(prec)
-        w, U = np.linalg.eigh(self.covariance)
-        if np.min(w) <= 0:
-            raise ValueError("covariance not positive definite")
-        self.factor = (U * np.sqrt(w)) @ U.T
+        symbol = self.kappa + HeatKernel(torus).rates
+        self.covariance = torus.multiplier(1.0 / symbol)
+        self.factor = torus.multiplier(symbol ** -0.5)
 
     def sample(self, rng, size=None):
         '''Field samples, shape (size, n_sites) (or (n_sites,) if size None).'''
@@ -135,9 +134,7 @@ def hubbard_stratonovich_check(v_pt, torus, f, n_samples, seed, workers=1):
         raise ValueError(f"potential not of positive type (min coeff {mn:.3e})")
     f = np.asarray(f, dtype=float)
     V = v_pt[torus.diff_table]
-    w, U = np.linalg.eigh(V)
-    w = np.clip(w, 0.0, None)
-    factor = (U * np.sqrt(w)) @ U.T
+    factor = torus.multiplier(np.sqrt(np.clip(torus.fourier(v_pt), 0.0, None)))
     target = math.exp(-0.5 * float(f @ V @ f))
     # deterministic identity: the sampler's covariance is factor @ factor.T
     exact_gap = abs(math.exp(-0.5 * float(f @ factor @ factor.T @ f)) - target)

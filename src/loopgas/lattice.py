@@ -1,10 +1,20 @@
-'''Torus geometry, discrete Laplacian, heat kernels, potential periodization.
+'''Torus geometry, discrete Laplacian, heat kernels, potential periodization,
+and the torus Fourier layer.
 
 Convention for degenerate side lengths: the Laplacian acts through the 2d
 signed unit steps with wraparound, so L=2 carries doubled edge weights and
 L=1 gives Delta = 0.  This keeps the spectral (Fourier) representation of
 the heat kernel valid for every L; geometry-sensitive experiments should
 use L >= 3.
+
+Fourier layer: every translation-invariant kernel is a function of one
+symbol, lambda_xi = d - sum_j cos xi_j (that of -Delta/2), written once as
+HeatKernel.rates, flat in site order (xi = 2 pi c / L at coordinates c).
+Torus.fourier and Torus.inverse_fourier map flat site tables to symbols
+and back, and Torus.multiplier gives a symbol's matrix K(x - y); they take
+the real part, exact for even inputs.  The free Bose gas has weights
+a_xi = e^{-nu(kappa + lambda_xi)} (HeatKernel.free_weights) and needs
+kappa > 0 and nu > 0, else ValueError.
 '''
 
 import itertools
@@ -43,6 +53,7 @@ class Torus:
         nb = (self.coords[:, None, :] + self.steps[None, :, :]) % self.L
         self.neighbor_table = self.index_of(nb)               # (n_sites, 2d)
         self._diff_table = None
+        self._grid = (self.L,) * self.d        # FFT layout of flat tables
 
     def index_of(self, coords):
         '''Flat site index of coordinate array(s) (taken mod L).'''
@@ -81,6 +92,21 @@ class Torus:
             self._diff_table = self.index_of(diff)
         return self._diff_table
 
+    def fourier(self, table):
+        '''Symbol xi -> sum_x f(x) e^{-i xi.x} of an even flat site table,
+        flat in site order.'''
+        return np.fft.fftn(np.reshape(table, self._grid)).real.ravel()
+
+    def inverse_fourier(self, symbol):
+        '''Flat site table x -> L^{-d} sum_xi s(xi) e^{i xi.x} of an even
+        flat symbol.'''
+        return np.fft.ifftn(np.reshape(symbol, self._grid)).real.ravel()
+
+    def multiplier(self, symbol):
+        '''The matrix M[x, y] = K(x - y), K = inverse_fourier(symbol): the
+        operator that multiplies Fourier transforms by the symbol.'''
+        return self.inverse_fourier(symbol)[self.diff_table]
+
 
 def laplacian_matrix(torus):
     '''Discrete Laplacian: (Delta f)(x) = sum over 2d signed steps e of
@@ -95,7 +121,8 @@ def laplacian_matrix(torus):
 
 
 class HeatKernel:
-    '''Spectral heat kernel psi^{L,t} of e^{t Delta/2} on the torus.
+    '''Spectral heat kernel psi^{L,t} of e^{t Delta/2} on the torus, and
+    the free Bose gas on the same symbol.
 
     psi^{L,t}(x) = L^{-d} sum_xi e^{-t lambda_xi} e^{i xi.x},
     lambda_xi = d - sum_j cos xi_j, xi in (2 pi/L) {0..L-1}^d.
@@ -103,9 +130,8 @@ class HeatKernel:
 
     def __init__(self, torus):
         self.torus = torus
-        k = 2.0 * np.pi * np.arange(torus.L) / torus.L
-        grids = np.meshgrid(*([k] * torus.d), indexing="ij")
-        self.rates = torus.d - sum(np.cos(g) for g in grids)   # shape (L,)*d
+        xi = 2.0 * np.pi * torus.coords / torus.L
+        self.rates = torus.d - np.cos(xi).sum(axis=1)   # lambda_xi, site order
         self._cache = {}
 
     def table(self, t):
@@ -115,7 +141,7 @@ class HeatKernel:
         key = float(t)
         tab = self._cache.get(key)
         if tab is None:
-            tab = np.fft.ifftn(np.exp(-key * self.rates)).real.reshape(-1)
+            tab = self.torus.inverse_fourier(np.exp(-key * self.rates))
             tab.setflags(write=False)
             self._cache[key] = tab
         return tab
@@ -123,12 +149,17 @@ class HeatKernel:
     def at_origin(self, t):
         '''psi^{L,t}(0) for scalar or array t (vectorized over t).'''
         t = np.asarray(t, dtype=float)
-        return np.mean(np.exp(-np.multiply.outer(t, self.rates.reshape(-1))),
-                       axis=-1)
+        return np.mean(np.exp(-np.multiply.outer(t, self.rates)), axis=-1)
 
-    def matrix(self, t):
-        '''psi^{L,t}(x-y) as an n_sites x n_sites matrix.'''
-        return self.table(t)[self.torus.diff_table]
+    def free_weights(self, nu, kappa):
+        '''The free Bose gas's mode weights a_xi = e^{-nu(kappa + lambda_xi)};
+        its kernel has symbol a/(1-a).  ValueError unless all a_xi < 1.'''
+        if kappa is None or not (kappa > 0 and nu > 0):
+            raise ValueError(f"need kappa > 0 and nu > 0, got {kappa}, {nu}")
+        a = np.exp(-nu * (kappa + self.rates))
+        if a[0] >= 1.0:     # xi = 0 carries the largest weight
+            raise ValueError("kappa * nu too small: a mode weight is 1")
+        return a
 
 
 def heat_kernel_infinite(d, t, x, tail_tol=1e-10, method="quadrature"):
@@ -249,6 +280,5 @@ def check_positive_type(vL, torus):
     vL = np.asarray(vL, dtype=float)
     if not np.all(np.isfinite(vL)):
         raise ValueError("positive type undefined for hard-core potentials")
-    spectrum = np.fft.fftn(vL.reshape((torus.L,) * torus.d)).real
-    mn = float(spectrum.min())
+    mn = float(torus.fourier(vL).min())
     return mn >= -1e-10, mn

@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .interactions import v_total
-from .lattice import laplacian_matrix
 from .paths import GinibreDurationLaw, SymanzikDurationLaw, sample_free_walk
 
 
@@ -190,18 +188,3 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
             "workers": workers}
     return McEstimate(ratio, se, count, seed, meta)
 
-
-def free_gas_gamma1(params, torus, kappa=None):
-    '''Free Bose kernel Gamma_1 = A (I - A)^{-1}, A = e^{nu(Delta/2 - kappa)};
-    the normalization matches estimate_gamma_p (relative open-path form).'''
-    if kappa is None:
-        kappa = params.kappa
-    if kappa is None or kappa * params.nu <= 0:
-        raise ValueError("need kappa * nu > 0")
-    A = scipy.linalg.expm(
-        params.nu * (0.5 * laplacian_matrix(torus)
-                     - kappa * np.eye(torus.n_sites)))
-    rad = np.max(np.abs(np.linalg.eigvalsh(A)))
-    if rad >= 1.0:
-        raise ArithmeticError(f"spectral radius {rad:.6f} >= 1: kappa too small")
-    return np.linalg.solve(np.eye(torus.n_sites) - A, A)

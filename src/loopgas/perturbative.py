@@ -6,8 +6,9 @@ All kernels are translation invariant on the torus, so everything is
 computed through Fourier symbols.  With a_xi = e^{-nu(kappa + lambda_xi)}
 the free one-particle symbol is g = a/(1-a); its inverse transform
 Gamma_free(u) = sum_k e^{-kappa nu k} psi^{nu k}(u) is the free kernel and
-rho' = Gamma_free(0) the density of the free Poisson loop gas.  To first
-order in lam (valid for small ||v||_1):
+rho' = Gamma_free(0) the density of the free Poisson loop gas (kappa > 0
+and nu > 0, else ValueError); gamma1_first_order at lam = 0 is the
+library's free kernel.  To first order in lam (valid for small ||v||_1):
 
   Gamma_1 symbol = g - lam a/(1-a)^2 [v(0)/2 + F(v Gamma_free) + rho' Vbar],
   log Z = -(lam |Lambda|/2) [v(0) rho' + sum_u v(u) Gamma_free(u)^2
@@ -32,10 +33,10 @@ from .lattice import HeatKernel
 
 
 def _free_gas(torus, nu, kappa):
-    '''(a, Gamma_free): the symbol a_xi = e^{-nu(kappa + lambda_xi)} and
+    '''(a, Gamma_free): the weights a_xi = e^{-nu(kappa + lambda_xi)} and
     the free kernel Gamma_free(u) as a flat table (site 0 is u = 0).'''
-    a = np.exp(-nu * (kappa + HeatKernel(torus).rates))
-    return a, np.fft.ifftn(a / (1.0 - a)).real.ravel()
+    a = HeatKernel(torus).free_weights(nu, kappa)
+    return a, torus.inverse_fourier(a / (1.0 - a))
 
 
 def _finite_potential(vL):
@@ -50,10 +51,10 @@ def gamma1_first_order(torus, nu, kappa, vL, lam):
     '''Dense Gamma_1 kernel to first order in lam.'''
     vL = _finite_potential(vL)
     a, gamma_free = _free_gas(torus, nu, kappa)
-    exchange = np.fft.fftn((vL * gamma_free).reshape(a.shape)).real
-    potential = 0.5 * vL[0] + exchange + gamma_free[0] * np.sum(vL)
+    potential = (0.5 * vL[0] + torus.fourier(vL * gamma_free)
+                 + gamma_free[0] * np.sum(vL))
     symbol = a / (1.0 - a) - lam * a / (1.0 - a) ** 2 * potential
-    return np.fft.ifftn(symbol).real.ravel()[torus.diff_table]
+    return torus.multiplier(symbol)
 
 
 def loop_density(torus, nu, kappa):

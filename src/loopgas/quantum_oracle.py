@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .lattice import laplacian_matrix
+from .lattice import HeatKernel, laplacian_matrix
 
 
 def _compositions(n, m, hard_core):
@@ -105,13 +105,13 @@ class FockBlocks:
         if not np.isfinite(vmat).all():
             raise ValueError("infinite v entries require R = 1")
         j, L = torus.coords, torus.L
-        vhat = np.fft.fftn(params.vL.reshape((L,) * torus.d)).real.ravel()
+        vhat = torus.fourier(params.vL)
         diff = torus.diff_table
         # the diagonal two-body terms (q = 0 and the exchange q = k' - k)
         # sit in pair and one; the rest scatter {k, k'} -> {k+q, k'-q},
         # summed over the orderings that give the same operator
         self.pair = (vhat[0] + np.where(diff == 0, 0.0, vhat[diff])) / m
-        self.one = (params.nu * np.sum(1.0 - np.cos(2 * np.pi * j / L), axis=1)
+        self.one = (params.nu * HeatKernel(torus).rates
                     + 0.5 * self.lam * (vmat[0, 0] - vhat[0] / m))
         k, kp, q = (a.ravel() for a in np.indices((m, m, m)))
         p, pp = torus.index_of(j[k] + j[q]), diff[kp, q]
@@ -236,16 +236,9 @@ class GrandCanonicalResult:
 
 def _free_mode_weights(params, kappa):
     '''kappa (params.kappa if None) and the free mode weights
-    e^{-nu lambda_xi - kappa nu}, lambda_xi the Fourier symbol of -Delta/2.'''
+    e^{-nu(kappa + lambda_xi)}.'''
     kappa = params.kappa if kappa is None else kappa
-    if kappa is None or kappa * params.nu <= 0:
-        raise ValueError("need kappa * nu > 0")
-    torus = params.torus
-    rates = torus.d - np.cos(2.0 * np.pi * torus.coords / torus.L).sum(axis=1)
-    weights = np.exp(-(params.nu * rates + kappa * params.nu))
-    if np.max(weights) >= 1.0:
-        raise ValueError("kappa too small: free mode weight >= 1")
-    return kappa, weights
+    return kappa, HeatKernel(params.torus).free_weights(params.nu, kappa)
 
 
 def _free_traces(mode_weights, n_max):

@@ -34,6 +34,24 @@ def test_config_schema_validation(tmp_path):
         ExperimentConfig.from_json(missing)
 
 
+def test_minimal_config_takes_dataclass_defaults(tmp_path):
+    cfg = _write_config(tmp_path, {"experiment": "selftest",
+                                   "torus": {"d": 2}})
+    assert ExperimentConfig.from_json(cfg) == ExperimentConfig(
+        experiment="selftest", d=2)
+    # lambda -> lam, nu -> nu_list, eps -> eps_list, torus -> d, L, L_list
+    cfg = _write_config(tmp_path, {
+        "experiment": "volume", "torus": {"d": 1, "L": 3, "L_list": [3, 4]},
+        "lambda": 0.2, "nu": 0.5, "eps": 0.1, "seed": 4}, "renamed.json")
+    assert ExperimentConfig.from_json(cfg) == ExperimentConfig(
+        experiment="volume", d=1, L=3, L_list=[3, 4], lam=0.2,
+        nu_list=[0.5], eps_list=[0.1], seed=4)
+
+
+def test_selftest_passes():
+    assert main(["selftest"]) == 0
+
+
 def test_config_experiment_mismatch(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": "heatkernel", "torus": {"d": 1, "L": 3},

@@ -11,6 +11,7 @@ from loopgas.field_oracle import (
     estimate_gamma_cl, hubbard_stratonovich_check, quadrature_single_site,
     wick_moment)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from site_reference import covariance
 
 
 def _setup(L=3, kappa=1.0, v0=0.5):
@@ -28,6 +29,27 @@ def test_covariance_convention():
     assert np.max(np.abs(emp - gf.covariance)) < 0.02
     pseudo = np.einsum("ax,ay->xy", fields, fields) / len(fields)
     assert np.max(np.abs(pseudo)) < 0.02
+
+
+@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3)
+                                 for L in (1, 2, 3, 4)])
+def test_fourier_covariance_and_factor_on_degenerate_tori(d, L):
+    # L = 1 gives Delta = 0, L = 2 doubled edge weights
+    torus = Torus(d, L)
+    for kappa in (0.3, 1.0):
+        gf = GaussianField(torus, kappa)
+        C = covariance(torus, kappa)
+        scale = np.max(np.abs(C))
+        assert np.max(np.abs(gf.covariance - C)) <= 1e-12 * scale
+        assert np.max(np.abs(gf.factor @ gf.factor - C)) <= 1e-12 * scale
+        # the sampler's covariance is factor^T factor
+        assert np.max(np.abs(gf.factor - gf.factor.T)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+def test_gaussian_field_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError):
+        GaussianField(Torus(1, 3), kappa)
 
 
 def test_wick_moment_permanent():

@@ -59,7 +59,7 @@ def test_heat_kernel_range_normalization_semigroup():
             assert np.all(tab >= -1e-14) and np.all(tab <= 1.0 + 1e-14)
             assert abs(tab.sum() - 1.0) < 1e-12
             # semigroup: psi^{t} * psi^{t} = psi^{2t}
-            conv = hk.matrix(t) @ hk.table(t)
+            conv = hk.table(t)[torus.diff_table] @ hk.table(t)
             assert np.max(np.abs(conv - hk.table(2 * t))) < 1e-10
 
 
@@ -69,7 +69,37 @@ def test_heat_kernel_matches_matrix_exponential():
     t = 0.7
     import scipy.linalg
     E = scipy.linalg.expm(0.5 * t * laplacian_matrix(torus))
-    assert np.max(np.abs(hk.matrix(t) - E)) < 1e-12
+    assert np.max(np.abs(torus.multiplier(np.exp(-t * hk.rates)) - E)) < 1e-12
+
+
+_DEGENERATE = [(d, L) for d in (1, 2, 3) for L in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("d,L", _DEGENERATE)
+def test_transform_pair_conventions(d, L):
+    torus = Torus(d, L)
+    rng = np.random.default_rng(10 * d + L)
+    f = rng.normal(size=torus.n_sites)
+    f = f + f[torus.diff_table[0]]          # even: f(x) = f(-x)
+    # site x <-> flat position x, mode xi = 2 pi c / L <-> flat position c
+    direct = np.cos(2 * np.pi * (torus.coords @ torus.coords.T) / L) @ f
+    assert np.max(np.abs(torus.fourier(f) - direct)) < 1e-12
+    assert np.max(np.abs(torus.inverse_fourier(torus.fourier(f)) - f)) < 1e-12
+    M = torus.multiplier(torus.fourier(f))
+    for x in range(torus.n_sites):
+        for y in range(torus.n_sites):
+            assert M[x, y] == pytest.approx(
+                f[torus.index_of(torus.coords[x] - torus.coords[y])],
+                abs=1e-12)
+
+
+@pytest.mark.parametrize("nu,kappa", [(0.5, 0.0), (0.0, 1.0),
+                                      (-0.5, -1.0), (0.5, None),
+                                      (0.5, float("nan")), (1.0, 1e-20)])
+def test_free_weights_reject_bad_kappa_nu(nu, kappa):
+    # kappa * nu <= 0, undefined kappa, and a weight that rounds to 1
+    with pytest.raises(ValueError):
+        HeatKernel(Torus(1, 3)).free_weights(nu, kappa)
 
 
 def test_infinite_kernel_bessel_vs_quadrature():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from loopgas.interactions import InteractionParams
-from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from loopgas.lattice import (
+    HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas.loop_mc import (
     EnsembleSpec, _welford_merge, estimate_gamma_p, estimate_rel_partition,
-    free_gas_gamma1, run_mc)
+    run_mc)
 from loopgas.paths import LoopIntensity
+from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
 
 
@@ -86,7 +88,6 @@ def _hard_core_spec(L, nu, mode, lam=0.5, kappa=1.0):
 def test_hard_core_partition_against_oracle(L, nu, mode):
     # the loop Z is relative to the untruncated free gas,
     # prod_xi (1 - w_xi) with w_xi = e^{-nu (kappa + lambda_xi)}
-    from loopgas.lattice import HeatKernel
     from loopgas.quantum_oracle import grand_partition
     spec = _hard_core_spec(L, nu, mode)
     w = np.exp(-nu * (spec.intensity.kappa + HeatKernel(spec.torus).rates))
@@ -121,7 +122,9 @@ def test_rel_partition_against_oracle():
 
 def test_gamma_free_against_closed_form():
     spec = _grid_spec(lam=0.0)
-    K = free_gas_gamma1(spec.params, spec.torus)
+    # the first-order kernel at lam = 0 is the free kernel
+    K = gamma1_first_order(spec.torus, spec.params.nu, spec.intensity.kappa,
+                           spec.params.vL, 0.0)
     for x, y in [(0, 0), (0, 1)]:
         est = estimate_gamma_p(spec, 1, [x], [y], 20000, seed=5, workers=2)
         assert abs(est.mean - K[x, y]) <= 3.0 * est.std_error
@@ -156,11 +159,8 @@ def test_ensemble_kind_mismatch_rejected():
 
 
 def test_free_gas_gamma1_rejects_bad_kappa():
-    torus = Torus(1, 3)
-    params = InteractionParams(torus=torus, vL=np.zeros(3), nu=0.5, lam=0.0,
-                               mode="generic", kappa=1.0)
     with pytest.raises(ValueError):
-        free_gas_gamma1(params, torus, kappa=-0.1)
+        HeatKernel(Torus(1, 3)).free_weights(0.5, -0.1)
 
 
 def test_estimate_serialization():

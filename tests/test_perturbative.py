@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from loopgas.field_oracle import GaussianField
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
-from loopgas.loop_mc import free_gas_gamma1
 from loopgas.perturbative import (
     gamma1_first_order, gibbs_potential_first_order, log_z_first_order,
     loop_density)
 from loopgas.quantum_oracle import grand_partition, reduced_density_matrix
+from site_reference import free_kernel
 
 
 def _setup(L=3, nu=0.5, kappa=1.0, v0=0.05, v1=0.0):
@@ -29,16 +30,12 @@ def _setup(L=3, nu=0.5, kappa=1.0, v0=0.05, v1=0.0):
 def test_free_limit_exact():
     torus, vL = _setup()
     K = gamma1_first_order(torus, 0.5, 1.0, vL, lam=0.0)
-    params = InteractionParams(torus=torus, vL=vL, nu=0.5, lam=0.0,
-                               mode="generic", kappa=1.0)
-    free = free_gas_gamma1(params, torus)
-    assert np.max(np.abs(K - free)) < 1e-10
+    assert np.max(np.abs(K - free_kernel(torus, 0.5, 1.0))) < 1e-10
     assert log_z_first_order(torus, 0.5, 1.0, vL, lam=0.0) == 0.0
 
 
 def test_loop_density_closed_form():
     # rho' = sum_k e^{-kappa nu k} psi^{nu k}(0)
-    from loopgas.lattice import HeatKernel
     torus, _ = _setup()
     hk = HeatKernel(torus)
     direct = sum(math.exp(-0.5 * k) * float(hk.at_origin(0.5 * k))
@@ -64,7 +61,7 @@ def test_first_order_gamma_vs_oracle():
                                mode="generic", kappa=1.0)
     K_exact = reduced_density_matrix(params, p=1)
     K_first = gamma1_first_order(torus, 0.5, 1.0, vL, lam)
-    free = free_gas_gamma1(params, torus)
+    free = free_kernel(torus, 0.5, 1.0)
     first_order_size = np.max(np.abs(K_first - free))
     gap = np.max(np.abs(K_first - K_exact))
     assert gap < 0.1 * first_order_size + 1e-10
@@ -100,6 +97,45 @@ def test_translation_invariance_and_symmetry():
                                             abs=1e-12)
 
 
+@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3)
+                                 for L in (1, 2, 3, 4)])
+def test_free_kernel_on_degenerate_tori(d, L):
+    # L = 1 gives Delta = 0, L = 2 doubled edge weights
+    torus = Torus(d, L)
+    for nu, kappa in ((0.5, 1.0), (0.1, 0.3)):
+        K = gamma1_first_order(torus, nu, kappa, np.zeros(torus.n_sites), 0.0)
+        ref = free_kernel(torus, nu, kappa)
+        assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (1, 5), (2, 3), (3, 2)])
+def test_free_mean_field_limit_bound(d, L):
+    # with s = kappa + lambda and x = nu s, the symbol of
+    # nu Gamma_free - C + (nu/2) I is ((x/2) coth(x/2) - 1)/s, which lies in
+    # [0, nu^2 s/12]; so every entry is at most nu^2 (kappa + 2d)/12 in
+    # absolute value, and the diagonal is >= 0
+    torus = Torus(d, L)
+    zeros = np.zeros(torus.n_sites)
+    for kappa in (0.5, 2.0):
+        C = GaussianField(torus, kappa).covariance
+        for nu in (1.0, 0.5, 0.1, 0.01):
+            gap = (nu * gamma1_first_order(torus, nu, kappa, zeros, 0.0) - C
+                   + 0.5 * nu * np.eye(torus.n_sites))
+            assert np.max(np.abs(gap)) <= nu ** 2 * (kappa + 2 * d) / 12
+            assert np.min(np.diag(gap)) >= 0.0
+
+
+@pytest.mark.parametrize("nu,kappa", [(0.5, -0.1), (0.5, 0.0), (0.0, 1.0)])
+def test_free_gas_rejects_bad_kappa_nu(nu, kappa):
+    torus, vL = _setup()
+    for fn in (gamma1_first_order, log_z_first_order,
+               gibbs_potential_first_order):
+        with pytest.raises(ValueError):
+            fn(torus, nu, kappa, vL, 0.1)
+    with pytest.raises(ValueError):
+        loop_density(torus, nu, kappa)
+
+
 def test_hard_core_rejected():
     torus = Torus(1, 3)
     vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.01}), 3)
@@ -113,8 +149,8 @@ def _duration_sums(torus, nu, kappa, vL, lam, tol=1e-17):
     '''Reference: (Gamma_1, log Z) as term-by-term sums over loop durations
     nu k, k <= k_max, and window offsets nu m, with k_max set by tol.'''
     hk = HeatKernel(torus)
-    shape = hk.rates.shape
-    rates = hk.rates.ravel()
+    shape = (torus.L,) * torus.d
+    rates = hk.rates
     k_max = max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
     psi = [hk.table(nu * m) for m in range(k_max + 1)]
     f_hat = [np.fft.fftn((vL * psi[m]).reshape(shape)).real.ravel()

@@ -16,6 +16,7 @@ from loopgas.quantum_oracle import (
     FockBlocks, _free_tail_bound, feynman_kac_check, gibbs_potential,
     grand_partition, kernel_norm, oracle_size, reduced_density_matrix,
     sector_dims)
+from site_reference import free_kernel
 
 
 def _params(v0=0.5, lam=0.2, nu=0.5, L=3, R=0, mode="generic", **kw):
@@ -130,10 +131,19 @@ def test_free_grand_partition_closed_form():
 
 
 def test_free_gamma_closed_form():
-    from loopgas.loop_mc import free_gas_gamma1
     params = _params(v0=0.0, lam=0.0)
     K = reduced_density_matrix(params, p=1)
-    assert np.max(np.abs(K - free_gas_gamma1(params, params.torus))) < 1e-8
+    assert np.max(np.abs(K - free_kernel(params.torus, 0.5, 1.0))) < 1e-8
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.1])
+def test_free_gas_rejects_bad_kappa(kappa):
+    params = _params()
+    for fn in (grand_partition, oracle_size):
+        with pytest.raises(ValueError):
+            fn(params, kappa=kappa)
+    with pytest.raises(ValueError):
+        reduced_density_matrix(params, 1, kappa=kappa)
 
 
 def test_interacting_z_decreases():
