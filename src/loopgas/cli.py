@@ -75,7 +75,10 @@ class ExperimentConfig:
         try:
             jsonschema.validate(doc, _schema())
         except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config schema violation: {exc.message}")
+            where = "/".join(map(str, exc.absolute_path))
+            raise ConfigError(f"config schema violation"
+                              f"{' at ' + where if where else ''}: "
+                              f"{exc.message}")
         pot = doc.get("potential")
         if isinstance(pot, str):
             base = FsPath(path).parent

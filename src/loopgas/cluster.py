@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interactions import pair_matrix
-from .loop_mc import run_mc
+from .interactions import batch_interaction
+from .loop_mc import _batched, _Tally, run_mc
+from .paths import LoopBatch
 
 MAX_ENUM_N = 7
 MAX_URSELL_N = 6
@@ -225,33 +226,52 @@ def _expansion_tables(n):
     return all_edges, conn, tree_mask, extra_mask
 
 
-def _edge_vector(matrix, all_edges):
-    return np.array([matrix[i, j] for i, j in all_edges], dtype=float)
+def _edge_values(matrix, all_edges):
+    '''The entries (i, j) of the edges, lex order, of (..., n, n) matrices.'''
+    i, j = np.array(all_edges, dtype=np.int64).reshape(-1, 2).T
+    return matrix[..., i, j]
+
+
+def _graph_sum(z, masks, n):
+    '''(1/n!) sum over the graphs (rows of masks) of the product of their
+    edge values z (..., n_edges), for each leading index; a float for
+    one vector.  The products grow one edge at a time, over chunks of
+    at most 2^16 (index, graph) pairs, so memory stays small at n = 6.'''
+    flat = z.reshape(-1, z.shape[-1])
+    out = np.empty(len(flat))
+    step = max(1, 2 ** 16 // len(masks))
+    for lo in range(0, len(flat), step):
+        rows = flat[lo:lo + step]
+        prods = np.ones((len(rows), len(masks)))
+        for edge, graphs in zip(rows.T, masks.T):
+            prods *= np.where(graphs, edge[:, None], 1.0)
+        out[lo:lo + step] = prods.sum(axis=1)
+    out /= math.factorial(n)
+    return float(out[0]) if z.ndim == 1 else out.reshape(z.shape[:-1])
 
 
 def ursell(zeta_matrix):
-    '''phi = (1/n!) sum over connected graphs of prod of edge zetas (n <= 6).'''
+    '''phi = (1/n!) sum over connected graphs of prod of edge zetas (n <= 6);
+    a float for one (n, n) matrix, an array for a (C, n, n) stack.'''
     zeta_matrix = np.asarray(zeta_matrix, dtype=float)
-    n = len(zeta_matrix)
+    n = zeta_matrix.shape[-1]
     _check_enum_budget(n, MAX_URSELL_N, "Ursell")
     if n == 1:
-        return 1.0
+        return 1.0 if zeta_matrix.ndim == 2 else np.ones(len(zeta_matrix))
     all_edges, conn, _, _ = _expansion_tables(n)
-    z = _edge_vector(zeta_matrix, all_edges)
-    return float(np.where(conn, z, 1.0).prod(axis=1).sum()) / math.factorial(n)
+    return _graph_sum(_edge_values(zeta_matrix, all_edges), conn, n)
 
 
 def tree_sum(zeta_matrix, absolute=True):
-    '''(1/n!) sum over trees of prod of edge |zeta| (the tree bound).'''
+    '''(1/n!) sum over trees of prod of edge |zeta| (the tree bound); a
+    float for one (n, n) matrix, an array for a (C, n, n) stack.'''
     zeta_matrix = np.asarray(zeta_matrix, dtype=float)
-    n = len(zeta_matrix)
+    n = zeta_matrix.shape[-1]
     if n == 1:
-        return 1.0
+        return 1.0 if zeta_matrix.ndim == 2 else np.ones(len(zeta_matrix))
     all_edges, _, tree_mask, _ = _expansion_tables(n)
-    z = _edge_vector(zeta_matrix, all_edges)
-    if absolute:
-        z = np.abs(z)
-    return float(np.where(tree_mask, z, 1.0).prod(axis=1).sum()) / math.factorial(n)
+    z = _edge_values(zeta_matrix, all_edges)
+    return _graph_sum(np.abs(z) if absolute else z, tree_mask, n)
 
 
 def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):
@@ -272,8 +292,8 @@ def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):
         _check_enum_budget(n, MAX_BRACKET_N, "resummation")
         V_matrix = np.asarray(V_matrix, dtype=float)
         all_edges, _, tree_mask, extra_mask = _expansion_tables(n)
-        z = _edge_vector(zeta_matrix, all_edges)
-        v = _edge_vector(V_matrix, all_edges)
+        z = _edge_values(zeta_matrix, all_edges)
+        v = _edge_values(V_matrix, all_edges)
         prods = np.where(tree_mask, z, 1.0).prod(axis=1)
         resum = float((prods * np.exp(-0.5 * (extra_mask @ v))).sum())
         resum /= math.factorial(n)
@@ -314,17 +334,19 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def _weight_and_zeta(paths, spec, n_fixed):
-    '''Self-interaction weight prod e^{-V(w, w)/2} of the drawn loops (all
-    but the first n_fixed paths) and the Mayer factors
-    zeta_ij = e^{-V(w_i, w_j)} - 1 between distinct paths, from one pair
-    matrix: in the total interaction (1/2) sum_{i,j} V, the two ordered
-    pairs (i, j), (j, i) cancel the 1/2, so each unordered pair carries
-    the full Boltzmann factor e^{-V}; only self pairs keep e^{-V/2}.'''
-    V = pair_matrix(paths, spec.params, spec.kind)
-    weight = math.prod(np.exp(-0.5 * np.diag(V)[n_fixed:]).tolist())
+def _weights_and_zeta(V, n_fixed):
+    '''From (C, n, n) pair matrices: the self-interaction weights
+    prod e^{-V(w, w)/2} of the drawn loops (all but the first n_fixed
+    paths) and the Mayer factors zeta_ij = e^{-V(w_i, w_j)} - 1 between
+    distinct paths.  In the total interaction (1/2) sum_{i,j} V, the two
+    ordered pairs (i, j), (j, i) cancel the 1/2, so each unordered pair
+    carries the full Boltzmann factor e^{-V}; only self pairs keep
+    e^{-V/2}.'''
+    self_V = np.diagonal(V, axis1=1, axis2=2)
+    weight = np.exp(-0.5 * self_V[:, n_fixed:]).prod(axis=1)
     zeta = np.exp(-V) - 1.0
-    np.fill_diagonal(zeta, 0.0)
+    diag = np.arange(V.shape[1])
+    zeta[:, diag, diag] = 0.0
     return weight, zeta
 
 
@@ -357,20 +379,23 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         raise ValueError("n_max below the leading order")
     mass = spec.intensity.total_mass
     orders = list(range(max(p, 1), n_max + 1))
+    fixed = [(w.start, w.duration, w.jump_times, w.jump_sites)
+             for w in fixed_paths]
+    tally = _Tally()
 
     def draw(n, bound_mode=False):
         factor = (math.factorial(n) // math.factorial(n - p)) * mass ** (n - p)
+        phi_of = tree_sum if bound_mode else ursell
 
-        def sample(rng, count):
-            out = []
-            for _ in range(count):
-                drawn = [spec.intensity.sample_loop(rng) for _ in range(n - p)]
-                weight, zeta = _weight_and_zeta(list(fixed_paths) + drawn,
-                                                spec, p)
-                phi = tree_sum(zeta) if bound_mode else ursell(zeta)
-                out.append((factor * weight * phi, weight, weight * weight))
-            return out
-        return sample
+        def evaluate(configs):
+            V = batch_interaction(LoopBatch(configs), spec.params,
+                                  spec.kind)[1]
+            weight, zeta = _weights_and_zeta(V, p)
+            return np.column_stack((factor * weight * phi_of(zeta), weight,
+                                    weight * weight))
+
+        return _batched(lambda rng: fixed + [
+            tally.loop(spec.intensity, rng) for _ in range(n - p)], evaluate)
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "ess": [], "mass": mass}
@@ -387,6 +412,7 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))
     report["total_se"] = float(math.sqrt(sum(s * s for s in report["std_errors"])))
+    report["walks_per_loop"] = tally.walks_per_loop()
     return report
 
 

@@ -6,6 +6,9 @@ grid ensemble, V = (lam / 2 nu) int_0^nu N(t)^T v N(t) dt, and the summed
 local time l of the continuum ensemble, V = (lam / 2) l^T v l.  N is
 constant between the jump times mod nu, so the integral is an exact sum
 over slices; there is no quadrature error anywhere in this module.
+One kernel, batch_interaction, evaluates every configuration of a
+LoopBatch at once; v_total and pair_matrix are its views of one
+configuration.
 +inf is an absorbing interaction value (hard core), mapped downstream to
 Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
 '''
@@ -13,6 +16,8 @@ Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .paths import LoopBatch
 
 
 @dataclass
@@ -70,83 +75,179 @@ def v_tilde_table(vL, torus, R):
     return out
 
 
-def _check_grid(path, nu):
-    n = path.duration / nu
-    if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError(f"duration {path.duration} not on the grid nu N*")
+def batch_interaction(batch, params, kind):
+    '''Total interaction of every configuration of a LoopBatch, (C,), and
+    the (C, n, n) pair matrices when all C configurations hold the same
+    number n of loops (else None); kind "ginibre" or "symanzik_eps".
 
-
-def _occupations(config, params, kind):
-    '''Slice weights w (K,) and stacked per-loop occupations N (loops, K,
-    sites) such that the pair interaction of loops i, j is
-    sum_k w_k N[i, k] v N[j, k]^T.
-
-    Grid ensemble: [0, nu) is cut at every jump time mod nu, and
-    N[i, k, x] counts the windows a of loop i with w_i(a nu + t) = x for t
-    in slice k; w_k = lam |slice k| / nu.  Continuum ensemble: one slice
-    holding the local times, w = lam.
+    The total is V = 1/2 sum_k w_k n_k^T v n_k, n the occupation field of
+    the configuration, equal to 1/2 sum_{i,j} V(w_i, w_j); the pair
+    matrix holds sum_k w_k N_{i,k} v N_{j,k}^T, N_i the occupation of
+    loop i, self pairs on the diagonal.  In the grid ensemble a hard
+    core (R = 1) is exclusion in the totals, in every mode: the total is
+    +inf iff two windows share a site at some time, and otherwise it
+    interacts through v-tilde (no self term of a window), as the quantum
+    oracle's hard-core bosons do.  Elsewhere an infinite entry of v that
+    meets sites occupied in a common slice of positive weight gives +inf.
     '''
-    n_sites = params.torus.n_sites
-    if kind != "ginibre":
-        N = np.array([w.local_time_table(n_sites) for w in config])
-        return np.array([params.lam]), N.reshape(len(config), 1, n_sites)
-    nu = params.nu
-    for w in config:
-        _check_grid(w, nu)
-    cuts = np.unique(np.concatenate(
-        [[0.0, nu]] + [np.mod(w.jump_times, nu) for w in config]))
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    K = len(mid)
-    slot = np.arange(K) * n_sites
-    N = np.empty((len(config), K, n_sites))
-    for i, w in enumerate(config):
-        t = nu * np.arange(round(w.duration / nu))[:, None] + mid
-        sites = np.concatenate(([w.start], w.jump_sites))[
-            np.searchsorted(w.jump_times, t, side="right")]
-        N[i] = np.bincount((slot + sites).ravel(),
-                           minlength=K * n_sites).reshape(K, n_sites)
-    return params.lam / nu * np.diff(cuts), N
+    torus = params.torus
+    n_sites = torus.n_sites
+    C = batch.n_configs
+    if C == 0:
+        return np.zeros(0), None
+    sizes = np.bincount(batch.config, minlength=C)
+    n = int(sizes[0]) if np.all(sizes == sizes[0]) else None
+    occupations = _grid_occupations if kind == "ginibre" else _local_times
+    w, bounds, cell_slice, cell_loop, cell_site, amount = occupations(
+        batch, params)
+    S = len(w)
+    if n is None:
+        N = None
+        n_field = np.bincount(cell_slice * n_sites + cell_site,
+                              weights=amount, minlength=S * n_sites)
+        n_field = n_field.reshape(S, 1, n_sites)
+    else:
+        # slot of each loop in its configuration
+        slot = np.arange(len(batch.config)) - (np.cumsum(sizes) - sizes)[
+            batch.config]
+        N = np.bincount((cell_slice * n + slot[cell_loop]) * n_sites
+                        + cell_site, weights=amount,
+                        minlength=S * n * n_sites).reshape(S, n, n_sites)
+        n_field = N.sum(axis=1, keepdims=True)
+    vL = params.vL
+    killed = None
+    if kind == "ginibre" and params.R == 1:
+        killed = np.maximum.reduceat(n_field.max(axis=(1, 2)), bounds) > 1
+        vL = v_tilde_table(vL, torus, 1)
+    totals = 0.5 * np.add.reduceat(
+        _slice_form(w, n_field, vL[torus.diff_table])[:, 0, 0], bounds)
+    if killed is not None:
+        totals[killed] = np.inf
+    pairs = None if N is None else np.add.reduceat(
+        _slice_form(w, N, params.vL[torus.diff_table]), bounds, axis=0)
+    return totals, pairs
 
 
-def _form(w, N, vmat):
-    '''P[i, j] = sum_k w_k N[i, k] vmat N[j, k]^T; +inf where an infinite
-    vmat entry meets sites occupied in a common slice of positive weight
-    (masked, so that 0 * inf never makes a NaN).'''
-    n, K, s = N.shape
+def _slice_form(w, N, vmat):
+    '''Per-slice pair terms P[k, i, j] = w_k N[k, i] vmat N[k, j]^T; +inf
+    where an infinite vmat entry meets sites occupied in slice k of
+    positive weight (masked, so that 0 * inf never makes a NaN).'''
     core = np.isinf(vmat)
-    weighted = (w[:, None] * N) @ np.where(core, 0.0, vmat)
-    P = weighted.reshape(n, K * s) @ N.reshape(n, K * s).T
+    Nt = N.transpose(0, 2, 1)
+    P = (w[:, None, None] * N) @ np.where(core, 0.0, vmat) @ Nt
     if core.any():
-        occ = (N > 0) * (w > 0)[:, None]
-        hits = (occ @ core).reshape(n, K * s) @ occ.reshape(n, K * s).T
-        P[hits] = np.inf
+        occ = (N > 0) & (w > 0)[:, None, None]
+        P[(occ @ core) @ occ.transpose(0, 2, 1)] = np.inf
     return P
+
+
+def _grid_occupations(batch, params):
+    '''Slices of the folded time [0, nu) of every configuration of a
+    LoopBatch, and its occupation cells.
+
+    Each configuration's [0, nu) is cut at 0, nu and every jump time mod
+    nu of its loops; slice k has weight w_k = lam |slice k| / nu.  The
+    cells are one (slice, loop, site) triple per window of each loop and
+    slice of its configuration: the site the loop occupies in that slice
+    of that window.  A jump at time a nu + r (exact divmod) cuts at r,
+    the k-th cut of its configuration, and moves the loop from slice k
+    of window a on; the sites are found by merging the jumps and the
+    (window, slice) pairs on exact integer keys, so no float offset
+    decides a comparison.  Returns w, the first slice of each
+    configuration, the cells' slices, loops and sites, and their
+    amounts (None: one each).
+    '''
+    nu = params.nu
+    C = batch.n_configs
+    n_loops = len(batch.start)
+    ratio = batch.duration / nu
+    n_win = np.round(ratio)
+    off_grid = (np.abs(ratio - n_win) > 1e-9) | (n_win < 1)
+    if off_grid.any():
+        raise ValueError(f"duration {batch.duration[off_grid][0]} not on "
+                         f"the grid nu N*")
+    n_win = n_win.astype(np.int64)
+    jump_loop = np.repeat(np.arange(n_loops), np.diff(batch.offsets))
+    window, folded = np.divmod(batch.times, nu)
+    # the cuts of each configuration, sorted and without repeats
+    values = np.concatenate((folded, np.zeros(C), np.full(C, nu)))
+    owner = np.concatenate((batch.config[jump_loop], np.arange(C),
+                            np.arange(C)))
+    order = np.lexsort((values, owner))
+    values, owner = values[order], owner[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    cuts, cut_owner = values[new], owner[new]
+    w = params.lam / nu * np.diff(cuts)[cut_owner[1:] == cut_owner[:-1]]
+    n_slices = np.bincount(cut_owner, minlength=C) - 1
+    bounds = np.cumsum(n_slices) - n_slices
+    # (window, slice) keys a K + k, offset per loop so that loops keep
+    # apart; the jump keys increase along the flat jumps, since each
+    # loop's jump times are sorted and divmod is exact
+    K = n_slices[batch.config]
+    n_keys = n_win * K
+    base = np.cumsum(n_keys + 1) - (n_keys + 1)
+    jump_slice = rank[:len(folded)] - (bounds + np.arange(C))[
+        batch.config[jump_loop]]
+    jump_key = base[jump_loop] + np.minimum(
+        window.astype(np.int64) * K[jump_loop] + jump_slice,
+        n_keys[jump_loop])
+    cell_loop = np.repeat(np.arange(n_loops), n_keys)
+    # cell c, the m-th of loop i, has key base_i + m = c + i
+    key = np.arange(len(cell_loop)) + cell_loop
+    cell_slice = ((key - base[cell_loop]) % K[cell_loop]
+                  + bounds[batch.config[cell_loop]])
+    seen = np.searchsorted(jump_key, key, side="right")
+    cell_site = np.where(seen > batch.offsets[cell_loop],
+                         np.concatenate(([0], batch.sites))[seen],
+                         batch.start[cell_loop])
+    return w, bounds, cell_slice, cell_loop, cell_site, None
+
+
+def _local_times(batch, params):
+    '''The continuum ensemble's one slice per configuration, weight lam,
+    and its occupation cells: one (configuration, loop, site) triple per
+    constant piece of each loop, with the piece's length as amount, so
+    that the occupation is the local time.  Returns the values of
+    _grid_occupations.'''
+    C = batch.n_configs
+    n_loops = len(batch.start)
+    counts = np.diff(batch.offsets)
+    first = batch.offsets[:-1] + np.arange(n_loops)
+    is_first = np.zeros(len(batch.times) + n_loops, dtype=bool)
+    is_first[first] = True
+    is_last = np.zeros_like(is_first)
+    is_last[first + counts] = True
+    t0 = np.zeros(len(is_first))
+    t0[~is_first] = batch.times
+    t1 = np.empty(len(is_first))
+    t1[is_last] = batch.duration
+    t1[~is_last] = batch.times
+    cell_site = np.empty(len(is_first), dtype=np.int64)
+    cell_site[is_first] = batch.start
+    cell_site[~is_first] = batch.sites
+    cell_loop = np.repeat(np.arange(n_loops), counts + 1)
+    return (np.full(C, float(params.lam)), np.arange(C),
+            batch.config[cell_loop], cell_loop, cell_site, t1 - t0)
 
 
 def pair_matrix(config, params, kind):
     '''Matrix of pair interactions V(w_i, w_j) of a loop configuration,
-    self pairs on the diagonal (kind "ginibre" or "symanzik_eps").'''
-    w, N = _occupations(config, params, kind)
-    return _form(w, N, params.vL[params.torus.diff_table])
+    self pairs on the diagonal (kind "ginibre" or "symanzik_eps"); the
+    one-configuration view of batch_interaction.'''
+    return batch_interaction(LoopBatch.from_paths([config]), params,
+                             kind)[1][0]
 
 
 def v_total(config, params, kind):
     '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a configuration,
     n = sum_i N_i its occupation field; equal to 1/2 sum_{i,j} V(w_i, w_j).
-
-    In the grid ensemble a hard core (R = 1) is exclusion, in every mode:
-    the configuration is killed (+inf) iff two windows share a site at
-    some time, and otherwise interacts through v-tilde (no self term of
-    a window), as the quantum oracle's hard-core bosons do.
-    '''
-    w, N = _occupations(config, params, kind)
-    n = N.sum(axis=0)[None]
-    vL = params.vL
-    if kind == "ginibre" and params.R == 1:
-        if np.any(n > 1):
-            return np.inf
-        vL = v_tilde_table(vL, params.torus, 1)
-    return 0.5 * float(_form(w, n, vL[params.torus.diff_table])[0, 0])
+    The one-configuration view of batch_interaction, whose rules
+    (grid hard core as exclusion) it follows.'''
+    return float(batch_interaction(LoopBatch.from_paths([config]), params,
+                                   kind)[0][0])
 
 
 def v_lm(kvec, xvec, vL, torus, R):

@@ -19,6 +19,7 @@ kappa > 0 and nu > 0, else ValueError.
 
 import itertools
 import json
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, special
@@ -54,6 +55,11 @@ class Torus:
         self.neighbor_table = self.index_of(nb)               # (n_sites, 2d)
         self._diff_table = None
         self._grid = (self.L,) * self.d        # FFT layout of flat tables
+
+    @cached_property
+    def neighbor_lists(self):
+        '''neighbor_table as nested lists, for walks stepped in Python.'''
+        return self.neighbor_table.tolist()
 
     def index_of(self, coords):
         '''Flat site index of coordinate array(s) (taken mod L).'''

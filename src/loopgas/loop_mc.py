@@ -9,6 +9,13 @@ indicators times e^{-V(open paths + Poisson background)} times the
 duration-law normalizations is averaged; the background expectation of
 e^{-V} (an independent stream) divides the result.
 
+Each worker chunk runs in batches of _BATCH samples and two phases: the
+draw phase makes every random draw of the batch, in the order of the
+per-sample estimator (loops and walks stay raw arrays, no Path), and the
+compute phase evaluates all configurations of the batch with one call
+of interactions.batch_interaction.  The batch size bounds the memory a
+chunk holds; it does not change the stream.
+
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
 master seed, and the per-worker moments are merged in worker order
@@ -22,8 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interactions import v_total
-from .paths import GinibreDurationLaw, SymanzikDurationLaw, sample_free_walk
+from .interactions import batch_interaction, v_total
+from .paths import (GinibreDurationLaw, LoopBatch, SymanzikDurationLaw,
+                    _walk)
+
+# Samples per kernel call: it bounds the memory of a chunk (a 20000-sample
+# chunk in one batch peaked at 105 MB instead of 86 MB).
+_BATCH = 256
 
 
 @dataclass
@@ -93,8 +105,12 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     worker chunk takes a two-pass mean and sum of squared deviations per
     column; the chunks are merged in worker order.  Returns (mean,
     std_error, count): floats for scalar samples, length-k arrays for
-    vector samples.
+    vector samples.  Needs n_samples >= 2, so that the standard error
+    is defined; ValueError otherwise.
     '''
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2 for a standard error, got "
+                         f"{n_samples}")
     streams = np.random.SeedSequence(seed).spawn(workers)
     parts = []
     scalar = True
@@ -111,72 +127,125 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
         m2 = ((cols - m[:, None]) ** 2).sum(axis=1)
         parts.append((n_w, m[0], m2[0]) if scalar else (n_w, m, m2))
     count, mean, M2 = _welford_merge(parts)
-    var = M2 / (count - 1) if count > 1 else 0.0 * M2
-    se = np.sqrt(var / count) if count else var
+    se = np.sqrt(M2 / (count - 1) / count)
     return (float(mean), float(se), count) if scalar else (mean, se, count)
 
 
-def _draw_background(intensity, rng):
+def _batched(draw, evaluate):
+    '''A run_mc sample function in two phases per batch of _BATCH
+    samples: draw(rng) makes all the draws of one sample, then
+    evaluate(list of the batch's draws) returns the batch's samples.'''
+    def sample(rng, count):
+        return np.concatenate([
+            evaluate([draw(rng) for _ in range(min(_BATCH, count - lo))])
+            for lo in range(0, count, _BATCH)])
+    return sample
+
+
+class _Tally:
+    '''Work counts of an estimator's draw and compute phases; counting
+    draws no random numbers.'''
+
+    def __init__(self):
+        self.loops = self.walks = self.configs = self.killed = 0
+
+    def loop(self, intensity, rng):
+        '''One loop of the intensity, as (start, duration, times, sites).'''
+        x, T, times, sites, walks = intensity._draw(rng)
+        self.loops += 1
+        self.walks += walks
+        return x, T, times, sites
+
+    def boltzmann(self, spec, configs):
+        '''e^{-V} of each configuration (a list of loops), from one
+        kernel call; a killed configuration (V = +inf) gives 0.'''
+        V = batch_interaction(LoopBatch(configs), spec.params, spec.kind)[0]
+        self.configs += len(V)
+        self.killed += int(np.count_nonzero(np.isinf(V)))
+        return [math.exp(-v) for v in V.tolist()]
+
+    def walks_per_loop(self):
+        return self.walks / self.loops if self.loops else 0.0
+
+    def metadata(self, n_samples):
+        return {"loops_per_sample": self.loops / n_samples,
+                "walks_per_loop": self.walks_per_loop(),
+                "killed_frac": (self.killed / self.configs
+                                if self.configs else 0.0)}
+
+
+def _draw_background(intensity, rng, tally):
     n = rng.poisson(intensity.total_mass)
-    return [intensity.sample_loop(rng) for _ in range(n)]
+    return [tally.loop(intensity, rng) for _ in range(n)]
 
 
 def estimate_rel_partition(spec, n_samples, seed, workers=1):
     '''MC estimate of the relative partition function Z = E_Poisson[e^{-V}].'''
     if not np.isfinite(spec.intensity.total_mass):
         raise ValueError("loop intensity mass must be finite")
-
-    def one(rng):
-        config = _draw_background(spec.intensity, rng)
-        V = spec.total_interaction(config)
-        return 0.0 if np.isinf(V) else math.exp(-V)
-
-    mean, se, count = run_mc(lambda rng, n: [one(rng) for _ in range(n)],
-                             n_samples, seed, workers)
+    tally = _Tally()
+    sample = _batched(
+        lambda rng: _draw_background(spec.intensity, rng, tally),
+        lambda configs: tally.boltzmann(spec, configs))
+    mean, se, count = run_mc(sample, n_samples, seed, workers)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
     meta.update(spec.intensity.metadata)
+    meta.update(tally.metadata(count))
     return McEstimate(mean, se, count, seed, meta)
 
 
 def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                      denom_samples=None):
     '''MC estimate of the kernel entry Gamma_p(x, y) via the relative
-    open-path representation; permutations enumerated (p <= 4).'''
+    open-path representation; permutations enumerated (p <= 4).  The
+    denominator takes denom_samples samples (None: n_samples).'''
     if p < 1 or p > 4:
         raise ValueError("p must be in 1..4 (permutation enumeration)")
+    if denom_samples is not None and denom_samples < 2:
+        raise ValueError(f"denom_samples must be None or >= 2, got "
+                         f"{denom_samples}")
     xs, ys = spec.torus.check_sites(p, xs, ys)
     law = spec.duration_law()
     perms = list(itertools.permutations(range(p)))
     norm_p = law.normalization ** p
+    tally = _Tally()
 
-    def one(rng):
-        background = _draw_background(spec.intensity, rng)
-        total = 0.0
+    def draw(rng):
+        # the configurations (open paths + background) of the
+        # permutations whose open paths all end where they should
+        background = _draw_background(spec.intensity, rng, tally)
+        configs = []
         for pi in perms:
             opens = []
-            hit = True
             for i in range(p):
                 T = float(law.sample(rng))
-                path = sample_free_walk(spec.torus, xs[i], T, rng)
-                if path.end != ys[pi[i]]:
-                    hit = False
+                end, times, sites = _walk(spec.torus, xs[i], T, rng)
+                if end != ys[pi[i]]:
                     break
-                opens.append(path)
-            if not hit:
-                continue
-            V = spec.total_interaction(opens + background)
-            if not np.isinf(V):
-                total += norm_p * math.exp(-V)
-        return total
+                opens.append((xs[i], T, times, sites))
+            else:
+                configs.append(opens + background)
+        return configs
 
-    num_mean, num_se, count = run_mc(
-        lambda rng, n: [one(rng) for _ in range(n)], n_samples, seed,
-        workers)
+    def evaluate(drawn):
+        weights = iter(tally.boltzmann(
+            spec, [config for configs in drawn for config in configs]))
+        out = []
+        for configs in drawn:
+            total = 0.0
+            for _ in configs:
+                total += norm_p * next(weights)
+            out.append(total)
+        return out
+
+    num_mean, num_se, count = run_mc(_batched(draw, evaluate), n_samples,
+                                     seed, workers)
     # independent stream for the denominator (fixed derived seed)
     denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63
     denom = estimate_rel_partition(
-        spec, denom_samples or n_samples, denom_seed, workers)
+        spec, n_samples if denom_samples is None else denom_samples,
+        denom_seed, workers)
     if abs(denom.mean) <= 3.0 * denom.std_error:
         raise ArithmeticError("denominator estimate consistent with 0")
     ratio = num_mean / denom.mean
@@ -186,5 +255,5 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys,
             "denominator": denom.mean, "denominator_se": denom.std_error,
             "workers": workers}
+    meta.update(tally.metadata(count))
     return McEstimate(ratio, se, count, seed, meta)
-

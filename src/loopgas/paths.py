@@ -4,9 +4,13 @@ Paths are cadlag step functions on a torus: a start site, a duration T,
 and a strictly increasing list of (jump time, new site).  The free walk
 has generator Delta/2: total jump rate d, exponential holding times,
 uniform choice among the 2d signed unit steps.  Steps that wrap onto the
-current site (L = 1) are no-ops and are not recorded.
+current site (L = 1) are no-ops and are not recorded.  LoopBatch holds
+the loops of many configurations as flat arrays, for the batched
+estimators; Path is the view of one loop.
 '''
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,25 +76,72 @@ class Path:
         return cls(start, duration, np.array(times), np.array(sites, dtype=np.int64))
 
 
+_NO_TIMES = np.empty(0)
+
+
+def _walk(torus, x, T, rng):
+    '''The free walk from x over [0, T], without a Path: (end site, jump
+    times, jump sites).  The one definition of the walk's draws: the jump
+    count Poisson(d*T), the sorted uniform jump times, then the uniform
+    signed steps.  On L = 1 every step wraps onto its site, so no jump is
+    recorded.'''
+    n_jumps = rng.poisson(torus.d * T)
+    if n_jumps == 0:
+        return x, _NO_TIMES, []
+    times = np.sort(rng.random(n_jumps) * T)
+    dirs = rng.integers(0, 2 * torus.d, n_jumps)
+    if torus.L == 1:
+        return x, _NO_TIMES, []
+    nbr = torus.neighbor_lists
+    site = x
+    sites = []
+    for k in dirs.tolist():
+        site = nbr[site][k]
+        sites.append(site)
+    return site, times, sites
+
+
 def sample_free_walk(torus, x, T, rng):
     '''Draw from P_x^T: jump clock Poisson(d*T), uniform signed steps.'''
     if T <= 0:
         raise ValueError("T must be > 0")
-    n_jumps = rng.poisson(torus.d * T)
-    if n_jumps == 0:
-        return Path(int(x), float(T))
-    times = np.sort(rng.random(n_jumps) * T)
-    dirs = rng.integers(0, 2 * torus.d, n_jumps)
-    site = int(x)
-    keep_t, keep_s = [], []
-    for t, k in zip(times, dirs):
-        nxt = int(torus.neighbor_table[site, k])
-        if nxt != site:
-            keep_t.append(t)
-            keep_s.append(nxt)
-            site = nxt
-    return Path(int(x), float(T), np.array(keep_t),
-                np.array(keep_s, dtype=np.int64))
+    _, times, sites = _walk(torus, int(x), T, rng)
+    return Path(int(x), float(T), times, np.array(sites, dtype=np.int64))
+
+
+class LoopBatch:
+    '''The loops of many configurations as flat arrays (struct of arrays),
+    in draw order; Path is the view of one loop.
+
+    Loop i belongs to configuration config[i], starts at site start[i]
+    and lasts duration[i]; its jumps are times[offsets[i]:offsets[i+1]]
+    to sites[offsets[i]:offsets[i+1]] (CSR offsets).  Built from a list
+    of configurations, each a list of (start, duration, jump times, jump
+    sites) loops.
+    '''
+
+    def __init__(self, configs):
+        self.n_configs = len(configs)
+        loops = [loop for config in configs for loop in config]
+        self.config = np.repeat(np.arange(self.n_configs),
+                                [len(config) for config in configs])
+        self.start = np.array([loop[0] for loop in loops], dtype=np.int64)
+        self.duration = np.array([loop[1] for loop in loops], dtype=float)
+        counts = [len(loop[3]) for loop in loops]
+        self.offsets = np.zeros(len(loops) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        n_jumps = int(self.offsets[-1])
+        self.times = (np.concatenate([loop[2] for loop in loops])
+                      if n_jumps else _NO_TIMES)
+        self.sites = np.fromiter(
+            itertools.chain.from_iterable(loop[3] for loop in loops),
+            dtype=np.int64, count=n_jumps)
+
+    @classmethod
+    def from_paths(cls, configs):
+        '''The batch of configurations given as lists of Paths.'''
+        return cls([[(p.start, p.duration, p.jump_times, p.jump_sites)
+                     for p in config] for config in configs])
 
 
 class GinibreDurationLaw:
@@ -194,6 +245,8 @@ class LoopIntensity:
         self._durations = nu * k
         self._probs = w / w.sum()
         self._cum = np.cumsum(self._probs)
+        self._cum_list = self._cum.tolist()
+        self._duration_list = self._durations.tolist()
         self.metadata.update(k_max=k_max, tail_bound=float(tail))
 
     # -- symanzik: eps-truncated continuum law ------------------------------
@@ -223,6 +276,8 @@ class LoopIntensity:
 
     # -----------------------------------------------------------------------
     def sample_duration(self, rng, size=None):
+        if size is None:
+            return self._duration(rng)
         u = rng.random(size)
         if self.kind == "ginibre":
             idx = np.searchsorted(self._cum, u, side="left")
@@ -230,13 +285,29 @@ class LoopIntensity:
             return self._durations[idx]
         return np.interp(u, self._cdf, self._grid)
 
-    def sample_loop(self, rng, max_tries=10000):
-        T = float(self.sample_duration(rng))
+    def _duration(self, rng):
+        '''One duration from one uniform draw, as a float; the grid law
+        takes the first cumulative probability >= u, as sample_duration.'''
+        u = rng.random()
+        if self.kind == "ginibre":
+            idx = bisect.bisect_left(self._cum_list, u)
+            return self._duration_list[min(idx, len(self._cum_list) - 1)]
+        return float(np.interp(u, self._cdf, self._grid))
+
+    def _draw(self, rng, max_tries=10000):
+        '''One loop as (start, duration, jump times, jump sites, walks):
+        a duration, a uniform base site, then free walks from the base
+        site until one closes; walks counts the attempts.'''
+        T = self._duration(rng)
         x = int(rng.integers(self.torus.n_sites))
-        for _ in range(max_tries):
-            path = sample_free_walk(self.torus, x, T, rng)
-            if path.end == x:
-                return path
+        for tries in range(1, max_tries + 1):
+            end, times, sites = _walk(self.torus, x, T, rng)
+            if end == x:
+                return x, T, times, sites, tries
         raise RuntimeError(
             f"bridge rejection budget exceeded (T={T}, acceptance "
             f"~ {self.hk.at_origin(T):.3e})")
+
+    def sample_loop(self, rng, max_tries=10000):
+        x, T, times, sites, _ = self._draw(rng, max_tries)
+        return Path(x, T, times, np.array(sites, dtype=np.int64))

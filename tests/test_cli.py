@@ -259,6 +259,16 @@ def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1 and "budget exceeded" in err
 
 
+def test_one_sample_run_is_refused(tmp_path, capsys):
+    # one sample has no standard error: the schema asks for n_samples >= 2
+    cfg = _write_config(tmp_path, _ginibre_doc(n_samples=1))
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_samples" in err
+    assert not out.exists()
+
+
 def test_tolerances_field_rejected(tmp_path):
     cfg = _write_config(tmp_path, _ginibre_doc(tolerances={"z": 0.1}))
     assert main(["ginibre-z", "--config", cfg]) == 2

@@ -225,3 +225,56 @@ def test_expansion_rejects_hard_core():
     hard = EnsembleSpec(spec.torus, params, spec.intensity, "ginibre")
     with pytest.raises(ValueError, match="R = 0"):
         log_Z_via_expansion(hard, n_max=2, n_samples=10, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ursell_and_tree_sum_over_a_stack(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([_random_zeta(n, rng) for _ in range(7)])
+    phi, bound = ursell(stack), tree_sum(stack)
+    assert phi.shape == bound.shape == (7,)
+    for k, zeta in enumerate(stack):
+        assert phi[k] == pytest.approx(ursell(zeta), rel=1e-12, abs=1e-15)
+        assert bound[k] == pytest.approx(tree_sum(zeta), rel=1e-12,
+                                         abs=1e-15)
+
+
+def test_estimate_x_matches_per_sample_reference():
+    '''One fixed path (p = 1): the batched orders, remainder and bridge
+    count equal a per-sample run of the reference sampler and kernel on
+    the same streams.'''
+    import loop_reference
+    from loopgas.cluster import estimate_X
+    from loopgas.loop_mc import run_mc
+    spec = _expansion_spec()
+    fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
+                                             np.random.default_rng(3))]
+    report = estimate_X(spec, fixed, n_max=3, n_samples=150, seed=9,
+                        workers=2)
+    count = {"loops": 0, "walks": 0}
+
+    def sample(n, phi_of):
+        factor = n * spec.intensity.total_mass ** (n - 1)
+
+        def one(rng):
+            drawn = []
+            for _ in range(n - 1):
+                loop, walks = loop_reference.sample_loop(spec.intensity, rng)
+                drawn.append(loop)
+                count["loops"] += 1
+                count["walks"] += walks
+            V = loop_reference.pair_matrix(fixed + drawn, spec.params,
+                                           spec.kind)
+            weight = math.prod(np.exp(-0.5 * np.diag(V)[1:]).tolist())
+            zeta = np.exp(-V) - 1.0
+            np.fill_diagonal(zeta, 0.0)
+            return factor * weight * phi_of(zeta), weight, weight * weight
+        return lambda rng, m: [one(rng) for _ in range(m)]
+
+    for k, n in enumerate(report["orders"]):
+        mean, se, _ = run_mc(sample(n, ursell), 150, 9 + n, 2)
+        assert report["means"][k] == pytest.approx(mean[0], rel=1e-12)
+        assert report["std_errors"][k] == pytest.approx(se[0], rel=1e-12)
+    rem, _, _ = run_mc(sample(4, tree_sum), 150, 9 + 4, 2)
+    assert report["remainder"] == pytest.approx(rem[0], rel=1e-12)
+    assert report["walks_per_loop"] == count["walks"] / count["loops"]

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from loopgas.interactions import (
-    InteractionParams, _check_grid, pair_matrix, v_lm, v_tilde_table,
+    InteractionParams, batch_interaction, pair_matrix, v_lm, v_tilde_table,
     v_total)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
-from loopgas.paths import Path, sample_free_walk
+from loopgas.paths import LoopBatch, Path, sample_free_walk
+
+import loop_reference
+from loop_reference import check_grid as _check_grid
 
 
 # -- oracle: the pairwise window-overlap implementation ------------------------
@@ -452,3 +455,71 @@ def test_interaction_params_modes():
         InteractionParams(torus=torus, vL=vL, nu=0.5, lam=0.1, R=2)
     assert InteractionParams(torus=torus, vL=hard, nu=0.5, mode="largemass",
                              kappa0=1.0, R=1).R == 1
+
+
+# -- the batched kernel against the per-configuration reference ------------------
+
+def _same(new, ref):
+    '''Equal to 1e-12 relative, with the same +inf pattern.'''
+    new, ref = np.asarray(new), np.asarray(ref)
+    inf = np.isinf(ref)
+    return (np.array_equal(np.isinf(new), inf) and np.all(
+        np.abs(new[~inf] - ref[~inf])
+        <= 1e-12 * np.maximum(np.abs(ref[~inf]), 1.0)))
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+@pytest.mark.parametrize("R", [0, 1])
+def test_batch_kernel_matches_per_configuration_reference(kind, R):
+    '''batch_interaction on random multi-configuration batches, nu in
+    {0.5, 0.25, 0.1}, d in {1, 2, 3}, L in {1, ..., 4}, with empty
+    configurations and loops without jumps: totals and (when the sizes
+    agree) pair matrices equal the reference's per configuration.'''
+    rng = np.random.default_rng(17 * R + (kind == "ginibre"))
+    n_inf = n_configs = 0
+    for nu in (0.5, 0.25, 0.1):
+        for d in (1, 2, 3):
+            for L in (1, 2, 3, 4):
+                torus = Torus(d, L)
+                params = _params(torus, _random_potential(d, L, R, rng),
+                                 nu=nu, lam=0.7, R=R)
+                for same_size in (False, True):
+                    size = int(rng.integers(0, 4))
+                    configs = []
+                    for _ in range(6):
+                        n = size if same_size else int(rng.integers(0, 4))
+                        config = []
+                        for _ in range(n):
+                            T = (rng.exponential(1.0) + 1e-3
+                                 if kind != "ginibre"
+                                 else nu * int(rng.integers(1, 5)))
+                            x = int(rng.integers(torus.n_sites))
+                            config.append(
+                                Path(x, T) if rng.random() < 0.25 else
+                                loop_reference.sample_free_walk(torus, x, T,
+                                                                rng))
+                        configs.append(config)
+                    totals, pairs = batch_interaction(
+                        LoopBatch.from_paths(configs), params, kind)
+                    ref = [loop_reference.v_total(c, params, kind)
+                           for c in configs]
+                    assert _same(totals, ref), (nu, d, L, totals, ref)
+                    sizes = {len(c) for c in configs}
+                    assert (pairs is None) == (len(sizes) > 1)
+                    if pairs is not None:
+                        assert pairs.shape == (6, size, size)
+                        for c, P in zip(configs, pairs):
+                            assert _same(P, loop_reference.pair_matrix(
+                                c, params, kind))
+                    n_inf += int(np.isinf(ref).sum())
+                    n_configs += len(configs)
+    assert n_configs == 432
+    if R:
+        assert 0 < n_inf < n_configs     # both branches exercised
+
+
+def test_batch_kernel_of_no_configuration():
+    torus = Torus(1, 3)
+    params = _params(torus, np.zeros(3))
+    totals, pairs = batch_interaction(LoopBatch([]), params, "ginibre")
+    assert totals.shape == (0,) and pairs is None

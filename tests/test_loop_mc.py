@@ -1,10 +1,13 @@
 '''Poissonized loop-gas Monte Carlo: free closed forms, determinism,
 reduction identities.'''
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+
+import loop_reference
 
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
@@ -176,3 +179,205 @@ def test_estimate_serialization():
 def test_gamma_p_rejects_off_torus_sites(site):
     with pytest.raises(ValueError):
         estimate_gamma_p(_grid_spec(), 1, [0], [site], 10, seed=1)
+
+
+# -- guards on the sample counts -------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_run_mc_needs_two_samples(n):
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        run_mc(lambda rng, count: rng.random(count), n, seed=1)
+
+
+@pytest.mark.parametrize("denom_samples", [0, 1])
+def test_gamma_p_rejects_denominators_below_two_samples(denom_samples):
+    with pytest.raises(ValueError, match="denom_samples"):
+        estimate_gamma_p(_grid_spec(), 1, [0], [0], 10, seed=1,
+                         denom_samples=denom_samples)
+
+
+# -- the batched estimators against per-sample references ------------------------
+
+def _reference_run(spec, n_samples, seed, workers, sample_one):
+    '''run_mc over a per-sample reference that counts its work: sampled
+    loops, bridge walks, evaluated configurations and killed ones.'''
+    tally = {"loops": 0, "walks": 0, "configs": 0, "killed": 0}
+
+    def background(rng):
+        loops = []
+        for _ in range(rng.poisson(spec.intensity.total_mass)):
+            loop, walks = loop_reference.sample_loop(spec.intensity, rng)
+            loops.append(loop)
+            tally["loops"] += 1
+            tally["walks"] += walks
+        return loops
+
+    def boltzmann(config):
+        V = loop_reference.v_total(config, spec.params, spec.kind)
+        tally["configs"] += 1
+        tally["killed"] += bool(np.isinf(V))
+        return 0.0 if np.isinf(V) else math.exp(-V)
+
+    mean, se, count = run_mc(
+        lambda rng, n: [sample_one(rng, background, boltzmann)
+                        for _ in range(n)], n_samples, seed, workers)
+    return mean, se, tally
+
+
+def _check_counters(meta, tally, n_samples):
+    assert meta["loops_per_sample"] == tally["loops"] / n_samples
+    assert meta["walks_per_loop"] == tally["walks"] / tally["loops"]
+    assert meta["killed_frac"] == tally["killed"] / tally["configs"]
+
+
+def _close(new, ref):
+    return abs(new - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("R", [0, 1])
+def test_rel_partition_matches_reference_and_counts(R, workers):
+    spec = _hard_core_spec(3, 0.5, "generic") if R else _grid_spec(L=4)
+    est = estimate_rel_partition(spec, 300, seed=8, workers=workers)
+    mean, se, tally = _reference_run(
+        spec, 300, 8, workers, lambda rng, bg, boltzmann: boltzmann(bg(rng)))
+    assert _close(est.mean, mean) and _close(est.std_error, se)
+    _check_counters(est.metadata, tally, 300)
+    assert est.metadata["walks_per_loop"] > 1
+    assert (est.metadata["killed_frac"] > 0) == bool(R)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_gamma_matches_reference_and_counts(p):
+    spec = _hard_core_spec(3, 0.5, "generic")
+    law = spec.duration_law()
+    xs, ys = [0, 1][:p], [1, 0][:p]
+    perms = list(itertools.permutations(range(p)))
+
+    def sample_one(rng, background, boltzmann):
+        loops = background(rng)
+        total = 0.0
+        for pi in perms:
+            opens = []
+            for i in range(p):
+                path = loop_reference.sample_free_walk(
+                    spec.torus, xs[i], float(law.sample(rng)), rng)
+                if path.end != ys[pi[i]]:
+                    break
+                opens.append(path)
+            else:
+                total += law.normalization ** p * boltzmann(opens + loops)
+        return total
+
+    est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
+    mean, _, tally = _reference_run(spec, 300, 3, 2, sample_one)
+    assert _close(est.mean * est.metadata["denominator"], mean)
+    _check_counters(est.metadata, tally, 300)
+
+
+def test_one_site_loops_need_one_walk():
+    torus = Torus(1, 1)
+    vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5}), 1)
+    params = InteractionParams(torus=torus, vL=vL, nu=0.5, lam=0.2,
+                               mode="generic", kappa=1.0)
+    intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
+    est = estimate_rel_partition(EnsembleSpec(torus, params, intensity,
+                                              "ginibre"), 200, seed=2)
+    assert est.metadata["loops_per_sample"] > 0
+    assert est.metadata["walks_per_loop"] == 1.0
+    assert est.metadata["killed_frac"] == 0.0
+
+
+# -- values of the per-sample estimators, at fixed (seed, workers) ---------------
+
+def _golden_grid(d=1, L=3, nu=0.5, lam=0.2, R=0, mode="generic"):
+    torus = Torus(d, L)
+    entries = {(1,) + (0,) * (d - 1): 0.1}
+    if not R:
+        entries[(0,) * d] = 0.5
+    vL = periodize_potential(PotentialSpec(d, R, entries), L)
+    params = InteractionParams(torus=torus, vL=vL, nu=nu, mode=mode, R=R,
+                               lam=lam if mode == "generic" else None,
+                               kappa=1.0)
+    return EnsembleSpec(torus, params,
+                        LoopIntensity(torus, "ginibre", 1.0, nu=nu), "ginibre")
+
+
+def _golden_continuum(d=1, L=3, eps=0.1):
+    torus = Torus(d, L)
+    vL = periodize_potential(PotentialSpec(d, 0, {(0,) * d: 0.5}), L)
+    params = InteractionParams(torus=torus, vL=vL, nu=1.0, lam=1.0,
+                               mode="generic", kappa=1.0)
+    intensity = LoopIntensity(torus, "symanzik_eps", 1.0, eps=eps)
+    return EnsembleSpec(torus, params, intensity, "symanzik_eps")
+
+
+# Recorded with the per-sample estimators (one Path per loop, one kernel
+# call per configuration) that the batched ones replaced.
+GOLDEN = {
+    "Z/grid/w1": [0.781483112805159, 0.014381579439946427],
+    "Z/grid_d2/w1": [0.8213592427263247, 0.01169813338536682],
+    "Z/grid_offgrid/w1": [0.031516061992607584, 0.005970775884783599],
+    "Z/grid_R1/w1": [0.5372472894906788, 0.028680674163453143],
+    "Z/continuum/w1": [0.6976630229228941, 0.015448743310443769],
+    "Z/continuum_d2/w1": [0.7809449516952516, 0.014023201557056934],
+    "gamma/p1/R0/w1": [0.270325905039915, 0.036246588639022095,
+        0.8158280992960762, 0.013880313785219764],
+    "gamma/p2/R0/w1": [0.37545485849170024, 0.04853845015240713,
+        0.8158280992960762, 0.013880313785219764],
+    "gamma/p1/R1/w1": [0.08447133518123064, 0.03448792065915933,
+        0.5420414861326531, 0.03511323852167693],
+    "gamma/p2/R1/w1": [0.04296999536495867, 0.030435494401829445,
+        0.5420414861326531, 0.03511323852167693],
+    "logz/w1": [1.405994324610391, -0.08701007820847041, 0.01332803221257674,
+        0.023805890698332135, 0.0073282891526278504, 0.0016729175309178155,
+        97.24016809634203, 95.45874065339156, 90.304281301516,
+        0.0026229874045168512, 0.0004688832136905225, -0.2755989811273687],
+    "Z/grid/w3": [0.7978307548605982, 0.013784180062735699],
+    "Z/grid_d2/w3": [0.8123568596595925, 0.012589427995553385],
+    "Z/grid_offgrid/w3": [0.034446244991177356, 0.006792060090874492],
+    "Z/grid_R1/w3": [0.5509688592667839, 0.02863137316954058],
+    "Z/continuum/w3": [0.7313804657144317, 0.014660121900292462],
+    "Z/continuum_d2/w3": [0.8019545304981225, 0.011983409431749532],
+    "gamma/p1/R0/w3": [0.21593810281788528, 0.033074653010185924,
+        0.7996656251698675, 0.015461657718730945],
+    "gamma/p2/R0/w3": [0.3516290474773558, 0.04682773843184294,
+        0.7996656251698675, 0.015461657718730945],
+    "gamma/p1/R1/w3": [0.05661585728228209, 0.028333192428381768,
+        0.5418493154340406, 0.035101712324690185],
+    "gamma/p2/R1/w3": [0.04298523497824867, 0.03044629525912357,
+        0.5418493154340406, 0.035101712324690185],
+    "logz/w3": [1.4321008547246818, -0.07549301294531381, 0.01344721011364923,
+        0.020239039657895617, 0.005730560656609317, 0.0019131581643507813,
+        98.0610599876442, 93.27080483705194, 91.53199329981076,
+        0.002924205942477908, 0.00037587623319986933, -0.23785620784884887],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimators_reproduce_recorded_values(workers):
+    from loopgas.cluster import log_Z_via_expansion
+    got = {}
+    for name, spec in (("grid", _golden_grid()),
+                       ("grid_d2", _golden_grid(d=2, L=2)),
+                       ("grid_offgrid", _golden_grid(L=4, nu=0.1, lam=0.3)),
+                       ("grid_R1", _golden_grid(R=1)),
+                       ("continuum", _golden_continuum()),
+                       ("continuum_d2", _golden_continuum(d=2, L=2, eps=0.2))):
+        est = estimate_rel_partition(spec, 300, seed=11, workers=workers)
+        got[f"Z/{name}"] = [est.mean, est.std_error]
+    for p, R in ((1, 0), (2, 0), (1, 1), (2, 1)):
+        xs, ys = ([0], [1]) if p == 1 else ([0, 1], [1, 0])
+        est = estimate_gamma_p(_golden_grid(R=R), p, xs, ys, 200, seed=5,
+                               workers=workers)
+        got[f"gamma/p{p}/R{R}"] = [est.mean, est.std_error,
+                                   est.metadata["denominator"],
+                                   est.metadata["denominator_se"]]
+    rep = log_Z_via_expansion(_golden_grid(lam=None, mode="meanfield"), 3,
+                              100, seed=123, workers=workers)
+    got["logz"] = (rep["means"] + rep["std_errors"] + rep["ess"]
+                   + [rep["remainder"], rep["remainder_se"], rep["log_Z"]])
+    for key, values in got.items():
+        ref = GOLDEN[f"{key}/w{workers}"]
+        assert len(values) == len(ref)
+        assert all(_close(a, b) for a, b in zip(values, ref)), key

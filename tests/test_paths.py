@@ -7,8 +7,10 @@ import pytest
 
 from loopgas.lattice import HeatKernel, Torus
 from loopgas.paths import (
-    GinibreDurationLaw, LoopIntensity, Path, SymanzikDurationLaw,
+    GinibreDurationLaw, LoopBatch, LoopIntensity, Path, SymanzikDurationLaw,
     open_path_weighted_sample, sample_free_walk)
+
+import loop_reference
 
 
 def test_path_evaluation_and_local_time():
@@ -149,3 +151,55 @@ def test_intensity_rejects_bad_arguments():
         LoopIntensity(torus, "other", kappa=1.0, nu=0.5)
     with pytest.raises(ValueError):
         sample_free_walk(torus, 0, 0.0, np.random.default_rng(0))
+
+
+# -- the lean walk keeps the stream of the per-jump reference --------------------
+
+def _same_path(p, q):
+    return (p.start == q.start and p.duration == q.duration
+            and np.array_equal(p.jump_times, q.jump_times)
+            and np.array_equal(p.jump_sites, q.jump_sites)
+            and p.jump_sites.dtype == q.jump_sites.dtype)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_walk_and_loop_keep_the_reference_stream(d, L):
+    '''Over many seeds, sample_free_walk and sample_loop (ginibre and
+    symanzik) give the reference's paths, and the generator state is the
+    same after every draw.'''
+    torus = Torus(d, L)
+    intensities = [LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5),
+                   LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)]
+    for seed in range(40):
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(12):
+            x, T = i % torus.n_sites, 0.25 + 0.5 * i
+            assert _same_path(sample_free_walk(torus, x, T, new),
+                              loop_reference.sample_free_walk(torus, x, T,
+                                                              ref))
+            assert new.bit_generator.state == ref.bit_generator.state
+            for intensity in intensities:
+                loop = intensity.sample_loop(new)
+                assert _same_path(loop,
+                                  loop_reference.sample_loop(intensity, ref)[0])
+                assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_loop_batch_layout():
+    '''Configurations in draw order, CSR offsets into the flat jumps.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(4)
+    configs = [[sample_free_walk(torus, 1, 1.5, rng), Path(2, 0.5)], [],
+               [sample_free_walk(torus, 5, 2.0, rng)]]
+    batch = LoopBatch.from_paths(configs)
+    loops = [p for config in configs for p in config]
+    assert batch.n_configs == 3
+    assert batch.config.tolist() == [0, 0, 2]
+    assert batch.start.tolist() == [p.start for p in loops]
+    assert batch.duration.tolist() == [p.duration for p in loops]
+    for i, p in enumerate(loops):
+        lo, hi = batch.offsets[i], batch.offsets[i + 1]
+        assert np.array_equal(batch.times[lo:hi], p.jump_times)
+        assert np.array_equal(batch.sites[lo:hi], p.jump_sites)
+    assert batch.offsets[-1] == len(batch.times) == len(batch.sites)
