@@ -26,7 +26,7 @@ from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
                       heat_kernel_infinite, load_potential,
                       periodize_potential)
 from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
-from .paths import LoopIntensity, sample_free_walk
+from .paths import LoopIntensity
 from .quantum_oracle import (feynman_kac_check, grand_partition,
                              oracle_size, reduced_density_matrix)
 
@@ -312,13 +312,7 @@ def run_largemass_sweep(config):
 def centered_block(K, torus, L0):
     '''Restrict a one-particle kernel to the centered L0-box, indexed by
     centered offsets (common across volumes).'''
-    if L0 > torus.L:
-        raise ConfigError("L0 must not exceed L")
-    offs = list(range(-(L0 // 2), L0 - L0 // 2))
-    idx = [torus.index_of(np.array([o % torus.L] * torus.d, dtype=np.int64))
-           for o in offs]
-    if torus.d != 1:
-        raise ConfigError("volume sweep block extraction implemented for d=1")
+    idx = torus.centered_box(L0)
     return K[np.ix_(idx, idx)]
 
 

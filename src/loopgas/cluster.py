@@ -198,32 +198,24 @@ def _expansion_tables(n):
     connected-graph masks, tree masks, and for each tree the extra edges
     M(T) \\ T of the Kruskal preimage bracket.'''
     all_edges = complete_edges(n)
-    index = {e: b for b, e in enumerate(all_edges)}
-    n_e = len(all_edges)
-    conn = []
-    for mask in range(1 << n_e):
-        edges = [all_edges[b] for b in range(n_e) if mask >> b & 1]
-        if _is_connected(n, frozenset(edges)):
-            conn.append([mask >> b & 1 for b in range(n_e)])
-    conn = np.array(conn, dtype=bool).reshape(len(conn), n_e)
+
+    def mask(edges):
+        return [e in edges for e in all_edges]
+
+    def table(rows):
+        return np.array(rows, dtype=bool).reshape(len(rows), len(all_edges))
+
+    conn = table([mask(g.edges) for g in connected_graphs(n)])
     tree_rows, extra_rows = [], []
     for t in trees(n):
-        row = np.zeros(n_e, dtype=bool)
-        for e in t.edges:
-            row[index[e]] = True
-        tree_rows.append(row)
+        tree_rows.append(mask(t.edges))
         if n <= MAX_BRACKET_N:
             m, ok = kruskal_preimage_bracket(t)
             if not ok:
                 raise AssertionError("Kruskal bracket failed in table build")
-            extra = np.zeros(n_e, dtype=bool)
-            for e in m.edges - t.edges:
-                extra[index[e]] = True
-            extra_rows.append(extra)
-    tree_mask = np.array(tree_rows, dtype=bool).reshape(len(tree_rows), n_e)
-    extra_mask = (np.array(extra_rows, dtype=bool).reshape(len(extra_rows), n_e)
-                  if extra_rows else None)
-    return all_edges, conn, tree_mask, extra_mask
+            extra_rows.append(mask(m.edges - t.edges))
+    return (all_edges, conn, table(tree_rows),
+            table(extra_rows) if extra_rows else None)
 
 
 def _edge_values(matrix, all_edges):
@@ -353,8 +345,6 @@ def _weights_and_zeta(V, n_fixed):
 def _require_ginibre(spec):
     if spec.kind != "ginibre":
         raise ValueError("expansion estimators require the grid ensemble")
-    if spec.intensity.kappa * spec.params.nu <= 0:
-        raise ValueError("need kappa * nu > 0")
 
 
 def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):

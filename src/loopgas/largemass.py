@@ -23,7 +23,6 @@ from scipy import special
 
 from .interactions import v_lm, v_tilde_table
 from .lattice import periodize_potential
-from .paths import Path
 
 # Most occupation fields one occupation sum may enumerate; the shipped
 # configs need at most 31^3 = 29,791.
@@ -191,21 +190,3 @@ def gamma_lm_matrix(params, p=1):
 def gibbs_potential_lm(params):
     '''g^lm = log(relative Z^lm) / |Lambda|.'''
     return math.log(z_lm(params)["relative"]) / params.torus.n_sites
-
-
-def weighted_particle_view(config, nu):
-    '''Constant loops (site x, duration k nu) as weighted particles (k, x).'''
-    out = []
-    for w in config:
-        if not w.is_constant:
-            raise ValueError("weighted particle view needs constant loops")
-        k = w.duration / nu
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise ValueError(f"duration {w.duration} not in nu N*")
-        out.append((int(round(k)), int(w.start)))
-    return out
-
-
-def particles_to_loops(particles, nu):
-    '''Inverse of weighted_particle_view.'''
-    return [Path(int(x), float(k) * nu) for k, x in particles]

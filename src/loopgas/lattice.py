@@ -72,6 +72,17 @@ class Torus:
         half = self.L // 2
         return (c + half) % self.L - half
 
+    def centered_box(self, L0):
+        '''Flat indices of the centered box {-(L0//2), ..., L0 - L0//2 -
+        1}^d, in lexicographic order of the centered offsets (the same
+        order on every torus); ValueError unless 1 <= L0 <= L.'''
+        if not 1 <= L0 <= self.L:
+            raise ValueError(f"need 1 <= L0 <= L, got L0 = {L0}, L = {self.L}")
+        offsets = range(-(L0 // 2), L0 - L0 // 2)
+        return self.index_of(np.array(
+            list(itertools.product(offsets, repeat=self.d)),
+            dtype=np.int64))
+
     def min_norm(self, coords):
         '''Periodic Euclidean norm |x|_L = min_k |x + Lk|.'''
         c = np.asarray(coords, dtype=np.int64) % self.L

@@ -4,14 +4,15 @@ functions and correlation kernels (grid-duration and continuum ensembles).
 Estimator identities:
   E_Poisson(m)[e^{-V}] = (sum_n (1/n!) int L^n e^{-V}) / e^m  (partition),
 and for kernels the relative open-path form: each open path is drawn from
-the normalized duration law and a free walk, and the product of endpoint
-indicators times e^{-V(open paths + Poisson background)} times the
-duration-law normalizations is averaged; the background expectation of
-e^{-V} (an independent stream) divides the result.
+the intensity's open-path law (LoopIntensity.open_duration) and a free
+walk, and the product of endpoint indicators times e^{-V(open paths +
+Poisson background)} times the open-path normalizations is averaged; the
+background expectation of e^{-V} (an independent stream) divides the
+result.
 
 Each worker chunk runs in batches of _BATCH samples and two phases: the
-draw phase makes every random draw of the batch, in the order of the
-per-sample estimator (loops and walks stay raw arrays, no Path), and the
+draw phase makes every random draw of the batch with paths.walk and
+LoopIntensity.draw (loops and walks stay raw arrays, no Path), and the
 compute phase evaluates all configurations of the batch with one call
 of interactions.batch_interaction.  The batch size bounds the memory a
 chunk holds; it does not change the stream.
@@ -30,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interactions import batch_interaction, v_total
-from .paths import (GinibreDurationLaw, LoopBatch, SymanzikDurationLaw,
-                    _walk)
+from .paths import LoopBatch, walk
 
 # Samples per kernel call: it bounds the memory of a chunk (a 20000-sample
 # chunk in one batch peaked at 105 MB instead of 86 MB).
@@ -64,17 +64,24 @@ class EnsembleSpec:
     kind: str               # "ginibre" | "symanzik_eps"
 
     def __post_init__(self):
-        expected = "ginibre" if self.kind == "ginibre" else "symanzik_eps"
-        if self.intensity.kind != expected:
+        '''ValueError unless the torus, the params, the intensity and
+        the kind describe one ensemble.'''
+        if self.kind not in ("ginibre", "symanzik_eps"):
+            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        if self.intensity.kind != self.kind:
             raise ValueError("intensity kind does not match ensemble kind")
+        shape = (self.torus.d, self.torus.L)
+        for name, torus in (("params", self.params.torus),
+                            ("intensity", self.intensity.torus)):
+            if (torus.d, torus.L) != shape:
+                raise ValueError(f"{name} torus (d, L) = {(torus.d, torus.L)} "
+                                 f"does not match the ensemble's {shape}")
+        if self.kind == "ginibre" and self.params.nu != self.intensity.nu:
+            raise ValueError(f"params nu = {self.params.nu} does not match "
+                             f"the intensity's nu = {self.intensity.nu}")
 
     def total_interaction(self, config):
         return v_total(config, self.params, self.kind)
-
-    def duration_law(self):
-        if self.kind == "ginibre":
-            return GinibreDurationLaw(self.params.nu, self.intensity.kappa)
-        return SymanzikDurationLaw(self.intensity.kappa)
 
 
 def _chunks(n_samples, workers):
@@ -151,7 +158,7 @@ class _Tally:
 
     def loop(self, intensity, rng):
         '''One loop of the intensity, as (start, duration, times, sites).'''
-        x, T, times, sites, walks = intensity._draw(rng)
+        x, T, times, sites, walks = intensity.draw(rng)
         self.loops += 1
         self.walks += walks
         return x, T, times, sites
@@ -206,21 +213,21 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         raise ValueError(f"denom_samples must be None or >= 2, got "
                          f"{denom_samples}")
     xs, ys = spec.torus.check_sites(p, xs, ys)
-    law = spec.duration_law()
+    intensity = spec.intensity
     perms = list(itertools.permutations(range(p)))
-    norm_p = law.normalization ** p
+    norm_p = intensity.open_normalization ** p
     tally = _Tally()
 
     def draw(rng):
         # the configurations (open paths + background) of the
         # permutations whose open paths all end where they should
-        background = _draw_background(spec.intensity, rng, tally)
+        background = _draw_background(intensity, rng, tally)
         configs = []
         for pi in perms:
             opens = []
             for i in range(p):
-                T = float(law.sample(rng))
-                end, times, sites = _walk(spec.torus, xs[i], T, rng)
+                T = intensity.open_duration(rng)
+                end, times, sites = walk(spec.torus, xs[i], T, rng)
                 if end != ys[pi[i]]:
                     break
                 opens.append((xs[i], T, times, sites))

@@ -49,41 +49,19 @@ class Path:
         sites = np.concatenate(([self.start], self.jump_sites))
         return t0, t1, sites
 
-    def local_time(self, site):
-        t0, t1, sites = self.segments()
-        return float(np.sum((t1 - t0)[sites == site]))
-
     def local_time_table(self, n_sites):
         t0, t1, sites = self.segments()
         return np.bincount(sites, weights=t1 - t0, minlength=n_sites)
-
-    def to_line(self):
-        '''Serialize as `x0 T t1:s1 t2:s2 ...`.'''
-        parts = [str(self.start), repr(float(self.duration))]
-        parts += [f"{repr(float(t))}:{int(s)}"
-                  for t, s in zip(self.jump_times, self.jump_sites)]
-        return " ".join(parts)
-
-    @classmethod
-    def from_line(cls, line):
-        parts = line.split()
-        start, duration = int(parts[0]), float(parts[1])
-        times, sites = [], []
-        for tok in parts[2:]:
-            t, s = tok.split(":")
-            times.append(float(t))
-            sites.append(int(s))
-        return cls(start, duration, np.array(times), np.array(sites, dtype=np.int64))
 
 
 _NO_TIMES = np.empty(0)
 
 
-def _walk(torus, x, T, rng):
-    '''The free walk from x over [0, T], without a Path: (end site, jump
-    times, jump sites).  The one definition of the walk's draws: the jump
-    count Poisson(d*T), the sorted uniform jump times, then the uniform
-    signed steps.  On L = 1 every step wraps onto its site, so no jump is
+def walk(torus, x, T, rng):
+    '''The free walk from x over [0, T]: (end site, jump times, jump
+    sites), the one sampler of the walk.  It draws the jump count
+    Poisson(d*T), the sorted uniform jump times, then the uniform signed
+    steps.  On L = 1 every step wraps onto its site, so no jump is
     recorded.'''
     n_jumps = rng.poisson(torus.d * T)
     if n_jumps == 0:
@@ -99,14 +77,6 @@ def _walk(torus, x, T, rng):
         site = nbr[site][k]
         sites.append(site)
     return site, times, sites
-
-
-def sample_free_walk(torus, x, T, rng):
-    '''Draw from P_x^T: jump clock Poisson(d*T), uniform signed steps.'''
-    if T <= 0:
-        raise ValueError("T must be > 0")
-    _, times, sites = _walk(torus, int(x), T, rng)
-    return Path(int(x), float(T), times, np.array(sites, dtype=np.int64))
 
 
 class LoopBatch:
@@ -144,76 +114,34 @@ class LoopBatch:
                      for p in config] for config in configs])
 
 
-class GinibreDurationLaw:
-    '''Normalized grid law P(T = nu*k) = e^{-kappa nu k} / c, k >= 1.
-
-    c = e^{-kappa nu}/(1 - e^{-kappa nu}) is the normalization constant of
-    the unnormalized weights e^{-kappa T} on the grid nu N*.
-    '''
-
-    def __init__(self, nu, kappa):
-        if kappa <= 0 or nu <= 0:
-            raise ValueError("need kappa > 0 and nu > 0 for a normalizable law")
-        self.nu = float(nu)
-        self.kappa = float(kappa)
-        a = np.exp(-kappa * nu)
-        self.normalization = a / (1.0 - a)
-        self._p = 1.0 - a
-
-    def sample(self, rng, size=None):
-        k = rng.geometric(self._p, size=size)
-        return self.nu * k
-
-
-class SymanzikDurationLaw:
-    '''Normalized continuum law with density kappa e^{-kappa T} on (0, inf);
-    normalization constant of e^{-kappa T} dT is 1/kappa.'''
-
-    def __init__(self, kappa):
-        if kappa <= 0:
-            raise ValueError("need kappa > 0 for a normalizable law")
-        self.kappa = float(kappa)
-        self.normalization = 1.0 / kappa
-
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.kappa, size=size)
-
-
-def open_path_weighted_sample(torus, x, y, duration_law, rng, f):
-    '''One unbiased contribution to the e^{-kappa T}-weighted open-path
-    integral sum/int_T e^{-kappa T} int W^T_{y,x}(dw) f(w).
-
-    Returns (indicator{end == y} * f(path), normalization) so that
-    E[first] * second is the target.  The duration law must match the
-    ensemble: grid-geometric (Ginibre) or exponential (Symanzik).
-    '''
-    T = float(duration_law.sample(rng))
-    path = sample_free_walk(torus, x, T, rng)
-    val = f(path) if path.end == int(y) else 0.0
-    return val, duration_law.normalization
-
-
 class LoopIntensity:
-    '''Single-loop intensity measure restricted to closed loops.
+    '''Single-loop intensity measure of an ensemble, and its open-path law.
 
     kind "ginibre":      nu * sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}
     kind "symanzik_eps": int_eps^inf dT (e^{-kappa T}/T) W^{L,T}
 
-    total mass m = sum/int of e^{-kappa T} psi^{L,T}(0) |Lambda| / T; the
-    normalized measure factorizes as (duration law) x (uniform base site)
-    x (bridge), and bridges are drawn by rejection with acceptance
-    probability psi^{L,T}(0).
+    Closed loops: total mass m = sum/int of e^{-kappa T} psi^{L,T}(0)
+    |Lambda| / T; the normalized measure factorizes as (duration law) x
+    (uniform base site) x (bridge), and draw takes bridges by rejection,
+    with acceptance probability psi^{L,T}(0).
+
+    Open paths carry the duration weight e^{-kappa T}, on nu N* for the
+    grid and on (0, inf) in the continuum: open_duration draws from it
+    normalized (geometric on the grid, exponential in the continuum) and
+    open_normalization is its total, e^{-kappa nu}/(1 - e^{-kappa nu}) on
+    the grid and 1/kappa in the continuum.
     '''
 
     TAIL = 1e-12
+    MAX_WALKS = 10000       # bridge attempts per loop before RuntimeError
 
-    def __init__(self, torus, kind, kappa, nu=None, eps=None, heat_kernel=None):
+    def __init__(self, torus, kind, kappa, nu=None, eps=None):
         if kappa <= 0:
             raise ValueError("kappa must be > 0")
         self.torus = torus
         self.kind = kind
         self.kappa = float(kappa)
-        self.hk = heat_kernel if heat_kernel is not None else HeatKernel(torus)
+        self.hk = HeatKernel(torus)
         self.metadata = {}
         if kind == "ginibre":
             if nu is None or nu <= 0:
@@ -232,6 +160,8 @@ class LoopIntensity:
     def _build_grid_law(self):
         nu, kappa, n = self.nu, self.kappa, self.torus.n_sites
         a = np.exp(-kappa * nu)
+        self._open_p = 1.0 - a
+        self.open_normalization = a / (1.0 - a)
         # truncate when the remaining tail (psi <= 1 bound) drops below
         # TAIL times a lower bound on the mass (first term, psi >= 1/n)
         k_max = 1
@@ -252,6 +182,7 @@ class LoopIntensity:
     # -- symanzik: eps-truncated continuum law ------------------------------
     def _build_continuum_law(self):
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
+        self.open_normalization = 1.0 / kappa
 
         def integrand(t):
             return np.exp(-kappa * t) * self.hk.at_origin(t) * n / t
@@ -275,9 +206,8 @@ class LoopIntensity:
                              cdf_norm_gap=float(abs(cdf[-1] - mass) / mass))
 
     # -----------------------------------------------------------------------
-    def sample_duration(self, rng, size=None):
-        if size is None:
-            return self._duration(rng)
+    def sample_duration(self, rng, size):
+        '''size loop durations, from size uniform draws.'''
         u = rng.random(size)
         if self.kind == "ginibre":
             idx = np.searchsorted(self._cum, u, side="left")
@@ -294,20 +224,25 @@ class LoopIntensity:
             return self._duration_list[min(idx, len(self._cum_list) - 1)]
         return float(np.interp(u, self._cdf, self._grid))
 
-    def _draw(self, rng, max_tries=10000):
+    def draw(self, rng):
         '''One loop as (start, duration, jump times, jump sites, walks):
         a duration, a uniform base site, then free walks from the base
-        site until one closes; walks counts the attempts.'''
+        site until one closes; walks counts the attempts.  The one
+        sampler of the loops.'''
         T = self._duration(rng)
         x = int(rng.integers(self.torus.n_sites))
-        for tries in range(1, max_tries + 1):
-            end, times, sites = _walk(self.torus, x, T, rng)
+        for tries in range(1, self.MAX_WALKS + 1):
+            end, times, sites = walk(self.torus, x, T, rng)
             if end == x:
                 return x, T, times, sites, tries
         raise RuntimeError(
             f"bridge rejection budget exceeded (T={T}, acceptance "
             f"~ {self.hk.at_origin(T):.3e})")
 
-    def sample_loop(self, rng, max_tries=10000):
-        x, T, times, sites, _ = self._draw(rng, max_tries)
-        return Path(x, T, times, np.array(sites, dtype=np.int64))
+    def open_duration(self, rng):
+        '''One duration of the normalized open-path law e^{-kappa T} /
+        open_normalization: nu times a geometric count on the grid, an
+        exponential in the continuum.'''
+        if self.kind == "ginibre":
+            return float(self.nu * rng.geometric(self._open_p))
+        return float(rng.exponential(1.0 / self.kappa))

@@ -349,20 +349,21 @@ def gibbs_potential(params, kappa=None, tol=1e-10, **kw):
 def kernel_norm(K, torus, p, L0):
     '''sup_x sum_y |K(x, y)| after projecting all p indices of x and y to
     the centered sub-box of side L0.'''
-    if L0 > torus.L:
-        raise ValueError("L0 must be <= L")
-    c = torus.centered(torus.coords)
-    inside = np.all((c >= -(L0 // 2)) & (c < L0 - L0 // 2), axis=1)
-    keep = np.array([all(t) for t in itertools.product(inside, repeat=p)])
+    box = torus.centered_box(L0)
+    keep = box
+    for _ in range(p - 1):          # row-major index of the p-tuple
+        keep = np.add.outer(keep * torus.n_sites, box).ravel()
     sub = np.abs(np.asarray(K)[np.ix_(keep, keep)])
-    return float(np.max(np.sum(sub, axis=1))) if sub.size else 0.0
+    return float(np.max(np.sum(sub, axis=1)))
 
 
 def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''
-    from .paths import sample_free_walk
+    from .paths import walk
 
+    if t <= 0:
+        raise ValueError("t must be > 0")
     V_site = np.asarray(V_site, dtype=float)
     gen = 0.5 * laplacian_matrix(torus) - np.diag(V_site)
     w, U = np.linalg.eigh(gen)
@@ -374,10 +375,13 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     per_x = n_samples // m
     for x in range(m):
         for _ in range(per_x):
-            path = sample_free_walk(torus, x, t, rng)
-            val = np.exp(-float(path.local_time_table(m) @ V_site))
-            sums[path.end, x] += val
-            sq[path.end, x] += val * val
+            end, times, sites = walk(torus, x, t, rng)
+            holding = np.diff(np.concatenate(([0.0], times, [t])))
+            local_time = np.bincount([x] + sites, weights=holding,
+                                     minlength=m)
+            val = np.exp(-float(local_time @ V_site))
+            sums[end, x] += val
+            sq[end, x] += val * val
     mean = sums / per_x
     var = sq / per_x - mean ** 2
     std = np.sqrt(np.maximum(var, 0.0) / per_x)

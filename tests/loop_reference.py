@@ -1,10 +1,11 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The walk and bridge samplers draw exactly the stream of the library's
-lean walk, one Path at a time, with the jumps stepped through the
-neighbour table; the occupation kernel builds one configuration's slices
-and occupations and its quadratic form at a time.  The tests check the
-batched code against these, number for number.
+The walk, bridge and open-path samplers draw exactly the stream of the
+library's paths.walk, LoopIntensity.draw and LoopIntensity.open_duration,
+one Path at a time, with the jumps stepped through the neighbour table;
+the occupation kernel builds one configuration's slices and occupations
+and its quadratic form at a time.  The tests check the batched code
+against these, number for number.
 '''
 
 import numpy as np
@@ -47,6 +48,24 @@ def sample_loop(intensity, rng, max_tries=10000):
         if path.end == x:
             return path, tries
     raise RuntimeError("bridge rejection budget exceeded")
+
+
+def open_duration(intensity, rng):
+    '''A duration of the normalized open-path law e^{-kappa T}: nu times
+    a geometric count on the grid, an exponential in the continuum.'''
+    if intensity.kind == "ginibre":
+        a = np.exp(-intensity.kappa * intensity.nu)
+        return intensity.nu * float(rng.geometric(1.0 - a))
+    return float(rng.exponential(1.0 / intensity.kappa))
+
+
+def open_normalization(intensity):
+    '''Total weight of e^{-kappa T} over the durations: sum over T in
+    nu N*, or the integral over (0, inf).'''
+    if intensity.kind == "ginibre":
+        a = np.exp(-intensity.kappa * intensity.nu)
+        return a / (1.0 - a)
+    return 1.0 / intensity.kappa
 
 
 # -- occupation kernel ---------------------------------------------------------

@@ -210,6 +210,21 @@ def test_volume_experiment(tmp_path):
     assert all(v["cauchy"] for v in meta["verdicts"])
 
 
+def test_volume_experiment_in_two_dimensions(tmp_path):
+    # the centered L0-box holds L0^d sites; its block differences shrink
+    doc = dict(_VOLUME, torus={"d": 2, "L_list": [4, 6, 8]}, L0=3,
+               potential={"d": 2, "R": 0,
+                          "entries": [[[0, 0], 0.03], [[1, 0], 0.01],
+                                      [[0, 1], 0.01]]})
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["volume", "--config", cfg, "--out", str(out)]) == 0
+    diffs = [float(row[3]) for row in _read_csv(out / "volume_diffs.csv")[1:]]
+    assert len(diffs) == 2 and diffs[1] < diffs[0]
+    meta = json.loads((out / "volume_meta.json").read_text())
+    assert [v["cauchy"] for v in meta["verdicts"]] == [True]
+
+
 def test_volume_two_volumes_give_no_verdict(tmp_path):
     # one successive difference: nothing to compare, so the verdict is null
     cfg = _write_config(tmp_path, dict(_VOLUME, torus={"d": 1,

@@ -9,10 +9,10 @@ from loopgas.interactions import (
     InteractionParams, batch_interaction, pair_matrix, v_lm, v_tilde_table,
     v_total)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
-from loopgas.paths import LoopBatch, Path, sample_free_walk
+from loopgas.paths import LoopBatch, Path
 
 import loop_reference
-from loop_reference import check_grid as _check_grid
+from loop_reference import check_grid as _check_grid, sample_free_walk
 
 
 # -- oracle: the pairwise window-overlap implementation ------------------------

@@ -1,5 +1,5 @@
 '''Infinite-mass classical quantities: occupation sums, closed forms,
-cross-check particle sums, particle/loop dictionaries.'''
+cross-check particle sums.'''
 
 import itertools
 import math
@@ -9,8 +9,7 @@ import pytest
 
 from loopgas.largemass import (
     LmParams, _energy_table, _site_cap, gamma_lm, gamma_lm_matrix,
-    gibbs_potential_lm, occupation_sum, particles_to_loops,
-    weighted_particle_view, z_lm, z_lm_particle_sum)
+    gibbs_potential_lm, occupation_sum, z_lm, z_lm_particle_sum)
 from loopgas.lattice import PotentialSpec, Torus
 
 
@@ -151,20 +150,6 @@ def test_gamma_lm_p2_permutation_structure():
     assert gamma_lm(params, 2, [0, 1], [0, 2]) == 0.0
     # hard core kills doubly-occupied requests
     assert gamma_lm(params, 2, [0, 0], [0, 0]) == 0.0
-
-
-def test_weighted_particle_view_roundtrip():
-    nu = 0.5
-    particles = [(2, 0), (1, 2)]
-    loops = particles_to_loops(particles, nu)
-    assert [w.duration for w in loops] == [1.0, 0.5]
-    assert weighted_particle_view(loops, nu) == particles
-    from loopgas.paths import Path
-    with pytest.raises(ValueError):
-        weighted_particle_view([Path(0, 0.7)], nu)
-    jumpy = Path(0, 1.0, np.array([0.3]), np.array([1]))
-    with pytest.raises(ValueError):
-        weighted_particle_view([jumpy], nu)
 
 
 def test_params_validation():

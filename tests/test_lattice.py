@@ -23,6 +23,27 @@ def test_torus_centered_and_min_norm():
     assert torus.min_norm(np.array([4])) == 1.0
 
 
+@pytest.mark.parametrize("d,L,L0", [(1, 5, 3), (1, 4, 4), (2, 4, 3),
+                                    (2, 5, 2), (3, 3, 2)])
+def test_centered_box_in_offset_order(d, L, L0):
+    '''The box sites are the centered offsets {-(L0//2), ...}^d in
+    lexicographic order, the same list on every torus that holds them.'''
+    torus = Torus(d, L)
+    box = torus.centered_box(L0)
+    offsets = torus.centered(torus.coords[box])
+    lo, hi = -(L0 // 2), L0 - L0 // 2 - 1
+    assert len(box) == L0 ** d and len(set(box.tolist())) == L0 ** d
+    assert offsets.min() == lo and offsets.max() == hi
+    assert [tuple(o) for o in offsets.tolist()] == sorted(
+        tuple(o) for o in offsets.tolist())
+    big = Torus(d, L + 3)
+    assert np.array_equal(big.centered(big.coords[big.centered_box(L0)]),
+                          offsets)
+    for bad in (0, L + 1):
+        with pytest.raises(ValueError, match="L0"):
+            torus.centered_box(bad)
+
+
 def test_neighbor_table_is_involutive():
     torus = Torus(2, 4)
     for i in range(torus.n_sites):

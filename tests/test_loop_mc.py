@@ -157,8 +157,27 @@ def test_ensemble_kind_mismatch_rejected():
     params = InteractionParams(torus=torus, vL=vL, nu=0.5, lam=0.0,
                                mode="generic", kappa=1.0)
     intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    with pytest.raises(ValueError):
+    continuum = LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)
+    with pytest.raises(ValueError, match="kind"):
         EnsembleSpec(torus, params, intensity, "symanzik_eps")
+    with pytest.raises(ValueError, match="kind"):
+        EnsembleSpec(torus, params, continuum, "foo")
+    # a torus of another (d, L) in the params or in the intensity
+    other = Torus(2, 3)
+    other_params = InteractionParams(torus=other, vL=np.zeros(9), nu=0.5,
+                                     lam=0.0, mode="generic", kappa=1.0)
+    with pytest.raises(ValueError, match="params torus"):
+        EnsembleSpec(torus, other_params, intensity, "ginibre")
+    with pytest.raises(ValueError, match="intensity torus"):
+        EnsembleSpec(torus, params, LoopIntensity(Torus(1, 4), "ginibre",
+                                                  kappa=1.0, nu=0.5),
+                     "ginibre")
+    # the grid ensemble's nu must be the intensity's
+    with pytest.raises(ValueError, match="nu"):
+        EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre",
+                                                  kappa=1.0, nu=1.0),
+                     "ginibre")
+    EnsembleSpec(torus, params, continuum, "symanzik_eps")
 
 
 def test_free_gas_gamma1_rejects_bad_kappa():
@@ -250,7 +269,7 @@ def test_rel_partition_matches_reference_and_counts(R, workers):
 @pytest.mark.parametrize("p", [1, 2])
 def test_gamma_matches_reference_and_counts(p):
     spec = _hard_core_spec(3, 0.5, "generic")
-    law = spec.duration_law()
+    norm_p = loop_reference.open_normalization(spec.intensity) ** p
     xs, ys = [0, 1][:p], [1, 0][:p]
     perms = list(itertools.permutations(range(p)))
 
@@ -261,12 +280,13 @@ def test_gamma_matches_reference_and_counts(p):
             opens = []
             for i in range(p):
                 path = loop_reference.sample_free_walk(
-                    spec.torus, xs[i], float(law.sample(rng)), rng)
+                    spec.torus, xs[i],
+                    loop_reference.open_duration(spec.intensity, rng), rng)
                 if path.end != ys[pi[i]]:
                     break
                 opens.append(path)
             else:
-                total += law.normalization ** p * boltzmann(opens + loops)
+                total += norm_p * boltzmann(opens + loops)
         return total
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)

@@ -1,4 +1,5 @@
-'''Path containers, free-walk sampling, duration laws, loop intensities.'''
+'''Path containers, the free walk, loop intensities and their open-path
+laws.'''
 
 import math
 
@@ -6,9 +7,7 @@ import numpy as np
 import pytest
 
 from loopgas.lattice import HeatKernel, Torus
-from loopgas.paths import (
-    GinibreDurationLaw, LoopBatch, LoopIntensity, Path, SymanzikDurationLaw,
-    open_path_weighted_sample, sample_free_walk)
+from loopgas.paths import LoopBatch, LoopIntensity, Path, walk
 
 import loop_reference
 
@@ -19,22 +18,10 @@ def test_path_evaluation_and_local_time():
     assert p.position(0.5) == 1          # right continuous
     assert p.position(2.0) == 2
     assert p.end == 2 and not p.is_constant
-    assert p.local_time(0) == pytest.approx(0.5)
-    assert p.local_time(1) == pytest.approx(0.75)
     tab = p.local_time_table(4)
+    assert tab[0] == pytest.approx(0.5) and tab[1] == pytest.approx(0.75)
     assert tab.sum() == pytest.approx(p.duration)
     assert tab[3] == 0.0
-
-
-def test_path_serialization_roundtrip():
-    rng = np.random.default_rng(3)
-    torus = Torus(2, 3)
-    for _ in range(20):
-        p = sample_free_walk(torus, 4, 1.7, rng)
-        q = Path.from_line(p.to_line())
-        assert q.start == p.start and q.duration == p.duration
-        assert np.array_equal(q.jump_times, p.jump_times)
-        assert np.array_equal(q.jump_sites, p.jump_sites)
 
 
 def test_free_walk_endpoint_distribution():
@@ -46,7 +33,7 @@ def test_free_walk_endpoint_distribution():
     rng = np.random.default_rng(7)
     counts = np.zeros(torus.n_sites)
     for _ in range(n):
-        counts[sample_free_walk(torus, 0, t, rng).end] += 1
+        counts[walk(torus, 0, t, rng)[0]] += 1
     probs = hk.table(t)[torus.diff_table[:, 0]]
     for s in range(torus.n_sites):
         se = math.sqrt(probs[s] * (1 - probs[s]) / n)
@@ -55,23 +42,24 @@ def test_free_walk_endpoint_distribution():
 
 def test_free_walk_l1_never_jumps():
     rng = np.random.default_rng(1)
-    p = sample_free_walk(Torus(1, 1), 0, 5.0, rng)
-    assert p.is_constant
+    end, times, sites = walk(Torus(1, 1), 0, 5.0, rng)
+    assert end == 0 and len(times) == 0 and sites == []
 
 
 def test_duration_laws_normalization_and_support():
     rng = np.random.default_rng(5)
-    g = GinibreDurationLaw(nu=0.5, kappa=1.0)
+    torus = Torus(1, 3)
+    g = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
     a = math.exp(-0.5)
-    assert g.normalization == pytest.approx(a / (1 - a))
-    T = g.sample(rng, size=1000)
+    assert g.open_normalization == pytest.approx(a / (1 - a))
+    T = np.array([g.open_duration(rng) for _ in range(1000)])
     k = T / 0.5
     assert np.all(np.abs(k - np.round(k)) < 1e-12) and np.all(k >= 1)
     # geometric law check: P(k=1) = 1 - a
     assert abs(np.mean(k == 1) - (1 - a)) < 3 * math.sqrt(a * (1 - a) / 1000)
-    s = SymanzikDurationLaw(kappa=2.0)
-    assert s.normalization == pytest.approx(0.5)
-    T = s.sample(rng, size=2000)
+    s = LoopIntensity(torus, "symanzik_eps", kappa=2.0, eps=0.1)
+    assert s.open_normalization == pytest.approx(0.5)
+    T = np.array([s.open_duration(rng) for _ in range(2000)])
     assert abs(np.mean(T) - 0.5) < 3 * 0.5 / math.sqrt(2000)
 
 
@@ -115,9 +103,9 @@ def test_sample_loop_is_closed_and_uniform_base():
     rng = np.random.default_rng(13)
     starts = np.zeros(torus.n_sites)
     for _ in range(3000):
-        loop = intensity.sample_loop(rng)
-        assert loop.end == loop.start
-        starts[loop.start] += 1
+        x, _, _, sites, _ = intensity.draw(rng)
+        assert (sites[-1] if sites else x) == x
+        starts[x] += 1
     p = 1.0 / torus.n_sites
     assert np.all(np.abs(starts / 3000 - p) < 3 * math.sqrt(p * (1 - p) / 3000))
 
@@ -126,7 +114,7 @@ def test_open_path_weighted_sample_heat_kernel_identity():
     # E[indicator * 1] * normalization = sum_T e^{-kappa T} psi^T(y - x)
     torus = Torus(1, 3)
     hk = HeatKernel(torus)
-    law = GinibreDurationLaw(nu=0.5, kappa=1.0)
+    intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
     target = sum(math.exp(-0.5 * k)
                  * hk.table(0.5 * k)[torus.diff_table[1, 0]]
                  for k in range(1, 200))
@@ -134,9 +122,8 @@ def test_open_path_weighted_sample_heat_kernel_identity():
     n = 40000
     vals = np.empty(n)
     for i in range(n):
-        val, norm = open_path_weighted_sample(torus, 0, 1, law, rng,
-                                              lambda w: 1.0)
-        vals[i] = val * norm
+        end = walk(torus, 0, intensity.open_duration(rng), rng)[0]
+        vals[i] = (end == 1) * intensity.open_normalization
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - target) <= 3.0 * se
 
@@ -149,11 +136,13 @@ def test_intensity_rejects_bad_arguments():
         LoopIntensity(torus, "symanzik_eps", kappa=1.0)
     with pytest.raises(ValueError):
         LoopIntensity(torus, "other", kappa=1.0, nu=0.5)
-    with pytest.raises(ValueError):
-        sample_free_walk(torus, 0, 0.0, np.random.default_rng(0))
 
 
-# -- the lean walk keeps the stream of the per-jump reference --------------------
+# -- the samplers keep the stream of the per-jump references ---------------------
+
+def _path(x, T, times, sites):
+    return Path(x, T, times, np.array(sites, dtype=np.int64))
+
 
 def _same_path(p, q):
     return (p.start == q.start and p.duration == q.duration
@@ -165,9 +154,9 @@ def _same_path(p, q):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_walk_and_loop_keep_the_reference_stream(d, L):
-    '''Over many seeds, sample_free_walk and sample_loop (ginibre and
-    symanzik) give the reference's paths, and the generator state is the
-    same after every draw.'''
+    '''Over many seeds, walk, LoopIntensity.draw and open_duration (ginibre
+    and symanzik) give the reference's paths, walk counts and durations,
+    and the generator state is the same after every draw.'''
     torus = Torus(d, L)
     intensities = [LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5),
                    LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)]
@@ -175,14 +164,19 @@ def test_walk_and_loop_keep_the_reference_stream(d, L):
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(12):
             x, T = i % torus.n_sites, 0.25 + 0.5 * i
-            assert _same_path(sample_free_walk(torus, x, T, new),
-                              loop_reference.sample_free_walk(torus, x, T,
-                                                              ref))
+            end, times, sites = walk(torus, x, T, new)
+            path = loop_reference.sample_free_walk(torus, x, T, ref)
+            assert end == path.end
+            assert _same_path(_path(x, T, times, sites), path)
             assert new.bit_generator.state == ref.bit_generator.state
             for intensity in intensities:
-                loop = intensity.sample_loop(new)
-                assert _same_path(loop,
-                                  loop_reference.sample_loop(intensity, ref)[0])
+                x0, T0, times, sites, walks = intensity.draw(new)
+                loop, ref_walks = loop_reference.sample_loop(intensity, ref)
+                assert _same_path(_path(x0, T0, times, sites), loop)
+                assert walks == ref_walks
+                assert new.bit_generator.state == ref.bit_generator.state
+                assert (intensity.open_duration(new)
+                        == loop_reference.open_duration(intensity, ref))
                 assert new.bit_generator.state == ref.bit_generator.state
 
 
@@ -190,8 +184,9 @@ def test_loop_batch_layout():
     '''Configurations in draw order, CSR offsets into the flat jumps.'''
     torus = Torus(2, 3)
     rng = np.random.default_rng(4)
-    configs = [[sample_free_walk(torus, 1, 1.5, rng), Path(2, 0.5)], [],
-               [sample_free_walk(torus, 5, 2.0, rng)]]
+    configs = [[loop_reference.sample_free_walk(torus, 1, 1.5, rng),
+                Path(2, 0.5)], [],
+               [loop_reference.sample_free_walk(torus, 5, 2.0, rng)]]
     batch = LoopBatch.from_paths(configs)
     loops = [p for config in configs for p in config]
     assert batch.n_configs == 3

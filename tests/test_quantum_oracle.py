@@ -232,6 +232,8 @@ def test_feynman_kac():
     V = rng.uniform(0.0, 1.0, torus.n_sites)
     report = feynman_kac_check(torus, V, t=1.0, n_samples=40000, seed=23)
     assert report["pass"], f"max z = {report['max_z']:.2f}"
+    with pytest.raises(ValueError, match="t must be > 0"):
+        feynman_kac_check(torus, V, t=0.0, n_samples=8, seed=23)
 
 
 def test_reduced_density_matrix_diagonalizes_each_block_once(monkeypatch):
