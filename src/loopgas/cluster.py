@@ -369,34 +369,38 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         raise ValueError("n_max below the leading order")
     mass = spec.intensity.total_mass
     orders = list(range(max(p, 1), n_max + 1))
-    fixed = [(w.start, w.duration, w.jump_times, w.jump_sites)
-             for w in fixed_paths]
+    fixed = LoopBatch.from_paths([fixed_paths])
     tally = _Tally()
 
-    def draw(n, bound_mode=False):
+    def sampler(n, bound_mode=False):
         factor = (math.factorial(n) // math.factorial(n - p)) * mass ** (n - p)
         phi_of = tree_sum if bound_mode else ursell
 
-        def evaluate(configs):
-            V = batch_interaction(LoopBatch(configs), spec.params,
-                                  spec.kind)[1]
+        def configs(rng, m):
+            # the fixed paths in front of the n - p drawn loops
+            loops = tally.draw_loops(spec.intensity, rng, m * (n - p))
+            return LoopBatch.join(m, [
+                (np.repeat(np.arange(m), p), fixed, np.tile(np.arange(p), m)),
+                (np.repeat(np.arange(m), n - p), loops, None)])
+
+        def evaluate(batch):
+            V = batch_interaction(batch, spec.params, spec.kind)[1]
             weight, zeta = _weights_and_zeta(V, p)
             return np.column_stack((factor * weight * phi_of(zeta), weight,
                                     weight * weight))
 
-        return _batched(lambda rng: fixed + [
-            tally.loop(spec.intensity, rng) for _ in range(n - p)], evaluate)
+        return _batched(configs, evaluate)
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "ess": [], "mass": mass}
     for n in orders:
         # columns (value, w, w^2): ESS = (sum w)^2 / sum w^2
-        mean, se, count = run_mc(draw(n), n_samples, seed + n, workers)
+        mean, se, count = run_mc(sampler(n), n_samples, seed + n, workers)
         report["means"].append(float(mean[0]))
         report["std_errors"].append(float(se[0]))
         report["ess"].append(
             float(count * mean[1] ** 2 / mean[2]) if mean[2] > 0 else 0.0)
-    rem, rem_se, _ = run_mc(draw(n_max + 1, bound_mode=True), n_samples,
+    rem, rem_se, _ = run_mc(sampler(n_max + 1, bound_mode=True), n_samples,
                             seed + n_max + 1, workers)
     report["remainder"] = float(rem[0])
     report["remainder_se"] = float(rem_se[0])

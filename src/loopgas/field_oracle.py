@@ -11,7 +11,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .lattice import HeatKernel, check_positive_type
 from .loop_mc import McEstimate, run_mc
@@ -109,6 +108,8 @@ def quadrature_single_site(kappa, w, p):
     s = |phi|^2 ~ Exp(kappa):
     Z^cl = kappa int e^{-kappa s - w s^2/2} ds,
     Gamma_p^cl(0,0) = kappa int s^p e^{...} ds / Z^cl.'''
+    from scipy import integrate
+
     def moment(q):
         val, err = integrate.quad(
             lambda s: kappa * s ** q * np.exp(-kappa * s - 0.5 * w * s * s),

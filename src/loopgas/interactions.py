@@ -213,24 +213,9 @@ def _local_times(batch, params):
     that the occupation is the local time.  Returns the values of
     _grid_occupations.'''
     C = batch.n_configs
-    n_loops = len(batch.start)
-    counts = np.diff(batch.offsets)
-    first = batch.offsets[:-1] + np.arange(n_loops)
-    is_first = np.zeros(len(batch.times) + n_loops, dtype=bool)
-    is_first[first] = True
-    is_last = np.zeros_like(is_first)
-    is_last[first + counts] = True
-    t0 = np.zeros(len(is_first))
-    t0[~is_first] = batch.times
-    t1 = np.empty(len(is_first))
-    t1[is_last] = batch.duration
-    t1[~is_last] = batch.times
-    cell_site = np.empty(len(is_first), dtype=np.int64)
-    cell_site[is_first] = batch.start
-    cell_site[~is_first] = batch.sites
-    cell_loop = np.repeat(np.arange(n_loops), counts + 1)
+    cell_loop, cell_site, amount = batch.pieces()
     return (np.full(C, float(params.lam)), np.arange(C),
-            batch.config[cell_loop], cell_loop, cell_site, t1 - t0)
+            batch.config[cell_loop], cell_loop, cell_site, amount)
 
 
 def pair_matrix(config, params, kind):

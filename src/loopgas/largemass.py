@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .interactions import v_lm, v_tilde_table
 from .lattice import periodize_potential
@@ -173,6 +172,7 @@ def gamma_lm(params, p, xs, ys):
                 for pi in itertools.permutations(range(p)))
     if not perms:
         return 0.0
+    from scipy import special
     grid, weights, _ = _occupation_fields(params)
     sites, mult = np.unique(xs, return_counts=True)
     moment = special.comb(grid[:, sites], mult).prod(axis=1)

@@ -19,10 +19,8 @@ kappa > 0 and nu > 0, else ValueError.
 
 import itertools
 import json
-from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
 
 
 class Torus:
@@ -55,11 +53,6 @@ class Torus:
         self.neighbor_table = self.index_of(nb)               # (n_sites, 2d)
         self._diff_table = None
         self._grid = (self.L,) * self.d        # FFT layout of flat tables
-
-    @cached_property
-    def neighbor_lists(self):
-        '''neighbor_table as nested lists, for walks stepped in Python.'''
-        return self.neighbor_table.tolist()
 
     def index_of(self, coords):
         '''Flat site index of coordinate array(s) (taken mod L).'''
@@ -193,9 +186,11 @@ def heat_kernel_infinite(d, t, x, tail_tol=1e-10, method="quadrature"):
     if t < 0:
         raise ValueError("t must be >= 0")
     if method == "bessel":
+        from scipy import special
         return float(np.prod(special.ive(np.abs(x), t)))
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'bessel'")
+    from scipy import integrate
     out = 1.0
     for xj in x:
         val, err = integrate.quad(

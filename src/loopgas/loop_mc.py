@@ -11,11 +11,19 @@ background expectation of e^{-V} (an independent stream) divides the
 result.
 
 Each worker chunk runs in batches of _BATCH samples and two phases: the
-draw phase makes every random draw of the batch with paths.walk and
-LoopIntensity.draw (loops and walks stay raw arrays, no Path), and the
+draw phase makes every random draw of the batch as arrays, and the
 compute phase evaluates all configurations of the batch with one call
-of interactions.batch_interaction.  The batch size bounds the memory a
-chunk holds; it does not change the stream.
+of interactions.batch_interaction.  Within a batch of B samples the
+draws come in this order:
+  - the B Poisson loop counts, then all their loops in one
+    LoopIntensity.draw_batch call (durations, base sites, bridge rounds);
+  - for a kernel, then, per permutation and per open path in order, the
+    B open-path durations (open_duration) and one paths.walks call for
+    the B walks, which keeps the walks that end where they should; a
+    sample carries a permutation's configuration when all its p walks
+    hit.
+The batch size bounds the memory a chunk holds, and it is part of the
+stream: the draws of a batch are grouped by kind, not by sample.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interactions import batch_interaction, v_total
-from .paths import LoopBatch, walk
+from .paths import LoopBatch, _segments, walks
 
 # Samples per kernel call: it bounds the memory of a chunk (a 20000-sample
 # chunk in one batch peaked at 105 MB instead of 86 MB).
@@ -140,11 +148,11 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
 
 def _batched(draw, evaluate):
     '''A run_mc sample function in two phases per batch of _BATCH
-    samples: draw(rng) makes all the draws of one sample, then
-    evaluate(list of the batch's draws) returns the batch's samples.'''
+    samples: draw(rng, m) makes all the draws of m samples, then
+    evaluate(the draws) returns the m samples.'''
     def sample(rng, count):
         return np.concatenate([
-            evaluate([draw(rng) for _ in range(min(_BATCH, count - lo))])
+            evaluate(draw(rng, min(_BATCH, count - lo)))
             for lo in range(0, count, _BATCH)])
     return sample
 
@@ -156,20 +164,21 @@ class _Tally:
     def __init__(self):
         self.loops = self.walks = self.configs = self.killed = 0
 
-    def loop(self, intensity, rng):
-        '''One loop of the intensity, as (start, duration, times, sites).'''
-        x, T, times, sites, walks = intensity.draw(rng)
-        self.loops += 1
+    def draw_loops(self, intensity, rng, n):
+        '''n loops of the intensity, loop i in configuration i of a
+        LoopBatch.'''
+        loops, walks = intensity.draw_batch(rng, n)
+        self.loops += n
         self.walks += walks
-        return x, T, times, sites
+        return loops
 
-    def boltzmann(self, spec, configs):
-        '''e^{-V} of each configuration (a list of loops), from one
-        kernel call; a killed configuration (V = +inf) gives 0.'''
-        V = batch_interaction(LoopBatch(configs), spec.params, spec.kind)[0]
+    def boltzmann(self, spec, batch):
+        '''e^{-V} of each configuration of a LoopBatch, from one kernel
+        call; a killed configuration (V = +inf) gives 0.'''
+        V = batch_interaction(batch, spec.params, spec.kind)[0]
         self.configs += len(V)
         self.killed += int(np.count_nonzero(np.isinf(V)))
-        return [math.exp(-v) for v in V.tolist()]
+        return np.exp(-V)
 
     def walks_per_loop(self):
         return self.walks / self.loops if self.loops else 0.0
@@ -181,9 +190,11 @@ class _Tally:
                                 if self.configs else 0.0)}
 
 
-def _draw_background(intensity, rng, tally):
-    n = rng.poisson(intensity.total_mass)
-    return [tally.loop(intensity, rng) for _ in range(n)]
+def _draw_background(intensity, rng, m, tally):
+    '''The Poisson backgrounds of m samples: (loop counts, their loops in
+    sample order, loop i in configuration i).'''
+    sizes = rng.poisson(intensity.total_mass, m)
+    return sizes, tally.draw_loops(intensity, rng, int(sizes.sum()))
 
 
 def estimate_rel_partition(spec, n_samples, seed, workers=1):
@@ -191,9 +202,13 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
     if not np.isfinite(spec.intensity.total_mass):
         raise ValueError("loop intensity mass must be finite")
     tally = _Tally()
-    sample = _batched(
-        lambda rng: _draw_background(spec.intensity, rng, tally),
-        lambda configs: tally.boltzmann(spec, configs))
+
+    def configs(rng, m):
+        sizes, loops = _draw_background(spec.intensity, rng, m, tally)
+        return LoopBatch.join(
+            m, [(np.repeat(np.arange(m), sizes), loops, None)])
+
+    sample = _batched(configs, lambda batch: tally.boltzmann(spec, batch))
     mean, se, count = run_mc(sample, n_samples, seed, workers)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
@@ -218,35 +233,36 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     norm_p = intensity.open_normalization ** p
     tally = _Tally()
 
-    def draw(rng):
-        # the configurations (open paths + background) of the
-        # permutations whose open paths all end where they should
-        background = _draw_background(intensity, rng, tally)
-        configs = []
-        for pi in perms:
-            opens = []
+    def configs(rng, m):
+        # the configurations (open paths + background) of the samples and
+        # permutations whose open paths all end where they should, in
+        # (sample, permutation) order, and the sample of each
+        sizes, background = _draw_background(intensity, rng, m, tally)
+        hits, opens = np.ones((m, len(perms)), dtype=bool), []
+        for q, pi in enumerate(perms):
             for i in range(p):
-                T = intensity.open_duration(rng)
-                end, times, sites = walk(spec.torus, xs[i], T, rng)
-                if end != ys[pi[i]]:
-                    break
-                opens.append((xs[i], T, times, sites))
-            else:
-                configs.append(opens + background)
-        return configs
+                T = intensity.open_duration(rng, m)
+                end, paths = walks(spec.torus, np.full(m, xs[i]), T, rng,
+                                   target=np.full(m, ys[pi[i]]))
+                hits[:, q] &= end == ys[pi[i]]
+                opens.append((q, paths))
+        config = np.cumsum(hits.ravel()).reshape(hits.shape) - 1
+        parts = []
+        for q, paths in opens:
+            index = np.flatnonzero(hits[paths.config, q])
+            parts.append((config[paths.config[index], q], paths, index))
+        sample_of = np.nonzero(hits)[0]
+        index = _segments(np.concatenate(([0], np.cumsum(sizes))), sample_of)
+        parts.append((np.repeat(np.arange(len(sample_of)), sizes[sample_of]),
+                      background, index))
+        return LoopBatch.join(len(sample_of), parts), sample_of, m
 
     def evaluate(drawn):
-        weights = iter(tally.boltzmann(
-            spec, [config for configs in drawn for config in configs]))
-        out = []
-        for configs in drawn:
-            total = 0.0
-            for _ in configs:
-                total += norm_p * next(weights)
-            out.append(total)
-        return out
+        batch, sample_of, m = drawn
+        return norm_p * np.bincount(
+            sample_of, weights=tally.boltzmann(spec, batch), minlength=m)
 
-    num_mean, num_se, count = run_mc(_batched(draw, evaluate), n_samples,
+    num_mean, num_se, count = run_mc(_batched(configs, evaluate), n_samples,
                                      seed, workers)
     # independent stream for the denominator (fixed derived seed)
     denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63

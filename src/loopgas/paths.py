@@ -3,18 +3,24 @@
 Paths are cadlag step functions on a torus: a start site, a duration T,
 and a strictly increasing list of (jump time, new site).  The free walk
 has generator Delta/2: total jump rate d, exponential holding times,
-uniform choice among the 2d signed unit steps.  Steps that wrap onto the
-current site (L = 1) are no-ops and are not recorded.  LoopBatch holds
-the loops of many configurations as flat arrays, for the batched
-estimators; Path is the view of one loop.
+uniform choice among the 2d signed unit steps.  On L = 1 every step
+wraps onto its site, so no jump is recorded.
+
+Walks and loops are drawn as arrays, a whole batch at a time, and held
+in a LoopBatch (flat arrays, CSR jumps); Path is the view of one loop.
+walks draws free walks from arrays of start sites and durations, in
+three draws: the Poisson(d T) jump counts of all walks, then their
+uniform signed steps, then, only for the walks it keeps, the uniform
+jump times, sorted within each walk.  A walk's end site follows from the
+net displacement of its steps mod L per coordinate, and its sites from
+the cumulative sum of its steps.  LoopIntensity.draw_batch draws loop
+durations and base sites for a batch and re-walks the loops still open,
+round after round, until every loop has closed.
 '''
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .lattice import HeatKernel
 
@@ -55,63 +61,143 @@ class Path:
 
 
 _NO_TIMES = np.empty(0)
+_NO_SITES = np.empty(0, dtype=np.int64)
 
 
-def walk(torus, x, T, rng):
-    '''The free walk from x over [0, T]: (end site, jump times, jump
-    sites), the one sampler of the walk.  It draws the jump count
-    Poisson(d*T), the sorted uniform jump times, then the uniform signed
-    steps.  On L = 1 every step wraps onto its site, so no jump is
-    recorded.'''
-    n_jumps = rng.poisson(torus.d * T)
-    if n_jumps == 0:
-        return x, _NO_TIMES, []
-    times = np.sort(rng.random(n_jumps) * T)
-    dirs = rng.integers(0, 2 * torus.d, n_jumps)
+def _segments(offsets, index):
+    '''Flat positions of the segments index of a CSR layout, in order.'''
+    lo = offsets[index]
+    n = offsets[index + 1] - lo
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def walks(torus, x, T, rng, target=None):
+    '''Free walks from the sites x over the durations T (arrays of one
+    length n): (end sites, LoopBatch of the kept walks).  A walk is kept
+    when it ends at its target (an array like x); target None keeps all.
+    Kept walk k lies in configuration k of the batch (n configurations),
+    so the batch's config lists the kept walks.
+
+    Draws, in order: the jump counts Poisson(d T) of all walks, their
+    uniform signed steps (directions in 0..2d-1, torus.steps order), and
+    the uniform jump times of the kept walks only, sorted within each
+    walk.  On L = 1 it draws the counts alone and records no jump.'''
+    x = np.asarray(x, dtype=np.int64)
+    T = np.asarray(T, dtype=float)
+    n, d = len(x), torus.d
+    counts = rng.poisson(d * T)
     if torus.L == 1:
-        return x, _NO_TIMES, []
-    nbr = torus.neighbor_lists
-    site = x
-    sites = []
-    for k in dirs.tolist():
-        site = nbr[site][k]
-        sites.append(site)
-    return site, times, sites
+        end = x.copy()
+        kept = np.arange(n) if target is None else np.flatnonzero(end == target)
+        return end, LoopBatch(n, kept, x[kept], T[kept],
+                              np.zeros(len(kept), dtype=np.int64),
+                              _NO_TIMES, _NO_SITES)
+    dirs = rng.integers(0, 2 * d, int(counts.sum()))
+    step_walk = np.repeat(np.arange(n), counts)
+    # net displacement per coordinate: step k moves coordinate k // 2 by
+    # +1 (k even) or -1 (k odd)
+    disp = np.bincount(step_walk * d + dirs // 2, weights=1 - 2 * (dirs % 2),
+                       minlength=n * d).reshape(n, d).astype(np.int64)
+    end = torus.index_of(torus.coords[x] + disp)
+    if target is None:
+        kept, steps = np.arange(n), dirs
+    else:
+        keep = end == target
+        kept, steps = np.flatnonzero(keep), dirs[keep[step_walk]]
+    k_counts = counts[kept]
+    jump_walk = np.repeat(np.arange(len(kept)), k_counts)
+    # sites by a cumulative sum of the steps, restarted at each walk
+    moves = np.cumsum(torus.steps[steps], axis=0)
+    first = np.cumsum(k_counts) - k_counts
+    before = np.concatenate((np.zeros((1, d), dtype=np.int64), moves))[first]
+    sites = torus.index_of(torus.coords[x[kept]][jump_walk] + moves
+                           - before[jump_walk])
+    times = rng.random(len(steps)) * T[kept][jump_walk]
+    times = times[np.lexsort((times, jump_walk))]
+    return end, LoopBatch(n, kept, x[kept], T[kept], k_counts, times, sites)
 
 
 class LoopBatch:
     '''The loops of many configurations as flat arrays (struct of arrays),
-    in draw order; Path is the view of one loop.
+    sorted stably by configuration; Path is the view of one loop.
 
-    Loop i belongs to configuration config[i], starts at site start[i]
-    and lasts duration[i]; its jumps are times[offsets[i]:offsets[i+1]]
-    to sites[offsets[i]:offsets[i+1]] (CSR offsets).  Built from a list
-    of configurations, each a list of (start, duration, jump times, jump
-    sites) loops.
+    Loop i belongs to configuration config[i] (of 0..n_configs-1),
+    starts at site start[i] and lasts duration[i]; its jumps are
+    times[offsets[i]:offsets[i+1]] to sites[offsets[i]:offsets[i+1]]
+    (CSR offsets).  Built from arrays: configuration ids, starts,
+    durations, jump counts and the flat jumps in loop order.
     '''
 
-    def __init__(self, configs):
-        self.n_configs = len(configs)
-        loops = [loop for config in configs for loop in config]
-        self.config = np.repeat(np.arange(self.n_configs),
-                                [len(config) for config in configs])
-        self.start = np.array([loop[0] for loop in loops], dtype=np.int64)
-        self.duration = np.array([loop[1] for loop in loops], dtype=float)
-        counts = [len(loop[3]) for loop in loops]
-        self.offsets = np.zeros(len(loops) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
-        n_jumps = int(self.offsets[-1])
-        self.times = (np.concatenate([loop[2] for loop in loops])
-                      if n_jumps else _NO_TIMES)
-        self.sites = np.fromiter(
-            itertools.chain.from_iterable(loop[3] for loop in loops),
-            dtype=np.int64, count=n_jumps)
+    def __init__(self, n_configs, config, start, duration, counts, times,
+                 sites):
+        config = np.asarray(config, dtype=np.int64)
+        start = np.asarray(start, dtype=np.int64)
+        duration = np.asarray(duration, dtype=float)
+        counts = np.asarray(counts, dtype=np.int64)
+        times = np.asarray(times, dtype=float)
+        sites = np.asarray(sites, dtype=np.int64)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if np.any(config[1:] < config[:-1]):
+            order = np.argsort(config, kind="stable")
+            jumps = _segments(offsets, order)
+            config, start, duration = config[order], start[order], duration[order]
+            times, sites = times[jumps], sites[jumps]
+            np.cumsum(counts[order], out=offsets[1:])
+        self.n_configs = int(n_configs)
+        self.config, self.start, self.duration = config, start, duration
+        self.offsets, self.times, self.sites = offsets, times, sites
+
+    def take(self, index=None):
+        '''(starts, durations, jump counts, jump times, jump sites) of the
+        loops index (None: all), in that order.'''
+        counts = np.diff(self.offsets)
+        if index is None:
+            return self.start, self.duration, counts, self.times, self.sites
+        jumps = _segments(self.offsets, index)
+        return (self.start[index], self.duration[index], counts[index],
+                self.times[jumps], self.sites[jumps])
+
+    @classmethod
+    def join(cls, n_configs, parts):
+        '''The batch of n_configs configurations made of parts, a list of
+        (configuration ids, LoopBatch, loop index or None): the part's
+        loops index go to the configurations ids, one to one.  Within a
+        configuration, loops keep the order of the parts and indices.'''
+        fields = [batch.take(index) for _, batch, index in parts]
+        return cls(n_configs, np.concatenate([ids for ids, _, _ in parts]),
+                   *(np.concatenate(f) for f in zip(*fields)))
 
     @classmethod
     def from_paths(cls, configs):
         '''The batch of configurations given as lists of Paths.'''
-        return cls([[(p.start, p.duration, p.jump_times, p.jump_sites)
-                     for p in config] for config in configs])
+        loops = [p for config in configs for p in config]
+        sizes = np.array([len(config) for config in configs], dtype=np.int64)
+        return cls(len(configs), np.repeat(np.arange(len(configs)), sizes),
+                   [p.start for p in loops], [p.duration for p in loops],
+                   [len(p.jump_times) for p in loops],
+                   np.concatenate([_NO_TIMES] + [p.jump_times for p in loops]),
+                   np.concatenate([_NO_SITES] + [p.jump_sites for p in loops]))
+
+    def pieces(self):
+        '''The constant pieces of every loop, in loop and time order, as
+        (loop, site, length) arrays.'''
+        n_loops = len(self.start)
+        counts = np.diff(self.offsets)
+        first = self.offsets[:-1] + np.arange(n_loops)
+        is_first = np.zeros(len(self.times) + n_loops, dtype=bool)
+        is_first[first] = True
+        is_last = np.zeros_like(is_first)
+        is_last[first + counts] = True
+        t0 = np.zeros(len(is_first))
+        t0[~is_first] = self.times
+        t1 = np.empty(len(is_first))
+        t1[is_last] = self.duration
+        t1[~is_last] = self.times
+        site = np.empty(len(is_first), dtype=np.int64)
+        site[is_first] = self.start
+        site[~is_first] = self.sites
+        return np.repeat(np.arange(n_loops), counts + 1), site, t1 - t0
 
 
 class LoopIntensity:
@@ -122,8 +208,8 @@ class LoopIntensity:
 
     Closed loops: total mass m = sum/int of e^{-kappa T} psi^{L,T}(0)
     |Lambda| / T; the normalized measure factorizes as (duration law) x
-    (uniform base site) x (bridge), and draw takes bridges by rejection,
-    with acceptance probability psi^{L,T}(0).
+    (uniform base site) x (bridge), and draw_batch takes bridges by
+    rejection, with acceptance probability psi^{L,T}(0).
 
     Open paths carry the duration weight e^{-kappa T}, on nu N* for the
     grid and on (0, inf) in the continuum: open_duration draws from it
@@ -134,6 +220,7 @@ class LoopIntensity:
 
     TAIL = 1e-12
     MAX_WALKS = 10000       # bridge attempts per loop before RuntimeError
+    MAX_TERMS = 100000      # grid durations before the law is refused
 
     def __init__(self, torus, kind, kappa, nu=None, eps=None):
         if kappa <= 0:
@@ -165,8 +252,12 @@ class LoopIntensity:
         # truncate when the remaining tail (psi <= 1 bound) drops below
         # TAIL times a lower bound on the mass (first term, psi >= 1/n)
         k_max = 1
-        while (n * a ** (k_max + 1) / ((k_max + 1) * (1 - a)) > self.TAIL * a
-               and k_max < 100000):
+        while n * a ** (k_max + 1) / ((k_max + 1) * (1 - a)) > self.TAIL * a:
+            if k_max == self.MAX_TERMS:
+                raise ValueError(
+                    f"kappa * nu = {kappa * nu:.3g} is too small: the grid "
+                    f"duration law needs more than {self.MAX_TERMS} terms "
+                    f"for a tail below {self.TAIL:g}")
             k_max += 1
         k = np.arange(1, k_max + 1)
         w = np.exp(-kappa * nu * k) * self.hk.at_origin(nu * k) * n / k
@@ -175,12 +266,12 @@ class LoopIntensity:
         self._durations = nu * k
         self._probs = w / w.sum()
         self._cum = np.cumsum(self._probs)
-        self._cum_list = self._cum.tolist()
-        self._duration_list = self._durations.tolist()
         self.metadata.update(k_max=k_max, tail_bound=float(tail))
 
     # -- symanzik: eps-truncated continuum law ------------------------------
     def _build_continuum_law(self):
+        from scipy import integrate
+
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
         self.open_normalization = 1.0 / kappa
 
@@ -215,34 +306,38 @@ class LoopIntensity:
             return self._durations[idx]
         return np.interp(u, self._cdf, self._grid)
 
-    def _duration(self, rng):
-        '''One duration from one uniform draw, as a float; the grid law
-        takes the first cumulative probability >= u, as sample_duration.'''
-        u = rng.random()
-        if self.kind == "ginibre":
-            idx = bisect.bisect_left(self._cum_list, u)
-            return self._duration_list[min(idx, len(self._cum_list) - 1)]
-        return float(np.interp(u, self._cdf, self._grid))
+    def draw_batch(self, rng, n):
+        '''n loops of the normalized intensity, loop i in configuration i
+        of a LoopBatch, and the number of walks drawn.
 
-    def draw(self, rng):
-        '''One loop as (start, duration, jump times, jump sites, walks):
-        a duration, a uniform base site, then free walks from the base
-        site until one closes; walks counts the attempts.  The one
-        sampler of the loops.'''
-        T = self._duration(rng)
-        x = int(rng.integers(self.torus.n_sites))
-        for tries in range(1, self.MAX_WALKS + 1):
-            end, times, sites = walk(self.torus, x, T, rng)
-            if end == x:
-                return x, T, times, sites, tries
-        raise RuntimeError(
-            f"bridge rejection budget exceeded (T={T}, acceptance "
-            f"~ {self.hk.at_origin(T):.3e})")
+        Draws n durations (sample_duration), then n uniform base sites,
+        then rounds of walks: each round walks every loop still open from
+        its base site (paths.walks) and keeps the walks that close.  A
+        loop still open after MAX_WALKS rounds raises RuntimeError.'''
+        T = self.sample_duration(rng, n)
+        x = rng.integers(self.torus.n_sites, size=n)
+        todo = np.arange(n)
+        parts, n_walks, rounds = [], 0, 0
+        while len(todo):
+            if rounds == self.MAX_WALKS:
+                t = float(T[todo[0]])
+                raise RuntimeError(
+                    f"bridge rejection budget exceeded (T={t}, acceptance "
+                    f"~ {self.hk.at_origin(t):.3e})")
+            end, closed = walks(self.torus, x[todo], T[todo], rng,
+                                target=x[todo])
+            parts.append((todo[closed.config], closed, None))
+            n_walks += len(todo)
+            rounds += 1
+            todo = todo[end != x[todo]]
+        if not parts:
+            return LoopBatch.from_paths([]), 0
+        return LoopBatch.join(n, parts), n_walks
 
-    def open_duration(self, rng):
-        '''One duration of the normalized open-path law e^{-kappa T} /
+    def open_duration(self, rng, size):
+        '''size durations of the normalized open-path law e^{-kappa T} /
         open_normalization: nu times a geometric count on the grid, an
         exponential in the continuum.'''
         if self.kind == "ginibre":
-            return float(self.nu * rng.geometric(self._open_p))
-        return float(rng.exponential(1.0 / self.kappa))
+            return self.nu * rng.geometric(self._open_p, size)
+        return rng.exponential(1.0 / self.kappa, size)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .lattice import HeatKernel, laplacian_matrix
 
@@ -254,6 +253,7 @@ def _free_traces(mode_weights, n_max):
 def _free_tail_bound(mode_weights, n_from):
     '''Upper bound on sum_{n >= n_from} h_n(w): with h_n <= binom(n+m-1,
     m-1) mu^n, the negative-binomial tail I_mu(n_from, m) / (1 - mu)^m.'''
+    from scipy import special
     mu, m = float(np.max(mode_weights)), len(mode_weights)
     return special.betainc(n_from, m, mu) / (1.0 - mu) ** m
 
@@ -360,7 +360,7 @@ def kernel_norm(K, torus, p, L0):
 def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''
-    from .paths import walk
+    from .paths import walks
 
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -374,14 +374,13 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     sq = np.zeros((m, m))
     per_x = n_samples // m
     for x in range(m):
-        for _ in range(per_x):
-            end, times, sites = walk(torus, x, t, rng)
-            holding = np.diff(np.concatenate(([0.0], times, [t])))
-            local_time = np.bincount([x] + sites, weights=holding,
-                                     minlength=m)
-            val = np.exp(-float(local_time @ V_site))
-            sums[end, x] += val
-            sq[end, x] += val * val
+        # all walks from x at once; walk k is configuration k of the batch
+        end, batch = walks(torus, np.full(per_x, x), np.full(per_x, t), rng)
+        walk, site, length = batch.pieces()
+        val = np.exp(-np.bincount(walk, weights=length * V_site[site],
+                                  minlength=per_x))
+        sums[:, x] = np.bincount(end, weights=val, minlength=m)
+        sq[:, x] = np.bincount(end, weights=val * val, minlength=m)
     mean = sums / per_x
     var = sq / per_x - mean ** 2
     std = np.sqrt(np.maximum(var, 0.0) / per_x)

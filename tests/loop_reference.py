@@ -1,11 +1,12 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The walk, bridge and open-path samplers draw exactly the stream of the
-library's paths.walk, LoopIntensity.draw and LoopIntensity.open_duration,
-one Path at a time, with the jumps stepped through the neighbour table;
-the occupation kernel builds one configuration's slices and occupations
-and its quadratic form at a time.  The tests check the batched code
-against these, number for number.
+The samplers make exactly the random draws of the library's paths.walks,
+LoopIntensity.draw_batch and LoopIntensity.open_duration, the same calls
+in the same order, but build each path on its own, stepping through the
+neighbour table one jump at a time, and return lists of Paths.  The
+occupation kernel builds one configuration's slices and occupations and
+its quadratic form at a time.  The tests check the batched code against
+these, number for number.
 '''
 
 import numpy as np
@@ -16,47 +17,73 @@ from loopgas.paths import Path
 
 # -- samplers ------------------------------------------------------------------
 
+def walks(torus, x, T, rng, target=None):
+    '''Free walks from the sites x over the durations T: (end sites, the
+    Path of each walk kept, None for the others).  A walk is kept when
+    it ends at its target (None keeps all).  Draws the jump counts
+    Poisson(d T) of all walks, then their signed steps, then the jump
+    times of the kept walks, sorted per walk.'''
+    counts = rng.poisson(torus.d * np.asarray(T, dtype=float))
+    if torus.L == 1:
+        paths = [Path(int(xk), float(Tk)) for xk, Tk in zip(x, T)]
+        ends = [int(xk) for xk in x]
+    else:
+        dirs = rng.integers(0, 2 * torus.d, int(counts.sum()))
+        paths, ends, lo = [], [], 0
+        for xk, Tk, c in zip(x, T, counts):
+            site, sites = int(xk), []
+            for k in dirs[lo:lo + c]:
+                site = int(torus.neighbor_table[site, k])
+                sites.append(site)
+            lo += c
+            ends.append(site)
+            paths.append(Path(int(xk), float(Tk), None,
+                              np.array(sites, dtype=np.int64)))
+    for k, path in enumerate(paths):
+        if target is not None and ends[k] != target[k]:
+            paths[k] = None
+        elif path.jump_times is None:
+            n = len(path.jump_sites)
+            path.jump_times = np.sort(rng.random(n) * path.duration)
+    return ends, paths
+
+
 def sample_free_walk(torus, x, T, rng):
-    '''Draw from P_x^T: jump clock Poisson(d*T), uniform signed steps;
-    steps that wrap onto the current site (L = 1) are not recorded.'''
+    '''One free walk from x over [0, T], as a Path.'''
     if T <= 0:
         raise ValueError("T must be > 0")
-    n_jumps = rng.poisson(torus.d * T)
-    if n_jumps == 0:
-        return Path(int(x), float(T))
-    times = np.sort(rng.random(n_jumps) * T)
-    dirs = rng.integers(0, 2 * torus.d, n_jumps)
-    site = int(x)
-    keep_t, keep_s = [], []
-    for t, k in zip(times, dirs):
-        nxt = int(torus.neighbor_table[site, k])
-        if nxt != site:
-            keep_t.append(t)
-            keep_s.append(nxt)
-            site = nxt
-    return Path(int(x), float(T), np.array(keep_t),
-                np.array(keep_s, dtype=np.int64))
+    return walks(torus, [x], [T], rng)[1][0]
 
 
-def sample_loop(intensity, rng, max_tries=10000):
-    '''A loop of the intensity: its duration, a uniform base site, and
-    free walks until one closes.  Returns (Path, walks drawn).'''
-    T = float(intensity.sample_duration(rng, size=1)[0])
-    x = int(rng.integers(intensity.torus.n_sites))
-    for tries in range(1, max_tries + 1):
-        path = sample_free_walk(intensity.torus, x, T, rng)
-        if path.end == x:
-            return path, tries
-    raise RuntimeError("bridge rejection budget exceeded")
+def draw_batch(intensity, rng, n):
+    '''n loops of the intensity: n durations, n uniform base sites, then
+    rounds of walks of the loops still open.  Returns (Paths, walks).'''
+    T = intensity.sample_duration(rng, n)
+    x = rng.integers(intensity.torus.n_sites, size=n)
+    loops, todo, n_walks = [None] * n, list(range(n)), 0
+    for _ in range(intensity.MAX_WALKS):
+        if not todo:
+            break
+        n_walks += len(todo)
+        _, paths = walks(intensity.torus, [x[i] for i in todo],
+                         [T[i] for i in todo], rng,
+                         target=[x[i] for i in todo])
+        for i, path in zip(todo, paths):
+            loops[i] = path
+        todo = [i for i in todo if loops[i] is None]
+    if todo:
+        raise RuntimeError("bridge rejection budget exceeded")
+    return loops, n_walks
 
 
-def open_duration(intensity, rng):
-    '''A duration of the normalized open-path law e^{-kappa T}: nu times
-    a geometric count on the grid, an exponential in the continuum.'''
+def open_duration(intensity, rng, size):
+    '''size durations of the normalized open-path law e^{-kappa T}: nu
+    times a geometric count on the grid, an exponential in the
+    continuum.'''
     if intensity.kind == "ginibre":
         a = np.exp(-intensity.kappa * intensity.nu)
-        return intensity.nu * float(rng.geometric(1.0 - a))
-    return float(rng.exponential(1.0 / intensity.kappa))
+        return [intensity.nu * float(k) for k in rng.geometric(1.0 - a, size)]
+    return [float(t) for t in rng.exponential(1.0 / intensity.kappa, size)]
 
 
 def open_normalization(intensity):

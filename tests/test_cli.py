@@ -325,3 +325,47 @@ def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_grid_law_past_its_term_budget_exits_2(tmp_path, capsys):
+    '''kappa nu = 1e-4 passes the schema, but the grid duration law would
+    need more than LoopIntensity.MAX_TERMS terms for its tail bound: the
+    run is refused, not truncated.'''
+    cfg = _write_config(tmp_path, _ginibre_doc(kappa=1e-3, nu=0.1))
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kappa * nu" in err
+
+
+def test_grid_monte_carlo_imports_no_scipy():
+    '''Importing the CLI and running the grid-ensemble estimators
+    (kernel, cluster series) loads no scipy module: scipy is imported
+    inside the functions that need it.'''
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    code = """
+import sys
+import loopgas.cli
+from loopgas.cluster import log_Z_via_expansion
+from loopgas.interactions import InteractionParams
+from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from loopgas.loop_mc import EnsembleSpec, estimate_gamma_p
+from loopgas.paths import LoopIntensity
+torus = Torus(1, 3)
+vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.05}), 3)
+params = InteractionParams(torus=torus, vL=vL, nu=0.5, mode="meanfield",
+                           kappa=1.0)
+spec = EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre", 1.0,
+                                                 nu=0.5), "ginibre")
+estimate_gamma_p(spec, 1, [0], [0], 20, seed=1)
+log_Z_via_expansion(spec, 2, 20, seed=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

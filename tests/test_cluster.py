@@ -242,10 +242,10 @@ def test_ursell_and_tree_sum_over_a_stack(n):
 def test_estimate_x_matches_per_sample_reference():
     '''One fixed path (p = 1): the batched orders, remainder and bridge
     count equal a per-sample run of the reference sampler and kernel on
-    the same streams.'''
+    the same streams, drawn batch by batch.'''
     import loop_reference
     from loopgas.cluster import estimate_X
-    from loopgas.loop_mc import run_mc
+    from loopgas.loop_mc import _BATCH, run_mc
     spec = _expansion_spec()
     fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
                                              np.random.default_rng(3))]
@@ -256,20 +256,24 @@ def test_estimate_x_matches_per_sample_reference():
     def sample(n, phi_of):
         factor = n * spec.intensity.total_mass ** (n - 1)
 
-        def one(rng):
-            drawn = []
-            for _ in range(n - 1):
-                loop, walks = loop_reference.sample_loop(spec.intensity, rng)
-                drawn.append(loop)
-                count["loops"] += 1
-                count["walks"] += walks
+        def one(drawn):
             V = loop_reference.pair_matrix(fixed + drawn, spec.params,
                                            spec.kind)
             weight = math.prod(np.exp(-0.5 * np.diag(V)[1:]).tolist())
             zeta = np.exp(-V) - 1.0
             np.fill_diagonal(zeta, 0.0)
             return factor * weight * phi_of(zeta), weight, weight * weight
-        return lambda rng, m: [one(rng) for _ in range(m)]
+
+        def batch(rng, m):
+            # the library's draws: all m (n - 1) loops of the batch at once
+            loops, walks = loop_reference.draw_batch(spec.intensity, rng,
+                                                     m * (n - 1))
+            count["loops"] += len(loops)
+            count["walks"] += walks
+            return [one(loops[s * (n - 1):(s + 1) * (n - 1)])
+                    for s in range(m)]
+        return lambda rng, m: [row for lo in range(0, m, _BATCH)
+                               for row in batch(rng, min(_BATCH, m - lo))]
 
     for k, n in enumerate(report["orders"]):
         mean, se, _ = run_mc(sample(n, ursell), 150, 9 + n, 2)

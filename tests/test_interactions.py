@@ -521,5 +521,6 @@ def test_batch_kernel_matches_per_configuration_reference(kind, R):
 def test_batch_kernel_of_no_configuration():
     torus = Torus(1, 3)
     params = _params(torus, np.zeros(3))
-    totals, pairs = batch_interaction(LoopBatch([]), params, "ginibre")
+    totals, pairs = batch_interaction(LoopBatch.from_paths([]), params,
+                                      "ginibre")
     assert totals.shape == (0,) and pairs is None

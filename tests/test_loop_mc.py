@@ -13,8 +13,8 @@ from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas.loop_mc import (
-    EnsembleSpec, _welford_merge, estimate_gamma_p, estimate_rel_partition,
-    run_mc)
+    _BATCH, EnsembleSpec, _welford_merge, estimate_gamma_p,
+    estimate_rel_partition, run_mc)
 from loopgas.paths import LoopIntensity
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
@@ -217,19 +217,20 @@ def test_gamma_p_rejects_denominators_below_two_samples(denom_samples):
 
 # -- the batched estimators against per-sample references ------------------------
 
-def _reference_run(spec, n_samples, seed, workers, sample_one):
-    '''run_mc over a per-sample reference that counts its work: sampled
-    loops, bridge walks, evaluated configurations and killed ones.'''
+def _reference_run(spec, n_samples, seed, workers, batch_of):
+    '''run_mc over a per-path reference that makes the library's draws
+    batch by batch (_BATCH samples) and counts its work: sampled loops,
+    bridge walks, evaluated configurations and killed ones.'''
     tally = {"loops": 0, "walks": 0, "configs": 0, "killed": 0}
 
-    def background(rng):
-        loops = []
-        for _ in range(rng.poisson(spec.intensity.total_mass)):
-            loop, walks = loop_reference.sample_loop(spec.intensity, rng)
-            loops.append(loop)
-            tally["loops"] += 1
-            tally["walks"] += walks
-        return loops
+    def backgrounds(rng, m):
+        sizes = rng.poisson(spec.intensity.total_mass, m)
+        loops, walks = loop_reference.draw_batch(spec.intensity, rng,
+                                                 int(sizes.sum()))
+        tally["loops"] += len(loops)
+        tally["walks"] += walks
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        return [loops[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def boltzmann(config):
         V = loop_reference.v_total(config, spec.params, spec.kind)
@@ -237,9 +238,12 @@ def _reference_run(spec, n_samples, seed, workers, sample_one):
         tally["killed"] += bool(np.isinf(V))
         return 0.0 if np.isinf(V) else math.exp(-V)
 
-    mean, se, count = run_mc(
-        lambda rng, n: [sample_one(rng, background, boltzmann)
-                        for _ in range(n)], n_samples, seed, workers)
+    def sample(rng, count):
+        return [value for lo in range(0, count, _BATCH)
+                for value in batch_of(rng, min(_BATCH, count - lo),
+                                      backgrounds, boltzmann)]
+
+    mean, se, count = run_mc(sample, n_samples, seed, workers)
     return mean, se, tally
 
 
@@ -259,7 +263,8 @@ def test_rel_partition_matches_reference_and_counts(R, workers):
     spec = _hard_core_spec(3, 0.5, "generic") if R else _grid_spec(L=4)
     est = estimate_rel_partition(spec, 300, seed=8, workers=workers)
     mean, se, tally = _reference_run(
-        spec, 300, 8, workers, lambda rng, bg, boltzmann: boltzmann(bg(rng)))
+        spec, 300, 8, workers,
+        lambda rng, m, bgs, boltzmann: [boltzmann(bg) for bg in bgs(rng, m)])
     assert _close(est.mean, mean) and _close(est.std_error, se)
     _check_counters(est.metadata, tally, 300)
     assert est.metadata["walks_per_loop"] > 1
@@ -273,24 +278,27 @@ def test_gamma_matches_reference_and_counts(p):
     xs, ys = [0, 1][:p], [1, 0][:p]
     perms = list(itertools.permutations(range(p)))
 
-    def sample_one(rng, background, boltzmann):
-        loops = background(rng)
-        total = 0.0
+    def batch_of(rng, m, backgrounds, boltzmann):
+        loops = backgrounds(rng, m)
+        opens = []
         for pi in perms:
-            opens = []
+            opens.append([])
             for i in range(p):
-                path = loop_reference.sample_free_walk(
-                    spec.torus, xs[i],
-                    loop_reference.open_duration(spec.intensity, rng), rng)
-                if path.end != ys[pi[i]]:
-                    break
-                opens.append(path)
-            else:
-                total += norm_p * boltzmann(opens + loops)
-        return total
+                T = loop_reference.open_duration(spec.intensity, rng, m)
+                opens[-1].append(loop_reference.walks(
+                    spec.torus, [xs[i]] * m, T, rng, [ys[pi[i]]] * m)[1])
+        totals = []
+        for s in range(m):
+            total = 0.0
+            for paths in opens:
+                config = [paths[i][s] for i in range(p)]
+                if all(path is not None for path in config):
+                    total += norm_p * boltzmann(config + loops[s])
+            totals.append(total)
+        return totals
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
-    mean, _, tally = _reference_run(spec, 300, 3, 2, sample_one)
+    mean, _, tally = _reference_run(spec, 300, 3, 2, batch_of)
     assert _close(est.mean * est.metadata["denominator"], mean)
     _check_counters(est.metadata, tally, 300)
 
@@ -332,45 +340,45 @@ def _golden_continuum(d=1, L=3, eps=0.1):
     return EnsembleSpec(torus, params, intensity, "symanzik_eps")
 
 
-# Recorded with the per-sample estimators (one Path per loop, one kernel
-# call per configuration) that the batched ones replaced.
+# Recorded with the array samplers (one draw_batch call per batch of
+# loops, one walks call per open path and permutation).
 GOLDEN = {
-    "Z/grid/w1": [0.781483112805159, 0.014381579439946427],
-    "Z/grid_d2/w1": [0.8213592427263247, 0.01169813338536682],
-    "Z/grid_offgrid/w1": [0.031516061992607584, 0.005970775884783599],
-    "Z/grid_R1/w1": [0.5372472894906788, 0.028680674163453143],
-    "Z/continuum/w1": [0.6976630229228941, 0.015448743310443769],
-    "Z/continuum_d2/w1": [0.7809449516952516, 0.014023201557056934],
-    "gamma/p1/R0/w1": [0.270325905039915, 0.036246588639022095,
-        0.8158280992960762, 0.013880313785219764],
-    "gamma/p2/R0/w1": [0.37545485849170024, 0.04853845015240713,
-        0.8158280992960762, 0.013880313785219764],
-    "gamma/p1/R1/w1": [0.08447133518123064, 0.03448792065915933,
-        0.5420414861326531, 0.03511323852167693],
-    "gamma/p2/R1/w1": [0.04296999536495867, 0.030435494401829445,
-        0.5420414861326531, 0.03511323852167693],
-    "logz/w1": [1.405994324610391, -0.08701007820847041, 0.01332803221257674,
-        0.023805890698332135, 0.0073282891526278504, 0.0016729175309178155,
-        97.24016809634203, 95.45874065339156, 90.304281301516,
-        0.0026229874045168512, 0.0004688832136905225, -0.2755989811273687],
-    "Z/grid/w3": [0.7978307548605982, 0.013784180062735699],
-    "Z/grid_d2/w3": [0.8123568596595925, 0.012589427995553385],
-    "Z/grid_offgrid/w3": [0.034446244991177356, 0.006792060090874492],
-    "Z/grid_R1/w3": [0.5509688592667839, 0.02863137316954058],
-    "Z/continuum/w3": [0.7313804657144317, 0.014660121900292462],
-    "Z/continuum_d2/w3": [0.8019545304981225, 0.011983409431749532],
-    "gamma/p1/R0/w3": [0.21593810281788528, 0.033074653010185924,
-        0.7996656251698675, 0.015461657718730945],
-    "gamma/p2/R0/w3": [0.3516290474773558, 0.04682773843184294,
-        0.7996656251698675, 0.015461657718730945],
-    "gamma/p1/R1/w3": [0.05661585728228209, 0.028333192428381768,
-        0.5418493154340406, 0.035101712324690185],
-    "gamma/p2/R1/w3": [0.04298523497824867, 0.03044629525912357,
-        0.5418493154340406, 0.035101712324690185],
-    "logz/w3": [1.4321008547246818, -0.07549301294531381, 0.01344721011364923,
-        0.020239039657895617, 0.005730560656609317, 0.0019131581643507813,
-        98.0610599876442, 93.27080483705194, 91.53199329981076,
-        0.002924205942477908, 0.00037587623319986933, -0.23785620784884887],
+    "Z/grid/w1": [0.7716894513271042, 0.014328404550783701],
+    "Z/grid_d2/w1": [0.8087821012419218, 0.012533425229852034],
+    "Z/grid_offgrid/w1": [0.03567538693508265, 0.00624803188692045],
+    "Z/grid_R1/w1": [0.5166649348265213, 0.02871337653519649],
+    "Z/continuum/w1": [0.712578450468404, 0.014731979135577349],
+    "Z/continuum_d2/w1": [0.7806229722826378, 0.013311145273798241],
+    "gamma/p1/R0/w1": [0.27271253225984393, 0.03940126016582011,
+        0.7732485518592073, 0.01749213648682555],
+    "gamma/p2/R0/w1": [0.4168573356863277, 0.05743241813911376,
+        0.7732485518592073, 0.01749213648682555],
+    "gamma/p1/R1/w1": [0.0868872425445167, 0.03549083915761757,
+        0.5322394993995856, 0.035179165113093575],
+    "gamma/p2/R1/w1": [0.12956814920736318, 0.052934030503691984,
+        0.5322394993995856, 0.035179165113093575],
+    "logz/w1": [1.3437420458415386, -0.087710341696853, 0.012611257346976285,
+        0.028157372983928012, 0.006637757283519838, 0.0014273634753266598,
+        95.83411032412144, 92.33460362453233, 90.90014346426486,
+        0.0031478687322798516, 0.0005685414029321988, -0.3392682982502042],
+    "Z/grid/w3": [0.7775848660225404, 0.014188283789513383],
+    "Z/grid_d2/w3": [0.8119836454420838, 0.012537160544623487],
+    "Z/grid_offgrid/w3": [0.042005650913968205, 0.00746932767883607],
+    "Z/grid_R1/w3": [0.5048923373553679, 0.02881446771337557],
+    "Z/continuum/w3": [0.7041120230883674, 0.015474089488029719],
+    "Z/continuum_d2/w3": [0.7838265811909336, 0.012824666535601518],
+    "gamma/p1/R0/w3": [0.22460138626985263, 0.0330177813346942,
+        0.7830942962601662, 0.01574621346914078],
+    "gamma/p2/R0/w3": [0.3614322321358236, 0.050306676137250005,
+        0.7830942962601662, 0.01574621346914078],
+    "gamma/p1/R1/w3": [0.03195876056453948, 0.0226619997434995,
+        0.48233850603305173, 0.03523800348812331],
+    "gamma/p2/R1/w3": [0.04828874297906332, 0.034241612054870224,
+        0.48233850603305173, 0.03523800348812331],
+    "logz/w3": [1.375570705984884, -0.08490696612210383, 0.013363841605919803,
+        0.024444520077921434, 0.006682273798697139, 0.0017960948072397193,
+        96.96846282105469, 92.82201012419712, 90.01392519536138,
+        0.002078887227769194, 0.0002739624448445029, -0.303883678273166],
 }
 
 
