@@ -1,8 +1,7 @@
 '''Combinatorics and cluster-expansion engine: connected graphs, trees,
 the Kruskal map and its preimage bracket, Ursell functions, the tree
-bound with its resummation identity, degree-constrained tree counts,
-the truncated expansion series for log Z, and a numeric check of the
-Riemann-sum bound.
+bound with its resummation identity, degree-constrained tree counts and
+the truncated expansion series for log Z.
 
 The expansion is built on the loop measure
   mu(dw) = nu sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}(dw) e^{-V(w,w)/2},
@@ -122,23 +121,6 @@ def trees(n):
         yield Graph(1, frozenset())
         return
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield Graph(n, _prufer_decode(n, seq))
-
-
-def trees_with_degrees(deltas):
-    '''All trees with the prescribed degree sequence: vertex i appears
-    delta_i - 1 times in the Prufer code, so the trees are the decoded
-    distinct permutations of that multiset.'''
-    deltas = tuple(int(d) for d in deltas)
-    n = len(deltas)
-    _check_enum_budget(n, MAX_ENUM_N, "tree")
-    if tree_count(deltas) == 0:
-        return
-    if n == 1:
-        yield Graph(1, frozenset())
-        return
-    code = [v for v, d in enumerate(deltas) for _ in range(d - 1)]
-    for seq in sorted(set(itertools.permutations(code))):
         yield Graph(n, _prufer_decode(n, seq))
 
 
@@ -295,23 +277,6 @@ def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):
     return report
 
 
-def descendants_identity_check(n):
-    '''For every tree on [n] and every root r, check
-    sum_{w != r} (1 - |Q(w)|) = |Q(r)| with Q(w) the direct descendants.'''
-    _check_enum_budget(n, MAX_ENUM_N, "descendants")
-    for t in trees(n):
-        adj = {v: set() for v in range(n)}
-        for i, j in t.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        for r in range(n):
-            # orient away from the root: |Q(w)| = deg(w) - 1 for w != r
-            q = {w: len(adj[w]) - (0 if w == r else 1) for w in range(n)}
-            if sum(1 - q[w] for w in range(n) if w != r) != q[r]:
-                return False
-    return True
-
-
 # -- truncated expansion series ---------------------------------------------
 
 def _partitions(items):
@@ -406,7 +371,6 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))
     report["total_se"] = float(math.sqrt(sum(s * s for s in report["std_errors"])))
-    report["walks_per_loop"] = tally.walks_per_loop()
     return report
 
 
@@ -428,37 +392,3 @@ def log_Z_via_expansion(spec, n_max, n_samples, seed, workers=1):
     report["log_Z"] = report["total"] - report["X0"]
     report["log_Z_se"] = report["total_se"]
     return report
-
-
-# -- bound harnesses ---------------------------------------------------------
-
-def grid_exponential_moment(kappa, nu, q, tol=1e-15):
-    '''nu sum_{T in nu N*} e^{-kappa T} T^q, truncated below tol relative.'''
-    total, k = 0.0, 1
-    while True:
-        term = nu * math.exp(-kappa * nu * k) * (nu * k) ** q
-        total += term
-        # past the mode the terms decay at least geometrically
-        if k * kappa * nu > q and term < tol * max(total, 1e-300):
-            return total
-        k += 1
-
-
-def riemann_sum_bound_check(kappa_grid, nu_factors, q_grid):
-    '''Check nu sum_T e^{-kappa T} T^q <= C q!/kappa^{q+1} with one
-    constant C over the grid; nu runs over nu_factors / kappa (<= 1/kappa).
-    Reports the smallest working C (the max ratio).'''
-    rows, c_max = [], 0.0
-    for kappa in kappa_grid:
-        for fac in nu_factors:
-            if fac > 1.0 + 1e-12:
-                raise ValueError("need nu <= 1/kappa")
-            nu = fac / kappa
-            for q in q_grid:
-                lhs = grid_exponential_moment(kappa, nu, q)
-                rhs = math.factorial(q) / kappa ** (q + 1)
-                ratio = lhs / rhs
-                c_max = max(c_max, ratio)
-                rows.append({"kappa": kappa, "nu": nu, "q": q,
-                             "lhs": lhs, "rhs": rhs, "ratio": ratio})
-    return {"C": c_max, "rows": rows}

@@ -19,6 +19,11 @@ import numpy as np
 
 from .paths import LoopBatch
 
+# Occupation cells (one per window and slice of each grid loop) per
+# kernel evaluation: a group of this many cells peaks at about 240 MB
+# (57 bytes a cell)
+MAX_CELLS = 2 ** 22
+
 
 @dataclass
 class InteractionParams:
@@ -89,14 +94,60 @@ def batch_interaction(batch, params, kind):
     interacts through v-tilde (no self term of a window), as the quantum
     oracle's hard-core bosons do.  Elsewhere an infinite entry of v that
     meets sites occupied in a common slice of positive weight gives +inf.
+
+    The grid ensemble is evaluated in consecutive groups of
+    configurations of at most MAX_CELLS occupation cells each, which
+    gives the same numbers as one evaluation; a configuration of more
+    than MAX_CELLS cells raises ValueError.
     '''
-    torus = params.torus
-    n_sites = torus.n_sites
     C = batch.n_configs
     if C == 0:
         return np.zeros(0), None
     sizes = np.bincount(batch.config, minlength=C)
     n = int(sizes[0]) if np.all(sizes == sizes[0]) else None
+    bounds = _cell_groups(batch, params.nu) if kind == "ginibre" else [0, C]
+    if len(bounds) == 2:
+        return _evaluate(batch, params, kind, n)
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, last = np.searchsorted(batch.config, [lo, hi])
+        group = LoopBatch.join(hi - lo, [(batch.config[first:last] - lo,
+                                          batch, np.arange(first, last))])
+        parts.append(_evaluate(group, params, kind, n))
+    totals = np.concatenate([t for t, _ in parts])
+    return totals, None if n is None else np.concatenate(
+        [p for _, p in parts])
+
+
+def _cell_groups(batch, nu):
+    '''Bounds 0 = b_0 < b_1 < ... = C of consecutive groups of the
+    configurations of a grid LoopBatch with at most MAX_CELLS occupation
+    cells each, counting (windows) x (jumps + 1) cells per configuration
+    (exact unless two of its jump times agree mod nu); ValueError when a
+    configuration alone has more.'''
+    C = batch.n_configs
+    windows = np.bincount(batch.config, np.round(batch.duration / nu), C)
+    slices = np.bincount(batch.config, np.diff(batch.offsets), C) + 1
+    cells = windows * slices
+    if cells.max() > MAX_CELLS:
+        raise ValueError(
+            f"a grid configuration needs {cells.max():.3g} occupation cells "
+            f"(windows x slices), more than the kernel's budget of "
+            f"{MAX_CELLS}; raise kappa or nu")
+    ends = np.cumsum(cells)
+    bounds = [0]
+    while bounds[-1] < C:
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0.0
+        bounds.append(int(np.searchsorted(ends, done + MAX_CELLS,
+                                          side="right")))
+    return bounds
+
+
+def _evaluate(batch, params, kind, n):
+    '''batch_interaction of a LoopBatch, in one evaluation; n is the
+    number of loops of every configuration (None: not all the same).'''
+    torus = params.torus
+    n_sites = torus.n_sites
     occupations = _grid_occupations if kind == "ginibre" else _local_times
     w, bounds, cell_slice, cell_loop, cell_site, amount = occupations(
         batch, params)
@@ -108,6 +159,7 @@ def batch_interaction(batch, params, kind):
         n_field = n_field.reshape(S, 1, n_sites)
     else:
         # slot of each loop in its configuration
+        sizes = np.bincount(batch.config, minlength=batch.n_configs)
         slot = np.arange(len(batch.config)) - (np.cumsum(sizes) - sizes)[
             batch.config]
         N = np.bincount((cell_slice * n + slot[cell_loop]) * n_sites

@@ -185,8 +185,3 @@ def gamma_lm_matrix(params, p=1):
         raise ValueError("dense export implemented for p = 1")
     grid, weights, _ = _occupation_fields(params)
     return np.diag(weights @ grid / np.sum(weights))
-
-
-def gibbs_potential_lm(params):
-    '''g^lm = log(relative Z^lm) / |Lambda|.'''
-    return math.log(z_lm(params)["relative"]) / params.torus.n_sites

@@ -16,7 +16,8 @@ compute phase evaluates all configurations of the batch with one call
 of interactions.batch_interaction.  Within a batch of B samples the
 draws come in this order:
   - the B Poisson loop counts, then all their loops in one
-    LoopIntensity.draw_batch call (durations, base sites, bridge rounds);
+    LoopIntensity.draw_batch call (durations, base sites, then exact
+    bridges in one pass, paths.bridges);
   - for a kernel, then, per permutation and per open path in order, the
     B open-path durations (open_duration) and one paths.walks call for
     the B walks, which keeps the walks that end where they should; a
@@ -162,15 +163,13 @@ class _Tally:
     draws no random numbers.'''
 
     def __init__(self):
-        self.loops = self.walks = self.configs = self.killed = 0
+        self.loops = self.configs = self.killed = 0
 
     def draw_loops(self, intensity, rng, n):
         '''n loops of the intensity, loop i in configuration i of a
         LoopBatch.'''
-        loops, walks = intensity.draw_batch(rng, n)
         self.loops += n
-        self.walks += walks
-        return loops
+        return intensity.draw_batch(rng, n)
 
     def boltzmann(self, spec, batch):
         '''e^{-V} of each configuration of a LoopBatch, from one kernel
@@ -180,12 +179,8 @@ class _Tally:
         self.killed += int(np.count_nonzero(np.isinf(V)))
         return np.exp(-V)
 
-    def walks_per_loop(self):
-        return self.walks / self.loops if self.loops else 0.0
-
     def metadata(self, n_samples):
         return {"loops_per_sample": self.loops / n_samples,
-                "walks_per_loop": self.walks_per_loop(),
                 "killed_frac": (self.killed / self.configs
                                 if self.configs else 0.0)}
 

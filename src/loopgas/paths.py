@@ -13,11 +13,26 @@ three draws: the Poisson(d T) jump counts of all walks, then their
 uniform signed steps, then, only for the walks it keeps, the uniform
 jump times, sorted within each walk.  A walk's end site follows from the
 net displacement of its steps mod L per coordinate, and its sites from
-the cumulative sum of its steps.  LoopIntensity.draw_batch draws loop
-durations and base sites for a batch and re-walks the loops still open,
-round after round, until every loop has closed.
+the cumulative sum of its steps.
+
+bridges draws closed walks (bridges x -> x over [0, T]) exactly, in one
+pass.  The walk is a product of d independent 1D walks, each jumping +1
+and -1 at rate 1/2, so a bridge is d independent 1D bridges: the up and
+down counts (a, b) of a coordinate are independent Poisson(T/2)
+conditioned on a = b (mod L).  Its residue r = a mod L has probability
+q_r^2 / sum_s q_s^2, with q_r = P(a = r mod L), and given r, a and b are
+independent Poisson(T/2) restricted to r; so sum_r q_r^2 is the 1D
+return probability and (sum_r q_r^2)^d = psi^{L,T}(0).  Given the
+counts, the jump times are iid uniform on [0, T] and the order of the
+signed steps among them is uniform.  The counts come from inverse CDFs
+over a table of the Poisson(T/2) masses of the distinct T/2 of a batch.
+The table ends at the first n >= max T/2 where the tail bound
+P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below POISSON_TAIL = 1e-16.
+LoopIntensity.draw_batch draws loop durations and base sites for a
+batch, then their bridges.
 '''
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +77,8 @@ class Path:
 
 _NO_TIMES = np.empty(0)
 _NO_SITES = np.empty(0, dtype=np.int64)
+# truncation of the bridge sampler's Poisson tables (_residue_table)
+POISSON_TAIL = 1e-16
 
 
 def _segments(offsets, index):
@@ -106,15 +123,86 @@ def walks(torus, x, T, rng, target=None):
         kept, steps = np.flatnonzero(keep), dirs[keep[step_walk]]
     k_counts = counts[kept]
     jump_walk = np.repeat(np.arange(len(kept)), k_counts)
-    # sites by a cumulative sum of the steps, restarted at each walk
-    moves = np.cumsum(torus.steps[steps], axis=0)
-    first = np.cumsum(k_counts) - k_counts
-    before = np.concatenate((np.zeros((1, d), dtype=np.int64), moves))[first]
-    sites = torus.index_of(torus.coords[x[kept]][jump_walk] + moves
-                           - before[jump_walk])
+    sites = _sites(torus, x[kept], k_counts, steps)
     times = rng.random(len(steps)) * T[kept][jump_walk]
     times = times[np.lexsort((times, jump_walk))]
     return end, LoopBatch(n, kept, x[kept], T[kept], k_counts, times, sites)
+
+
+def bridges(torus, x, T, rng):
+    '''Closed walks from the sites x back to x over the durations T
+    (arrays of one length n), exactly and in one pass: a LoopBatch with
+    walk k in configuration k.
+
+    Draws, in order: n x d x 3 uniforms (per walk and coordinate, the
+    residue of the up count mod L, then the up and the down count, by
+    inverse CDF), then the uniform jump times of all walks; the signed
+    steps of a walk take the order of their times.  On L = 1 it draws
+    nothing and records no jump.'''
+    x = np.asarray(x, dtype=np.int64)
+    T = np.asarray(T, dtype=float)
+    n, d, L = len(x), torus.d, torus.L
+    if L == 1 or n == 0:
+        return LoopBatch(n, np.arange(n), x, T, np.zeros(n, dtype=np.int64),
+                         _NO_TIMES, _NO_SITES)
+    u = rng.random((n, d, 3))
+    lam, row = np.unique(T / 2, return_inverse=True)
+    table = _residue_table(lam, L)
+    q2 = np.cumsum(table.sum(axis=1) ** 2, axis=1)[row]
+    residue = np.count_nonzero(
+        q2[:, None, :] < (u[..., 0] * q2[:, -1:])[..., None], axis=2)
+    # cumulative Poisson mass of the residue class, per walk and coordinate
+    col = np.cumsum(table[row[:, None], :, residue], axis=2)
+    level = u[..., 1:] * col[..., -1:]
+    # per_dir[k, j] = the (up, down) counts of coordinate j of walk k,
+    # that is, of the directions 2j and 2j + 1
+    per_dir = residue[..., None] + L * np.count_nonzero(
+        col[:, :, None, :] < level[..., None], axis=3)
+    per_dir = per_dir.reshape(n, 2 * d)
+    steps = np.repeat(np.tile(np.arange(2 * d), n), per_dir.ravel())
+    counts = per_dir.sum(axis=1)
+    jump_walk = np.repeat(np.arange(n), counts)
+    times = rng.random(len(steps)) * T[jump_walk]
+    order = np.lexsort((times, jump_walk))
+    return LoopBatch(n, np.arange(n), x, T, counts, times[order],
+                     _sites(torus, x, counts, steps[order]))
+
+
+def _sites(torus, x, counts, steps):
+    '''The sites after each step of walks from the sites x, counts[k]
+    steps (directions, torus.steps order) for walk k, flat in walk
+    order: a cumulative sum of the steps, restarted at each walk.'''
+    jump_walk = np.repeat(np.arange(len(x)), counts)
+    moves = np.cumsum(torus.steps[steps], axis=0)
+    first = np.cumsum(counts) - counts
+    before = np.concatenate((np.zeros((1, torus.d), dtype=np.int64),
+                             moves))[first]
+    return torus.index_of(torus.coords[x][jump_walk] + moves
+                          - before[jump_walk])
+
+
+def _residue_table(lam, L):
+    '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
+    [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
+    over m is the residue mass q_r.  The table ends where the tail bound
+    of the largest lam drops below POISSON_TAIL; the rest is 0.'''
+    top = float(lam.max())
+    # P(X >= top + t) <= exp(-t^2 / (2 (top + t / 3))) (Bernstein) is
+    # below 1e-20 at the end of this range, so the cut lies inside it
+    n = np.arange(int(top + 12.0 * np.sqrt(top)) + 40)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    k = n[math.ceil(top):-1]
+    log_bound = (k + 1) * math.log(top) - top - log_fact[k + 1] - np.log1p(
+        -top / (k + 2.0))
+    cut = k[np.flatnonzero(log_bound < math.log(POISSON_TAIL))[0]]
+    M = cut // L + 1
+    p = np.zeros((len(lam), M * L))
+    log_p = p[:, :cut + 1]
+    np.multiply.outer(np.log(lam), n[:cut + 1], out=log_p)
+    log_p -= log_fact[:cut + 1]
+    log_p -= lam[:, None]
+    np.exp(log_p, out=log_p)
+    return p.reshape(len(lam), M, L)
 
 
 class LoopBatch:
@@ -208,8 +296,8 @@ class LoopIntensity:
 
     Closed loops: total mass m = sum/int of e^{-kappa T} psi^{L,T}(0)
     |Lambda| / T; the normalized measure factorizes as (duration law) x
-    (uniform base site) x (bridge), and draw_batch takes bridges by
-    rejection, with acceptance probability psi^{L,T}(0).
+    (uniform base site) x (bridge), and draw_batch draws the bridges
+    exactly (paths.bridges).
 
     Open paths carry the duration weight e^{-kappa T}, on nu N* for the
     grid and on (0, inf) in the continuum: open_duration draws from it
@@ -219,7 +307,6 @@ class LoopIntensity:
     '''
 
     TAIL = 1e-12
-    MAX_WALKS = 10000       # bridge attempts per loop before RuntimeError
     MAX_TERMS = 100000      # grid durations before the law is refused
 
     def __init__(self, torus, kind, kappa, nu=None, eps=None):
@@ -308,31 +395,11 @@ class LoopIntensity:
 
     def draw_batch(self, rng, n):
         '''n loops of the normalized intensity, loop i in configuration i
-        of a LoopBatch, and the number of walks drawn.
-
-        Draws n durations (sample_duration), then n uniform base sites,
-        then rounds of walks: each round walks every loop still open from
-        its base site (paths.walks) and keeps the walks that close.  A
-        loop still open after MAX_WALKS rounds raises RuntimeError.'''
+        of a LoopBatch: n durations (sample_duration), then n uniform base
+        sites, then their bridges (bridges), in one pass.'''
         T = self.sample_duration(rng, n)
         x = rng.integers(self.torus.n_sites, size=n)
-        todo = np.arange(n)
-        parts, n_walks, rounds = [], 0, 0
-        while len(todo):
-            if rounds == self.MAX_WALKS:
-                t = float(T[todo[0]])
-                raise RuntimeError(
-                    f"bridge rejection budget exceeded (T={t}, acceptance "
-                    f"~ {self.hk.at_origin(t):.3e})")
-            end, closed = walks(self.torus, x[todo], T[todo], rng,
-                                target=x[todo])
-            parts.append((todo[closed.config], closed, None))
-            n_walks += len(todo)
-            rounds += 1
-            todo = todo[end != x[todo]]
-        if not parts:
-            return LoopBatch.from_paths([]), 0
-        return LoopBatch.join(n, parts), n_walks
+        return bridges(self.torus, x, T, rng)
 
     def open_duration(self, rng, size):
         '''size durations of the normalized open-path law e^{-kappa T} /

@@ -57,12 +57,6 @@ def gamma1_first_order(torus, nu, kappa, vL, lam):
     return torus.multiplier(symbol)
 
 
-def loop_density(torus, nu, kappa):
-    '''rho' = sum_{T in nu N*} e^{-kappa T} psi^{L,T}(0): the expected
-    particle density of the free Poisson loop gas.'''
-    return float(_free_gas(torus, nu, kappa)[1][0])
-
-
 def log_z_first_order(torus, nu, kappa, vL, lam):
     '''Relative log partition function to first order in lam.'''
     vL = _finite_potential(vL)

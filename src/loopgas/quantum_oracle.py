@@ -346,17 +346,6 @@ def gibbs_potential(params, kappa=None, tol=1e-10, **kw):
     return float(np.log(res.Z_rel) / params.torus.n_sites)
 
 
-def kernel_norm(K, torus, p, L0):
-    '''sup_x sum_y |K(x, y)| after projecting all p indices of x and y to
-    the centered sub-box of side L0.'''
-    box = torus.centered_box(L0)
-    keep = box
-    for _ in range(p - 1):          # row-major index of the p-tuple
-        keep = np.add.outer(keep * torus.n_sites, box).ravel()
-    sub = np.abs(np.asarray(K)[np.ix_(keep, keep)])
-    return float(np.max(np.sum(sub, axis=1)))
-
-
 def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''

@@ -1,13 +1,19 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The samplers make exactly the random draws of the library's paths.walks,
-LoopIntensity.draw_batch and LoopIntensity.open_duration, the same calls
-in the same order, but build each path on its own, stepping through the
-neighbour table one jump at a time, and return lists of Paths.  The
+The samplers walks, bridges and draw_batch make exactly the random draws
+of the library's paths.walks, paths.bridges, LoopIntensity.draw_batch
+and LoopIntensity.open_duration, the same calls in the same order, but
+build each path on its own, stepping through the neighbour table one
+jump at a time, and return lists of Paths.  rejection_loops is the
+bridge sampler the library used before exact bridges: it re-walks every
+open loop until it closes, and serves as a statistical oracle.  The
 occupation kernel builds one configuration's slices and occupations and
 its quadratic form at a time.  The tests check the batched code against
 these, number for number.
 '''
+
+import itertools
+import math
 
 import numpy as np
 
@@ -55,13 +61,74 @@ def sample_free_walk(torus, x, T, rng):
     return walks(torus, [x], [T], rng)[1][0]
 
 
+def _poisson_masses(lam):
+    '''p(n; lam) for n = 0, 1, ..., up to the first n >= lam with
+    p(n) < 1e-20.'''
+    masses = []
+    for n in itertools.count():
+        masses.append(math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)))
+        if n >= lam and masses[-1] < 1e-20:
+            return masses
+
+
+def _first_at_least(weights, u):
+    '''The first index at which the running sum of weights reaches u
+    times their total.'''
+    cum = np.cumsum(weights)
+    return int(np.flatnonzero(cum >= u * cum[-1])[0])
+
+
+def bridges(torus, x, T, rng):
+    '''Closed walks from the sites x back to x over the durations T, as
+    Paths.  Draws n x d x 3 uniforms (per walk and coordinate: the
+    residue r of the up count mod L, with weight q_r^2, then the up and
+    the down count, Poisson(T/2) restricted to r), then the jump times of
+    all walks; each walk's steps take the order of its times.'''
+    if torus.L == 1:
+        return [Path(int(xk), float(Tk)) for xk, Tk in zip(x, T)]
+    L = torus.L
+    u = rng.random((len(x), torus.d, 3))
+    steps = []
+    for k, Tk in enumerate(T):
+        p = _poisson_masses(Tk / 2)
+        q = [sum(p[r::L]) for r in range(L)]
+        steps.append([])
+        for j in range(torus.d):
+            r = _first_at_least([v * v for v in q], u[k, j, 0])
+            up = r + L * _first_at_least(p[r::L], u[k, j, 1])
+            down = r + L * _first_at_least(p[r::L], u[k, j, 2])
+            steps[-1] += [2 * j] * up + [2 * j + 1] * down
+    times = rng.random(sum(len(s) for s in steps))
+    paths, lo = [], 0
+    for xk, Tk, s in zip(x, T, steps):
+        t = times[lo:lo + len(s)] * Tk
+        lo += len(s)
+        order = np.argsort(t, kind="stable")
+        site, sites = int(xk), []
+        for i in order:
+            site = int(torus.neighbor_table[site, s[i]])
+            sites.append(site)
+        paths.append(Path(int(xk), float(Tk), t[order],
+                          np.array(sites, dtype=np.int64)))
+    return paths
+
+
 def draw_batch(intensity, rng, n):
-    '''n loops of the intensity: n durations, n uniform base sites, then
-    rounds of walks of the loops still open.  Returns (Paths, walks).'''
+    '''n loops of the intensity, as Paths: n durations, n uniform base
+    sites, then their bridges.'''
+    T = intensity.sample_duration(rng, n)
+    x = rng.integers(intensity.torus.n_sites, size=n)
+    return bridges(intensity.torus, x, T, rng)
+
+
+def rejection_loops(intensity, rng, n):
+    '''n loops of the intensity by rejection: n durations, n uniform base
+    sites, then rounds of free walks of the loops still open, each kept
+    once it closes.  Returns (Paths, number of walks drawn).'''
     T = intensity.sample_duration(rng, n)
     x = rng.integers(intensity.torus.n_sites, size=n)
     loops, todo, n_walks = [None] * n, list(range(n)), 0
-    for _ in range(intensity.MAX_WALKS):
+    for _ in range(10000):
         if not todo:
             break
         n_walks += len(todo)

@@ -274,6 +274,19 @@ def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1 and "budget exceeded" in err
 
 
+def test_grid_configuration_over_the_cell_budget_exits_2(tmp_path, capsys,
+                                                         monkeypatch):
+    # a configuration with more occupation cells than the kernel's budget
+    from loopgas import interactions
+    monkeypatch.setattr(interactions, "MAX_CELLS", 20)
+    cfg = _write_config(tmp_path, _ginibre_doc())
+    assert main(["ginibre-z", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "occupation cells" in err
+    assert "Traceback" not in err
+
+
 def test_one_sample_run_is_refused(tmp_path, capsys):
     # one sample has no standard error: the schema asks for n_samples >= 2
     cfg = _write_config(tmp_path, _ginibre_doc(n_samples=1))

@@ -7,11 +7,77 @@ import numpy as np
 import pytest
 
 from loopgas.cluster import (
-    Graph, connected_graphs, descendants_identity_check,
-    grid_exponential_moment, kruskal, kruskal_preimage_bracket,
-    lexicographic_order, log_Z_via_expansion, riemann_sum_bound_check,
-    tree_bound_check, tree_count, tree_sum, trees, trees_with_degrees,
-    ursell, _partitions)
+    MAX_ENUM_N, Graph, connected_graphs, kruskal, kruskal_preimage_bracket,
+    lexicographic_order, log_Z_via_expansion, tree_bound_check, tree_count,
+    tree_sum, trees, ursell, _check_enum_budget, _partitions, _prufer_decode)
+
+
+# -- checks of the paper's combinatorial identities and bounds ----------------
+
+def trees_with_degrees(deltas):
+    '''All trees with the prescribed degree sequence: vertex i appears
+    delta_i - 1 times in the Prufer code, so the trees are the decoded
+    distinct permutations of that multiset.'''
+    deltas = tuple(int(d) for d in deltas)
+    n = len(deltas)
+    _check_enum_budget(n, MAX_ENUM_N, "tree")
+    if tree_count(deltas) == 0:
+        return
+    if n == 1:
+        yield Graph(1, frozenset())
+        return
+    code = [v for v, d in enumerate(deltas) for _ in range(d - 1)]
+    for seq in sorted(set(itertools.permutations(code))):
+        yield Graph(n, _prufer_decode(n, seq))
+
+
+def descendants_identity_check(n):
+    '''For every tree on [n] and every root r, check
+    sum_{w != r} (1 - |Q(w)|) = |Q(r)| with Q(w) the direct descendants.'''
+    _check_enum_budget(n, MAX_ENUM_N, "descendants")
+    for t in trees(n):
+        adj = {v: set() for v in range(n)}
+        for i, j in t.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        for r in range(n):
+            # orient away from the root: |Q(w)| = deg(w) - 1 for w != r
+            q = {w: len(adj[w]) - (0 if w == r else 1) for w in range(n)}
+            if sum(1 - q[w] for w in range(n) if w != r) != q[r]:
+                return False
+    return True
+
+
+def grid_exponential_moment(kappa, nu, q, tol=1e-15):
+    '''nu sum_{T in nu N*} e^{-kappa T} T^q, truncated below tol relative.'''
+    total, k = 0.0, 1
+    while True:
+        term = nu * math.exp(-kappa * nu * k) * (nu * k) ** q
+        total += term
+        # past the mode the terms decay at least geometrically
+        if k * kappa * nu > q and term < tol * max(total, 1e-300):
+            return total
+        k += 1
+
+
+def riemann_sum_bound_check(kappa_grid, nu_factors, q_grid):
+    '''Check nu sum_T e^{-kappa T} T^q <= C q!/kappa^{q+1} with one
+    constant C over the grid; nu runs over nu_factors / kappa (<= 1/kappa).
+    Reports the smallest working C (the max ratio).'''
+    rows, c_max = [], 0.0
+    for kappa in kappa_grid:
+        for fac in nu_factors:
+            if fac > 1.0 + 1e-12:
+                raise ValueError("need nu <= 1/kappa")
+            nu = fac / kappa
+            for q in q_grid:
+                lhs = grid_exponential_moment(kappa, nu, q)
+                rhs = math.factorial(q) / kappa ** (q + 1)
+                ratio = lhs / rhs
+                c_max = max(c_max, ratio)
+                rows.append({"kappa": kappa, "nu": nu, "q": q,
+                             "lhs": lhs, "rhs": rhs, "ratio": ratio})
+    return {"C": c_max, "rows": rows}
 
 
 # -- enumeration --------------------------------------------------------------
@@ -240,9 +306,9 @@ def test_ursell_and_tree_sum_over_a_stack(n):
 
 
 def test_estimate_x_matches_per_sample_reference():
-    '''One fixed path (p = 1): the batched orders, remainder and bridge
-    count equal a per-sample run of the reference sampler and kernel on
-    the same streams, drawn batch by batch.'''
+    '''One fixed path (p = 1): the batched orders and remainder equal a
+    per-sample run of the reference sampler and kernel on the same
+    streams, drawn batch by batch.'''
     import loop_reference
     from loopgas.cluster import estimate_X
     from loopgas.loop_mc import _BATCH, run_mc
@@ -251,7 +317,6 @@ def test_estimate_x_matches_per_sample_reference():
                                              np.random.default_rng(3))]
     report = estimate_X(spec, fixed, n_max=3, n_samples=150, seed=9,
                         workers=2)
-    count = {"loops": 0, "walks": 0}
 
     def sample(n, phi_of):
         factor = n * spec.intensity.total_mass ** (n - 1)
@@ -266,10 +331,8 @@ def test_estimate_x_matches_per_sample_reference():
 
         def batch(rng, m):
             # the library's draws: all m (n - 1) loops of the batch at once
-            loops, walks = loop_reference.draw_batch(spec.intensity, rng,
-                                                     m * (n - 1))
-            count["loops"] += len(loops)
-            count["walks"] += walks
+            loops = loop_reference.draw_batch(spec.intensity, rng,
+                                              m * (n - 1))
             return [one(loops[s * (n - 1):(s + 1) * (n - 1)])
                     for s in range(m)]
         return lambda rng, m: [row for lo in range(0, m, _BATCH)
@@ -281,4 +344,3 @@ def test_estimate_x_matches_per_sample_reference():
         assert report["std_errors"][k] == pytest.approx(se[0], rel=1e-12)
     rem, _, _ = run_mc(sample(4, tree_sum), 150, 9 + 4, 2)
     assert report["remainder"] == pytest.approx(rem[0], rel=1e-12)
-    assert report["walks_per_loop"] == count["walks"] / count["loops"]

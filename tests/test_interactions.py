@@ -5,11 +5,12 @@ large-mass rules, and the infinite-mass particle interaction.'''
 import numpy as np
 import pytest
 
+from loopgas import interactions
 from loopgas.interactions import (
     InteractionParams, batch_interaction, pair_matrix, v_lm, v_tilde_table,
     v_total)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
-from loopgas.paths import LoopBatch, Path
+from loopgas.paths import LoopBatch, LoopIntensity, Path
 
 import loop_reference
 from loop_reference import check_grid as _check_grid, sample_free_walk
@@ -524,3 +525,57 @@ def test_batch_kernel_of_no_configuration():
     totals, pairs = batch_interaction(LoopBatch.from_paths([]), params,
                                       "ginibre")
     assert totals.shape == (0,) and pairs is None
+
+
+# -- the grid kernel's cell budget -----------------------------------------------
+
+def _grid_batch(d, L, sizes, seed):
+    '''Configurations of sizes[c] loops drawn from a Ginibre intensity
+    (kappa = 0.3, nu = 0.25, so that loops span many windows).'''
+    intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=0.3, nu=0.25)
+    loops = intensity.draw_batch(np.random.default_rng(seed),
+                                 int(sizes.sum()))
+    return LoopBatch.join(len(sizes), [
+        (np.repeat(np.arange(len(sizes)), sizes), loops, None)])
+
+
+def _config_cells(batch, nu):
+    windows = np.bincount(batch.config, np.round(batch.duration / nu),
+                          batch.n_configs)
+    jumps = np.bincount(batch.config, np.diff(batch.offsets), batch.n_configs)
+    return windows * (jumps + 1)
+
+
+@pytest.mark.parametrize("R", [0, 1])
+@pytest.mark.parametrize("same_size", [False, True])
+def test_grid_kernel_in_groups_gives_the_same_numbers(monkeypatch, R,
+                                                      same_size):
+    '''With the cell budget down to the largest configuration, the batch
+    is evaluated in several groups, and totals and pair matrices are
+    bit-identical to one evaluation.'''
+    rng = np.random.default_rng(3 + R)
+    torus = Torus(2, 3)
+    params = _params(torus, _random_potential(2, 3, R, rng), nu=0.25,
+                     lam=0.7, R=R)
+    sizes = np.full(60, 3) if same_size else rng.poisson(3.0, 60)
+    batch = _grid_batch(2, 3, sizes, seed=11 + R)
+    totals, pairs = batch_interaction(batch, params, "ginibre")
+    cells = _config_cells(batch, 0.25)
+    monkeypatch.setattr(interactions, "MAX_CELLS", int(cells.max()))
+    assert len(interactions._cell_groups(batch, 0.25)) > 4
+    grouped, grouped_pairs = batch_interaction(batch, params, "ginibre")
+    assert np.array_equal(grouped, totals)
+    assert (pairs is None) == (not same_size) == (grouped_pairs is None)
+    if same_size:
+        assert np.array_equal(grouped_pairs, pairs)
+    if R:
+        assert np.isinf(totals).any() and not np.isinf(totals).all()
+
+
+def test_grid_configuration_over_the_cell_budget_is_refused(monkeypatch):
+    batch = _grid_batch(1, 3, np.full(8, 2), seed=5)
+    params = _params(Torus(1, 3), np.array([0.5, 0.1, 0.1]), nu=0.25)
+    cells = _config_cells(batch, 0.25)
+    monkeypatch.setattr(interactions, "MAX_CELLS", int(cells.max()) - 1)
+    with pytest.raises(ValueError, match="occupation cells"):
+        batch_interaction(batch, params, "ginibre")

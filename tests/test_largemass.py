@@ -9,8 +9,13 @@ import pytest
 
 from loopgas.largemass import (
     LmParams, _energy_table, _site_cap, gamma_lm, gamma_lm_matrix,
-    gibbs_potential_lm, occupation_sum, z_lm, z_lm_particle_sum)
+    occupation_sum, z_lm, z_lm_particle_sum)
 from loopgas.lattice import PotentialSpec, Torus
+
+
+def gibbs_potential_lm(params):
+    '''g^lm = log(relative Z^lm) / |Lambda|.'''
+    return math.log(z_lm(params)["relative"]) / params.torus.n_sites
 
 
 def _hard(L=3, kappa0=1.0):

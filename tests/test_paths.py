@@ -8,7 +8,9 @@ import pytest
 from scipy import integrate
 
 from loopgas.lattice import HeatKernel, Torus
-from loopgas.paths import LoopBatch, LoopIntensity, Path, walks
+from loopgas import paths
+from loopgas.paths import (LoopBatch, LoopIntensity, Path, _residue_table,
+                          bridges, walks)
 
 import loop_reference
 
@@ -122,6 +124,14 @@ def _chi2_ok(counts, probs, df_slack=4.0):
     return chi2 <= df + df_slack * math.sqrt(2 * df), chi2, df
 
 
+def _loop_ends(batch):
+    '''The end site of every loop of a LoopBatch.'''
+    counts = np.diff(batch.offsets)
+    last = np.concatenate((batch.sites, [0]))[np.maximum(batch.offsets[1:] - 1,
+                                                         0)]
+    return np.where(counts > 0, last, batch.start)
+
+
 def test_sample_loop_is_closed_and_uniform_base():
     '''draw_batch: every loop closes, base sites are uniform (3 sigma),
     and durations follow e^{-kappa T} psi^T(0)/T (chi-square), for the
@@ -132,13 +142,9 @@ def test_sample_loop_is_closed_and_uniform_base():
                       LoopIntensity(torus, "symanzik_eps", kappa=1.0,
                                     eps=0.1)):
         rng = np.random.default_rng(13)
-        batch, _ = intensity.draw_batch(rng, n)
+        batch = intensity.draw_batch(rng, n)
         assert batch.config.tolist() == list(range(n))
-        ends = np.where(np.diff(batch.offsets) > 0,
-                        np.concatenate((batch.sites, [0]))[
-                            np.maximum(batch.offsets[1:] - 1, 0)],
-                        batch.start)
-        assert np.array_equal(ends, batch.start)
+        assert np.array_equal(_loop_ends(batch), batch.start)
         assert np.all(np.diff(batch.times)[
             np.diff(np.repeat(np.arange(n), np.diff(batch.offsets))) == 0] > 0)
         starts = np.bincount(batch.start, minlength=torus.n_sites)
@@ -166,27 +172,136 @@ def test_sample_loop_is_closed_and_uniform_base():
         assert ok, (intensity.kind, chi2, df)
 
 
-@pytest.mark.parametrize("d,L", [(1, 3), (2, 3), (1, 4)])
-def test_walks_per_loop_match_the_bridge_acceptance(d, L):
-    '''Walks per loop estimate E[1/psi^{L,T}(0)] under the duration law
-    (the mean of a geometric count), within 3 sigma of its value.'''
+# -- exact bridges ----------------------------------------------------------------
+
+def _jump_law(torus, T):
+    '''P(n jumps | closed) = Pois(n; d T) (P^n)_00 / psi^{L,T}(0), n =
+    0..n_max, with (P^n)_00 = mean over xi of (1 - lambda_xi / d)^n.'''
+    hk = HeatKernel(torus)
+    n = np.arange(int(torus.d * T + 12 * math.sqrt(torus.d * T)) + 30)
+    pois = np.exp(n * math.log(torus.d * T) - torus.d * T
+                  - np.array([math.lgamma(k + 1.0) for k in n]))
+    ret = np.mean((1 - hk.rates / torus.d)[None, :] ** n[:, None], axis=1)
+    return pois * ret / float(hk.at_origin(T))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_residue_masses_give_the_return_probability(d, L):
+    '''(sum_r P(a = r mod L)^2)^d, a ~ Poisson(T/2), is psi^{L,T}(0).'''
+    T = np.array([1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 150.0])
+    q = _residue_table(T / 2, L).sum(axis=1)
+    assert np.allclose((q ** 2).sum(axis=1) ** d,
+                       HeatKernel(Torus(d, L)).at_origin(T),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_bridges_are_closed_nearest_neighbour_paths(d, L):
+    '''Every bridge ends at its start, its jump times strictly increase
+    inside (0, T), and each jump is one signed unit step.'''
     torus = Torus(d, L)
-    intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    acc = intensity.hk.at_origin(intensity._durations)
-    mean = float(intensity._probs @ (1 / acc))
-    second = float(intensity._probs @ ((2 - acc) / acc ** 2))
+    n = 300
+    x = np.arange(n) % torus.n_sites
+    T = np.linspace(0.05, 30.0, n)
+    batch = bridges(torus, x, T, np.random.default_rng(d * 10 + L))
+    counts = np.diff(batch.offsets)
+    loop = np.repeat(np.arange(n), counts)
+    assert np.array_equal(_loop_ends(batch), x)
+    assert np.all(batch.times > 0) and np.all(batch.times < T[loop])
+    same = np.diff(loop) == 0
+    assert np.all(np.diff(batch.times)[same] > 0)
+    before = np.concatenate(([0], batch.sites[:-1]))
+    before[batch.offsets[:-1][counts > 0]] = x[counts > 0]
+    neighbours = torus.neighbor_table[before]
+    assert np.all((neighbours == batch.sites[:, None]).any(axis=1))
+    assert (L == 1) == (len(batch.times) == 0)
+
+
+@pytest.mark.parametrize("d,L,T", [(1, 3, 2.0), (1, 4, 5.0), (2, 2, 1.5),
+                                   (2, 3, 3.0), (3, 4, 2.0)])
+def test_bridge_jump_counts_follow_the_conditioned_poisson_law(d, L, T):
+    '''Chi-square of the jump counts of bridges over [0, T] against
+    Pois(n; d T) (P^n)_00 / psi^{L,T}(0).'''
+    torus = Torus(d, L)
     n = 20000
-    _, n_walks = intensity.draw_batch(np.random.default_rng(31), n)
-    se = math.sqrt((second - mean ** 2) / n)
-    assert abs(n_walks / n - mean) <= 3 * se, (n_walks / n, mean, se)
+    batch = bridges(torus, np.zeros(n, dtype=np.int64), np.full(n, T),
+                    np.random.default_rng(19))
+    probs = _jump_law(torus, T)
+    counts = np.bincount(np.diff(batch.offsets), minlength=len(probs))
+    assert len(counts) == len(probs)
+    ok, chi2, df = _chi2_ok(counts, probs)
+    assert ok, (chi2, df)
 
 
-def test_bridge_budget_raises():
-    torus = Torus(1, 3)
-    intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    intensity.MAX_WALKS = 1
-    with pytest.raises(RuntimeError, match="bridge rejection budget"):
-        intensity.draw_batch(np.random.default_rng(0), 200)
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_bridges_agree_with_the_rejection_sampler(kind, d, L):
+    '''draw_batch against the rejection oracle at 3 sigma: the mean jump
+    count, the mean share of its duration a loop spends at its base site
+    and the mean number of distinct sites it visits.'''
+    torus = Torus(d, L)
+    intensity = LoopIntensity(torus, kind, kappa=0.3, nu=0.5, eps=0.1)
+    n = 3000
+
+    def stats(batch):
+        loop, site, length = batch.pieces()
+        home = np.bincount(loop, weights=length * (site == batch.start[loop]),
+                           minlength=n) / batch.duration
+        visits = np.unique(loop * torus.n_sites + site) // torus.n_sites
+        return (np.diff(batch.offsets), home,
+                np.bincount(visits, minlength=n))
+
+    new = stats(intensity.draw_batch(np.random.default_rng(23), n))
+    old = stats(LoopBatch.from_paths([loop_reference.rejection_loops(
+        intensity, np.random.default_rng(29), n)[0]]))
+    for a, b in zip(new, old):
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+        assert abs(a.mean() - b.mean()) <= 3 * se, (a.mean(), b.mean(), se)
+
+
+class _CountingRng:
+    '''A generator that counts the calls made to it.'''
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls += 1
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+def test_low_acceptance_bridges_draw_in_one_pass(monkeypatch):
+    '''d = 3, L = 7, T = 40 (return probability about 1/343): bridges
+    draws a batch with two generator calls, as for a single bridge, and
+    its mean jump count is the conditioned law's; draw_batch makes four
+    calls and walks no free walk.'''
+    def no_walks(*args, **kwargs):
+        raise AssertionError("a free walk was drawn")
+    monkeypatch.setattr(paths, "walks", no_walks)
+    torus = Torus(3, 7)
+    T = 40.0
+    assert HeatKernel(torus).at_origin(T) < 4e-3
+    n = 4000
+    for m in (1, n):
+        rng = _CountingRng(37)
+        batch = bridges(torus, np.arange(m) % torus.n_sites, np.full(m, T),
+                        rng)
+        assert rng.calls == 2
+    assert np.array_equal(_loop_ends(batch), batch.start)
+    jumps = np.diff(batch.offsets)
+    probs = _jump_law(torus, T)
+    mean = float(probs @ np.arange(len(probs)))
+    sd = math.sqrt(float(probs @ np.arange(len(probs)) ** 2) - mean ** 2)
+    assert abs(jumps.mean() - mean) <= 3 * sd / math.sqrt(n)
+    intensity = LoopIntensity(torus, "ginibre", kappa=0.1, nu=0.5)
+    rng = _CountingRng(41)
+    intensity.draw_batch(rng, n)
+    assert rng.calls == 4
 
 
 def test_grid_law_refuses_truncation():
@@ -236,10 +351,10 @@ def _same_path(p, q):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_walk_and_loop_keep_the_reference_stream(d, L):
-    '''Over many seeds, walks (with and without targets), draw_batch and
-    open_duration (ginibre and symanzik) give the per-path reference's
-    paths, walk counts and durations, and the generator state is the
-    same after every draw.'''
+    '''Over many seeds, walks (with and without targets), bridges,
+    draw_batch and open_duration (ginibre and symanzik) give the per-path
+    reference's paths and durations, and the generator state is the same
+    after every draw.'''
     torus = Torus(d, L)
     intensities = [LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5),
                    LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)]
@@ -255,13 +370,15 @@ def test_walk_and_loop_keep_the_reference_stream(d, L):
                 k for k, path in enumerate(paths) if path is not None]
             assert _same_paths(batch, [path for path in paths if path])
             assert new.bit_generator.state == ref.bit_generator.state
+        batch = bridges(torus, x, T, new)
+        assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref))
+        assert new.bit_generator.state == ref.bit_generator.state
         for intensity in intensities:
             n = seed % 7
-            batch, n_walks = intensity.draw_batch(new, n)
-            loops, ref_walks = loop_reference.draw_batch(intensity, ref, n)
+            batch = intensity.draw_batch(new, n)
+            loops = loop_reference.draw_batch(intensity, ref, n)
             assert batch.config.tolist() == list(range(n))
             assert _same_paths(batch, loops)
-            assert n_walks == ref_walks
             assert new.bit_generator.state == ref.bit_generator.state
             assert (intensity.open_duration(new, 5).tolist()
                     == loop_reference.open_duration(intensity, ref, 5))

@@ -12,8 +12,8 @@ from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas.perturbative import (
-    gamma1_first_order, gibbs_potential_first_order, log_z_first_order,
-    loop_density)
+    _free_gas, gamma1_first_order, gibbs_potential_first_order,
+    log_z_first_order)
 from loopgas.quantum_oracle import grand_partition, reduced_density_matrix
 from site_reference import free_kernel
 
@@ -25,6 +25,12 @@ def _setup(L=3, nu=0.5, kappa=1.0, v0=0.05, v1=0.0):
         entries[(1,)] = v1
     vL = periodize_potential(PotentialSpec(1, 0, entries), L)
     return torus, vL
+
+
+def loop_density(torus, nu, kappa):
+    '''rho' = sum_{T in nu N*} e^{-kappa T} psi^{L,T}(0): the expected
+    particle density of the free Poisson loop gas.'''
+    return float(_free_gas(torus, nu, kappa)[1][0])
 
 
 def test_free_limit_exact():

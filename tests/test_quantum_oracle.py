@@ -14,9 +14,19 @@ from loopgas.interactions import InteractionParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.quantum_oracle import (
     FockBlocks, _free_tail_bound, feynman_kac_check, gibbs_potential,
-    grand_partition, kernel_norm, oracle_size, reduced_density_matrix,
-    sector_dims)
+    grand_partition, oracle_size, reduced_density_matrix, sector_dims)
 from site_reference import free_kernel
+
+
+def kernel_norm(K, torus, p, L0):
+    '''sup_x sum_y |K(x, y)| after projecting all p indices of x and y to
+    the centered sub-box of side L0.'''
+    box = torus.centered_box(L0)
+    keep = box
+    for _ in range(p - 1):          # row-major index of the p-tuple
+        keep = np.add.outer(keep * torus.n_sites, box).ravel()
+    sub = np.abs(np.asarray(K)[np.ix_(keep, keep)])
+    return float(np.max(np.sum(sub, axis=1)))
 
 
 def _params(v0=0.5, lam=0.2, nu=0.5, L=3, R=0, mode="generic", **kw):
