@@ -37,13 +37,6 @@ class Graph:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bad edge ({i}, {j}) on {self.n} vertices")
 
-    def degree_sequence(self):
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
-
     def is_connected(self):
         return _is_connected(self.n, self.edges)
 
@@ -354,7 +347,7 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
             return np.column_stack((factor * weight * phi_of(zeta), weight,
                                     weight * weight))
 
-        return _batched(configs, evaluate)
+        return _batched(configs, evaluate, n)
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "ess": [], "mass": mass}

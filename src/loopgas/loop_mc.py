@@ -10,11 +10,15 @@ Poisson background)} times the open-path normalizations is averaged; the
 background expectation of e^{-V} (an independent stream) divides the
 result.
 
-Each worker chunk runs in batches of _BATCH samples and two phases: the
-draw phase makes every random draw of the batch as arrays, and the
-compute phase evaluates all configurations of the batch with one call
-of interactions.batch_interaction.  Within a batch of B samples the
-draws come in this order:
+Each worker chunk runs in batches and two phases: the draw phase makes
+every random draw of the batch as arrays, and the compute phase
+evaluates all configurations of the batch with one call of
+interactions.batch_interaction.  A batch holds a budget of loops, not
+of samples: with l the expected loops per sample, known before any draw
+(the Poisson mass, plus the p p! open paths of a kernel; n for order n
+of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS / max(1,
+l))) samples.  Within a batch of B samples the draws come in this
+order:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
@@ -23,8 +27,10 @@ draws come in this order:
     the B walks, which keeps the walks that end where they should; a
     sample carries a permutation's configuration when all its p walks
     hit.
-The batch size bounds the memory a chunk holds, and it is part of the
-stream: the draws of a batch are grouped by kind, not by sample.
+The batch size bounds the memory a chunk holds, since that memory
+follows loops, not samples (the continuum residue table alone is loops
+x M x L), and it is part of the stream: the draws of a batch are
+grouped by kind, not by sample.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
@@ -42,9 +48,9 @@ import numpy as np
 from .interactions import batch_interaction, v_total
 from .paths import LoopBatch, _segments, walks
 
-# Samples per kernel call: it bounds the memory of a chunk (a 20000-sample
-# chunk in one batch peaked at 105 MB instead of 86 MB).
-_BATCH = 256
+# Expected loops per kernel call.  A chunk's memory follows its loops, so
+# this bounds it whatever the loops per sample; see _batch_size.
+_BATCH_LOOPS = 4096
 
 
 @dataclass
@@ -147,14 +153,21 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     return (float(mean), float(se), count) if scalar else (mean, se, count)
 
 
-def _batched(draw, evaluate):
-    '''A run_mc sample function in two phases per batch of _BATCH
-    samples: draw(rng, m) makes all the draws of m samples, then
+def _batch_size(loops_per_sample):
+    '''Samples per batch for an expected loops_per_sample: as many as
+    fit _BATCH_LOOPS loops, at least 1 and at most _BATCH_LOOPS.'''
+    return max(1, math.floor(_BATCH_LOOPS / max(1.0, loops_per_sample)))
+
+
+def _batched(draw, evaluate, loops_per_sample):
+    '''A run_mc sample function in two phases per batch (_batch_size
+    samples): draw(rng, m) makes all the draws of m samples, then
     evaluate(the draws) returns the m samples.'''
     def sample(rng, count):
+        size = _batch_size(loops_per_sample)
         return np.concatenate([
-            evaluate(draw(rng, min(_BATCH, count - lo)))
-            for lo in range(0, count, _BATCH)])
+            evaluate(draw(rng, min(size, count - lo)))
+            for lo in range(0, count, size)])
     return sample
 
 
@@ -203,7 +216,8 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
         return LoopBatch.join(
             m, [(np.repeat(np.arange(m), sizes), loops, None)])
 
-    sample = _batched(configs, lambda batch: tally.boltzmann(spec, batch))
+    sample = _batched(configs, lambda batch: tally.boltzmann(spec, batch),
+                      spec.intensity.total_mass)
     mean, se, count = run_mc(sample, n_samples, seed, workers)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
@@ -257,8 +271,9 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         return norm_p * np.bincount(
             sample_of, weights=tally.boltzmann(spec, batch), minlength=m)
 
-    num_mean, num_se, count = run_mc(_batched(configs, evaluate), n_samples,
-                                     seed, workers)
+    sample = _batched(configs, evaluate,
+                      intensity.total_mass + p * len(perms))
+    num_mean, num_se, count = run_mc(sample, n_samples, seed, workers)
     # independent stream for the denominator (fixed derived seed)
     denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63
     denom = estimate_rel_partition(

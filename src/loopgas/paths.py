@@ -181,6 +181,22 @@ def _sites(torus, x, counts, steps):
                           - before[jump_walk])
 
 
+# log k! for k < len(_LOG_FACT), grown on demand by _log_factorials
+_LOG_FACT = np.empty(0)
+
+
+def _log_factorials(size):
+    '''log k! for k = 0..size-1, each math.lgamma(k + 1), from a
+    module-level array that grows (at least doubling) when size
+    exceeds it.'''
+    global _LOG_FACT
+    have = len(_LOG_FACT)
+    if size > have:
+        _LOG_FACT = np.concatenate((_LOG_FACT, [
+            math.lgamma(k + 1.0) for k in range(have, max(size, 2 * have))]))
+    return _LOG_FACT[:size]
+
+
 def _residue_table(lam, L):
     '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
     [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
@@ -190,7 +206,7 @@ def _residue_table(lam, L):
     # P(X >= top + t) <= exp(-t^2 / (2 (top + t / 3))) (Bernstein) is
     # below 1e-20 at the end of this range, so the cut lies inside it
     n = np.arange(int(top + 12.0 * np.sqrt(top)) + 40)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    log_fact = _log_factorials(len(n))
     k = n[math.ceil(top):-1]
     log_bound = (k + 1) * math.log(top) - top - log_fact[k + 1] - np.log1p(
         -top / (k + 2.0))

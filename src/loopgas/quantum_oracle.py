@@ -340,12 +340,6 @@ def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
     return G / res.Xi
 
 
-def gibbs_potential(params, kappa=None, tol=1e-10, **kw):
-    '''Specific relative Gibbs potential g = log(Z) / |Lambda|.'''
-    res = grand_partition(params, kappa=kappa, tol=tol, **kw)
-    return float(np.log(res.Z_rel) / params.torus.n_sites)
-
-
 def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''

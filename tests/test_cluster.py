@@ -14,6 +14,15 @@ from loopgas.cluster import (
 
 # -- checks of the paper's combinatorial identities and bounds ----------------
 
+def degree_sequence(graph):
+    '''The degree of each vertex of the graph, in vertex order.'''
+    deg = [0] * graph.n
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return tuple(deg)
+
+
 def trees_with_degrees(deltas):
     '''All trees with the prescribed degree sequence: vertex i appears
     delta_i - 1 times in the Prufer code, so the trees are the decoded
@@ -100,7 +109,7 @@ def test_tree_count_formula_vs_enumeration():
     for n in range(2, 8):
         seen = {}
         for t in trees(n):
-            seen[t.degree_sequence()] = seen.get(t.degree_sequence(), 0) + 1
+            seen[degree_sequence(t)] = seen.get(degree_sequence(t), 0) + 1
         for deltas, count in seen.items():
             assert tree_count(deltas) == count
             assert sum(1 for _ in trees_with_degrees(deltas)) == count
@@ -305,13 +314,16 @@ def test_ursell_and_tree_sum_over_a_stack(n):
                                          abs=1e-15)
 
 
-def test_estimate_x_matches_per_sample_reference():
+def test_estimate_x_matches_per_sample_reference(monkeypatch):
     '''One fixed path (p = 1): the batched orders and remainder equal a
     per-sample run of the reference sampler and kernel on the same
-    streams, drawn batch by batch.'''
+    streams, drawn batch by batch by the library's rule, with a loop
+    budget that cuts each 75-sample chunk into at least 3 batches.'''
     import loop_reference
+    from loopgas import loop_mc
     from loopgas.cluster import estimate_X
-    from loopgas.loop_mc import _BATCH, run_mc
+    from loopgas.loop_mc import _batch_size, run_mc
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 32)
     spec = _expansion_spec()
     fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
                                              np.random.default_rng(3))]
@@ -335,8 +347,11 @@ def test_estimate_x_matches_per_sample_reference():
                                               m * (n - 1))
             return [one(loops[s * (n - 1):(s + 1) * (n - 1)])
                     for s in range(m)]
-        return lambda rng, m: [row for lo in range(0, m, _BATCH)
-                               for row in batch(rng, min(_BATCH, m - lo))]
+        # the p = 1 fixed path and the n - 1 drawn loops
+        size = _batch_size(n)
+        assert 75 > 2 * size
+        return lambda rng, m: [row for lo in range(0, m, size)
+                               for row in batch(rng, min(size, m - lo))]
 
     for k, n in enumerate(report["orders"]):
         mean, se, _ = run_mc(sample(n, ursell), 150, 9 + n, 2)

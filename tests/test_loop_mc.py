@@ -12,9 +12,10 @@ import loop_reference
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
+from loopgas import loop_mc
 from loopgas.loop_mc import (
-    _BATCH, EnsembleSpec, _welford_merge, estimate_gamma_p,
-    estimate_rel_partition, run_mc)
+    EnsembleSpec, _batch_size, _batched, _chunks, _welford_merge,
+    estimate_gamma_p, estimate_rel_partition, run_mc)
 from loopgas.paths import LoopIntensity
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
@@ -215,12 +216,52 @@ def test_gamma_p_rejects_denominators_below_two_samples(denom_samples):
                          denom_samples=denom_samples)
 
 
+# -- the batch rule ---------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", [1, 7, 32, 4096])
+def test_batch_rule_fills_the_loop_budget(budget, monkeypatch):
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", budget)
+    for loops in (0.0, 1e-12, 0.5, 1.0, 1.61, 2.61, 8.3, 100.0, 5000.0):
+        size = _batch_size(loops)
+        assert isinstance(size, int) and size >= 1
+        if loops < 1.0:
+            # near-massless samples: the batch stops at _BATCH_LOOPS
+            assert size == budget
+        elif loops <= budget:
+            # the most samples whose expected loops fit the budget
+            assert size * loops <= budget < (size + 1) * loops
+        else:
+            assert size == 1
+
+
+def test_batched_cuts_a_chunk_by_the_rule(monkeypatch):
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 8)
+    sizes = []
+
+    def draw(rng, m):
+        sizes.append(m)
+        return rng.random(m)
+
+    sample = _batched(draw, lambda values: 2.0 * values, 2.5)
+    values = sample(np.random.default_rng(4), 10)
+    assert sizes == [3, 3, 3, 1]
+    assert np.array_equal(values, 2.0 * np.random.default_rng(4).random(10))
+
+
 # -- the batched estimators against per-sample references ------------------------
 
-def _reference_run(spec, n_samples, seed, workers, batch_of):
+# A loop budget that cuts every chunk of the reference runs below into at
+# least 3 batches, so that the draw order across batches is checked too.
+_SMALL_BUDGET = 32
+
+
+def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
     '''run_mc over a per-path reference that makes the library's draws
-    batch by batch (_BATCH samples) and counts its work: sampled loops,
-    evaluated configurations and killed ones.'''
+    batch by batch (the library's rule for loops_per_sample expected
+    loops) and counts its work: sampled loops, evaluated configurations
+    and killed ones.'''
+    size = _batch_size(loops_per_sample)
+    assert min(_chunks(n_samples, workers)) > 2 * size
     tally = {"loops": 0, "configs": 0, "killed": 0}
 
     def backgrounds(rng, m):
@@ -238,8 +279,8 @@ def _reference_run(spec, n_samples, seed, workers, batch_of):
         return 0.0 if np.isinf(V) else math.exp(-V)
 
     def sample(rng, count):
-        return [value for lo in range(0, count, _BATCH)
-                for value in batch_of(rng, min(_BATCH, count - lo),
+        return [value for lo in range(0, count, size)
+                for value in batch_of(rng, min(size, count - lo),
                                       backgrounds, boltzmann)]
 
     mean, se, count = run_mc(sample, n_samples, seed, workers)
@@ -257,19 +298,23 @@ def _close(new, ref):
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("R", [0, 1])
-def test_rel_partition_matches_reference_and_counts(R, workers):
+def test_rel_partition_matches_reference_and_counts(R, workers,
+                                                    monkeypatch):
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     spec = _hard_core_spec(3, 0.5, "generic") if R else _grid_spec(L=4)
     est = estimate_rel_partition(spec, 300, seed=8, workers=workers)
     mean, se, tally = _reference_run(
         spec, 300, 8, workers,
-        lambda rng, m, bgs, boltzmann: [boltzmann(bg) for bg in bgs(rng, m)])
+        lambda rng, m, bgs, boltzmann: [boltzmann(bg) for bg in bgs(rng, m)],
+        spec.intensity.total_mass)
     assert _close(est.mean, mean) and _close(est.std_error, se)
     _check_counters(est.metadata, tally, 300)
     assert (est.metadata["killed_frac"] > 0) == bool(R)
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_gamma_matches_reference_and_counts(p):
+def test_gamma_matches_reference_and_counts(p, monkeypatch):
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     spec = _hard_core_spec(3, 0.5, "generic")
     norm_p = loop_reference.open_normalization(spec.intensity) ** p
     xs, ys = [0, 1][:p], [1, 0][:p]
@@ -295,7 +340,9 @@ def test_gamma_matches_reference_and_counts(p):
         return totals
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
-    mean, _, tally = _reference_run(spec, 300, 3, 2, batch_of)
+    mean, _, tally = _reference_run(
+        spec, 300, 3, 2, batch_of,
+        spec.intensity.total_mass + p * len(perms))
     assert _close(est.mean * est.metadata["denominator"], mean)
     _check_counters(est.metadata, tally, 300)
 
@@ -340,14 +387,15 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 
 
 # Recorded with the exact bridge sampler (one draw_batch call per batch
-# of loops, one walks call per open path and permutation).
+# of loops, one walks call per open path and permutation) and batches
+# sized by their loops (each chunk here is one batch).
 GOLDEN = {
-    "Z/grid/w1": [0.7808189277933661, 0.014018662439579202],
-    "Z/grid_d2/w1": [0.8186526103726567, 0.01222591185987129],
-    "Z/grid_offgrid/w1": [0.028676910793257147, 0.0054551351890301655],
-    "Z/grid_R1/w1": [0.5237237329815063, 0.028718722999594395],
-    "Z/continuum/w1": [0.726929608797644, 0.014363177186712655],
-    "Z/continuum_d2/w1": [0.7921084043790904, 0.01296478247848368],
+    "Z/grid/w1": [0.7765532305252303, 0.014348543204633085],
+    "Z/grid_d2/w1": [0.8104886967533071, 0.012456127997505602],
+    "Z/grid_offgrid/w1": [0.0500555909494192, 0.008398342183734586],
+    "Z/grid_R1/w1": [0.5212949863327913, 0.028774492842530273],
+    "Z/continuum/w1": [0.7270851797122904, 0.014734132175766222],
+    "Z/continuum_d2/w1": [0.7998089080704646, 0.01295747507919317],
     "gamma/p1/R0/w1": [0.25841399309976104, 0.03898016699350483,
         0.7723139670152069, 0.01753994782540671],
     "gamma/p2/R0/w1": [0.3423764214697235, 0.05087186679344627,

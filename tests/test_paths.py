@@ -196,6 +196,26 @@ def test_residue_masses_give_the_return_probability(d, L):
                        rtol=0, atol=1e-12)
 
 
+def test_residue_table_keeps_its_values_with_shared_log_factorials(
+        monkeypatch):
+    '''The grown log-factorial array gives the tables, bit for bit, that
+    log-factorials computed afresh on every call give.'''
+    def fresh(size):
+        return np.array([math.lgamma(k + 1.0) for k in range(size)])
+
+    monkeypatch.setattr(paths, "_LOG_FACT", np.empty(0))
+    # small, large (the array grows), then small again (it is reused)
+    cases = [(np.array([0.3]), 3), (np.array([0.005, 0.5, 2.0]), 2),
+             (np.array([40.0, 75.0]), 4), (np.array([600.0]), 7),
+             (np.array([1.5, 10.0]), 5), (np.array([0.25]), 1)]
+    shared = [_residue_table(lam, L) for lam, L in cases]
+    assert np.array_equal(paths._log_factorials(len(paths._LOG_FACT)),
+                          fresh(len(paths._LOG_FACT)))
+    monkeypatch.setattr(paths, "_log_factorials", fresh)
+    for (lam, L), table in zip(cases, shared):
+        assert np.array_equal(table, _residue_table(lam, L))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_bridges_are_closed_nearest_neighbour_paths(d, L):

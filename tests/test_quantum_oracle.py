@@ -13,9 +13,15 @@ from fock_reference import (
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.quantum_oracle import (
-    FockBlocks, _free_tail_bound, feynman_kac_check, gibbs_potential,
-    grand_partition, oracle_size, reduced_density_matrix, sector_dims)
+    FockBlocks, _free_tail_bound, feynman_kac_check, grand_partition,
+    oracle_size, reduced_density_matrix, sector_dims)
 from site_reference import free_kernel
+
+
+def gibbs_potential(params):
+    '''Specific relative Gibbs potential g = log(Z) / |Lambda|.'''
+    return float(np.log(grand_partition(params).Z_rel)
+                 / params.torus.n_sites)
 
 
 def kernel_norm(K, torus, p, L0):
