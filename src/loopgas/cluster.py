@@ -342,7 +342,7 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
                 (np.repeat(np.arange(m), n - p), loops, None)])
 
         def evaluate(batch):
-            V = batch_interaction(batch, spec.params, spec.kind)[1]
+            V = batch_interaction(batch, spec.params, spec.kind, pairs=True)
             weight, zeta = _weights_and_zeta(V, p)
             return np.column_stack((factor * weight * phi_of(zeta), weight,
                                     weight * weight))

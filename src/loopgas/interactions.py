@@ -6,9 +6,19 @@ grid ensemble, V = (lam / 2 nu) int_0^nu N(t)^T v N(t) dt, and the summed
 local time l of the continuum ensemble, V = (lam / 2) l^T v l.  N is
 constant between the jump times mod nu, so the integral is an exact sum
 over slices; there is no quadrature error anywhere in this module.
+
 One kernel, batch_interaction, evaluates every configuration of a
-LoopBatch at once; v_total and pair_matrix are its views of one
-configuration.
+LoopBatch at once, in one path: occupation cells, a dense field with one
+row per slice (per slice and loop when the caller asks for pair
+matrices), and the quadratic form of each slice.  A grid loop's cells
+follow its constant pieces and jumps, not its windows: the pieces place
+the windows' starts in a configuration's first slice, and each jump
+moves one window from the site it leaves to the site it enters in the
+slice its folded time opens, so the field of a slice is the running sum
+of the cells up to it.  The cells are linear in the jumps, however many
+windows the loops span.  MAX_CELLS bounds the field rows of one
+evaluation.  v_total is the kernel's view of one configuration.
+
 +inf is an absorbing interaction value (hard core), mapped downstream to
 Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
 '''
@@ -19,9 +29,9 @@ import numpy as np
 
 from .paths import LoopBatch
 
-# Occupation cells (one per window and slice of each grid loop) per
-# kernel evaluation: a group of this many cells peaks at about 240 MB
-# (57 bytes a cell)
+# Dense occupation field rows (slices, or slices x loops with pair
+# matrices) per kernel evaluation; the field and its product with v take
+# 16 |Lambda| bytes a row
 MAX_CELLS = 2 ** 22
 
 
@@ -80,10 +90,11 @@ def v_tilde_table(vL, torus, R):
     return out
 
 
-def batch_interaction(batch, params, kind):
-    '''Total interaction of every configuration of a LoopBatch, (C,), and
-    the (C, n, n) pair matrices when all C configurations hold the same
-    number n of loops (else None); kind "ginibre" or "symanzik_eps".
+def batch_interaction(batch, params, kind, pairs=False):
+    '''Total interaction of every configuration of a LoopBatch, (C,),
+    or with pairs the (C, n, n) pair matrices of C configurations of n
+    loops each (ValueError if their sizes differ); kind "ginibre" or
+    "symanzik_eps".
 
     The total is V = 1/2 sum_k w_k n_k^T v n_k, n the occupation field of
     the configuration, equal to 1/2 sum_{i,j} V(w_i, w_j); the pair
@@ -95,89 +106,93 @@ def batch_interaction(batch, params, kind):
     oracle's hard-core bosons do.  Elsewhere an infinite entry of v that
     meets sites occupied in a common slice of positive weight gives +inf.
 
-    The grid ensemble is evaluated in consecutive groups of
-    configurations of at most MAX_CELLS occupation cells each, which
+    The configurations are evaluated in consecutive groups of at most
+    MAX_CELLS dense field rows each (slices, times n with pairs), which
     gives the same numbers as one evaluation; a configuration of more
-    than MAX_CELLS cells raises ValueError.
+    than MAX_CELLS rows raises ValueError.
     '''
     C = batch.n_configs
+    n = 1
+    if pairs:
+        sizes = np.bincount(batch.config, minlength=C)
+        n = int(sizes.max(initial=0))
+        if np.any(sizes != n):
+            raise ValueError("pair matrices need configurations of one "
+                             f"size, got sizes {sizes.min()} to {n}")
     if C == 0:
-        return np.zeros(0), None
-    sizes = np.bincount(batch.config, minlength=C)
-    n = int(sizes[0]) if np.all(sizes == sizes[0]) else None
-    bounds = _cell_groups(batch, params.nu) if kind == "ginibre" else [0, C]
+        return np.zeros((0, 0, 0)) if pairs else np.zeros(0)
+    slices = (np.bincount(batch.config, np.diff(batch.offsets), C) + 1
+              if kind == "ginibre" else np.ones(C))
+    bounds = _row_groups(slices * n, pairs)
     if len(bounds) == 2:
-        return _evaluate(batch, params, kind, n)
+        return _evaluate(batch, params, kind, pairs)
     parts = []
     for lo, hi in zip(bounds, bounds[1:]):
         first, last = np.searchsorted(batch.config, [lo, hi])
         group = LoopBatch.join(hi - lo, [(batch.config[first:last] - lo,
                                           batch, np.arange(first, last))])
-        parts.append(_evaluate(group, params, kind, n))
-    totals = np.concatenate([t for t, _ in parts])
-    return totals, None if n is None else np.concatenate(
-        [p for _, p in parts])
+        parts.append(_evaluate(group, params, kind, pairs))
+    return np.concatenate(parts)
 
 
-def _cell_groups(batch, nu):
-    '''Bounds 0 = b_0 < b_1 < ... = C of consecutive groups of the
-    configurations of a grid LoopBatch with at most MAX_CELLS occupation
-    cells each, counting (windows) x (jumps + 1) cells per configuration
-    (exact unless two of its jump times agree mod nu); ValueError when a
-    configuration alone has more.'''
-    C = batch.n_configs
-    windows = np.bincount(batch.config, np.round(batch.duration / nu), C)
-    slices = np.bincount(batch.config, np.diff(batch.offsets), C) + 1
-    cells = windows * slices
-    if cells.max() > MAX_CELLS:
+def _row_groups(rows, pairs):
+    '''Bounds 0 = b_0 < b_1 < ... = C of consecutive groups of
+    configurations with at most MAX_CELLS field rows each, rows[c] those
+    of configuration c (exact unless two of its jump times agree mod
+    nu); ValueError when a configuration alone has more.'''
+    if rows.max() > MAX_CELLS:
         raise ValueError(
-            f"a grid configuration needs {cells.max():.3g} occupation cells "
-            f"(windows x slices), more than the kernel's budget of "
-            f"{MAX_CELLS}; raise kappa or nu")
-    ends = np.cumsum(cells)
+            f"a configuration needs {rows.max():.3g} occupation field rows "
+            f"(slices{' x loops' if pairs else ''}), more than the kernel's "
+            f"budget of {MAX_CELLS}; raise kappa or nu")
+    ends = np.cumsum(rows)
     bounds = [0]
-    while bounds[-1] < C:
+    while bounds[-1] < len(rows):
         done = ends[bounds[-1] - 1] if bounds[-1] else 0.0
         bounds.append(int(np.searchsorted(ends, done + MAX_CELLS,
                                           side="right")))
     return bounds
 
 
-def _evaluate(batch, params, kind, n):
-    '''batch_interaction of a LoopBatch, in one evaluation; n is the
-    number of loops of every configuration (None: not all the same).'''
+def _evaluate(batch, params, kind, pairs):
+    '''batch_interaction of a LoopBatch, in one evaluation.'''
     torus = params.torus
     n_sites = torus.n_sites
+    C = batch.n_configs
     occupations = _grid_occupations if kind == "ginibre" else _local_times
     w, bounds, cell_slice, cell_loop, cell_site, amount = occupations(
         batch, params)
     S = len(w)
-    if n is None:
-        N = None
-        n_field = np.bincount(cell_slice * n_sites + cell_site,
-                              weights=amount, minlength=S * n_sites)
-        n_field = n_field.reshape(S, 1, n_sites)
-    else:
-        # slot of each loop in its configuration
-        sizes = np.bincount(batch.config, minlength=batch.n_configs)
-        slot = np.arange(len(batch.config)) - (np.cumsum(sizes) - sizes)[
-            batch.config]
-        N = np.bincount((cell_slice * n + slot[cell_loop]) * n_sites
-                        + cell_site, weights=amount,
-                        minlength=S * n * n_sites).reshape(S, n, n_sites)
-        n_field = N.sum(axis=1, keepdims=True)
+    # one field row per slice, or per slice and loop with pairs (the
+    # loop's slot in its configuration)
+    n, row = 1, 0
+    if pairs:
+        sizes = np.bincount(batch.config, minlength=C)
+        n = int(sizes[0])
+        row = (np.arange(len(batch.config))
+               - (np.cumsum(sizes) - sizes)[batch.config])[cell_loop]
+    N = np.bincount((cell_slice * n + row) * n_sites + cell_site,
+                    weights=amount, minlength=S * n * n_sites)
+    N = N.reshape(S, n, n_sites)
+    if S > C:
+        # the cells are increments along each configuration's slices:
+        # their running sum within configurations is exact, since only
+        # the grid has configurations of several slices and its counts
+        # are integers (the continuum's local times are left as they are)
+        N[bounds[1:]] -= np.add.reduceat(N, bounds)[:-1]
+        np.cumsum(N, axis=0, out=N)
     vL = params.vL
     killed = None
-    if kind == "ginibre" and params.R == 1:
-        killed = np.maximum.reduceat(n_field.max(axis=(1, 2)), bounds) > 1
+    if kind == "ginibre" and params.R == 1 and not pairs:
+        killed = np.maximum.reduceat(N.max(axis=(1, 2)), bounds) > 1
         vL = v_tilde_table(vL, torus, 1)
-    totals = 0.5 * np.add.reduceat(
-        _slice_form(w, n_field, vL[torus.diff_table])[:, 0, 0], bounds)
+    P = _slice_form(w, N, vL[torus.diff_table])
+    if pairs:
+        return np.add.reduceat(P, bounds, axis=0)
+    totals = 0.5 * np.add.reduceat(P[:, 0, 0], bounds)
     if killed is not None:
         totals[killed] = np.inf
-    pairs = None if N is None else np.add.reduceat(
-        _slice_form(w, N, params.vL[torus.diff_table]), bounds, axis=0)
-    return totals, pairs
+    return totals
 
 
 def _slice_form(w, N, vmat):
@@ -185,7 +200,8 @@ def _slice_form(w, N, vmat):
     where an infinite vmat entry meets sites occupied in slice k of
     positive weight (masked, so that 0 * inf never makes a NaN).'''
     core = np.isinf(vmat)
-    Nt = N.transpose(0, 2, 1)
+    # contiguous, so that BLAS sums in one order whatever N's layout
+    Nt = np.ascontiguousarray(N.transpose(0, 2, 1))
     P = (w[:, None, None] * N) @ np.where(core, 0.0, vmat) @ Nt
     if core.any():
         occ = (N > 0) & (w > 0)[:, None, None]
@@ -195,19 +211,23 @@ def _slice_form(w, N, vmat):
 
 def _grid_occupations(batch, params):
     '''Slices of the folded time [0, nu) of every configuration of a
-    LoopBatch, and its occupation cells.
+    LoopBatch, and its occupation cells as increments along them.
 
     Each configuration's [0, nu) is cut at 0, nu and every jump time mod
-    nu of its loops; slice k has weight w_k = lam |slice k| / nu.  The
-    cells are one (slice, loop, site) triple per window of each loop and
-    slice of its configuration: the site the loop occupies in that slice
-    of that window.  A jump at time a nu + r (exact divmod) cuts at r,
-    the k-th cut of its configuration, and moves the loop from slice k
-    of window a on; the sites are found by merging the jumps and the
-    (window, slice) pairs on exact integer keys, so no float offset
-    decides a comparison.  Returns w, the first slice of each
-    configuration, the cells' slices, loops and sites, and their
-    amounts (None: one each).
+    nu of its loops; slice k has weight w_k = lam |slice k| / nu.  A jump
+    at time a nu + r (exact divmod) lies in window a and opens the slice
+    that starts at r.  The cells are (slice, loop, site, amount):
+    - in the first slice of the configuration, one per constant piece
+      of a loop, counting the windows a_s < a <= a_e that start on it,
+      a_s and a_e the windows of its ends (a_e = W - 1 for the last
+      piece of a loop of W windows), and window 0 for the first piece;
+    - per jump, -1 at the site it leaves and +1 at the site it enters,
+      in the slice it opens (slice 0 for a jump at a multiple of nu,
+      whose window already starts past it).
+    The running sum of the cells over a configuration's slices is its
+    occupation.  Jumps past the last window (float durations) change
+    nothing.  Returns w, the first slice of each configuration, and the
+    cells' slices, loops, sites and amounts.
     '''
     nu = params.nu
     C = batch.n_configs
@@ -219,7 +239,8 @@ def _grid_occupations(batch, params):
         raise ValueError(f"duration {batch.duration[off_grid][0]} not on "
                          f"the grid nu N*")
     n_win = n_win.astype(np.int64)
-    jump_loop = np.repeat(np.arange(n_loops), np.diff(batch.offsets))
+    counts = np.diff(batch.offsets)
+    jump_loop = np.repeat(np.arange(n_loops), counts)
     window, folded = np.divmod(batch.times, nu)
     # the cuts of each configuration, sorted and without repeats
     values = np.concatenate((folded, np.zeros(C), np.full(C, nu)))
@@ -235,27 +256,32 @@ def _grid_occupations(batch, params):
     w = params.lam / nu * np.diff(cuts)[cut_owner[1:] == cut_owner[:-1]]
     n_slices = np.bincount(cut_owner, minlength=C) - 1
     bounds = np.cumsum(n_slices) - n_slices
-    # (window, slice) keys a K + k, offset per loop so that loops keep
-    # apart; the jump keys increase along the flat jumps, since each
-    # loop's jump times are sorted and divmod is exact
-    K = n_slices[batch.config]
-    n_keys = n_win * K
-    base = np.cumsum(n_keys + 1) - (n_keys + 1)
-    jump_slice = rank[:len(folded)] - (bounds + np.arange(C))[
-        batch.config[jump_loop]]
-    jump_key = base[jump_loop] + np.minimum(
-        window.astype(np.int64) * K[jump_loop] + jump_slice,
-        n_keys[jump_loop])
-    cell_loop = np.repeat(np.arange(n_loops), n_keys)
-    # cell c, the m-th of loop i, has key base_i + m = c + i
-    key = np.arange(len(cell_loop)) + cell_loop
-    cell_slice = ((key - base[cell_loop]) % K[cell_loop]
-                  + bounds[batch.config[cell_loop]])
-    seen = np.searchsorted(jump_key, key, side="right")
-    cell_site = np.where(seen > batch.offsets[cell_loop],
-                         np.concatenate(([0], batch.sites))[seen],
-                         batch.start[cell_loop])
-    return w, bounds, cell_slice, cell_loop, cell_site, None
+    # the pieces: loop i's first is piece offsets[i] + i, and jump j of
+    # loop i ends piece j + i and starts piece j + i + 1
+    piece_loop, piece_site, _ = batch.pieces()
+    first = batch.offsets[:-1] + np.arange(n_loops)
+    jump_piece = np.arange(len(folded)) + jump_loop
+    last_window = (n_win - 1)[jump_loop]
+    # the window a_e of each piece's end; a loop's first piece starts in
+    # window -1, so that window 0 counts on it
+    a_end = np.empty(len(piece_loop), dtype=np.int64)
+    a_end[jump_piece] = np.minimum(window.astype(np.int64), last_window)
+    a_end[first + counts] = n_win - 1
+    amount = np.diff(a_end, prepend=0)
+    amount[first] = a_end[first] + 1
+    # the jumps in a window of the loop, in the slice each opens (the
+    # k-th cut of configuration c is global slice rank - c)
+    kept = np.flatnonzero(window <= last_window)
+    jump_slice = rank[kept] - batch.config[jump_loop[kept]]
+    loops = jump_loop[kept]
+    return (w, bounds,
+            np.concatenate((bounds[batch.config[piece_loop]], jump_slice,
+                            jump_slice)),
+            np.concatenate((piece_loop, loops, loops)),
+            np.concatenate((piece_site, piece_site[jump_piece[kept]],
+                            batch.sites[kept])),
+            np.concatenate((amount, np.full(len(kept), -1),
+                            np.ones(len(kept), dtype=np.int64))))
 
 
 def _local_times(batch, params):
@@ -270,45 +296,11 @@ def _local_times(batch, params):
             batch.config[cell_loop], cell_loop, cell_site, amount)
 
 
-def pair_matrix(config, params, kind):
-    '''Matrix of pair interactions V(w_i, w_j) of a loop configuration,
-    self pairs on the diagonal (kind "ginibre" or "symanzik_eps"); the
-    one-configuration view of batch_interaction.'''
-    return batch_interaction(LoopBatch.from_paths([config]), params,
-                             kind)[1][0]
-
-
 def v_total(config, params, kind):
     '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a configuration,
     n = sum_i N_i its occupation field; equal to 1/2 sum_{i,j} V(w_i, w_j).
     The one-configuration view of batch_interaction, whose rules
     (grid hard core as exclusion) it follows.'''
     return float(batch_interaction(LoopBatch.from_paths([config]), params,
-                                   kind)[0][0])
+                                   kind)[0])
 
-
-def v_lm(kvec, xvec, vL, torus, R):
-    '''Infinite-mass interaction of weighted particles (k_i, x_i).
-
-    R=0: 1/2 sum_{i,j} k_i k_j v(x_i - x_j);
-    R=1: 1/2 sum_{i!=j} v(x_i - x_j) if k = 1 and sites distinct, else +inf.
-    '''
-    kvec = np.asarray(kvec, dtype=np.int64)
-    xvec = np.asarray(xvec, dtype=np.int64)
-    if len(kvec) != len(xvec):
-        raise ValueError("|k| and |x| must agree")
-    n = len(kvec)
-    if n == 0:
-        return 0.0
-    if np.any(kvec < 1):
-        raise ValueError("occupation numbers must be >= 1")
-    vmat = vL[torus.diff_table[np.ix_(xvec, xvec)]]
-    if R == 1:
-        if np.any(kvec != 1):
-            return np.inf
-        off = vmat[~np.eye(n, dtype=bool)]
-        if np.isinf(off).any():
-            return np.inf
-        return 0.5 * float(off.sum())
-    total = float(kvec @ vmat @ kvec)
-    return np.inf if np.isinf(total) else 0.5 * total

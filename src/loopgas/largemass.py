@@ -10,8 +10,8 @@ partition sum equals sum_q prod_x e^{-kappa0 q_x} e^{-E(q)} with
 E(q) = (1/2) q^T V q (R=0) or the off-diagonal half sum over occupied
 sites with q <= 1 (R=1).  The kernels are moments of the same measure on
 q: Gamma_p^lm(x, y) = |perms| E[prod_s C(q_s, m_s)], so Gamma_1^lm(x, x)
-= E[q_x].  A direct truncated particle sum is kept as an independent
-cross-check oracle.
+= E[q_x].  The direct truncated particle sum, an independent
+cross-check, lives with the tests (tests/largemass_reference.py).
 '''
 
 import itertools
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interactions import v_lm, v_tilde_table
+from .interactions import v_tilde_table
 from .lattice import periodize_potential
 
 # Most occupation fields one occupation sum may enumerate; the shipped
@@ -33,13 +33,10 @@ class LmParams:
     '''Truncated-sum parameters for the infinite-mass quantities.
 
     The occupation sums truncate each site's occupation so that the
-    dropped fields weigh less than tol.  k_max and n_max bound only the
-    cross-check z_lm_particle_sum (occupation numbers and particles).'''
+    dropped fields weigh less than tol.'''
     torus: object
     potential: object        # PotentialSpec
     kappa0: float
-    k_max: int = 60
-    n_max: int = 20
     tol: float = 1e-10
     vL: np.ndarray = field(init=False)
 
@@ -123,41 +120,6 @@ def z_lm(params):
     log_norm = _normalizer_log(params)
     return {"relative": num * math.exp(-log_norm), "unnormalized": num,
             "log_normalizer": log_norm, "tail_bound": tail}
-
-
-def z_lm_particle_sum(params):
-    '''Independent cross-check: the direct particle sum truncated at
-    n <= n_max particles and occupation numbers k_i <= k_max.  The cost
-    is (k_max |Lambda|)^{n_max}, so both truncations must stay small;
-    the declared tails quantify the truncation error.'''
-    torus, a = params.torus, params.a
-    k_top = 1 if params.R == 1 else params.k_max
-    if (k_top * torus.n_sites) ** params.n_max > 10 ** 7:
-        raise ValueError("particle-sum budget exceeded; lower n_max/k_max")
-    sites = range(torus.n_sites)
-    single = sum(a ** k / k for k in range(1, params.k_max + 1))
-    k_tail = a ** (params.k_max + 1) / ((params.k_max + 1) * (1.0 - a))
-    mass = torus.n_sites * single
-    full_mass = -torus.n_sites * math.log(1.0 - a)
-    n_tail = math.exp(full_mass) - sum(
-        full_mass ** n / math.factorial(n) for n in range(params.n_max + 1))
-    total = 0.0
-    for n in range(params.n_max + 1):
-        if n == 0:
-            total += 1.0
-            continue
-        term = 0.0
-        for ks in itertools.product(range(1, k_top + 1), repeat=n):
-            pref = a ** sum(ks) / math.prod(ks)
-            for xs in itertools.product(sites, repeat=n):
-                V = v_lm(ks, xs, params.vL, torus, params.R)
-                if not np.isinf(V):
-                    term += pref * math.exp(-V)
-        total += term / math.factorial(n)
-        if total > 0 and term / math.factorial(n) < params.tol * total and n >= 2:
-            break
-    return {"unnormalized": total, "relative": total * (1.0 - a) ** torus.n_sites,
-            "k_tail": k_tail, "n_tail": n_tail}
 
 
 def gamma_lm(params, p, xs, ys):

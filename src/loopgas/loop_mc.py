@@ -187,7 +187,7 @@ class _Tally:
     def boltzmann(self, spec, batch):
         '''e^{-V} of each configuration of a LoopBatch, from one kernel
         call; a killed configuration (V = +inf) gives 0.'''
-        V = batch_interaction(batch, spec.params, spec.kind)[0]
+        V = batch_interaction(batch, spec.params, spec.kind)
         self.configs += len(V)
         self.killed += int(np.count_nonzero(np.isinf(V)))
         return np.exp(-V)

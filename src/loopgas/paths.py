@@ -367,8 +367,10 @@ class LoopIntensity:
         self.total_mass = float(w.sum())
         tail = n * a ** (k_max + 1) / ((k_max + 1) * (1 - a))
         self._durations = nu * k
-        self._probs = w / w.sum()
-        self._cum = np.cumsum(self._probs)
+        # an empty law (every weight underflows to 0) draws its limit as
+        # kappa -> inf, the shortest duration
+        self._cum = (np.cumsum(w / self.total_mass) if self.total_mass > 0
+                     else np.ones(k_max))
         self.metadata.update(k_max=k_max, tail_bound=float(tail))
 
     # -- symanzik: eps-truncated continuum law ------------------------------
@@ -394,10 +396,14 @@ class LoopIntensity:
             0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
         self.total_mass = float(mass)
         self._grid = grid
-        self._cdf = cdf / cdf[-1]
+        # an empty law (the integrand underflows to 0) draws its limit as
+        # kappa -> inf, the shortest duration eps, with no gap to report
+        empty = cdf[-1] == 0
+        self._cdf = np.ones(len(cdf)) if empty else cdf / cdf[-1]
         self.metadata.update(t_max=float(t_max), quad_err=float(err),
                              grid_points=len(grid),
-                             cdf_norm_gap=float(abs(cdf[-1] - mass) / mass))
+                             cdf_norm_gap=0.0 if empty else float(
+                                 abs(cdf[-1] - mass) / mass))
 
     # -----------------------------------------------------------------------
     def sample_duration(self, rng, size):

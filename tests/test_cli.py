@@ -276,15 +276,48 @@ def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
 
 def test_grid_configuration_over_the_cell_budget_exits_2(tmp_path, capsys,
                                                          monkeypatch):
-    # a configuration with more occupation cells than the kernel's budget
+    # a configuration with more occupation field rows (slices, one more
+    # than its jumps) than the kernel's budget: with a budget of 2 rows,
+    # some sample of 50 has two jumps
     from loopgas import interactions
-    monkeypatch.setattr(interactions, "MAX_CELLS", 20)
+    monkeypatch.setattr(interactions, "MAX_CELLS", 2)
     cfg = _write_config(tmp_path, _ginibre_doc())
     assert main(["ginibre-z", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "occupation cells" in err
+    assert err.count("\n") == 1 and "occupation field rows (slices)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment, doc", [
+    ("ginibre-z", _ginibre_doc(kappa=1e6)),
+    ("symanzik-z", {"experiment": "symanzik-z", "torus": {"d": 1, "L": 3},
+                    "potential": {"d": 1, "R": 0, "entries": [[[0], 0.5]]},
+                    "kappa": 1.0, "eps_list": [1e6], "n_samples": 50})])
+def test_loop_mass_of_zero_runs_cleanly(tmp_path, experiment, doc):
+    # the loop mass e^{-kappa T} underflows to 0: Z = 1, no warning, and
+    # a JSON report without NaN
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "loopgas.cli", experiment, "--config", cfg,
+         "--out", str(out)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+
+    def no_constant(name):
+        raise ValueError(f"{name} in the JSON report")
+
+    name = experiment.replace("-", "_")
+    report = json.loads((out / f"{name}.json").read_text(),
+                        parse_constant=no_constant)
+    for est in report.values() if experiment == "symanzik-z" else [report]:
+        assert est["mean"] == 1.0 and est["params"]["mass"] == 0.0
 
 
 def test_one_sample_run_is_refused(tmp_path, capsys):

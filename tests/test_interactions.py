@@ -5,15 +5,22 @@ large-mass rules, and the infinite-mass particle interaction.'''
 import numpy as np
 import pytest
 
-from loopgas import interactions
+from loopgas import cluster, interactions, loop_mc
 from loopgas.interactions import (
-    InteractionParams, batch_interaction, pair_matrix, v_lm, v_tilde_table,
-    v_total)
+    InteractionParams, batch_interaction, v_tilde_table, v_total)
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.paths import LoopBatch, LoopIntensity, Path
 
 import loop_reference
+from largemass_reference import v_lm
 from loop_reference import check_grid as _check_grid, sample_free_walk
+
+
+def pair_matrix(config, params, kind):
+    '''Matrix of pair interactions V(w_i, w_j) of one configuration (a
+    list of Paths), self pairs on the diagonal.'''
+    return batch_interaction(LoopBatch.from_paths([config]), params, kind,
+                             pairs=True)[0]
 
 
 # -- oracle: the pairwise window-overlap implementation ------------------------
@@ -163,11 +170,39 @@ def _close(new, ref):
 CASES = ("generic", "meanfield", "largemass_R0", "largemass_R1", "continuum")
 
 
+def _on_the_grid(torus, nu, n_win, rng):
+    '''A path of n_win windows whose jumps fall on multiples of nu, one
+    of them at the last window's start.'''
+    a = np.union1d(rng.choice(np.arange(1, n_win), min(2, n_win - 1),
+                              replace=False), [n_win - 1])
+    site, sites = int(rng.integers(torus.n_sites)), []
+    start = site
+    for _ in a:
+        site = int(torus.neighbor_table[site, rng.integers(2 * torus.d)])
+        sites.append(site)
+    return Path(start, nu * n_win, nu * a.astype(float),
+                np.array(sites, dtype=np.int64))
+
+
+def _edge_configs(torus, nu, rng, R):
+    '''Configurations the kernel's construction must get right: an open
+    walk and a closed loop of at least 20 windows, and jumps at exact
+    multiples of nu (slice 0), alone and with a free walk.'''
+    x = int(rng.integers(torus.n_sites))
+    n_win = int(rng.integers(20, 23))
+    long_open = sample_free_walk(torus, x, nu * n_win, rng)
+    long_loop = loop_reference.bridges(torus, [x], [nu * n_win], rng)[0]
+    grid = _on_the_grid(torus, nu, int(rng.integers(2, 4 if R else 6)), rng)
+    walk = sample_free_walk(torus, x, nu * int(rng.integers(1, 4)), rng)
+    return [[long_open], [long_loop], [grid], [grid, walk]]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_kernel_matches_window_overlap_oracle(case):
-    '''v_total and pair_matrix against the pairwise oracle on 216 random
-    configurations: 12 per (nu, L, d) in {0.5, 0.25, 0.125} x {2, 3, 4}
-    x {1, 2}.  Finite values agree to 1e-12 relative; +inf exactly.'''
+    '''v_total and pair_matrix against the pairwise oracle on 288 random
+    configurations, 16 per (nu, L, d) in {0.5, 0.25, 0.125} x {2, 3, 4}
+    x {1, 2}: 12 of up to 4 free walks, then the edge cases of
+    _edge_configs.  Finite values agree to 1e-12 relative; +inf exactly.'''
     rng = np.random.default_rng(CASES.index(case))
     R = 1 if case == "largemass_R1" else 0
     kind = "symanzik_eps" if case == "continuum" else "ginibre"
@@ -190,6 +225,7 @@ def test_kernel_matches_window_overlap_oracle(case):
                     pair = lambda a, b: params.lam * v_cl_pair(a, b, vL, torus)
                 else:
                     pair = lambda a, b: v_ginibre_pair(a, b, params)
+                configs = []
                 for _ in range(12):
                     n = int(rng.integers(0, 3 if R else 5))
                     config = []
@@ -198,6 +234,8 @@ def test_kernel_matches_window_overlap_oracle(case):
                              else nu * int(rng.integers(1, 4 if R else 6)))
                         x = int(rng.integers(torus.n_sites))
                         config.append(sample_free_walk(torus, x, T, rng))
+                    configs.append(config)
+                for config in configs + _edge_configs(torus, nu, rng, R):
                     ref = (v_total_largemass(config, params)
                            if case.startswith("largemass")
                            else v_total_pairwise(config, pair))
@@ -206,11 +244,12 @@ def test_kernel_matches_window_overlap_oracle(case):
                     n_inf += np.isinf(ref)
                     n_checked += 1
                     P = pair_matrix(config, params, kind)
+                    n = len(config)
                     assert P.shape == (n, n)
                     for i in range(n):
                         for j in range(n):
                             assert _close(P[i, j], pair(config[i], config[j]))
-    assert n_checked == 216
+    assert n_checked == 288
     if R:
         assert 0 < n_inf < n_checked     # both branches exercised
 
@@ -500,14 +539,14 @@ def test_batch_kernel_matches_per_configuration_reference(kind, R):
                                 loop_reference.sample_free_walk(torus, x, T,
                                                                 rng))
                         configs.append(config)
-                    totals, pairs = batch_interaction(
-                        LoopBatch.from_paths(configs), params, kind)
+                    batch = LoopBatch.from_paths(configs)
+                    totals = batch_interaction(batch, params, kind)
                     ref = [loop_reference.v_total(c, params, kind)
                            for c in configs]
                     assert _same(totals, ref), (nu, d, L, totals, ref)
-                    sizes = {len(c) for c in configs}
-                    assert (pairs is None) == (len(sizes) > 1)
-                    if pairs is not None:
+                    if len({len(c) for c in configs}) == 1:
+                        pairs = batch_interaction(batch, params, kind,
+                                                  pairs=True)
                         assert pairs.shape == (6, size, size)
                         for c, P in zip(configs, pairs):
                             assert _same(P, loop_reference.pair_matrix(
@@ -522,60 +561,123 @@ def test_batch_kernel_matches_per_configuration_reference(kind, R):
 def test_batch_kernel_of_no_configuration():
     torus = Torus(1, 3)
     params = _params(torus, np.zeros(3))
-    totals, pairs = batch_interaction(LoopBatch.from_paths([]), params,
-                                      "ginibre")
-    assert totals.shape == (0,) and pairs is None
+    empty = LoopBatch.from_paths([])
+    assert batch_interaction(empty, params, "ginibre").shape == (0,)
+    assert batch_interaction(empty, params, "ginibre",
+                             pairs=True).shape == (0, 0, 0)
 
 
-# -- the grid kernel's cell budget -----------------------------------------------
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+def test_pairs_need_configurations_of_one_size(kind):
+    torus = Torus(1, 3)
+    params = _params(torus, np.array([0.5, 0.1, 0.1]))
+    batch = LoopBatch.from_paths([[Path(0, 0.5)], [Path(1, 0.5)] * 2])
+    assert batch_interaction(batch, params, kind).shape == (2,)
+    with pytest.raises(ValueError, match="one size"):
+        batch_interaction(batch, params, kind, pairs=True)
 
-def _grid_batch(d, L, sizes, seed):
+
+def test_estimators_request_only_what_they_use(monkeypatch):
+    '''The loop Monte Carlo asks the kernel for totals, in 1-sample
+    chunks too (workers == n_samples); the cluster expansion asks only for
+    pair matrices.'''
+    requests = []
+
+    def spy(batch, params, kind, pairs=False):
+        requests.append((batch.n_configs, pairs))
+        return batch_interaction(batch, params, kind, pairs=pairs)
+
+    monkeypatch.setattr(loop_mc, "batch_interaction", spy)
+    monkeypatch.setattr(cluster, "batch_interaction", spy)
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5}), 3)
+    params = _params(torus, vL, nu=0.5, lam=0.01)
+    spec = loop_mc.EnsembleSpec(
+        torus, params, LoopIntensity(torus, "ginibre", 1.0, nu=0.5),
+        "ginibre")
+    for workers in (1, 4):
+        loop_mc.estimate_rel_partition(spec, 4, seed=1, workers=workers)
+        loop_mc.estimate_gamma_p(spec, 1, [0], [0], 4, seed=2,
+                                 workers=workers)
+    assert requests and not any(pairs for _, pairs in requests)
+    assert any(n == 1 for n, _ in requests)     # 1-sample chunks
+    requests.clear()
+    cluster.log_Z_via_expansion(spec, n_max=2, n_samples=4, seed=3,
+                                workers=4)
+    assert requests and all(pairs for _, pairs in requests)
+
+
+# -- the kernel's row budget --------------------------------------------------
+
+def _grid_batch(d, L, sizes, seed, kappa=0.3):
     '''Configurations of sizes[c] loops drawn from a Ginibre intensity
-    (kappa = 0.3, nu = 0.25, so that loops span many windows).'''
-    intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=0.3, nu=0.25)
+    (nu = 0.25 and kappa = 0.3 by default, so that loops span many
+    windows).'''
+    intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=kappa, nu=0.25)
     loops = intensity.draw_batch(np.random.default_rng(seed),
                                  int(sizes.sum()))
     return LoopBatch.join(len(sizes), [
         (np.repeat(np.arange(len(sizes)), sizes), loops, None)])
 
 
-def _config_cells(batch, nu):
-    windows = np.bincount(batch.config, np.round(batch.duration / nu),
-                          batch.n_configs)
-    jumps = np.bincount(batch.config, np.diff(batch.offsets), batch.n_configs)
-    return windows * (jumps + 1)
+def _config_rows(batch, pairs=False):
+    '''Field rows of each configuration: slices (jumps + 1, exact unless
+    two jump times agree mod nu), times its loops with pairs.'''
+    C = batch.n_configs
+    slices = np.bincount(batch.config, np.diff(batch.offsets), C) + 1
+    return slices * (np.bincount(batch.config, minlength=C) if pairs else 1)
 
 
 @pytest.mark.parametrize("R", [0, 1])
 @pytest.mark.parametrize("same_size", [False, True])
 def test_grid_kernel_in_groups_gives_the_same_numbers(monkeypatch, R,
                                                       same_size):
-    '''With the cell budget down to the largest configuration, the batch
-    is evaluated in several groups, and totals and pair matrices are
-    bit-identical to one evaluation.'''
+    '''With the row budget down to the largest configuration, the batch
+    is evaluated in several groups, and totals and (for configurations of
+    one size) pair matrices are bit-identical to one evaluation.'''
     rng = np.random.default_rng(3 + R)
     torus = Torus(2, 3)
     params = _params(torus, _random_potential(2, 3, R, rng), nu=0.25,
                      lam=0.7, R=R)
     sizes = np.full(60, 3) if same_size else rng.poisson(3.0, 60)
     batch = _grid_batch(2, 3, sizes, seed=11 + R)
-    totals, pairs = batch_interaction(batch, params, "ginibre")
-    cells = _config_cells(batch, 0.25)
-    monkeypatch.setattr(interactions, "MAX_CELLS", int(cells.max()))
-    assert len(interactions._cell_groups(batch, 0.25)) > 4
-    grouped, grouped_pairs = batch_interaction(batch, params, "ginibre")
-    assert np.array_equal(grouped, totals)
-    assert (pairs is None) == (not same_size) == (grouped_pairs is None)
-    if same_size:
-        assert np.array_equal(grouped_pairs, pairs)
-    if R:
-        assert np.isinf(totals).any() and not np.isinf(totals).all()
+    for pairs in (False, True) if same_size else (False,):
+        whole = batch_interaction(batch, params, "ginibre", pairs=pairs)
+        rows = _config_rows(batch, pairs)
+        monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()))
+        assert len(interactions._row_groups(rows, pairs)) > 4
+        grouped = batch_interaction(batch, params, "ginibre", pairs=pairs)
+        monkeypatch.undo()
+        assert np.array_equal(grouped, whole)
+        if R and not pairs:
+            assert np.isinf(whole).any() and not np.isinf(whole).all()
 
 
 def test_grid_configuration_over_the_cell_budget_is_refused(monkeypatch):
     batch = _grid_batch(1, 3, np.full(8, 2), seed=5)
     params = _params(Torus(1, 3), np.array([0.5, 0.1, 0.1]), nu=0.25)
-    cells = _config_cells(batch, 0.25)
-    monkeypatch.setattr(interactions, "MAX_CELLS", int(cells.max()) - 1)
-    with pytest.raises(ValueError, match="occupation cells"):
-        batch_interaction(batch, params, "ginibre")
+    for pairs in (False, True):
+        rows = _config_rows(batch, pairs)
+        monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()))
+        batch_interaction(batch, params, "ginibre", pairs=pairs)
+        monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()) - 1)
+        with pytest.raises(ValueError, match="occupation field rows"):
+            batch_interaction(batch, params, "ginibre", pairs=pairs)
+
+
+def test_long_loops_fit_a_budget_on_rows(monkeypatch):
+    '''Loops of many windows: with a budget that the rows of every
+    configuration fit but the windows x slices of one exceed, the kernel
+    gives the numbers of the default budget.'''
+    batch = _grid_batch(1, 3, np.full(6, 2), seed=8, kappa=0.02)
+    params = _params(Torus(1, 3), np.array([0.5, 0.1, 0.1]), nu=0.25)
+    windows = np.bincount(batch.config, np.round(batch.duration / 0.25),
+                          batch.n_configs)
+    budget = int(_config_rows(batch, pairs=True).max())
+    assert (windows * _config_rows(batch)).max() > budget
+    expected = [batch_interaction(batch, params, "ginibre", pairs=pairs)
+                for pairs in (False, True)]
+    monkeypatch.setattr(interactions, "MAX_CELLS", budget)
+    for pairs, want in zip((False, True), expected):
+        assert np.array_equal(
+            batch_interaction(batch, params, "ginibre", pairs=pairs), want)

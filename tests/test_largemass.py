@@ -9,8 +9,10 @@ import pytest
 
 from loopgas.largemass import (
     LmParams, _energy_table, _site_cap, gamma_lm, gamma_lm_matrix,
-    occupation_sum, z_lm, z_lm_particle_sum)
+    occupation_sum, z_lm)
 from loopgas.lattice import PotentialSpec, Torus
+
+from largemass_reference import z_lm_particle_sum
 
 
 def gibbs_potential_lm(params):
@@ -25,7 +27,7 @@ def _hard(L=3, kappa0=1.0):
 
 def _soft(L=3, kappa0=2.0, v0=0.3):
     return LmParams(torus=Torus(1, L), potential=PotentialSpec(1, 0, {(0,): v0}),
-                    kappa0=kappa0, k_max=5, n_max=5)
+                    kappa0=kappa0)
 
 
 def test_hard_core_closed_forms():
@@ -59,16 +61,16 @@ def test_soft_core_single_site_closed_form():
 def test_occupation_vs_particle_sum_soft():
     params = _soft()
     occ = z_lm(params)
-    part = z_lm_particle_sum(params)
+    part = z_lm_particle_sum(params, k_max=5, n_max=5)
     tol = part["k_tail"] + part["n_tail"] + occ["tail_bound"] + 1e-9
     assert abs(occ["unnormalized"] - part["unnormalized"]) < tol
 
 
 def test_occupation_vs_particle_sum_hard():
     params = _hard()
-    params.n_max = 3    # at most |Lambda| hard-core particles fit
     occ = z_lm(params)
-    part = z_lm_particle_sum(params)
+    # at most |Lambda| = 3 hard-core particles fit
+    part = z_lm_particle_sum(params, k_max=60, n_max=3)
     assert occ["unnormalized"] == pytest.approx(part["unnormalized"],
                                                 abs=1e-10)
 
@@ -76,9 +78,9 @@ def test_occupation_vs_particle_sum_hard():
 def test_particle_sum_budget_guard():
     params = LmParams(torus=Torus(1, 3),
                       potential=PotentialSpec(1, 0, {(0,): 0.3}),
-                      kappa0=1.0, k_max=60, n_max=20)
+                      kappa0=1.0)
     with pytest.raises(ValueError):
-        z_lm_particle_sum(params)
+        z_lm_particle_sum(params, k_max=60, n_max=20)
 
 
 def _shifted_sum(params, Q):

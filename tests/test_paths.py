@@ -2,6 +2,7 @@
 laws.'''
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,21 @@ def test_grid_law_refuses_truncation():
     with pytest.raises(ValueError, match="kappa \\* nu"):
         LoopIntensity(Torus(1, 3), "ginibre", kappa=1e-3, nu=0.1)
     LoopIntensity(Torus(1, 3), "ginibre", kappa=1e-2, nu=0.1)
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+def test_empty_law_draws_the_shortest_duration(kind):
+    '''kappa = 1e6: every weight e^{-kappa T} underflows to 0.  The law
+    has mass 0, no gap to report, and draws its kappa -> inf limit, the
+    shortest duration, without a warning.'''
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        intensity = LoopIntensity(Torus(1, 3), kind, kappa=1e6, nu=0.5,
+                                  eps=0.02)
+        T = intensity.sample_duration(np.random.default_rng(0), 5)
+    assert intensity.total_mass == 0.0
+    assert intensity.metadata.get("cdf_norm_gap", 0.0) == 0.0
+    assert np.all(T == (0.5 if kind == "ginibre" else 0.02))
 
 
 def test_open_path_weighted_sample_heat_kernel_identity():
