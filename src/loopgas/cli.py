@@ -89,10 +89,8 @@ class ExperimentConfig:
                 raise ConfigError(f"bad potential file: {exc}")
         elif pot is not None:
             try:
-                pot = PotentialSpec(
-                    d=pot["d"], R=pot["R"],
-                    entries={tuple(xs): val for xs, val in pot["entries"]})
-            except (ValueError, KeyError) as exc:
+                pot = PotentialSpec.from_json(pot)
+            except ValueError as exc:
                 raise ConfigError(f"bad inline potential: {exc}")
         kw = {("lam" if key == "lambda" else key): val
               for key, val in doc.items()

@@ -229,7 +229,7 @@ def ursell(zeta_matrix):
     return _graph_sum(_edge_values(zeta_matrix, all_edges), conn, n)
 
 
-def tree_sum(zeta_matrix, absolute=True):
+def tree_sum(zeta_matrix):
     '''(1/n!) sum over trees of prod of edge |zeta| (the tree bound); a
     float for one (n, n) matrix, an array for a (C, n, n) stack.'''
     zeta_matrix = np.asarray(zeta_matrix, dtype=float)
@@ -238,7 +238,7 @@ def tree_sum(zeta_matrix, absolute=True):
         return 1.0 if zeta_matrix.ndim == 2 else np.ones(len(zeta_matrix))
     all_edges, _, tree_mask, _ = _expansion_tables(n)
     z = _edge_values(zeta_matrix, all_edges)
-    return _graph_sum(np.abs(z) if absolute else z, tree_mask, n)
+    return _graph_sum(np.abs(z), tree_mask, n)
 
 
 def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .lattice import HeatKernel, check_positive_type
-from .loop_mc import McEstimate, run_mc
+from .loop_mc import McEstimate, _ratio, run_mc
 
 
 class GaussianField:
@@ -30,10 +30,9 @@ class GaussianField:
         self.covariance = torus.multiplier(1.0 / symbol)
         self.factor = torus.multiplier(symbol ** -0.5)
 
-    def sample(self, rng, size=None):
-        '''Field samples, shape (size, n_sites) (or (n_sites,) if size None).'''
-        n = self.torus.n_sites
-        shape = (n,) if size is None else (size, n)
+    def sample(self, rng, size):
+        '''size field samples, shape (size, n_sites).'''
+        shape = (size, self.torus.n_sites)
         z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return z / math.sqrt(2.0) @ self.factor
 
@@ -82,15 +81,9 @@ def estimate_gamma_cl(gf, vL, p, xs, ys, n_samples, seed, workers=1,
             "workers": workers}
     if not normalized:
         return McEstimate(num_mean, num_se, count, seed, meta)
-    denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63
-    den = estimate_Zcl(gf, vL, n_samples, denom_seed, workers, lam=lam)
-    if abs(den.mean) <= 3.0 * den.std_error:
-        raise ArithmeticError("denominator estimate consistent with 0")
-    ratio = num_mean / den.mean
-    rel = (num_se / num_mean) ** 2 if num_mean != 0 else 0.0
-    se = (abs(ratio) * math.sqrt(rel + (den.std_error / den.mean) ** 2)
-          if num_mean != 0 else num_se / den.mean)
-    meta.update(denominator=den.mean, denominator_se=den.std_error)
+    ratio, se, den = _ratio(num_mean, num_se, seed, lambda s: estimate_Zcl(
+        gf, vL, n_samples, s, workers, lam=lam))
+    meta.update(den)
     return McEstimate(ratio, se, count, seed, meta)
 
 

@@ -23,7 +23,7 @@ evaluation.  v_total is the kernel's view of one configuration.
 Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
 '''
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class InteractionParams:
     R: int = 0
     kappa: float = None
     kappa0: float = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.nu <= 0:

@@ -73,14 +73,10 @@ def _site_cap(params):
 
 
 def _energy_table(params):
-    '''Interaction matrix for occupation fields: full table for R=0,
-    off-core (diagonal-free) table for R=1.'''
-    if params.R == 1:
-        vt = v_tilde_table(params.vL, params.torus, params.R)
-        mat = vt[params.torus.diff_table]
-        np.fill_diagonal(mat, 0.0)
-        return mat
-    return params.vL[params.torus.diff_table]
+    '''Interaction matrix for occupation fields: v-tilde, the potential
+    off the hard core (diagonal-free for R=1), over site pairs.'''
+    return v_tilde_table(params.vL, params.torus, params.R)[
+        params.torus.diff_table]
 
 
 def _occupation_fields(params):

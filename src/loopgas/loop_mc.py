@@ -153,6 +153,19 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     return (float(mean), float(se), count) if scalar else (mean, se, count)
 
 
+def _ratio(num_mean, num_se, seed, denominator):
+    '''(num / den, its delta-method SE, metadata) for den the McEstimate
+    denominator(a seed derived from seed, an independent stream);
+    ArithmeticError if den is within 3 SE of 0.'''
+    den = denominator((int(seed) ^ 0x9E3779B97F4A7C15) % 2**63)
+    if abs(den.mean) <= 3.0 * den.std_error:
+        raise ArithmeticError("denominator estimate consistent with 0")
+    ratio = num_mean / den.mean
+    se = math.hypot(num_se, ratio * den.std_error) / abs(den.mean)
+    return ratio, se, {"denominator": den.mean,
+                       "denominator_se": den.std_error}
+
+
 def _batch_size(loops_per_sample):
     '''Samples per batch for an expected loops_per_sample: as many as
     fit _BATCH_LOOPS loops, at least 1 and at most _BATCH_LOOPS.'''
@@ -274,19 +287,10 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     sample = _batched(configs, evaluate,
                       intensity.total_mass + p * len(perms))
     num_mean, num_se, count = run_mc(sample, n_samples, seed, workers)
-    # independent stream for the denominator (fixed derived seed)
-    denom_seed = (int(seed) ^ 0x9E3779B97F4A7C15) % 2**63
-    denom = estimate_rel_partition(
-        spec, n_samples if denom_samples is None else denom_samples,
-        denom_seed, workers)
-    if abs(denom.mean) <= 3.0 * denom.std_error:
-        raise ArithmeticError("denominator estimate consistent with 0")
-    ratio = num_mean / denom.mean
-    se = abs(ratio) * math.sqrt(
-        (num_se / num_mean) ** 2 + (denom.std_error / denom.mean) ** 2
-    ) if num_mean != 0 else norm_p / math.sqrt(count)
-    meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys,
-            "denominator": denom.mean, "denominator_se": denom.std_error,
+    ratio, se, den = _ratio(num_mean, num_se, seed, lambda s: (
+        estimate_rel_partition(spec, denom_samples or n_samples, s, workers)))
+    se = se if num_mean else norm_p / math.sqrt(count)   # all-miss bound
+    meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
     meta.update(tally.metadata(count))
     return McEstimate(ratio, se, count, seed, meta)

@@ -315,6 +315,13 @@ class LoopIntensity:
     (uniform base site) x (bridge), and draw_batch draws the bridges
     exactly (paths.bridges).
 
+    The duration law is one table, the mass of each support point over
+    the one before: total_mass is its sum and the CDF its normalized
+    cumulative sum.  The grid's points are its durations nu k; the
+    continuum's are 8192 geometric cell edges on [eps, t_max], each cell
+    integrated in u = log T by 3-point Gauss-Legendre (quad_err: the
+    gap to the 2-point rule), and a draw interpolates within its cell.
+
     Open paths carry the duration weight e^{-kappa T}, on nu N* for the
     grid and on (0, inf) in the continuum: open_duration draws from it
     normalized (geometric on the grid, exponential in the continuum) and
@@ -332,22 +339,27 @@ class LoopIntensity:
         self.kind = kind
         self.kappa = float(kappa)
         self.hk = HeatKernel(torus)
-        self.metadata = {}
         if kind == "ginibre":
             if nu is None or nu <= 0:
                 raise ValueError("ginibre intensity needs nu > 0")
             self.nu = float(nu)
-            self._build_grid_law()
+            self._points, w, self.metadata = self._grid_law()
         elif kind == "symanzik_eps":
             if eps is None or eps <= 0:
                 raise ValueError("symanzik intensity needs eps > 0")
             self.eps = float(eps)
-            self._build_continuum_law()
+            self._points, w, self.metadata = self._continuum_law()
         else:
             raise ValueError(f"unknown intensity kind {kind!r}")
+        self.total_mass = float(w.sum())
+        # an empty law (every mass underflows to 0) draws its limit as
+        # kappa -> inf, the shortest duration
+        self._cdf = (np.cumsum(w / self.total_mass) if self.total_mass > 0
+                     else np.ones(len(w)))
 
     # -- ginibre: discrete duration grid ------------------------------------
-    def _build_grid_law(self):
+    def _grid_law(self):
+        '''(durations nu k, their masses, metadata).'''
         nu, kappa, n = self.nu, self.kappa, self.torus.n_sites
         a = np.exp(-kappa * nu)
         self._open_p = 1.0 - a
@@ -364,56 +376,44 @@ class LoopIntensity:
             k_max += 1
         k = np.arange(1, k_max + 1)
         w = np.exp(-kappa * nu * k) * self.hk.at_origin(nu * k) * n / k
-        self.total_mass = float(w.sum())
         tail = n * a ** (k_max + 1) / ((k_max + 1) * (1 - a))
-        self._durations = nu * k
-        # an empty law (every weight underflows to 0) draws its limit as
-        # kappa -> inf, the shortest duration
-        self._cum = (np.cumsum(w / self.total_mass) if self.total_mass > 0
-                     else np.ones(k_max))
-        self.metadata.update(k_max=k_max, tail_bound=float(tail))
+        return nu * k, w, {"k_max": k_max, "tail_bound": float(tail)}
 
     # -- symanzik: eps-truncated continuum law ------------------------------
-    def _build_continuum_law(self):
-        from scipy import integrate
-
+    def _continuum_law(self):
+        '''(cell edges, 0 then the cell masses, metadata).'''
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
         self.open_normalization = 1.0 / kappa
-
-        def integrand(t):
-            return np.exp(-kappa * t) * self.hk.at_origin(t) * n / t
-
         # T_max so the dropped tail (psi <= 1) is below TAIL relative
         t_max = eps
         while n * np.exp(-kappa * t_max) / (kappa * t_max) > self.TAIL:
             t_max *= 1.25
-        mass, err = integrate.quad(integrand, eps, t_max, limit=500,
-                                   epsabs=1e-13, epsrel=1e-12)
-        # geometric grid for the tabulated inverse CDF
-        grid = np.geomspace(eps, t_max, 8192)
-        vals = integrand(grid)
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
-        self.total_mass = float(mass)
-        self._grid = grid
-        # an empty law (the integrand underflows to 0) draws its limit as
-        # kappa -> inf, the shortest duration eps, with no gap to report
-        empty = cdf[-1] == 0
-        self._cdf = np.ones(len(cdf)) if empty else cdf / cdf[-1]
-        self.metadata.update(t_max=float(t_max), quad_err=float(err),
-                             grid_points=len(grid),
-                             cdf_norm_gap=0.0 if empty else float(
-                                 abs(cdf[-1] - mass) / mass))
+        edges = np.geomspace(eps, t_max, 8192)
+        u = np.log(edges)
+        mid, half = 0.5 * (u[1:] + u[:-1]), 0.5 * np.diff(u)
+
+        def cell_masses(points):
+            '''Gauss-Legendre with points nodes a cell, in u = log T: the
+            integrand is e^{-kappa T} psi(T) |Lambda|, as dT / T = du.'''
+            x, w = np.polynomial.legendre.leggauss(points)
+            return half * sum(
+                w_k * np.exp(-kappa * T) * self.hk.at_origin(T) * n
+                for w_k, T in zip(w, np.exp(mid + np.multiply.outer(x, half))))
+
+        cells = cell_masses(3)
+        return edges, np.concatenate(([0.0], cells)), {
+            "t_max": float(t_max),
+            "quad_err": float(np.abs(cells - cell_masses(2)).sum()),
+            "grid_points": len(edges)}
 
     # -----------------------------------------------------------------------
     def sample_duration(self, rng, size):
         '''size loop durations, from size uniform draws.'''
         u = rng.random(size)
         if self.kind == "ginibre":
-            idx = np.searchsorted(self._cum, u, side="left")
-            idx = np.minimum(idx, len(self._durations) - 1)
-            return self._durations[idx]
-        return np.interp(u, self._cdf, self._grid)
+            idx = np.searchsorted(self._cdf, u, side="left")
+            return self._points[np.minimum(idx, len(self._points) - 1)]
+        return np.interp(u, self._cdf, self._points)
 
     def draw_batch(self, rng, n):
         '''n loops of the normalized intensity, loop i in configuration i

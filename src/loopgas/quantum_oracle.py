@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .interactions import v_tilde_table
 from .lattice import HeatKernel, laplacian_matrix
 
 
@@ -88,11 +89,11 @@ class FockBlocks:
         torus = self.torus = params.torus
         m = self.n_modes = torus.n_sites
         self.lam, self.dim_cap, self._bases = params.lam, dim_cap, {}
-        vmat = params.vL[torus.diff_table]
+        vmat = v_tilde_table(params.vL, torus, params.R)[torus.diff_table]
         h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
         if params.R == 1:
             # energy (lam/2) q.v.q + q.diag(h1); hops x -> y move a particle
-            self.pair = np.where(np.eye(m, dtype=bool), 0.0, vmat)
+            self.pair = vmat
             if not np.isfinite(self.pair).all():
                 raise ValueError(
                     "R = 1 supports the hard core at the origin only")
@@ -258,6 +259,12 @@ def _free_tail_bound(mode_weights, n_from):
     return special.betainc(n_from, m, mu) / (1.0 - mu) ** m
 
 
+def _n_limit(params, n_cap):
+    '''The last block n of a grand sum: n_cap, or |Lambda| if fewer
+    under a hard core.'''
+    return min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
+
+
 def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     '''Xi = sum_n e^{-kappa nu n} tr(e^{-H_n} P+), adaptively truncated;
     returns the relative partition function Z = Xi / Xi(v=0) computed with
@@ -274,7 +281,7 @@ def _grand_sum(params, kappa, tol, n_cap, dim_cap, p=0):
     tuples = np.array(list(itertools.product(range(m), repeat=p)))
     G = np.zeros((m ** p,) * 2)
     fugacity = np.exp(-kappa * params.nu)
-    n_limit = min(m, n_cap) if params.R == 1 else n_cap
+    n_limit = _n_limit(params, n_cap)
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
     terms, Xi, n, diagonalizations, max_dim = [1.0], 1.0, 0, 0, 0
     while n < n_limit:
@@ -319,7 +326,7 @@ def oracle_size(params, kappa=None, tol=1e-10, n_cap=250):
     below tol there, and every interacting term lies below the free one.
     Returns n_max, the largest sector and the summed dim^3.'''
     weights = _free_mode_weights(params, kappa)[1]
-    n_limit = min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
+    n_limit = _n_limit(params, n_cap)
     n = np.arange(1, n_limit + 1)
     below = n[_free_tail_bound(weights, n) < tol]
     n_max = int(below[0]) if below.size else n_limit

@@ -82,6 +82,17 @@ def test_inline_and_file_potentials(tmp_path):
     assert config2.potential.entries == config.potential.entries
 
 
+def test_inline_potential_with_a_repeated_site_exits_2(tmp_path, capsys):
+    # an inline potential is parsed as a potential file is: a repeated
+    # site is refused, not overwritten by its last value
+    cfg = _write_config(tmp_path, _ginibre_doc(potential={
+        "d": 1, "R": 0, "entries": [[[0], 0.5], [[0], 0.9]]}))
+    assert main(["ginibre-z", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate entry at (0,)" in err
+
+
 def test_heatkernel_experiment(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": "heatkernel", "torus": {"d": 1, "L": 3},
@@ -408,6 +419,39 @@ spec = EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre", 1.0,
                                                  nu=0.5), "ginibre")
 estimate_gamma_p(spec, 1, [0], [0], 20, seed=1)
 log_Z_via_expansion(spec, 2, 20, seed=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_continuum_monte_carlo_imports_no_scipy():
+    '''Building the continuum loop law of the shipped symanzik_z.json at
+    each eps and running the partition estimator loads no scipy module:
+    the law's mass and CDF come from one numpy quadrature.'''
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    config = Path(__file__).resolve().parent.parent / "configs" / \
+        "symanzik_z.json"
+    code = f"""
+import sys
+from loopgas.cli import ExperimentConfig
+from loopgas.interactions import InteractionParams
+from loopgas.loop_mc import EnsembleSpec, estimate_rel_partition
+from loopgas.paths import LoopIntensity
+cfg = ExperimentConfig.from_json({str(config)!r})
+torus = cfg.torus()
+params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=1.0,
+                           lam=cfg.lam, mode="generic", kappa=cfg.kappa)
+for eps in cfg.eps_list:
+    intensity = LoopIntensity(torus, "symanzik_eps", cfg.kappa, eps=eps)
+    spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
+    estimate_rel_partition(spec, 20, seed=1)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(loopgas.__file__).resolve().parent.parent)

@@ -201,6 +201,17 @@ def test_gamma_p_rejects_off_torus_sites(site):
         estimate_gamma_p(_grid_spec(), 1, [0], [site], 10, seed=1)
 
 
+def test_gamma_p_with_no_hit_reports_the_all_miss_bound():
+    '''Short open paths (kappa nu = 1) from site 0 never reach site 4 of
+    a 9-site ring in 20 samples: the estimate is 0 and its SE is the
+    bound open_normalization^p / sqrt(n), not the 0 of the samples.'''
+    spec = _grid_spec(kappa=2.0, L=9)
+    est = estimate_gamma_p(spec, 1, [0], [4], 20, seed=3)
+    assert est.mean == 0.0
+    assert est.std_error == spec.intensity.open_normalization / math.sqrt(20)
+    assert est.metadata["denominator"] > 0.0
+
+
 # -- guards on the sample counts -------------------------------------------------
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -388,14 +399,15 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 
 # Recorded with the exact bridge sampler (one draw_batch call per batch
 # of loops, one walks call per open path and permutation) and batches
-# sized by their loops (each chunk here is one batch).
+# sized by their loops (each chunk here is one batch); the continuum
+# entries with the duration CDF of Gauss-Legendre cells.
 GOLDEN = {
     "Z/grid/w1": [0.7765532305252303, 0.014348543204633085],
     "Z/grid_d2/w1": [0.8104886967533071, 0.012456127997505602],
     "Z/grid_offgrid/w1": [0.0500555909494192, 0.008398342183734586],
     "Z/grid_R1/w1": [0.5212949863327913, 0.028774492842530273],
-    "Z/continuum/w1": [0.7270851797122904, 0.014734132175766222],
-    "Z/continuum_d2/w1": [0.7998089080704646, 0.01295747507919317],
+    "Z/continuum/w1": [0.727085215691729, 0.014734130558399056],
+    "Z/continuum_d2/w1": [0.7998089265659875, 0.012957474027660149],
     "gamma/p1/R0/w1": [0.25841399309976104, 0.03898016699350483,
         0.7723139670152069, 0.01753994782540671],
     "gamma/p2/R0/w1": [0.3423764214697235, 0.05087186679344627,
@@ -412,8 +424,8 @@ GOLDEN = {
     "Z/grid_d2/w3": [0.8091131744745133, 0.012691843362769795],
     "Z/grid_offgrid/w3": [0.04182839771838302, 0.007462499510669813],
     "Z/grid_R1/w3": [0.5048923373553679, 0.02881446771337557],
-    "Z/continuum/w3": [0.7083556265804164, 0.015331423428584496],
-    "Z/continuum_d2/w3": [0.7867247866060987, 0.01267438047707333],
+    "Z/continuum/w3": [0.7083556641184917, 0.015331421904680584],
+    "Z/continuum_d2/w3": [0.7867248057959132, 0.012674379401012717],
     "gamma/p1/R0/w3": [0.3004237397114395, 0.039646417604109134,
         0.7833688232175813, 0.01558028608153897],
     "gamma/p2/R0/w3": [0.34546438918045075, 0.047453513216844725,

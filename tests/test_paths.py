@@ -85,8 +85,28 @@ def test_loop_intensity_mass_symanzik():
     intensity = LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=eps)
     val, _ = integrate.quad(
         lambda t: math.exp(-t) * float(hk.at_origin(t)) * torus.n_sites / t,
-        eps, 60.0, limit=400)
-    assert intensity.total_mass == pytest.approx(val, rel=1e-8)
+        eps, 60.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    assert intensity.total_mass == pytest.approx(val, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("kappa", [0.05, 20.0])
+@pytest.mark.parametrize("eps", [0.02, 0.5])
+def test_continuum_mass_matches_adaptive_quadrature(d, L, kappa, eps):
+    '''The continuum law's mass, summed from its Gauss-Legendre cells,
+    is the integral of e^{-kappa T} psi(T) |Lambda| / T over [eps, t_max]
+    by adaptive quadrature, and the 3- and 2-point rules agree.'''
+    torus = Torus(d, L)
+    hk = HeatKernel(torus)
+    intensity = LoopIntensity(torus, "symanzik_eps", kappa=kappa, eps=eps)
+    t_max = intensity.metadata["t_max"]
+    val, err = integrate.quad(
+        lambda t: math.exp(-kappa * t) * float(hk.at_origin(t))
+        * torus.n_sites / t,
+        eps, t_max, epsabs=0.0, epsrel=1e-13, limit=500)
+    assert err <= 1e-13 * val
+    assert intensity.total_mass == pytest.approx(val, rel=1e-12)
+    assert intensity.metadata["quad_err"] <= 1e-12 * intensity.total_mass
 
 
 def test_loop_intensity_duration_law():
@@ -163,7 +183,7 @@ def test_sample_loop_is_closed_and_uniform_base():
         else:
             # 20 bins of the law's own quadrature probability
             edges = np.interp(np.linspace(0, 1, 21), intensity._cdf,
-                              intensity._grid)
+                              intensity._points)
             probs = np.array([integrate.quad(
                 lambda t: math.exp(-kappa * t) * hk.table(t)[0] / t,
                 lo, hi)[0] for lo, hi in zip(edges, edges[1:])])
@@ -336,15 +356,15 @@ def test_grid_law_refuses_truncation():
 @pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
 def test_empty_law_draws_the_shortest_duration(kind):
     '''kappa = 1e6: every weight e^{-kappa T} underflows to 0.  The law
-    has mass 0, no gap to report, and draws its kappa -> inf limit, the
-    shortest duration, without a warning.'''
+    has mass 0 and draws its kappa -> inf limit, the shortest duration,
+    without a warning.'''
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         intensity = LoopIntensity(Torus(1, 3), kind, kappa=1e6, nu=0.5,
                                   eps=0.02)
         T = intensity.sample_duration(np.random.default_rng(0), 5)
     assert intensity.total_mass == 0.0
-    assert intensity.metadata.get("cdf_norm_gap", 0.0) == 0.0
+    assert intensity.metadata.get("quad_err", 0.0) == 0.0
     assert np.all(T == (0.5 if kind == "ginibre" else 0.02))
 
 
