@@ -10,6 +10,7 @@ the config.  CSV headers are fixed and documented in the README.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -27,8 +28,7 @@ from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
                       periodize_potential)
 from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
 from .paths import LoopIntensity
-from .quantum_oracle import (feynman_kac_check, grand_partition,
-                             oracle_size, reduced_density_matrix)
+from .quantum_oracle import feynman_kac_check, grand_sum, oracle_size
 
 # The mean-field sweep runs the exact oracle while its largest momentum
 # sector fits the oracle's dim_cap and its diagonalizations, summed over
@@ -190,6 +190,13 @@ def _use_oracle(params_list, kappa):
             and size["eigh_dim3"] <= ORACLE_EIGH_BUDGET), size
 
 
+def _pass_record(nu, res):
+    '''Where one grand sum stopped: its last block, free tail bound and
+    largest sector.'''
+    return {"nu": nu, "n_max": res.n_max, "tail_bound": res.tail_bound,
+            "max_sector_dim": res.metadata["max_sector_dim"]}
+
+
 # -- sweeps ------------------------------------------------------------------
 
 def run_meanfield_sweep(config):
@@ -214,7 +221,7 @@ def run_meanfield_sweep(config):
           f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})")
     classical_exact = torus.n_sites == 1
 
-    gamma_rows, z_rows = [], []
+    gamma_rows, z_rows, passes = [], [], []
     if classical_exact:
         origin = torus.index_of(np.zeros(torus.d, dtype=np.int64))
         z_cl, g_cl = field_oracle.quadrature_single_site(
@@ -232,10 +239,10 @@ def run_meanfield_sweep(config):
 
     for i, (nu, params) in enumerate(zip(config.nu_list, params_list)):
         if use_oracle:
-            n_cap = _meanfield_n_cap(kappa, nu)
-            res = grand_partition(params, kappa=kappa, n_cap=n_cap)
+            res, K = grand_sum(params, p, kappa,
+                               n_cap=_meanfield_n_cap(kappa, nu))
+            passes.append(_pass_record(nu, res))
             z_q, z_q_se = res.Z_rel, 0.0
-            K = reduced_density_matrix(params, p, kappa, n_cap=n_cap)
             xi = int(np.ravel_multi_index(xs, (torus.n_sites,) * p))
             yi = int(np.ravel_multi_index(ys, (torus.n_sites,) * p))
             g_q, g_q_se = nu ** p * K[xi, yi], 0.0
@@ -267,7 +274,8 @@ def run_meanfield_sweep(config):
             fit[name] = {"order": slope, "r_squared": r2}
     _write_json(config.out, "meanfield_fit.json",
                 {"fit": fit, "chooser": chooser, "oracle_size": size,
-                 "seed": config.seed, "workers": config.workers})
+                 "oracle": passes, "seed": config.seed,
+                 "workers": config.workers})
     return {"gamma_rows": gamma_rows, "z_rows": z_rows, "fit": fit}
 
 
@@ -285,13 +293,13 @@ def run_largemass_sweep(config):
                                    kappa0=config.kappa0, tol=1e-12)
     K_lm = largemass.gamma_lm_matrix(lm_params)
     z_lm_val = largemass.z_lm(lm_params)["relative"]
-    gamma_rows, z_rows = [], []
+    gamma_rows, z_rows, passes = [], [], []
     for nu in config.nu_list:
         params = InteractionParams(torus=torus, vL=vL, nu=nu,
                                    mode="largemass", R=R,
                                    kappa0=config.kappa0)
-        res = grand_partition(params, kappa=params.kappa)
-        K = reduced_density_matrix(params, 1, params.kappa)
+        res, K = grand_sum(params, 1, params.kappa)
+        passes.append(_pass_record(nu, res))
         for x in range(torus.n_sites):
             for y in range(torus.n_sites):
                 gamma_rows.append([nu, x, y, K[x, y], K_lm[x, y],
@@ -302,16 +310,9 @@ def run_largemass_sweep(config):
     _write_csv(config.out, "largemass_z.csv",
                ["nu", "z_quantum", "z_lm", "abs_diff"], z_rows)
     _write_json(config.out, "largemass_meta.json",
-                {"R": R, "kappa0": config.kappa0, "seed": config.seed,
-                 "workers": config.workers})
+                {"R": R, "kappa0": config.kappa0, "oracle": passes,
+                 "seed": config.seed, "workers": config.workers})
     return {"gamma_rows": gamma_rows, "z_rows": z_rows}
-
-
-def centered_block(K, torus, L0):
-    '''Restrict a one-particle kernel to the centered L0-box, indexed by
-    centered offsets (common across volumes).'''
-    idx = torus.centered_box(L0)
-    return K[np.ix_(idx, idx)]
 
 
 def run_volume_sweep(config):
@@ -337,7 +338,9 @@ def run_volume_sweep(config):
             vL = config.vL(torus)
             G = perturbative.gamma1_first_order(torus, nu, config.kappa,
                                                vL, lam)
-            blocks[L] = centered_block(G, torus, config.L0)
+            # the centered L0-box, indexed by offsets common to all L
+            box = torus.centered_box(config.L0)
+            blocks[L] = G[np.ix_(box, box)]
             gs[L] = perturbative.gibbs_potential_first_order(
                 torus, nu, config.kappa, vL, lam)
             g_rows.append([nu, L, gs[L]])
@@ -376,19 +379,15 @@ def run_heatkernel(config):
             xvec = torus.centered(torus.coords[site])
             inf_val = sum(
                 heat_kernel_infinite(torus.d, t, np.asarray(xvec) + torus.L
-                                     * np.array(shift), method="bessel")
-                for shift in _shifts(torus.d, 5))
+                                     * np.array(shift))
+                for shift in itertools.product(range(-5, 6),
+                                               repeat=torus.d))
             rows.append([t, " ".join(map(str, xvec)),
                          float(table.ravel()[site]), inf_val,
                          abs(float(table.ravel()[site]) - inf_val)])
     _write_csv(config.out, "heatkernel.csv",
                ["t", "x", "psi_L", "psi_periodized", "abs_gap"], rows)
     return {"rows": rows}
-
-
-def _shifts(d, radius):
-    import itertools
-    return list(itertools.product(range(-radius, radius + 1), repeat=d))
 
 
 def _grid_ensemble(config, nu):
@@ -552,10 +551,6 @@ RUNNERS = {
 }
 
 
-def _default_config(experiment):
-    return ExperimentConfig(experiment=experiment, d=1, L=3)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="loopgas",
@@ -579,7 +574,7 @@ def main(argv=None):
         else:
             if args.command != "selftest":
                 raise ConfigError(f"{args.command} requires --config")
-            config = _default_config(args.command)
+            config = ExperimentConfig(experiment=args.command, d=1, L=3)
         if args.out is not None:
             config.out = args.out
         if args.seed is not None:

@@ -104,16 +104,12 @@ def occupation_sum(params):
     return float(np.sum(weights)), tail
 
 
-def _normalizer_log(params):
-    '''log of exp(|Lambda| sum_k e^{-kappa0 k}/k) = -|Lambda| log(1 - a).'''
-    return -params.torus.n_sites * math.log(1.0 - params.a)
-
-
 def z_lm(params):
     '''Relative and unnormalized infinite-mass partition function, with
     the recorded truncation tail.'''
     num, tail = occupation_sum(params)
-    log_norm = _normalizer_log(params)
+    # log exp(|Lambda| sum_k e^{-kappa0 k}/k) = -|Lambda| log(1 - a)
+    log_norm = -params.torus.n_sites * math.log(1.0 - params.a)
     return {"relative": num * math.exp(-log_norm), "unnormalized": num,
             "log_normalizer": log_norm, "tail_bound": tail}
 
@@ -130,10 +126,12 @@ def gamma_lm(params, p, xs, ys):
                 for pi in itertools.permutations(range(p)))
     if not perms:
         return 0.0
-    from scipy import special
     grid, weights, _ = _occupation_fields(params)
     sites, mult = np.unique(xs, return_counts=True)
-    moment = special.comb(grid[:, sites], mult).prod(axis=1)
+    # binom[q, i] = C(q, mult[i]), exact integers
+    binom = np.array([[math.comb(q, k) for k in mult]
+                      for q in range(grid.max() + 1)], dtype=np.int64)
+    moment = binom[grid[:, sites], np.arange(len(sites))].prod(axis=1)
     return perms * float(weights @ moment) / float(np.sum(weights))
 
 

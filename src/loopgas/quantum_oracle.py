@@ -9,9 +9,10 @@ is (lam/2|Lambda|) sum_{k,k',q} vhat(q) a+_{k+q} a+_{k'-q} a_{k'} a_k
 real symmetric for an even v.  A hard core (R = 1) has no finite vhat:
 its modes are the sites, each holding at most one particle, and block n
 is one sector.  Each sector is built and diagonalized once; no
-eigenvectors are kept between blocks.  grand_partition needs eigenvalues
-only; reduced_density_matrix contracts the eigenvectors with the
-lowering maps in the same pass and maps the mode kernel to sites.
+eigenvectors are kept between blocks.  grand_sum at p = 0 needs
+eigenvalues only; at p >= 1 it contracts the eigenvectors with the
+lowering maps in the same pass and maps the mode kernel to sites, so one
+pass gives both the partition function and Gamma_p.
 '''
 
 import functools
@@ -227,8 +228,6 @@ class GrandCanonicalResult:
     Xi: float
     Xi0: float
     Z_rel: float
-    terms: list
-    terms_free: list
     n_max: int
     tail_bound: float
     metadata: dict = field(default_factory=dict)
@@ -253,10 +252,18 @@ def _free_traces(mode_weights, n_max):
 
 def _free_tail_bound(mode_weights, n_from):
     '''Upper bound on sum_{n >= n_from} h_n(w): with h_n <= binom(n+m-1,
-    m-1) mu^n, the negative-binomial tail I_mu(n_from, m) / (1 - mu)^m.'''
-    from scipy import special
+    m-1) mu^n, the negative-binomial tail I_mu(N, m) / (1 - mu)^m at N =
+    n_from (scalar or array).  I_mu(N, m) = sum_{k<m} binom(N+m-1, k)
+    (1-mu)^k mu^{N+m-1-k}, summed in log space from the log ratios of
+    neighbouring terms.'''
     mu, m = float(np.max(mode_weights)), len(mode_weights)
-    return special.betainc(n_from, m, mu) / (1.0 - mu) ** m
+    top = np.asarray(n_from, dtype=float)[..., None] + (m - 1)
+    k = np.arange(1, m)
+    ratios = np.log((top - k + 1) / k) + math.log((1.0 - mu) / mu)
+    log_terms = np.concatenate((np.zeros_like(top),
+                                np.cumsum(ratios, axis=-1)), axis=-1)
+    first = top * math.log(mu) - m * math.log1p(-mu)
+    return np.exp(log_terms + first).sum(axis=-1)
 
 
 def _n_limit(params, n_cap):
@@ -269,12 +276,12 @@ def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     '''Xi = sum_n e^{-kappa nu n} tr(e^{-H_n} P+), adaptively truncated;
     returns the relative partition function Z = Xi / Xi(v=0) computed with
     matched truncation.'''
-    return _grand_sum(params, kappa, tol, n_cap, dim_cap)[0]
+    return grand_sum(params, 0, kappa, tol, n_cap, dim_cap)[0]
 
 
-def _grand_sum(params, kappa, tol, n_cap, dim_cap, p=0):
-    '''grand_partition's result and, for p >= 1, the unnormalized kernel
-    sum_n e^{-kappa nu n} tr(e^{-H_n} a+_y a_x) over site p-tuples.'''
+def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
+    '''grand_partition's result and, for p >= 1, reduced_density_matrix's
+    Gamma_p (None for p = 0), both from one pass over the blocks.'''
     kappa, weights = _free_mode_weights(params, kappa)
     blocks = FockBlocks(params, dim_cap)
     m = blocks.n_modes
@@ -283,7 +290,7 @@ def _grand_sum(params, kappa, tol, n_cap, dim_cap, p=0):
     fugacity = np.exp(-kappa * params.nu)
     n_limit = _n_limit(params, n_cap)
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
-    terms, Xi, n, diagonalizations, max_dim = [1.0], 1.0, 0, 0, 0
+    Xi, n, diagonalizations, max_dim = 1.0, 0, 0, 0
     while n < n_limit:
         n += 1
         trace, G_n = 0.0, p and np.zeros_like(G)
@@ -299,7 +306,6 @@ def _grand_sum(params, kappa, tol, n_cap, dim_cap, p=0):
             if n >= p:
                 blocks.add_kernel(G_n, n, tuples, lo, V, e)
         t = fugacity ** n * float(trace)
-        terms.append(t)
         Xi += t
         G += fugacity ** n * G_n
         if t < tol * Xi and tails[n + 1] < tol * Xi:
@@ -307,17 +313,16 @@ def _grand_sum(params, kappa, tol, n_cap, dim_cap, p=0):
         if n >= n_cap and tails[n + 1] > tol * Xi:
             raise ArithmeticError(f"grand sum not converged at n_cap={n_cap}: "
                                   f"tail bound {tails[n + 1]:.3e}")
-    terms_free = _free_traces(weights, n)
-    Xi0 = float(np.sum(terms_free))
+    Xi0 = float(np.sum(_free_traces(weights, n)))
     if p and blocks.U is not None:
         # a_x = sum_k U[x, k] a_k on every index of the p-tuples
         U = functools.reduce(np.kron, [blocks.U] * p)
         G = (U @ G @ U.conj().T).real
     return GrandCanonicalResult(
-        Xi=float(Xi), Xi0=Xi0, Z_rel=float(Xi / Xi0), terms=terms,
-        terms_free=terms_free, n_max=n, tail_bound=float(tails[n + 1]),
+        Xi=float(Xi), Xi0=Xi0, Z_rel=float(Xi / Xi0), n_max=n,
+        tail_bound=float(tails[n + 1]),
         metadata={"kappa": kappa, "tol": tol, "max_sector_dim": max_dim,
-                  "diagonalizations": diagonalizations}), G
+                  "diagonalizations": diagonalizations}), G / Xi if p else None
 
 
 def oracle_size(params, kappa=None, tol=1e-10, n_cap=250):
@@ -343,8 +348,7 @@ def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
     the grand sum's pass.'''
     if p < 1:
         raise ValueError("p must be >= 1")
-    res, G = _grand_sum(params, kappa, tol, n_cap, dim_cap, p)
-    return G / res.Xi
+    return grand_sum(params, p, kappa, tol, n_cap, dim_cap)[1]
 
 
 def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):

@@ -28,6 +28,7 @@ from loopgas.perturbative import (
 from loopgas.quantum_oracle import (
     feynman_kac_check, grand_partition, reduced_density_matrix)
 
+import heat_kernel_reference
 from largemass_reference import z_lm_particle_sum
 
 
@@ -70,15 +71,15 @@ def test_criterion_01_heat_kernel_suite():
                     total = 0.0
                     for shift in itertools.product(
                             range(-radius, radius + 1), repeat=d):
-                        total += heat_kernel_infinite(
-                            d, t, x + L * np.array(shift), method="bessel")
+                        total += heat_kernel_reference.bessel(
+                            d, t, x + L * np.array(shift))
                     ok &= abs(tab[site] - total) < 1e-8
-            # the two infinite-kernel routes agree
+            # the ring form agrees with the Bessel and quadrature routes
             for x in ([0] * d, [1] + [0] * (d - 1)):
-                b = heat_kernel_infinite(d, 1.0, x, method="bessel")
-                q = heat_kernel_infinite(d, 1.0, x, method="quadrature",
-                                         tail_tol=1e-8)
-                ok &= abs(b - q) < 1e-8
+                ring = heat_kernel_infinite(d, 1.0, x)
+                for oracle in (heat_kernel_reference.bessel,
+                               heat_kernel_reference.quadrature):
+                    ok &= abs(ring - oracle(d, 1.0, x)) < 1e-14
     assert _verdict(1, "heat-kernel suite", ok)
 
 

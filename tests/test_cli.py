@@ -11,6 +11,10 @@ import pytest
 from loopgas import cli
 from loopgas.cli import ConfigError, ExperimentConfig, main
 from loopgas.interactions import InteractionParams
+from loopgas.lattice import Torus
+from loopgas.quantum_oracle import sector_dims
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -178,6 +182,10 @@ def test_meanfield_experiment(tmp_path):
     fit = json.loads((out / "meanfield_fit.json").read_text())
     assert fit["chooser"] == "quantum_oracle"
     assert "gamma" in fit["fit"] and "z" in fit["fit"]
+    # one grand sum per nu, its stopping point recorded
+    assert [r["nu"] for r in fit["oracle"]] == [0.2, 0.1]
+    assert all(r["max_sector_dim"] == 1 and r["n_max"] > 0
+               for r in fit["oracle"])
     rows = _read_csv(out / "meanfield_gamma.csv")
     diffs = [float(r[-1]) for r in rows[1:]]
     assert diffs[1] < diffs[0]
@@ -193,8 +201,7 @@ def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent
-                                     / "configs" / "meanfield_single_site.json")
+    cfg = ExperimentConfig.from_json(_CONFIGS / "meanfield_single_site.json")
     torus = cfg.torus(3)
     params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=0.1,
                                mode="meanfield", kappa=cfg.kappa)
@@ -395,67 +402,75 @@ def test_grid_law_past_its_term_budget_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "kappa * nu" in err
 
 
-def test_grid_monte_carlo_imports_no_scipy():
-    '''Importing the CLI and running the grid-ensemble estimators
-    (kernel, cluster series) loads no scipy module: scipy is imported
-    inside the functions that need it.'''
+def test_shipped_configs_run_without_scipy(tmp_path):
+    '''With every scipy import made to fail, each of the 8 shipped
+    configs runs through loopgas.cli.main and exits 0: the library needs
+    numpy and jsonschema only.'''
     import os
     import subprocess
     import sys
     import loopgas
     code = """
-import sys
-import loopgas.cli
-from loopgas.cluster import log_Z_via_expansion
-from loopgas.interactions import InteractionParams
-from loopgas.lattice import PotentialSpec, Torus, periodize_potential
-from loopgas.loop_mc import EnsembleSpec, estimate_gamma_p
-from loopgas.paths import LoopIntensity
-torus = Torus(1, 3)
-vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.05}), 3)
-params = InteractionParams(torus=torus, vL=vL, nu=0.5, mode="meanfield",
-                           kappa=1.0)
-spec = EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre", 1.0,
-                                                 nu=0.5), "ginibre")
-estimate_gamma_p(spec, 1, [0], [0], 20, seed=1)
-log_Z_via_expansion(spec, 2, 20, seed=1)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import json, pathlib, sys
+sys.modules["scipy"] = None
+from loopgas.cli import main
+codes = {}
+for config in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    experiment = json.loads(config.read_text())["experiment"]
+    codes[config.stem] = main([experiment, "--config", str(config),
+                               "--out", str(pathlib.Path(sys.argv[2])
+                                            / config.stem)])
+print(json.dumps(codes))
 """
     src = str(Path(loopgas.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(_CONFIGS),
+                          str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True, timeout=600)
+    codes = json.loads(out.stdout.strip().splitlines()[-1])
+    assert len(codes) == 8 and set(codes.values()) == {0}, codes
 
 
-def test_continuum_monte_carlo_imports_no_scipy():
-    '''Building the continuum loop law of the shipped symanzik_z.json at
-    each eps and running the partition estimator loads no scipy module:
-    the law's mass and CDF come from one numpy quadrature.'''
-    import os
-    import subprocess
-    import sys
-    import loopgas
-    config = Path(__file__).resolve().parent.parent / "configs" / \
-        "symanzik_z.json"
-    code = f"""
-import sys
-from loopgas.cli import ExperimentConfig
-from loopgas.interactions import InteractionParams
-from loopgas.loop_mc import EnsembleSpec, estimate_rel_partition
-from loopgas.paths import LoopIntensity
-cfg = ExperimentConfig.from_json({str(config)!r})
-torus = cfg.torus()
-params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=1.0,
-                           lam=cfg.lam, mode="generic", kappa=cfg.kappa)
-for eps in cfg.eps_list:
-    intensity = LoopIntensity(torus, "symanzik_eps", cfg.kappa, eps=eps)
-    spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
-    estimate_rel_partition(spec, 20, seed=1)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-    src = str(Path(loopgas.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+def test_largemass_diagonalizes_each_sector_once_per_nu(tmp_path,
+                                                        monkeypatch):
+    '''The shipped largemass_soft.json run takes Z_rel and Gamma_1 from
+    one grand sum per nu: one eigh or eigvalsh per momentum sector of
+    each block up to the n_max that largemass_meta.json records.'''
+    calls = []
+
+    def counting(eig):
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return eig(a, *args, **kwargs)
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg,
+                                                              name)))
+    out = tmp_path / "out"
+    assert main(["largemass", "--config",
+                 str(_CONFIGS / "largemass_soft.json"),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "largemass_meta.json").read_text())
+    assert [r["nu"] for r in meta["oracle"]] == [0.2, 0.1, 0.05]
+    sectors = 0
+    for record in meta["oracle"]:
+        dims = sector_dims(Torus(1, 3), False, record["n_max"])
+        sectors += np.count_nonzero(dims[1:])
+        assert record["max_sector_dim"] == dims.max()
+        assert 0.0 < record["tail_bound"] < 1e-9
+    assert len(calls) == sectors == 3 * 3 * 28
+
+
+def test_heatkernel_past_the_ring_budget_exits_2(tmp_path, capsys):
+    '''At t = 1e12 the infinite-lattice kernel would need a ring above
+    MAX_RING_SITES: the run is refused with one line, not written as
+    NaN.'''
+    cfg = _write_config(tmp_path, {
+        "experiment": "heatkernel", "torus": {"d": 1, "L": 3},
+        "t_list": [1e12]})
+    out = tmp_path / "out"
+    assert main(["heatkernel", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_RING_SITES" in err
+    assert not (out / "heatkernel.csv").exists()

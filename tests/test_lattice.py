@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from loopgas.lattice import (
-    HeatKernel, PotentialSpec, Torus, check_positive_type, heat_kernel_infinite,
-    laplacian_matrix, periodize_potential)
+    MAX_RING_SITES, HeatKernel, PotentialSpec, Torus, check_positive_type,
+    heat_kernel_infinite, laplacian_matrix, periodize_potential)
+
+import heat_kernel_reference
 
 
 def test_torus_indexing_roundtrip():
@@ -123,13 +125,34 @@ def test_free_weights_reject_bad_kappa_nu(nu, kappa):
         HeatKernel(Torus(1, 3)).free_weights(nu, kappa)
 
 
-def test_infinite_kernel_bessel_vs_quadrature():
-    for d, x in [(1, [0]), (1, [2]), (2, [1, 1])]:
-        for t in (0.1, 1.0, 3.0):
-            b = heat_kernel_infinite(d, t, x, method="bessel")
-            q = heat_kernel_infinite(d, t, x, method="quadrature",
-                                     tail_tol=1e-8)
-            assert abs(b - q) < 1e-8
+def test_infinite_kernel_ring_vs_bessel_and_quadrature():
+    # the ring form against two independent routes, t <= 200, |x_j| <= 20
+    line = [[x] for x in range(-20, 21)]
+    plane = [[x, y] for x in (-20, -3, 0, 1, 7, 20) for y in (0, 2, -11, 20)]
+    for d, xs in ((1, line), (2, plane)):
+        for t in (0.0, 0.01, 0.1, 1.0, 3.0, 10.0, 50.0, 200.0):
+            for x in xs:
+                ring = heat_kernel_infinite(d, t, x)
+                for oracle in (heat_kernel_reference.bessel,
+                               heat_kernel_reference.quadrature):
+                    assert abs(ring - oracle(d, t, x)) < 1e-14
+
+
+def test_infinite_kernel_at_large_time():
+    # psi^{inf,t}(0) = e^{-t} I_0(t) = (2 pi t)^{-1/2} (1 + 1/(8t) + O(t^-2)),
+    # where scipy's scaled Bessel function returns NaN; 1e-12 relative
+    # fails the ring summed from k = 0 (1.1e-11) or with 1 - cos (1e-7)
+    t = 1e10
+    expected = (2.0 * np.pi * t) ** -0.5 * (1.0 + 1.0 / (8.0 * t))
+    assert heat_kernel_infinite(1, t, [0]) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)
+
+
+def test_infinite_kernel_past_the_ring_budget_raises():
+    with pytest.raises(ValueError, match="MAX_RING_SITES"):
+        heat_kernel_infinite(1, 1e12, [0])
+    with pytest.raises(ValueError, match="MAX_RING_SITES"):
+        heat_kernel_infinite(2, 1.0, [0, MAX_RING_SITES])
 
 
 def test_periodization_identity():
@@ -144,8 +167,8 @@ def test_periodization_identity():
                 x = torus.coords[site]
                 total = 0.0
                 for shift in itertools.product(range(-5, 6), repeat=d):
-                    total += heat_kernel_infinite(
-                        d, t, x + L * np.array(shift), method="bessel")
+                    total += heat_kernel_reference.bessel(
+                        d, t, x + L * np.array(shift))
                 assert abs(tab[site] - total) < 1e-8
 
 

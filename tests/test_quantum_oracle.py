@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import special
 
 from fock_reference import (
     BoseBlocks, ManyBodySpace, free_tail_bound_sum, grand_sums, hamiltonian)
@@ -330,11 +331,22 @@ def test_oracle_size_bounds_the_grand_sum():
 
 
 def test_free_tail_bound_closed_form():
-    # the negative-binomial tail against the term-by-term sum
-    for mu in (0.05, 0.3, 0.61, 0.9, 0.97):
-        for m in (1, 2, 3, 9, 16):
-            for n0 in (1, 2, 7, 40, 150):
-                weights = np.full(m, mu)
-                closed = _free_tail_bound(weights, n0)
-                assert closed == pytest.approx(
-                    free_tail_bound_sum(weights, n0), rel=1e-12, abs=0.0)
+    # the negative-binomial tail against the term-by-term sum, for one n0
+    # and for an array of them as grand_sum passes it; betainc, a second
+    # oracle, over every n0 <= 1000 wherever it holds its digits (it loses
+    # them near underflow)
+    n0s = np.array([0, 1, 2, 7, 40, 150, 400, 1000])
+    every = np.arange(1001)
+    for mu in (0.05, 0.3, 0.61, 0.9, 0.97, 0.99):
+        for m in (1, 2, 3, 9, 16, 27, 64):
+            weights = np.full(m, mu)
+            sums = [free_tail_bound_sum(weights, n0, horizon=10 ** 5)
+                    for n0 in n0s]
+            assert _free_tail_bound(weights, n0s[3]) == pytest.approx(
+                sums[3], rel=1e-12, abs=0.0)
+            assert _free_tail_bound(weights, n0s) == pytest.approx(
+                sums, rel=1e-12, abs=0.0)
+            ref = special.betainc(every, m, mu) / (1.0 - mu) ** m
+            keep = ref > 1e-250
+            assert _free_tail_bound(weights, every)[keep] == pytest.approx(
+                ref[keep], rel=1e-12, abs=0.0)
