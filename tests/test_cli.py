@@ -402,6 +402,71 @@ def test_grid_law_past_its_term_budget_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "kappa * nu" in err
 
 
+def test_grid_monte_carlo_imports_no_scipy():
+    '''Importing the CLI and running the grid-ensemble estimators
+    (kernel, cluster series) loads no scipy module: scipy is imported
+    inside the functions that need it.'''
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    code = """
+import sys
+import loopgas.cli
+from loopgas.cluster import log_Z_via_expansion
+from loopgas.interactions import InteractionParams
+from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from loopgas.loop_mc import EnsembleSpec, estimate_gamma_p
+from loopgas.paths import LoopIntensity
+torus = Torus(1, 3)
+vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.05}), 3)
+params = InteractionParams(torus=torus, vL=vL, nu=0.5, mode="meanfield",
+                           kappa=1.0)
+spec = EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre", 1.0,
+                                                 nu=0.5), "ginibre")
+estimate_gamma_p(spec, 1, [0], [0], 20, seed=1)
+log_Z_via_expansion(spec, 2, 20, seed=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_continuum_monte_carlo_imports_no_scipy():
+    '''Building the continuum loop law of the shipped symanzik_z.json at
+    each eps and running the partition estimator loads no scipy module:
+    the law's mass and CDF come from one numpy quadrature.'''
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    config = _CONFIGS / "symanzik_z.json"
+    code = f"""
+import sys
+from loopgas.cli import ExperimentConfig
+from loopgas.interactions import InteractionParams
+from loopgas.loop_mc import EnsembleSpec, estimate_rel_partition
+from loopgas.paths import LoopIntensity
+cfg = ExperimentConfig.from_json({str(config)!r})
+torus = cfg.torus()
+params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=1.0,
+                           lam=cfg.lam, mode="generic", kappa=cfg.kappa)
+for eps in cfg.eps_list:
+    intensity = LoopIntensity(torus, "symanzik_eps", cfg.kappa, eps=eps)
+    spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
+    estimate_rel_partition(spec, 20, seed=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_shipped_configs_run_without_scipy(tmp_path):
     '''With every scipy import made to fail, each of the 8 shipped
     configs runs through loopgas.cli.main and exits 0: the library needs
