@@ -9,9 +9,9 @@ sum over site-occupation fields q: [z^m] exp(sum_k e^{-kappa0 k} z^k / k)
 partition sum equals sum_q prod_x e^{-kappa0 q_x} e^{-E(q)} with
 E(q) = (1/2) q^T V q (R=0) or the off-diagonal half sum over occupied
 sites with q <= 1 (R=1).  The kernels are moments of the same measure on
-q: Gamma_p^lm(x, y) = |perms| E[prod_s C(q_s, m_s)], so Gamma_1^lm(x, x)
-= E[q_x].  The direct truncated particle sum, an independent
-cross-check, lives with the tests (tests/largemass_reference.py).
+q: Gamma_p^lm(x, y) = (prod_s m_s!) E[prod_s C(q_s, m_s)] for y a
+permutation of x, so Gamma_1^lm(x, x) = E[q_x].  The direct particle
+sum, an independent cross-check, is in tests/largemass_reference.py.
 '''
 
 import itertools
@@ -116,18 +116,17 @@ def z_lm(params):
 
 def gamma_lm(params, p, xs, ys):
     '''Kernel entry Gamma_p^lm(x, y) = sum over occupation vectors k and
-    permutations pi of e^{-kappa0 |k|} delta(pi y - x) Z^lm(k, x)/Z^lm;
+    pi in S_p of e^{-kappa0 |k|} delta(pi y - x) Z^lm(k, x)/Z^lm;
     zero unless y is a permutation of x (no hopping at infinite mass).
     Shifting the field by sum_i k_i e_{x_i} turns the sum over k into the
-    occupation moment |perms| E[prod_s C(q_s, m_s)], m_s the multiplicity
-    of site s in x.'''
+    occupation moment R E[prod_s C(q_s, m_s)], m_s the multiplicity of
+    site s in x, and R = prod_s m_s! the number of pi with pi y = x.'''
     xs, ys = params.torus.check_sites(p, xs, ys)
-    perms = sum(all(ys[pi[i]] == xs[i] for i in range(p))
-                for pi in itertools.permutations(range(p)))
-    if not perms:
+    if sorted(xs) != sorted(ys):
         return 0.0
     grid, weights, _ = _occupation_fields(params)
     sites, mult = np.unique(xs, return_counts=True)
+    perms = math.prod(map(math.factorial, mult))
     # binom[q, i] = C(q, mult[i]), exact integers
     binom = np.array([[math.comb(q, k) for k in mult]
                       for q in range(grid.max() + 1)], dtype=np.int64)

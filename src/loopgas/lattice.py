@@ -173,9 +173,33 @@ class HeatKernel:
         return a
 
 
-# Most sites one ring of heat_kernel_infinite may hold (8 MB a table):
-# t up to about 1.3e10.
+# Most sites one ring of heat_kernel_infinite or heat_kernel_images may
+# hold (8 MB a table): t up to about 1.3e10 for the kernel at the origin,
+# 3.3e9 for the image sums.
 MAX_RING_SITES = 2 ** 20
+
+
+def _reach(t):
+    '''y0 (rounded down) solving y^2 = 2c(t + y/3), c = ln 1e18, so that
+    Bernstein's bound P(X_t >= y) <= e^{-y^2/(2(t + y/3))} puts a
+    coordinate of the walk past y0 with probability below 1e-18.'''
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    c = 6.0 * math.log(10.0)        # (ln 1e18) / 3
+    return int(c + math.sqrt(c * c + 6.0 * c * t))
+
+
+def _ring_decay(t, M):
+    '''e^{-2t sin^2(pi k / M)} for k = -(M // 2), ..., M - 1 - M // 2,
+    the symbol of the 1D kernel on a ring of M sites; ValueError past
+    MAX_RING_SITES.'''
+    if M > MAX_RING_SITES:
+        raise ValueError(f"heat kernel at t={t} needs a ring of {M} sites, "
+                         f"above MAX_RING_SITES={MAX_RING_SITES}")
+    # k centred, so sin^2 keeps full relative accuracy (1 - cos would lose
+    # t * 1e-16)
+    k = np.arange(M) - M // 2
+    return k, np.exp(-2.0 * t * np.sin(np.pi * k / M) ** 2)
 
 
 def heat_kernel_infinite(d, t, x):
@@ -183,28 +207,36 @@ def heat_kernel_infinite(d, t, x):
 
     psi^{inf,t}(x) = prod_j (2 pi)^{-1} int e^{-2t sin^2(xi/2)} cos(xi x_j) dxi,
     each factor by the trapezoid rule on a ring of M = |x_j| + y0 + 2
-    sites, which sums psi^{inf,t} over x_j + M Z.  y0 solves y^2 = 2c(t +
-    y/3), c = ln 1e18, so Bernstein's bound P(X_t >= y) <= e^{-y^2/(2(t +
-    y/3))} keeps the aliasing below 1e-18.  ValueError past MAX_RING_SITES.
+    sites, which sums psi^{inf,t} over x_j + M Z; y0 = _reach(t) keeps
+    the aliasing below 1e-18.  ValueError past MAX_RING_SITES.
     '''
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if x.size != d:
         raise ValueError("x must have length d")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    c = 6.0 * math.log(10.0)        # (ln 1e18) / 3
-    sizes = np.abs(x) + int(c + math.sqrt(c * c + 6.0 * c * t)) + 2
-    if sizes.max() > MAX_RING_SITES:
-        raise ValueError(f"heat kernel at t={t} needs a ring of {sizes.max()}"
-                         f" sites, above MAX_RING_SITES={MAX_RING_SITES}")
+    reach = _reach(t)
     out = 1.0
-    for xj, M in zip(x, sizes):
-        # k centred, so sin^2 keeps full relative accuracy (1 - cos would
-        # lose t * 1e-16); (k x_j) mod M keeps the cosine's argument small
-        k = np.arange(M) - M // 2
-        decay = np.exp(-2.0 * t * np.sin(np.pi * k / M) ** 2)
+    for xj in x:
+        M = abs(int(xj)) + reach + 2
+        k, decay = _ring_decay(t, M)
+        # (k x_j) mod M keeps the cosine's argument small
         out *= float(decay @ np.cos(2.0 * np.pi * (k * xj % M) / M)) / M
     return out
+
+
+def heat_kernel_images(t, L):
+    '''The 1D kernel summed over the images of each residue mod L:
+    sum_n psi^{inf,t}(r + L n) for r = 0..L-1, so that the d-dimensional
+    image sum at x is the product over j of entry x_j mod L.  The images
+    run over |r + L n| <= y0 = _reach(t), so the dropped ones weigh less
+    than 1e-18 on each side; their kernel values come from one ring of
+    2 y0 + 2 sites, on which the trapezoid rule aliases each with images
+    at least y0 + 2 away.  ValueError past MAX_RING_SITES.'''
+    reach = _reach(t)
+    M = 2 * reach + 2
+    _, decay = _ring_decay(t, M)
+    ring = np.fft.ifft(np.fft.ifftshift(decay)).real
+    y = np.arange(-reach, reach + 1)
+    return np.bincount(y % L, weights=ring[y % M], minlength=L)
 
 
 class PotentialSpec:

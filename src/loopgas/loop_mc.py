@@ -15,18 +15,18 @@ every random draw of the batch as arrays, and the compute phase
 evaluates all configurations of the batch with one call of
 interactions.batch_interaction.  A batch holds a budget of loops, not
 of samples: with l the expected loops per sample, known before any draw
-(the Poisson mass, plus the p p! open paths of a kernel; n for order n
-of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS / max(1,
-l))) samples.  Within a batch of B samples the draws come in this
-order:
+(the Poisson mass, plus the p R open paths of a kernel, R sets of p;
+n for order n of the cluster expansion), it holds max(1,
+floor(_BATCH_LOOPS / max(1, l))) samples.  Within a batch of B samples
+the draws come in this order:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
-  - for a kernel, then, per permutation and per open path in order, the
-    B open-path durations (open_duration) and one paths.walks call for
-    the B walks, which keeps the walks that end where they should; a
-    sample carries a permutation's configuration when all its p walks
-    hit.
+  - for a kernel, then, per open path i in order, the B R open-path
+    durations (open_duration) and one paths.walks call for the B R walks
+    from x_i, in (sample, set) order, which keeps the walks that end on
+    a y; a (sample, set) row carries a configuration when its p ends,
+    sorted, are the sorted y's.
 The batch size bounds the memory a chunk holds, since that memory
 follows loops, not samples (the continuum residue table alone is loops
 x M x L), and it is part of the stream: the draws of a batch are
@@ -38,13 +38,14 @@ master seed, and the per-worker moments are merged in worker order
 (Welford), so results are bit-identical for a fixed worker count.
 '''
 
-import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# v_total is unused here; perfbench's tests assert that loop_mc names it
 from .interactions import batch_interaction, v_total
 from .paths import LoopBatch, _segments, walks
 
@@ -94,9 +95,6 @@ class EnsembleSpec:
         if self.kind == "ginibre" and self.params.nu != self.intensity.nu:
             raise ValueError(f"params nu = {self.params.nu} does not match "
                              f"the intensity's nu = {self.intensity.nu}")
-
-    def total_interaction(self, config):
-        return v_total(config, self.params, self.kind)
 
 
 def _chunks(n_samples, workers):
@@ -242,38 +240,38 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
 def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                      denom_samples=None):
     '''MC estimate of the kernel entry Gamma_p(x, y) via the relative
-    open-path representation; permutations enumerated (p <= 4).  The
+    open-path representation (p <= 4).  Each sample sums R = prod_s m_s!
+    sets of p open paths, m_s the multiplicity of site s among the y's:
+    a set whose ends, sorted, are the sorted y's is the paths x_i ->
+    y_pi(i) of R of the pi in S_p, any other set of none.  The
     denominator takes denom_samples samples (None: n_samples).'''
     if p < 1 or p > 4:
-        raise ValueError("p must be in 1..4 (permutation enumeration)")
+        raise ValueError(f"p must be in 1..4, got {p}")
     if denom_samples is not None and denom_samples < 2:
         raise ValueError(f"denom_samples must be None or >= 2, got "
                          f"{denom_samples}")
     xs, ys = spec.torus.check_sites(p, xs, ys)
     intensity = spec.intensity
-    perms = list(itertools.permutations(range(p)))
+    n_sets = math.prod(map(math.factorial, Counter(ys).values()))
     norm_p = intensity.open_normalization ** p
     tally = _Tally()
 
     def configs(rng, m):
-        # the configurations (open paths + background) of the samples and
-        # permutations whose open paths all end where they should, in
-        # (sample, permutation) order, and the sample of each
+        # the configurations (open paths + background) of the (sample,
+        # set) rows whose open paths end on the y's, in row order, and
+        # the sample of each
         sizes, background = _draw_background(intensity, rng, m, tally)
-        hits, opens = np.ones((m, len(perms)), dtype=bool), []
-        for q, pi in enumerate(perms):
-            for i in range(p):
-                T = intensity.open_duration(rng, m)
-                end, paths = walks(spec.torus, np.full(m, xs[i]), T, rng,
-                                   target=np.full(m, ys[pi[i]]))
-                hits[:, q] &= end == ys[pi[i]]
-                opens.append((q, paths))
-        config = np.cumsum(hits.ravel()).reshape(hits.shape) - 1
+        ends, opens = zip(*[
+            walks(spec.torus, np.full(m * n_sets, x),
+                  intensity.open_duration(rng, m * n_sets), rng, target=ys)
+            for x in xs])
+        hits = (np.sort(np.column_stack(ends), axis=1) == sorted(ys)).all(1)
+        config = np.cumsum(hits) - 1
         parts = []
-        for q, paths in opens:
-            index = np.flatnonzero(hits[paths.config, q])
-            parts.append((config[paths.config[index], q], paths, index))
-        sample_of = np.nonzero(hits)[0]
+        for paths in opens:
+            index = np.flatnonzero(hits[paths.config])
+            parts.append((config[paths.config[index]], paths, index))
+        sample_of = np.flatnonzero(hits) // n_sets
         index = _segments(np.concatenate(([0], np.cumsum(sizes))), sample_of)
         parts.append((np.repeat(np.arange(len(sample_of)), sizes[sample_of]),
                       background, index))
@@ -284,8 +282,7 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         return norm_p * np.bincount(
             sample_of, weights=tally.boltzmann(spec, batch), minlength=m)
 
-    sample = _batched(configs, evaluate,
-                      intensity.total_mass + p * len(perms))
+    sample = _batched(configs, evaluate, intensity.total_mass + p * n_sets)
     num_mean, num_se, count = run_mc(sample, n_samples, seed, workers)
     ratio, se, den = _ratio(num_mean, num_se, seed, lambda s: (
         estimate_rel_partition(spec, denom_samples or n_samples, s, workers)))

@@ -91,9 +91,9 @@ def _segments(offsets, index):
 def walks(torus, x, T, rng, target=None):
     '''Free walks from the sites x over the durations T (arrays of one
     length n): (end sites, LoopBatch of the kept walks).  A walk is kept
-    when it ends at its target (an array like x); target None keeps all.
-    Kept walk k lies in configuration k of the batch (n configurations),
-    so the batch's config lists the kept walks.
+    when it ends on a site of target (sites as a list or an array);
+    target None keeps all.  Kept walk k lies in configuration k of the
+    batch (n configurations), so the batch's config lists the kept walks.
 
     Draws, in order: the jump counts Poisson(d T) of all walks, their
     uniform signed steps (directions in 0..2d-1, torus.steps order), and
@@ -105,7 +105,8 @@ def walks(torus, x, T, rng, target=None):
     counts = rng.poisson(d * T)
     if torus.L == 1:
         end = x.copy()
-        kept = np.arange(n) if target is None else np.flatnonzero(end == target)
+        kept = (np.arange(n) if target is None
+                else np.flatnonzero(np.isin(end, target)))
         return end, LoopBatch(n, kept, x[kept], T[kept],
                               np.zeros(len(kept), dtype=np.int64),
                               _NO_TIMES, _NO_SITES)
@@ -119,7 +120,7 @@ def walks(torus, x, T, rng, target=None):
     if target is None:
         kept, steps = np.arange(n), dirs
     else:
-        keep = end == target
+        keep = np.isin(end, target)
         kept, steps = np.flatnonzero(keep), dirs[keep[step_walk]]
     k_counts = counts[kept]
     jump_walk = np.repeat(np.arange(len(kept)), k_counts)

@@ -134,6 +134,10 @@ class FockBlocks:
             return self._bases[n]
         m = self.n_modes
         if self.cap == 1:
+            # the keys are m-bit patterns, distinct in int64 up to m = 64
+            if m > 64:
+                raise MemoryError(f"occupation keys of block n={n} overflow "
+                                  f"int64")
             sizes = [math.comb(m, k) for k in range(m + 1)]
             fit = next((k for k, size in enumerate(sizes)
                         if size > self.dim_cap), m + 1)

@@ -12,42 +12,39 @@ import numpy as np
 
 
 def v_lm(kvec, xvec, vL, torus, R):
-    '''Infinite-mass interaction of weighted particles (k_i, x_i).
+    '''Infinite-mass interaction of weighted particles (k_i, x_i), or one
+    value per row when xvec stacks site tuples.
 
     R=0: 1/2 sum_{i,j} k_i k_j v(x_i - x_j);
     R=1: 1/2 sum_{i!=j} v(x_i - x_j) if k = 1 and sites distinct, else +inf.
     '''
     kvec = np.asarray(kvec, dtype=np.int64)
     xvec = np.asarray(xvec, dtype=np.int64)
-    if len(kvec) != len(xvec):
+    if xvec.shape[-1:] != kvec.shape:
         raise ValueError("|k| and |x| must agree")
-    n = len(kvec)
-    if n == 0:
-        return 0.0
     if np.any(kvec < 1):
         raise ValueError("occupation numbers must be >= 1")
-    vmat = vL[torus.diff_table[np.ix_(xvec, xvec)]]
+    vmat = vL[torus.diff_table[xvec[..., :, None], xvec[..., None, :]]]
     if R == 1:
+        off = ~np.eye(len(kvec), dtype=bool)
+        V = 0.5 * np.where(off, vmat, 0.0).sum(axis=(-2, -1))
         if np.any(kvec != 1):
-            return np.inf
-        off = vmat[~np.eye(n, dtype=bool)]
-        if np.isinf(off).any():
-            return np.inf
-        return 0.5 * float(off.sum())
-    total = float(kvec @ vmat @ kvec)
-    return np.inf if np.isinf(total) else 0.5 * total
+            V = np.full_like(V, np.inf)
+    else:
+        V = 0.5 * np.einsum("i,...ij,j->...", kvec, vmat, kvec)
+    return V if V.ndim else float(V)
 
 
 def z_lm_particle_sum(params, k_max, n_max):
     '''The unnormalized and relative Z^lm of params (an LmParams) as the
     direct particle sum truncated at n <= n_max particles and occupation
     numbers k_i <= k_max, with the tails of both truncations.  The cost
-    is (k_max |Lambda|)^{n_max}, so both truncations must stay small.'''
+    is (k_max |Lambda|)^{n_max}, so both truncations must stay small;
+    each k-tuple takes all its site tuples in one v_lm call.'''
     torus, a = params.torus, params.a
     k_top = 1 if params.R == 1 else k_max
     if (k_top * torus.n_sites) ** n_max > 10 ** 7:
         raise ValueError("particle-sum budget exceeded; lower n_max/k_max")
-    sites = range(torus.n_sites)
     k_tail = a ** (k_max + 1) / ((k_max + 1) * (1.0 - a))
     full_mass = -torus.n_sites * math.log(1.0 - a)
     n_tail = math.exp(full_mass) - sum(
@@ -57,13 +54,14 @@ def z_lm_particle_sum(params, k_max, n_max):
         if n == 0:
             total += 1.0
             continue
+        sites = np.array(list(itertools.product(range(torus.n_sites),
+                                                repeat=n)), dtype=np.int64)
         term = 0.0
         for ks in itertools.product(range(1, k_top + 1), repeat=n):
             pref = a ** sum(ks) / math.prod(ks)
-            for xs in itertools.product(sites, repeat=n):
-                V = v_lm(ks, xs, params.vL, torus, params.R)
-                if not np.isinf(V):
-                    term += pref * math.exp(-V)
+            # e^{-inf} = 0 drops the hard-core-killed tuples
+            term += pref * float(
+                np.exp(-v_lm(ks, sites, params.vL, torus, params.R)).sum())
         total += term / math.factorial(n)
         if total > 0 and term / math.factorial(n) < params.tol * total and n >= 2:
             break

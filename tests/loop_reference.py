@@ -26,9 +26,16 @@ from loopgas.paths import Path
 def walks(torus, x, T, rng, target=None):
     '''Free walks from the sites x over the durations T: (end sites, the
     Path of each walk kept, None for the others).  A walk is kept when
-    it ends at its target (None keeps all).  Draws the jump counts
+    it ends on a site of target (None keeps all).  Draws the jump counts
     Poisson(d T) of all walks, then their signed steps, then the jump
     times of the kept walks, sorted per walk.'''
+    return _walks(torus, x, T, rng,
+                  lambda ends: [target is None or end in target
+                                for end in ends])
+
+
+def _walks(torus, x, T, rng, keep):
+    '''walks, keeping walk k where keep(end sites)[k] is true.'''
     counts = rng.poisson(torus.d * np.asarray(T, dtype=float))
     if torus.L == 1:
         paths = [Path(int(xk), float(Tk)) for xk, Tk in zip(x, T)]
@@ -45,8 +52,8 @@ def walks(torus, x, T, rng, target=None):
             ends.append(site)
             paths.append(Path(int(xk), float(Tk), None,
                               np.array(sites, dtype=np.int64)))
-    for k, path in enumerate(paths):
-        if target is not None and ends[k] != target[k]:
+    for k, (path, kept) in enumerate(zip(paths, keep(ends))):
+        if not kept:
             paths[k] = None
         elif path.jump_times is None:
             n = len(path.jump_sites)
@@ -132,9 +139,10 @@ def rejection_loops(intensity, rng, n):
         if not todo:
             break
         n_walks += len(todo)
-        _, paths = walks(intensity.torus, [x[i] for i in todo],
-                         [T[i] for i in todo], rng,
-                         target=[x[i] for i in todo])
+        _, paths = _walks(intensity.torus, [x[i] for i in todo],
+                          [T[i] for i in todo], rng,
+                          lambda ends: [end == x[i]
+                                        for end, i in zip(ends, todo)])
         for i, path in zip(todo, paths):
             loops[i] = path
         todo = [i for i in todo if loops[i] is None]

@@ -539,3 +539,27 @@ def test_heatkernel_past_the_ring_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MAX_RING_SITES" in err
     assert not (out / "heatkernel.csv").exists()
+
+
+def test_heatkernel_sums_every_image_it_needs(tmp_path, capsys):
+    '''On L = 5 the walk spreads past a fixed block of 11 images by t =
+    100 (there the block's abs_gap was 1.3e-3, and 0.077 at t = 1000);
+    the image sums reach the Bernstein radius and close the gap to
+    1e-12.  At t = 1e10, where the block wrote a gap of 0.19996 and exit
+    0, the sums would need a ring above MAX_RING_SITES: exit 2, one
+    line, no CSV.'''
+    doc = {"experiment": "heatkernel", "torus": {"d": 1, "L": 5},
+           "t_list": [100.0, 1000.0]}
+    out = tmp_path / "out"
+    assert main(["heatkernel", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    rows = _read_csv(out / "heatkernel.csv")[1:]
+    assert len(rows) == 2 * 5
+    assert all(float(r[4]) <= 1e-12 for r in rows)
+    doc["t_list"] = [1e10]
+    far = tmp_path / "far"
+    assert main(["heatkernel", "--config", _write_config(tmp_path, doc),
+                 "--out", str(far)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_RING_SITES" in err
+    assert not (far / "heatkernel.csv").exists()

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from loopgas.largemass import (
-    LmParams, _energy_table, _site_cap, gamma_lm, gamma_lm_matrix,
-    occupation_sum, z_lm)
+    LmParams, _energy_table, _occupation_fields, _site_cap, gamma_lm,
+    gamma_lm_matrix, occupation_sum, z_lm)
 from loopgas.lattice import PotentialSpec, Torus
 
 from largemass_reference import z_lm_particle_sum
@@ -157,6 +157,39 @@ def test_gamma_lm_p2_permutation_structure():
     assert gamma_lm(params, 2, [0, 1], [0, 2]) == 0.0
     # hard core kills doubly-occupied requests
     assert gamma_lm(params, 2, [0, 0], [0, 0]) == 0.0
+
+
+def _enumerated_gamma_lm(params, p, xs, ys):
+    '''gamma_lm with its permutation count enumerated: the pi with
+    y_pi(i) = x_i for all i, times the occupation moment.'''
+    perms = sum(all(ys[pi[i]] == xs[i] for i in range(p))
+                for pi in itertools.permutations(range(p)))
+    if not perms:
+        return 0.0
+    grid, weights, _ = _occupation_fields(params)
+    sites, mult = np.unique(xs, return_counts=True)
+    binom = np.array([[math.comb(q, k) for k in mult]
+                      for q in range(grid.max() + 1)], dtype=np.int64)
+    moment = binom[grid[:, sites], np.arange(len(sites))].prod(axis=1)
+    return perms * float(weights @ moment) / float(np.sum(weights))
+
+
+@pytest.mark.parametrize("params", [_soft(), _hard(),
+                                    LmParams(torus=Torus(1, 3),
+                                             potential=PotentialSpec(
+                                                 1, 1, {(1,): 0.4}),
+                                             kappa0=0.5)])
+def test_gamma_lm_counts_the_permutations_it_used_to_enumerate(params):
+    '''prod_s m_s! against the enumerated count on random site lists,
+    p <= 4, half of them with y a permutation of x.'''
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        p = int(rng.integers(1, 5))
+        xs = rng.integers(3, size=p).tolist()
+        ys = (rng.permutation(xs) if rng.random() < 0.5
+              else rng.integers(3, size=p)).tolist()
+        assert gamma_lm(params, p, xs, ys) == _enumerated_gamma_lm(
+            params, p, xs, ys)
 
 
 def test_params_validation():

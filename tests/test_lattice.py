@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from loopgas.lattice import (
-    MAX_RING_SITES, HeatKernel, PotentialSpec, Torus, check_positive_type,
-    heat_kernel_infinite, laplacian_matrix, periodize_potential)
+    MAX_RING_SITES, HeatKernel, PotentialSpec, Torus, _reach,
+    check_positive_type, heat_kernel_images, heat_kernel_infinite,
+    laplacian_matrix, periodize_potential)
 
 import heat_kernel_reference
 
@@ -153,6 +154,22 @@ def test_infinite_kernel_past_the_ring_budget_raises():
         heat_kernel_infinite(1, 1e12, [0])
     with pytest.raises(ValueError, match="MAX_RING_SITES"):
         heat_kernel_infinite(2, 1.0, [0, MAX_RING_SITES])
+    with pytest.raises(ValueError, match="MAX_RING_SITES"):
+        heat_kernel_images(1e10, 5)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 3.0, 200.0])
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_image_sums_match_the_ring_kernel_image_by_image(t, L):
+    '''heat_kernel_images against heat_kernel_infinite summed image by
+    image over the same radius, and against the periodic kernel.'''
+    reach = _reach(t)
+    images = heat_kernel_images(t, L)
+    for r in range(L):
+        direct = sum(heat_kernel_infinite(1, t, [y])
+                     for y in range(-reach, reach + 1) if y % L == r)
+        assert abs(images[r] - direct) < 1e-14
+    assert np.abs(images - HeatKernel(Torus(1, L)).table(t)).max() < 1e-14
 
 
 def test_periodization_identity():

@@ -1,7 +1,7 @@
 '''Poissonized loop-gas Monte Carlo: free closed forms, determinism,
 reduction identities.'''
 
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -16,7 +16,7 @@ from loopgas import loop_mc
 from loopgas.loop_mc import (
     EnsembleSpec, _batch_size, _batched, _chunks, _welford_merge,
     estimate_gamma_p, estimate_rel_partition, run_mc)
-from loopgas.paths import LoopIntensity
+from loopgas.paths import LoopIntensity, walks
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
 
@@ -139,6 +139,29 @@ def test_gamma_interacting_against_oracle():
     K = reduced_density_matrix(spec.params, p=1)
     est = estimate_gamma_p(spec, 1, [0], [0], 30000, seed=7, workers=2)
     assert abs(est.mean - K[0, 0]) <= 3.0 * est.std_error
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_kernel(R, p):
+    # tol 1e-6 is far below the Monte Carlo errors compared with it
+    return reduced_density_matrix(_golden_grid(R=R).params, p, tol=1e-6)
+
+
+@pytest.mark.parametrize("R", [0, 1])
+@pytest.mark.parametrize("xs,ys", [([0, 1], [1, 0]), ([0, 1], [1, 2]),
+                                   ([0, 0], [0, 0]), ([0, 1, 2], [2, 0, 1]),
+                                   ([0, 0, 1], [1, 0, 0])])
+def test_gamma_p_against_oracle(R, xs, ys):
+    '''Kernels of p = 2 and 3 at distinct, repeated and mixed sites
+    against the exact oracle at 3 sigma; under the hard core (R = 1) a
+    repeated site gives 0 on both sides.'''
+    p = len(xs)
+    K = _oracle_kernel(R, p)
+    exact = K[np.ravel_multi_index(xs, (3,) * p),
+              np.ravel_multi_index(ys, (3,) * p)]
+    est = estimate_gamma_p(_golden_grid(R=R), p, xs, ys, 20000, seed=11,
+                           workers=2)
+    assert abs(est.mean - exact) <= 3.0 * est.std_error
 
 
 def test_symanzik_ensemble_runs():
@@ -323,39 +346,63 @@ def test_rel_partition_matches_reference_and_counts(R, workers,
     assert (est.metadata["killed_frac"] > 0) == bool(R)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_gamma_matches_reference_and_counts(p, monkeypatch):
+    '''Per sample, R = prod_s m_s! sets of open paths, each set counted
+    when its ends are the y's in some order: p = 1 and 2 under the hard
+    core, and p = 3 without it, where the y's 1, 0, 0 give R = 2.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
-    spec = _hard_core_spec(3, 0.5, "generic")
+    if p < 3:
+        spec = _hard_core_spec(3, 0.5, "generic")
+        xs, ys, n_sets = [0, 1][:p], [1, 0][:p], 1
+    else:
+        spec, xs, ys, n_sets = _grid_spec(), [0, 0, 1], [1, 0, 0], 2
     norm_p = loop_reference.open_normalization(spec.intensity) ** p
-    xs, ys = [0, 1][:p], [1, 0][:p]
-    perms = list(itertools.permutations(range(p)))
 
     def batch_of(rng, m, backgrounds, boltzmann):
         loops = backgrounds(rng, m)
-        opens = []
-        for pi in perms:
-            opens.append([])
-            for i in range(p):
-                T = loop_reference.open_duration(spec.intensity, rng, m)
-                opens[-1].append(loop_reference.walks(
-                    spec.torus, [xs[i]] * m, T, rng, [ys[pi[i]]] * m)[1])
-        totals = []
-        for s in range(m):
-            total = 0.0
-            for paths in opens:
-                config = [paths[i][s] for i in range(p)]
-                if all(path is not None for path in config):
-                    total += norm_p * boltzmann(config + loops[s])
-            totals.append(total)
+        ends, opens = [], []
+        for x in xs:
+            T = loop_reference.open_duration(spec.intensity, rng, m * n_sets)
+            end, paths = loop_reference.walks(spec.torus, [x] * len(T), T,
+                                              rng, ys)
+            ends.append(end)
+            opens.append(paths)
+        totals = [0.0] * m
+        for row in range(m * n_sets):
+            if sorted(end[row] for end in ends) == sorted(ys):
+                s = row // n_sets
+                config = [paths[row] for paths in opens]
+                totals[s] += norm_p * boltzmann(config + loops[s])
         return totals
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
     mean, _, tally = _reference_run(
-        spec, 300, 3, 2, batch_of,
-        spec.intensity.total_mass + p * len(perms))
+        spec, 300, 3, 2, batch_of, spec.intensity.total_mass + p * n_sets)
+    assert est.mean != 0.0
     assert _close(est.mean * est.metadata["denominator"], mean)
     _check_counters(est.metadata, tally, 300)
+
+
+def test_gamma_p_walks_once_per_open_path_and_batch(monkeypatch):
+    '''A batch of m samples draws its open paths with one walks call per
+    open path, of R m walks: p = 3 with the y's 1, 0, 0 (R = 2) makes 3
+    calls of 2 m walks a batch.'''
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
+    calls = []
+
+    def spy(torus, x, T, rng, target=None):
+        calls.append(len(x))
+        return walks(torus, x, T, rng, target)
+
+    monkeypatch.setattr(loop_mc, "walks", spy)
+    spec = _grid_spec()
+    estimate_gamma_p(spec, 3, [0, 0, 1], [1, 0, 0], 50, seed=1, workers=2)
+    size = _batch_size(spec.intensity.total_mass + 3 * 2)
+    batches = [min(size, n - lo) for n in _chunks(50, 2)
+               for lo in range(0, n, size)]
+    assert len(batches) > 2
+    assert calls == [2 * m for m in batches for _ in range(3)]
 
 
 def test_one_site_loops_need_one_walk():
@@ -398,9 +445,10 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 
 
 # Recorded with the exact bridge sampler (one draw_batch call per batch
-# of loops, one walks call per open path and permutation) and batches
-# sized by their loops (each chunk here is one batch); the continuum
-# entries with the duration CDF of Gauss-Legendre cells.
+# of loops, one walks call per open path) and batches sized by their
+# loops (each chunk here is one batch); the continuum entries with the
+# duration CDF of Gauss-Legendre cells; the p = 2 kernel entries with R
+# sets of open paths per sample.
 GOLDEN = {
     "Z/grid/w1": [0.7765532305252303, 0.014348543204633085],
     "Z/grid_d2/w1": [0.8104886967533071, 0.012456127997505602],
@@ -410,11 +458,11 @@ GOLDEN = {
     "Z/continuum_d2/w1": [0.7998089265659875, 0.012957474027660149],
     "gamma/p1/R0/w1": [0.25841399309976104, 0.03898016699350483,
         0.7723139670152069, 0.01753994782540671],
-    "gamma/p2/R0/w1": [0.3423764214697235, 0.05087186679344627,
+    "gamma/p2/R0/w1": [0.39163478240356914, 0.051394494708722475,
         0.7723139670152069, 0.01753994782540671],
     "gamma/p1/R1/w1": [0.10231055056959255, 0.03869006426223677,
         0.5273385060330518, 0.03520693995178815],
-    "gamma/p2/R1/w1": [0.13077233329882332, 0.05344017056251102,
+    "gamma/p2/R1/w1": [0.06625209390249491, 0.038314142583260415,
         0.5273385060330518, 0.03520693995178815],
     "logz/w1": [1.3419473561193502, -0.08834823702789482, 0.012299686808357215,
         0.02876497900471297, 0.006861789698573659, 0.0014864128644908072,
@@ -428,11 +476,11 @@ GOLDEN = {
     "Z/continuum_d2/w3": [0.7867248057959132, 0.012674379401012717],
     "gamma/p1/R0/w3": [0.3004237397114395, 0.039646417604109134,
         0.7833688232175813, 0.01558028608153897],
-    "gamma/p2/R0/w3": [0.34546438918045075, 0.047453513216844725,
+    "gamma/p2/R0/w3": [0.31051460060943925, 0.04728440214217945,
         0.7833688232175813, 0.01558028608153897],
     "gamma/p1/R1/w3": [0.09594010466072371, 0.039316869759055226,
         0.47724534196790547, 0.035217606865993366],
-    "gamma/p2/R1/w3": [0.07224930324924513, 0.04185138671402194,
+    "gamma/p2/R1/w3": [0.048804080623801586, 0.03461076249874894,
         0.47724534196790547, 0.035217606865993366],
     "logz/w3": [1.3755314049768856, -0.08493469047202615, 0.012312216753872587,
         0.02452668060510323, 0.0066619594656184685, 0.0016283431394116111,

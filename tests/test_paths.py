@@ -407,10 +407,10 @@ def _same_path(p, q):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_walk_and_loop_keep_the_reference_stream(d, L):
-    '''Over many seeds, walks (with and without targets), bridges,
-    draw_batch and open_duration (ginibre and symanzik) give the per-path
-    reference's paths and durations, and the generator state is the same
-    after every draw.'''
+    '''Over many seeds, walks (with no target, and with targets of one
+    and of up to two sites), bridges, draw_batch and open_duration
+    (ginibre and symanzik) give the per-path reference's paths and
+    durations, and the generator state is the same after every draw.'''
     torus = Torus(d, L)
     intensities = [LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5),
                    LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)]
@@ -418,7 +418,8 @@ def test_walk_and_loop_keep_the_reference_stream(d, L):
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         x = np.arange(12) % torus.n_sites
         T = 0.25 + 0.5 * np.arange(12)
-        for target in (None, (x + seed) % torus.n_sites):
+        n = torus.n_sites
+        for target in (None, [seed % n], [seed % n, (3 * seed + 1) % n]):
             end, batch = walks(torus, x, T, new, target)
             ref_end, paths = loop_reference.walks(torus, x, T, ref, target)
             assert end.tolist() == ref_end

@@ -293,6 +293,20 @@ def test_metadata_counts_sectors_and_diagonalizations():
     assert hard.metadata["max_sector_dim"] == 3
 
 
+def test_hard_core_keys_past_64_sites_are_refused():
+    '''Hard-core states are keyed by m-bit patterns: on L = 64 block 1
+    builds, on L = 65 the keys would collide and the oracle refuses with
+    MemoryError instead of failing inside the build.'''
+    params = _params(v0=0.0, R=1, L=64)
+    assert [len(H) for _, _, H in
+            FockBlocks(params, dim_cap=6000).sectors(1)] == [64]
+    params = _params(v0=0.0, R=1, L=65)
+    with pytest.raises(MemoryError, match="overflow int64"):
+        list(FockBlocks(params, dim_cap=6000).sectors(1))
+    with pytest.raises(MemoryError, match="overflow int64"):
+        grand_partition(params)
+
+
 @pytest.mark.parametrize("d,L,R", _GRID)
 def test_sector_dims_count_the_basis(d, L, R):
     params = _random_params(d, L, R, seed=0)
