@@ -10,6 +10,7 @@ the config.  CSV headers are fixed and documented in the README.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -23,8 +24,7 @@ import jsonschema
 from . import cluster, field_oracle, largemass, perturbative
 from .interactions import InteractionParams
 from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
-                      heat_kernel_images, load_potential,
-                      periodize_potential)
+                      heat_kernel_images, periodize_potential)
 from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
 from .paths import LoopIntensity
 from .quantum_oracle import feynman_kac_check, grand_sum, oracle_size
@@ -67,30 +67,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
+        doc = _read_json(path, "config")
+        if isinstance(doc, dict) and isinstance(doc.get("potential"), str):
+            doc["potential"] = _read_json(
+                FsPath(path).parent / doc["potential"], "potential file")
         try:
-            doc = json.loads(FsPath(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
-        try:
-            jsonschema.validate(doc, _schema())
+            _validator().validate(doc)
         except jsonschema.ValidationError as exc:
             where = "/".join(map(str, exc.absolute_path))
             raise ConfigError(f"config schema violation"
                               f"{' at ' + where if where else ''}: "
                               f"{exc.message}")
         pot = doc.get("potential")
-        if isinstance(pot, str):
-            base = FsPath(path).parent
-            try:
-                pot = load_potential(base / pot if not FsPath(pot).is_absolute()
-                                     else pot)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"bad potential file: {exc}")
-        elif pot is not None:
+        if pot is not None:
             try:
                 pot = PotentialSpec.from_json(pot)
-            except ValueError as exc:
-                raise ConfigError(f"bad inline potential: {exc}")
+            except (ArithmeticError, ValueError) as exc:
+                raise ConfigError(f"bad potential: {exc}")
         kw = {("lam" if key == "lambda" else key): val
               for key, val in doc.items()
               if key not in ("torus", "potential", "nu", "eps")}
@@ -128,15 +121,37 @@ class ExperimentConfig:
         raise ConfigError("lambda_rule must be set")
 
 
-def _schema():
-    return json.loads(resources.files("loopgas.schemas")
-                      .joinpath("experiment.schema.json").read_text())
+def _finite(literal):
+    '''A JSON number as a float; ValueError for NaN, +-Infinity and
+    literals that overflow, which no schema bound can refuse.'''
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
+def _read_json(path, what):
+    try:
+        return json.loads(FsPath(path).read_text(), parse_constant=_finite,
+                          parse_float=_finite)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+@functools.cache
+def _validator():
+    '''The validator of the bundled config schema, built once.'''
+    return jsonschema.Draft202012Validator(json.loads(
+        resources.files("loopgas.schemas")
+        .joinpath("experiment.schema.json").read_text()))
 
 
 def _override(config, name, value):
     '''Set a command-line override after checking it against the schema.'''
+    validator = _validator()
     try:
-        jsonschema.validate(value, _schema()["properties"][name])
+        validator.evolve(schema=validator.schema["properties"][name]
+                         ).validate(value)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"--{name}: {exc.message}")
     setattr(config, name, value)
@@ -387,7 +402,14 @@ def run_heatkernel(config):
     return {"rows": rows}
 
 
-def _grid_ensemble(config, nu):
+def _grid_ensemble(config):
+    '''The grid ensemble at the experiment's one nu (ConfigError for a
+    longer nu_list).'''
+    config.require("kappa", "nu_list")
+    if len(config.nu_list) > 1:
+        raise ConfigError(f"experiment {config.experiment!r} takes one nu, "
+                          f"got nu_list {config.nu_list}")
+    nu, = config.nu_list
     torus = config.torus()
     vL = config.vL(torus)
     mode = "meanfield" if config.lambda_rule == "nu_squared" else "generic"
@@ -401,8 +423,7 @@ def _grid_ensemble(config, nu):
 
 def run_cluster_logz(config):
     '''Truncated expansion estimate of log Z with per-order terms.'''
-    config.require("kappa", "nu_list")
-    spec = _grid_ensemble(config, config.nu_list[0])
+    spec = _grid_ensemble(config)
     report = cluster.log_Z_via_expansion(spec, config.n_max,
                                          config.n_samples, config.seed,
                                          config.workers)
@@ -418,8 +439,7 @@ def run_cluster_logz(config):
 
 def run_ginibre_z(config):
     '''MC estimate of the grid-ensemble relative partition function.'''
-    config.require("kappa", "nu_list")
-    spec = _grid_ensemble(config, config.nu_list[0])
+    spec = _grid_ensemble(config)
     est = estimate_rel_partition(spec, config.n_samples, config.seed,
                                  config.workers)
     _write_csv(config.out, "ginibre_z.csv",

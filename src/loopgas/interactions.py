@@ -52,7 +52,7 @@ class InteractionParams:
     kappa0: float = None
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError("nu must be > 0")
         if self.mode == "meanfield":
             expected = self.nu ** 2
@@ -73,7 +73,7 @@ class InteractionParams:
                 raise ValueError("generic mode requires lam")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
         origin = self.torus.index_of(np.zeros(self.torus.d, dtype=np.int64))
         if self.R not in (0, 1) or (self.R == 1) != bool(

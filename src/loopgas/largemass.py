@@ -41,7 +41,7 @@ class LmParams:
     vL: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
+        if not self.kappa0 > 0:
             raise ValueError("kappa0 must be > 0 (need e^{-kappa0} < 1)")
         if self.potential.d != self.torus.d:
             raise ValueError("potential dimension mismatch")
@@ -134,9 +134,7 @@ def gamma_lm(params, p, xs, ys):
     return perms * float(weights @ moment) / float(np.sum(weights))
 
 
-def gamma_lm_matrix(params, p=1):
+def gamma_lm_matrix(params):
     '''Dense p=1 kernel diag(E[q_x]); kept in the oracle kernel layout.'''
-    if p != 1:
-        raise ValueError("dense export implemented for p = 1")
     grid, weights, _ = _occupation_fields(params)
     return np.diag(weights @ grid / np.sum(weights))

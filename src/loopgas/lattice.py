@@ -18,7 +18,6 @@ kappa > 0 and nu > 0, else ValueError.
 '''
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -276,35 +275,20 @@ class PotentialSpec:
 
     @classmethod
     def from_json(cls, doc):
-        '''Load from {"d": int, "R": 0|1, "entries": [[x-vector, value], ...]}.
+        '''Build from {"d": int, "R": 0|1, "entries": [[x-vector, value],
+        ...]}, a document that passed the config schema's potential block.
 
         Symmetry is completed automatically; duplicate sites are rejected.
         '''
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        for key in ("d", "R", "entries"):
-            if key not in doc:
-                raise ValueError(f"potential document missing '{key}'")
-        d = int(doc["d"])
         entries = {}
-        for item in doc["entries"]:
-            if len(item) != 2:
-                raise ValueError("each entry must be [x-vector, value]")
-            vec, val = item
-            if np.isscalar(vec):
-                vec = [vec]
+        for vec, val in doc["entries"]:
             site = tuple(int(c) for c in vec)
-            if len(site) != d:
+            if len(site) != doc["d"]:
                 raise ValueError(f"entry {site} has wrong dimension")
             if site in entries:
                 raise ValueError(f"duplicate entry at {site}")
-            entries[site] = float(val)
-        return cls(d, int(doc["R"]), entries)
-
-
-def load_potential(path):
-    with open(path) as fh:
-        return PotentialSpec.from_json(json.load(fh))
+            entries[site] = val
+        return cls(doc["d"], doc["R"], entries)
 
 
 def periodize_potential(spec, L):

@@ -334,19 +334,19 @@ class LoopIntensity:
     MAX_TERMS = 100000      # grid durations before the law is refused
 
     def __init__(self, torus, kind, kappa, nu=None, eps=None):
-        if kappa <= 0:
+        if not kappa > 0:
             raise ValueError("kappa must be > 0")
         self.torus = torus
         self.kind = kind
         self.kappa = float(kappa)
         self.hk = HeatKernel(torus)
         if kind == "ginibre":
-            if nu is None or nu <= 0:
+            if nu is None or not nu > 0:
                 raise ValueError("ginibre intensity needs nu > 0")
             self.nu = float(nu)
             self._points, w, self.metadata = self._grid_law()
         elif kind == "symanzik_eps":
-            if eps is None or eps <= 0:
+            if eps is None or not eps > 0:
                 raise ValueError("symanzik intensity needs eps > 0")
             self.eps = float(eps)
             self._points, w, self.metadata = self._continuum_law()

@@ -355,7 +355,7 @@ def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
     return grand_sum(params, p, kappa, tol, n_cap, dim_cap)[1]
 
 
-def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
+def feynman_kac_check(torus, V_site, t, n_samples, seed):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''
     from .paths import walks
@@ -383,6 +383,6 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed, sigma_factor=3.0):
     var = sq / per_x - mean ** 2
     std = np.sqrt(np.maximum(var, 0.0) / per_x)
     z = np.abs(mean - exact) / np.maximum(std, 1e-15)
-    ok = bool(np.all(np.abs(mean - exact) <= sigma_factor * std + 1e-12))
+    ok = bool(np.all(np.abs(mean - exact) <= 3.0 * std + 1e-12))
     return {"pass": ok, "max_z": float(z.max()), "mc": mean, "exact": exact,
             "std": std, "n_per_start": per_x}

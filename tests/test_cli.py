@@ -5,6 +5,7 @@ import csv
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -28,6 +29,15 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+def _ginibre_doc(**kw):
+    doc = {"experiment": "ginibre-z", "torus": {"d": 1, "L": 3},
+           "potential": {"d": 1, "R": 0, "entries": [[[0], 0.5]]},
+           "nu": 0.5, "kappa": 1.0, "lambda_rule": "explicit",
+           "lambda": 0.2, "n_samples": 50}
+    doc.update(kw)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
 def test_config_schema_validation(tmp_path):
     bad = _write_config(tmp_path, {"experiment": "nope", "torus": {"d": 1}})
     assert main(["selftest", "--config", bad]) == 2
@@ -36,6 +46,32 @@ def test_config_schema_validation(tmp_path):
     missing = _write_config(tmp_path, {"torus": {"d": 1, "L": 3}}, "m.json")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(missing)
+
+
+def test_bundled_schema_is_a_valid_schema():
+    # config loads build the validator without checking the schema
+    jsonschema.Draft202012Validator.check_schema(cli._validator().schema)
+
+
+def test_config_loads_and_overrides_build_one_validator(monkeypatch):
+    built = []
+    init = jsonschema.Draft202012Validator.__init__
+
+    def counted(self, schema, *args, **kwargs):
+        # the whole config schema, not a property's subschema
+        if "experiment" in schema.get("properties", {}):
+            built.append(schema)
+        init(self, schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "__init__", counted)
+    cli._validator.cache_clear()
+    for name in ("largemass_soft", "largemass_hardcore",
+                 "meanfield_single_site", "volume_sweep"):
+        config = ExperimentConfig.from_json(_CONFIGS / f"{name}.json")
+    cli._override(config, "seed", 5)
+    cli._override(config, "workers", 2)
+    assert (config.seed, config.workers) == (5, 2)
+    assert len(built) == 1
 
 
 def test_minimal_config_takes_dataclass_defaults(tmp_path):
@@ -84,6 +120,10 @@ def test_inline_and_file_potentials(tmp_path):
         "lambda": 0.2, "n_samples": 50}, "inline.json")
     config2 = ExperimentConfig.from_json(inline)
     assert config2.potential.entries == config.potential.entries
+    absolute = _write_config(tmp_path, _ginibre_doc(
+        potential=str(pot_file.resolve())), "absolute.json")
+    config3 = ExperimentConfig.from_json(absolute)
+    assert config3.potential.entries == config.potential.entries
 
 
 def test_inline_potential_with_a_repeated_site_exits_2(tmp_path, capsys):
@@ -95,6 +135,75 @@ def test_inline_potential_with_a_repeated_site_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "duplicate entry at (0,)" in err
+
+
+@pytest.mark.parametrize("where", ["file", "inline"])
+@pytest.mark.parametrize("potential, message", [
+    ({"d": None, "R": 0, "entries": [[[0], 0.5]]},
+     "at potential/d: None is not of type 'integer'"),
+    ({"d": 1, "R": 0, "entries": 5},
+     "at potential/entries: 5 is not of type 'array'"),
+    ({"d": 1, "R": 0, "entries": [[[0], None]]},
+     "at potential/entries/0/1: None is not of type 'number'"),
+    (5, "at potential: 5 is not of type 'object'"),
+    ({"d": 1, "R": True, "entries": [[[0], 0.5]]},
+     "at potential/R: True is not of type 'integer'"),
+    ({"d": 1, "R": 0, "entries": [[[0], "0.5"]]},
+     "at potential/entries/0/1: '0.5' is not of type 'number'"),
+    ({"d": 1, "R": 0, "entries": [[[0], 0.5]], "scale": 2},
+     "'scale' was unexpected"),
+    ({"d": 1, "R": 0, "entries": [[[0], 10 ** 400]]},
+     "bad potential: int too large to convert to float"),
+])
+def test_file_and_inline_potentials_are_checked_alike(tmp_path, capsys,
+                                                    potential, message,
+                                                    where):
+    if where == "file":
+        (tmp_path / "v.json").write_text(json.dumps(potential))
+        potential = "v.json"
+    cfg = _write_config(tmp_path, _ginibre_doc(potential=potential))
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("lambda", "NaN"), ("kappa", "Infinity"), ("kappa", "-Infinity"),
+    ("kappa", "1e999"), ("t_list", "[NaN]")])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, key, literal):
+    # no schema bound rejects NaN, so the reader refuses every non-finite
+    # number, in a config or in its potential file
+    text = json.dumps(_ginibre_doc(**{key: "@"})).replace('"@"', literal)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"non-finite number {literal.strip('[]')}" in err
+    assert not out.exists()
+    (tmp_path / "v.json").write_text(
+        '{"d": 1, "R": 0, "entries": [[[0], %s]]}' % literal.strip("[]"))
+    cfg.write_text(json.dumps(_ginibre_doc(potential="v.json")))
+    assert main(["ginibre-z", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot read potential file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    _ginibre_doc(nu=None, nu_list=[0.5, 0.25]),
+    {"experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
+     "potential": {"d": 1, "R": 0, "entries": [[[0], 0.05]]},
+     "nu_list": [0.5, 0.25], "kappa": 1.5, "lambda_rule": "nu_squared",
+     "n_samples": 30, "n_max": 2}], ids=["ginibre-z", "cluster-logz"])
+def test_one_nu_experiments_refuse_more_nus(tmp_path, capsys, doc):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([doc["experiment"], "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "takes one nu" in err
+    assert not out.exists()
 
 
 def test_heatkernel_experiment(tmp_path):
@@ -252,15 +361,6 @@ def test_volume_two_volumes_give_no_verdict(tmp_path):
     meta = json.loads((out / "volume_meta.json").read_text())
     assert [v["cauchy"] for v in meta["verdicts"]] == [None]
     assert len(_read_csv(out / "volume_diffs.csv")) == 2
-
-
-def _ginibre_doc(**kw):
-    doc = {"experiment": "ginibre-z", "torus": {"d": 1, "L": 3},
-           "potential": {"d": 1, "R": 0, "entries": [[[0], 0.5]]},
-           "nu": 0.5, "kappa": 1.0, "lambda_rule": "explicit",
-           "lambda": 0.2, "n_samples": 50}
-    doc.update(kw)
-    return {k: v for k, v in doc.items() if v is not None}
 
 
 def test_overrides_checked_against_schema(tmp_path, capsys):

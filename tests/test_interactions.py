@@ -8,6 +8,7 @@ import pytest
 from loopgas import cluster, interactions, loop_mc
 from loopgas.interactions import (
     InteractionParams, batch_interaction, v_tilde_table, v_total)
+from loopgas.largemass import LmParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.paths import LoopBatch, LoopIntensity, Path
 
@@ -252,6 +253,24 @@ def test_kernel_matches_window_overlap_oracle(case):
     assert n_checked == 288
     if R:
         assert 0 < n_inf < n_checked     # both branches exercised
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: InteractionParams(torus=t, vL=np.zeros(3), nu=np.nan,
+                                lam=0.2),
+    lambda t: InteractionParams(torus=t, vL=np.zeros(3), nu=0.5,
+                                lam=np.nan),
+    lambda t: LoopIntensity(t, "ginibre", np.nan, nu=0.5),
+    lambda t: LoopIntensity(t, "ginibre", 1.0, nu=np.nan),
+    lambda t: LoopIntensity(t, "symanzik_eps", 1.0, eps=np.nan),
+    lambda t: LmParams(torus=t, potential=PotentialSpec(1, 0, {}),
+                       kappa0=np.nan),
+], ids=["InteractionParams.nu", "InteractionParams.lam",
+        "LoopIntensity.kappa", "LoopIntensity.nu", "LoopIntensity.eps",
+        "LmParams.kappa0"])
+def test_nan_parameters_are_refused(build):
+    with pytest.raises(ValueError):
+        build(Torus(1, 3))
 
 
 def test_largemass_hard_core_rule():
