@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .lattice import HeatKernel, check_positive_type
-from .loop_mc import McEstimate, _ratio, run_mc
+from .loop_mc import McEstimate, run_mc
 
 
 class GaussianField:
@@ -35,6 +35,19 @@ class GaussianField:
         shape = (size, self.torus.n_sites)
         z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return z / math.sqrt(2.0) @ self.factor
+
+
+def _ratio(num_mean, num_se, seed, denominator):
+    '''(num / den, its delta-method SE, metadata) for den the McEstimate
+    denominator(a seed derived from seed, an independent stream);
+    ArithmeticError if den is within 3 SE of 0.'''
+    den = denominator((int(seed) ^ 0x9E3779B97F4A7C15) % 2**63)
+    if abs(den.mean) <= 3.0 * den.std_error:
+        raise ArithmeticError("denominator estimate consistent with 0")
+    ratio = num_mean / den.mean
+    se = math.hypot(num_se, ratio * den.std_error) / abs(den.mean)
+    return ratio, se, {"denominator": den.mean,
+                       "denominator_se": den.std_error}
 
 
 def _quartic_weight(fields, vmat):

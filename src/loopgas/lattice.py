@@ -23,11 +23,17 @@ import math
 import numpy as np
 
 
+# Most sites a Torus may have: its tables hold n_sites x d coordinates
+# and n_sites x 2d neighbours (about 75 MB at d = 18, L = 2).
+MAX_SITES = 2 ** 18
+
+
 class Torus:
     '''The periodic lattice [0,L)^d with flat site indexing.
 
     Sites are indexed row-major: index = sum_i c_i * L^(d-1-i) for
-    coordinates c in {0,...,L-1}^d.
+    coordinates c in {0,...,L-1}^d.  ValueError past MAX_SITES sites,
+    before any table is built.
     '''
 
     def __init__(self, d, L):
@@ -36,6 +42,10 @@ class Torus:
         self.d = int(d)
         self.L = int(L)
         self.n_sites = self.L ** self.d
+        if self.n_sites > MAX_SITES:
+            raise ValueError(f"torus d = {self.d}, L = {self.L} has "
+                             f"{self.L}^{self.d} sites, above MAX_SITES = "
+                             f"{MAX_SITES}")
         # coordinate table, shape (n_sites, d)
         self.coords = np.array(
             list(itertools.product(range(self.L), repeat=self.d)), dtype=np.int64
@@ -49,8 +59,10 @@ class Torus:
                 e[j] = sgn
                 steps.append(e)
         self.steps = np.array(steps, dtype=np.int64)          # (2d, d)
-        nb = (self.coords[:, None, :] + self.steps[None, :, :]) % self.L
-        self.neighbor_table = self.index_of(nb)               # (n_sites, 2d)
+        # (n_sites, 2d), one step at a time, so that no (n_sites, 2d, d)
+        # array is built
+        self.neighbor_table = np.column_stack(
+            [self.index_of(self.coords + e) for e in self.steps])
         self._diff_table = None
         self._grid = (self.L,) * self.d        # FFT layout of flat tables
 
@@ -160,6 +172,19 @@ class HeatKernel:
         '''psi^{L,t}(0) for scalar or array t (vectorized over t).'''
         t = np.asarray(t, dtype=float)
         return np.mean(np.exp(-np.multiply.outer(t, self.rates)), axis=-1)
+
+    def ratio_to_origin(self, t, shift):
+        '''psi^{L,t}(s) / psi^{L,t}(0) for durations t (n,) and coordinate
+        shifts s (n, d): a product over the coordinates of 1D kernels, each
+        a cosine sum over the L modes of one coordinate.'''
+        L = self.torus.L
+        k = np.arange(L)
+        rates = 1.0 - np.cos(2.0 * np.pi * k / L)
+        modes = np.exp(-np.multiply.outer(t, rates))
+        # L psi_1^t(r) for r = 0..L-1, one row per duration
+        psi = modes @ np.cos(2.0 * np.pi * (np.outer(k, k) % L) / L)
+        ratio = np.take_along_axis(psi, np.asarray(shift) % L, axis=1)
+        return np.maximum(ratio / psi[:, :1], 0.0).prod(axis=1)
 
     def free_weights(self, nu, kappa):
         '''The free Bose gas's mode weights a_xi = e^{-nu(kappa + lambda_xi)};

@@ -3,30 +3,41 @@ functions and correlation kernels (grid-duration and continuum ensembles).
 
 Estimator identities:
   E_Poisson(m)[e^{-V}] = (sum_n (1/n!) int L^n e^{-V}) / e^m  (partition),
-and for kernels the relative open-path form: each open path is drawn from
-the intensity's open-path law (LoopIntensity.open_duration) and a free
-walk, and the product of endpoint indicators times e^{-V(open paths +
-Poisson background)} times the open-path normalizations is averaged; the
-background expectation of e^{-V} (an independent stream) divides the
-result.
+and for kernels the relative open-path form Gamma_p(x, y) = N / Z: N sums
+over pi in S_p the open paths x_i -> y_pi(i), each weighted by
+e^{-kappa T} psi^{L,T}(y_pi(i) - x_i) over its duration (nu N* on the
+grid, (0, inf) in the continuum), times e^{-V(open paths + Poisson
+background)}; Z = E[e^{-V(background)}].
+
+A kernel sample draws its p open paths from a law that throws none away
+(_OpenPaths): a permutation pi with probability prod_i G(y_pi(i) - x_i)
+/ perm(G), G the free kernel (symbol a/(1-a) on the grid, 1/(kappa +
+lambda) in the continuum); each duration from e^{-kappa T} psi^{L,T}(0)
+/ G(0), a mixture over the modes xi; then the exact bridges x_i ->
+y_pi(i) (paths.bridges).  Its weight is perm(G) prod_i G(0)
+psi^{T_i}(delta_i) / (G(delta_i) psi^{T_i}(0)), delta_i = y_pi(i) - x_i,
+which is the constant G(0) at p = 1 and x = y.  The sample is the pair
+(weight e^{-V(open + background)}, e^{-V(background)}) on one
+background, so numerator and denominator share their noise; the ratio's
+SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r = mean(N) /
+mean(D), from the merged co-moments of the pairs.
 
 Each worker chunk runs in batches and two phases: the draw phase makes
 every random draw of the batch as arrays, and the compute phase
 evaluates all configurations of the batch with one call of
-interactions.batch_interaction.  A batch holds a budget of loops, not
-of samples: with l the expected loops per sample, known before any draw
-(the Poisson mass, plus the p R open paths of a kernel, R sets of p;
-n for order n of the cluster expansion), it holds max(1,
-floor(_BATCH_LOOPS / max(1, l))) samples.  Within a batch of B samples
-the draws come in this order:
+interactions.batch_interaction.  A batch holds a budget of drawn loops,
+not of samples: with l the expected loops drawn per sample, known before
+any draw (the Poisson mass, plus the p open paths of a kernel; n for
+order n of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS /
+max(1, l))) samples.  A kernel's call evaluates each background twice,
+with and without its open paths.  Within a batch of B samples the draws
+come in this order:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
-  - for a kernel, then, per open path i in order, the B R open-path
-    durations (open_duration) and one paths.walks call for the B R walks
-    from x_i, in (sample, set) order, which keeps the walks that end on
-    a y; a (sample, set) row carries a configuration when its p ends,
-    sorted, are the sorted y's.
+  - for a kernel, then, the B permutations, the B p modes and the B p
+    durations of the open paths, in (sample, path) order, and one
+    paths.bridges call for their B p bridges.
 The batch size bounds the memory a chunk holds, since that memory
 follows loops, not samples (the continuum residue table alone is loops
 x M x L), and it is part of the stream: the draws of a batch are
@@ -34,22 +45,23 @@ grouped by kind, not by sample.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
-master seed, and the per-worker moments are merged in worker order
-(Welford), so results are bit-identical for a fixed worker count.
+master seed, and the per-worker moments (and co-moments) are merged in
+worker order (Chan, Golub & LeVeque, Am. Stat. 37 (1983) 242), so
+results are bit-identical for a fixed worker count.
 '''
 
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # v_total is unused here; perfbench's tests assert that loop_mc names it
 from .interactions import batch_interaction, v_total
-from .paths import LoopBatch, _segments, walks
+from .paths import LoopBatch, bridges
 
-# Expected loops per kernel call.  A chunk's memory follows its loops, so
+# Expected loops drawn per batch.  A chunk's memory follows its loops, so
 # this bounds it whatever the loops per sample; see _batch_size.
 _BATCH_LOOPS = 4096
 
@@ -103,20 +115,24 @@ def _chunks(n_samples, workers):
 
 
 def _welford_merge(parts):
-    '''Merge per-worker (count, mean, M2) in order.'''
-    count, mean, M2 = 0, 0.0, 0.0
-    for c, m, m2 in parts:
+    '''Merge per-worker (count, mean, M2) in order.  A part may carry a
+    fourth entry, its co-moment matrix sum (v - mean)(v - mean)^T; the
+    merged one is then returned fourth.'''
+    count, mean, M2, C = 0, 0.0, 0.0, 0.0
+    for c, m, m2, *cm in parts:
         if c == 0:
             continue
         delta = m - mean
         tot = count + c
+        if cm:
+            C = C + cm[0] + np.multiply.outer(delta, delta) * count * c / tot
         mean += delta * c / tot
         M2 += m2 + delta * delta * count * c / tot
         count = tot
-    return count, mean, M2
+    return (count, mean, M2) + ((C,) if parts and len(parts[0]) > 3 else ())
 
 
-def run_mc(sample_fn, n_samples, seed, workers=1):
+def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False):
     '''Average the samples of sample_fn(rng, count) over n_samples with
     a deterministic reduction; the single reducer of every estimator.
 
@@ -125,8 +141,10 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     worker chunk takes a two-pass mean and sum of squared deviations per
     column; the chunks are merged in worker order.  Returns (mean,
     std_error, count): floats for scalar samples, length-k arrays for
-    vector samples.  Needs n_samples >= 2, so that the standard error
-    is defined; ValueError otherwise.
+    vector samples.  With comoments (vector samples) it also returns,
+    fourth, the k x k matrix sum (v - mean)(v - mean)^T over the
+    samples, merged the same way.  Needs n_samples >= 2, so that the
+    standard error is defined; ValueError otherwise.
     '''
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
@@ -144,24 +162,33 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
         # exactly as a scalar run of that column would be
         cols = np.ascontiguousarray(vals.reshape(n_w, -1).T)
         m = cols.mean(axis=1)
-        m2 = ((cols - m[:, None]) ** 2).sum(axis=1)
+        dev = cols - m[:, None]
+        m2 = (dev ** 2).sum(axis=1)
         parts.append((n_w, m[0], m2[0]) if scalar else (n_w, m, m2))
-    count, mean, M2 = _welford_merge(parts)
+        if comoments:
+            parts[-1] += (np.einsum("in,jn->ij", dev, dev),)
+    count, mean, M2, *C = _welford_merge(parts)
     se = np.sqrt(M2 / (count - 1) / count)
-    return (float(mean), float(se), count) if scalar else (mean, se, count)
+    if scalar:
+        return float(mean), float(se), count
+    return (mean, se, count, *C)
 
 
-def _ratio(num_mean, num_se, seed, denominator):
-    '''(num / den, its delta-method SE, metadata) for den the McEstimate
-    denominator(a seed derived from seed, an independent stream);
-    ArithmeticError if den is within 3 SE of 0.'''
-    den = denominator((int(seed) ^ 0x9E3779B97F4A7C15) % 2**63)
-    if abs(den.mean) <= 3.0 * den.std_error:
+def _paired_ratio(mean, se, C, count):
+    '''(N / D, its SE, metadata) from the mean, SE and co-moments C of
+    paired samples (N, D): the delta method's sd(N - r D) / (sqrt(n) D),
+    r = N / D.  ArithmeticError if D is within 3 SE of 0.'''
+    (num, den), den_se = mean, float(se[1])
+    if abs(den) <= 3.0 * den_se:
         raise ArithmeticError("denominator estimate consistent with 0")
-    ratio = num_mean / den.mean
-    se = math.hypot(num_se, ratio * den.std_error) / abs(den.mean)
-    return ratio, se, {"denominator": den.mean,
-                       "denominator_se": den.std_error}
+    ratio = float(num / den)
+    spread = max(float(C[0, 0] - 2.0 * ratio * C[0, 1]
+                       + ratio * ratio * C[1, 1]), 0.0)
+    scale = math.sqrt(float(C[0, 0] * C[1, 1]))
+    return ratio, math.sqrt(spread / (count - 1) / count) / abs(den), {
+        "denominator": float(den), "denominator_se": den_se,
+        "denominator_z": float(den) / den_se if den_se else math.inf,
+        "correlation": float(C[0, 1]) / scale if scale else 0.0}
 
 
 def _batch_size(loops_per_sample):
@@ -237,57 +264,123 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
     return McEstimate(mean, se, count, seed, meta)
 
 
+def _pick(cdf, rng, size):
+    '''Indices with probabilities proportional to the steps of cdf, from
+    size uniforms.'''
+    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    return np.minimum(idx, len(cdf) - 1)
+
+
+class _OpenPaths:
+    '''The law of the p open paths x_i -> y_pi(i) of a kernel sample,
+    built once per estimate; draw gives m samples' open paths and
+    weights, in units of unit = G(0)^p, so that p open paths from one
+    site back to it have the weight p! exactly.
+
+    G is the free kernel, with symbol g_xi = a_xi / (1 - a_xi) on the grid
+    (a_xi = e^{-nu(kappa + lambda_xi)}) and 1 / (kappa + lambda_xi) in the
+    continuum.  The permutation pi has probability prod_i G(y_pi(i) - x_i)
+    / perm(G), over the p! rows of S_p.  A duration has law e^{-kappa T}
+    psi^{L,T}(0) / G(0), the mixture over the modes xi, with weights g_xi,
+    of nu Geometric(1 - a_xi) on the grid and Exp(kappa + lambda_xi) in the
+    continuum: it needs no table and no rejection.
+    '''
+
+    def __init__(self, intensity, xs, ys):
+        torus, hk = intensity.torus, intensity.hk
+        self.torus, self.hk = torus, hk
+        # per mode, the geometric law's success probability (grid) or
+        # the exponential law's rate (continuum)
+        if intensity.kind == "ginibre":
+            a = hk.free_weights(intensity.nu, intensity.kappa)
+            symbol, self._param = a / (1.0 - a), 1.0 - a
+            self._nu = intensity.nu
+        else:
+            self._param, self._nu = intensity.kappa + hk.rates, None
+            symbol = 1.0 / self._param
+        self._mode_cdf = np.cumsum(symbol)
+        # G(x) >= 0 holds exactly; the clip drops Fourier rounding
+        G = np.maximum(torus.inverse_fourier(symbol), 0.0)
+        self.xs = np.array(xs, dtype=np.int64)
+        self.perms = np.array(list(itertools.permutations(range(len(xs)))),
+                              dtype=np.int64)
+        self.ends = np.array(ys, dtype=np.int64)[self.perms]     # (p!, p)
+        self.delta = torus.diff_table[self.ends, self.xs]
+        prob = np.prod(G[self.delta], axis=1)
+        perm = prob.sum()
+        self._perm_cdf = np.cumsum(prob)
+        # perm(G) prod_i G(0) / G(delta_i) of each row, in units of
+        # G(0)^p; 0 where pi is never drawn, so that an underflowed kernel
+        # gives samples of weight 0
+        self.unit = G[0] ** len(xs)
+        self.scale = np.zeros(len(prob))
+        drawn = prob > 0
+        self.scale[drawn] = perm / prob[drawn]
+
+    def draw(self, rng, m):
+        '''(end sites (m, p), durations (m, p), weights (m,) in units
+        of unit) of m samples: m permutations, then m p modes, then m p
+        durations.'''
+        p = len(self.xs)
+        row = _pick(self._perm_cdf, rng, m)
+        mode = _pick(self._mode_cdf, rng, (m, p))
+        if self._nu is not None:
+            T = self._nu * rng.geometric(self._param[mode])
+        else:
+            T = rng.exponential(1.0 / self._param[mode])
+        weight = self.scale[row]
+        delta = self.delta[row]
+        moved = delta != 0
+        if moved.any():
+            ratio = np.ones((m, p))
+            ratio[moved] = self.hk.ratio_to_origin(
+                T[moved], self.torus.coords[delta[moved]])
+            weight = weight * ratio.prod(axis=1)
+        return self.ends[row], T, weight
+
+
 def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                      denom_samples=None):
     '''MC estimate of the kernel entry Gamma_p(x, y) via the relative
-    open-path representation (p <= 4).  Each sample sums R = prod_s m_s!
-    sets of p open paths, m_s the multiplicity of site s among the y's:
-    a set whose ends, sorted, are the sorted y's is the paths x_i ->
-    y_pi(i) of R of the pi in S_p, any other set of none.  The
-    denominator takes denom_samples samples (None: n_samples).'''
+    open-path representation (p <= 4).  Each sample is the pair
+    (weight e^{-V(open paths + background)}, e^{-V(background)}) on one
+    Poisson background, its open paths drawn by _OpenPaths; the estimate
+    is the ratio of the pair's means.  The denominator shares the
+    numerator's samples: denom_samples is None or n_samples, else
+    ValueError.'''
     if p < 1 or p > 4:
         raise ValueError(f"p must be in 1..4, got {p}")
-    if denom_samples is not None and denom_samples < 2:
-        raise ValueError(f"denom_samples must be None or >= 2, got "
-                         f"{denom_samples}")
+    if denom_samples not in (None, n_samples):
+        raise ValueError(f"denom_samples must be None or n_samples = "
+                         f"{n_samples}, got {denom_samples}")
     xs, ys = spec.torus.check_sites(p, xs, ys)
     intensity = spec.intensity
-    n_sets = math.prod(map(math.factorial, Counter(ys).values()))
-    norm_p = intensity.open_normalization ** p
+    law = _OpenPaths(intensity, xs, ys)
     tally = _Tally()
 
     def configs(rng, m):
-        # the configurations (open paths + background) of the (sample,
-        # set) rows whose open paths end on the y's, in row order, and
-        # the sample of each
+        # configuration s < m: the open paths of sample s and its
+        # background; configuration m + s: the background alone
         sizes, background = _draw_background(intensity, rng, m, tally)
-        ends, opens = zip(*[
-            walks(spec.torus, np.full(m * n_sets, x),
-                  intensity.open_duration(rng, m * n_sets), rng, target=ys)
-            for x in xs])
-        hits = (np.sort(np.column_stack(ends), axis=1) == sorted(ys)).all(1)
-        config = np.cumsum(hits) - 1
-        parts = []
-        for paths in opens:
-            index = np.flatnonzero(hits[paths.config])
-            parts.append((config[paths.config[index]], paths, index))
-        sample_of = np.flatnonzero(hits) // n_sets
-        index = _segments(np.concatenate(([0], np.cumsum(sizes))), sample_of)
-        parts.append((np.repeat(np.arange(len(sample_of)), sizes[sample_of]),
-                      background, index))
-        return LoopBatch.join(len(sample_of), parts), sample_of, m
+        ends, T, weight = law.draw(rng, m)
+        opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rng,
+                        ends.ravel())
+        owner = np.repeat(np.arange(m), sizes)
+        return LoopBatch.join(2 * m, [
+            (np.repeat(np.arange(m), p), opens, None),
+            (owner, background, None), (owner + m, background, None)]), weight
 
     def evaluate(drawn):
-        batch, sample_of, m = drawn
-        return norm_p * np.bincount(
-            sample_of, weights=tally.boltzmann(spec, batch), minlength=m)
+        batch, weight = drawn
+        boltzmann = tally.boltzmann(spec, batch).reshape(2, -1)
+        return np.column_stack((weight * boltzmann[0], boltzmann[1]))
 
-    sample = _batched(configs, evaluate, intensity.total_mass + p * n_sets)
-    num_mean, num_se, count = run_mc(sample, n_samples, seed, workers)
-    ratio, se, den = _ratio(num_mean, num_se, seed, lambda s: (
-        estimate_rel_partition(spec, denom_samples or n_samples, s, workers)))
-    se = se if num_mean else norm_p / math.sqrt(count)   # all-miss bound
+    sample = _batched(configs, evaluate, intensity.total_mass + p)
+    mean, se, count, C = run_mc(sample, n_samples, seed, workers,
+                                comoments=True)
+    ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
     meta.update(tally.metadata(count))
-    return McEstimate(ratio, se, count, seed, meta)
+    return McEstimate(float(law.unit * ratio), float(law.unit * ratio_se),
+                      count, seed, meta)

@@ -10,24 +10,26 @@ Walks and loops are drawn as arrays, a whole batch at a time, and held
 in a LoopBatch (flat arrays, CSR jumps); Path is the view of one loop.
 walks draws free walks from arrays of start sites and durations, in
 three draws: the Poisson(d T) jump counts of all walks, then their
-uniform signed steps, then, only for the walks it keeps, the uniform
-jump times, sorted within each walk.  A walk's end site follows from the
-net displacement of its steps mod L per coordinate, and its sites from
-the cumulative sum of its steps.
+uniform signed steps, then the uniform jump times, sorted within each
+walk.  A walk's end site follows from the net displacement of its steps
+mod L per coordinate, and its sites from the cumulative sum of its
+steps.
 
-bridges draws closed walks (bridges x -> x over [0, T]) exactly, in one
-pass.  The walk is a product of d independent 1D walks, each jumping +1
-and -1 at rate 1/2, so a bridge is d independent 1D bridges: the up and
-down counts (a, b) of a coordinate are independent Poisson(T/2)
-conditioned on a = b (mod L).  Its residue r = a mod L has probability
-q_r^2 / sum_s q_s^2, with q_r = P(a = r mod L), and given r, a and b are
-independent Poisson(T/2) restricted to r; so sum_r q_r^2 is the 1D
-return probability and (sum_r q_r^2)^d = psi^{L,T}(0).  Given the
-counts, the jump times are iid uniform on [0, T] and the order of the
-signed steps among them is uniform.  The counts come from inverse CDFs
-over a table of the Poisson(T/2) masses of the distinct T/2 of a batch.
-The table ends at the first n >= max T/2 where the tail bound
-P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below POISSON_TAIL = 1e-16.
+bridges draws bridges x -> y over [0, T] exactly, in one pass.  The walk
+is a product of d independent 1D walks, each jumping +1 and -1 at rate
+1/2, so a bridge is d independent 1D bridges: the up and down counts
+(a, b) of a coordinate are independent Poisson(T/2) conditioned on
+a - b = delta (mod L), delta the coordinate of y - x.  The residue
+r = b mod L has probability q_r q_{r+delta} / sum_s q_s q_{s+delta},
+with q_r = P(b = r mod L), and given r, a and b are independent
+Poisson(T/2) restricted to r + delta and to r; so sum_r q_r q_{r+delta}
+is the 1D kernel at delta, and the product over the coordinates is
+psi^{L,T}(y - x).  Given the counts, the jump times are iid uniform on
+[0, T] and the order of the signed steps among them is uniform.  The
+counts come from inverse CDFs over a table of the Poisson(T/2) masses of
+the distinct T/2 of a batch.  The table ends at the first n >= max T/2
+where the tail bound P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below
+POISSON_TAIL = 1e-16.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges.
 '''
@@ -88,28 +90,22 @@ def _segments(offsets, index):
     return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
-def walks(torus, x, T, rng, target=None):
+def walks(torus, x, T, rng):
     '''Free walks from the sites x over the durations T (arrays of one
-    length n): (end sites, LoopBatch of the kept walks).  A walk is kept
-    when it ends on a site of target (sites as a list or an array);
-    target None keeps all.  Kept walk k lies in configuration k of the
-    batch (n configurations), so the batch's config lists the kept walks.
+    length n): (end sites, LoopBatch with walk k in configuration k).
 
     Draws, in order: the jump counts Poisson(d T) of all walks, their
     uniform signed steps (directions in 0..2d-1, torus.steps order), and
-    the uniform jump times of the kept walks only, sorted within each
-    walk.  On L = 1 it draws the counts alone and records no jump.'''
+    their uniform jump times, sorted within each walk.  On L = 1 it
+    draws the counts alone and records no jump.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d = len(x), torus.d
     counts = rng.poisson(d * T)
     if torus.L == 1:
-        end = x.copy()
-        kept = (np.arange(n) if target is None
-                else np.flatnonzero(np.isin(end, target)))
-        return end, LoopBatch(n, kept, x[kept], T[kept],
-                              np.zeros(len(kept), dtype=np.int64),
-                              _NO_TIMES, _NO_SITES)
+        return x.copy(), LoopBatch(n, np.arange(n), x, T,
+                                   np.zeros(n, dtype=np.int64), _NO_TIMES,
+                                   _NO_SITES)
     dirs = rng.integers(0, 2 * d, int(counts.sum()))
     step_walk = np.repeat(np.arange(n), counts)
     # net displacement per coordinate: step k moves coordinate k // 2 by
@@ -117,48 +113,53 @@ def walks(torus, x, T, rng, target=None):
     disp = np.bincount(step_walk * d + dirs // 2, weights=1 - 2 * (dirs % 2),
                        minlength=n * d).reshape(n, d).astype(np.int64)
     end = torus.index_of(torus.coords[x] + disp)
-    if target is None:
-        kept, steps = np.arange(n), dirs
-    else:
-        keep = np.isin(end, target)
-        kept, steps = np.flatnonzero(keep), dirs[keep[step_walk]]
-    k_counts = counts[kept]
-    jump_walk = np.repeat(np.arange(len(kept)), k_counts)
-    sites = _sites(torus, x[kept], k_counts, steps)
-    times = rng.random(len(steps)) * T[kept][jump_walk]
-    times = times[np.lexsort((times, jump_walk))]
-    return end, LoopBatch(n, kept, x[kept], T[kept], k_counts, times, sites)
+    sites = _sites(torus, x, counts, dirs)
+    times = rng.random(len(dirs)) * T[step_walk]
+    times = times[np.lexsort((times, step_walk))]
+    return end, LoopBatch(n, np.arange(n), x, T, counts, times, sites)
 
 
-def bridges(torus, x, T, rng):
-    '''Closed walks from the sites x back to x over the durations T
-    (arrays of one length n), exactly and in one pass: a LoopBatch with
-    walk k in configuration k.
+def bridges(torus, x, T, rng, y=None):
+    '''Walks from the sites x to the sites y over the durations T
+    (arrays of one length n; y None: closed walks, y = x), exactly and
+    in one pass: a LoopBatch with walk k in configuration k.
 
     Draws, in order: n x d x 3 uniforms (per walk and coordinate, the
-    residue of the up count mod L, then the up and the down count, by
+    residue of the down count mod L, then the up and the down count, by
     inverse CDF), then the uniform jump times of all walks; the signed
-    steps of a walk take the order of their times.  On L = 1 it draws
-    nothing and records no jump.'''
+    steps of a walk take the order of their times.  Where y = x the
+    draws and the paths are those of y None.  On L = 1 it draws nothing
+    and records no jump.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
     if L == 1 or n == 0:
         return LoopBatch(n, np.arange(n), x, T, np.zeros(n, dtype=np.int64),
                          _NO_TIMES, _NO_SITES)
+    # per walk and coordinate, the up count's residue minus the down's
+    shift = None if y is None else (torus.coords[y] - torus.coords[x]) % L
+    if shift is not None and not shift.any():
+        shift = None
     u = rng.random((n, d, 3))
     lam, row = np.unique(T / 2, return_inverse=True)
     table = _residue_table(lam, L)
-    q2 = np.cumsum(table.sum(axis=1) ** 2, axis=1)[row]
+    q = table.sum(axis=1)
+    if shift is None:
+        q2 = np.cumsum(q ** 2, axis=1)[row][:, None, :]
+    else:
+        up = (np.arange(L) + shift[..., None]) % L
+        q2 = np.cumsum(q[row][:, None, :] * q[row[:, None, None], up], axis=2)
     residue = np.count_nonzero(
-        q2[:, None, :] < (u[..., 0] * q2[:, -1:])[..., None], axis=2)
-    # cumulative Poisson mass of the residue class, per walk and coordinate
-    col = np.cumsum(table[row[:, None], :, residue], axis=2)
-    level = u[..., 1:] * col[..., -1:]
+        q2 < (u[..., 0] * q2[..., -1])[..., None], axis=2)
+    # the residues of the (up, down) counts, one shared column when x = y
+    res = (residue[..., None] if shift is None
+           else np.stack(((residue + shift) % L, residue), axis=-1))
+    # cumulative Poisson mass of each residue class, per walk and coordinate
+    col = np.cumsum(table[row[:, None, None], :, res], axis=3)
+    level = u[..., 1:] * col[..., -1]
     # per_dir[k, j] = the (up, down) counts of coordinate j of walk k,
     # that is, of the directions 2j and 2j + 1
-    per_dir = residue[..., None] + L * np.count_nonzero(
-        col[:, :, None, :] < level[..., None], axis=3)
+    per_dir = res + L * np.count_nonzero(col < level[..., None], axis=3)
     per_dir = per_dir.reshape(n, 2 * d)
     steps = np.repeat(np.tile(np.arange(2 * d), n), per_dir.ravel())
     counts = per_dir.sum(axis=1)
@@ -306,7 +307,7 @@ class LoopBatch:
 
 
 class LoopIntensity:
-    '''Single-loop intensity measure of an ensemble, and its open-path law.
+    '''Single-loop intensity measure of an ensemble.
 
     kind "ginibre":      nu * sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}
     kind "symanzik_eps": int_eps^inf dT (e^{-kappa T}/T) W^{L,T}
@@ -322,12 +323,6 @@ class LoopIntensity:
     continuum's are 8192 geometric cell edges on [eps, t_max], each cell
     integrated in u = log T by 3-point Gauss-Legendre (quad_err: the
     gap to the 2-point rule), and a draw interpolates within its cell.
-
-    Open paths carry the duration weight e^{-kappa T}, on nu N* for the
-    grid and on (0, inf) in the continuum: open_duration draws from it
-    normalized (geometric on the grid, exponential in the continuum) and
-    open_normalization is its total, e^{-kappa nu}/(1 - e^{-kappa nu}) on
-    the grid and 1/kappa in the continuum.
     '''
 
     TAIL = 1e-12
@@ -363,8 +358,6 @@ class LoopIntensity:
         '''(durations nu k, their masses, metadata).'''
         nu, kappa, n = self.nu, self.kappa, self.torus.n_sites
         a = np.exp(-kappa * nu)
-        self._open_p = 1.0 - a
-        self.open_normalization = a / (1.0 - a)
         # truncate when the remaining tail (psi <= 1 bound) drops below
         # TAIL times a lower bound on the mass (first term, psi >= 1/n)
         k_max = 1
@@ -384,7 +377,6 @@ class LoopIntensity:
     def _continuum_law(self):
         '''(cell edges, 0 then the cell masses, metadata).'''
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
-        self.open_normalization = 1.0 / kappa
         # T_max so the dropped tail (psi <= 1) is below TAIL relative
         t_max = eps
         while n * np.exp(-kappa * t_max) / (kappa * t_max) > self.TAIL:
@@ -423,11 +415,3 @@ class LoopIntensity:
         T = self.sample_duration(rng, n)
         x = rng.integers(self.torus.n_sites, size=n)
         return bridges(self.torus, x, T, rng)
-
-    def open_duration(self, rng, size):
-        '''size durations of the normalized open-path law e^{-kappa T} /
-        open_normalization: nu times a geometric count on the grid, an
-        exponential in the continuum.'''
-        if self.kind == "ginibre":
-            return self.nu * rng.geometric(self._open_p, size)
-        return rng.exponential(1.0 / self.kappa, size)

@@ -1,15 +1,15 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The samplers walks, bridges and draw_batch make exactly the random draws
-of the library's paths.walks, paths.bridges, LoopIntensity.draw_batch
-and LoopIntensity.open_duration, the same calls in the same order, but
-build each path on its own, stepping through the neighbour table one
-jump at a time, and return lists of Paths.  rejection_loops is the
-bridge sampler the library used before exact bridges: it re-walks every
-open loop until it closes, and serves as a statistical oracle.  The
-occupation kernel builds one configuration's slices and occupations and
-its quadratic form at a time.  The tests check the batched code against
-these, number for number.
+The samplers walks, bridges, draw_batch and open_paths make exactly the
+random draws of the library's paths.walks, paths.bridges,
+LoopIntensity.draw_batch and loop_mc._OpenPaths.draw, the same calls in
+the same order, but build each path on its own, stepping through the
+neighbour table one jump at a time, and return lists of Paths.
+rejection_loops is the bridge sampler the library used before exact
+bridges: it re-walks every open loop until it closes, and serves as a
+statistical oracle.  The occupation kernel builds one configuration's
+slices and occupations and its quadratic form at a time.  The tests
+check the batched code against these, number for number.
 '''
 
 import itertools
@@ -23,19 +23,19 @@ from loopgas.paths import Path
 
 # -- samplers ------------------------------------------------------------------
 
-def walks(torus, x, T, rng, target=None):
+def walks(torus, x, T, rng):
     '''Free walks from the sites x over the durations T: (end sites, the
-    Path of each walk kept, None for the others).  A walk is kept when
-    it ends on a site of target (None keeps all).  Draws the jump counts
-    Poisson(d T) of all walks, then their signed steps, then the jump
-    times of the kept walks, sorted per walk.'''
-    return _walks(torus, x, T, rng,
-                  lambda ends: [target is None or end in target
-                                for end in ends])
+    Path of each walk).  Draws the jump counts Poisson(d T) of all walks,
+    then their signed steps, then their jump times, sorted per walk.'''
+    return _walks(torus, x, T, rng, lambda ends: [True] * len(ends))
 
 
 def _walks(torus, x, T, rng, keep):
-    '''walks, keeping walk k where keep(end sites)[k] is true.'''
+    '''Free walks from the sites x over the durations T: (end sites, the
+    Path of each walk k where keep(end sites)[k] is true, None for the
+    others).  Draws the jump counts Poisson(d T) of all walks, then their
+    signed steps, then the jump times of the kept walks, sorted per
+    walk.'''
     counts = rng.poisson(torus.d * np.asarray(T, dtype=float))
     if torus.L == 1:
         paths = [Path(int(xk), float(Tk)) for xk, Tk in zip(x, T)]
@@ -85,15 +85,18 @@ def _first_at_least(weights, u):
     return int(np.flatnonzero(cum >= u * cum[-1])[0])
 
 
-def bridges(torus, x, T, rng):
-    '''Closed walks from the sites x back to x over the durations T, as
-    Paths.  Draws n x d x 3 uniforms (per walk and coordinate: the
-    residue r of the up count mod L, with weight q_r^2, then the up and
-    the down count, Poisson(T/2) restricted to r), then the jump times of
-    all walks; each walk's steps take the order of its times.'''
+def bridges(torus, x, T, rng, y=None):
+    '''Walks from the sites x to the sites y (None: back to x) over the
+    durations T, as Paths.  Draws n x d x 3 uniforms (per walk and
+    coordinate, with delta the coordinate of y - x mod L: the residue r
+    of the down count mod L, with weight q_r q_{r+delta}, then the up and
+    the down count, Poisson(T/2) restricted to r + delta and to r), then
+    the jump times of all walks; each walk's steps take the order of its
+    times.'''
     if torus.L == 1:
         return [Path(int(xk), float(Tk)) for xk, Tk in zip(x, T)]
     L = torus.L
+    y = x if y is None else y
     u = rng.random((len(x), torus.d, 3))
     steps = []
     for k, Tk in enumerate(T):
@@ -101,8 +104,11 @@ def bridges(torus, x, T, rng):
         q = [sum(p[r::L]) for r in range(L)]
         steps.append([])
         for j in range(torus.d):
-            r = _first_at_least([v * v for v in q], u[k, j, 0])
-            up = r + L * _first_at_least(p[r::L], u[k, j, 1])
+            delta = int(torus.coords[y[k], j] - torus.coords[x[k], j]) % L
+            r = _first_at_least([q[s] * q[(s + delta) % L] for s in range(L)],
+                                u[k, j, 0])
+            a = (r + delta) % L
+            up = a + L * _first_at_least(p[a::L], u[k, j, 1])
             down = r + L * _first_at_least(p[r::L], u[k, j, 2])
             steps[-1] += [2 * j] * up + [2 * j + 1] * down
     times = rng.random(sum(len(s) for s in steps))
@@ -151,23 +157,67 @@ def rejection_loops(intensity, rng, n):
     return loops, n_walks
 
 
-def open_duration(intensity, rng, size):
-    '''size durations of the normalized open-path law e^{-kappa T}: nu
-    times a geometric count on the grid, an exponential in the
-    continuum.'''
+def free_symbol(intensity):
+    '''The symbol of the free kernel G per mode xi, in site order:
+    a/(1-a), a = e^{-nu(kappa + lambda_xi)}, on the grid and
+    1/(kappa + lambda_xi) in the continuum.'''
+    rates = intensity.hk.rates
     if intensity.kind == "ginibre":
-        a = np.exp(-intensity.kappa * intensity.nu)
-        return [intensity.nu * float(k) for k in rng.geometric(1.0 - a, size)]
-    return [float(t) for t in rng.exponential(1.0 / intensity.kappa, size)]
-
-
-def open_normalization(intensity):
-    '''Total weight of e^{-kappa T} over the durations: sum over T in
-    nu N*, or the integral over (0, inf).'''
-    if intensity.kind == "ginibre":
-        a = np.exp(-intensity.kappa * intensity.nu)
+        a = np.exp(-intensity.nu * (intensity.kappa + rates))
         return a / (1.0 - a)
-    return 1.0 / intensity.kappa
+    return 1.0 / (intensity.kappa + rates)
+
+
+def free_kernel(intensity, site):
+    '''G at a site: the mean over the modes xi of the symbol times
+    cos(xi . x).'''
+    torus = intensity.torus
+    xi = 2.0 * np.pi * torus.coords / torus.L
+    return float(np.mean(free_symbol(intensity)
+                         * np.cos(xi @ torus.coords[site])))
+
+
+def _first_above(weights, u):
+    '''The first index at which the running sum of weights exceeds u
+    times their total.'''
+    cum = np.cumsum(weights)
+    return int(np.flatnonzero(cum > u * cum[-1])[0])
+
+
+def open_paths(intensity, xs, ys, rng, m):
+    '''The open paths of m kernel samples, as (list of p Paths, weight)
+    per sample.  Draws m permutations pi of S_p (itertools order) with
+    weight prod_i G(y_pi(i) - x_i), then m p modes xi with weight g_xi,
+    then m p durations (nu Geometric(1 - a_xi) on the grid, Exp(kappa +
+    lambda_xi) in the continuum), in (sample, path) order, then the m p
+    bridges x_i -> y_pi(i).  The weight is perm(G) prod_i G(0)
+    psi^{T_i}(delta_i) / (G(delta_i) psi^{T_i}(0)).'''
+    torus, hk, p = intensity.torus, intensity.hk, len(xs)
+    perms = list(itertools.permutations(range(p)))
+    G = {(x, y): free_kernel(intensity, torus.diff_table[y, x])
+         for x in xs for y in ys}
+    g0 = free_kernel(intensity, 0)
+    prob = [math.prod(G[xs[i], ys[pi[i]]] for i in range(p)) for pi in perms]
+    pis = [perms[_first_above(prob, u)] for u in rng.random(m)]
+    symbol = free_symbol(intensity)
+    modes = [_first_above(symbol, u) for u in rng.random(m * p)]
+    if intensity.kind == "ginibre":
+        a = np.exp(-intensity.nu * (intensity.kappa + hk.rates))
+        T = [intensity.nu * float(rng.geometric(1.0 - a[k])) for k in modes]
+    else:
+        T = [float(rng.exponential(1.0 / (intensity.kappa + hk.rates[k])))
+             for k in modes]
+    ends = [ys[pi[i]] for pi in pis for i in range(p)]
+    paths = bridges(torus, list(xs) * m, T, rng, ends)
+    out = []
+    for s, pi in enumerate(pis):
+        weight = sum(prob)
+        for i in range(p):
+            x, y, t = xs[i], ys[pi[i]], T[s * p + i]
+            weight *= (g0 * hk.table(t)[torus.diff_table[y, x]]
+                       / (G[x, y] * hk.table(t)[0]))
+        out.append((paths[s * p:(s + 1) * p], weight))
+    return out
 
 
 # -- occupation kernel ---------------------------------------------------------

@@ -438,6 +438,38 @@ def test_loop_mass_of_zero_runs_cleanly(tmp_path, experiment, doc):
         assert est["mean"] == 1.0 and est["params"]["mass"] == 0.0
 
 
+def test_torus_past_the_site_budget_exits_2_at_once(tmp_path):
+    # 3^40 sites: refused before any table is built, with one line
+    import os
+    import subprocess
+    import sys
+    import time
+    import loopgas
+    from loopgas.lattice import MAX_SITES
+    cfg = _write_config(tmp_path, {"experiment": "heatkernel",
+                                   "torus": {"d": 40, "L": 3},
+                                   "t_list": [0.5]})
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    start = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "loopgas.cli", "heatkernel", "--config", cfg,
+         "--out", str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 30
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert f"MAX_SITES = {MAX_SITES}" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_every_shipped_torus_builds():
+    for path in sorted(_CONFIGS.glob("*.json")):
+        config = ExperimentConfig.from_json(path)
+        for L in config.L_list or [config.L]:
+            torus = config.torus(L)
+            assert torus.n_sites == L ** config.d
+
+
 def test_one_sample_run_is_refused(tmp_path, capsys):
     # one sample has no standard error: the schema asks for n_samples >= 2
     cfg = _write_config(tmp_path, _ginibre_doc(n_samples=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loopgas.lattice import (
-    MAX_RING_SITES, HeatKernel, PotentialSpec, Torus, _reach,
+    MAX_RING_SITES, MAX_SITES, HeatKernel, PotentialSpec, Torus, _reach,
     check_positive_type, heat_kernel_images, heat_kernel_infinite,
     laplacian_matrix, periodize_potential)
 
@@ -17,6 +17,14 @@ def test_torus_indexing_roundtrip():
         assert torus.n_sites == L ** d
         idx = torus.index_of(torus.coords)
         assert np.array_equal(idx, np.arange(torus.n_sites))
+
+
+def test_torus_refuses_sites_past_the_budget():
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        Torus(1, MAX_SITES + 1)
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        Torus(40, 3)
+    assert Torus(1, MAX_SITES).n_sites == MAX_SITES
 
 
 def test_torus_centered_and_min_norm():

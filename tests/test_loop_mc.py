@@ -14,9 +14,9 @@ from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas import loop_mc
 from loopgas.loop_mc import (
-    EnsembleSpec, _batch_size, _batched, _chunks, _welford_merge,
-    estimate_gamma_p, estimate_rel_partition, run_mc)
-from loopgas.paths import LoopIntensity, walks
+    EnsembleSpec, _OpenPaths, _batch_size, _batched, _chunks, _paired_ratio,
+    _welford_merge, estimate_gamma_p, estimate_rel_partition, run_mc)
+from loopgas.paths import LoopIntensity, bridges
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
 
@@ -67,6 +67,43 @@ def test_run_mc_vector_columns_match_scalar_runs():
         assert col == (mean[j], se[j], count)     # bit-exact per column
 
 
+def test_run_mc_comoments_match_numpy():
+    '''The merged co-moments of vector samples over 3 workers are n - 1
+    times numpy's covariance of the same samples, and the means and SEs
+    are those of the run without co-moments, bit for bit.'''
+    def sample(rng, count):
+        x = rng.normal(size=count)
+        return np.stack([x + rng.normal(size=count), np.exp(x)], axis=1)
+
+    mean, se, count, C = run_mc(sample, 1001, seed=4, workers=3,
+                                comoments=True)
+    plain = run_mc(sample, 1001, seed=4, workers=3)
+    assert np.array_equal(mean, plain[0]) and np.array_equal(se, plain[1])
+    streams = np.random.SeedSequence(4).spawn(3)
+    values = np.concatenate([sample(np.random.default_rng(s), n) for s, n
+                             in zip(streams, _chunks(1001, 3))])
+    assert np.allclose(C / (count - 1), np.cov(values.T), rtol=1e-12)
+
+
+def test_paired_ratio_is_the_delta_method():
+    '''The paired ratio's SE is sd(N - r D) / (sqrt(n) mean(D)) of the
+    samples, and the metadata carry the denominator's z and the N-D
+    correlation.'''
+    rng = np.random.default_rng(8)
+    D = rng.uniform(0.5, 1.0, 500)
+    N = 0.7 * D + 0.05 * rng.normal(size=500)
+    values = np.stack([N, D], axis=1)
+    mean, se, count, C = run_mc(lambda r, n: values[:n], 500, seed=1,
+                                comoments=True)
+    ratio, ratio_se, meta = _paired_ratio(mean, se, C, count)
+    r = N.mean() / D.mean()
+    assert ratio == pytest.approx(r, rel=1e-13)
+    assert ratio_se == pytest.approx(
+        np.std(N - r * D, ddof=1) / math.sqrt(500) / D.mean(), rel=1e-10)
+    assert meta["denominator_z"] == pytest.approx(D.mean() / se[1])
+    assert meta["correlation"] == pytest.approx(np.corrcoef(N, D)[0, 1])
+
+
 def test_run_mc_worker_counts_agree():
     def sample(rng, count):
         return rng.exponential(size=count)
@@ -106,6 +143,16 @@ def test_hard_core_gamma_against_oracle():
     K = reduced_density_matrix(spec.params, p=1)
     est = estimate_gamma_p(spec, 1, [0], [0], 20000, seed=2, workers=2)
     assert abs(est.mean - K[0, 0]) <= 3.0 * est.std_error
+
+
+def test_hard_core_gamma_off_diagonal_against_oracle():
+    '''Gamma_1(0, 1) under the hard core, from bridges 0 -> 1 weighted
+    by psi^T(1) / psi^T(0), against the exact oracle at 3 sigma.'''
+    spec = _hard_core_spec(3, 0.5, "generic")
+    K = reduced_density_matrix(spec.params, p=1)
+    est = estimate_gamma_p(spec, 1, [0], [1], 20000, seed=4, workers=2)
+    assert est.metadata["killed_frac"] > 0
+    assert abs(est.mean - K[0, 1]) <= 3.0 * est.std_error
 
 
 def test_free_partition_is_one():
@@ -162,6 +209,44 @@ def test_gamma_p_against_oracle(R, xs, ys):
     est = estimate_gamma_p(_golden_grid(R=R), p, xs, ys, 20000, seed=11,
                            workers=2)
     assert abs(est.mean - exact) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_free_continuum_gamma_against_the_resolvent(d):
+    '''At lambda = 0 the continuum Gamma_1(x, y) is G(y - x), G =
+    inverse_fourier(1 / (kappa + lambda_xi)), the covariance of the
+    classical field: at 3 sigma off the diagonal.'''
+    torus = Torus(d, 3)
+    params = InteractionParams(torus=torus, vL=np.zeros(torus.n_sites),
+                               nu=1.0, lam=0.0, mode="generic", kappa=0.5)
+    intensity = LoopIntensity(torus, "symanzik_eps", kappa=0.5, eps=0.1)
+    spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
+    G = torus.inverse_fourier(1.0 / (0.5 + HeatKernel(torus).rates))
+    y = torus.n_sites - 1
+    est = estimate_gamma_p(spec, 1, [0], [y], 20000, seed=6, workers=2)
+    assert est.std_error > 0
+    assert abs(est.mean - G[y]) <= 3.0 * est.std_error
+
+
+def test_permutation_law_is_the_product_of_free_kernels():
+    '''The open paths (0, 1, 2) -> (2, 0, 1) on d = 2, L = 3 pick the
+    permutation pi of S_3 with probability prod_i G(y_pi(i) - x_i) /
+    perm(G): a chi-square test over the 6 rows.'''
+    from test_paths import _chi2_ok
+    torus = Torus(2, 3)
+    for intensity in (LoopIntensity(torus, "ginibre", kappa=0.3, nu=0.5),
+                      LoopIntensity(torus, "symanzik_eps", kappa=0.3,
+                                    eps=0.1)):
+        xs, ys = [0, 1, 2], [2, 0, 1]
+        law = _OpenPaths(intensity, xs, ys)
+        ends, _, _ = law.draw(np.random.default_rng(12), 30000)
+        rows = (ends[:, None, :] == law.ends[None]).all(axis=2)
+        assert np.all(rows.sum(axis=1) == 1)
+        prob = np.array([math.prod(loop_reference.free_kernel(
+            intensity, torus.diff_table[ys[pi[i]], xs[i]]) for i in range(3))
+            for pi in law.perms])
+        ok, chi2, df = _chi2_ok(rows.sum(axis=0), prob / prob.sum())
+        assert ok, (intensity.kind, chi2, df)
 
 
 def test_symanzik_ensemble_runs():
@@ -224,15 +309,25 @@ def test_gamma_p_rejects_off_torus_sites(site):
         estimate_gamma_p(_grid_spec(), 1, [0], [site], 10, seed=1)
 
 
-def test_gamma_p_with_no_hit_reports_the_all_miss_bound():
-    '''Short open paths (kappa nu = 1) from site 0 never reach site 4 of
-    a 9-site ring in 20 samples: the estimate is 0 and its SE is the
-    bound open_normalization^p / sqrt(n), not the 0 of the samples.'''
-    spec = _grid_spec(kappa=2.0, L=9)
-    est = estimate_gamma_p(spec, 1, [0], [4], 20, seed=3)
-    assert est.mean == 0.0
-    assert est.std_error == spec.intensity.open_normalization / math.sqrt(20)
-    assert est.metadata["denominator"] > 0.0
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_free_gamma_at_coinciding_sites_is_exact(kind, p):
+    '''At lambda = 0 and x = y = (0, ..., 0) every sample is the pair
+    (p! G(0)^p, 1): the estimate is the free kernel p! G(0)^p exactly,
+    with SE 0.'''
+    torus = Torus(1, 3)
+    params = InteractionParams(torus=torus, vL=np.zeros(3), nu=0.5, lam=0.0,
+                               mode="generic", kappa=1.0)
+    intensity = LoopIntensity(torus, kind, kappa=1.0, nu=0.5, eps=0.1)
+    spec = EnsembleSpec(torus, params, intensity, kind)
+    g0 = loop_reference.free_kernel(intensity, 0)
+    est = estimate_gamma_p(spec, p, [0] * p, [0] * p, 50, seed=3, workers=2)
+    assert est.mean == math.factorial(p) * _OpenPaths(
+        intensity, [0] * p, [0] * p).unit
+    assert est.mean == pytest.approx(math.factorial(p) * g0 ** p, rel=1e-14)
+    assert est.std_error == 0.0
+    assert est.metadata["denominator"] == 1.0
+    assert est.metadata["denominator_se"] == 0.0
 
 
 # -- guards on the sample counts -------------------------------------------------
@@ -248,6 +343,19 @@ def test_gamma_p_rejects_denominators_below_two_samples(denom_samples):
     with pytest.raises(ValueError, match="denom_samples"):
         estimate_gamma_p(_grid_spec(), 1, [0], [0], 10, seed=1,
                          denom_samples=denom_samples)
+
+
+def test_gamma_p_denominator_shares_the_numerator_samples():
+    '''The denominator is paired with the numerator: denom_samples may
+    only repeat n_samples, which changes nothing.'''
+    a = estimate_gamma_p(_grid_spec(), 1, [0], [1], 40, seed=1)
+    b = estimate_gamma_p(_grid_spec(), 1, [0], [1], 40, seed=1,
+                         denom_samples=40)
+    assert (a.mean, a.std_error, a.metadata) == (b.mean, b.std_error,
+                                                 b.metadata)
+    with pytest.raises(ValueError, match="denom_samples"):
+        estimate_gamma_p(_grid_spec(), 1, [0], [1], 40, seed=1,
+                         denom_samples=80)
 
 
 # -- the batch rule ---------------------------------------------------------------
@@ -293,7 +401,8 @@ def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
     '''run_mc over a per-path reference that makes the library's draws
     batch by batch (the library's rule for loops_per_sample expected
     loops) and counts its work: sampled loops, evaluated configurations
-    and killed ones.'''
+    and killed ones.  Returns run_mc's outputs (with co-moments for
+    vector samples) and the counts.'''
     size = _batch_size(loops_per_sample)
     assert min(_chunks(n_samples, workers)) > 2 * size
     tally = {"loops": 0, "configs": 0, "killed": 0}
@@ -317,8 +426,7 @@ def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
                 for value in batch_of(rng, min(size, count - lo),
                                       backgrounds, boltzmann)]
 
-    mean, se, count = run_mc(sample, n_samples, seed, workers)
-    return mean, se, tally
+    return run_mc(sample, n_samples, seed, workers, comoments=True), tally
 
 
 def _check_counters(meta, tally, n_samples):
@@ -337,7 +445,7 @@ def test_rel_partition_matches_reference_and_counts(R, workers,
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     spec = _hard_core_spec(3, 0.5, "generic") if R else _grid_spec(L=4)
     est = estimate_rel_partition(spec, 300, seed=8, workers=workers)
-    mean, se, tally = _reference_run(
+    (mean, se, _), tally = _reference_run(
         spec, 300, 8, workers,
         lambda rng, m, bgs, boltzmann: [boltzmann(bg) for bg in bgs(rng, m)],
         spec.intensity.total_mass)
@@ -348,61 +456,59 @@ def test_rel_partition_matches_reference_and_counts(R, workers,
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_gamma_matches_reference_and_counts(p, monkeypatch):
-    '''Per sample, R = prod_s m_s! sets of open paths, each set counted
-    when its ends are the y's in some order: p = 1 and 2 under the hard
-    core, and p = 3 without it, where the y's 1, 0, 0 give R = 2.'''
+    '''Per sample, one background, the open paths of the reference's
+    open_paths and the pair (weight e^{-V(open + background)},
+    e^{-V(background)}): p = 1 and 2 under the hard core, p = 3 without
+    it at the mixed sites (0, 0, 1) -> (1, 0, 0), and p = 2 in the
+    continuum.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     if p < 3:
         spec = _hard_core_spec(3, 0.5, "generic")
-        xs, ys, n_sets = [0, 1][:p], [1, 0][:p], 1
+        xs, ys = [0, 1][:p], [1, 0][:p]
     else:
-        spec, xs, ys, n_sets = _grid_spec(), [0, 0, 1], [1, 0, 0], 2
-    norm_p = loop_reference.open_normalization(spec.intensity) ** p
+        spec, xs, ys = _grid_spec(), [0, 0, 1], [1, 0, 0]
+    for spec in (spec, _golden_continuum()) if p == 2 else (spec,):
+        _check_gamma_reference(spec, xs, ys)
+
+
+def _check_gamma_reference(spec, xs, ys):
+    p = len(xs)
 
     def batch_of(rng, m, backgrounds, boltzmann):
         loops = backgrounds(rng, m)
-        ends, opens = [], []
-        for x in xs:
-            T = loop_reference.open_duration(spec.intensity, rng, m * n_sets)
-            end, paths = loop_reference.walks(spec.torus, [x] * len(T), T,
-                                              rng, ys)
-            ends.append(end)
-            opens.append(paths)
-        totals = [0.0] * m
-        for row in range(m * n_sets):
-            if sorted(end[row] for end in ends) == sorted(ys):
-                s = row // n_sets
-                config = [paths[row] for paths in opens]
-                totals[s] += norm_p * boltzmann(config + loops[s])
-        return totals
+        opened = loop_reference.open_paths(spec.intensity, xs, ys, rng, m)
+        return [[weight * boltzmann(paths + loops[s]), boltzmann(loops[s])]
+                for s, (paths, weight) in enumerate(opened)]
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
-    mean, _, tally = _reference_run(
-        spec, 300, 3, 2, batch_of, spec.intensity.total_mass + p * n_sets)
+    (mean, se, count, C), tally = _reference_run(
+        spec, 300, 3, 2, batch_of, spec.intensity.total_mass + p)
+    ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
     assert est.mean != 0.0
-    assert _close(est.mean * est.metadata["denominator"], mean)
+    assert _close(est.mean, ratio) and _close(est.std_error, ratio_se)
+    assert _close(est.metadata["denominator"], den["denominator"])
+    assert _close(est.metadata["correlation"], den["correlation"])
     _check_counters(est.metadata, tally, 300)
 
 
-def test_gamma_p_walks_once_per_open_path_and_batch(monkeypatch):
-    '''A batch of m samples draws its open paths with one walks call per
-    open path, of R m walks: p = 3 with the y's 1, 0, 0 (R = 2) makes 3
-    calls of 2 m walks a batch.'''
+def test_gamma_p_draws_one_bridges_call_per_batch(monkeypatch):
+    '''A batch of m samples draws its open paths with one bridges call
+    of p m bridges: p = 3 makes one call of 3 m a batch.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     calls = []
 
-    def spy(torus, x, T, rng, target=None):
+    def spy(torus, x, T, rng, y=None):
         calls.append(len(x))
-        return walks(torus, x, T, rng, target)
+        return bridges(torus, x, T, rng, y)
 
-    monkeypatch.setattr(loop_mc, "walks", spy)
+    monkeypatch.setattr(loop_mc, "bridges", spy)
     spec = _grid_spec()
     estimate_gamma_p(spec, 3, [0, 0, 1], [1, 0, 0], 50, seed=1, workers=2)
-    size = _batch_size(spec.intensity.total_mass + 3 * 2)
+    size = _batch_size(spec.intensity.total_mass + 3)
     batches = [min(size, n - lo) for n in _chunks(50, 2)
                for lo in range(0, n, size)]
     assert len(batches) > 2
-    assert calls == [2 * m for m in batches for _ in range(3)]
+    assert calls == [3 * m for m in batches]
 
 
 def test_one_site_loops_need_one_walk():
@@ -445,10 +551,10 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 
 
 # Recorded with the exact bridge sampler (one draw_batch call per batch
-# of loops, one walks call per open path) and batches sized by their
-# loops (each chunk here is one batch); the continuum entries with the
-# duration CDF of Gauss-Legendre cells; the p = 2 kernel entries with R
-# sets of open paths per sample.
+# of loops) and batches sized by their loops (each chunk here is one
+# batch); the continuum entries with the duration CDF of Gauss-Legendre
+# cells; the kernel entries with open paths drawn as exact bridges and
+# the denominator paired with the numerator.
 GOLDEN = {
     "Z/grid/w1": [0.7765532305252303, 0.014348543204633085],
     "Z/grid_d2/w1": [0.8104886967533071, 0.012456127997505602],
@@ -456,14 +562,14 @@ GOLDEN = {
     "Z/grid_R1/w1": [0.5212949863327913, 0.028774492842530273],
     "Z/continuum/w1": [0.727085215691729, 0.014734130558399056],
     "Z/continuum_d2/w1": [0.7998089265659875, 0.012957474027660149],
-    "gamma/p1/R0/w1": [0.25841399309976104, 0.03898016699350483,
-        0.7723139670152069, 0.01753994782540671],
-    "gamma/p2/R0/w1": [0.39163478240356914, 0.051394494708722475,
-        0.7723139670152069, 0.01753994782540671],
-    "gamma/p1/R1/w1": [0.10231055056959255, 0.03869006426223677,
-        0.5273385060330518, 0.03520693995178815],
-    "gamma/p2/R1/w1": [0.06625209390249491, 0.038314142583260415,
-        0.5273385060330518, 0.03520693995178815],
+    "gamma/p1/R0/w1": [0.23848402171331873, 0.0065351500962919674,
+        0.787531493662402, 0.01856977108554557],
+    "gamma/p2/R0/w1": [0.3440526013770019, 0.01450663965098336,
+        0.787531493662402, 0.01856977108554557],
+    "gamma/p1/R1/w1": [0.07311478260162399, 0.00948297741243167,
+        0.563223723165928, 0.035035721023747614],
+    "gamma/p2/R1/w1": [0.05811120337210714, 0.018628596225057067,
+        0.563223723165928, 0.035035721023747614],
     "logz/w1": [1.3419473561193502, -0.08834823702789482, 0.012299686808357215,
         0.02876497900471297, 0.006861789698573659, 0.0014864128644908072,
         95.64915609963005, 91.86713901035463, 91.9273261078839,
@@ -474,14 +580,14 @@ GOLDEN = {
     "Z/grid_R1/w3": [0.5048923373553679, 0.02881446771337557],
     "Z/continuum/w3": [0.7083556641184917, 0.015331421904680584],
     "Z/continuum_d2/w3": [0.7867248057959132, 0.012674379401012717],
-    "gamma/p1/R0/w3": [0.3004237397114395, 0.039646417604109134,
-        0.7833688232175813, 0.01558028608153897],
-    "gamma/p2/R0/w3": [0.31051460060943925, 0.04728440214217945,
-        0.7833688232175813, 0.01558028608153897],
-    "gamma/p1/R1/w3": [0.09594010466072371, 0.039316869759055226,
-        0.47724534196790547, 0.035217606865993366],
-    "gamma/p2/R1/w3": [0.048804080623801586, 0.03461076249874894,
-        0.47724534196790547, 0.035217606865993366],
+    "gamma/p1/R0/w3": [0.23607914130532656, 0.00588009452446689,
+        0.800189374398677, 0.01581024633590018],
+    "gamma/p2/R0/w3": [0.3205525120850565, 0.014173805660032356,
+        0.800189374398677, 0.01581024633590018],
+    "gamma/p1/R1/w3": [0.06120108727073733, 0.009134661089952393,
+        0.5526296833651305, 0.035081951891739835],
+    "gamma/p2/R1/w3": [0.06365884751566374, 0.019158637713104394,
+        0.5526296833651305, 0.035081951891739835],
     "logz/w3": [1.3755314049768856, -0.08493469047202615, 0.012312216753872587,
         0.02452668060510323, 0.0066619594656184685, 0.0016283431394116111,
         96.94850378125533, 92.71009748260518, 89.962564991888,

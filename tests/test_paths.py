@@ -1,15 +1,16 @@
-'''Path containers, the free walk, loop intensities and their open-path
-laws.'''
+'''Path containers, the free walk, exact bridges, loop intensities and
+the open-path law of the kernel estimates.'''
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from loopgas.lattice import HeatKernel, Torus
 from loopgas import paths
+from loopgas.loop_mc import _OpenPaths
 from loopgas.paths import (LoopBatch, LoopIntensity, Path, _residue_table,
                           bridges, walks)
 
@@ -52,21 +53,51 @@ def test_free_walk_l1_never_jumps():
     assert batch.offsets.tolist() == [0] * 5
 
 
+def _open_durations(intensity, n, seed):
+    '''n open-path durations of the kernel estimates' law (p = 1).'''
+    law = _OpenPaths(intensity, [0], [0])
+    return law.draw(np.random.default_rng(seed), n)[1].ravel()
+
+
 def test_duration_laws_normalization_and_support():
-    rng = np.random.default_rng(5)
-    torus = Torus(1, 3)
-    g = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    a = math.exp(-0.5)
-    assert g.open_normalization == pytest.approx(a / (1 - a))
-    T = g.open_duration(rng, 1000)
-    k = T / 0.5
-    assert np.all(np.abs(k - np.round(k)) < 1e-12) and np.all(k >= 1)
-    # geometric law check: P(k=1) = 1 - a
-    assert abs(np.mean(k == 1) - (1 - a)) < 3 * math.sqrt(a * (1 - a) / 1000)
-    s = LoopIntensity(torus, "symanzik_eps", kappa=2.0, eps=0.1)
-    assert s.open_normalization == pytest.approx(0.5)
-    T = s.open_duration(rng, 2000)
-    assert abs(np.mean(T) - 0.5) < 3 * 0.5 / math.sqrt(2000)
+    '''The open-path duration law is e^{-kappa T} psi^{L,T}(0) / G(0) on
+    d = 1, 2 and L = 3, 4: its normalization G(0) is the sum (grid) or
+    integral (continuum) of e^{-kappa T} psi(0); grid durations lie on
+    nu N* and pass a chi-square test, continuum ones a Kolmogorov-Smirnov
+    test.'''
+    for d, L in [(1, 3), (2, 3), (1, 4)]:
+        _check_open_duration_law(Torus(d, L))
+
+
+def _check_open_duration_law(torus):
+    hk = HeatKernel(torus)
+    n = 20000
+    grid = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
+    k = np.arange(1, 80)
+    mass = np.exp(-0.5 * k) * hk.at_origin(0.5 * k)
+    g0 = loop_reference.free_kernel(grid, 0)
+    assert mass.sum() == pytest.approx(g0, rel=1e-12)
+    steps = _open_durations(grid, n, 5) / 0.5
+    assert np.all(steps == np.round(steps)) and np.all(steps >= 1)
+    counts = np.bincount(steps.astype(np.int64) - 1, minlength=len(k))
+    assert len(counts) <= len(k)
+    ok, chi2, df = _chi2_ok(counts, mass / mass.sum())
+    assert ok, (chi2, df)
+    continuum = LoopIntensity(torus, "symanzik_eps", kappa=2.0, eps=0.1)
+    g0 = loop_reference.free_kernel(continuum, 0)
+    total, _ = integrate.quad(lambda t: math.exp(-2.0 * t)
+                              * float(hk.at_origin(t)), 0, np.inf,
+                              epsabs=0.0, epsrel=1e-12)
+    assert total == pytest.approx(g0, rel=1e-10)
+
+    def cdf(t):
+        # the mixture of Exp(kappa + lambda_xi), weights 1/(kappa + lambda_xi)
+        rate = 2.0 + hk.rates
+        return np.mean((1.0 - np.exp(-np.multiply.outer(t, rate))) / rate,
+                       axis=-1) / g0
+
+    T = _open_durations(continuum, n, 6)
+    assert stats.kstest(T, cdf).pvalue > 1e-3
 
 
 def test_loop_intensity_mass_ginibre():
@@ -194,6 +225,37 @@ def test_sample_loop_is_closed_and_uniform_base():
 
 
 # -- exact bridges ----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_bridge_midpoints_follow_the_heat_kernels(d, L):
+    '''Chi-square of the site at time T/2 of bridges x -> y (y - x of
+    coordinates 1, 0, ...; and of 1 in every coordinate) against
+    psi^{t}(z - x) psi^{T-t}(y - z) / psi^{T}(y - x), t = T/2.'''
+    torus = Torus(d, L)
+    hk = HeatKernel(torus)
+    n, T = 20000, 1.7
+    x = np.zeros(n, dtype=np.int64)
+    for target in ([1] + [0] * (d - 1), [1] * d):
+        y = int(torus.index_of(target))
+        batch = bridges(torus, x, np.full(n, T), np.random.default_rng(
+            31 + 7 * d + L), np.full(n, y))
+        assert np.all(_loop_ends(batch) == y)
+        # the jumps before T/2 of each bridge, and the site they reach
+        counts = np.diff(batch.offsets)
+        before = np.bincount(np.repeat(np.arange(n), counts),
+                             weights=batch.times < T / 2,
+                             minlength=n).astype(np.int64)
+        last = np.concatenate((batch.sites, [0]))[np.maximum(
+            batch.offsets[:-1] + before - 1, 0)]
+        mid = np.where(before > 0, last, batch.start)
+        half = hk.table(T / 2)
+        z = np.arange(torus.n_sites)
+        probs = (half[torus.diff_table[z, 0]] * half[torus.diff_table[y, z]]
+                 / hk.table(T)[torus.diff_table[y, 0]])
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        ok, chi2, df = _chi2_ok(np.bincount(mid, minlength=len(z)), probs)
+        assert ok, (target, chi2, df)
 
 def _jump_law(torus, T):
     '''P(n jumps | closed) = Pois(n; d T) (P^n)_00 / psi^{L,T}(0), n =
@@ -369,20 +431,34 @@ def test_empty_law_draws_the_shortest_duration(kind):
 
 
 def test_open_path_weighted_sample_heat_kernel_identity():
-    # E[indicator * 1] * normalization = sum_T e^{-kappa T} psi^T(y - x)
+    '''The mean weight of an open path 0 -> 1 is sum_T e^{-kappa T}
+    psi^T(1) (grid) or its integral (continuum), and its bridges end at
+    1.'''
+    for kind in ("ginibre", "symanzik_eps"):
+        _check_open_path_weights(kind)
+
+
+def _check_open_path_weights(kind):
     torus = Torus(1, 3)
     hk = HeatKernel(torus)
-    intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    target = sum(math.exp(-0.5 * k)
-                 * hk.table(0.5 * k)[torus.diff_table[1, 0]]
-                 for k in range(1, 200))
+    intensity = LoopIntensity(torus, kind, kappa=1.0, nu=0.5, eps=0.1)
+    if kind == "ginibre":
+        target = sum(math.exp(-0.5 * k)
+                     * hk.table(0.5 * k)[torus.diff_table[1, 0]]
+                     for k in range(1, 200))
+    else:
+        target = integrate.quad(lambda t: math.exp(-t) * hk.table(t)[
+            torus.diff_table[1, 0]], 0, np.inf, epsrel=1e-12)[0]
     rng = np.random.default_rng(17)
     n = 40000
-    T = intensity.open_duration(rng, n)
-    end, _ = walks(torus, np.zeros(n, dtype=np.int64), T, rng)
-    vals = (end == 1) * intensity.open_normalization
-    se = vals.std(ddof=1) / math.sqrt(n)
-    assert abs(vals.mean() - target) <= 3.0 * se
+    law = _OpenPaths(intensity, [0], [1])
+    ends, T, w = law.draw(rng, n)
+    w = law.unit * w
+    batch = bridges(torus, np.zeros(n, dtype=np.int64), T.ravel(), rng,
+                    ends.ravel())
+    assert np.all(_loop_ends(batch) == 1)
+    se = w.std(ddof=1) / math.sqrt(n)
+    assert abs(w.mean() - target) <= 3.0 * se
 
 
 def test_intensity_rejects_bad_arguments():
@@ -407,38 +483,49 @@ def _same_path(p, q):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_walk_and_loop_keep_the_reference_stream(d, L):
-    '''Over many seeds, walks (with no target, and with targets of one
-    and of up to two sites), bridges, draw_batch and open_duration
-    (ginibre and symanzik) give the per-path reference's paths and
-    durations, and the generator state is the same after every draw.'''
+    '''Over many seeds, walks, bridges (closed, and to other end sites),
+    draw_batch and the open paths of a kernel sample (ginibre and
+    symanzik) give the per-path reference's paths, durations and
+    weights, and the generator state is the same after every draw.'''
     torus = Torus(d, L)
     intensities = [LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5),
                    LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)]
     for seed in range(40):
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = np.arange(12) % torus.n_sites
-        T = 0.25 + 0.5 * np.arange(12)
         n = torus.n_sites
-        for target in (None, [seed % n], [seed % n, (3 * seed + 1) % n]):
-            end, batch = walks(torus, x, T, new, target)
-            ref_end, paths = loop_reference.walks(torus, x, T, ref, target)
-            assert end.tolist() == ref_end
-            assert batch.config.tolist() == [
-                k for k, path in enumerate(paths) if path is not None]
-            assert _same_paths(batch, [path for path in paths if path])
-            assert new.bit_generator.state == ref.bit_generator.state
+        x = np.arange(12) % n
+        T = 0.25 + 0.5 * np.arange(12)
+        end, batch = walks(torus, x, T, new)
+        ref_end, paths = loop_reference.walks(torus, x, T, ref)
+        assert end.tolist() == ref_end
+        assert batch.config.tolist() == list(range(12))
+        assert _same_paths(batch, paths)
+        assert new.bit_generator.state == ref.bit_generator.state
         batch = bridges(torus, x, T, new)
         assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref))
         assert new.bit_generator.state == ref.bit_generator.state
+        y = (3 * x + seed) % n
+        batch = bridges(torus, x, T, new, y)
+        assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref, y))
+        assert new.bit_generator.state == ref.bit_generator.state
+        xs, ys = [seed % n, 0], [(5 * seed + 1) % n, seed % n]
         for intensity in intensities:
-            n = seed % 7
-            batch = intensity.draw_batch(new, n)
-            loops = loop_reference.draw_batch(intensity, ref, n)
-            assert batch.config.tolist() == list(range(n))
+            m = seed % 7
+            batch = intensity.draw_batch(new, m)
+            loops = loop_reference.draw_batch(intensity, ref, m)
+            assert batch.config.tolist() == list(range(m))
             assert _same_paths(batch, loops)
             assert new.bit_generator.state == ref.bit_generator.state
-            assert (intensity.open_duration(new, 5).tolist()
-                    == loop_reference.open_duration(intensity, ref, 5))
+            law = _OpenPaths(intensity, xs, ys)
+            ends, T_open, w = law.draw(new, m)
+            batch = bridges(torus, np.tile(xs, m), T_open.ravel(), new,
+                            ends.ravel())
+            opened = loop_reference.open_paths(intensity, xs, ys, ref, m)
+            assert _same_paths(batch, [path for paths, _ in opened
+                                       for path in paths])
+            ref_w = np.array([weight for _, weight in opened]) / law.unit
+            assert np.allclose(w, ref_w, rtol=0,
+                               atol=1e-12 * max(ref_w.max(initial=0), 1))
             assert new.bit_generator.state == ref.bit_generator.state
 
 
