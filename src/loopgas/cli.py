@@ -232,7 +232,8 @@ def run_meanfield_sweep(config):
     use_oracle, size = _use_oracle(params_list, kappa)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
     print(f"meanfield: quantum side via {chooser} (largest sector "
-          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})")
+          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})",
+          file=sys.stderr)
     classical_exact = torus.n_sites == 1
 
     gamma_rows, z_rows, passes = [], [], []
@@ -335,14 +336,14 @@ def run_volume_sweep(config):
     deterministic first-order engine; emits successive differences and
     the Cauchy verdict.'''
     config.require("kappa", "nu_list", "L_list")
-    if sorted(config.L_list) != list(config.L_list):
-        raise ConfigError("L_list must be increasing")
+    if any(lo >= hi for lo, hi in zip(config.L_list, config.L_list[1:])):
+        raise ConfigError("L_list must be strictly increasing")
     if config.lambda_rule is None:
         config.lambda_rule = "nu_squared"
     v_l1 = config.potential.l1_norm if config.potential else 0.0
     if v_l1 > config.v_l1_threshold:
         print(f"warning: ||v||_1 = {v_l1:.4f} exceeds the smallness "
-              f"threshold {config.v_l1_threshold}")
+              f"threshold {config.v_l1_threshold}", file=sys.stderr)
     g_rows, diff_rows, verdicts = [], [], []
     for nu in config.nu_list:
         lam = config.lam_for(nu)

@@ -233,7 +233,9 @@ def _grid_occupations(batch, params):
     n_loops = len(batch.start)
     ratio = batch.duration / nu
     n_win = np.round(ratio)
-    off_grid = (np.abs(ratio - n_win) > 1e-9) | (n_win < 1)
+    # relative, as nu k carries a rounding error of about k ulp(nu)
+    off_grid = (np.abs(ratio - n_win) > 1e-9 * np.maximum(1.0, n_win)) | (
+        n_win < 1)
     if off_grid.any():
         raise ValueError(f"duration {batch.duration[off_grid][0]} not on "
                          f"the grid nu N*")

@@ -39,9 +39,9 @@ come in this order:
     durations of the open paths, in (sample, path) order, and one
     paths.bridges call for their B p bridges.
 The batch size bounds the memory a chunk holds, since that memory
-follows loops, not samples (the continuum residue table alone is loops
-x M x L), and it is part of the stream: the draws of a batch are
-grouped by kind, not by sample.
+follows loops, not samples (the residue table alone is distinct
+durations x M x L, within paths.MAX_BRIDGE_CELLS), and it is part of the
+stream: the draws of a batch are grouped by kind, not by sample.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
@@ -59,7 +59,7 @@ import numpy as np
 
 # v_total is unused here; perfbench's tests assert that loop_mc names it
 from .interactions import batch_interaction, v_total
-from .paths import LoopBatch, bridges
+from .paths import LoopBatch, bridges, pick
 
 # Expected loops drawn per batch.  A chunk's memory follows its loops, so
 # this bounds it whatever the loops per sample; see _batch_size.
@@ -264,13 +264,6 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
     return McEstimate(mean, se, count, seed, meta)
 
 
-def _pick(cdf, rng, size):
-    '''Indices with probabilities proportional to the steps of cdf, from
-    size uniforms.'''
-    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
-    return np.minimum(idx, len(cdf) - 1)
-
-
 class _OpenPaths:
     '''The law of the p open paths x_i -> y_pi(i) of a kernel sample,
     built once per estimate; draw gives m samples' open paths and
@@ -283,7 +276,7 @@ class _OpenPaths:
     / perm(G), over the p! rows of S_p.  A duration has law e^{-kappa T}
     psi^{L,T}(0) / G(0), the mixture over the modes xi, with weights g_xi,
     of nu Geometric(1 - a_xi) on the grid and Exp(kappa + lambda_xi) in the
-    continuum: it needs no table and no rejection.
+    continuum: it needs no table and no rejection (a_xi: LoopIntensity.a).
     '''
 
     def __init__(self, intensity, xs, ys):
@@ -292,7 +285,7 @@ class _OpenPaths:
         # per mode, the geometric law's success probability (grid) or
         # the exponential law's rate (continuum)
         if intensity.kind == "ginibre":
-            a = hk.free_weights(intensity.nu, intensity.kappa)
+            a = intensity.a
             symbol, self._param = a / (1.0 - a), 1.0 - a
             self._nu = intensity.nu
         else:
@@ -322,8 +315,8 @@ class _OpenPaths:
         of unit) of m samples: m permutations, then m p modes, then m p
         durations.'''
         p = len(self.xs)
-        row = _pick(self._perm_cdf, rng, m)
-        mode = _pick(self._mode_cdf, rng, (m, p))
+        row = pick(self._perm_cdf, rng, m)
+        mode = pick(self._mode_cdf, rng, (m, p))
         if self._nu is not None:
             T = self._nu * rng.geometric(self._param[mode])
         else:

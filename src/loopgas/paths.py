@@ -29,7 +29,7 @@ psi^{L,T}(y - x).  Given the counts, the jump times are iid uniform on
 counts come from inverse CDFs over a table of the Poisson(T/2) masses of
 the distinct T/2 of a batch.  The table ends at the first n >= max T/2
 where the tail bound P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below
-POISSON_TAIL = 1e-16.
+POISSON_TAIL = 1e-16; bridges refuses more than MAX_BRIDGE_CELLS cells.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges.
 '''
@@ -81,6 +81,8 @@ _NO_TIMES = np.empty(0)
 _NO_SITES = np.empty(0, dtype=np.int64)
 # truncation of the bridge sampler's Poisson tables (_residue_table)
 POISSON_TAIL = 1e-16
+# Most cells of one bridges call's residue table and count columns
+MAX_BRIDGE_CELLS = 2 ** 25
 
 
 def _segments(offsets, index):
@@ -140,9 +142,10 @@ def bridges(torus, x, T, rng, y=None):
     shift = None if y is None else (torus.coords[y] - torus.coords[x]) % L
     if shift is not None and not shift.any():
         shift = None
-    u = rng.random((n, d, 3))
     lam, row = np.unique(T / 2, return_inverse=True)
-    table = _residue_table(lam, L)
+    # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
+    table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+    u = rng.random((n, d, 3))
     q = table.sum(axis=1)
     if shift is None:
         q2 = np.cumsum(q ** 2, axis=1)[row][:, None, :]
@@ -199,28 +202,44 @@ def _log_factorials(size):
     return _LOG_FACT[:size]
 
 
-def _residue_table(lam, L):
+def _residue_table(lam, L, columns=0):
     '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
     [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
     over m is the residue mass q_r.  The table ends where the tail bound
-    of the largest lam drops below POISSON_TAIL; the rest is 0.'''
-    top = float(lam.max())
-    # P(X >= top + t) <= exp(-t^2 / (2 (top + t / 3))) (Bernstein) is
-    # below 1e-20 at the end of this range, so the cut lies inside it
-    n = np.arange(int(top + 12.0 * np.sqrt(top)) + 40)
-    log_fact = _log_factorials(len(n))
-    k = n[math.ceil(top):-1]
-    log_bound = (k + 1) * math.log(top) - top - log_fact[k + 1] - np.log1p(
-        -top / (k + 2.0))
-    cut = k[np.flatnonzero(log_bound < math.log(POISSON_TAIL))[0]]
+    of the largest lam drops below POISSON_TAIL; the rest is 0.
+    ValueError, before any table is built, when it and columns more
+    columns of M cells exceed MAX_BRIDGE_CELLS.'''
+    top, rows = float(lam.max()), len(lam) * L + columns
+    # the cut is at least top: refusing on that first keeps the
+    # log-factorials of the range below within the budget's order
+    cut = math.ceil(top)
+    if rows * (cut // L + 1) <= MAX_BRIDGE_CELLS:
+        # P(X >= top + t) <= exp(-t^2 / (2 (top + t / 3))) (Bernstein) is
+        # below 1e-20 at the end of this range, so the cut lies inside it
+        k = np.arange(cut, int(top + 12.0 * np.sqrt(top)) + 39)
+        log_bound = (k + 1) * math.log(top) - top - _log_factorials(
+            k[-1] + 2)[k + 1] - np.log1p(-top / (k + 2.0))
+        cut = int(k[np.flatnonzero(log_bound < math.log(POISSON_TAIL))[0]])
     M = cut // L + 1
+    if rows * M > MAX_BRIDGE_CELLS:
+        raise ValueError(
+            f"bridges of durations up to {2.0 * top:.4g} need at least "
+            f"{rows * M} Poisson table cells, above MAX_BRIDGE_CELLS = "
+            f"{MAX_BRIDGE_CELLS}; raise kappa")
     p = np.zeros((len(lam), M * L))
     log_p = p[:, :cut + 1]
-    np.multiply.outer(np.log(lam), n[:cut + 1], out=log_p)
-    log_p -= log_fact[:cut + 1]
+    np.multiply.outer(np.log(lam), np.arange(cut + 1), out=log_p)
+    log_p -= _log_factorials(cut + 1)
     log_p -= lam[:, None]
     np.exp(log_p, out=log_p)
     return p.reshape(len(lam), M, L)
+
+
+def pick(cdf, rng, size):
+    '''Indices with probabilities proportional to the steps of cdf, from
+    size uniforms; the last index when every step is 0.'''
+    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    return np.minimum(idx, len(cdf) - 1)
 
 
 class LoopBatch:
@@ -317,16 +336,19 @@ class LoopIntensity:
     (uniform base site) x (bridge), and draw_batch draws the bridges
     exactly (paths.bridges).
 
-    The duration law is one table, the mass of each support point over
-    the one before: total_mass is its sum and the CDF its normalized
-    cumulative sum.  The grid's points are its durations nu k; the
-    continuum's are 8192 geometric cell edges on [eps, t_max], each cell
-    integrated in u = log T by 3-point Gauss-Legendre (quad_err: the
-    gap to the 2-point rule), and a draw interpolates within its cell.
+    Grid: with the free mode weights a_xi = e^{-nu(kappa + lambda_xi)}
+    (a, HeatKernel.free_weights) the mass of nu k is sum_xi a_xi^k / k,
+    so m = -sum_xi log(1 - a_xi) and a duration is nu LogSeries(a_xi), of
+    a mode xi drawn with weight -log(1 - a_xi): exact, with no table.
+
+    Continuum: one table, the mass of each of 8192 geometric cell edges
+    on [eps, t_max] over the one before, each cell integrated in u = log
+    T by 3-point Gauss-Legendre (quad_err: the gap to the 2-point rule);
+    the CDF is its normalized cumulative sum, and a draw interpolates
+    within its cell.
     '''
 
     TAIL = 1e-12
-    MAX_TERMS = 100000      # grid durations before the law is refused
 
     def __init__(self, torus, kind, kappa, nu=None, eps=None):
         if not kappa > 0:
@@ -339,41 +361,22 @@ class LoopIntensity:
             if nu is None or not nu > 0:
                 raise ValueError("ginibre intensity needs nu > 0")
             self.nu = float(nu)
-            self._points, w, self.metadata = self._grid_law()
+            self.a = self.hk.free_weights(self.nu, self.kappa)
+            w = -np.log1p(-self.a)
+            self._mode_cdf, self.metadata = np.cumsum(w), {}
         elif kind == "symanzik_eps":
             if eps is None or not eps > 0:
                 raise ValueError("symanzik intensity needs eps > 0")
             self.eps = float(eps)
             self._points, w, self.metadata = self._continuum_law()
+            # an empty law (every mass underflows to 0) draws its limit as
+            # kappa -> inf, the shortest duration
+            self._cdf = (np.cumsum(w / w.sum()) if w.sum() > 0
+                         else np.ones(len(w)))
         else:
             raise ValueError(f"unknown intensity kind {kind!r}")
         self.total_mass = float(w.sum())
-        # an empty law (every mass underflows to 0) draws its limit as
-        # kappa -> inf, the shortest duration
-        self._cdf = (np.cumsum(w / self.total_mass) if self.total_mass > 0
-                     else np.ones(len(w)))
 
-    # -- ginibre: discrete duration grid ------------------------------------
-    def _grid_law(self):
-        '''(durations nu k, their masses, metadata).'''
-        nu, kappa, n = self.nu, self.kappa, self.torus.n_sites
-        a = np.exp(-kappa * nu)
-        # truncate when the remaining tail (psi <= 1 bound) drops below
-        # TAIL times a lower bound on the mass (first term, psi >= 1/n)
-        k_max = 1
-        while n * a ** (k_max + 1) / ((k_max + 1) * (1 - a)) > self.TAIL * a:
-            if k_max == self.MAX_TERMS:
-                raise ValueError(
-                    f"kappa * nu = {kappa * nu:.3g} is too small: the grid "
-                    f"duration law needs more than {self.MAX_TERMS} terms "
-                    f"for a tail below {self.TAIL:g}")
-            k_max += 1
-        k = np.arange(1, k_max + 1)
-        w = np.exp(-kappa * nu * k) * self.hk.at_origin(nu * k) * n / k
-        tail = n * a ** (k_max + 1) / ((k_max + 1) * (1 - a))
-        return nu * k, w, {"k_max": k_max, "tail_bound": float(tail)}
-
-    # -- symanzik: eps-truncated continuum law ------------------------------
     def _continuum_law(self):
         '''(cell edges, 0 then the cell masses, metadata).'''
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
@@ -399,14 +402,14 @@ class LoopIntensity:
             "quad_err": float(np.abs(cells - cell_masses(2)).sum()),
             "grid_points": len(edges)}
 
-    # -----------------------------------------------------------------------
     def sample_duration(self, rng, size):
-        '''size loop durations, from size uniform draws.'''
-        u = rng.random(size)
+        '''size loop durations: on the grid, size modes (pick) then
+        their log-series draws; in the continuum, size uniforms through
+        the CDF.  An empty grid law (every a_xi = 0) draws nu.'''
         if self.kind == "ginibre":
-            idx = np.searchsorted(self._cdf, u, side="left")
-            return self._points[np.minimum(idx, len(self._points) - 1)]
-        return np.interp(u, self._cdf, self._points)
+            mode = pick(self._mode_cdf, rng, size)
+            return self.nu * rng.logseries(self.a[mode])
+        return np.interp(rng.random(size), self._cdf, self._points)
 
     def draw_batch(self, rng, n):
         '''n loops of the normalized intensity, loop i in configuration i

@@ -281,13 +281,16 @@ def test_largemass_experiment(tmp_path):
     assert max(diag[0.1]) < max(diag[0.2])
 
 
-def test_meanfield_experiment(tmp_path):
+def test_meanfield_experiment(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "experiment": "meanfield", "torus": {"d": 1, "L": 1},
         "potential": {"d": 1, "R": 0, "entries": [[[0], 1.0]]},
         "kappa": 1.0, "nu_list": [0.2, 0.1], "lambda_rule": "nu_squared"})
     out = tmp_path / "out"
     assert main(["meanfield", "--config", cfg, "--out", str(out)]) == 0
+    # stdout carries results only: the chooser's line goes to stderr
+    std = capsys.readouterr()
+    assert std.out == "" and "quantum side via quantum_oracle" in std.err
     fit = json.loads((out / "meanfield_fit.json").read_text())
     assert fit["chooser"] == "quantum_oracle"
     assert "gamma" in fit["fit"] and "z" in fit["fit"]
@@ -335,6 +338,30 @@ def test_volume_experiment(tmp_path):
     assert g_rows[0] == ["nu", "L", "g"]
     meta = json.loads((out / "volume_meta.json").read_text())
     assert all(v["cauchy"] for v in meta["verdicts"])
+
+
+def test_volume_warning_goes_to_stderr(tmp_path, capsys):
+    # ||v||_1 = 0.04 above a threshold of 0.01: warned on stderr, and
+    # stdout stays empty
+    cfg = _write_config(tmp_path, dict(_VOLUME, v_l1_threshold=0.01))
+    assert main(["volume", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.count("\n") == 1 and "smallness threshold" in std.err
+
+
+@pytest.mark.parametrize("L_list", [[4, 4, 6], [6, 4, 8]])
+def test_volume_refuses_tori_not_strictly_increasing(tmp_path, capsys,
+                                                     L_list):
+    # a repeated torus would be compared with itself (a gap of 0)
+    cfg = _write_config(tmp_path, dict(_VOLUME, torus={"d": 1,
+                                                       "L_list": L_list}))
+    out = tmp_path / "out"
+    assert main(["volume", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "strictly increasing" in err
+    assert not out.exists()
 
 
 def test_volume_experiment_in_two_dimensions(tmp_path):
@@ -523,15 +550,48 @@ def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
     assert err.count("\n") == 1 and message in err
 
 
-def test_grid_law_past_its_term_budget_exits_2(tmp_path, capsys):
-    '''kappa nu = 1e-4 passes the schema, but the grid duration law would
-    need more than LoopIntensity.MAX_TERMS terms for its tail bound: the
-    run is refused, not truncated.'''
+def test_grid_law_at_small_kappa_nu_runs(tmp_path):
+    '''kappa nu = 1e-4: the grid duration law is drawn exactly from the
+    free modes, with no term budget, so the run goes through.'''
     cfg = _write_config(tmp_path, _ginibre_doc(kappa=1e-3, nu=0.1))
     out = tmp_path / "out"
-    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "kappa * nu" in err
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "ginibre_z.json").read_text())
+    assert 0.0 < doc["mean"] <= 1.0 and doc["params"]["mass"] > 9.0
+
+
+def _run_cli(tmp_path, experiment, doc):
+    '''The CLI in a subprocess with RuntimeWarnings as errors.'''
+    import os
+    import subprocess
+    import sys
+    import loopgas
+    cfg = _write_config(tmp_path, doc)
+    src = str(Path(loopgas.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "loopgas.cli", experiment, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src,
+                 PYTHONWARNINGS="error::RuntimeWarning"),
+        capture_output=True, text=True, timeout=120)
+
+
+def test_grid_mode_weight_of_one_exits_2(tmp_path):
+    # nu = 1e-17: kappa nu rounds a_0 = e^{-kappa nu} to 1
+    run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(nu=None,
+                                                       nu_list=[1e-17]))
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.count("\n") == 1 and "mode weight is 1" in run.stderr
+
+
+def test_grid_loops_past_the_bridge_budget_exit_2(tmp_path):
+    # kappa = 1e-5, nu = 50: the first batch's Poisson tables would hold
+    # about 3.7e8 cells (2.8 GiB)
+    from loopgas.paths import MAX_BRIDGE_CELLS
+    run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(kappa=1e-5, nu=50))
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.count("\n") == 1
+    assert f"MAX_BRIDGE_CELLS = {MAX_BRIDGE_CELLS}" in run.stderr
 
 
 def test_grid_monte_carlo_imports_no_scipy():

@@ -554,44 +554,47 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 # of loops) and batches sized by their loops (each chunk here is one
 # batch); the continuum entries with the duration CDF of Gauss-Legendre
 # cells; the kernel entries with open paths drawn as exact bridges and
-# the denominator paired with the numerator.
+# the denominator paired with the numerator; the grid entries with loop
+# durations drawn exactly from the free modes (nu LogSeries(a_xi)).
 GOLDEN = {
-    "Z/grid/w1": [0.7765532305252303, 0.014348543204633085],
-    "Z/grid_d2/w1": [0.8104886967533071, 0.012456127997505602],
-    "Z/grid_offgrid/w1": [0.0500555909494192, 0.008398342183734586],
-    "Z/grid_R1/w1": [0.5212949863327913, 0.028774492842530273],
+    "Z/grid/w1": [0.7845162131600576, 0.014182050329073397],
+    "Z/grid_d2/w1": [0.8205164699526144, 0.012566995891627368],
+    "Z/grid_offgrid/w1": [0.040485839941980274, 0.008052875061062193],
+    "Z/grid_R1/w1": [0.531159082442623, 0.02873622249548334],
     "Z/continuum/w1": [0.727085215691729, 0.014734130558399056],
     "Z/continuum_d2/w1": [0.7998089265659875, 0.012957474027660149],
-    "gamma/p1/R0/w1": [0.23848402171331873, 0.0065351500962919674,
-        0.787531493662402, 0.01856977108554557],
-    "gamma/p2/R0/w1": [0.3440526013770019, 0.01450663965098336,
-        0.787531493662402, 0.01856977108554557],
-    "gamma/p1/R1/w1": [0.07311478260162399, 0.00948297741243167,
-        0.563223723165928, 0.035035721023747614],
-    "gamma/p2/R1/w1": [0.05811120337210714, 0.018628596225057067,
-        0.563223723165928, 0.035035721023747614],
-    "logz/w1": [1.3419473561193502, -0.08834823702789482, 0.012299686808357215,
-        0.02876497900471297, 0.006861789698573659, 0.0014864128644908072,
-        95.64915609963005, 91.86713901035463, 91.9273261078839,
-        0.0024862593488532724, 0.00045775006757364794, -0.3420124538420535],
-    "Z/grid/w3": [0.7781555842801348, 0.01410640124807315],
-    "Z/grid_d2/w3": [0.8091131744745133, 0.012691843362769795],
-    "Z/grid_offgrid/w3": [0.04182839771838302, 0.007462499510669813],
-    "Z/grid_R1/w3": [0.5048923373553679, 0.02881446771337557],
+    "gamma/p1/R0/w1": [0.2504177501355478, 0.007076056322928551,
+        0.8090326630694946, 0.01613913966309892],
+    "gamma/p2/R0/w1": [0.35579343726121954, 0.013212888398611646,
+        0.8090326630694946, 0.01613913966309892],
+    "gamma/p1/R1/w1": [0.05250083512597883, 0.00846635873756816,
+        0.582827696632063, 0.03480176993575771],
+    "gamma/p2/R1/w1": [0.058134037192756456, 0.018082602217762766,
+        0.582827696632063, 0.03480176993575771],
+    "logz/w1": [1.4373484377295105, -0.09422669957573392,
+        0.013657657832482017, 0.01934935615211657, 0.006279219026388371,
+        0.0016743196766341698, 98.23753075713357, 95.78596570370603,
+        92.01297141261148, 0.0022758073738034738, 0.00032524818821579336,
+        -0.251131863755752],
+    "Z/grid/w3": [0.7968559036369391, 0.013561672546594036],
+    "Z/grid_d2/w3": [0.8077518811422383, 0.013174599733630946],
+    "Z/grid_offgrid/w3": [0.03894973478594601, 0.007996589620323345],
+    "Z/grid_R1/w3": [0.5664630265140422, 0.02845920360950202],
     "Z/continuum/w3": [0.7083556641184917, 0.015331421904680584],
     "Z/continuum_d2/w3": [0.7867248057959132, 0.012674379401012717],
-    "gamma/p1/R0/w3": [0.23607914130532656, 0.00588009452446689,
-        0.800189374398677, 0.01581024633590018],
-    "gamma/p2/R0/w3": [0.3205525120850565, 0.014173805660032356,
-        0.800189374398677, 0.01581024633590018],
-    "gamma/p1/R1/w3": [0.06120108727073733, 0.009134661089952393,
-        0.5526296833651305, 0.035081951891739835],
-    "gamma/p2/R1/w3": [0.06365884751566374, 0.019158637713104394,
-        0.5526296833651305, 0.035081951891739835],
-    "logz/w3": [1.3755314049768856, -0.08493469047202615, 0.012312216753872587,
-        0.02452668060510323, 0.0066619594656184685, 0.0016283431394116111,
-        96.94850378125533, 92.71009748260518, 89.962564991888,
-        0.0019440177978073093, 0.00023434164223799724, -0.305002328483134],
+    "gamma/p1/R0/w3": [0.2274693298517637, 0.006921493951399315,
+        0.780013951066046, 0.0167742366892193],
+    "gamma/p2/R0/w3": [0.3345576857491067, 0.014205708445371876,
+        0.780013951066046, 0.0167742366892193],
+    "gamma/p1/R1/w3": [0.05457831016975715, 0.009237820876334622,
+        0.5035207430663265, 0.035341039807092973],
+    "gamma/p2/R1/w3": [0.0732166457193825, 0.022026900785273376,
+        0.5035207430663265, 0.035341039807092973],
+    "logz/w3": [1.4230526354933184, -0.08543218689008357,
+        0.012803009165866975, 0.02074230517434343, 0.006209154235298352,
+        0.001882965572745212, 97.93999913961348, 95.47240646043258,
+        90.23347110534722, 0.0038050892996288953, 0.0007722669275808184,
+        -0.25748780197290877],
 }
 
 

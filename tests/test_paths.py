@@ -204,7 +204,8 @@ def test_sample_loop_is_closed_and_uniform_base():
         assert np.all(np.abs(starts / n - p) < 3 * math.sqrt(p * (1 - p) / n))
         hk, kappa = intensity.hk, intensity.kappa
         if intensity.kind == "ginibre":
-            k = np.arange(1, intensity.metadata["k_max"] + 1)
+            # a_xi <= e^{-1/2}: the mass past k = 120 is below 1e-27
+            k = np.arange(1, 121)
             probs = np.array([math.exp(-kappa * 0.5 * j)
                               * hk.table(0.5 * j)[0] / j for j in k])
             probs /= probs.sum()
@@ -381,8 +382,9 @@ class _CountingRng:
 def test_low_acceptance_bridges_draw_in_one_pass(monkeypatch):
     '''d = 3, L = 7, T = 40 (return probability about 1/343): bridges
     draws a batch with two generator calls, as for a single bridge, and
-    its mean jump count is the conditioned law's; draw_batch makes four
-    calls and walks no free walk.'''
+    its mean jump count is the conditioned law's; draw_batch makes five
+    calls (modes, log-series counts, base sites, bridges) and walks no
+    free walk.'''
     def no_walks(*args, **kwargs):
         raise AssertionError("a free walk was drawn")
     monkeypatch.setattr(paths, "walks", no_walks)
@@ -404,15 +406,93 @@ def test_low_acceptance_bridges_draw_in_one_pass(monkeypatch):
     intensity = LoopIntensity(torus, "ginibre", kappa=0.1, nu=0.5)
     rng = _CountingRng(41)
     intensity.draw_batch(rng, n)
-    assert rng.calls == 4
+    assert rng.calls == 5
 
 
-def test_grid_law_refuses_truncation():
-    '''kappa nu = 1e-4: the law would need more than MAX_TERMS durations
-    for its tail bound, and is refused instead of truncated.'''
-    with pytest.raises(ValueError, match="kappa \\* nu"):
-        LoopIntensity(Torus(1, 3), "ginibre", kappa=1e-3, nu=0.1)
-    LoopIntensity(Torus(1, 3), "ginibre", kappa=1e-2, nu=0.1)
+def test_bridges_past_the_cell_budget_are_refused_before_any_draw(
+        monkeypatch):
+    '''kappa = 1e-5, nu = 50: 4096 loops reach T/2 near 3e5, and their
+    Poisson tables would hold over 3e8 cells.  bridges refuses them
+    before it draws a number or computes a log-factorial.'''
+    def refuse(*args):
+        raise AssertionError("log-factorials were computed")
+
+    torus = Torus(1, 3)
+    intensity = LoopIntensity(torus, "ginibre", kappa=1e-5, nu=50.0)
+    T = intensity.sample_duration(np.random.default_rng(0), 4096)
+    monkeypatch.setattr(paths, "_log_factorials", refuse)
+    rng = _CountingRng(1)
+    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
+        bridges(torus, np.zeros(len(T), dtype=np.int64), T, rng)
+    assert rng.calls == 0
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_bridge_budget_counts_the_table_and_the_columns(monkeypatch, closed):
+    '''The budget is the residue table (distinct T) x M x L plus the
+    cumulative columns n x d x (1 closed, 2 open) x M: bridges draws at
+    exactly that many cells and refuses one fewer.'''
+    torus = Torus(2, 3)
+    x = np.arange(40) % torus.n_sites
+    T = np.repeat([0.5, 7.0, 30.0, 61.0], 10)
+    y = None if closed else (x + 1) % torus.n_sites
+    table = _residue_table(np.unique(T / 2), 3)
+    cells = table.size + len(x) * 2 * (1 if closed else 2) * table.shape[1]
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells)
+    bridges(torus, x, T, np.random.default_rng(3), y)
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells - 1)
+    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
+        bridges(torus, x, T, np.random.default_rng(3), y)
+
+
+def _grid_masses(torus, kappa, nu):
+    '''k = 1..k_top and the masses e^{-kappa nu k} psi^{L,nu k}(0)
+    |Lambda| / k of the grid durations nu k, from the heat kernel; k_top
+    puts the rest below 1e-14 of the sum.'''
+    hk = HeatKernel(torus)
+    k = np.arange(1, math.ceil(35.0 / (kappa * nu)) + 50)
+    psi = np.concatenate([hk.at_origin(nu * part)
+                          for part in np.array_split(k, len(k) // 20000 + 1)])
+    return k, np.exp(-kappa * nu * k) * psi * torus.n_sites / k
+
+
+# (kappa, nu): kappa nu = 1e-4 needs durations past k = 10^5
+_GRID_LAWS = [(1.0, 0.5), (1e-3, 0.1)]
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("kappa, nu", _GRID_LAWS)
+def test_grid_mass_is_the_free_log_partition_function(d, L, kappa, nu):
+    '''The grid law's mass is -sum_xi log(1 - a_xi), a_xi = e^{-nu(kappa
+    + lambda_xi)}, and the direct sum over its durations, both at 1e-12
+    relative.'''
+    torus = Torus(d, L)
+    intensity = LoopIntensity(torus, "ginibre", kappa=kappa, nu=nu)
+    xi = 2.0 * np.pi * torus.coords / L
+    a = np.exp(-nu * (kappa + d - np.cos(xi).sum(axis=1)))
+    closed = -sum(math.log1p(-float(ax)) for ax in a)
+    assert intensity.total_mass == pytest.approx(closed, rel=1e-12)
+    _, mass = _grid_masses(torus, kappa, nu)
+    assert intensity.total_mass == pytest.approx(mass.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("kappa, nu", _GRID_LAWS)
+def test_grid_durations_follow_the_mode_mixture(d, L, kappa, nu):
+    '''Chi-square of 10^5 grid durations nu k, in geometric bins of k,
+    against sum_xi a_xi^k / k over the mass: the law has no cut, so
+    kappa nu = 1e-4 runs as any other.'''
+    torus = Torus(d, L)
+    intensity = LoopIntensity(torus, "ginibre", kappa=kappa, nu=nu)
+    k, mass = _grid_masses(torus, kappa, nu)
+    T = intensity.sample_duration(np.random.default_rng(43), 100000)
+    steps = np.rint(T / nu).astype(np.int64)
+    assert np.all(steps >= 1) and np.array_equal(T, nu * steps)
+    edges = np.unique(np.geomspace(1, k[-1] + 1, 60).astype(np.int64))
+    counts = np.histogram(np.minimum(steps, k[-1]), edges)[0]
+    probs = np.add.reduceat(mass, edges[:-1] - 1) / mass.sum()
+    ok, chi2, df = _chi2_ok(counts, probs)
+    assert ok, (chi2, df)
 
 
 @pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
