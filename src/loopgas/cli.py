@@ -191,12 +191,13 @@ def _meanfield_n_cap(kappa, nu):
     return max(250, int(40.0 / (kappa * nu)) + 50)
 
 
-def _use_oracle(params_list, kappa):
-    '''Whether the exact oracle fits a mean-field sweep over params_list,
-    and its size: the largest sector and the summed dim^3 of the
-    diagonalizations over the sweep, counted without building a block.'''
+def _use_oracle(params_list, kappa, p):
+    '''Whether the exact oracle fits a mean-field sweep of Gamma_p over
+    params_list, and its size: the largest sector and the summed dim^3 of
+    the diagonalizations over the sweep, counted without building a
+    block.'''
     sizes = [oracle_size(params, kappa,
-                         n_cap=_meanfield_n_cap(kappa, params.nu))
+                         n_cap=_meanfield_n_cap(kappa, params.nu), p=p)
              for params in params_list]
     size = {"max_sector_dim": max(s["max_sector_dim"] for s in sizes),
             "eigh_dim3": sum(s["eigh_dim3"] for s in sizes)}
@@ -205,9 +206,10 @@ def _use_oracle(params_list, kappa):
 
 
 def _pass_record(nu, res):
-    '''Where one grand sum stopped: its last block, free tail bound and
-    largest sector.'''
+    '''Where one grand sum stopped: its last block, free tail bound, last
+    diagonalized block and largest sector.'''
     return {"nu": nu, "n_max": res.n_max, "tail_bound": res.tail_bound,
+            "n_diag": res.metadata["n_diag"],
             "max_sector_dim": res.metadata["max_sector_dim"]}
 
 
@@ -229,7 +231,7 @@ def run_meanfield_sweep(config):
     params_list = [InteractionParams(torus=torus, vL=vL, nu=nu,
                                      mode="meanfield", R=config.potential.R,
                                      kappa=kappa) for nu in config.nu_list]
-    use_oracle, size = _use_oracle(params_list, kappa)
+    use_oracle, size = _use_oracle(params_list, kappa, p)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
     print(f"meanfield: quantum side via {chooser} (largest sector "
           f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})",

@@ -233,9 +233,8 @@ def _grid_occupations(batch, params):
     n_loops = len(batch.start)
     ratio = batch.duration / nu
     n_win = np.round(ratio)
-    # relative, as nu k carries a rounding error of about k ulp(nu)
-    off_grid = (np.abs(ratio - n_win) > 1e-9 * np.maximum(1.0, n_win)) | (
-        n_win < 1)
+    # nu k carries a rounding error of about k ulp(nu): a few ulp a window
+    off_grid = (np.abs(ratio - n_win) > 1e-9 + 2e-15 * n_win) | (n_win < 1)
     if off_grid.any():
         raise ValueError(f"duration {batch.duration[off_grid][0]} not on "
                          f"the grid nu N*")

@@ -13,6 +13,19 @@ eigenvectors are kept between blocks.  grand_sum at p = 0 needs
 eigenvalues only; at p >= 1 it contracts the eigenvectors with the
 lowering maps in the same pass and maps the mode kernel to sites, so one
 pass gives both the partition function and Gamma_p.
+
+Interaction bound: for a finite v, H_n = K_n + (lam/2) n^T v n, and by
+Parseval and sum_x n_x^2 <= N^2, n^T v n >= c' N^2 with c' = vhat(0)/
+|Lambda| + min(0, min vhat) (1 - 1/|Lambda|).  For c = (lam/2) c' > 0
+the terms from block n on sum to at most e^{-c n^2} times the free tail
+from n, and each kernel entry of block n is at most n^p times its term.
+Once n >= sqrt(p/2c) and n^p e^{-c n^2} (free tail from n) is below
+2^-53 (and below tol), the blocks from n on cannot round Xi >= 1 and
+move no entry of Gamma_p by 2^-53, so grand_sum diagonalizes none of
+them: its last diagonalized block, n_diag, is n - 1.  It still walks
+the blocks to the free-tail stop, so n_max, tail_bound and the
+matched-truncation Xi0 do not depend on the bound.  A hard core and
+c <= 0 diagonalize every block.
 '''
 
 import functools
@@ -270,6 +283,31 @@ def _free_tail_bound(mode_weights, n_from):
     return np.exp(log_terms + first).sum(axis=-1)
 
 
+def _interaction_floor(params):
+    '''c >= 0 with (lam/2) n^T v n >= c N^2 on every occupation n; 0 under
+    a hard core, which has no finite vhat.'''
+    if params.R == 1:
+        return 0.0
+    m, vhat = params.torus.n_sites, params.torus.fourier(params.vL)
+    return 0.5 * params.lam * max(
+        0.0, vhat[0] / m + min(0.0, vhat.min()) * (1.0 - 1.0 / m))
+
+
+def _n_diag(params, p, tails, n_limit, tol):
+    '''The last block a grand sum diagonalizes: the one before the first
+    n >= sqrt(p/2c) where n^p e^{-c n^2} tails[n] bounds the blocks from
+    n on, in Xi and in every Gamma_p entry, below min(2^-53, tol); else
+    n_limit.  Below 2^-53 they cannot round Xi >= 1; below tol each of
+    them meets the stopping rule, as its computed term would.'''
+    c = _interaction_floor(params)
+    if c == 0.0:
+        return n_limit
+    n = np.arange(1, n_limit + 1)
+    rest = n ** float(p) * np.exp(-c * n * n) * tails[1:n_limit + 1]
+    done = n[(n >= math.sqrt(p / (2.0 * c))) & (rest < min(2.0 ** -53, tol))]
+    return int(done[0]) - 1 if done.size else n_limit
+
+
 def _n_limit(params, n_cap):
     '''The last block n of a grand sum: n_cap, or |Lambda| if fewer
     under a hard core.'''
@@ -294,11 +332,12 @@ def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     fugacity = np.exp(-kappa * params.nu)
     n_limit = _n_limit(params, n_cap)
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
+    n_diag = _n_diag(params, p, tails, n_limit, tol)
     Xi, n, diagonalizations, max_dim = 1.0, 0, 0, 0
     while n < n_limit:
         n += 1
         trace, G_n = 0.0, p and np.zeros_like(G)
-        for _, lo, H in blocks.sectors(n):
+        for _, lo, H in blocks.sectors(n) if n <= n_diag else ():
             diagonalizations += 1
             max_dim = max(max_dim, len(H))
             if not p:
@@ -326,21 +365,26 @@ def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
         Xi=float(Xi), Xi0=Xi0, Z_rel=float(Xi / Xi0), n_max=n,
         tail_bound=float(tails[n + 1]),
         metadata={"kappa": kappa, "tol": tol, "max_sector_dim": max_dim,
-                  "diagonalizations": diagonalizations}), G / Xi if p else None
+                  "diagonalizations": diagonalizations,
+                  "n_diag": min(n, n_diag)}), G / Xi if p else None
 
 
-def oracle_size(params, kappa=None, tol=1e-10, n_cap=250):
+def oracle_size(params, kappa=None, tol=1e-10, n_cap=250, p=0):
     '''The blocks a grand sum at these arguments can reach, counted
     without building one.  n_max bounds where it stops: the free tail is
     below tol there, and every interacting term lies below the free one.
-    Returns n_max, the largest sector and the summed dim^3.'''
+    Returns n_max, the last block it can diagonalize (n_diag), and the
+    largest sector and summed dim^3 of the blocks up to n_diag.'''
     weights = _free_mode_weights(params, kappa)[1]
     n_limit = _n_limit(params, n_cap)
+    tails = _free_tail_bound(weights, np.arange(n_limit + 2))
     n = np.arange(1, n_limit + 1)
-    below = n[_free_tail_bound(weights, n) < tol]
+    below = n[tails[1:n_limit + 1] < tol]
     n_max = int(below[0]) if below.size else n_limit
-    dims = sector_dims(params.torus, params.R == 1, n_max)
-    return {"n_max": n_max, "max_sector_dim": int(dims.max()),
+    n_diag = min(n_max, _n_diag(params, p, tails, n_limit, tol))
+    dims = sector_dims(params.torus, params.R == 1, n_diag)
+    return {"n_max": n_max, "n_diag": n_diag,
+            "max_sector_dim": int(dims.max()),
             "eigh_dim3": float(np.sum(dims[1:] ** 3))}
 
 

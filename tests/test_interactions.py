@@ -439,8 +439,8 @@ def test_v_ginibre_pair_rejects_off_grid():
 def test_on_grid_check_is_relative_to_the_window_count():
     '''nu k carries a rounding error of about k ulp(nu): a jump-free loop
     of nu 10^9 windows, whose ratio to nu misses 10^9 by more than 1e-9,
-    gives V = lam k^2 v(0) / 2 exactly; nu (k + 0.3) is still refused
-    where 0.3 exceeds 1e-9 k.'''
+    gives V = lam k^2 v(0) / 2 exactly; nu (k + 0.3) is still refused,
+    also at k = 10^9, as the tolerance grows by a few ulp per window.'''
     torus = Torus(1, 3)
     vL = periodize_potential(PotentialSpec(1, 0, {(0,): 0.5}), 3)
     params = _params(torus, vL, nu=0.7, lam=0.3)
@@ -448,7 +448,7 @@ def test_on_grid_check_is_relative_to_the_window_count():
     assert abs(0.7 * k / 0.7 - k) > 1e-9
     assert v_total([Path(0, 0.7 * k)], params, "ginibre") == (
         0.5 * 0.3 * k * k * 0.5)
-    for k in (3, 10 ** 6):
+    for k in (3, 10 ** 6, 10 ** 9):
         with pytest.raises(ValueError, match="not on the grid"):
             v_total([Path(0, 0.7 * (k + 0.3))], params, "ginibre")
 

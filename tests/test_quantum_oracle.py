@@ -11,10 +11,12 @@ from scipy import special
 
 from fock_reference import (
     BoseBlocks, ManyBodySpace, free_tail_bound_sum, grand_sums, hamiltonian)
+from loopgas import quantum_oracle
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.quantum_oracle import (
-    FockBlocks, _free_tail_bound, feynman_kac_check, grand_partition,
+    FockBlocks, _free_mode_weights, _free_tail_bound, _free_traces,
+    _interaction_floor, feynman_kac_check, grand_partition, grand_sum,
     oracle_size, reduced_density_matrix, sector_dims)
 from site_reference import free_kernel
 
@@ -135,6 +137,63 @@ def test_oracle_matches_site_basis_reference(d, L, R, p):
     Xi, K_ref = grand_sums(params, p, kappa, res.n_max)
     assert res.Xi == pytest.approx(Xi, rel=1e-12)
     assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
+
+
+def _bound_params(d, L, positive, seed, lam=8.0):
+    '''A random even potential on the steps 0, e_1 and e_d, of positive
+    type or with a negative vhat entry, whose bound c' (the interaction
+    floor over lam/2) is at least 0.25.'''
+    rng = np.random.default_rng(seed)
+    torus = Torus(d, L)
+    while True:
+        entries = {(0,) * d: 1.0}
+        for site in [(1,) + (0,) * (d - 1), (0,) * (d - 1) + (1,)]:
+            entries[site] = float(rng.uniform(0.0, 1.2))
+        params = InteractionParams(
+            torus=torus, vL=periodize_potential(PotentialSpec(d, 0, entries),
+                                                L),
+            nu=0.5, lam=lam, mode="generic", kappa=_KAPPA_TOL[(d, L)][0])
+        if ((torus.fourier(params.vL).min() >= 0.0) == positive
+                and _interaction_floor(params) >= 0.125 * lam):
+            return params
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("d,L", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_interaction_bound_skips_only_blocks_below_an_ulp(d, L, p, positive,
+                                                          monkeypatch):
+    '''The blocks past n_diag leave Xi, n_max and the free tail where the
+    full pass (c = 0) puts them and move no Gamma_p entry by 2^-53, here
+    below 1e-15 of the largest; every block's term is at most e^{-c n^2}
+    times the free one, also where vhat has a negative entry.'''
+    tol = 1e-10
+    params = _bound_params(d, L, positive, seed=10 * d + L + p)
+    res, K = grand_sum(params, p, tol=tol)
+    assert res.metadata["n_diag"] < res.n_max
+    dims = sector_dims(params.torus, False, res.metadata["n_diag"])
+    assert res.metadata["diagonalizations"] == np.count_nonzero(dims[1:])
+    # the chooser counts the same blocks without building one
+    size = oracle_size(params, tol=tol, p=p)
+    assert size["n_diag"] == res.metadata["n_diag"]
+    assert size["max_sector_dim"] == res.metadata["max_sector_dim"]
+    assert size["eigh_dim3"] == np.sum(dims[1:] ** 3)
+    c = _interaction_floor(params)
+    monkeypatch.setattr(quantum_oracle, "_interaction_floor",
+                        lambda params: 0.0)
+    full, K_full = grand_sum(params, p, tol=tol)
+    assert full.metadata["n_diag"] == full.n_max == res.n_max
+    assert full.tail_bound == res.tail_bound and full.Xi0 == res.Xi0
+    assert full.Xi == res.Xi and full.Z_rel == res.Z_rel
+    if p:
+        assert np.max(np.abs(K - K_full)) <= min(
+            2.0 ** -53, 1e-15 * np.max(np.abs(K_full)))
+    kappa, weights = _free_mode_weights(params, None)
+    free = _free_traces(weights, res.n_max)
+    blocks = FockBlocks(params)
+    for n in range(1, res.n_max + 1):
+        t = np.exp(-kappa * params.nu * n - _spectrum(blocks, n)).sum()
+        assert t <= np.exp(-c * n * n) * free[n] * (1.0 + 1e-12)
 
 
 def test_free_grand_partition_closed_form():
@@ -284,12 +343,16 @@ def test_reduced_density_matrix_diagonalizes_each_block_once(monkeypatch):
 def test_metadata_counts_sectors_and_diagonalizations():
     params = _params()
     res = grand_partition(params)
-    dims = sector_dims(params.torus, False, res.n_max)
-    # on L = 3 every block n >= 1 has all three momentum sectors
-    assert res.metadata["diagonalizations"] == 3 * res.n_max
+    n_diag = res.metadata["n_diag"]
+    dims = sector_dims(params.torus, False, n_diag)
+    # on L = 3 every block n >= 1 has all three momentum sectors; the
+    # interaction bound leaves the blocks past n_diag undiagonalized
+    assert n_diag < res.n_max
+    assert res.metadata["diagonalizations"] == 3 * n_diag
     assert res.metadata["max_sector_dim"] == int(dims.max())
     hard = grand_partition(_params(v0=0.0, R=1))
     assert hard.metadata["diagonalizations"] == hard.n_max == 3
+    assert hard.metadata["n_diag"] == 3
     assert hard.metadata["max_sector_dim"] == 3
 
 
