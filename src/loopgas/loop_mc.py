@@ -18,9 +18,9 @@ y_pi(i) (paths.bridges).  Its weight is perm(G) prod_i G(0)
 psi^{T_i}(delta_i) / (G(delta_i) psi^{T_i}(0)), delta_i = y_pi(i) - x_i,
 which is the constant G(0) at p = 1 and x = y.  The sample is the pair
 (weight e^{-V(open + background)}, e^{-V(background)}) on one
-background, so numerator and denominator share their noise; the ratio's
-SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r = mean(N) /
-mean(D), from the merged co-moments of the pairs.
+background, so numerator and denominator share their noise; the plain
+ratio's SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r =
+mean(N) / mean(D), from the merged co-moments of the pairs.
 
 Each worker chunk runs in batches and two phases: the draw phase makes
 every random draw of the batch as arrays, and the compute phase
@@ -43,6 +43,36 @@ follows loops, not samples (the residue table alone is distinct
 durations x M x L, within paths.MAX_BRIDGE_CELLS), and it is part of the
 stream: the draws of a batch are grouped by kind, not by sample.
 
+Control variates (always on).  Under the free loop soup some quantities
+of a sample have exact means for every potential, hard core included,
+so each estimate subtracts its regression on them (Glasserman, Monte
+Carlo Methods in Financial Engineering, 4.1).  The controls of a sample
+are its background's loop count K and K^2, its total duration S and
+S^2, and, for a kernel, its open paths' summed durations and summed
+squared durations.  Their exact means, for the law actually sampled:
+K ~ Poisson(m), so E K = m and E K^2 = m + m^2; S is a compound Poisson
+sum, so E S = m E T and E S^2 = m E T^2 + (m E T)^2, with the loop
+duration moments of LoopIntensity.duration_moments (m E T = nu sum_xi
+a_xi / (1 - a_xi) on the grid, nu times the free particle number); the
+open paths' sums have means p E T and p E T^2 of
+_OpenPaths.duration_moments.  The draw phase returns the controls as
+extra columns and makes no new draw, so the stream is unchanged.  The
+regressed quantity y is D = e^{-V} for Z and the ratio's linearized
+residual N - r D for a kernel.  The samples, in worker order, form two
+folds, the even and the odd ones; each fold's beta is fitted on the
+other fold (two-fold cross-fitting: a beta fitted on the samples it
+adjusts biases the estimate), and the estimate is the mean of the
+adjusted samples y - beta (x - E x), with the SE of those adjusted
+samples on n - 1 - k degrees of freedom (k controls).  The estimate is
+the plain one, deterministically, when a fold holds fewer than 25
+samples per control or a control has no variance in a fold; a control
+that is a linear combination of the ones before it (K^2 = K when no
+sample has two loops) is left out of its fold's fit.  metadata holds
+plain_mean and plain_se (the estimate without controls), controls (the
+control names), beta (the two folds' coefficients, None for the plain
+estimate) and variance_ratio (SE^2 over the plain SE^2); a kernel's
+denominator and denominator_se stay the plain paired denominator.
+
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
 master seed, and the per-worker moments (and co-moments) are merged in
@@ -50,6 +80,7 @@ worker order (Chan, Golub & LeVeque, Am. Stat. 37 (1983) 242), so
 results are bit-identical for a fixed worker count.
 '''
 
+import functools
 import itertools
 import json
 import math
@@ -59,11 +90,22 @@ import numpy as np
 
 # v_total is unused here; perfbench's tests assert that loop_mc names it
 from .interactions import batch_interaction, v_total
-from .paths import LoopBatch, bridges, pick
+from .paths import LoopBatch, bridges, mixture_moments, pick
 
 # Expected loops drawn per batch.  A chunk's memory follows its loops, so
 # this bounds it whatever the loops per sample; see _batch_size.
 _BATCH_LOOPS = 4096
+# The control columns of a sample, after its estimator's own columns: the
+# background's loop count and total duration and their squares, then a
+# kernel's open-path durations summed and their squares summed.
+_BACKGROUND_CONTROLS = ("K", "K^2", "S", "S^2")
+_OPEN_CONTROLS = ("T_open", "T_open^2")
+# A fold with fewer samples than this per control takes no controls: with
+# fewer, the noise of a fold's beta can outweigh what the controls remove.
+_FOLD_PER_CONTROL = 25
+# A fold's fit leaves out a control with less than this fraction of its
+# variance left by the controls before it (collinear controls).
+_COLLINEAR = 1e-8
 
 
 @dataclass
@@ -132,7 +174,8 @@ def _welford_merge(parts):
     return (count, mean, M2) + ((C,) if parts and len(parts[0]) > 3 else ())
 
 
-def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False):
+def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False,
+           controls=False):
     '''Average the samples of sample_fn(rng, count) over n_samples with
     a deterministic reduction; the single reducer of every estimator.
 
@@ -141,22 +184,28 @@ def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False):
     worker chunk takes a two-pass mean and sum of squared deviations per
     column; the chunks are merged in worker order.  Returns (mean,
     std_error, count): floats for scalar samples, length-k arrays for
-    vector samples.  With comoments (vector samples) it also returns,
-    fourth, the k x k matrix sum (v - mean)(v - mean)^T over the
-    samples, merged the same way.  Needs n_samples >= 2, so that the
-    standard error is defined; ValueError otherwise.
+    vector samples.  With comoments (vector samples) it also returns the
+    k x k matrix sum (v - mean)(v - mean)^T over the samples, merged the
+    same way.  With controls, sample_fn returns a pair (samples, control
+    columns (count, j)); the controls are not averaged, and run_mc also
+    returns, last, the samples and their controls side by side, (n,
+    k + j), in worker order.  Needs n_samples >= 2, so that the standard
+    error is defined; ValueError otherwise.
     '''
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
                          f"{n_samples}")
     streams = np.random.SeedSequence(seed).spawn(workers)
-    parts = []
+    parts, rows = [], []
     scalar = True
     for stream, n_w in zip(streams, _chunks(n_samples, workers)):
         if n_w == 0:
             continue
-        vals = np.asarray(sample_fn(np.random.default_rng(stream), n_w),
-                          dtype=float)
+        vals = sample_fn(np.random.default_rng(stream), n_w)
+        if controls:
+            vals, extra = vals
+            rows.append(np.column_stack((vals, extra)))
+        vals = np.asarray(vals, dtype=float)
         scalar = vals.ndim == 1
         # one contiguous row per column, so that each column is reduced
         # exactly as a scalar run of that column would be
@@ -170,7 +219,9 @@ def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False):
     count, mean, M2, *C = _welford_merge(parts)
     se = np.sqrt(M2 / (count - 1) / count)
     if scalar:
-        return float(mean), float(se), count
+        mean, se, C = float(mean), float(se), []
+    if controls:
+        C.append(np.concatenate(rows))
     return (mean, se, count, *C)
 
 
@@ -191,6 +242,104 @@ def _paired_ratio(mean, se, C, count):
         "correlation": float(C[0, 1]) / scale if scale else 0.0}
 
 
+def _fit(M):
+    '''beta of the least-squares fit of y on the controls x, from the
+    co-moment matrix M (nested lists) of (y, x): a Cholesky
+    factorization of the controls' correlation matrix that leaves out
+    (beta 0) each control with less than _COLLINEAR of its variance left
+    by the controls before it.  Every control has variance.'''
+    k = len(M) - 1
+    sd = [math.sqrt(M[j][j]) for j in range(1, k + 1)]
+    L = [[0.0] * k for _ in range(k)]
+    kept = []
+    for j in range(k):
+        Lj, rest = L[j], 1.0
+        for i in kept:
+            v = M[j + 1][i + 1] / (sd[j] * sd[i])
+            for r in range(i):
+                v -= Lj[r] * L[i][r]
+            Lj[i] = v / L[i][i]
+            rest -= Lj[i] * Lj[i]
+        if rest > _COLLINEAR:
+            Lj[j] = math.sqrt(rest)
+            kept.append(j)
+    # L L^T g = the correlations of x with y, over the kept controls
+    g = [0.0] * k
+    for j in kept:
+        v = M[0][j + 1] / sd[j]
+        for r in range(j):
+            v -= L[j][r] * g[r]
+        g[j] = v / L[j][j]
+    for j in reversed(kept):
+        v = g[j]
+        for r in range(j + 1, k):
+            v -= L[r][j] * g[r]
+        g[j] = v / L[j][j]
+    return [g[j] / sd[j] if j in kept else 0.0 for j in range(k)]
+
+
+def _control_step(rows, target, center, means):
+    '''The cross-fitted control-variate step of an estimate.
+
+    rows are run_mc's samples and controls (n, t + k): y = target . (the
+    first t columns) is the regressed quantity, taken about center, and
+    the other k columns are the controls x, of exact means `means`.  The
+    two folds are the even and the odd rows.  Each fold's beta is fitted
+    on the other fold (_fit), and y - center - beta (x - means) is a
+    row's adjusted sample.  Returns (delta, se, betas): delta is the mean
+    of the adjusted samples, so that center + delta is the controlled
+    mean of y, se their SE with n - 1 - k degrees of freedom, betas the
+    two folds' beta.  None (the plain estimate) when a fold has fewer
+    than _FOLD_PER_CONTROL samples per control or a control has no
+    variance in a fold.'''
+    n, t, k = len(rows), len(target), len(means)
+    half = (n + 1) // 2
+    if n - half < _FOLD_PER_CONTROL * k:
+        return None
+    # per fold, a column (1, y - center, x - means) per row: every
+    # quantity about its (near) mean, so that the fold's raw products,
+    # with its count and sums in the row of ones, give its co-moments
+    # without cancellation.  An odd n leaves a zero column, which adds
+    # nothing to the odd fold.
+    A = np.eye(1 + k, t + k, t - 1)
+    A[0, :t] = target
+    Y = A @ rows.T
+    offset = np.concatenate(([center], means))[:, None]
+    folds = np.zeros((2, 2 + k, half))
+    folds[0, 0, :half] = 1.0
+    folds[1, 0, :n - half] = 1.0
+    np.subtract(Y[:, 0::2], offset, out=folds[0, 1:])
+    np.subtract(Y[:, 1::2], offset, out=folds[1, 1:, :n - half])
+    raw = folds @ folds.transpose(0, 2, 1)
+    C = raw[:, 1:, 1:] - raw[:, 1:, :1] * raw[:, :1, 1:] / raw[:, :1, :1]
+    # a control with no variance: none left of its raw second moment
+    if np.any(C.diagonal(axis1=1, axis2=2)[:, 1:]
+              <= _COLLINEAR * raw.diagonal(axis1=1, axis2=2)[:, 2:]):
+        return None
+    # (1, -beta) per fold, beta fitted on the other fold
+    C = C.tolist()
+    betas = [_fit(C[1]), _fit(C[0])]
+    w = np.array([[1.0] + [-b for b in beta] for beta in betas])
+    adjusted = (w[:, None, :] @ folds[:, 1:]).ravel()[:n]
+    delta = float(adjusted.mean())
+    adjusted -= delta
+    return delta, math.sqrt(adjusted @ adjusted / (n - 1 - k) / n), betas
+
+
+def _controlled(plain, plain_se, step, scale, names):
+    '''(mean, se, metadata) of an estimate from its plain mean and SE
+    and its _control_step (None: the plain estimate), whose delta and SE
+    count scale per unit of the estimate.'''
+    mean, se, betas = plain, plain_se, None
+    if step is not None:
+        delta, step_se, betas = step
+        mean, se = plain + scale * delta, abs(scale) * step_se
+    return mean, se, {
+        "plain_mean": plain, "plain_se": plain_se, "controls": list(names),
+        "beta": betas,
+        "variance_ratio": (se / plain_se) ** 2 if plain_se else 1.0}
+
+
 def _batch_size(loops_per_sample):
     '''Samples per batch for an expected loops_per_sample: as many as
     fit _BATCH_LOOPS loops, at least 1 and at most _BATCH_LOOPS.'''
@@ -200,12 +349,15 @@ def _batch_size(loops_per_sample):
 def _batched(draw, evaluate, loops_per_sample):
     '''A run_mc sample function in two phases per batch (_batch_size
     samples): draw(rng, m) makes all the draws of m samples, then
-    evaluate(the draws) returns the m samples.'''
+    evaluate(the draws) returns the m samples, an array or a tuple of
+    arrays (each joined over the batches).'''
     def sample(rng, count):
         size = _batch_size(loops_per_sample)
-        return np.concatenate([
-            evaluate(draw(rng, min(size, count - lo)))
-            for lo in range(0, count, size)])
+        out = [evaluate(draw(rng, min(size, count - lo)))
+               for lo in range(0, count, size)]
+        if isinstance(out[0], tuple):
+            return tuple(np.concatenate(part) for part in zip(*out))
+        return np.concatenate(out)
     return sample
 
 
@@ -237,31 +389,54 @@ class _Tally:
 
 
 def _draw_background(intensity, rng, m, tally):
-    '''The Poisson backgrounds of m samples: (loop counts, their loops in
-    sample order, loop i in configuration i).'''
+    '''The Poisson backgrounds of m samples: (the sample of each loop,
+    the loops in sample order, loop i in configuration i, and the
+    controls (m, 4) of each sample: loop count K, K^2, total duration S,
+    S^2).'''
     sizes = rng.poisson(intensity.total_mass, m)
-    return sizes, tally.draw_loops(intensity, rng, int(sizes.sum()))
+    loops = tally.draw_loops(intensity, rng, int(sizes.sum()))
+    owner = np.repeat(np.arange(m), sizes)
+    S = np.bincount(owner, weights=loops.duration, minlength=m)
+    return owner, loops, np.column_stack((sizes, sizes ** 2, S, S * S))
+
+
+def _background_means(intensity):
+    '''Exact means of the background controls: K ~ Poisson(m) and S a
+    compound Poisson sum of m loops' durations.'''
+    m = intensity.total_mass
+    t1, t2 = intensity.duration_moments
+    return np.array([m, m + m * m, m * t1, m * t2 + (m * t1) ** 2])
 
 
 def estimate_rel_partition(spec, n_samples, seed, workers=1):
-    '''MC estimate of the relative partition function Z = E_Poisson[e^{-V}].'''
+    '''MC estimate of the relative partition function Z = E_Poisson[e^{-V}],
+    its mean and SE adjusted by the background controls (module
+    docstring).'''
     if not np.isfinite(spec.intensity.total_mass):
         raise ValueError("loop intensity mass must be finite")
     tally = _Tally()
 
     def configs(rng, m):
-        sizes, loops = _draw_background(spec.intensity, rng, m, tally)
-        return LoopBatch.join(
-            m, [(np.repeat(np.arange(m), sizes), loops, None)])
+        owner, loops, controls = _draw_background(spec.intensity, rng, m,
+                                                  tally)
+        return LoopBatch.join(m, [(owner, loops, None)]), controls
 
-    sample = _batched(configs, lambda batch: tally.boltzmann(spec, batch),
-                      spec.intensity.total_mass)
-    mean, se, count = run_mc(sample, n_samples, seed, workers)
+    def evaluate(drawn):
+        batch, controls = drawn
+        return tally.boltzmann(spec, batch), controls
+
+    sample = _batched(configs, evaluate, spec.intensity.total_mass)
+    mean, se, count, rows = run_mc(sample, n_samples, seed, workers,
+                                   controls=True)
+    step = _control_step(rows, [1.0], mean, _background_means(spec.intensity))
+    value, value_se, controls = _controlled(mean, se, step, 1.0,
+                                            _BACKGROUND_CONTROLS)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
     meta.update(spec.intensity.metadata)
     meta.update(tally.metadata(count))
-    return McEstimate(mean, se, count, seed, meta)
+    meta.update(controls)
+    return McEstimate(value, value_se, count, seed, meta)
 
 
 class _OpenPaths:
@@ -310,6 +485,21 @@ class _OpenPaths:
         drawn = prob > 0
         self.scale[drawn] = perm / prob[drawn]
 
+    @functools.cached_property
+    def duration_moments(self):
+        '''(E T, E T^2) of an open path's duration law: the mixture with
+        weights g_xi of nu Geometric(1 - a_xi), moments nu / (1 - a_xi)
+        and nu^2 (1 + a_xi) / (1 - a_xi)^2, on the grid, and of
+        Exp(kappa + lambda_xi), moments 1 / r and 2 / r^2 at the rate r,
+        in the continuum.'''
+        if self._nu is not None:
+            q = self._param
+            mean, square = mixture_moments(self._mode_cdf, 1.0 / q,
+                                           (2.0 - q) / q ** 2)
+            return self._nu * mean, self._nu ** 2 * square
+        return mixture_moments(self._mode_cdf, 1.0 / self._param,
+                               2.0 / self._param ** 2)
+
     def draw(self, rng, m):
         '''(end sites (m, p), durations (m, p), weights (m,) in units
         of unit) of m samples: m permutations, then m p modes, then m p
@@ -354,26 +544,35 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     def configs(rng, m):
         # configuration s < m: the open paths of sample s and its
         # background; configuration m + s: the background alone
-        sizes, background = _draw_background(intensity, rng, m, tally)
+        owner, background, controls = _draw_background(intensity, rng, m,
+                                                       tally)
         ends, T, weight = law.draw(rng, m)
         opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rng,
                         ends.ravel())
-        owner = np.repeat(np.arange(m), sizes)
-        return LoopBatch.join(2 * m, [
+        batch = LoopBatch.join(2 * m, [
             (np.repeat(np.arange(m), p), opens, None),
-            (owner, background, None), (owner + m, background, None)]), weight
+            (owner, background, None), (owner + m, background, None)])
+        return batch, weight, np.column_stack(
+            (controls, T.sum(axis=1), (T * T).sum(axis=1)))
 
     def evaluate(drawn):
-        batch, weight = drawn
+        batch, weight, controls = drawn
         boltzmann = tally.boltzmann(spec, batch).reshape(2, -1)
-        return np.column_stack((weight * boltzmann[0], boltzmann[1]))
+        return np.column_stack((weight * boltzmann[0], boltzmann[1])), controls
 
     sample = _batched(configs, evaluate, intensity.total_mass + p)
-    mean, se, count, C = run_mc(sample, n_samples, seed, workers,
-                                comoments=True)
+    mean, se, count, C, rows = run_mc(sample, n_samples, seed, workers,
+                                      comoments=True, controls=True)
     ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
+    t1, t2 = law.duration_moments
+    means = np.concatenate((_background_means(intensity), [p * t1, p * t2]))
+    # y = N - ratio D, whose mean is 0
+    step = _control_step(rows, [1.0, -ratio], 0.0, means)
+    value, value_se, controls = _controlled(
+        float(law.unit * ratio), float(law.unit * ratio_se), step,
+        float(law.unit / mean[1]), _BACKGROUND_CONTROLS + _OPEN_CONTROLS)
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
     meta.update(tally.metadata(count))
-    return McEstimate(float(law.unit * ratio), float(law.unit * ratio_se),
-                      count, seed, meta)
+    meta.update(controls)
+    return McEstimate(value, value_se, count, seed, meta)

@@ -34,6 +34,7 @@ LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges.
 '''
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -242,6 +243,17 @@ def pick(cdf, rng, size):
     return np.minimum(idx, len(cdf) - 1)
 
 
+def mixture_moments(cdf, m1, m2):
+    '''(E X, E X^2) of X drawn as pick(cdf) gives mode i, then from a law
+    of moments m1[i], m2[i]: the steps of cdf weigh the modes, and the
+    last mode stands alone when every step is 0.'''
+    weight = np.diff(cdf, prepend=0.0)
+    total = weight.sum()
+    if not total > 0:
+        return float(m1[-1]), float(m2[-1])
+    return float(weight @ m1 / total), float(weight @ m2 / total)
+
+
 class LoopBatch:
     '''The loops of many configurations as flat arrays (struct of arrays),
     sorted stably by configuration; Path is the view of one loop.
@@ -410,6 +422,31 @@ class LoopIntensity:
             mode = pick(self._mode_cdf, rng, size)
             return self.nu * rng.logseries(self.a[mode])
         return np.interp(rng.random(size), self._cdf, self._points)
+
+    @functools.cached_property
+    def duration_moments(self):
+        '''(E T, E T^2) of the law sample_duration draws.
+
+        Grid: nu LogSeries(a) has E T = nu a / ((1 - a) w) and E T^2 =
+        nu^2 a / ((1 - a)^2 w), w = -log(1 - a) its mode's weight (the
+        limits nu and nu^2 at a = 0), so m E T = nu sum_xi a_xi / (1 -
+        a_xi), nu times the free particle number.  Continuum: the
+        interpolated CDF draws T uniform within its cell [lo, hi], so
+        the cells give E T = sum_cells q (lo + hi) / 2 and E T^2 =
+        sum_cells q (lo^2 + lo hi + hi^2) / 3 exactly, q the cell's
+        probability; an empty law draws eps.'''
+        if self.kind == "ginibre":
+            a, w = self.a, np.diff(self._mode_cdf, prepend=0.0)
+            ratio = np.ones_like(a)
+            np.divide(a, w, out=ratio, where=w > 0)
+            mean, square = mixture_moments(self._mode_cdf, ratio / (1.0 - a),
+                                           ratio / (1.0 - a) ** 2)
+            return self.nu * mean, self.nu ** 2 * square
+        if not self.total_mass > 0:
+            return self.eps, self.eps ** 2
+        lo, hi = self._points[:-1], self._points[1:]
+        return mixture_moments(self._cdf[1:], 0.5 * (lo + hi),
+                               (lo * lo + lo * hi + hi * hi) / 3.0)
 
     def draw_batch(self, rng, n):
         '''n loops of the normalized intensity, loop i in configuration i

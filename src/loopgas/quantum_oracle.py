@@ -323,7 +323,15 @@ def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
 
 def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     '''grand_partition's result and, for p >= 1, reduced_density_matrix's
-    Gamma_p (None for p = 0), both from one pass over the blocks.'''
+    Gamma_p (None for p = 0), both from one pass over the blocks.
+
+    Blocks past n_diag (_n_diag) are not diagonalized.  They cannot round
+    Xi >= 1, and they move no Gamma_p entry by more than 2^-53: the
+    guarantee on Gamma_p is absolute, not relative to the entry, so a
+    strongly repulsive Gamma_p far below 2^-53 can lose every digit (at
+    lambda = 40, d = 1, L = 2, p = 2 it returns Gamma_2 = 0 where the
+    full pass gives 6e-34).  The tol stop against Xi is absolute in the
+    same way.'''
     kappa, weights = _free_mode_weights(params, kappa)
     blocks = FockBlocks(params, dim_cap)
     m = blocks.n_modes

@@ -3,6 +3,7 @@ reduction identities.'''
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from loopgas.lattice import (
     HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas import loop_mc
 from loopgas.loop_mc import (
-    EnsembleSpec, _OpenPaths, _batch_size, _batched, _chunks, _paired_ratio,
+    EnsembleSpec, _OpenPaths, _background_means, _batch_size, _batched,
+    _chunks, _control_step, _draw_background, _paired_ratio, _Tally,
     _welford_merge, estimate_gamma_p, estimate_rel_partition, run_mc)
 from loopgas.paths import LoopIntensity, bridges
 from loopgas.perturbative import gamma1_first_order
@@ -156,9 +158,11 @@ def test_hard_core_gamma_off_diagonal_against_oracle():
 
 
 def test_free_partition_is_one():
-    # lam = 0: Z = E[e^0] = 1 exactly, zero variance
+    # lam = 0: Z = E[e^0] = 1 exactly, zero variance, through the
+    # control step (200 samples hold 25 per control in each fold)
     spec = _grid_spec(lam=0.0)
     est = estimate_rel_partition(spec, 200, seed=1)
+    assert est.metadata["beta"] is not None
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
@@ -449,9 +453,10 @@ def test_rel_partition_matches_reference_and_counts(R, workers,
         spec, 300, 8, workers,
         lambda rng, m, bgs, boltzmann: [boltzmann(bg) for bg in bgs(rng, m)],
         spec.intensity.total_mass)
-    assert _close(est.mean, mean) and _close(est.std_error, se)
-    _check_counters(est.metadata, tally, 300)
-    assert (est.metadata["killed_frac"] > 0) == bool(R)
+    meta = est.metadata
+    assert _close(meta["plain_mean"], mean) and _close(meta["plain_se"], se)
+    _check_counters(meta, tally, 300)
+    assert (meta["killed_frac"] > 0) == bool(R)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -484,8 +489,9 @@ def _check_gamma_reference(spec, xs, ys):
     (mean, se, count, C), tally = _reference_run(
         spec, 300, 3, 2, batch_of, spec.intensity.total_mass + p)
     ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
-    assert est.mean != 0.0
-    assert _close(est.mean, ratio) and _close(est.std_error, ratio_se)
+    assert est.metadata["plain_mean"] != 0.0
+    assert _close(est.metadata["plain_mean"], ratio)
+    assert _close(est.metadata["plain_se"], ratio_se)
     assert _close(est.metadata["denominator"], den["denominator"])
     assert _close(est.metadata["correlation"], den["correlation"])
     _check_counters(est.metadata, tally, 300)
@@ -597,11 +603,29 @@ GOLDEN = {
         -0.25748780197290877],
 }
 
+# The controlled Z estimates of the same runs (the plain ones are in
+# GOLDEN); the kernel runs, at 200 samples, are below the control step's
+# fold minimum and give the plain estimate.
+CONTROLLED_GOLDEN = {
+    "Z/grid/w1": [0.7843656647292315, 0.002617960578509912],
+    "Z/grid_d2/w1": [0.8178962560559006, 0.0028717907472477038],
+    "Z/grid_offgrid/w1": [0.044470269381526165, 0.007007360021579735],
+    "Z/grid_R1/w1": [0.5277792377945194, 0.01928604935464024],
+    "Z/continuum/w1": [0.7195016738957914, 0.0036283113190356663],
+    "Z/continuum_d2/w1": [0.7996822588091287, 0.0032293960990732143],
+    "Z/grid/w3": [0.7873626756377534, 0.0022834997876277703],
+    "Z/grid_d2/w3": [0.817268955795061, 0.0032202536841826183],
+    "Z/grid_offgrid/w3": [0.0405470575957904, 0.006102603118216875],
+    "Z/grid_R1/w3": [0.5499660903075584, 0.016619381408894074],
+    "Z/continuum/w3": [0.7222918614787984, 0.0034272799508669144],
+    "Z/continuum_d2/w3": [0.7947779153413181, 0.0031107326340723625],
+}
+
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimators_reproduce_recorded_values(workers):
     from loopgas.cluster import log_Z_via_expansion
-    got = {}
+    got, controlled = {}, {}
     for name, spec in (("grid", _golden_grid()),
                        ("grid_d2", _golden_grid(d=2, L=2)),
                        ("grid_offgrid", _golden_grid(L=4, nu=0.1, lam=0.3)),
@@ -609,14 +633,19 @@ def test_estimators_reproduce_recorded_values(workers):
                        ("continuum", _golden_continuum()),
                        ("continuum_d2", _golden_continuum(d=2, L=2, eps=0.2))):
         est = estimate_rel_partition(spec, 300, seed=11, workers=workers)
-        got[f"Z/{name}"] = [est.mean, est.std_error]
+        got[f"Z/{name}"] = [est.metadata["plain_mean"],
+                            est.metadata["plain_se"]]
+        controlled[f"Z/{name}"] = [est.mean, est.std_error]
     for p, R in ((1, 0), (2, 0), (1, 1), (2, 1)):
         xs, ys = ([0], [1]) if p == 1 else ([0, 1], [1, 0])
         est = estimate_gamma_p(_golden_grid(R=R), p, xs, ys, 200, seed=5,
                                workers=workers)
-        got[f"gamma/p{p}/R{R}"] = [est.mean, est.std_error,
+        got[f"gamma/p{p}/R{R}"] = [est.metadata["plain_mean"],
+                                   est.metadata["plain_se"],
                                    est.metadata["denominator"],
                                    est.metadata["denominator_se"]]
+        assert est.metadata["beta"] is None
+        assert [est.mean, est.std_error] == got[f"gamma/p{p}/R{R}"][:2]
     rep = log_Z_via_expansion(_golden_grid(lam=None, mode="meanfield"), 3,
                               100, seed=123, workers=workers)
     got["logz"] = (rep["means"] + rep["std_errors"] + rep["ess"]
@@ -625,3 +654,158 @@ def test_estimators_reproduce_recorded_values(workers):
         ref = GOLDEN[f"{key}/w{workers}"]
         assert len(values) == len(ref)
         assert all(_close(a, b) for a, b in zip(values, ref)), key
+    for key, values in controlled.items():
+        ref = CONTROLLED_GOLDEN[f"{key}/w{workers}"]
+        assert all(_close(a, b) for a, b in zip(values, ref)), key
+
+
+# -- control variates ------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [_grid_spec(), _golden_continuum()],
+                         ids=["grid", "continuum"])
+def test_background_controls_have_their_exact_means(spec):
+    '''The sample means of K, K^2, S, S^2 over 10^5 drawn backgrounds
+    against _background_means: |z| < 4 each.'''
+    _, _, controls = _draw_background(spec.intensity,
+                                      np.random.default_rng(5), 10 ** 5,
+                                      _Tally())
+    z = ((controls.mean(axis=0) - _background_means(spec.intensity))
+         / (controls.std(axis=0, ddof=1) / math.sqrt(len(controls))))
+    assert np.all(np.abs(z) < 4.0), z
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_control_step_is_the_cross_fitted_regression(n):
+    '''_control_step against a direct computation: beta of each fold by
+    least squares on the other fold, the adjusted samples, their mean
+    and SE on n - 1 - k degrees of freedom; a collinear control (a copy
+    of an earlier one) gets beta 0 and changes nothing.'''
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 4))
+    rows = np.column_stack((x[:, 0] + 2.0 * x[:, 1] + 0.1 * rng.random(n),
+                            x, x[:, 1]))
+    means = np.full(5, 0.5)
+
+    def beta(fold):
+        dx = fold[:, 1:5] - fold[:, 1:5].mean(axis=0)
+        return np.linalg.lstsq(dx, fold[:, 0] - fold[:, 0].mean(),
+                               rcond=None)[0]
+
+    center = rows[:, 0].mean()
+    betas = [beta(rows[1::2]), beta(rows[0::2])]
+    adjusted = np.empty(n)
+    for f in (0, 1):
+        adjusted[f::2] = (rows[f::2, 0] - center
+                          - (rows[f::2, 1:5] - 0.5) @ betas[f])
+    delta, se, got = _control_step(rows, [1.0], center, means)
+    assert delta == pytest.approx(adjusted.mean(), abs=1e-14)
+    assert se == pytest.approx(adjusted.std(ddof=6) / math.sqrt(n), rel=1e-12)
+    assert np.allclose(np.array(got)[:, :4], betas, rtol=0, atol=1e-12)
+    assert [b[4] for b in got] == [0.0, 0.0]
+
+
+@functools.lru_cache(maxsize=None)
+def _ginibre_z_exact():
+    from loopgas.quantum_oracle import grand_sum
+    res, K = grand_sum(_grid_spec().params, 1)
+    return res.Z_rel, K[0, 0]
+
+
+def _pooled_check(estimates, exact):
+    '''(pooled z against exact, empirical variance over the mean
+    reported SE^2) of a list of estimates.'''
+    means = np.array([e.mean for e in estimates])
+    se2 = np.array([e.std_error ** 2 for e in estimates])
+    pooled_se = math.sqrt(se2.sum()) / len(means)
+    return (means.mean() - exact) / pooled_se, means.var(ddof=1) / se2.mean()
+
+
+def test_controlled_estimates_are_calibrated_on_ginibre_z_physics():
+    '''300 seeded requests of Z and Gamma_1(0, 0) (1000 samples each) on
+    the physics of configs/ginibre_z.json, against the exact oracle:
+    pooled |z| < 4 and an empirical variance within [0.8, 1.25] of the
+    mean reported SE^2, each at a mean SE^2 well below the plain one.'''
+    spec = _grid_spec()
+    z_exact, gamma_exact = _ginibre_z_exact()
+    zs = [estimate_rel_partition(spec, 1000, seed) for seed in range(300)]
+    gammas = [estimate_gamma_p(spec, 1, [0], [0], 1000, seed)
+              for seed in range(300)]
+    for estimates, exact in ((zs, z_exact), (gammas, gamma_exact)):
+        pooled_z, spread = _pooled_check(estimates, exact)
+        assert abs(pooled_z) < 4.0 and 0.8 <= spread <= 1.25, (pooled_z,
+                                                                spread)
+        ratio = np.mean([e.metadata["variance_ratio"] for e in estimates])
+        assert ratio < 0.3
+
+
+@pytest.mark.parametrize("n, workers, R", [
+    (2, 1, 0), (3, 1, 1), (4, 2, 0), (5, 3, 1), (7, 3, 0), (11, 3, 1)])
+def test_too_few_samples_give_the_plain_estimate(n, workers, R):
+    '''Below 25 samples per control in a fold the estimates are the
+    plain ones, bit for bit and without a warning, for Z and a kernel,
+    with and without the hard core.'''
+    spec = _hard_core_spec(3, 0.5, "generic") if R else _grid_spec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [estimate_rel_partition(spec, n, 3, workers)]
+        try:
+            estimates.append(estimate_gamma_p(spec, 1, [0], [0], n, 3,
+                                              workers))
+        except ArithmeticError:     # a denominator within 3 SE of 0
+            pass
+    for est in estimates:
+        meta = est.metadata
+        assert meta["beta"] is None and meta["variance_ratio"] == 1.0
+        assert (est.mean, est.std_error) == (meta["plain_mean"],
+                                             meta["plain_se"])
+
+
+def test_the_fold_minimum_is_25_samples_per_control():
+    spec = _grid_spec()
+    assert estimate_rel_partition(spec, 199, 1).metadata["beta"] is None
+    assert estimate_rel_partition(spec, 200, 1).metadata["beta"] is not None
+    assert estimate_gamma_p(spec, 1, [0], [0], 299, 1).metadata[
+        "beta"] is None
+    assert estimate_gamma_p(spec, 1, [0], [0], 300, 1).metadata[
+        "beta"] is not None
+
+
+def test_hard_core_estimates_take_the_controls():
+    '''Under the hard core (R = 1) the controls keep their exact means:
+    Z and Gamma_1(0, 0) from the controlled step, against the oracle at
+    3 sigma, each with a smaller SE than the plain one.'''
+    from loopgas.quantum_oracle import grand_sum
+    spec = _hard_core_spec(3, 0.5, "generic")
+    w = np.exp(-0.5 * (spec.intensity.kappa + HeatKernel(spec.torus).rates))
+    res, K = grand_sum(spec.params, 1)
+    z = estimate_rel_partition(spec, 4000, 9, 2)
+    gamma = estimate_gamma_p(spec, 1, [0], [0], 4000, 9, 2)
+    for est, exact in ((z, res.Xi * float(np.prod(1.0 - w))),
+                       (gamma, K[0, 0])):
+        assert est.metadata["beta"] is not None
+        assert est.std_error < est.metadata["plain_se"]
+        assert abs(est.mean - exact) <= 3.0 * est.std_error
+
+
+def test_mass_zero_takes_the_plain_estimate():
+    '''No loop at all (kappa = 1e6): every background control is 0, so
+    the estimate is the plain Z = 1, without a warning.'''
+    spec = _grid_spec(kappa=1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_rel_partition(spec, 400, 1)
+    assert spec.intensity.total_mass == 0.0
+    assert est.metadata["beta"] is None
+    assert est.mean == 1.0 and est.std_error == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_controlled_estimates_are_bit_identical_per_seed_and_workers(
+        workers):
+    spec = _golden_continuum()
+    for run in (lambda: estimate_rel_partition(spec, 400, 21, workers),
+                lambda: estimate_gamma_p(spec, 1, [0], [1], 400, 21,
+                                         workers)):
+        a, b = run(), run()
+        assert a.metadata["beta"] is not None
+        assert a.to_json() == b.to_json()

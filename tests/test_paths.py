@@ -639,3 +639,57 @@ def test_loop_batch_layout():
         assert np.array_equal(batch.times[lo:hi], p.jump_times)
         assert np.array_equal(batch.sites[lo:hi], p.jump_sites)
     assert batch.offsets[-1] == len(batch.times) == len(batch.sites)
+
+
+# (d, L) of the exact-moment checks; on L = 1 the duration laws have
+# the rate kappa alone
+_MOMENT_TORI = [(1, 3), (2, 3), (1, 1)]
+
+
+def _moment_z(draws, moments):
+    '''z-scores of the sample mean of draws and of their squares against
+    the claimed (E T, E T^2).'''
+    n = len(draws)
+    return [(values.mean() - exact) / (values.std(ddof=1) / math.sqrt(n))
+            for values, exact in ((draws, moments[0]),
+                                  (draws * draws, moments[1]))]
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+@pytest.mark.parametrize("d, L", _MOMENT_TORI)
+@pytest.mark.parametrize("nu", [0.5, 0.1])
+def test_duration_moments_match_the_draws(kind, d, L, nu):
+    '''LoopIntensity.duration_moments and _OpenPaths.duration_moments,
+    the exact means of the estimators' controls, against 10^6 draws of
+    sample_duration and of _OpenPaths.draw: |z| < 4 for E T and E T^2.
+    The continuum runs at eps = nu / 5.'''
+    intensity = LoopIntensity(Torus(d, L), kind, kappa=1.0, nu=nu,
+                              eps=nu / 5)
+    rng = np.random.default_rng(2024)
+    loops = intensity.sample_duration(rng, 10 ** 6)
+    law = _OpenPaths(intensity, [0], [0])
+    _, opens, _ = law.draw(rng, 10 ** 6)
+    for draws, moments in ((loops, intensity.duration_moments),
+                           (opens.ravel(), law.duration_moments)):
+        z = _moment_z(draws, moments)
+        assert max(abs(v) for v in z) < 4.0, (z, moments)
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+def test_empty_law_moments_are_the_shortest_duration(kind):
+    '''Mass 0 (kappa = 1e6): the loop law draws its shortest duration
+    alone, and its moments say so, without a warning; on the grid the
+    open paths' law is empty too and draws nu.'''
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        intensity = LoopIntensity(Torus(1, 3), kind, kappa=1e6, nu=0.5,
+                                  eps=0.02)
+        shortest = 0.5 if kind == "ginibre" else 0.02
+        assert intensity.duration_moments == (shortest, shortest ** 2)
+        law = _OpenPaths(intensity, [0], [0])
+        _, T, _ = law.draw(np.random.default_rng(1), 1000)
+        mean, square = law.duration_moments
+    if kind == "ginibre":
+        assert np.all(T == 0.5) and (mean, square) == (0.5, 0.25)
+    else:
+        assert max(abs(v) for v in _moment_z(T.ravel(), (mean, square))) < 4
