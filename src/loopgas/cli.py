@@ -5,15 +5,13 @@ single-quantity estimators, a self-test suite, and CSV/JSON emission.
 Subcommands: selftest, meanfield, largemass, volume, heatkernel,
 cluster-logz, ginibre-z, symanzik-z.  Each takes --config <path>
 --out <dir> --seed <u64> --workers <n>; command-line values override
-the config.  --log-level (default info) is the least severe diagnostic
-written to stderr.  CSV headers are fixed and documented in the README.
+the config.  CSV headers are fixed and documented in the README.
 '''
 
 import argparse
 import csv
 import functools
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,8 +28,6 @@ from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
 from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
 from .paths import LoopIntensity
 from .quantum_oracle import feynman_kac_check, grand_sum, oracle_size
-
-log = logging.getLogger("loopgas.cli")
 
 # The mean-field sweep runs the exact oracle while its largest momentum
 # sector fits the oracle's dim_cap and its diagonalizations, summed over
@@ -237,9 +233,9 @@ def run_meanfield_sweep(config):
                                      kappa=kappa) for nu in config.nu_list]
     use_oracle, size = _use_oracle(params_list, kappa, p)
     chooser = "quantum_oracle" if use_oracle else "loop_mc"
-    log.info(f"meanfield: quantum side via {chooser} (largest sector "
-             f"{size['max_sector_dim']}, sum of dim^3 "
-             f"{size['eigh_dim3']:.3g})")
+    print(f"meanfield: quantum side via {chooser} (largest sector "
+          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})",
+          file=sys.stderr)
     classical_exact = torus.n_sites == 1
 
     gamma_rows, z_rows, passes = [], [], []
@@ -348,8 +344,8 @@ def run_volume_sweep(config):
         config.lambda_rule = "nu_squared"
     v_l1 = config.potential.l1_norm if config.potential else 0.0
     if v_l1 > config.v_l1_threshold:
-        log.warning(f"warning: ||v||_1 = {v_l1:.4f} exceeds the smallness "
-                    f"threshold {config.v_l1_threshold}")
+        print(f"warning: ||v||_1 = {v_l1:.4f} exceeds the smallness "
+              f"threshold {config.v_l1_threshold}", file=sys.stderr)
     g_rows, diff_rows, verdicts = [], [], []
     for nu in config.nu_list:
         lam = config.lam_for(nu)
@@ -587,26 +583,7 @@ def main(argv=None):
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--log-level", default="info",
-                       choices=("debug", "info", "warning", "error"),
-                       help="least severe diagnostic written to stderr")
     args = parser.parse_args(argv)
-    # diagnostics go to stderr as bare lines; stdout carries results only
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    package = logging.getLogger("loopgas")
-    level = package.level
-    package.addHandler(handler)
-    package.setLevel(args.log_level.upper())
-    try:
-        return _run(args)
-    finally:
-        package.removeHandler(handler)
-        package.setLevel(level)
-
-
-def _run(args):
-    '''The body of main: the exit code of the parsed command line.'''
     try:
         if args.config:
             config = ExperimentConfig.from_json(args.config)

@@ -48,26 +48,30 @@ of a sample have exact means for every potential, hard core included,
 so each estimate subtracts its regression on them (Glasserman, Monte
 Carlo Methods in Financial Engineering, 4.1).  The controls of a sample
 are its background's loop count K and K^2, its total duration S and
-S^2, and, for a kernel, its open paths' summed durations and summed
-squared durations.  Their exact means, for the law actually sampled:
-K ~ Poisson(m), so E K = m and E K^2 = m + m^2; S is a compound Poisson
-sum, so E S = m E T and E S^2 = m E T^2 + (m E T)^2, with the loop
-duration moments of LoopIntensity.duration_moments (m E T = nu sum_xi
-a_xi / (1 - a_xi) on the grid, nu times the free particle number); the
-open paths' sums have means p E T and p E T^2 of
-_OpenPaths.duration_moments.  The draw phase returns the controls as
-extra columns and makes no new draw, so the stream is unchanged.  The
+S^2, and, for a kernel whose open paths all end where they start, its
+open paths' summed durations and summed squared durations.  Their exact
+means, for the law actually sampled: K ~ Poisson(m), so E K = m and E
+K^2 = m + m^2; S is a compound Poisson sum, so E S = m E T and E S^2 =
+m E T^2 + (m E T)^2, with the loop duration moments of
+LoopIntensity.duration_moments (m E T = nu sum_xi a_xi / (1 - a_xi) on
+the grid, nu times the free particle number); the open paths' sums have
+means p E T and p E T^2 of _OpenPaths.duration_moments.  A moving open
+path's weight psi^T(delta) / psi^T(0) is far from linear in T, and its
+heavy-tailed T^2 made the fit cost more than it removed below about a
+thousand samples, so a kernel that moves a path takes the four
+background controls only.  The draw phase returns the controls as
+extra rows and makes no new draw, so the stream is unchanged.  The
 regressed quantity y is D = e^{-V} for Z and the ratio's linearized
 residual N - r D for a kernel.  The samples, in worker order, form two
 folds, the even and the odd ones; each fold's beta is fitted on the
 other fold (two-fold cross-fitting: a beta fitted on the samples it
 adjusts biases the estimate), and the estimate is the mean of the
 adjusted samples y - beta (x - E x), with the SE of those adjusted
-samples on n - 1 - k degrees of freedom (k controls).  The estimate is
-the plain one, deterministically, when a fold holds fewer than 25
-samples per control or a control has no variance in a fold; a control
-that is a linear combination of the ones before it (K^2 = K when no
-sample has two loops) is left out of its fold's fit.  metadata holds
+samples on n - 1 - k degrees of freedom, k the rank of the fit (a
+control collinear with the others, such as K^2 = K when no sample has
+two loops, is left out and not counted).  The estimate is the plain
+one, deterministically, when a fold holds fewer than 25 samples per
+control or a control has no variance in a fold.  metadata holds
 plain_mean and plain_se (the estimate without controls), controls (the
 control names), beta (the two folds' coefficients, None for the plain
 estimate) and variance_ratio (SE^2 over the plain SE^2); a kernel's
@@ -95,16 +99,19 @@ from .paths import LoopBatch, bridges, mixture_moments, pick
 # Expected loops drawn per batch.  A chunk's memory follows its loops, so
 # this bounds it whatever the loops per sample; see _batch_size.
 _BATCH_LOOPS = 4096
-# The control columns of a sample, after its estimator's own columns: the
+# The control rows of a sample, after its estimator's own rows: the
 # background's loop count and total duration and their squares, then a
 # kernel's open-path durations summed and their squares summed.
 _BACKGROUND_CONTROLS = ("K", "K^2", "S", "S^2")
 _OPEN_CONTROLS = ("T_open", "T_open^2")
-# A fold with fewer samples than this per control takes no controls: with
-# fewer, the noise of a fold's beta can outweigh what the controls remove.
+# A fold with fewer samples than this per control takes no controls.  Z
+# and the diagonal Gamma_1 gain from 5 or 6 per control on, the moving
+# Gamma_1(0, 1) from about 25 (README, control variates).
 _FOLD_PER_CONTROL = 25
 # A fold's fit leaves out a control with less than this fraction of its
-# variance left by the controls before it (collinear controls).
+# variance left by the controls before it (collinear controls), and a
+# control with less than this fraction of its raw second moment as
+# variance has none.
 _COLLINEAR = 1e-8
 
 
@@ -175,7 +182,7 @@ def _welford_merge(parts):
 
 
 def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False,
-           controls=False):
+           controls=0):
     '''Average the samples of sample_fn(rng, count) over n_samples with
     a deterministic reduction; the single reducer of every estimator.
 
@@ -186,25 +193,26 @@ def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False,
     std_error, count): floats for scalar samples, length-k arrays for
     vector samples.  With comoments (vector samples) it also returns the
     k x k matrix sum (v - mean)(v - mean)^T over the samples, merged the
-    same way.  With controls, sample_fn returns a pair (samples, control
-    columns (count, j)); the controls are not averaged, and run_mc also
-    returns, last, the samples and their controls side by side, (n,
-    k + j), in worker order.  Needs n_samples >= 2, so that the standard
-    error is defined; ValueError otherwise.
+    same way.  With controls = j > 0, sample_fn returns rows (k + j,
+    count) instead: the k sample rows (one for scalar samples), reduced
+    as above, then j control rows, which are not averaged; run_mc then
+    also returns, last, all the rows (k + j, n_samples), in worker
+    order.  Needs n_samples >= 2, so that the standard error is defined;
+    ValueError otherwise.
     '''
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
                          f"{n_samples}")
     streams = np.random.SeedSequence(seed).spawn(workers)
-    parts, rows = [], []
+    parts, chunks = [], []
     scalar = True
     for stream, n_w in zip(streams, _chunks(n_samples, workers)):
         if n_w == 0:
             continue
         vals = sample_fn(np.random.default_rng(stream), n_w)
         if controls:
-            vals, extra = vals
-            rows.append(np.column_stack((vals, extra)))
+            chunks.append(vals)
+            vals = vals[0] if len(vals) == controls + 1 else vals[:-controls].T
         vals = np.asarray(vals, dtype=float)
         scalar = vals.ndim == 1
         # one contiguous row per column, so that each column is reduced
@@ -221,7 +229,8 @@ def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False,
     if scalar:
         mean, se, C = float(mean), float(se), []
     if controls:
-        C.append(np.concatenate(rows))
+        C.append(np.concatenate(chunks, axis=1) if len(chunks) > 1
+                 else chunks[0])
     return (mean, se, count, *C)
 
 
@@ -242,88 +251,74 @@ def _paired_ratio(mean, se, C, count):
         "correlation": float(C[0, 1]) / scale if scale else 0.0}
 
 
-def _fit(M):
-    '''beta of the least-squares fit of y on the controls x, from the
-    co-moment matrix M (nested lists) of (y, x): a Cholesky
-    factorization of the controls' correlation matrix that leaves out
-    (beta 0) each control with less than _COLLINEAR of its variance left
-    by the controls before it.  Every control has variance.'''
-    k = len(M) - 1
-    sd = [math.sqrt(M[j][j]) for j in range(1, k + 1)]
-    L = [[0.0] * k for _ in range(k)]
+def _fit(C):
+    '''(beta, rank) of the least-squares fit of y on the controls, from
+    their co-moments C (nested lists, y first), by Gauss-Jordan
+    elimination of the controls' block.  A control with less than
+    _COLLINEAR of its variance left by the ones before it (collinear,
+    such as K^2 = K) is left out: beta 0, not in the rank.  numpy's eigh
+    or lstsq would take 0.8 to 1.1 MB more peak memory (LAPACK
+    workspaces) and no less time.'''
+    rows = [row[:] for row in C[1:]]
     kept = []
-    for j in range(k):
-        Lj, rest = L[j], 1.0
-        for i in kept:
-            v = M[j + 1][i + 1] / (sd[j] * sd[i])
-            for r in range(i):
-                v -= Lj[r] * L[i][r]
-            Lj[i] = v / L[i][i]
-            rest -= Lj[i] * Lj[i]
-        if rest > _COLLINEAR:
-            Lj[j] = math.sqrt(rest)
-            kept.append(j)
-    # L L^T g = the correlations of x with y, over the kept controls
-    g = [0.0] * k
-    for j in kept:
-        v = M[0][j + 1] / sd[j]
-        for r in range(j):
-            v -= L[j][r] * g[r]
-        g[j] = v / L[j][j]
-    for j in reversed(kept):
-        v = g[j]
-        for r in range(j + 1, k):
-            v -= L[r][j] * g[r]
-        g[j] = v / L[j][j]
-    return [g[j] / sd[j] if j in kept else 0.0 for j in range(k)]
+    for j in range(len(rows)):
+        pivot = rows[j]
+        if pivot[j + 1] <= _COLLINEAR * C[j + 1][j + 1]:
+            continue
+        kept.append(j)
+        for i, row in enumerate(rows):
+            if i != j:
+                f = row[j + 1] / pivot[j + 1]
+                rows[i] = [a - f * b for a, b in zip(row, pivot)]
+    return ([rows[j][0] / rows[j][j + 1] if j in kept else 0.0
+             for j in range(len(rows))], len(kept))
 
 
-def _control_step(rows, target, center, means):
+def _control_step(y, y_center, x, means):
     '''The cross-fitted control-variate step of an estimate.
 
-    rows are run_mc's samples and controls (n, t + k): y = target . (the
-    first t columns) is the regressed quantity, taken about center, and
-    the other k columns are the controls x, of exact means `means`.  The
-    two folds are the even and the odd rows.  Each fold's beta is fitted
-    on the other fold (_fit), and y - center - beta (x - means) is a
-    row's adjusted sample.  Returns (delta, se, betas): delta is the mean
-    of the adjusted samples, so that center + delta is the controlled
-    mean of y, se their SE with n - 1 - k degrees of freedom, betas the
-    two folds' beta.  None (the plain estimate) when a fold has fewer
-    than _FOLD_PER_CONTROL samples per control or a control has no
-    variance in a fold.'''
-    n, t, k = len(rows), len(target), len(means)
-    half = (n + 1) // 2
-    if n - half < _FOLD_PER_CONTROL * k:
+    y (n,) is the regressed quantity, taken about y_center, and x (k, n)
+    the controls, of exact means `means`.  The two folds are the even
+    and the odd samples.  Each fold's beta is fitted on the other fold
+    (_fit), and y - y_center - beta (x - means) is a sample's adjusted
+    value.  Returns (delta, se, betas): delta is the mean of the
+    adjusted samples, so that y_center + delta is the controlled mean of
+    y, se their SE on n - 1 - k degrees of freedom (k the larger rank of
+    the two fits), betas the two folds' beta.  None (the plain estimate)
+    when a fold has fewer than _FOLD_PER_CONTROL samples per control or
+    a control has no variance in a fold.'''
+    k, n = len(means), len(y)
+    if n // 2 < _FOLD_PER_CONTROL * k:
         return None
-    # per fold, a column (1, y - center, x - means) per row: every
-    # quantity about its (near) mean, so that the fold's raw products,
-    # with its count and sums in the row of ones, give its co-moments
-    # without cancellation.  An odd n leaves a zero column, which adds
-    # nothing to the odd fold.
-    A = np.eye(1 + k, t + k, t - 1)
-    A[0, :t] = target
-    Y = A @ rows.T
-    offset = np.concatenate(([center], means))[:, None]
-    folds = np.zeros((2, 2 + k, half))
-    folds[0, 0, :half] = 1.0
-    folds[1, 0, :n - half] = 1.0
-    np.subtract(Y[:, 0::2], offset, out=folds[0, 1:])
-    np.subtract(Y[:, 1::2], offset, out=folds[1, 1:, :n - half])
+    # u = (1, y - y_center, x - means) of each sample, as pairs (even,
+    # odd); an odd n pads a zero sample, which adds nothing
+    u = np.empty((2 + k, n + n % 2))
+    u[0, :n] = 1.0
+    np.subtract(y, y_center, out=u[1, :n])
+    np.subtract(x, means[:, None], out=u[2:, :n])
+    u[:, n:] = 0.0
+    folds = u.reshape(2 + k, -1, 2).transpose(2, 0, 1)
+    # per fold: the count, sums and raw products of u, then co-moments
     raw = folds @ folds.transpose(0, 2, 1)
     C = raw[:, 1:, 1:] - raw[:, 1:, :1] * raw[:, :1, 1:] / raw[:, :1, :1]
+    var = C.diagonal(axis1=1, axis2=2)[:, 1:]
     # a control with no variance: none left of its raw second moment
-    if np.any(C.diagonal(axis1=1, axis2=2)[:, 1:]
-              <= _COLLINEAR * raw.diagonal(axis1=1, axis2=2)[:, 2:]):
+    if (var <= _COLLINEAR * raw.diagonal(axis1=1, axis2=2)[:, 2:]).any():
         return None
-    # (1, -beta) per fold, beta fitted on the other fold
-    C = C.tolist()
-    betas = [_fit(C[1]), _fit(C[0])]
-    w = np.array([[1.0] + [-b for b in beta] for beta in betas])
-    adjusted = (w[:, None, :] @ folds[:, 1:]).ravel()[:n]
-    delta = float(adjusted.mean())
-    adjusted -= delta
-    return delta, math.sqrt(adjusted @ adjusted / (n - 1 - k) / n), betas
+    # each fold's beta, fitted on the other fold
+    fits = [_fit(fold) for fold in C.tolist()[::-1]]
+    betas = [beta for beta, _ in fits]
+    # (0, 1, -beta) of each fold: the sum and the sum of squares of the
+    # adjusted samples
+    w = np.zeros((2, 2 + k))
+    w[:, 1] = 1.0
+    w[:, 2:] = np.negative(betas)
+    total = float(np.vdot(w, raw[:, 0]))
+    square = float((w[:, None, :] @ raw @ w[:, :, None]).sum())
+    delta = total / n
+    dof = n - 1 - max(rank for _, rank in fits)
+    return (delta, math.sqrt(max(square - total * delta, 0.0) / dof / n),
+            betas)
 
 
 def _controlled(plain, plain_se, step, scale, names):
@@ -346,18 +341,16 @@ def _batch_size(loops_per_sample):
     return max(1, math.floor(_BATCH_LOOPS / max(1.0, loops_per_sample)))
 
 
-def _batched(draw, evaluate, loops_per_sample):
+def _batched(draw, evaluate, loops_per_sample, axis=0):
     '''A run_mc sample function in two phases per batch (_batch_size
     samples): draw(rng, m) makes all the draws of m samples, then
-    evaluate(the draws) returns the m samples, an array or a tuple of
-    arrays (each joined over the batches).'''
+    evaluate(the draws) returns the m samples, joined over the batches
+    along axis.'''
     def sample(rng, count):
         size = _batch_size(loops_per_sample)
-        out = [evaluate(draw(rng, min(size, count - lo)))
-               for lo in range(0, count, size)]
-        if isinstance(out[0], tuple):
-            return tuple(np.concatenate(part) for part in zip(*out))
-        return np.concatenate(out)
+        return np.concatenate([
+            evaluate(draw(rng, min(size, count - lo)))
+            for lo in range(0, count, size)], axis=axis)
     return sample
 
 
@@ -390,14 +383,14 @@ class _Tally:
 
 def _draw_background(intensity, rng, m, tally):
     '''The Poisson backgrounds of m samples: (the sample of each loop,
-    the loops in sample order, loop i in configuration i, and the
-    controls (m, 4) of each sample: loop count K, K^2, total duration S,
-    S^2).'''
+    the loops in sample order, loop i in configuration i, and the rows
+    (4, m) of the background controls: loop count K, K^2, total
+    duration S, S^2).'''
     sizes = rng.poisson(intensity.total_mass, m)
     loops = tally.draw_loops(intensity, rng, int(sizes.sum()))
     owner = np.repeat(np.arange(m), sizes)
     S = np.bincount(owner, weights=loops.duration, minlength=m)
-    return owner, loops, np.column_stack((sizes, sizes ** 2, S, S * S))
+    return owner, loops, (sizes, sizes * sizes, S, S * S)
 
 
 def _background_means(intensity):
@@ -423,12 +416,14 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
 
     def evaluate(drawn):
         batch, controls = drawn
-        return tally.boltzmann(spec, batch), controls
+        return np.array((tally.boltzmann(spec, batch),) + controls,
+                        dtype=float)
 
-    sample = _batched(configs, evaluate, spec.intensity.total_mass)
+    sample = _batched(configs, evaluate, spec.intensity.total_mass, axis=1)
     mean, se, count, rows = run_mc(sample, n_samples, seed, workers,
-                                   controls=True)
-    step = _control_step(rows, [1.0], mean, _background_means(spec.intensity))
+                                   controls=len(_BACKGROUND_CONTROLS))
+    step = _control_step(rows[0], mean, rows[1:],
+                         _background_means(spec.intensity))
     value, value_se, controls = _controlled(mean, se, step, 1.0,
                                             _BACKGROUND_CONTROLS)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
@@ -484,6 +479,9 @@ class _OpenPaths:
         self.scale = np.zeros(len(prob))
         drawn = prob > 0
         self.scale[drawn] = perm / prob[drawn]
+        # whether a drawn path ends away from its start, where the weight
+        # is psi^T(delta) / psi^T(0), far from linear in T
+        self.moves = bool(np.any(self.delta[drawn]))
 
     @functools.cached_property
     def duration_moments(self):
@@ -539,6 +537,14 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     xs, ys = spec.torus.check_sites(p, xs, ys)
     intensity = spec.intensity
     law = _OpenPaths(intensity, xs, ys)
+    # the open paths' durations are controls when no path moves; a moving
+    # path's weight makes them cost more than they remove (module
+    # docstring)
+    names = _BACKGROUND_CONTROLS + (() if law.moves else _OPEN_CONTROLS)
+    means = _background_means(intensity)
+    if not law.moves:
+        t1, t2 = law.duration_moments
+        means = np.concatenate((means, [p * t1, p * t2]))
     tally = _Tally()
 
     def configs(rng, m):
@@ -552,25 +558,25 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         batch = LoopBatch.join(2 * m, [
             (np.repeat(np.arange(m), p), opens, None),
             (owner, background, None), (owner + m, background, None)])
-        return batch, weight, np.column_stack(
-            (controls, T.sum(axis=1), (T * T).sum(axis=1)))
+        if not law.moves:
+            controls += (T.sum(axis=1), (T * T).sum(axis=1))
+        return batch, weight, controls
 
     def evaluate(drawn):
         batch, weight, controls = drawn
         boltzmann = tally.boltzmann(spec, batch).reshape(2, -1)
-        return np.column_stack((weight * boltzmann[0], boltzmann[1])), controls
+        return np.array((weight * boltzmann[0], boltzmann[1]) + controls,
+                        dtype=float)
 
-    sample = _batched(configs, evaluate, intensity.total_mass + p)
+    sample = _batched(configs, evaluate, intensity.total_mass + p, axis=1)
     mean, se, count, C, rows = run_mc(sample, n_samples, seed, workers,
-                                      comoments=True, controls=True)
+                                      comoments=True, controls=len(names))
     ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
-    t1, t2 = law.duration_moments
-    means = np.concatenate((_background_means(intensity), [p * t1, p * t2]))
     # y = N - ratio D, whose mean is 0
-    step = _control_step(rows, [1.0, -ratio], 0.0, means)
+    step = _control_step(rows[0] - ratio * rows[1], 0.0, rows[2:], means)
     value, value_se, controls = _controlled(
         float(law.unit * ratio), float(law.unit * ratio_se), step,
-        float(law.unit / mean[1]), _BACKGROUND_CONTROLS + _OPEN_CONTROLS)
+        float(law.unit / mean[1]), names)
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
     meta.update(tally.metadata(count))

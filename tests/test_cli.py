@@ -303,40 +303,6 @@ def test_meanfield_experiment(tmp_path, capsys):
     assert diffs[1] < diffs[0]
 
 
-@pytest.mark.parametrize("level", [None, "warning"])
-def test_log_level_warning_silences_the_chooser_line(tmp_path, level):
-    # as a module (python -m loopgas.cli): the chooser line is on stderr
-    # by default and gone at --log-level warning; stdout stays empty
-    import os
-    import subprocess
-    import sys
-    import loopgas
-    cfg = _write_config(tmp_path, {
-        "experiment": "meanfield", "torus": {"d": 1, "L": 1},
-        "potential": {"d": 1, "R": 0, "entries": [[[0], 1.0]]},
-        "kappa": 1.0, "nu_list": [0.2], "lambda_rule": "nu_squared"})
-    src = str(Path(loopgas.__file__).resolve().parent.parent)
-    run = subprocess.run(
-        [sys.executable, "-m", "loopgas.cli", "meanfield", "--config", cfg,
-         "--out", str(tmp_path / "out")]
-        + (["--log-level", level] if level else []),
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=120)
-    assert run.returncode == 0 and run.stdout == ""
-    if level:
-        assert run.stderr == ""
-    else:
-        assert run.stderr.startswith("meanfield: quantum side via ")
-        assert run.stderr.count("\n") == 1
-
-
-def test_log_level_error_silences_the_volume_warning(tmp_path, capsys):
-    cfg = _write_config(tmp_path, dict(_VOLUME, v_l1_threshold=0.01))
-    assert main(["volume", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--log-level", "error"]) == 0
-    assert capsys.readouterr() == ("", "")
-
-
 def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
     # meanfield_single_site.json physics on L = 3 at nu = 0.1 (p = 1):
     # the grand sum would diagonalize the blocks up to n_diag = 151 (of

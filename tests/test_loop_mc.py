@@ -603,9 +603,9 @@ GOLDEN = {
         -0.25748780197290877],
 }
 
-# The controlled Z estimates of the same runs (the plain ones are in
-# GOLDEN); the kernel runs, at 200 samples, are below the control step's
-# fold minimum and give the plain estimate.
+# The controlled estimates of the same runs (the plain ones are in
+# GOLDEN).  The kernel runs move their open paths, so they take the four
+# background controls, and 200 samples reach the fold minimum.
 CONTROLLED_GOLDEN = {
     "Z/grid/w1": [0.7843656647292315, 0.002617960578509912],
     "Z/grid_d2/w1": [0.8178962560559006, 0.0028717907472477038],
@@ -619,6 +619,14 @@ CONTROLLED_GOLDEN = {
     "Z/grid_R1/w3": [0.5499660903075584, 0.016619381408894074],
     "Z/continuum/w3": [0.7222918614787984, 0.0034272799508669144],
     "Z/continuum_d2/w3": [0.7947779153413181, 0.0031107326340723625],
+    "gamma/p1/R0/w1": [0.2474877926862453, 0.006605066502743168],
+    "gamma/p2/R0/w1": [0.35139535077147227, 0.012725262458092456],
+    "gamma/p1/R1/w1": [0.04861201963666704, 0.008171677408913674],
+    "gamma/p2/R1/w1": [0.055625321016240015, 0.01821593874929415],
+    "gamma/p1/R0/w3": [0.2263838862358325, 0.00659303744768102],
+    "gamma/p2/R0/w3": [0.3406277391281017, 0.01343964450057591],
+    "gamma/p1/R1/w3": [0.0534081808059268, 0.008903504545824593],
+    "gamma/p2/R1/w3": [0.07031011136217831, 0.021775251536498747],
 }
 
 
@@ -644,8 +652,8 @@ def test_estimators_reproduce_recorded_values(workers):
                                    est.metadata["plain_se"],
                                    est.metadata["denominator"],
                                    est.metadata["denominator_se"]]
-        assert est.metadata["beta"] is None
-        assert [est.mean, est.std_error] == got[f"gamma/p{p}/R{R}"][:2]
+        assert len(est.metadata["beta"][0]) == 4
+        controlled[f"gamma/p{p}/R{R}"] = [est.mean, est.std_error]
     rep = log_Z_via_expansion(_golden_grid(lam=None, mode="meanfield"), 3,
                               100, seed=123, workers=workers)
     got["logz"] = (rep["means"] + rep["std_errors"] + rep["ess"]
@@ -669,6 +677,7 @@ def test_background_controls_have_their_exact_means(spec):
     _, _, controls = _draw_background(spec.intensity,
                                       np.random.default_rng(5), 10 ** 5,
                                       _Tally())
+    controls = np.array(controls, dtype=float).T
     z = ((controls.mean(axis=0) - _background_means(spec.intensity))
          / (controls.std(axis=0, ddof=1) / math.sqrt(len(controls))))
     assert np.all(np.abs(z) < 4.0), z
@@ -678,30 +687,34 @@ def test_background_controls_have_their_exact_means(spec):
 def test_control_step_is_the_cross_fitted_regression(n):
     '''_control_step against a direct computation: beta of each fold by
     least squares on the other fold, the adjusted samples, their mean
-    and SE on n - 1 - k degrees of freedom; a collinear control (a copy
-    of an earlier one) gets beta 0 and changes nothing.'''
+    and SE on n - 1 - k degrees of freedom.  A control that copies an
+    earlier one leaves the fit as it is, and k counts it out.'''
     rng = np.random.default_rng(n)
-    x = rng.random((n, 4))
-    rows = np.column_stack((x[:, 0] + 2.0 * x[:, 1] + 0.1 * rng.random(n),
-                            x, x[:, 1]))
+    x = rng.random((4, n))
+    x = np.vstack((x, x[1]))
+    y = x[0] + 2.0 * x[1] + 0.1 * rng.random(n)
     means = np.full(5, 0.5)
 
-    def beta(fold):
-        dx = fold[:, 1:5] - fold[:, 1:5].mean(axis=0)
-        return np.linalg.lstsq(dx, fold[:, 0] - fold[:, 0].mean(),
+    def beta(f):
+        dx = x[:, f::2] - x[:, f::2].mean(axis=1)[:, None]
+        return np.linalg.lstsq(dx.T, y[f::2] - y[f::2].mean(),
                                rcond=None)[0]
 
-    center = rows[:, 0].mean()
-    betas = [beta(rows[1::2]), beta(rows[0::2])]
+    center = y.mean()
+    betas = [beta(1), beta(0)]
     adjusted = np.empty(n)
     for f in (0, 1):
-        adjusted[f::2] = (rows[f::2, 0] - center
-                          - (rows[f::2, 1:5] - 0.5) @ betas[f])
-    delta, se, got = _control_step(rows, [1.0], center, means)
+        adjusted[f::2] = y[f::2] - center - betas[f] @ (x[:, f::2] - 0.5)
+    delta, se, got = _control_step(y, center, x, means)
     assert delta == pytest.approx(adjusted.mean(), abs=1e-14)
-    assert se == pytest.approx(adjusted.std(ddof=6) / math.sqrt(n), rel=1e-12)
-    assert np.allclose(np.array(got)[:, :4], betas, rtol=0, atol=1e-12)
-    assert [b[4] for b in got] == [0.0, 0.0]
+    assert se == pytest.approx(adjusted.std(ddof=5) / math.sqrt(n), rel=1e-12)
+    # the copy is left out (beta 0) and its original takes the share
+    # that least squares splits between the two
+    got = np.array(got)
+    assert np.all(got[:, 4] == 0.0)
+    betas = np.array(betas)
+    betas[:, 1] += betas[:, 4]
+    assert np.allclose(got[:, :4], betas[:, :4], rtol=0, atol=1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -768,6 +781,40 @@ def test_the_fold_minimum_is_25_samples_per_control():
         "beta"] is None
     assert estimate_gamma_p(spec, 1, [0], [0], 300, 1).metadata[
         "beta"] is not None
+    # a kernel whose open path moves takes the four background controls
+    assert estimate_gamma_p(spec, 1, [0], [1], 199, 1).metadata[
+        "beta"] is None
+    assert estimate_gamma_p(spec, 1, [0], [1], 200, 1).metadata[
+        "beta"] is not None
+
+
+def test_a_moving_kernel_takes_the_background_controls_only():
+    '''The open-path durations are controls only where no open path
+    moves: Gamma_1(0, 0), not Gamma_1(0, 1) or Gamma_2((0, 1), (0, 1)),
+    whose transposition moves both paths.'''
+    spec = _grid_spec()
+    for p, xs, ys, names in (
+            (1, [0], [0], ["K", "K^2", "S", "S^2", "T_open", "T_open^2"]),
+            (1, [0], [1], ["K", "K^2", "S", "S^2"]),
+            (2, [0, 1], [0, 1], ["K", "K^2", "S", "S^2"])):
+        meta = estimate_gamma_p(spec, p, xs, ys, 400, 2).metadata
+        assert meta["controls"] == names
+        assert [len(beta) for beta in meta["beta"]] == [len(names)] * 2
+
+
+def test_a_moving_kernel_is_calibrated():
+    '''300 seeded requests of the off-diagonal Gamma_1(0, 1) (300
+    samples each) on the golden grid, against the exact oracle: pooled
+    |z| < 4 and an empirical variance within [0.8, 1.25] of the mean
+    reported SE^2.'''
+    from loopgas.quantum_oracle import grand_sum
+    spec = _golden_grid()
+    _, K = grand_sum(spec.params, 1)
+    estimates = [estimate_gamma_p(spec, 1, [0], [1], 300, seed)
+                 for seed in range(300)]
+    assert all(e.metadata["beta"] is not None for e in estimates)
+    pooled_z, spread = _pooled_check(estimates, K[0, 1])
+    assert abs(pooled_z) < 4.0 and 0.8 <= spread <= 1.25, (pooled_z, spread)
 
 
 def test_hard_core_estimates_take_the_controls():
