@@ -231,15 +231,8 @@ def run_meanfield_sweep(config):
     params_list = [InteractionParams(torus=torus, vL=vL, nu=nu,
                                      mode="meanfield", R=config.potential.R,
                                      kappa=kappa) for nu in config.nu_list]
-    use_oracle, size = _use_oracle(params_list, kappa, p)
-    chooser = "quantum_oracle" if use_oracle else "loop_mc"
-    print(f"meanfield: quantum side via {chooser} (largest sector "
-          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})",
-          file=sys.stderr)
-    classical_exact = torus.n_sites == 1
-
-    gamma_rows, z_rows, passes = [], [], []
-    if classical_exact:
+    # the classical side first: a hard core fails it before any output
+    if torus.n_sites == 1:
         origin = torus.index_of(np.zeros(torus.d, dtype=np.int64))
         z_cl, g_cl = field_oracle.quadrature_single_site(
             kappa, float(vL[origin]), p)
@@ -253,7 +246,13 @@ def run_meanfield_sweep(config):
                                                config.workers)
         z_cl, z_cl_se = z_est.mean, z_est.std_error
         g_cl, g_cl_se = g_est.mean, g_est.std_error
+    use_oracle, size = _use_oracle(params_list, kappa, p)
+    chooser = "quantum_oracle" if use_oracle else "loop_mc"
+    print(f"meanfield: quantum side via {chooser} (largest sector "
+          f"{size['max_sector_dim']}, sum of dim^3 {size['eigh_dim3']:.3g})",
+          file=sys.stderr)
 
+    gamma_rows, z_rows, passes = [], [], []
     for i, (nu, params) in enumerate(zip(config.nu_list, params_list)):
         if use_oracle:
             res, K = grand_sum(params, p, kappa,

@@ -344,20 +344,21 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         def evaluate(batch):
             V = batch_interaction(batch, spec.params, spec.kind, pairs=True)
             weight, zeta = _weights_and_zeta(V, p)
-            return np.column_stack((factor * weight * phi_of(zeta), weight,
-                                    weight * weight))
+            return np.stack((factor * weight * phi_of(zeta), weight,
+                             weight * weight))
 
         return _batched(configs, evaluate, n)
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "ess": [], "mass": mass}
     for n in orders:
-        # columns (value, w, w^2): ESS = (sum w)^2 / sum w^2
-        mean, se, count = run_mc(sampler(n), n_samples, seed + n, workers)
+        # rows (value, w, w^2): ESS = (sum w)^2 / sum w^2
+        mean, se, _ = run_mc(sampler(n), n_samples, seed + n, workers)
         report["means"].append(float(mean[0]))
         report["std_errors"].append(float(se[0]))
         report["ess"].append(
-            float(count * mean[1] ** 2 / mean[2]) if mean[2] > 0 else 0.0)
+            float(n_samples * mean[1] ** 2 / mean[2]) if mean[2] > 0
+            else 0.0)
     rem, rem_se, _ = run_mc(sampler(n_max + 1, bound_mode=True), n_samples,
                             seed + n_max + 1, workers)
     report["remainder"] = float(rem[0])

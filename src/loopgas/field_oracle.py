@@ -66,8 +66,8 @@ def estimate_Zcl(gf, vL, n_samples, seed, workers=1, lam=1.0):
         fields = gf.sample(rng, count)
         return np.exp(-lam * _quartic_weight(fields, vmat))
 
-    mean, se, count = run_mc(values, n_samples, seed, workers)
-    return McEstimate(mean, se, count, seed,
+    mean, se, _ = run_mc(values, n_samples, seed, workers)
+    return McEstimate(mean, se, n_samples, seed,
                       {"kind": "Zcl", "lam": lam, "workers": workers})
 
 
@@ -89,15 +89,15 @@ def estimate_gamma_cl(gf, vL, p, xs, ys, n_samples, seed, workers=1,
         out = mono * np.exp(-lam * _quartic_weight(fields, vmat))
         return out.real
 
-    num_mean, num_se, count = run_mc(values, n_samples, seed, workers)
+    num_mean, num_se, _ = run_mc(values, n_samples, seed, workers)
     meta = {"kind": "gamma_cl", "p": p, "x": xs, "y": ys, "lam": lam,
             "workers": workers}
     if not normalized:
-        return McEstimate(num_mean, num_se, count, seed, meta)
+        return McEstimate(num_mean, num_se, n_samples, seed, meta)
     ratio, se, den = _ratio(num_mean, num_se, seed, lambda s: estimate_Zcl(
         gf, vL, n_samples, s, workers, lam=lam))
     meta.update(den)
-    return McEstimate(ratio, se, count, seed, meta)
+    return McEstimate(ratio, se, n_samples, seed, meta)
 
 
 def wick_moment(C, xs, ys):
@@ -116,7 +116,10 @@ def quadrature_single_site(kappa, w, p):
     Gamma_p^cl(0,0) = kappa int s^p e^{...} ds / Z^cl,
     by 10-point Gauss-Legendre on 40 equal panels of [0, S], S =
     min(45/kappa, sqrt(90/w)): past S the weight is below e^{-45}.  (One
-    400-point rule would lose 1e-13 in numpy's nodes.)'''
+    400-point rule would lose 1e-13 in numpy's nodes.)  ValueError for a
+    hard core (w = +inf).'''
+    if not math.isfinite(w):
+        raise ValueError(f"finite potential required, got w = {w}")
     S = 45.0 / kappa if w == 0 else min(45.0 / kappa, math.sqrt(90.0 / w))
     nodes, h = np.polynomial.legendre.leggauss(10)
     half = 0.5 * S / 40
@@ -148,11 +151,11 @@ def hubbard_stratonovich_check(v_pt, torus, f, n_samples, seed, workers=1):
         sigma = rng.standard_normal((count, len(f))) @ factor.T
         return np.cos(sigma @ f)
 
-    mean, se, count = run_mc(values, n_samples, seed, workers)
+    mean, se, _ = run_mc(values, n_samples, seed, workers)
     z = abs(mean - target) / max(se, 1e-15)
     return {"pass": bool(z <= 3.0 and exact_gap <= 1e-12),
             "mc": mean, "mc_se": se, "target": target, "z": z,
-            "exact_identity_gap": exact_gap, "n": count}
+            "exact_identity_gap": exact_gap, "n": n_samples}
 
 
 def correlation_inequality_check(gf, vL, lam_grid, p, xs, ys, n_samples,

@@ -20,7 +20,7 @@ which is the constant G(0) at p = 1 and x = y.  The sample is the pair
 (weight e^{-V(open + background)}, e^{-V(background)}) on one
 background, so numerator and denominator share their noise; the plain
 ratio's SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r =
-mean(N) / mean(D), from the merged co-moments of the pairs.
+mean(N) / mean(D), from the co-moments of the pairs' rows.
 
 Each worker chunk runs in batches and two phases: the draw phase makes
 every random draw of the batch as arrays, and the compute phase
@@ -79,9 +79,9 @@ denominator and denominator_se stay the plain paired denominator.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
-master seed, and the per-worker moments (and co-moments) are merged in
-worker order (Chan, Golub & LeVeque, Am. Stat. 37 (1983) 242), so
-results are bit-identical for a fixed worker count.
+master seed; run_mc joins the chunks' rows in worker order and reduces
+the joined rows once, so results are bit-identical for a fixed worker
+count.
 '''
 
 import functools
@@ -163,85 +163,43 @@ def _chunks(n_samples, workers):
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _welford_merge(parts):
-    '''Merge per-worker (count, mean, M2) in order.  A part may carry a
-    fourth entry, its co-moment matrix sum (v - mean)(v - mean)^T; the
-    merged one is then returned fourth.'''
-    count, mean, M2, C = 0, 0.0, 0.0, 0.0
-    for c, m, m2, *cm in parts:
-        if c == 0:
-            continue
-        delta = m - mean
-        tot = count + c
-        if cm:
-            C = C + cm[0] + np.multiply.outer(delta, delta) * count * c / tot
-        mean += delta * c / tot
-        M2 += m2 + delta * delta * count * c / tot
-        count = tot
-    return (count, mean, M2) + ((C,) if parts and len(parts[0]) > 3 else ())
-
-
-def run_mc(sample_fn, n_samples, seed, workers=1, comoments=False,
-           controls=0):
+def run_mc(sample_fn, n_samples, seed, workers=1):
     '''Average the samples of sample_fn(rng, count) over n_samples with
     a deterministic reduction; the single reducer of every estimator.
 
-    sample_fn returns count samples drawn from rng, with shape (count,)
-    or (count, k), and must be a pure function of the rng stream.  Each
-    worker chunk takes a two-pass mean and sum of squared deviations per
-    column; the chunks are merged in worker order.  Returns (mean,
-    std_error, count): floats for scalar samples, length-k arrays for
-    vector samples.  With comoments (vector samples) it also returns the
-    k x k matrix sum (v - mean)(v - mean)^T over the samples, merged the
-    same way.  With controls = j > 0, sample_fn returns rows (k + j,
-    count) instead: the k sample rows (one for scalar samples), reduced
-    as above, then j control rows, which are not averaged; run_mc then
-    also returns, last, all the rows (k + j, n_samples), in worker
-    order.  Needs n_samples >= 2, so that the standard error is defined;
+    sample_fn returns count samples drawn from rng as rows (k, count),
+    or (count,) for k = 1, and must be a pure function of the rng
+    stream.  The worker chunks are joined in worker order into rows
+    (k, n_samples), and each row gets a two-pass mean and SE.  Returns
+    (mean, se, rows), mean and se of shape (k,), scalars for k = 1.
+    Needs n_samples >= 2, so that the standard error is defined;
     ValueError otherwise.
     '''
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
                          f"{n_samples}")
     streams = np.random.SeedSequence(seed).spawn(workers)
-    parts, chunks = [], []
-    scalar = True
-    for stream, n_w in zip(streams, _chunks(n_samples, workers)):
-        if n_w == 0:
-            continue
-        vals = sample_fn(np.random.default_rng(stream), n_w)
-        if controls:
-            chunks.append(vals)
-            vals = vals[0] if len(vals) == controls + 1 else vals[:-controls].T
-        vals = np.asarray(vals, dtype=float)
-        scalar = vals.ndim == 1
-        # one contiguous row per column, so that each column is reduced
-        # exactly as a scalar run of that column would be
-        cols = np.ascontiguousarray(vals.reshape(n_w, -1).T)
-        m = cols.mean(axis=1)
-        dev = cols - m[:, None]
-        m2 = (dev ** 2).sum(axis=1)
-        parts.append((n_w, m[0], m2[0]) if scalar else (n_w, m, m2))
-        if comoments:
-            parts[-1] += (np.einsum("in,jn->ij", dev, dev),)
-    count, mean, M2, *C = _welford_merge(parts)
-    se = np.sqrt(M2 / (count - 1) / count)
-    if scalar:
-        mean, se, C = float(mean), float(se), []
-    if controls:
-        C.append(np.concatenate(chunks, axis=1) if len(chunks) > 1
-                 else chunks[0])
-    return (mean, se, count, *C)
+    rows = np.concatenate([
+        sample_fn(np.random.default_rng(stream), n_w)
+        for stream, n_w in zip(streams, _chunks(n_samples, workers))
+        if n_w], axis=-1)
+    mean = rows.mean(axis=-1)
+    dev = rows - mean[..., None]
+    se = np.sqrt((dev ** 2).sum(axis=-1) / (n_samples - 1) / n_samples)
+    return mean, se, rows
 
 
-def _paired_ratio(mean, se, C, count):
-    '''(N / D, its SE, metadata) from the mean, SE and co-moments C of
-    paired samples (N, D): the delta method's sd(N - r D) / (sqrt(n) D),
-    r = N / D.  ArithmeticError if D is within 3 SE of 0.'''
-    (num, den), den_se = mean, float(se[1])
+def _paired_ratio(mean, se, rows):
+    '''(N / D, its SE, metadata) from the mean, SE and rows of paired
+    samples (N, D), the first two rows: the delta method's sd(N - r D) /
+    (sqrt(n) D), r = N / D.  ArithmeticError if D is within 3 SE of 0.'''
+    (num, den), den_se = mean[:2], float(se[1])
     if abs(den) <= 3.0 * den_se:
         raise ArithmeticError("denominator estimate consistent with 0")
     ratio = float(num / den)
+    dev = rows[:2] - mean[:2, None]
+    C = np.einsum("in,jn->ij", dev, dev)
+    count = rows.shape[1]
     spread = max(float(C[0, 0] - 2.0 * ratio * C[0, 1]
                        + ratio * ratio * C[1, 1]), 0.0)
     scale = math.sqrt(float(C[0, 0] * C[1, 1]))
@@ -341,16 +299,16 @@ def _batch_size(loops_per_sample):
     return max(1, math.floor(_BATCH_LOOPS / max(1.0, loops_per_sample)))
 
 
-def _batched(draw, evaluate, loops_per_sample, axis=0):
+def _batched(draw, evaluate, loops_per_sample):
     '''A run_mc sample function in two phases per batch (_batch_size
     samples): draw(rng, m) makes all the draws of m samples, then
-    evaluate(the draws) returns the m samples, joined over the batches
-    along axis.'''
+    evaluate(the draws) returns the m samples as run_mc's rows, joined
+    over the batches.'''
     def sample(rng, count):
         size = _batch_size(loops_per_sample)
         return np.concatenate([
             evaluate(draw(rng, min(size, count - lo)))
-            for lo in range(0, count, size)], axis=axis)
+            for lo in range(0, count, size)], axis=-1)
     return sample
 
 
@@ -419,19 +377,18 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
         return np.array((tally.boltzmann(spec, batch),) + controls,
                         dtype=float)
 
-    sample = _batched(configs, evaluate, spec.intensity.total_mass, axis=1)
-    mean, se, count, rows = run_mc(sample, n_samples, seed, workers,
-                                   controls=len(_BACKGROUND_CONTROLS))
-    step = _control_step(rows[0], mean, rows[1:],
+    sample = _batched(configs, evaluate, spec.intensity.total_mass)
+    mean, se, rows = run_mc(sample, n_samples, seed, workers)
+    step = _control_step(rows[0], mean[0], rows[1:],
                          _background_means(spec.intensity))
-    value, value_se, controls = _controlled(mean, se, step, 1.0,
-                                            _BACKGROUND_CONTROLS)
+    value, value_se, controls = _controlled(float(mean[0]), float(se[0]),
+                                            step, 1.0, _BACKGROUND_CONTROLS)
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
     meta.update(spec.intensity.metadata)
-    meta.update(tally.metadata(count))
+    meta.update(tally.metadata(n_samples))
     meta.update(controls)
-    return McEstimate(value, value_se, count, seed, meta)
+    return McEstimate(value, value_se, n_samples, seed, meta)
 
 
 class _OpenPaths:
@@ -568,10 +525,9 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         return np.array((weight * boltzmann[0], boltzmann[1]) + controls,
                         dtype=float)
 
-    sample = _batched(configs, evaluate, intensity.total_mass + p, axis=1)
-    mean, se, count, C, rows = run_mc(sample, n_samples, seed, workers,
-                                      comoments=True, controls=len(names))
-    ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
+    sample = _batched(configs, evaluate, intensity.total_mass + p)
+    mean, se, rows = run_mc(sample, n_samples, seed, workers)
+    ratio, ratio_se, den = _paired_ratio(mean, se, rows)
     # y = N - ratio D, whose mean is 0
     step = _control_step(rows[0] - ratio * rows[1], 0.0, rows[2:], means)
     value, value_se, controls = _controlled(
@@ -579,6 +535,6 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         float(law.unit / mean[1]), names)
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
-    meta.update(tally.metadata(count))
+    meta.update(tally.metadata(n_samples))
     meta.update(controls)
-    return McEstimate(value, value_se, count, seed, meta)
+    return McEstimate(value, value_se, n_samples, seed, meta)

@@ -543,13 +543,19 @@ _MEANFIELD = {"experiment": "meanfield", "torus": {"d": 1, "L": 2},
       "n_max": 2}, "R = 0"),
     (dict(_VOLUME, potential={"d": 1, "R": 1, "entries": [[[1], 0.01]]}),
      "finite potential"),
+    # a hard core has no classical field side, on one site or more
+    (dict(_MEANFIELD, torus={"d": 1, "L": 1},
+          potential={"d": 1, "R": 1, "entries": []}), "finite potential"),
+    (dict(_MEANFIELD, potential={"d": 1, "R": 1, "entries": []}),
+     "finite potential"),
 ])
 def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
     cfg = _write_config(tmp_path, doc)
-    assert main([doc["experiment"], "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([doc["experiment"], "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_grid_law_at_small_kappa_nu_runs(tmp_path):

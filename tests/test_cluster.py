@@ -350,8 +350,10 @@ def test_estimate_x_matches_per_sample_reference(monkeypatch):
         # the p = 1 fixed path and the n - 1 drawn loops
         size = _batch_size(n)
         assert 75 > 2 * size
-        return lambda rng, m: [row for lo in range(0, m, size)
-                               for row in batch(rng, min(size, m - lo))]
+        # one sample per list entry, then run_mc's rows
+        return lambda rng, m: np.array([
+            row for lo in range(0, m, size)
+            for row in batch(rng, min(size, m - lo))]).T
 
     for k, n in enumerate(report["orders"]):
         mean, se, _ = run_mc(sample(n, ursell), 150, 9 + n, 2)

@@ -158,3 +158,41 @@ def test_gamma_cl_rejects_off_torus_sites(site):
     gf, vL = _setup()
     with pytest.raises(ValueError):
         estimate_gamma_cl(gf, vL, 1, [site], [0], 10, seed=1)
+
+
+# Recorded with the reducer that merged per-worker moments in worker
+# order; the joined rows reproduce them to 1e-12.
+FIELD_GOLDEN = {
+    "Zcl/w1": [0.6766988248323753, 0.005742382034251327],
+    "gamma_cl/w1": [0.11815585960930779, 0.006978949371864679,
+                    0.6777716396430069, 0.005767523678526622],
+    "gamma_cl_unnormalized/w1": [0.04690014433833277, 0.002649621151151244],
+    "hs/w1": [0.7996249927896254, 0.005492114575813989],
+    "Zcl/w3": [0.6730297271944756, 0.005781482030418459],
+    "gamma_cl/w3": [0.11622776238895546, 0.006694539848707786,
+                    0.681896519778054, 0.005758741474439847],
+    "gamma_cl_unnormalized/w3": [0.0451457670913256, 0.0026915824538968577],
+    "hs/w3": [0.8042677385693782, 0.005555116259165003],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_field_estimators_reproduce_recorded_values(workers):
+    gf, vL = _setup()
+    z = estimate_Zcl(gf, vL, 2000, seed=21, workers=workers)
+    g = estimate_gamma_cl(gf, vL, 1, [0], [1], 2000, seed=22,
+                          workers=workers)
+    u = estimate_gamma_cl(gf, vL, 2, [0, 1], [1, 2], 2000, seed=23,
+                          workers=workers, normalized=False)
+    v_pt = np.array([1.0, 0.3, 0.0, 0.0, 0.3])
+    hs = hubbard_stratonovich_check(v_pt, Torus(1, 5),
+                                    np.array([0.5, -0.2, 0.0, 0.1, 0.3]),
+                                    2000, seed=24, workers=workers)
+    got = {"Zcl": [z.mean, z.std_error],
+           "gamma_cl": [g.mean, g.std_error, g.metadata["denominator"],
+                        g.metadata["denominator_se"]],
+           "gamma_cl_unnormalized": [u.mean, u.std_error],
+           "hs": [hs["mc"], hs["mc_se"]]}
+    for key, values in got.items():
+        ref = FIELD_GOLDEN[f"{key}/w{workers}"]
+        assert values == pytest.approx(ref, rel=1e-12, abs=0.0), key

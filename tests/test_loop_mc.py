@@ -17,7 +17,7 @@ from loopgas import loop_mc
 from loopgas.loop_mc import (
     EnsembleSpec, _OpenPaths, _background_means, _batch_size, _batched,
     _chunks, _control_step, _draw_background, _paired_ratio, _Tally,
-    _welford_merge, estimate_gamma_p, estimate_rel_partition, run_mc)
+    estimate_gamma_p, estimate_rel_partition, run_mc)
 from loopgas.paths import LoopIntensity, bridges
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
@@ -33,16 +33,41 @@ def _grid_spec(v0=0.5, lam=0.2, nu=0.5, kappa=1.0, L=3):
 
 
 def test_welford_merge_matches_numpy():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=1000)
-    parts = []
-    for chunk in np.array_split(xs, 7):
-        m = chunk.mean()
-        parts.append((len(chunk), float(m), float(np.sum((chunk - m) ** 2))))
-    count, mean, M2 = _welford_merge(parts)
-    assert count == 1000
+    '''The reduction that replaced the per-worker Welford merge: scalar
+    samples over 7 unequal worker chunks are joined in worker order, and
+    their mean and variance are numpy's of the joined samples.'''
+    def sample(rng, count):
+        return rng.normal(size=count)
+
+    mean, se, rows = run_mc(sample, 1000, seed=0, workers=7)
+    streams = np.random.SeedSequence(0).spawn(7)
+    xs = np.concatenate([sample(np.random.default_rng(s), n) for s, n
+                         in zip(streams, _chunks(1000, 7))])
+    assert rows.shape == (1000,) and np.array_equal(rows, xs)
     assert mean == pytest.approx(xs.mean(), abs=1e-12)
-    assert M2 / (count - 1) == pytest.approx(xs.var(ddof=1), abs=1e-12)
+    assert se * se * 1000 == pytest.approx(xs.var(ddof=1), abs=1e-12)
+
+
+def test_run_mc_comoments_match_numpy():
+    '''At 3 workers the rows are sample_fn's chunks over the spawned
+    streams, joined in worker order; the mean and SE of each row are
+    numpy's of those rows, and the co-moments taken from the rows are
+    n - 1 times numpy's covariance of the samples.'''
+    def sample(rng, count):
+        x = rng.normal(size=count)
+        return np.stack([x + rng.normal(size=count), np.exp(x)])
+
+    mean, se, rows = run_mc(sample, 1001, seed=4, workers=3)
+    streams = np.random.SeedSequence(4).spawn(3)
+    values = np.concatenate([sample(np.random.default_rng(s), n) for s, n
+                             in zip(streams, _chunks(1001, 3))], axis=1)
+    assert rows.shape == (2, 1001) and np.array_equal(rows, values)
+    assert np.allclose(mean, values.mean(axis=1), rtol=1e-12, atol=0.0)
+    assert np.allclose(se, values.std(axis=1, ddof=1) / math.sqrt(1001),
+                       rtol=1e-12, atol=0.0)
+    dev = rows - mean[:, None]
+    C = np.einsum("in,jn->ij", dev, dev)
+    assert np.allclose(C / 1000, np.cov(values), rtol=1e-12, atol=0.0)
 
 
 def test_run_mc_deterministic_and_worker_dependent_streams():
@@ -51,40 +76,25 @@ def test_run_mc_deterministic_and_worker_dependent_streams():
 
     a = run_mc(sample, 500, seed=42, workers=3)
     b = run_mc(sample, 500, seed=42, workers=3)
-    assert a == b                      # bit-exact reproduction
+    assert a[:2] == b[:2] and np.array_equal(a[2], b[2])  # bit-exact
     c = run_mc(sample, 500, seed=43, workers=3)
     assert a[0] != c[0]
 
 
-def test_run_mc_vector_columns_match_scalar_runs():
+def test_run_mc_rows_match_one_row_runs():
+    '''Each row of a k-row run is the one-row run of that row, bit for
+    bit.'''
     def sample(rng, count):
         x = rng.normal(size=count)
-        return np.stack([x, np.exp(x), x * x], axis=1)
+        return np.stack([x, np.exp(x), x * x])
 
-    mean, se, count = run_mc(sample, 1001, seed=4, workers=3)
-    assert mean.shape == se.shape == (3,) and count == 1001
+    mean, se, rows = run_mc(sample, 1001, seed=4, workers=3)
+    assert mean.shape == se.shape == (3,) and rows.shape == (3, 1001)
     for j in range(3):
-        col = run_mc(lambda rng, n: sample(rng, n)[:, j], 1001, seed=4,
+        one = run_mc(lambda rng, n: sample(rng, n)[j], 1001, seed=4,
                      workers=3)
-        assert col == (mean[j], se[j], count)     # bit-exact per column
-
-
-def test_run_mc_comoments_match_numpy():
-    '''The merged co-moments of vector samples over 3 workers are n - 1
-    times numpy's covariance of the same samples, and the means and SEs
-    are those of the run without co-moments, bit for bit.'''
-    def sample(rng, count):
-        x = rng.normal(size=count)
-        return np.stack([x + rng.normal(size=count), np.exp(x)], axis=1)
-
-    mean, se, count, C = run_mc(sample, 1001, seed=4, workers=3,
-                                comoments=True)
-    plain = run_mc(sample, 1001, seed=4, workers=3)
-    assert np.array_equal(mean, plain[0]) and np.array_equal(se, plain[1])
-    streams = np.random.SeedSequence(4).spawn(3)
-    values = np.concatenate([sample(np.random.default_rng(s), n) for s, n
-                             in zip(streams, _chunks(1001, 3))])
-    assert np.allclose(C / (count - 1), np.cov(values.T), rtol=1e-12)
+        assert one[:2] == (mean[j], se[j])
+        assert np.array_equal(one[2], rows[j])
 
 
 def test_paired_ratio_is_the_delta_method():
@@ -94,10 +104,9 @@ def test_paired_ratio_is_the_delta_method():
     rng = np.random.default_rng(8)
     D = rng.uniform(0.5, 1.0, 500)
     N = 0.7 * D + 0.05 * rng.normal(size=500)
-    values = np.stack([N, D], axis=1)
-    mean, se, count, C = run_mc(lambda r, n: values[:n], 500, seed=1,
-                                comoments=True)
-    ratio, ratio_se, meta = _paired_ratio(mean, se, C, count)
+    values = np.stack([N, D])
+    mean, se, rows = run_mc(lambda r, n: values[:, :n], 500, seed=1)
+    ratio, ratio_se, meta = _paired_ratio(mean, se, rows)
     r = N.mean() / D.mean()
     assert ratio == pytest.approx(r, rel=1e-13)
     assert ratio_se == pytest.approx(
@@ -405,8 +414,7 @@ def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
     '''run_mc over a per-path reference that makes the library's draws
     batch by batch (the library's rule for loops_per_sample expected
     loops) and counts its work: sampled loops, evaluated configurations
-    and killed ones.  Returns run_mc's outputs (with co-moments for
-    vector samples) and the counts.'''
+    and killed ones.  Returns run_mc's outputs and the counts.'''
     size = _batch_size(loops_per_sample)
     assert min(_chunks(n_samples, workers)) > 2 * size
     tally = {"loops": 0, "configs": 0, "killed": 0}
@@ -426,11 +434,12 @@ def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
         return 0.0 if np.isinf(V) else math.exp(-V)
 
     def sample(rng, count):
-        return [value for lo in range(0, count, size)
-                for value in batch_of(rng, min(size, count - lo),
-                                      backgrounds, boltzmann)]
+        # one sample per list entry, then run_mc's rows
+        return np.array([value for lo in range(0, count, size)
+                         for value in batch_of(rng, min(size, count - lo),
+                                               backgrounds, boltzmann)]).T
 
-    return run_mc(sample, n_samples, seed, workers, comoments=True), tally
+    return run_mc(sample, n_samples, seed, workers), tally
 
 
 def _check_counters(meta, tally, n_samples):
@@ -486,9 +495,9 @@ def _check_gamma_reference(spec, xs, ys):
                 for s, (paths, weight) in enumerate(opened)]
 
     est = estimate_gamma_p(spec, p, xs, ys, 300, seed=3, workers=2)
-    (mean, se, count, C), tally = _reference_run(
+    (mean, se, rows), tally = _reference_run(
         spec, 300, 3, 2, batch_of, spec.intensity.total_mass + p)
-    ratio, ratio_se, den = _paired_ratio(mean, se, C, count)
+    ratio, ratio_se, den = _paired_ratio(mean, se, rows)
     assert est.metadata["plain_mean"] != 0.0
     assert _close(est.metadata["plain_mean"], ratio)
     assert _close(est.metadata["plain_se"], ratio_se)
