@@ -435,6 +435,9 @@ def run_cluster_logz(config):
     _write_json(config.out, "cluster_logz.json",
                 {"log_Z": report["log_Z"], "log_Z_se": report["log_Z_se"],
                  "X0": report["X0"], "remainder": report["remainder"],
+                 **{key: report[key] for key in (
+                     "plain_means", "plain_std_errors", "variance_ratios",
+                     "controls", "ess")},
                  "seed": config.seed, "workers": config.workers})
     return report
 

@@ -8,6 +8,20 @@ The expansion is built on the loop measure
 with Mayer factor zeta(w, wt) = e^{-V(w,wt)/2} - 1 and
   X(w_1..w_p) = sum_{n >= max(p,1)} n!/(n-p)! int mu^{(n-p)} phi(w_1..w_n),
 phi the Ursell function.  Then log Z = X - X^0.
+
+Each order n of estimate_X is a controlled Monte Carlo estimate, with the
+cross-fitted step of loop_mc (loop_mc._control_step, Glasserman, Monte
+Carlo Methods in Financial Engineering, 4.1).  Its n - p drawn loops are
+i.i.d. from the normalized loop law, so their summed durations S and
+summed squared durations Q have the exact means (n - p) E T and (n - p)
+E T^2 (LoopIntensity.duration_moments) for every potential; the draw
+phase returns them as extra rows and makes no new draw.  Order 1's
+weight e^{-V(w,w)/2} is nearly a function of its loop's T and T^2, and
+the controls cut its variance about tenfold on cluster_logz.json's
+physics; order 2's by about a tenth.  Order p draws no loop, and an
+order with fewer than 25 samples per control in a fold keeps the plain
+estimate.  The tree-bound remainder and the effective sample sizes stay
+plain.
 '''
 
 import itertools
@@ -18,12 +32,15 @@ from functools import lru_cache
 import numpy as np
 
 from .interactions import batch_interaction
-from .loop_mc import _batched, _Tally, run_mc
+from .loop_mc import _batched, _control_step, _controlled, _Tally, run_mc
 from .paths import LoopBatch
 
 MAX_ENUM_N = 7
 MAX_URSELL_N = 6
 MAX_BRACKET_N = 5
+# The control rows of an order's sample: its drawn loops' summed
+# durations and summed squared durations.
+_CONTROLS = ("S", "Q")
 
 
 @dataclass(frozen=True)
@@ -312,7 +329,11 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     Ursell factor over fixed + drawn paths, and multiplies the loop mass
     to the power n - p and the combinatorial factor n!/(n-p)!.
 
-    Returns a report with per-order means/std errors/effective sample
+    Each order is controlled by its drawn loops' summed durations S and
+    summed squared durations Q (module docstring).
+
+    Returns a report with per-order means/std errors, the plain means and
+    std errors, variance ratios, control names and effective sample
     sizes, the truncated total, and a tree-bound MC estimate of the
     order-(n_max + 1) remainder magnitude.
     '''
@@ -326,6 +347,7 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     if n_max < max(p, 1):
         raise ValueError("n_max below the leading order")
     mass = spec.intensity.total_mass
+    moments = np.array(spec.intensity.duration_moments)
     orders = list(range(max(p, 1), n_max + 1))
     fixed = LoopBatch.from_paths([fixed_paths])
     tally = _Tally()
@@ -337,25 +359,37 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         def configs(rng, m):
             # the fixed paths in front of the n - p drawn loops
             loops = tally.draw_loops(spec.intensity, rng, m * (n - p))
+            T = loops.duration.reshape(m, n - p)
             return LoopBatch.join(m, [
                 (np.repeat(np.arange(m), p), fixed, np.tile(np.arange(p), m)),
-                (np.repeat(np.arange(m), n - p), loops, None)])
+                (np.repeat(np.arange(m), n - p), loops, None)]), T
 
-        def evaluate(batch):
+        def evaluate(drawn):
+            batch, T = drawn
             V = batch_interaction(batch, spec.params, spec.kind, pairs=True)
             weight, zeta = _weights_and_zeta(V, p)
             return np.stack((factor * weight * phi_of(zeta), weight,
-                             weight * weight))
+                             weight * weight, T.sum(axis=1),
+                             (T * T).sum(axis=1)))
 
         return _batched(configs, evaluate, n)
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
-              "std_errors": [], "ess": [], "mass": mass}
+              "std_errors": [], "plain_means": [], "plain_std_errors": [],
+              "variance_ratios": [], "controls": [], "ess": [],
+              "mass": mass}
     for n in orders:
-        # rows (value, w, w^2): ESS = (sum w)^2 / sum w^2
-        mean, se, _ = run_mc(sampler(n), n_samples, seed + n, workers)
-        report["means"].append(float(mean[0]))
-        report["std_errors"].append(float(se[0]))
+        # rows (value, w, w^2, S, Q): ESS = (sum w)^2 / sum w^2
+        mean, se, rows = run_mc(sampler(n), n_samples, seed + n, workers)
+        step = _control_step(rows[0], mean[0], rows[3:], (n - p) * moments)
+        value, value_se, controls = _controlled(
+            float(mean[0]), float(se[0]), step, 1.0, _CONTROLS)
+        report["means"].append(value)
+        report["std_errors"].append(value_se)
+        report["plain_means"].append(controls["plain_mean"])
+        report["plain_std_errors"].append(controls["plain_se"])
+        report["variance_ratios"].append(controls["variance_ratio"])
+        report["controls"].append(controls["controls"])
         report["ess"].append(
             float(n_samples * mean[1] ** 2 / mean[2]) if mean[2] > 0
             else 0.0)

@@ -262,6 +262,14 @@ def test_cluster_logz_experiment(tmp_path):
     assert rows[0] == ["order", "mean", "std_error", "tree_bound_remainder"]
     doc = json.loads((out / "cluster_logz.json").read_text())
     assert doc["log_Z"] < 0.0
+    # per order (1 and 2): the estimate without controls, its variance
+    # ratio, the control names and the effective sample size
+    for key in ("plain_means", "plain_std_errors", "variance_ratios",
+                "controls", "ess"):
+        assert len(doc[key]) == 2
+    assert doc["controls"] == [["S", "Q"], ["S", "Q"]]
+    # order 1's weight is nearly a function of its loop's T and T^2
+    assert 0.0 < doc["variance_ratios"][0] < 0.5
 
 
 def test_largemass_experiment(tmp_path):

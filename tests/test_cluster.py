@@ -314,11 +314,44 @@ def test_ursell_and_tree_sum_over_a_stack(n):
                                          abs=1e-15)
 
 
+def _reference_sampler(spec, fixed, n, phi_of):
+    '''A run_mc sample function of order n of the series over the fixed
+    paths, per sample, from the reference sampler and kernel on the
+    library's streams: all m (n - p) loops of a batch drawn at once, the
+    batches cut by the library's rule.  Rows (value, w, w^2, S, Q), S and
+    Q the drawn loops' summed and summed squared durations.'''
+    import loop_reference
+    from loopgas.loop_mc import _batch_size
+    p = len(fixed)
+    factor = (math.factorial(n) // math.factorial(n - p)
+              * spec.intensity.total_mass ** (n - p))
+
+    def one(drawn):
+        V = loop_reference.pair_matrix(fixed + drawn, spec.params, spec.kind)
+        weight = math.prod(np.exp(-0.5 * np.diag(V)[p:]).tolist())
+        zeta = np.exp(-V) - 1.0
+        np.fill_diagonal(zeta, 0.0)
+        T = [path.duration for path in drawn]
+        return (factor * weight * phi_of(zeta), weight, weight * weight,
+                sum(T), sum(t * t for t in T))
+
+    def batch(rng, m):
+        loops = loop_reference.draw_batch(spec.intensity, rng, m * (n - p))
+        return [one(loops[s * (n - p):(s + 1) * (n - p)]) for s in range(m)]
+
+    size = _batch_size(n)
+    # one sample per list entry, then run_mc's rows
+    return lambda rng, m: np.array([
+        row for lo in range(0, m, size)
+        for row in batch(rng, min(size, m - lo))]).T
+
+
 def test_estimate_x_matches_per_sample_reference(monkeypatch):
-    '''One fixed path (p = 1): the batched orders and remainder equal a
-    per-sample run of the reference sampler and kernel on the same
-    streams, drawn batch by batch by the library's rule, with a loop
-    budget that cuts each 75-sample chunk into at least 3 batches.'''
+    '''One fixed path (p = 1): the batched orders' plain estimates and
+    the remainder equal a per-sample run of the reference sampler and
+    kernel on the same streams, drawn batch by batch by the library's
+    rule, with a loop budget that cuts each 75-sample chunk into at
+    least 3 batches.'''
     import loop_reference
     from loopgas import loop_mc
     from loopgas.cluster import estimate_X
@@ -329,35 +362,89 @@ def test_estimate_x_matches_per_sample_reference(monkeypatch):
                                              np.random.default_rng(3))]
     report = estimate_X(spec, fixed, n_max=3, n_samples=150, seed=9,
                         workers=2)
-
-    def sample(n, phi_of):
-        factor = n * spec.intensity.total_mass ** (n - 1)
-
-        def one(drawn):
-            V = loop_reference.pair_matrix(fixed + drawn, spec.params,
-                                           spec.kind)
-            weight = math.prod(np.exp(-0.5 * np.diag(V)[1:]).tolist())
-            zeta = np.exp(-V) - 1.0
-            np.fill_diagonal(zeta, 0.0)
-            return factor * weight * phi_of(zeta), weight, weight * weight
-
-        def batch(rng, m):
-            # the library's draws: all m (n - 1) loops of the batch at once
-            loops = loop_reference.draw_batch(spec.intensity, rng,
-                                              m * (n - 1))
-            return [one(loops[s * (n - 1):(s + 1) * (n - 1)])
-                    for s in range(m)]
-        # the p = 1 fixed path and the n - 1 drawn loops
-        size = _batch_size(n)
-        assert 75 > 2 * size
-        # one sample per list entry, then run_mc's rows
-        return lambda rng, m: np.array([
-            row for lo in range(0, m, size)
-            for row in batch(rng, min(size, m - lo))]).T
-
+    assert 75 > 2 * _batch_size(3)
     for k, n in enumerate(report["orders"]):
-        mean, se, _ = run_mc(sample(n, ursell), 150, 9 + n, 2)
-        assert report["means"][k] == pytest.approx(mean[0], rel=1e-12)
-        assert report["std_errors"][k] == pytest.approx(se[0], rel=1e-12)
-    rem, _, _ = run_mc(sample(4, tree_sum), 150, 9 + 4, 2)
+        mean, se, _ = run_mc(_reference_sampler(spec, fixed, n, ursell),
+                             150, 9 + n, 2)
+        assert report["plain_means"][k] == pytest.approx(mean[0], rel=1e-12)
+        assert report["plain_std_errors"][k] == pytest.approx(se[0],
+                                                              rel=1e-12)
+    rem, _, _ = run_mc(_reference_sampler(spec, fixed, 4, tree_sum), 150,
+                       9 + 4, 2)
     assert report["remainder"] == pytest.approx(rem[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_estimate_x_orders_take_the_control_step(p, monkeypatch):
+    '''Each order's controlled mean is its plain mean plus the step's
+    delta, with the step's SE: the step of _control_step on the reference
+    rows, regressing the value on the drawn loops' summed durations S and
+    summed squared durations Q about their exact means (n - p) E T and
+    (n - p) E T^2.  Order p (p = 1) draws no loop and stays plain.'''
+    import loop_reference
+    from loopgas import loop_mc
+    from loopgas.cluster import estimate_X
+    from loopgas.loop_mc import _control_step, run_mc
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 64)
+    spec = _expansion_spec()
+    fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
+                                             np.random.default_rng(3))][:p]
+    report = estimate_X(spec, fixed, n_max=3, n_samples=240, seed=4,
+                        workers=2)
+    t1, t2 = spec.intensity.duration_moments
+    for k, n in enumerate(report["orders"]):
+        mean, se, rows = run_mc(_reference_sampler(spec, fixed, n, ursell),
+                                240, 4 + n, 2)
+        step = _control_step(rows[0], mean[0], rows[3:],
+                             np.array([(n - p) * t1, (n - p) * t2]))
+        assert report["controls"][k] == ["S", "Q"]
+        if n == p:
+            assert step is None
+            assert report["means"][k] == report["plain_means"][k]
+            assert report["variance_ratios"][k] == 1.0
+            continue
+        delta, step_se, _ = step
+        assert report["means"][k] == pytest.approx(
+            report["plain_means"][k] + delta, rel=1e-12)
+        assert report["std_errors"][k] == pytest.approx(step_se, rel=1e-12)
+        assert report["variance_ratios"][k] == pytest.approx(
+            (step_se / se[0]) ** 2, rel=1e-12)
+    assert report["total_se"] == pytest.approx(
+        math.sqrt(sum(s * s for s in report["std_errors"])), rel=1e-15)
+
+
+def test_estimate_x_plain_below_the_fold_minimum():
+    '''Below 25 samples per control in a fold (99 samples: folds of 49
+    and 50 for 2 controls) every order keeps its plain estimate exactly,
+    and the plain estimates do not depend on the step.'''
+    from loopgas.cluster import estimate_X
+    spec = _expansion_spec()
+    report = estimate_X(spec, [], n_max=3, n_samples=99, seed=2)
+    assert report["means"] == report["plain_means"]
+    assert report["std_errors"] == report["plain_std_errors"]
+    assert report["variance_ratios"] == [1.0, 1.0, 1.0]
+    # one sample more makes folds of 50: every order takes the step
+    more = estimate_X(spec, [], n_max=3, n_samples=100, seed=2)
+    assert all(c != plain for c, plain in zip(more["means"],
+                                              more["plain_means"]))
+
+
+def test_controlled_log_z_is_calibrated_at_cluster_logz_physics():
+    '''200 requests of cluster_logz.json's physics at 500 samples per
+    order (seeds 0-199): the pooled log Z is within 3 sigma of log Z_rel
+    of the exact oracle, the controls cut the mean variance ratio of log
+    Z below 0.4, and the spread of the estimates matches their SEs
+    (empirical variance over the mean SE^2 in [0.8, 1.25]).'''
+    from loopgas.quantum_oracle import grand_partition
+    spec = _expansion_spec()
+    oracle = math.log(grand_partition(spec.params).Z_rel)
+    reports = [log_Z_via_expansion(spec, n_max=3, n_samples=500, seed=seed)
+               for seed in range(200)]
+    log_z = np.array([r["log_Z"] for r in reports])
+    se2 = np.array([r["log_Z_se"] ** 2 for r in reports])
+    plain_se2 = np.array([sum(s * s for s in r["plain_std_errors"])
+                          for r in reports])
+    pooled_se = math.sqrt(se2.mean() / len(reports))
+    assert abs(log_z.mean() - oracle) <= 3.0 * pooled_se
+    assert (se2 / plain_se2).mean() < 0.4
+    assert 0.8 <= log_z.var(ddof=1) / se2.mean() <= 1.25

@@ -506,6 +506,32 @@ def _check_gamma_reference(spec, xs, ys):
     _check_counters(est.metadata, tally, 300)
 
 
+def test_open_path_law_is_built_once_per_intensity_and_sites(monkeypatch):
+    '''estimate_gamma_p builds the open-path law of its sites on its first
+    call and reuses it on the intensity: a second call builds none and
+    gives the same estimate; other sites or another intensity build their
+    own law.'''
+    built = []
+
+    class Counted(_OpenPaths):
+        def __init__(self, intensity, xs, ys):
+            built.append((intensity, tuple(xs), tuple(ys)))
+            super().__init__(intensity, xs, ys)
+
+    monkeypatch.setattr(loop_mc, "_OpenPaths", Counted)
+    spec = _grid_spec()
+    first = estimate_gamma_p(spec, 1, [0], [1], 300, seed=5)
+    again = estimate_gamma_p(spec, 1, [0], [1], 300, seed=5)
+    assert len(built) == 1
+    assert (again.mean, again.std_error) == (first.mean, first.std_error)
+    estimate_gamma_p(spec, 1, [0], [0], 300, seed=5)
+    other = _grid_spec()
+    estimate_gamma_p(other, 1, [0], [1], 300, seed=5)
+    assert built == [(spec.intensity, (0,), (1,)),
+                     (spec.intensity, (0,), (0,)),
+                     (other.intensity, (0,), (1,))]
+
+
 def test_gamma_p_draws_one_bridges_call_per_batch(monkeypatch):
     '''A batch of m samples draws its open paths with one bridges call
     of p m bridges: p = 3 makes one call of 3 m a batch.'''
@@ -614,7 +640,9 @@ GOLDEN = {
 
 # The controlled estimates of the same runs (the plain ones are in
 # GOLDEN).  The kernel runs move their open paths, so they take the four
-# background controls, and 200 samples reach the fold minimum.
+# background controls, and 200 samples reach the fold minimum; the
+# cluster orders take their two, and 100 samples reach it (logz: the
+# orders' means, then their SEs, then log Z).
 CONTROLLED_GOLDEN = {
     "Z/grid/w1": [0.7843656647292315, 0.002617960578509912],
     "Z/grid_d2/w1": [0.8178962560559006, 0.0028717907472477038],
@@ -636,6 +664,12 @@ CONTROLLED_GOLDEN = {
     "gamma/p2/R0/w3": [0.3406277391281017, 0.01343964450057591],
     "gamma/p1/R1/w3": [0.0534081808059268, 0.008903504545824593],
     "gamma/p2/R1/w3": [0.07031011136217831, 0.021775251536498747],
+    "logz/w1": [1.3897229396100996, -0.09286455260232646,
+        0.013331100433413352, 0.0022583405716591226, 0.006274929173784261,
+        0.0014463955081651242, -0.2977217723008241],
+    "logz/w3": [1.3851830808879897, -0.08323520710506963,
+        0.013562097613925775, 0.004085298946496996, 0.006420990055222723,
+        0.0015458890060827876, -0.292401288345165],
 }
 
 
@@ -665,8 +699,10 @@ def test_estimators_reproduce_recorded_values(workers):
         controlled[f"gamma/p{p}/R{R}"] = [est.mean, est.std_error]
     rep = log_Z_via_expansion(_golden_grid(lam=None, mode="meanfield"), 3,
                               100, seed=123, workers=workers)
-    got["logz"] = (rep["means"] + rep["std_errors"] + rep["ess"]
-                   + [rep["remainder"], rep["remainder_se"], rep["log_Z"]])
+    got["logz"] = (rep["plain_means"] + rep["plain_std_errors"] + rep["ess"]
+                   + [rep["remainder"], rep["remainder_se"],
+                      sum(rep["plain_means"]) - rep["X0"]])
+    controlled["logz"] = rep["means"] + rep["std_errors"] + [rep["log_Z"]]
     for key, values in got.items():
         ref = GOLDEN[f"{key}/w{workers}"]
         assert len(values) == len(ref)
