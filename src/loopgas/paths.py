@@ -31,7 +31,8 @@ the distinct T/2 of a batch.  The table ends at the first n >= max T/2
 where the tail bound P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below
 POISSON_TAIL = 1e-16; bridges refuses more than MAX_BRIDGE_CELLS cells.
 LoopIntensity.draw_batch draws loop durations and base sites for a
-batch, then their bridges.
+batch, then their bridges; draw_multi_window does the same for the grid
+loops of two windows or more.
 '''
 
 import functools
@@ -243,6 +244,45 @@ def pick(cdf, rng, size):
     return np.minimum(idx, len(cdf) - 1)
 
 
+def log_series_excess(a):
+    '''c = -log(1 - a) - a = sum_{k >= 2} a^k / k elementwise: the mass
+    of a free mode's loops of two windows or more.  Below a = 1/4 the
+    difference would cancel, so c = a^2 sum_j a^j / (j + 2) there, to
+    30 terms (the rest is below 1e-17 relative).'''
+    a = np.asarray(a, dtype=float)
+    series = np.zeros_like(a)
+    for j in range(29, -1, -1):
+        series = 1.0 / (j + 2) + a * series
+    small = a < 0.25
+    return np.where(small, a * a * series,
+                    -np.log1p(-np.where(small, 0.0, a)) - a)
+
+
+def log_series_past_one(a, rng):
+    '''One draw k >= 2 per entry of a (each in (0, 1)), with P(k) of
+    a^k / k, by rejection rounds over the entries not yet accepted.  An
+    entry a >= 1/2 draws LogSeries(a) and rejects k = 1 (acceptance
+    1 - a / -log(1 - a) >= 0.27); an entry a < 1/2 draws k = 1 +
+    Geometric(1 - a), of P(k) a^k up to a constant, by inversion
+    (k = 2 + floor(log(1 - u) / log a)), and accepts it with probability
+    2 / k (acceptance >= 2/3).  Each round draws the log-series of its
+    high entries, then two uniforms for each low one: a row of the
+    inversions' u, then a row of the acceptances'.'''
+    a = np.asarray(a, dtype=float)
+    k = np.empty(len(a), dtype=np.int64)
+    todo = np.arange(len(a))
+    while len(todo):
+        high = a[todo] >= 0.5
+        hi, lo = todo[high], todo[~high]
+        draw_hi = rng.logseries(a[hi])
+        u = rng.random((2, len(lo)))
+        draw_lo = 2 + np.floor(np.log1p(-u[0]) / np.log(a[lo])).astype(
+            np.int64)
+        k[hi], k[lo] = draw_hi, draw_lo
+        todo = np.concatenate((hi[draw_hi < 2], lo[u[1] * draw_lo >= 2.0]))
+    return k
+
+
 def mixture_moments(cdf, m1, m2):
     '''(E X, E X^2) of X drawn as pick(cdf) gives mode i, then from a law
     of moments m1[i], m2[i]: the steps of cdf weigh the modes, and the
@@ -352,6 +392,8 @@ class LoopIntensity:
     (a, HeatKernel.free_weights) the mass of nu k is sum_xi a_xi^k / k,
     so m = -sum_xi log(1 - a_xi) and a duration is nu LogSeries(a_xi), of
     a mode xi drawn with weight -log(1 - a_xi): exact, with no table.
+    Its one-window loops have mass sum_xi a_xi, and the rest mass sum_xi
+    c_xi, c = log_series_excess(a) (multi_window, draw_multi_window).
 
     Continuum: one table, the mass of each of 8192 geometric cell edges
     on [eps, t_max] over the one before, each cell integrated in u = log
@@ -448,10 +490,39 @@ class LoopIntensity:
         return mixture_moments(self._cdf[1:], 0.5 * (lo + hi),
                                (lo * lo + lo * hi + hi * hi) / 3.0)
 
+    @functools.cached_property
+    def multi_window(self):
+        '''Grid only: (C, E T) of the loops of two windows or more, C =
+        sum_xi c_xi their mass (c_xi = log_series_excess(a_xi)) and E T =
+        nu sum_xi a_xi^2 / (1 - a_xi) / C their mean duration under the
+        normalized law draw_multi_window draws (nu when C = 0).  The rest
+        of the mass, sum_xi a_xi, is the one-window loops.'''
+        C = float(self._multi_cdf[-1])
+        if not C > 0:
+            return 0.0, self.nu
+        a = self.a
+        return C, self.nu * float((a * a / (1.0 - a)).sum()) / C
+
+    @functools.cached_property
+    def _multi_cdf(self):
+        return np.cumsum(log_series_excess(self.a))
+
     def draw_batch(self, rng, n):
         '''n loops of the normalized intensity, loop i in configuration i
         of a LoopBatch: n durations (sample_duration), then n uniform base
         sites, then their bridges (bridges), in one pass.'''
-        T = self.sample_duration(rng, n)
-        x = rng.integers(self.torus.n_sites, size=n)
+        return self._loops(rng, self.sample_duration(rng, n))
+
+    def draw_multi_window(self, rng, n):
+        '''Grid only: n loops of the normalized intensity restricted to
+        two windows or more, as draw_batch draws them, with the mode
+        drawn with weight c_xi and its window count from
+        log_series_past_one.'''
+        mode = pick(self._multi_cdf, rng, n)
+        return self._loops(rng, self.nu * log_series_past_one(self.a[mode],
+                                                              rng))
+
+    def _loops(self, rng, T):
+        '''Loops of the durations T: uniform base sites, then bridges.'''
+        x = rng.integers(self.torus.n_sites, size=len(T))
         return bridges(self.torus, x, T, rng)

@@ -1,9 +1,9 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The samplers walks, bridges, draw_batch and open_paths make exactly the
-random draws of the library's paths.walks, paths.bridges,
-LoopIntensity.draw_batch and loop_mc._OpenPaths.draw, the same calls in
-the same order, but build each path on its own, stepping through the
+The samplers walks, bridges, draw_batch, draw_multi_window and
+open_paths make exactly the random draws of the library's paths.walks,
+paths.bridges, LoopIntensity.draw_batch, LoopIntensity.draw_multi_window
+and loop_mc._OpenPaths.draw, the same calls in the same order, but build each path on its own, stepping through the
 neighbour table one jump at a time, and return lists of Paths.
 rejection_loops is the bridge sampler the library used before exact
 bridges: it re-walks every open loop until it closes, and serves as a
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from loopgas.interactions import v_tilde_table
-from loopgas.paths import Path
+from loopgas.paths import Path, pick
 
 
 # -- samplers ------------------------------------------------------------------
@@ -132,6 +132,48 @@ def draw_batch(intensity, rng, n):
     T = intensity.sample_duration(rng, n)
     x = rng.integers(intensity.torus.n_sites, size=n)
     return bridges(intensity.torus, x, T, rng)
+
+
+def multi_window_masses(a):
+    '''c_xi = sum_{k >= 2} a_xi^k / k of each mode, summed term by term
+    (math.fsum) until a term falls below 1e-18 of the first.'''
+    out = []
+    for x in np.asarray(a, dtype=float).tolist():
+        terms, k = [], 2
+        while x > 0 and (not terms or terms[-1] > 1e-18 * terms[0]):
+            terms.append(x ** k / k)
+            k += 1
+        out.append(math.fsum(terms))
+    return out
+
+
+def draw_multi_window(intensity, rng, n):
+    '''n grid loops of two windows or more, as Paths: n modes with
+    weights multi_window_masses (through the intensity's picking rule),
+    then the window counts in rounds over the loops not yet accepted, in
+    pending order: the log-series draws of the modes with a >= 1/2 (k = 1
+    rejected), then for the others a uniform u each, whose geometric
+    count k = 2 + floor(log(1 - u) / log a) is the smallest k >= 2 with
+    1 - u > a^(k - 1), then a uniform u' each (k accepted when u' k < 2);
+    then n uniform base sites and their bridges.'''
+    cdf = np.cumsum(multi_window_masses(intensity.a))
+    a = [float(intensity.a[mode]) for mode in pick(cdf, rng, n)]
+    k, todo = [0] * n, list(range(n))
+    while todo:
+        hi = [i for i in todo if a[i] >= 0.5]
+        lo = [i for i in todo if a[i] < 0.5]
+        for i in hi:
+            k[i] = int(rng.logseries(a[i]))
+        for i in lo:
+            u, k[i] = 1.0 - float(rng.random()), 2
+            while u <= a[i] ** (k[i] - 1):
+                k[i] += 1
+        kept = [float(rng.random()) * k[i] < 2.0 for i in lo]
+        todo = ([i for i in hi if k[i] < 2]
+                + [i for i, ok in zip(lo, kept) if not ok])
+    x = rng.integers(intensity.torus.n_sites, size=n)
+    return bridges(intensity.torus, x, intensity.nu * np.array(k, dtype=float),
+                   rng)
 
 
 def rejection_loops(intensity, rng, n):

@@ -267,8 +267,12 @@ def test_cluster_logz_experiment(tmp_path):
     for key in ("plain_means", "plain_std_errors", "variance_ratios",
                 "controls", "ess"):
         assert len(doc[key]) == 2
-    assert doc["controls"] == [["S", "Q"], ["S", "Q"]]
-    # order 1's weight is nearly a function of its loop's T and T^2
+    assert doc["controls"] == [["S"], ["S", "V"]]
+    # order 1 sums its one-window loops exactly (about 80% of the loop
+    # mass here) and draws the rest, whose weight is nearly a function
+    # of the loop's duration
+    assert 0.0 < doc["one_window"] < doc["X0"]
+    assert 0.1 < doc["drawn_share"] < 0.3
     assert 0.0 < doc["variance_ratios"][0] < 0.5
 
 

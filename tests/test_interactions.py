@@ -5,7 +5,7 @@ large-mass rules, and the infinite-mass particle interaction.'''
 import numpy as np
 import pytest
 
-from loopgas import cluster, interactions, loop_mc
+from loopgas import cluster, interactions, loop_mc, paths
 from loopgas.interactions import (
     InteractionParams, batch_interaction, v_tilde_table, v_total)
 from loopgas.largemass import LmParams
@@ -465,6 +465,34 @@ def test_v_total_counts_pairs_once():
             direct += 0.5 * v_ginibre_pair(wi, wj, params)
     assert v_total(config, params, "ginibre") == pytest.approx(direct)
     assert 0.5 * P.sum() == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nu", [0.5, 0.1])
+def test_one_window_paths_interact_through_v0_alone(d, nu):
+    '''A path of one window holds one particle at every time, so its
+    total interaction is lam v_L(0) / 2 (its pair matrix entry lam
+    v_L(0)) whatever its jumps and whatever the potential off the
+    origin: 2000 closed bridges and 2000 open walks of duration nu on a
+    nonlocal potential, each to 1e-14.'''
+    torus = Torus(d, 3)
+    rng = np.random.default_rng(17)
+    entries = {(0,) * d: 0.7, (1,) + (0,) * (d - 1): 0.3}
+    if d == 2:
+        entries[(1, -1)] = 0.2
+    vL = periodize_potential(PotentialSpec(d, 0, entries), 3)
+    params = _params(torus, vL, nu=nu, lam=0.9)
+    T = np.full(2000, nu)
+    x = rng.integers(torus.n_sites, size=2000)
+    closed = paths.bridges(torus, x, T, rng)
+    _, open_walks = paths.walks(torus, x, T, rng)
+    exact = 0.5 * 0.9 * 0.7
+    for batch in (closed, open_walks):
+        assert np.diff(batch.offsets).max() >= 2
+        totals = batch_interaction(batch, params, "ginibre")
+        pairs = batch_interaction(batch, params, "ginibre", pairs=True)
+        assert np.abs(totals - exact).max() <= 1e-14
+        assert np.abs(pairs[:, 0, 0] - 2.0 * exact).max() <= 1e-14
 
 
 def test_v_tilde_table_zeroes_core():

@@ -596,7 +596,9 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 # batch); the continuum entries with the duration CDF of Gauss-Legendre
 # cells; the kernel entries with open paths drawn as exact bridges and
 # the denominator paired with the numerator; the grid entries with loop
-# durations drawn exactly from the free modes (nu LogSeries(a_xi)).
+# durations drawn exactly from the free modes (nu LogSeries(a_xi)); the
+# cluster's order 1 with its one-window loops summed exactly and only
+# loops of two windows or more drawn.
 GOLDEN = {
     "Z/grid/w1": [0.7845162131600576, 0.014182050329073397],
     "Z/grid_d2/w1": [0.8205164699526144, 0.012566995891627368],
@@ -612,11 +614,11 @@ GOLDEN = {
         0.582827696632063, 0.03480176993575771],
     "gamma/p2/R1/w1": [0.058134037192756456, 0.018082602217762766,
         0.582827696632063, 0.03480176993575771],
-    "logz/w1": [1.4373484377295105, -0.09422669957573392,
-        0.013657657832482017, 0.01934935615211657, 0.006279219026388371,
-        0.0016743196766341698, 98.23753075713357, 95.78596570370603,
+    "logz/w1": [1.4177763092272055, -0.09422669957573392,
+        0.013657657832482017, 0.005587521607685352, 0.006279219026388371,
+        0.0016743196766341698, 96.87813041332733, 95.78596570370603,
         92.01297141261148, 0.0022758073738034738, 0.00032524818821579336,
-        -0.251131863755752],
+        -0.27070399225805697],
     "Z/grid/w3": [0.7968559036369391, 0.013561672546594036],
     "Z/grid_d2/w3": [0.8077518811422383, 0.013174599733630946],
     "Z/grid_offgrid/w3": [0.03894973478594601, 0.007996589620323345],
@@ -631,18 +633,19 @@ GOLDEN = {
         0.5035207430663265, 0.035341039807092973],
     "gamma/p2/R1/w3": [0.0732166457193825, 0.022026900785273376,
         0.5035207430663265, 0.035341039807092973],
-    "logz/w3": [1.4230526354933184, -0.08543218689008357,
-        0.012803009165866975, 0.02074230517434343, 0.006209154235298352,
-        0.001882965572745212, 97.93999913961348, 95.47240646043258,
+    "logz/w3": [1.410396145315401, -0.08543218689008357,
+        0.012803009165866975, 0.006394356260226288, 0.006209154235298352,
+        0.001882965572745212, 95.75895666071924, 95.47240646043258,
         90.23347110534722, 0.0038050892996288953, 0.0007722669275808184,
-        -0.25748780197290877],
+        -0.27014429215082614],
 }
 
 # The controlled estimates of the same runs (the plain ones are in
 # GOLDEN).  The kernel runs move their open paths, so they take the four
 # background controls, and 200 samples reach the fold minimum; the
-# cluster orders take their two, and 100 samples reach it (logz: the
-# orders' means, then their SEs, then log Z).
+# cluster's order 1 takes S and orders 2 and 3 take S and V, and 100
+# samples reach the minimum (logz: the orders' means, then their SEs,
+# then log Z).
 CONTROLLED_GOLDEN = {
     "Z/grid/w1": [0.7843656647292315, 0.002617960578509912],
     "Z/grid_d2/w1": [0.8178962560559006, 0.0028717907472477038],
@@ -664,12 +667,12 @@ CONTROLLED_GOLDEN = {
     "gamma/p2/R0/w3": [0.3406277391281017, 0.01343964450057591],
     "gamma/p1/R1/w3": [0.0534081808059268, 0.008903504545824593],
     "gamma/p2/R1/w3": [0.07031011136217831, 0.021775251536498747],
-    "logz/w1": [1.3897229396100996, -0.09286455260232646,
-        0.013331100433413352, 0.0022583405716591226, 0.006274929173784261,
-        0.0014463955081651242, -0.2977217723008241],
-    "logz/w3": [1.3851830808879897, -0.08323520710506963,
-        0.013562097613925775, 0.004085298946496996, 0.006420990055222723,
-        0.0015458890060827876, -0.292401288345165],
+    "logz/w1": [1.4012387372661521, -0.0989568348606987,
+        0.01262401057969659, 0.0016651293477476855, 0.002761147089810237,
+        0.0011466256891198847, -0.2930053467568605],
+    "logz/w3": [1.4020898076737491, -0.09129201318214042,
+        0.011585723123196143, 0.0029982028892445093, 0.0034358710669590495,
+        0.0013702386762863101, -0.2855277421272058],
 }
 
 

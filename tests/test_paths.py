@@ -1,6 +1,7 @@
 '''Path containers, the free walk, exact bridges, loop intensities and
 the open-path law of the kernel estimates.'''
 
+import collections
 import math
 import warnings
 
@@ -367,15 +368,19 @@ def test_bridges_agree_with_the_rejection_sampler(kind, d, L):
 
 
 class _CountingRng:
-    '''A generator that counts the calls made to it.'''
+    '''A generator that counts the calls made to it, and the variates
+    each of its methods draws.'''
 
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), 0
+        self.variates = collections.Counter()
 
     def __getattr__(self, name):
         def call(*args, **kwargs):
             self.calls += 1
-            return getattr(self.rng, name)(*args, **kwargs)
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.variates[name] += np.size(out)
+            return out
         return call
 
 
@@ -493,6 +498,76 @@ def test_grid_durations_follow_the_mode_mixture(d, L, kappa, nu):
     probs = np.add.reduceat(mass, edges[:-1] - 1) / mass.sum()
     ok, chi2, df = _chi2_ok(counts, probs)
     assert ok, (chi2, df)
+
+
+def test_log_series_excess_keeps_its_digits():
+    '''c = -log(1 - a) - a against its series sum_{k >= 2} a^k / k
+    summed term by term, to 1e-14 relative, from a^2 below the smallest
+    double (c = 0) to a near 1, on both sides of the switch at 1/4.'''
+    a = [1e-300, 1e-170, 1e-100, 1e-8, 1e-3, 0.1, 0.2, 0.2499999,
+         0.25, 0.2500001, 0.3, 0.5, 0.7, 0.9, 0.99]
+    got = paths.log_series_excess(np.array(a))
+    ref = loop_reference.multi_window_masses(a)
+    assert got[0] == ref[0] == 0.0
+    for g, r in zip(got[1:], ref[1:]):
+        assert g == pytest.approx(r, rel=1e-14)
+
+
+# a = e^{-kappa nu} of the zero mode: kappa nu = 1e-4 and 20, and both
+# sides of the sampler's switch at 1/2
+@pytest.mark.parametrize("a", [math.exp(-1e-4), 0.7, 0.5, 0.3,
+                               math.exp(-20.0)])
+def test_multi_window_counts_follow_the_conditioned_log_series(a):
+    '''Chi-square of 10^5 draws of log_series_past_one against P(k) =
+    a^k / k / c on k >= 2, in geometric bins of k; its candidates (a
+    log-series draw, or a pair of uniforms) are within 5 sigma of their
+    exact mean n / q, q the acceptance, which is at least 0.27.'''
+    n = 10 ** 5
+    rng = _CountingRng(5)
+    k = paths.log_series_past_one(np.full(n, a), rng)
+    assert k.min() >= 2
+    top = max(int(60.0 / -math.log(a)), 10)
+    support = np.arange(2, top + 1)
+    mass = np.exp(support * math.log(a)) / support
+    c = float(paths.log_series_excess(a))
+    assert mass.sum() == pytest.approx(c, rel=1e-12)
+    edges = np.unique(np.geomspace(2, top + 1, 40).astype(np.int64))
+    counts = np.histogram(np.minimum(k, top), edges)[0]
+    ok, chi2, df = _chi2_ok(counts, np.add.reduceat(mass, edges[:-1] - 2)
+                            / mass.sum())
+    assert ok, (chi2, df)
+    q = (c / -math.log1p(-a) if a >= 0.5
+         else 2.0 * (1.0 - a) * c / (a * a))
+    assert q >= 0.27
+    mean, sd = n / q, math.sqrt(n * (1.0 - q)) / q
+    drawn = rng.variates["logseries"] + rng.variates["random"] // 2
+    assert abs(drawn - mean) <= 5.0 * sd + 1e-9, (drawn, mean)
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 3)])
+def test_multi_window_loops_have_their_exact_mass_and_mean(d, L):
+    '''LoopIntensity.multi_window: C is the mass sum_xi c_xi of the
+    loops of two windows or more (1e-14 relative), the rest of the mass
+    is sum_xi a_xi, and E T = nu sum_xi a_xi^2 / (1 - a_xi) / C matches
+    10^6 loops of draw_multi_window (|z| < 4), every one closed, of two
+    windows or more, on the grid.'''
+    nu = 0.5
+    intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=1.5, nu=nu)
+    a = intensity.a.tolist()
+    C, mean = intensity.multi_window
+    assert C == pytest.approx(
+        math.fsum(loop_reference.multi_window_masses(a)), rel=1e-14)
+    assert C + math.fsum(a) == pytest.approx(intensity.total_mass,
+                                             rel=1e-14)
+    assert mean == pytest.approx(
+        nu * math.fsum(x * x / (1.0 - x) for x in a) / C, rel=1e-14)
+    batch = intensity.draw_multi_window(np.random.default_rng(8), 10 ** 6)
+    T = batch.duration
+    steps = np.rint(T / nu)
+    assert np.array_equal(T, nu * steps) and steps.min() >= 2
+    assert np.array_equal(_loop_ends(batch), batch.start)
+    z = (T.mean() - mean) / (T.std(ddof=1) / math.sqrt(len(T)))
+    assert abs(z) < 4.0, z
 
 
 @pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
