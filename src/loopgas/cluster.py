@@ -398,12 +398,13 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         phi_of = tree_sum if bound_mode else ursell
 
         def configs(rng, m):
-            # the fixed paths in front of the q drawn loops
+            # the fixed paths, if any, in front of the q drawn loops
             loops = draw(rng, m * q)
-            T = loops.duration.reshape(m, q)
-            return LoopBatch.join(m, [
-                (np.repeat(np.arange(m), p), fixed, np.tile(np.arange(p), m)),
-                (np.repeat(np.arange(m), q), loops, None)]), T
+            parts = [(np.repeat(np.arange(m), q), loops, None)]
+            if p:
+                parts.insert(0, (np.repeat(np.arange(m), p), fixed,
+                                 np.tile(np.arange(p), m)))
+            return LoopBatch.join(m, parts), loops.duration.reshape(m, q)
 
         def evaluate(drawn):
             batch, T = drawn
