@@ -40,6 +40,10 @@ mean SE^2 of log Z fell 13x, from 1.64e-7 to 1.23e-8: per order 1.1e-8,
 9.3e-10 and 2.5e-11.  Order p draws no loop, and an order with fewer
 than 25 samples per control in a fold keeps the plain estimate.  The
 tree-bound remainder and the effective sample sizes stay plain.
+
+Order n of a request at seed s runs on the stream of the seed sequence
+(s, n), and the remainder on (s, n_max + 1), so no two orders of any
+two requests share a stream.
 '''
 
 import itertools
@@ -439,7 +443,8 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
             value, value_se, step, ess = offset, 0.0, None, float(n_samples)
         else:
             # rows (value, w, w^2, controls): ESS = (sum w)^2 / sum w^2
-            mean, se, rows = run_mc(sampler(n), n_samples, seed + n, workers)
+            mean, se, rows = run_mc(sampler(n), n_samples, (seed, n),
+                                    workers)
             value, value_se = offset + float(mean[0]), float(se[0])
             step = _control_step(rows[0], mean[0], rows[3:], np.array(means))
             ess = (float(n_samples * mean[1] ** 2 / mean[2]) if mean[2] > 0
@@ -454,7 +459,7 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         report["controls"].append(controls["controls"])
         report["ess"].append(ess)
     rem, rem_se, _ = run_mc(sampler(n_max + 1, bound_mode=True), n_samples,
-                            seed + n_max + 1, workers)
+                            (seed, n_max + 1), workers)
     report["remainder"] = float(rem[0])
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))

@@ -356,9 +356,9 @@ def _reference_sampler(spec, fixed, n, phi_of):
 def test_estimate_x_matches_per_sample_reference(monkeypatch):
     '''One fixed path (p = 1): the batched orders' plain estimates and
     the remainder equal a per-sample run of the reference sampler and
-    kernel on the same streams, drawn batch by batch by the library's
-    rule, with a loop budget that cuts each 75-sample chunk into at
-    least 3 batches.'''
+    kernel on the same streams (order n on the seed sequence (9, n)),
+    drawn batch by batch by the library's rule, with a loop budget that
+    cuts each 75-sample chunk into at least 3 batches.'''
     import loop_reference
     from loopgas import loop_mc
     from loopgas.cluster import estimate_X
@@ -372,12 +372,12 @@ def test_estimate_x_matches_per_sample_reference(monkeypatch):
     assert 75 > 2 * _batch_size(3)
     for k, n in enumerate(report["orders"]):
         mean, se, _ = run_mc(_reference_sampler(spec, fixed, n, ursell),
-                             150, 9 + n, 2)
+                             150, (9, n), 2)
         assert report["plain_means"][k] == pytest.approx(mean[0], rel=1e-12)
         assert report["plain_std_errors"][k] == pytest.approx(se[0],
                                                               rel=1e-12)
     rem, _, _ = run_mc(_reference_sampler(spec, fixed, 4, tree_sum), 150,
-                       9 + 4, 2)
+                       (9, 4), 2)
     assert report["remainder"] == pytest.approx(rem[0], rel=1e-12)
 
 
@@ -419,7 +419,7 @@ def test_estimate_x_orders_take_the_control_step(p, monkeypatch):
     for k, n in enumerate(report["orders"]):
         q = n - p
         mean, se, rows = run_mc(_reference_sampler(spec, fixed, n, ursell),
-                                240, 4 + n, 2)
+                                240, (4, n), 2)
         if n == 1:
             means = [nu * math.fsum(x * x / (1 - x) for x in a) / C
                      if p == 0 else 0.0]
@@ -598,8 +598,8 @@ _ORDER_ONE = 1.1308706110968048
 
 
 def test_order_one_is_calibrated_in_its_tail():
-    '''1500 order-1 requests (500 samples, seeds 0-1499, whose order-1
-    streams are distinct) against the frozen reference: the z variance
+    '''1500 order-1 requests (500 samples, seeds 0-1499, on the streams
+    (s, 1)) against the frozen reference: the z variance
     is at most 1.25, the z variance of the decile with the smallest SE
     at most 2.5, and no request lies beyond 5 sigma.  A control whose
     exact mean the draws rarely reach (the S, Q controls of the

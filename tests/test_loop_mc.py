@@ -598,7 +598,8 @@ def _golden_continuum(d=1, L=3, eps=0.1):
 # the denominator paired with the numerator; the grid entries with loop
 # durations drawn exactly from the free modes (nu LogSeries(a_xi)); the
 # cluster's order 1 with its one-window loops summed exactly and only
-# loops of two windows or more drawn.
+# loops of two windows or more drawn, and each order n of a request at
+# seed s on the seed sequence (s, n).
 GOLDEN = {
     "Z/grid/w1": [0.7845162131600576, 0.014182050329073397],
     "Z/grid_d2/w1": [0.8205164699526144, 0.012566995891627368],
@@ -614,11 +615,11 @@ GOLDEN = {
         0.582827696632063, 0.03480176993575771],
     "gamma/p2/R1/w1": [0.058134037192756456, 0.018082602217762766,
         0.582827696632063, 0.03480176993575771],
-    "logz/w1": [1.4177763092272055, -0.09422669957573392,
-        0.013657657832482017, 0.005587521607685352, 0.006279219026388371,
-        0.0016743196766341698, 96.87813041332733, 95.78596570370603,
-        92.01297141261148, 0.0022758073738034738, 0.00032524818821579336,
-        -0.27070399225805697],
+    "logz/w1": [1.3941052647064178, -0.09200163919559141,
+        0.009458196088110896, 0.007214260572681493, 0.007570144152119428,
+        0.0010017042254265925, 94.07522683522366, 94.09189636021401,
+        90.04266601686018, 0.0031578739422431635, 0.0008313738349656134,
+        -0.29634943814307335],
     "Z/grid/w3": [0.7968559036369391, 0.013561672546594036],
     "Z/grid_d2/w3": [0.8077518811422383, 0.013174599733630946],
     "Z/grid_offgrid/w3": [0.03894973478594601, 0.007996589620323345],
@@ -633,11 +634,11 @@ GOLDEN = {
         0.5035207430663265, 0.035341039807092973],
     "gamma/p2/R1/w3": [0.0732166457193825, 0.022026900785273376,
         0.5035207430663265, 0.035341039807092973],
-    "logz/w3": [1.410396145315401, -0.08543218689008357,
-        0.012803009165866975, 0.006394356260226288, 0.006209154235298352,
-        0.001882965572745212, 95.75895666071924, 95.47240646043258,
-        90.23347110534722, 0.0038050892996288953, 0.0007722669275808184,
-        -0.27014429215082614],
+    "logz/w3": [1.394812304886072, -0.08870754338319657,
+        0.012417540930685103, 0.008578432139678287, 0.006964281614830235,
+        0.0015273599546335162, 91.86023664873238, 93.83153402518282,
+        91.46366005875318, 0.0029672795703184706, 0.0004386797416942943,
+        -0.28938895730845005],
 }
 
 # The controlled estimates of the same runs (the plain ones are in
@@ -667,12 +668,12 @@ CONTROLLED_GOLDEN = {
     "gamma/p2/R0/w3": [0.3406277391281017, 0.01343964450057591],
     "gamma/p1/R1/w3": [0.0534081808059268, 0.008903504545824593],
     "gamma/p2/R1/w3": [0.07031011136217831, 0.021775251536498747],
-    "logz/w1": [1.4012387372661521, -0.0989568348606987,
-        0.01262401057969659, 0.0016651293477476855, 0.002761147089810237,
-        0.0011466256891198847, -0.2930053467568605],
-    "logz/w3": [1.4020898076737491, -0.09129201318214042,
-        0.011585723123196143, 0.0029982028892445093, 0.0034358710669590495,
-        0.0013702386762863101, -0.2855277421272058],
+    "logz/w1": [1.3989523548443037, -0.08403202817183805,
+        0.012132437755431462, 0.0028693331504943925, 0.006391542141110674,
+        0.000794195490900037, -0.28085849531411355],
+    "logz/w3": [1.3969221973677723, -0.0868639151424442,
+        0.012057883961575006, 0.00309933057850449, 0.007741341627090276,
+        0.001037502141129492, -0.28579509355510746],
 }
 
 
