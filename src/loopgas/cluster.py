@@ -36,8 +36,8 @@ site and time, and for every potential
 with T_i the duration of a fixed path or E T of a drawn loop.  Order 2's
 integrand is e^{-V_12} - 1, nearly linear in V_12.  Over seeds 0-2999 of
 the cluster-logz benchmark request (n_max = 3, 500 samples an order) the
-mean SE^2 of log Z fell 13x, from 1.64e-7 to 1.23e-8: per order 1.1e-8,
-9.3e-10 and 2.5e-11.  Order p draws no loop, and an order with fewer
+mean SE^2 of log Z fell 13x, from 1.64e-7 to 1.24e-8: per order 1.15e-8,
+8.8e-10 and 2.4e-11.  Order p draws no loop, and an order with fewer
 than 25 samples per control in a fold keeps the plain estimate.  The
 tree-bound remainder and the effective sample sizes stay plain.
 
@@ -353,8 +353,8 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     duration S; every other order with drawn loops is controlled by S
     and the pair interaction V of the pairs holding a drawn loop
     (module docstring).  At 500 samples an order on cluster_logz.json's
-    physics the SE^2 of orders 1, 2 and 3 is 1.1e-8, 9.3e-10 and
-    2.5e-11, against 8.1e-8, 8.4e-8 and 5.7e-11 with the S, Q controls
+    physics the SE^2 of orders 1, 2 and 3 is 1.15e-8, 8.8e-10 and
+    2.4e-11, against 8.1e-8, 8.4e-8 and 5.7e-11 with the S, Q controls
     of the unstratified orders.
 
     Returns a report with per-order means/std errors, the plain means and
@@ -382,8 +382,9 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     orders = list(range(max(p, 1), n_max + 1))
     fixed = LoopBatch.from_paths([fixed_paths])
     # order 1 of log Z: the one-window loops' exact part (a window holds
-    # one particle at every time, so V(w, w) = lam v_L(0)), then the
-    # drawn mass and mean duration of the rest
+    # one particle at every time, so V(w, w) = lam v_L(0), vL[0] being
+    # the origin's entry), then the drawn mass and mean duration of the
+    # rest
     one_window = drawn_share = None
     drawn_mass, drawn_T = 0.0, 0.0
     if p == 0:

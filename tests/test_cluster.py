@@ -544,7 +544,7 @@ def test_pair_interaction_has_its_exact_mean(build):
         assert abs(z) < 4.0, (z, exact)
 
 
-def test_order_one_is_exact_when_no_loop_has_two_windows():
+def test_order_one_is_exact_when_no_loop_has_two_windows(tmp_path):
     '''kappa nu = 400: every a_xi is about e^{-400}, so each c_xi = sum_{k
     >= 2} a_xi^k / k underflows to 0 while the one-window mass sum_xi
     a_xi does not.  Order 1 is then its one-window part exactly, with SE
@@ -575,19 +575,16 @@ def test_order_one_is_exact_when_no_loop_has_two_windows():
         series = log_Z_via_expansion(cold, n_max=3, n_samples=100, seed=0)
         assert series["log_Z_se"] == 0.0
         assert series["log_Z"] == pytest.approx(exact - intensity.total_mass)
-    import pathlib
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "cold.json"
-        cfg.write_text(json.dumps({
-            "experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
-            "potential": {"d": 1, "R": 0, "entries": [[[0], 0.05]]},
-            "nu": 0.5, "kappa": 800.0, "lambda_rule": "nu_squared",
-            "n_samples": 100, "n_max": 3}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["cluster-logz", "--config", str(cfg), "--out",
-                         str(pathlib.Path(tmp) / "out")]) == 0
+    cfg = tmp_path / "cold.json"
+    cfg.write_text(json.dumps({
+        "experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
+        "potential": {"d": 1, "R": 0, "entries": [[[0], 0.05]]},
+        "nu": 0.5, "kappa": 800.0, "lambda_rule": "nu_squared",
+        "n_samples": 100, "n_max": 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cluster-logz", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
 
 
 # Order 1 of log Z at cluster_logz.json's physics, from one run of 4 *
