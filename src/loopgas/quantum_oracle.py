@@ -6,11 +6,16 @@ waves a_k = |Lambda|^{-1/2} sum_x e^{-ik.x} a_x: the kinetic term is
 diagonal (eps_k, the Fourier symbol of -(nu/2) Delta) and the interaction
 is (lam/2|Lambda|) sum_{k,k',q} vhat(q) a+_{k+q} a+_{k'-q} a_{k'} a_k
 + (lam/2) v(0) N.  Total momentum splits block n into |Lambda| sectors,
-real symmetric for an even v.  A hard core (R = 1) has no finite vhat:
-its modes are the sites, each holding at most one particle, and block n
-is one sector.  Each sector is built and diagonalized once; no
-eigenvectors are kept between blocks.  grand_sum at p = 0 needs
-eigenvalues only; at p >= 1 it contracts the eigenvectors with the
+real symmetric for an even v, and sector -K is sector K reflected (k ->
+-k): grand_sum diagonalizes one sector of each such pair and counts its
+trace and its Gamma_p twice (the reflected Gamma_p is the complex
+conjugate on the sites, of the same real part).  A hard core (R = 1)
+has no finite vhat: its modes are the sites, each holding at most one
+particle, and block n is one sector.  Consecutive blocks are
+enumerated, keyed and mapped in one run, up to _RUN_CELLS states x
+terms (or one larger block) and never past the last block the pass can
+reach; no eigenvectors are kept between sectors.  grand_sum at p = 0
+needs eigenvalues only; at p >= 1 it contracts the eigenvectors with the
 lowering maps in the same pass and maps the mode kernel to sites, so one
 pass gives both the partition function and Gamma_p.
 
@@ -39,22 +44,29 @@ from .interactions import v_tilde_table
 from .lattice import HeatKernel, laplacian_matrix
 
 
-def _compositions(n, m, hard_core):
-    '''All q >= 0 with sum n over m modes (q <= 1 under a hard core), in
-    lexicographic order.'''
-    if hard_core:   # the occupied sites, last combination first
-        size = math.comb(m, n)
-        sites = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(range(m), n)), np.int64, size * n)
-        rows = np.arange(size)[::-1, None] * m
-        return np.bincount((rows + sites.reshape(size, n)).ravel(),
-                           minlength=size * m).reshape(size, m)
-    # stars and bars: m - 1 bars among n + m - 1 slots
-    size = math.comb(n + m - 1, m - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(n + m - 1), m - 1)), np.int64,
-        size * (m - 1)).reshape(size, m - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=n + m - 1) - 1
+# Most cells (states x Hamiltonian terms) one run of blocks may hold; a
+# block larger than this is a run of its own.
+_RUN_CELLS = 2 ** 20
+
+
+def _compositions(n0, n1, m, hard_core):
+    '''All q >= 0 over m modes with n0 <= sum q <= n1 (q <= 1 under a hard
+    core), each block in lexicographic order.'''
+    if hard_core:   # the occupied sites, each block's last combination first
+        sites = [c for n in range(n0, n1 + 1)
+                 for c in reversed(list(itertools.combinations(range(m), n)))]
+        occ = np.zeros((len(sites), m), dtype=np.int64)
+        occ[np.repeat(np.arange(len(sites)), list(map(len, sites))),
+            list(itertools.chain.from_iterable(sites))] = 1
+        return occ
+    # stars and bars over m + 1 modes, the first holding the slack n1 - n:
+    # the combinations come by ascending slack, so blocks n1 down to n0
+    # are their first size rows
+    size = math.comb(n1 + m, m) - math.comb(n0 + m - 1, m)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.islice(
+        itertools.combinations(range(n1 + m), m), size)), np.int64,
+        size * m).reshape(size, m)
+    return np.diff(bars, axis=1, append=n1 + m) - 1
 
 
 def _amplitudes(occ, destroy, create, cap):
@@ -73,36 +85,45 @@ def _amplitudes(occ, destroy, create, cap):
 
 
 class _Basis:
-    '''Occupation states sector by sector: sector j holds the states
-    start[j]:start[j+1] and has block[j] particles.  A state's key is
-    occ @ radix, so key(q + delta) = key(q) + key(delta).'''
+    '''The occupation states of the blocks n0..n1 sector by sector: sector
+    j holds the states start[j]:start[j+1], has block[j] particles and
+    momentum mode[j]; block n holds the sectors blocks[n - n0]:blocks[n -
+    n0 + 1].  A state's key is occ @ radix, so key(q + delta) = key(q) +
+    key(delta).'''
 
-    def __init__(self, occ, start, block, radix):
-        self.occ, self.start, self.block, self.radix = occ, start, block, radix
-        self.at_key = np.argsort(occ @ radix)
-        self.key = (occ @ radix)[self.at_key]
+    def __init__(self, occ, start, block, mode, radix):
+        self.occ, self.start, self.block, self.mode = occ, start, block, mode
+        self.n0, self.n1, self.radix = int(block[0]), int(block[-1]), radix
+        self.blocks = np.searchsorted(block, np.arange(self.n0, self.n1 + 2))
+        key = occ @ radix
+        self.at_key = np.argsort(key)
+        self.key = key[self.at_key]
         self.cache = {}
 
-    def apply(self, destroy, create, cap, target):
+    def apply(self, destroy, create, cap, target, rows=slice(None)):
         '''(source, term, target state, amplitude) of the nonzero entries
-        of the terms from this basis into target, sources ascending.'''
-        amp = _amplitudes(self.occ, destroy, create, cap)
+        of the terms from the states rows of this basis into target,
+        sources ascending.'''
+        occ = self.occ[rows]
+        amp = _amplitudes(occ, destroy, create, cap)
         src, t = np.nonzero(amp)
         shift = (target.radix[create].sum(axis=1)
                  - target.radix[destroy].sum(axis=1))
-        key = (self.occ @ target.radix)[src] + shift[t]
-        return (src, t, target.at_key[np.searchsorted(target.key, key)],
-                amp[src, t])
+        key = (occ @ target.radix)[src] + shift[t]
+        return (src + (rows.start or 0), t,
+                target.at_key[np.searchsorted(target.key, key)], amp[src, t])
 
 
 class FockBlocks:
     '''The sectors of H_n: total momentum in the plane waves, or one
-    sector of the sites per n under a hard core.'''
+    sector of the sites per n under a hard core, built in runs of blocks
+    up to reach (set by the pass; None: up to the block asked for).'''
 
     def __init__(self, params, dim_cap=np.inf):
         torus = self.torus = params.torus
         m = self.n_modes = torus.n_sites
-        self.lam, self.dim_cap, self._bases = params.lam, dim_cap, {}
+        self.lam, self.dim_cap = params.lam, dim_cap
+        self.reach, self._runs = None, []
         vmat = v_tilde_table(params.vL, torus, params.R)[torus.diff_table]
         h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
         if params.R == 1:
@@ -114,7 +135,7 @@ class FockBlocks:
             self.one = np.diag(h1).copy()
             y, x = np.nonzero(h1 - np.diag(self.one))
             self.moves = (x[:, None], y[:, None], h1[y, x])
-            self.cap, self.U = 1, None
+            self.cap, self.U, self.mirror = 1, None, np.arange(m)
             return
         if not np.isfinite(vmat).all():
             raise ValueError("infinite v entries require R = 1")
@@ -138,65 +159,85 @@ class FockBlocks:
         self.moves = (terms[:, :2], terms[:, 2:], coef)
         phase = 2j * np.pi * (j @ j.T) / L
         self.cap, self.U = None, np.exp(phase) / np.sqrt(m)
+        # an even v commutes with the reflection k -> -k of the modes
+        self.mirror = torus.index_of(-j)
 
     def basis(self, n):
-        '''The basis holding block n: block n's momentum sectors, or under
-        a hard core all blocks below the first that exceeds dim_cap.
-        MemoryError if one of block n's sectors exceeds dim_cap.'''
-        if n in self._bases:
-            return self._bases[n]
-        m = self.n_modes
-        if self.cap == 1:
-            # the keys are m-bit patterns, distinct in int64 up to m = 64
-            if m > 64:
-                raise MemoryError(f"occupation keys of block n={n} overflow "
-                                  f"int64")
-            sizes = [math.comb(m, k) for k in range(m + 1)]
-            fit = next((k for k, size in enumerate(sizes)
-                        if size > self.dim_cap), m + 1)
-            if n >= fit:
-                raise MemoryError(f"block n={n} of dimension {sizes[n]} "
-                                  f"exceeds dim_cap={self.dim_cap}")
-            b = _Basis(np.concatenate([_compositions(k, m, True)
-                                       for k in range(fit)]),
-                       np.cumsum([0] + sizes[:fit]), np.arange(fit),
-                       2 ** np.arange(m - 1, -1, -1, dtype=np.int64))
-            self._bases = dict.fromkeys(range(fit), b)
-            return b
-        if (n + 1) ** (m - 1) >= 2 ** 63:
+        '''The run of blocks holding block n, else one built from n (from
+        the vacuum for n = 1) up to reach or the next kept run, within
+        _RUN_CELLS.  MemoryError before block n is built if one of its
+        sectors exceeds dim_cap or its keys (the occupations as digits of
+        base 2 under a hard core, else n + 1 or more) are not distinct
+        modulo 2^64, where int64 arithmetic wraps.'''
+        for b in self._runs:
+            if b.n0 <= n <= b.n1:
+                return b
+        m, hard, terms = self.n_modes, self.cap == 1, len(self.moves[2])
+        end = min([max(n, self.reach or n)]
+                  + [b.n0 - 1 for b in self._runs if b.n0 > n])
+        if (2 if hard else n + 1) ** m > 2 ** 64:
             raise MemoryError(f"occupation keys of block n={n} overflow int64")
-        occ = _compositions(n, m, False)
-        sector = self.torus.index_of(occ @ self.torus.coords)
-        dims = np.bincount(sector, minlength=m)
-        if dims.max() > self.dim_cap:
-            raise MemoryError(f"momentum sector of dimension {dims.max()} at "
+        # the states of each block, and its largest sector (sector_dims
+        # counts them if a block exceeds dim_cap)
+        size = [math.comb(m, k) if hard else math.comb(k + m - 1, k)
+                for k in range(end + 1)]
+        largest = (size if max(size) <= self.dim_cap else
+                   sector_dims(self.torus, hard, end).max(axis=1).tolist())
+        if largest[n] > self.dim_cap:
+            raise MemoryError(f"sector of dimension {int(largest[n])} at "
                               f"n={n} exceeds dim_cap={self.dim_cap}")
-        self._bases = {k: b for k, b in self._bases.items() if k > n - 4}
-        # the last mode's occupation follows from n: it needs no digit
-        digits = (n + 1) ** np.arange(m - 2, -1, -1, dtype=np.int64)
-        b = self._bases[n] = _Basis(occ[np.argsort(sector, kind="stable")],
-                                    np.cumsum(np.append(0, dims)),
-                                    np.full(m, n), np.append(digits, 0))
-        return b
+        n0 = 0 if n == 1 else n
+        n1, cells = n, sum(size[n0:n + 1]) * terms
+        while (n1 < end and largest[n1 + 1] <= self.dim_cap
+               and (hard or (n1 + 2) ** m <= 2 ** 64)
+               and cells + size[n1 + 1] * terms <= _RUN_CELLS):
+            n1 += 1
+            cells += size[n1] * terms
+        occ = _compositions(n0, n1, m, hard)
+        # sectors (n, K) by block, the second sector of each mirror pair
+        # after the others
+        key = occ.sum(axis=1) * 2 * m
+        if not hard:   # (the hard-core states come by block)
+            K = self.torus.index_of(occ @ self.torus.coords)
+            key += K + m * (self.mirror[K] < K)
+            order = np.argsort(key, kind="stable")
+            occ, key = occ[order], key[order]
+        count = np.bincount(key)
+        sector = np.flatnonzero(count)
+        radix = (2 if hard else n1 + 1) ** np.arange(m - 1, -1, -1,
+                                                     dtype=np.int64)
+        # keep the runs a lowering by p <= 3 reaches; a larger p rebuilds
+        self._runs = [b for b in self._runs if b.n1 > n - 4]
+        self._runs.append(_Basis(occ, np.append(0, np.cumsum(count[sector])),
+                                 sector // (2 * m), sector % m, radix))
+        return self._runs[-1]
 
     def sectors(self, n):
         '''Yield (sector, index of its first basis state, H) for each
-        sector of block n.'''
+        sector of block n: the sectors K = -K and the first of each mirror
+        pair K, -K, then the second of each pair.'''
         b = self.basis(n)
         if "H" not in b.cache:
             src, t, tgt, amp = b.apply(*self.moves[:2], self.cap, b)
             energy = (0.5 * self.lam * np.einsum("ax,xy,ay->a", b.occ,
                                                  self.pair, b.occ)
                       + b.occ @ self.one)
-            b.cache["H"] = (src, tgt, self.moves[2][t] * amp, energy)
-        src, tgt, val, energy = b.cache["H"]
-        for j in np.flatnonzero(b.block == n):   # no sector of n >= 1 is empty
-            lo, hi = b.start[j:j + 2]
-            dim, e = hi - lo, slice(*np.searchsorted(src, (lo, hi)))
-            at = np.concatenate(((tgt[e] - lo) * dim + src[e] - lo,
-                                 np.arange(dim) * (dim + 1)))
-            w = np.concatenate((val[e], energy[lo:hi]))
-            yield j, lo, np.bincount(at, w, dim * dim).reshape(dim, dim)
+            # the entries with the diagonal, by source, at their flat index
+            # in the H of their sector
+            state = np.arange(len(b.occ))
+            order = np.argsort(np.concatenate((src, state)), kind="stable")
+            src, tgt, val = (np.concatenate(a)[order] for a in (
+                (src, state), (tgt, state), (self.moves[2][t] * amp, energy)))
+            dims = np.diff(b.start)
+            lo, dim = (np.repeat(a, dims)[src] for a in (b.start[:-1], dims))
+            entries = np.searchsorted(src, b.start).tolist()
+            b.cache["H"] = (list(zip(b.mode.tolist(), b.start.tolist(),
+                                     dims.tolist(), entries, entries[1:])),
+                            (tgt - lo) * dim + src - lo, val)
+        table, at, val = b.cache["H"]
+        for K, lo, dim, e0, e1 in table[slice(*b.blocks[n - b.n0:][:2])]:
+            yield K, lo, np.bincount(at[e0:e1], val[e0:e1],
+                                     dim * dim).reshape(dim, dim)
 
     def add_kernel(self, G, n, tuples, lo, V, e):
         '''G[kappa, kappa'] += sum_a e_a <a| a+_kappa' a_kappa |a> over
@@ -207,11 +248,19 @@ class FockBlocks:
             # <a+_k' a_k> vanishes unless k = k': the occupations <n_k>
             G.flat[::len(G) + 1] += b.occ[lo:lo + len(e)].T @ ((V * V) @ e)
             return
-        lower = self.basis(n - p)
-        if p not in b.cache:
-            b.cache[p] = b.apply(tuples, tuples[:, :0], self.cap, lower)
-        span = slice(*np.searchsorted(b.cache[p][0], (lo, lo + len(e))))
-        src, t, row, amp = (a[span] for a in b.cache[p])
+        if p not in b.cache:   # the run's lowering maps, per lowered run
+            b.cache[p], k = {}, max(b.n0, p)
+            while k <= b.n1:
+                lower = self.basis(k - p)
+                top = min(b.n1, lower.n1 + p)
+                rows = slice(*b.start[b.blocks[[k - b.n0, top + 1 - b.n0]]])
+                b.cache[p].update(dict.fromkeys(range(k, top + 1), (
+                    lower,) + b.apply(tuples, tuples[:, :0], self.cap, lower,
+                                      rows)))
+                k = top + 1
+        lower, *maps = b.cache[p][n]
+        span = slice(*np.searchsorted(maps[0], (lo, lo + len(e))))
+        src, t, row, amp = (a[span] for a in maps)
         # each lowering map is a row gather of V: C[t, r] = amp V[source]
         low = np.searchsorted(lower.start, row, side="right") - 1
         for j in set(low.tolist()):
@@ -258,12 +307,12 @@ def _free_mode_weights(params, kappa):
 
 
 def _free_traces(mode_weights, n_max):
-    '''Free symmetric-subspace traces h_n(mode weights) by the Newton
-    recurrence h_n = (1/n) sum_i p_i h_{n-i}.'''
-    p = [float(np.sum(mode_weights ** i)) for i in range(n_max + 1)]
-    h = [1.0]
-    for n in range(1, n_max + 1):
-        h.append(sum(p[i] * h[n - i] for i in range(1, n + 1)) / n)
+    '''Free symmetric-subspace traces h_n(mode weights), n <= n_max: the
+    coefficients of prod_xi 1/(1 - w_xi z), multiplied in one mode at a
+    time (h_n += w h_{n-1}).'''
+    h = [1.0] + [0.0] * n_max
+    for w in map(float, mode_weights):
+        h = list(itertools.accumulate(h, lambda below, h_n: h_n + w * below))
     return h
 
 
@@ -314,6 +363,13 @@ def _n_limit(params, n_cap):
     return min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
 
 
+def _n_stop(tails, n_limit, tol):
+    '''The first n whose free tail is below tol, else n_limit: where a
+    grand sum stops at the latest.'''
+    below = np.flatnonzero(tails[1:n_limit + 1] < tol)
+    return int(below[0]) + 1 if below.size else n_limit
+
+
 def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     '''Xi = sum_n e^{-kappa nu n} tr(e^{-H_n} P+), adaptively truncated;
     returns the relative partition function Z = Xi / Xi(v=0) computed with
@@ -334,31 +390,36 @@ def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     same way.'''
     kappa, weights = _free_mode_weights(params, kappa)
     blocks = FockBlocks(params, dim_cap)
-    m = blocks.n_modes
+    m, mirror = blocks.n_modes, blocks.mirror.tolist()
     tuples = np.array(list(itertools.product(range(m), repeat=p)))
     G = np.zeros((m ** p,) * 2)
-    fugacity = np.exp(-kappa * params.nu)
+    fugacity = float(np.exp(-kappa * params.nu))
     n_limit = _n_limit(params, n_cap)
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
     n_diag = _n_diag(params, p, tails, n_limit, tol)
+    blocks.reach = min(n_diag, _n_stop(tails, n_limit, tol))
+    tails = tails.tolist()
     Xi, n, diagonalizations, max_dim = 1.0, 0, 0, 0
     while n < n_limit:
         n += 1
-        trace, G_n = 0.0, p and np.zeros_like(G)
-        for _, lo, H in blocks.sectors(n) if n <= n_diag else ():
+        trace = 0.0
+        for K, lo, H in blocks.sectors(n) if n <= n_diag else ():
+            if mirror[K] < K:
+                break   # the second sectors of the pairs, counted already
+            copies = 1 + (mirror[K] != K)
             diagonalizations += 1
             max_dim = max(max_dim, len(H))
             if not p:
-                trace += np.exp(-np.linalg.eigvalsh(H)).sum()
+                trace += copies * np.exp(-np.linalg.eigvalsh(H)).sum()
                 continue
             w, V = np.linalg.eigh(H)
             e = np.exp(-w)
-            trace += e.sum()
+            trace += copies * e.sum()
             if n >= p:
-                blocks.add_kernel(G_n, n, tuples, lo, V, e)
+                blocks.add_kernel(G, n, tuples, lo, V,
+                                  copies * fugacity ** n * e)
         t = fugacity ** n * float(trace)
         Xi += t
-        G += fugacity ** n * G_n
         if t < tol * Xi and tails[n + 1] < tol * Xi:
             break
         if n >= n_cap and tails[n + 1] > tol * Xi:
@@ -366,7 +427,9 @@ def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
                                   f"tail bound {tails[n + 1]:.3e}")
     Xi0 = float(np.sum(_free_traces(weights, n)))
     if p and blocks.U is not None:
-        # a_x = sum_k U[x, k] a_k on every index of the p-tuples
+        # a_x = sum_k U[x, k] a_k on every index of the p-tuples; sector -K
+        # adds sector K's kernel with every mode reflected, which maps to
+        # the complex conjugate on the sites, so its real part is the same
         U = functools.reduce(np.kron, [blocks.U] * p)
         G = (U @ G @ U.conj().T).real
     return GrandCanonicalResult(
@@ -382,15 +445,18 @@ def oracle_size(params, kappa=None, tol=1e-10, n_cap=250, p=0):
     without building one.  n_max bounds where it stops: the free tail is
     below tol there, and every interacting term lies below the free one.
     Returns n_max, the last block it can diagonalize (n_diag), and the
-    largest sector and summed dim^3 of the blocks up to n_diag.'''
+    largest sector and summed dim^3 of the sectors it diagonalizes up to
+    n_diag, one of each mirror pair.'''
     weights = _free_mode_weights(params, kappa)[1]
     n_limit = _n_limit(params, n_cap)
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
-    n = np.arange(1, n_limit + 1)
-    below = n[tails[1:n_limit + 1] < tol]
-    n_max = int(below[0]) if below.size else n_limit
+    n_max = _n_stop(tails, n_limit, tol)
     n_diag = min(n_max, _n_diag(params, p, tails, n_limit, tol))
     dims = sector_dims(params.torus, params.R == 1, n_diag)
+    if params.R == 0:   # one sector of each mirror pair K, -K
+        torus = params.torus
+        dims = dims[:, torus.index_of(-torus.coords)
+                    >= np.arange(torus.n_sites)]
     return {"n_max": n_max, "n_diag": n_diag,
             "max_sector_dim": int(dims.max()),
             "eigh_dim3": float(np.sum(dims[1:] ** 3))}

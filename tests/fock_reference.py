@@ -7,14 +7,20 @@ quantum_oracle's plane-wave sectors.
 * The site occupation basis (BoseBlocks): whole particle-number blocks,
   built state by state, with annihilator products for the kernels.
 * The free-tail bound as the explicit term-by-term sum.
+* The plane-wave sectors one block at a time, every sector diagonalized
+  (PerBlockSectors, sector_grand_sum), with Newton's recurrence for the
+  free traces: the reference of the oracle's runs of blocks and mirror
+  pairs.
 '''
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from loopgas.lattice import laplacian_matrix
+from loopgas.lattice import HeatKernel, laplacian_matrix
+from loopgas.quantum_oracle import FockBlocks, _amplitudes
 
 
 class ManyBodySpace:
@@ -202,3 +208,115 @@ def free_tail_bound_sum(mode_weights, n_from, horizon=4000):
         if n > n_from and term < 1e-18 * total:
             break
     return total
+
+
+class SectorBlock:
+    '''The occupation states of one block n in the plane waves (the sites
+    under a hard core), sorted stably by momentum sector: sector K holds
+    the states start[K]:start[K+1].  A state's key is occ @ radix.'''
+
+    def __init__(self, torus, n, hard_core):
+        m = torus.n_sites
+        occ = _occupations(m, n, 1 if hard_core else n)
+        sector = (np.zeros(len(occ), dtype=np.int64) if hard_core
+                  else torus.index_of(occ @ torus.coords))
+        order = np.argsort(sector, kind="stable")
+        self.occ = occ[order]
+        self.start = np.searchsorted(sector[order], np.arange(m + 1))
+        self.radix = (n + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.at_key = np.argsort(self.occ @ self.radix)
+        self.key = (self.occ @ self.radix)[self.at_key]
+
+    def apply(self, destroy, create, cap, target):
+        '''(source, term, target state, amplitude) of the nonzero entries of
+        the terms a+_create a_destroy from this block into target.'''
+        amp = _amplitudes(self.occ, destroy, create, cap)
+        src, t = np.nonzero(amp)
+        occ = self.occ[src]
+        for modes, sign in ((destroy, -1), (create, 1)):
+            for mode in modes[t].T:
+                occ[np.arange(len(src)), mode] += sign
+        row = target.at_key[np.searchsorted(target.key, occ @ target.radix)]
+        assert np.array_equal(target.occ[row], occ)
+        return src, t, row, amp[src, t]
+
+
+class PerBlockSectors:
+    '''quantum_oracle's sectors built one block at a time, with the
+    Hamiltonian terms of FockBlocks: the per-block, all-sector reference
+    of the oracle's runs of blocks.'''
+
+    def __init__(self, params):
+        self.terms = FockBlocks(params)
+        self.torus, self.hard_core = params.torus, params.R == 1
+        self.blocks = {}
+
+    def block(self, n):
+        if n not in self.blocks:
+            self.blocks[n] = SectorBlock(self.torus, n, self.hard_core)
+        return self.blocks[n]
+
+    def sectors(self, n):
+        '''Yield (sector, first state, H) for every nonempty sector of block
+        n, in sector order.'''
+        f, b = self.terms, self.block(n)
+        src, t, tgt, amp = b.apply(*f.moves[:2], f.cap, b)
+        val = f.moves[2][t] * amp
+        energy = (0.5 * f.lam * np.einsum("ax,xy,ay->a", b.occ, f.pair, b.occ)
+                  + b.occ @ f.one)
+        for K in range(len(b.start) - 1):
+            lo, hi = b.start[K:K + 2]
+            if hi == lo:
+                continue
+            H = np.diag(energy[lo:hi])
+            keep = (src >= lo) & (src < hi)
+            np.add.at(H, (tgt[keep] - lo, src[keep] - lo), val[keep])
+            yield K, lo, H
+
+    def add_kernel(self, G, n, tuples, lo, V, e):
+        '''G[kappa, kappa'] += sum_a e_a <a| a+_kappa' a_kappa |a> over the
+        eigenvectors V of the sector of block n starting at state lo.'''
+        b, lower = self.block(n), self.block(n - tuples.shape[1])
+        src, t, row, amp = b.apply(tuples, tuples[:, :0], self.terms.cap,
+                                   lower)
+        keep = (src >= lo) & (src < lo + len(e))
+        hit, row = np.unique(row[keep], return_inverse=True)
+        A = np.zeros((len(tuples), len(hit), len(e)))
+        np.add.at(A, (t[keep], row), amp[keep, None] * V[src[keep] - lo])
+        G += np.einsum("trs,urs,s->tu", A, A, e)
+
+
+def newton_free_traces(mode_weights, n_max):
+    '''Free symmetric-subspace traces h_n by the Newton recurrence
+    h_n = (1/n) sum_i p_i h_{n-i}, p_i the power sums of the weights.'''
+    p = [float(np.sum(mode_weights ** i)) for i in range(n_max + 1)]
+    h = [1.0]
+    for n in range(1, n_max + 1):
+        h.append(sum(p[i] * h[n - i] for i in range(1, n + 1)) / n)
+    return h
+
+
+def sector_grand_sum(params, p, kappa, n_diag, n_max):
+    '''(Xi, Xi0, Gamma_p) from every sector of the blocks n <= n_diag, each
+    diagonalized, summed to block n_max with the free traces of Newton's
+    recurrence (Gamma_p None for p = 0).'''
+    blocks, m = PerBlockSectors(params), params.torus.n_sites
+    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
+    fugacity = math.exp(-kappa * params.nu)
+    tuples = np.array(list(itertools.product(range(m), repeat=p)))
+    Xi, G = 1.0, np.zeros((m ** p,) * 2)
+    for n in range(1, n_diag + 1):
+        for _, lo, H in blocks.sectors(n):
+            w, V = np.linalg.eigh(H)
+            Xi += fugacity ** n * float(np.exp(-w).sum())
+            if p and n >= p:
+                G_n = np.zeros_like(G)
+                blocks.add_kernel(G_n, n, tuples, lo, V, np.exp(-w))
+                G += fugacity ** n * G_n
+    Xi0 = float(np.sum(newton_free_traces(weights, n_max)))
+    if not p:
+        return Xi, Xi0, None
+    if not blocks.hard_core:
+        U = functools.reduce(np.kron, [blocks.terms.U] * p)
+        G = (U @ G @ U.conj().T).real
+    return Xi, Xi0, G / Xi

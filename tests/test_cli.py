@@ -319,7 +319,8 @@ def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
     # meanfield_single_site.json physics on L = 3 at nu = 0.1 (p = 1):
     # the grand sum would diagonalize the blocks up to n_diag = 151 (of
     # n_max = 366), whose momentum sectors of dimension up to 3876 fit
-    # the oracle's dim_cap but whose dim^3 sum past its budget, so the
+    # the oracle's dim_cap but whose dim^3 sum past its budget (sectors 0
+    # and 1: sector 2 is sector 1's mirror, diagonalized with it), so the
     # sweep takes loop_mc; the decision diagonalizes nothing
     def refuse(*args, **kwargs):
         raise AssertionError("the chooser diagonalized a block")
@@ -333,7 +334,7 @@ def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
     use_oracle, size = cli._use_oracle([params], cfg.kappa, cfg.p)
     assert not use_oracle
     assert size["max_sector_dim"] == 3876 <= cli.ORACLE_DIM_CAP
-    assert size["eigh_dim3"] == pytest.approx(3.893655699383e12, rel=1e-12)
+    assert size["eigh_dim3"] == pytest.approx(2.595925694462e12, rel=1e-12)
     assert size["eigh_dim3"] > cli.ORACLE_EIGH_BUDGET
 
 
@@ -712,9 +713,10 @@ def test_largemass_diagonalizes_each_sector_once_per_nu(tmp_path,
                                                         monkeypatch):
     '''The shipped largemass_soft.json run takes Z_rel and Gamma_1 from
     one grand sum per nu: one eigh or eigvalsh per momentum sector of
-    each block up to the n_diag that largemass_meta.json records; the
-    interaction bound leaves the blocks from there to n_max = 28
-    undiagonalized.'''
+    each block up to the n_diag that largemass_meta.json records, sector
+    0 and the mirror pair of sectors 1 and 2 (its second sector is not
+    diagonalized); the interaction bound leaves the blocks from there to
+    n_max = 28 undiagonalized.'''
     calls = []
 
     def counting(eig):
@@ -735,11 +737,11 @@ def test_largemass_diagonalizes_each_sector_once_per_nu(tmp_path,
     sectors = 0
     for record in meta["oracle"]:
         dims = sector_dims(Torus(1, 3), False, record["n_diag"])
-        sectors += np.count_nonzero(dims[1:])
+        sectors += np.count_nonzero(dims[1:, :2])
         assert record["max_sector_dim"] == dims.max()
         assert record["n_max"] == 28
         assert 0.0 < record["tail_bound"] < 1e-9
-    assert len(calls) == sectors == 3 * 3 * 21
+    assert len(calls) == sectors == 3 * 2 * 21
 
 
 def test_heatkernel_past_the_ring_budget_exits_2(tmp_path, capsys):

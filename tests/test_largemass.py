@@ -205,3 +205,16 @@ def test_occupation_sum_budget():
     # kappa0 = 0.01 on L = 2 would enumerate about 11 million fields
     with pytest.raises(MemoryError):
         occupation_sum(_soft(L=2, kappa0=0.01))
+
+
+@pytest.mark.parametrize("params", [_soft(), _soft(L=2, kappa0=0.5), _hard(),
+                                    _hard(L=5)],
+                         ids=["soft-L3", "soft-L2", "hard-L3", "hard-L5"])
+def test_occupation_grid_is_in_product_order(params):
+    # the fields come in itertools.product order, the last site fastest
+    grid, weights, _ = _occupation_fields(params)
+    cap = _site_cap(params)[0]
+    assert grid.dtype == np.int64
+    assert np.array_equal(grid, list(itertools.product(
+        range(cap + 1), repeat=params.torus.n_sites)))
+    assert len(weights) == len(grid)

@@ -10,7 +10,8 @@ import scipy.linalg
 from scipy import special
 
 from fock_reference import (
-    BoseBlocks, ManyBodySpace, free_tail_bound_sum, grand_sums, hamiltonian)
+    BoseBlocks, ManyBodySpace, free_tail_bound_sum, grand_sums, hamiltonian,
+    newton_free_traces, sector_grand_sum)
 from loopgas import quantum_oracle
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
@@ -139,6 +140,12 @@ def test_oracle_matches_site_basis_reference(d, L, R, p):
     assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
 
 
+def _first_of_each_pair(torus):
+    '''The momentum sectors a grand sum diagonalizes: each K = -K and the
+    first of each mirror pair K, -K.'''
+    return torus.index_of(-torus.coords) >= np.arange(torus.n_sites)
+
+
 def _bound_params(d, L, positive, seed, lam=8.0):
     '''A random even potential on the steps 0, e_1 and e_d, of positive
     type or with a negative vhat entry, whose bound c' (the interaction
@@ -171,7 +178,9 @@ def test_interaction_bound_skips_only_blocks_below_an_ulp(d, L, p, positive,
     params = _bound_params(d, L, positive, seed=10 * d + L + p)
     res, K = grand_sum(params, p, tol=tol)
     assert res.metadata["n_diag"] < res.n_max
-    dims = sector_dims(params.torus, False, res.metadata["n_diag"])
+    # one sector of each mirror pair K, -K is diagonalized
+    dims = sector_dims(params.torus, False, res.metadata["n_diag"])[
+        :, _first_of_each_pair(params.torus)]
     assert res.metadata["diagonalizations"] == np.count_nonzero(dims[1:])
     # the chooser counts the same blocks without building one
     size = oracle_size(params, tol=tol, p=p)
@@ -345,10 +354,11 @@ def test_metadata_counts_sectors_and_diagonalizations():
     res = grand_partition(params)
     n_diag = res.metadata["n_diag"]
     dims = sector_dims(params.torus, False, n_diag)
-    # on L = 3 every block n >= 1 has all three momentum sectors; the
-    # interaction bound leaves the blocks past n_diag undiagonalized
+    # on L = 3 every block n >= 1 has three momentum sectors, of which
+    # sectors 1 and 2 are a mirror pair diagonalized once; the interaction
+    # bound leaves the blocks past n_diag undiagonalized
     assert n_diag < res.n_max
-    assert res.metadata["diagonalizations"] == 3 * n_diag
+    assert res.metadata["diagonalizations"] == 2 * n_diag
     assert res.metadata["max_sector_dim"] == int(dims.max())
     hard = grand_partition(_params(v0=0.0, R=1))
     assert hard.metadata["diagonalizations"] == hard.n_max == 3
@@ -427,3 +437,103 @@ def test_free_tail_bound_closed_form():
             keep = ref > 1e-250
             assert _free_tail_bound(weights, every)[keep] == pytest.approx(
                 ref[keep], rel=1e-12, abs=0.0)
+
+
+# kappa nu on each torus: keeps the per-block reference's blocks small
+_KAPPA_NU = {(1, 2): 0.5, (1, 3): 1.0, (1, 4): 3.0, (2, 2): 3.0, (2, 3): 8.0,
+             (2, 4): 16.0}
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.1])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("d,L,R", [(d, L, R) for d in (1, 2)
+                                   for L in (2, 3, 4) for R in (0, 1)])
+def test_runs_and_mirror_pairs_match_the_per_block_reference(d, L, R, p, nu,
+                                                             monkeypatch):
+    '''A grand sum builds its blocks in runs and diagonalizes one sector of
+    each mirror pair K, -K; the per-block reference builds and
+    diagonalizes every sector of every block, and sums the free traces by
+    Newton's recurrence.  Also with run budgets that give single-block
+    runs and runs of a few blocks past the first.'''
+    params = _random_params(d, L, R, seed=1000 * p + 100 * d + 10 * L + R,
+                            nu=nu, kappa=_KAPPA_NU[(d, L)] / nu)
+    res, G = grand_sum(params, p)
+    Xi, Xi0, G_ref = sector_grand_sum(params, p, params.kappa,
+                                      res.metadata["n_diag"], res.n_max)
+    for cells in (quantum_oracle._RUN_CELLS, 1, 40 * params.torus.n_sites):
+        monkeypatch.setattr(quantum_oracle, "_RUN_CELLS", cells)
+        res, G = grand_sum(params, p)
+        assert res.Xi == pytest.approx(Xi, rel=1e-12, abs=0.0)
+        assert res.Xi0 == pytest.approx(Xi0, rel=1e-12, abs=0.0)
+        assert res.Z_rel == pytest.approx(Xi / Xi0, rel=1e-12, abs=0.0)
+        if p:
+            assert np.max(np.abs(G - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+        else:
+            assert G is None and G_ref is None
+
+
+@pytest.mark.parametrize("d,L", [(1, 3), (1, 4), (1, 5), (2, 3)])
+def test_mirror_sectors_are_isospectral(d, L):
+    # for an even v, sector -K is the reflection k -> -k of sector K
+    params = _random_params(d, L, 0, seed=7 * d + L)
+    torus, blocks = params.torus, FockBlocks(params)
+    assert np.array_equal(blocks.mirror, torus.index_of(-torus.coords))
+    pairs = 0
+    for n in range(1, 4):
+        spectra = {K: np.linalg.eigvalsh(H) for K, _, H in blocks.sectors(n)}
+        assert sorted(spectra) == list(range(torus.n_sites))
+        for K, w in spectra.items():
+            pairs += blocks.mirror[K] != K
+            assert np.max(np.abs(w - spectra[blocks.mirror[K]])) <= (
+                1e-12 * max(1.0, np.max(np.abs(w))))
+    assert pairs > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 16, 64])
+def test_free_traces_match_newton(m):
+    # the product recurrence against the Newton recurrence it replaced
+    rng = np.random.default_rng(m)
+    for mu in (0.05, 0.3, 0.6, 0.9, 0.99):
+        weights = mu * rng.uniform(0.1, 1.0, m)
+        weights[0] = mu
+        h = np.array(_free_traces(weights, 250))
+        newton = np.array(newton_free_traces(weights, 250))
+        keep = newton > 1e-280
+        assert keep[:100].all()
+        assert np.max(np.abs(h[keep] / newton[keep] - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("R", [0, 1])
+def test_runs_stay_within_their_cell_budget_on_nine_modes(R, monkeypatch):
+    '''d = 2, L = 3 (9 modes): every run of blocks a pass enumerates holds
+    at most _RUN_CELLS cells (states x Hamiltonian terms) or a single
+    block, and none holds a block past the last one the pass can reach,
+    min(n_diag, n_max) of oracle_size (here the pass stops a block
+    earlier, its Xi > 1 lowering the free-tail stop).'''
+    runs = []
+    compositions = quantum_oracle._compositions
+
+    def recording(n0, n1, m, hard_core):
+        occ = compositions(n0, n1, m, hard_core)
+        runs.append((n0, n1, len(occ)))
+        return occ
+
+    monkeypatch.setattr(quantum_oracle, "_compositions", recording)
+    params = _random_params(2, 3, R, seed=5, kappa=8.0)
+    terms = len(FockBlocks(params).moves[2])
+    for cells in (quantum_oracle._RUN_CELLS, 4000):
+        monkeypatch.setattr(quantum_oracle, "_RUN_CELLS", cells)
+        for p in (0, 1, 2):
+            runs.clear()
+            res = grand_sum(params, p, tol=1e-6)[0]
+            size = oracle_size(params, tol=1e-6, p=p)
+            last = min(size["n_diag"], size["n_max"])
+            assert 4 <= res.metadata["n_diag"] <= last
+            top = max(n1 for _, n1, _ in runs)
+            assert res.metadata["n_diag"] <= top <= last
+            for n0, n1, states in runs:
+                assert states * terms <= cells or n0 == n1
+            # every block is enumerated once, in runs from the vacuum up
+            assert [n0 for n0, _, _ in runs] == [0] + [
+                n1 + 1 for _, n1, _ in runs[:-1]]
+            assert len(runs) > 2 if cells == 4000 else len(runs) == 1
