@@ -92,8 +92,8 @@ class _Basis:
     key(delta).'''
 
     def __init__(self, occ, start, block, mode, radix):
-        self.occ, self.start, self.block, self.mode = occ, start, block, mode
-        self.n0, self.n1, self.radix = int(block[0]), int(block[-1]), radix
+        self.occ, self.start, self.mode, self.radix = occ, start, mode, radix
+        self.n0, self.n1 = int(block[0]), int(block[-1])
         self.blocks = np.searchsorted(block, np.arange(self.n0, self.n1 + 2))
         key = occ @ radix
         self.at_key = np.argsort(key)
