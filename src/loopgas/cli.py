@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import jsonschema
 
-from . import cluster, field_oracle, largemass, perturbative
+from . import cluster, field_oracle, largemass, perturbative, quantum_oracle
 from .interactions import InteractionParams
 from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
                       heat_kernel_images, periodize_potential)
@@ -30,9 +30,9 @@ from .paths import LoopIntensity
 from .quantum_oracle import feynman_kac_check, grand_sum, oracle_size
 
 # The mean-field sweep runs the exact oracle while its largest momentum
-# sector fits the oracle's dim_cap and its diagonalizations, summed over
-# the sweep, stay within this many dim^3 (tens of seconds of eigh).
-ORACLE_DIM_CAP = 6000
+# sector fits quantum_oracle.MAX_SECTOR_DIM and its diagonalizations,
+# summed over the sweep, stay within this many dim^3 (tens of seconds of
+# eigh).
 ORACLE_EIGH_BUDGET = 10 ** 11
 
 
@@ -157,23 +157,23 @@ def _override(config, name, value):
     setattr(config, name, value)
 
 
-def _write_csv(out_dir, name, header, rows):
+def _out_file(out_dir, name):
+    '''The path of an output file, its directory made if missing.'''
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", newline="") as fh:
+    return out_dir / name
+
+
+def _write_csv(out_dir, name, header, rows):
+    with open(_out_file(out_dir, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path
 
 
 def _write_json(out_dir, name, doc):
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    _out_file(out_dir, name).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _fit_order(nus, diffs):
@@ -201,7 +201,7 @@ def _use_oracle(params_list, kappa, p):
              for params in params_list]
     size = {"max_sector_dim": max(s["max_sector_dim"] for s in sizes),
             "eigh_dim3": sum(s["eigh_dim3"] for s in sizes)}
-    return (size["max_sector_dim"] <= ORACLE_DIM_CAP
+    return (size["max_sector_dim"] <= quantum_oracle.MAX_SECTOR_DIM
             and size["eigh_dim3"] <= ORACLE_EIGH_BUDGET), size
 
 

@@ -51,14 +51,10 @@ class Torus:
             list(itertools.product(range(self.L), repeat=self.d)), dtype=np.int64
         ).reshape(self.n_sites, self.d)
         self._strides = self.L ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        # site reached from each site by each of the 2d signed steps
-        steps = []
-        for j in range(self.d):
-            for sgn in (+1, -1):
-                e = np.zeros(self.d, dtype=np.int64)
-                e[j] = sgn
-                steps.append(e)
-        self.steps = np.array(steps, dtype=np.int64)          # (2d, d)
+        # the 2d signed unit steps, +e_j then -e_j for each j, and the
+        # site reached from each site by each of them
+        eye = np.eye(self.d, dtype=np.int64)
+        self.steps = np.stack((eye, -eye), axis=1).reshape(2 * self.d, self.d)
         # (n_sites, 2d), one step at a time, so that no (n_sites, 2d, d)
         # array is built
         self.neighbor_table = np.column_stack(
@@ -154,19 +150,12 @@ class HeatKernel:
         self.torus = torus
         xi = 2.0 * np.pi * torus.coords / torus.L
         self.rates = torus.d - np.cos(xi).sum(axis=1)   # lambda_xi, site order
-        self._cache = {}
 
     def table(self, t):
         '''Table x -> psi^{L,t}(x), flat-indexed like the torus sites.'''
         if t < 0:
             raise ValueError("t must be >= 0")
-        key = float(t)
-        tab = self._cache.get(key)
-        if tab is None:
-            tab = self.torus.inverse_fourier(np.exp(-key * self.rates))
-            tab.setflags(write=False)
-            self._cache[key] = tab
-        return tab
+        return self.torus.inverse_fourier(np.exp(-float(t) * self.rates))
 
     def at_origin(self, t):
         '''psi^{L,t}(0) for scalar or array t (vectorized over t).'''

@@ -84,7 +84,6 @@ the joined rows once, so results are bit-identical for a fixed worker
 count.
 '''
 
-import functools
 import itertools
 import json
 import math
@@ -393,9 +392,9 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
 
 class _OpenPaths:
     '''The law of the p open paths x_i -> y_pi(i) of a kernel sample,
-    built once per intensity and sites (_open_law); draw gives m
-    samples' open paths and weights, in units of unit = G(0)^p, so that
-    p open paths from one site back to it have the weight p! exactly.
+    built once per estimate_gamma_p call; draw gives m samples' open
+    paths and weights, in units of unit = G(0)^p, so that p open paths
+    from one site back to it have the weight p! exactly.
 
     G is the free kernel, with symbol g_xi = a_xi / (1 - a_xi) on the grid
     (a_xi = e^{-nu(kappa + lambda_xi)}) and 1 / (kappa + lambda_xi) in the
@@ -440,7 +439,7 @@ class _OpenPaths:
         # is psi^T(delta) / psi^T(0), far from linear in T
         self.moves = bool(np.any(self.delta[drawn]))
 
-    @functools.cached_property
+    @property
     def duration_moments(self):
         '''(E T, E T^2) of an open path's duration law: the mixture with
         weights g_xi of nu Geometric(1 - a_xi), moments nu / (1 - a_xi)
@@ -477,16 +476,6 @@ class _OpenPaths:
         return self.ends[row], T, weight
 
 
-def _open_law(intensity, xs, ys):
-    '''The _OpenPaths law of the sites xs -> ys, built on the first call
-    and kept in a dict on the intensity: it depends on nothing else.'''
-    laws = vars(intensity).setdefault("_open_laws", {})
-    key = (tuple(xs), tuple(ys))
-    if key not in laws:
-        laws[key] = _OpenPaths(intensity, xs, ys)
-    return laws[key]
-
-
 def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                      denom_samples=None):
     '''MC estimate of the kernel entry Gamma_p(x, y) via the relative
@@ -503,7 +492,7 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
                          f"{n_samples}, got {denom_samples}")
     xs, ys = spec.torus.check_sites(p, xs, ys)
     intensity = spec.intensity
-    law = _open_law(intensity, xs, ys)
+    law = _OpenPaths(intensity, xs, ys)
     # the open paths' durations are controls when no path moves; a moving
     # path's weight makes them cost more than they remove (module
     # docstring)

@@ -14,10 +14,12 @@ has no finite vhat: its modes are the sites, each holding at most one
 particle, and block n is one sector.  Consecutive blocks are
 enumerated, keyed and mapped in one run, up to _RUN_CELLS states x
 terms (or one larger block) and never past the last block the pass can
-reach; no eigenvectors are kept between sectors.  grand_sum at p = 0
-needs eigenvalues only; at p >= 1 it contracts the eigenvectors with the
-lowering maps in the same pass and maps the mode kernel to sites, so one
-pass gives both the partition function and Gamma_p.
+reach; no eigenvectors are kept between sectors, and a block with a
+sector larger than MAX_SECTOR_DIM raises MemoryError before it is
+built.  grand_sum at p = 0 needs eigenvalues only; at p >= 1 it
+contracts the eigenvectors with the lowering maps in the same pass and
+maps the mode kernel to sites, so one pass gives both the partition
+function and Gamma_p.
 
 Interaction bound: for a finite v, H_n = K_n + (lam/2) n^T v n, and by
 Parseval and sum_x n_x^2 <= N^2, n^T v n >= c' N^2 with c' = vhat(0)/
@@ -30,7 +32,9 @@ move no entry of Gamma_p by 2^-53, so grand_sum diagonalizes none of
 them: its last diagonalized block, n_diag, is n - 1.  It still walks
 the blocks to the free-tail stop, so n_max, tail_bound and the
 matched-truncation Xi0 do not depend on the bound.  A hard core and
-c <= 0 diagonalize every block.
+c <= 0 diagonalize every block.  _stop_plan gives both stops, to
+grand_sum and to oracle_size, which sizes the sectors up to n_diag
+without building them.
 '''
 
 import functools
@@ -47,6 +51,10 @@ from .lattice import HeatKernel, laplacian_matrix
 # Most cells (states x Hamiltonian terms) one run of blocks may hold; a
 # block larger than this is a run of its own.
 _RUN_CELLS = 2 ** 20
+# Largest sector a grand sum builds: FockBlocks.basis raises MemoryError
+# before a block with a larger one, and the mean-field sweep takes the
+# loop Monte Carlo instead when oracle_size finds one.
+MAX_SECTOR_DIM = 6000
 
 
 def _compositions(n0, n1, m, hard_core):
@@ -119,10 +127,10 @@ class FockBlocks:
     sector of the sites per n under a hard core, built in runs of blocks
     up to reach (set by the pass; None: up to the block asked for).'''
 
-    def __init__(self, params, dim_cap=np.inf):
+    def __init__(self, params):
         torus = self.torus = params.torus
         m = self.n_modes = torus.n_sites
-        self.lam, self.dim_cap = params.lam, dim_cap
+        self.lam = params.lam
         self.reach, self._runs = None, []
         vmat = v_tilde_table(params.vL, torus, params.R)[torus.diff_table]
         h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
@@ -166,9 +174,10 @@ class FockBlocks:
         '''The run of blocks holding block n, else one built from n (from
         the vacuum for n = 1) up to reach or the next kept run, within
         _RUN_CELLS.  MemoryError before block n is built if one of its
-        sectors exceeds dim_cap or its keys (the occupations as digits of
-        base 2 under a hard core, else n + 1 or more) are not distinct
-        modulo 2^64, where int64 arithmetic wraps.'''
+        sectors exceeds MAX_SECTOR_DIM (read at each call) or its keys
+        (the occupations as digits of base 2 under a hard core, else n + 1
+        or more) are not distinct modulo 2^64, where int64 arithmetic
+        wraps.'''
         for b in self._runs:
             if b.n0 <= n <= b.n1:
                 return b
@@ -178,17 +187,17 @@ class FockBlocks:
         if (2 if hard else n + 1) ** m > 2 ** 64:
             raise MemoryError(f"occupation keys of block n={n} overflow int64")
         # the states of each block, and its largest sector (sector_dims
-        # counts them if a block exceeds dim_cap)
+        # counts them if a block exceeds MAX_SECTOR_DIM)
         size = [math.comb(m, k) if hard else math.comb(k + m - 1, k)
                 for k in range(end + 1)]
-        largest = (size if max(size) <= self.dim_cap else
+        largest = (size if max(size) <= MAX_SECTOR_DIM else
                    sector_dims(self.torus, hard, end).max(axis=1).tolist())
-        if largest[n] > self.dim_cap:
+        if largest[n] > MAX_SECTOR_DIM:
             raise MemoryError(f"sector of dimension {int(largest[n])} at "
-                              f"n={n} exceeds dim_cap={self.dim_cap}")
+                              f"n={n} exceeds MAX_SECTOR_DIM={MAX_SECTOR_DIM}")
         n0 = 0 if n == 1 else n
         n1, cells = n, sum(size[n0:n + 1]) * terms
-        while (n1 < end and largest[n1 + 1] <= self.dim_cap
+        while (n1 < end and largest[n1 + 1] <= MAX_SECTOR_DIM
                and (hard or (n1 + 2) ** m <= 2 ** 64)
                and cells + size[n1 + 1] * terms <= _RUN_CELLS):
             n1 += 1
@@ -299,13 +308,6 @@ class GrandCanonicalResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _free_mode_weights(params, kappa):
-    '''kappa (params.kappa if None) and the free mode weights
-    e^{-nu(kappa + lambda_xi)}.'''
-    kappa = params.kappa if kappa is None else kappa
-    return kappa, HeatKernel(params.torus).free_weights(params.nu, kappa)
-
-
 def _free_traces(mode_weights, n_max):
     '''Free symmetric-subspace traces h_n(mode weights), n <= n_max: the
     coefficients of prod_xi 1/(1 - w_xi z), multiplied in one mode at a
@@ -357,27 +359,31 @@ def _n_diag(params, p, tails, n_limit, tol):
     return int(done[0]) - 1 if done.size else n_limit
 
 
-def _n_limit(params, n_cap):
-    '''The last block n of a grand sum: n_cap, or |Lambda| if fewer
-    under a hard core.'''
-    return min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
-
-
-def _n_stop(tails, n_limit, tol):
-    '''The first n whose free tail is below tol, else n_limit: where a
-    grand sum stops at the latest.'''
+def _stop_plan(params, kappa, tol, n_cap, p):
+    '''Where a grand sum at these arguments stops: kappa (params.kappa if
+    None), the free mode weights e^{-nu(kappa + lambda_xi)}, their free
+    tails from n = 0 to n_limit + 1, the last block n_limit (n_cap, or
+    |Lambda| if fewer under a hard core), the first n whose free tail is
+    below tol (else n_limit), where the sum stops at the latest, and
+    _n_diag's last diagonalized block.'''
+    kappa = params.kappa if kappa is None else kappa
+    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
+    n_limit = min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
+    tails = _free_tail_bound(weights, np.arange(n_limit + 2))
     below = np.flatnonzero(tails[1:n_limit + 1] < tol)
-    return int(below[0]) + 1 if below.size else n_limit
+    return (kappa, weights, tails, n_limit,
+            int(below[0]) + 1 if below.size else n_limit,
+            _n_diag(params, p, tails, n_limit, tol))
 
 
-def grand_partition(params, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
+def grand_partition(params, kappa=None, tol=1e-10, n_cap=250):
     '''Xi = sum_n e^{-kappa nu n} tr(e^{-H_n} P+), adaptively truncated;
     returns the relative partition function Z = Xi / Xi(v=0) computed with
     matched truncation.'''
-    return grand_sum(params, 0, kappa, tol, n_cap, dim_cap)[0]
+    return grand_sum(params, 0, kappa, tol, n_cap)[0]
 
 
-def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
+def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250):
     '''grand_partition's result and, for p >= 1, reduced_density_matrix's
     Gamma_p (None for p = 0), both from one pass over the blocks.
 
@@ -388,16 +394,14 @@ def grand_sum(params, p=0, kappa=None, tol=1e-10, n_cap=250, dim_cap=6000):
     lambda = 40, d = 1, L = 2, p = 2 it returns Gamma_2 = 0 where the
     full pass gives 6e-34).  The tol stop against Xi is absolute in the
     same way.'''
-    kappa, weights = _free_mode_weights(params, kappa)
-    blocks = FockBlocks(params, dim_cap)
+    blocks = FockBlocks(params)
+    kappa, weights, tails, n_limit, n_stop, n_diag = _stop_plan(
+        params, kappa, tol, n_cap, p)
+    blocks.reach = min(n_diag, n_stop)
     m, mirror = blocks.n_modes, blocks.mirror.tolist()
     tuples = np.array(list(itertools.product(range(m), repeat=p)))
     G = np.zeros((m ** p,) * 2)
     fugacity = float(np.exp(-kappa * params.nu))
-    n_limit = _n_limit(params, n_cap)
-    tails = _free_tail_bound(weights, np.arange(n_limit + 2))
-    n_diag = _n_diag(params, p, tails, n_limit, tol)
-    blocks.reach = min(n_diag, _n_stop(tails, n_limit, tol))
     tails = tails.tolist()
     Xi, n, diagonalizations, max_dim = 1.0, 0, 0, 0
     while n < n_limit:
@@ -447,11 +451,8 @@ def oracle_size(params, kappa=None, tol=1e-10, n_cap=250, p=0):
     Returns n_max, the last block it can diagonalize (n_diag), and the
     largest sector and summed dim^3 of the sectors it diagonalizes up to
     n_diag, one of each mirror pair.'''
-    weights = _free_mode_weights(params, kappa)[1]
-    n_limit = _n_limit(params, n_cap)
-    tails = _free_tail_bound(weights, np.arange(n_limit + 2))
-    n_max = _n_stop(tails, n_limit, tol)
-    n_diag = min(n_max, _n_diag(params, p, tails, n_limit, tol))
+    n_max, n_diag = _stop_plan(params, kappa, tol, n_cap, p)[4:]
+    n_diag = min(n_max, n_diag)
     dims = sector_dims(params.torus, params.R == 1, n_diag)
     if params.R == 0:   # one sector of each mirror pair K, -K
         torus = params.torus
@@ -462,33 +463,35 @@ def oracle_size(params, kappa=None, tol=1e-10, n_cap=250, p=0):
             "eigh_dim3": float(np.sum(dims[1:] ** 3))}
 
 
-def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250,
-                           dim_cap=6000):
+def reduced_density_matrix(params, p, kappa=None, tol=1e-10, n_cap=250):
     '''Gamma_p(x, y) = sum_n ((p+n)!/n!) tr_{p+1..p+n} rho_{p+n} as a
     matrix over Lambda^p (row index x, column index y, row-major tuples):
     the grand-canonical <a+_{y_1}..a+_{y_p} a_{x_1}..a_{x_p}>, computed in
     the grand sum's pass.'''
     if p < 1:
         raise ValueError("p must be >= 1")
-    return grand_sum(params, p, kappa, tol, n_cap, dim_cap)[1]
+    return grand_sum(params, p, kappa, tol, n_cap)[1]
 
 
 def feynman_kac_check(torus, V_site, t, n_samples, seed):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
-    E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).'''
+    E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).  Each
+    start site gets n_samples // |Lambda| walks; ValueError if fewer than
+    2, which leave no standard error to compare with.'''
     from .paths import walks
 
     if t <= 0:
         raise ValueError("t must be > 0")
+    m = torus.n_sites
+    per_x = n_samples // m
+    if per_x < 2:
+        raise ValueError(f"need at least 2 walks per start site, got {per_x}")
     V_site = np.asarray(V_site, dtype=float)
     gen = 0.5 * laplacian_matrix(torus) - np.diag(V_site)
     w, U = np.linalg.eigh(gen)
     exact = (U * np.exp(t * w)) @ U.T
     rng = np.random.default_rng(seed)
-    m = torus.n_sites
-    sums = np.zeros((m, m))
-    sq = np.zeros((m, m))
-    per_x = n_samples // m
+    sums, sq = np.zeros((2, m, m))
     for x in range(m):
         # all walks from x at once; walk k is configuration k of the batch
         end, batch = walks(torus, np.full(per_x, x), np.full(per_x, t), rng)

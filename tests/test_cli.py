@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from loopgas import cli
+from loopgas import cli, quantum_oracle
 from loopgas.cli import ConfigError, ExperimentConfig, main
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import Torus
@@ -319,7 +319,7 @@ def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
     # meanfield_single_site.json physics on L = 3 at nu = 0.1 (p = 1):
     # the grand sum would diagonalize the blocks up to n_diag = 151 (of
     # n_max = 366), whose momentum sectors of dimension up to 3876 fit
-    # the oracle's dim_cap but whose dim^3 sum past its budget (sectors 0
+    # MAX_SECTOR_DIM but whose dim^3 sum past its budget (sectors 0
     # and 1: sector 2 is sector 1's mirror, diagonalized with it), so the
     # sweep takes loop_mc; the decision diagonalizes nothing
     def refuse(*args, **kwargs):
@@ -333,9 +333,22 @@ def test_meanfield_chooser_sizes_the_oracle_without_building(monkeypatch):
                                mode="meanfield", kappa=cfg.kappa)
     use_oracle, size = cli._use_oracle([params], cfg.kappa, cfg.p)
     assert not use_oracle
-    assert size["max_sector_dim"] == 3876 <= cli.ORACLE_DIM_CAP
+    assert size["max_sector_dim"] == 3876 <= quantum_oracle.MAX_SECTOR_DIM
     assert size["eigh_dim3"] == pytest.approx(2.595925694462e12, rel=1e-12)
     assert size["eigh_dim3"] > cli.ORACLE_EIGH_BUDGET
+
+
+def test_meanfield_chooser_reads_the_oracle_sector_cap(monkeypatch):
+    '''The chooser reads quantum_oracle.MAX_SECTOR_DIM when it runs: on
+    L = 2, where the oracle fits, a cap of 2 makes it take loop_mc.'''
+    cfg = ExperimentConfig.from_json(_CONFIGS / "meanfield_single_site.json")
+    torus = cfg.torus(2)
+    params = InteractionParams(torus=torus, vL=cfg.vL(torus), nu=0.25,
+                               mode="meanfield", kappa=cfg.kappa)
+    use_oracle, size = cli._use_oracle([params], cfg.kappa, cfg.p)
+    assert use_oracle and size["max_sector_dim"] > 2
+    monkeypatch.setattr(quantum_oracle, "MAX_SECTOR_DIM", 2)
+    assert cli._use_oracle([params], cfg.kappa, cfg.p) == (False, size)
 
 
 _VOLUME = {"experiment": "volume", "torus": {"d": 1, "L_list": [4, 6, 8]},

@@ -506,30 +506,20 @@ def _check_gamma_reference(spec, xs, ys):
     _check_counters(est.metadata, tally, 300)
 
 
-def test_open_path_law_is_built_once_per_intensity_and_sites(monkeypatch):
-    '''estimate_gamma_p builds the open-path law of its sites on its first
-    call and reuses it on the intensity: a second call builds none and
-    gives the same estimate; other sites or another intensity build their
-    own law.'''
-    built = []
-
-    class Counted(_OpenPaths):
-        def __init__(self, intensity, xs, ys):
-            built.append((intensity, tuple(xs), tuple(ys)))
-            super().__init__(intensity, xs, ys)
-
-    monkeypatch.setattr(loop_mc, "_OpenPaths", Counted)
+def test_gamma_p_keeps_no_state_on_the_intensity():
+    '''estimate_gamma_p builds its open-path law on each call and keeps
+    none of it: two calls on one spec give bit-identical estimates and
+    leave the intensity's attributes as a partition estimate, which draws
+    the same backgrounds, left them.'''
     spec = _grid_spec()
+    estimate_rel_partition(spec, 300, seed=5)
+    before = dict(vars(spec.intensity))
     first = estimate_gamma_p(spec, 1, [0], [1], 300, seed=5)
     again = estimate_gamma_p(spec, 1, [0], [1], 300, seed=5)
-    assert len(built) == 1
     assert (again.mean, again.std_error) == (first.mean, first.std_error)
-    estimate_gamma_p(spec, 1, [0], [0], 300, seed=5)
-    other = _grid_spec()
-    estimate_gamma_p(other, 1, [0], [1], 300, seed=5)
-    assert built == [(spec.intensity, (0,), (1,)),
-                     (spec.intensity, (0,), (0,)),
-                     (other.intensity, (0,), (1,))]
+    after = vars(spec.intensity)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
 
 
 def test_gamma_p_draws_one_bridges_call_per_batch(monkeypatch):

@@ -14,9 +14,10 @@ from fock_reference import (
     newton_free_traces, sector_grand_sum)
 from loopgas import quantum_oracle
 from loopgas.interactions import InteractionParams
-from loopgas.lattice import PotentialSpec, Torus, periodize_potential
+from loopgas.lattice import (
+    HeatKernel, PotentialSpec, Torus, periodize_potential)
 from loopgas.quantum_oracle import (
-    FockBlocks, _free_mode_weights, _free_tail_bound, _free_traces,
+    FockBlocks, _free_tail_bound, _free_traces,
     _interaction_floor, feynman_kac_check, grand_partition, grand_sum,
     oracle_size, reduced_density_matrix, sector_dims)
 from site_reference import free_kernel
@@ -197,7 +198,8 @@ def test_interaction_bound_skips_only_blocks_below_an_ulp(d, L, p, positive,
     if p:
         assert np.max(np.abs(K - K_full)) <= min(
             2.0 ** -53, 1e-15 * np.max(np.abs(K_full)))
-    kappa, weights = _free_mode_weights(params, None)
+    kappa = params.kappa
+    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
     free = _free_traces(weights, res.n_max)
     blocks = FockBlocks(params)
     for n in range(1, res.n_max + 1):
@@ -321,6 +323,19 @@ def test_feynman_kac():
         feynman_kac_check(torus, V, t=0.0, n_samples=8, seed=23)
 
 
+@pytest.mark.parametrize("n_samples", [0, 3, 4, 7])
+def test_feynman_kac_needs_two_walks_per_start(n_samples):
+    '''Fewer than 2 walks from a start site leave no standard error: the
+    check refuses them instead of dividing by zero (3 walks on 4 sites)
+    or failing correct code with an SE of 0 (4 walks).  8 walks, 2 per
+    site, run.'''
+    torus = Torus(1, 4)
+    with pytest.raises(ValueError, match="at least 2"):
+        feynman_kac_check(torus, np.zeros(4), 1.0, n_samples, seed=0)
+    report = feynman_kac_check(torus, np.zeros(4), 1.0, 8, seed=0)
+    assert report["n_per_start"] == 2 and np.isfinite(report["max_z"])
+
+
 def test_reduced_density_matrix_diagonalizes_each_block_once(monkeypatch):
     # each sector is built once and diagonalized once, and the kernel is
     # a pure function of its arguments
@@ -371,11 +386,10 @@ def test_hard_core_keys_past_64_sites_are_refused():
     builds, on L = 65 the keys would collide and the oracle refuses with
     MemoryError instead of failing inside the build.'''
     params = _params(v0=0.0, R=1, L=64)
-    assert [len(H) for _, _, H in
-            FockBlocks(params, dim_cap=6000).sectors(1)] == [64]
+    assert [len(H) for _, _, H in FockBlocks(params).sectors(1)] == [64]
     params = _params(v0=0.0, R=1, L=65)
     with pytest.raises(MemoryError, match="overflow int64"):
-        list(FockBlocks(params, dim_cap=6000).sectors(1))
+        list(FockBlocks(params).sectors(1))
     with pytest.raises(MemoryError, match="overflow int64"):
         grand_partition(params)
 
@@ -401,11 +415,12 @@ def test_dim_cap_raises_before_building_a_larger_sector(monkeypatch):
             yield sector, lo, H
 
     monkeypatch.setattr(FockBlocks, "sectors", recording_build)
+    monkeypatch.setattr(quantum_oracle, "MAX_SECTOR_DIM", 2)
     # L = 3: sectors of dimension 1, 2 and then 4 (plane waves); blocks of
     # dimension 3 (hard core)
     for R in (0, 1):
-        with pytest.raises(MemoryError, match="exceeds dim_cap=2"):
-            grand_partition(_params(v0=0.0 if R else 0.5, R=R), dim_cap=2)
+        with pytest.raises(MemoryError, match="exceeds MAX_SECTOR_DIM=2"):
+            grand_partition(_params(v0=0.0 if R else 0.5, R=R))
     assert built and max(built) <= 2
 
 
