@@ -450,7 +450,7 @@ def run_ginibre_z(config):
                                  config.workers)
     _write_csv(config.out, "ginibre_z.csv",
                ["mean", "std_error", "n_samples", "seed"], [est.csv_row()])
-    _write_json(config.out, "ginibre_z.json", json.loads(est.to_json()))
+    _write_json(config.out, "ginibre_z.json", est.to_dict())
     return est
 
 
@@ -476,7 +476,7 @@ def run_symanzik_z(config):
                ["eps", "mean", "std_error", "n_samples", "seed"],
                [[eps] + est.csv_row() for eps, est in ests])
     _write_json(config.out, "symanzik_z.json",
-                {str(eps): json.loads(est.to_json()) for eps, est in ests})
+                {str(eps): est.to_dict() for eps, est in ests})
     return ests
 
 

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 
-# Most sites a Torus may have: its tables hold n_sites x d coordinates
-# and n_sites x 2d neighbours (about 75 MB at d = 18, L = 2).
+# Most sites a Torus may have: its coordinate table holds n_sites x d
+# entries (about 38 MB at d = 18, L = 2).
 MAX_SITES = 2 ** 18
 
 
@@ -51,14 +51,9 @@ class Torus:
             list(itertools.product(range(self.L), repeat=self.d)), dtype=np.int64
         ).reshape(self.n_sites, self.d)
         self._strides = self.L ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        # the 2d signed unit steps, +e_j then -e_j for each j, and the
-        # site reached from each site by each of them
+        # the 2d signed unit steps, +e_j then -e_j for each j
         eye = np.eye(self.d, dtype=np.int64)
         self.steps = np.stack((eye, -eye), axis=1).reshape(2 * self.d, self.d)
-        # (n_sites, 2d), one step at a time, so that no (n_sites, 2d, d)
-        # array is built
-        self.neighbor_table = np.column_stack(
-            [self.index_of(self.coords + e) for e in self.steps])
         self._diff_table = None
         self._grid = (self.L,) * self.d        # FFT layout of flat tables
 
@@ -128,14 +123,10 @@ class Torus:
 
 def laplacian_matrix(torus):
     '''Discrete Laplacian: (Delta f)(x) = sum over 2d signed steps e of
-    (f(x+e) - f(x)), with periodic wraparound.'''
-    n = torus.n_sites
-    mat = np.zeros((n, n))
-    for i in range(n):
-        mat[i, i] -= 2 * torus.d
-        for j in torus.neighbor_table[i]:
-            mat[i, j] += 1.0
-    return mat
+    (f(x+e) - f(x)), with periodic wraparound: the multiplier of its
+    symbol -2 lambda_xi.  Its entries are integers, so rounding gives
+    them exactly, and + 0.0 makes the zeros positive.'''
+    return np.rint(torus.multiplier(-2.0 * HeatKernel(torus).rates)) + 0.0
 
 
 class HeatKernel:

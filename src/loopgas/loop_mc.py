@@ -85,7 +85,6 @@ count.
 '''
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -122,11 +121,10 @@ class McEstimate:
     seed: int
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self):
-        doc = {"mean": self.mean, "std_error": self.std_error,
-               "n": self.n_samples, "seed": self.seed,
-               "params": self.metadata}
-        return json.dumps(doc)
+    def to_dict(self):
+        return {"mean": self.mean, "std_error": self.std_error,
+                "n": self.n_samples, "seed": self.seed,
+                "params": self.metadata}
 
     def csv_row(self):
         return [self.mean, self.std_error, self.n_samples, self.seed]

@@ -8,12 +8,9 @@ wraps onto its site, so no jump is recorded.
 
 Walks and loops are drawn as arrays, a whole batch at a time, and held
 in a LoopBatch (flat arrays, CSR jumps); Path is the view of one loop.
-walks draws free walks from arrays of start sites and durations, in
-three draws: the Poisson(d T) jump counts of all walks, then their
-uniform signed steps, then the uniform jump times, sorted within each
-walk.  A walk's end site follows from the net displacement of its steps
-mod L per coordinate, and its sites from the cumulative sum of its
-steps.
+There is no separate free-walk sampler: the walk from x over [0, T] has
+the law sum_y psi^{L,T}(y - x) W^T_{x->y}, so it is an end site y drawn
+from the heat kernel, then the bridge to y.
 
 bridges draws bridges x -> y over [0, T] exactly, in one pass.  The walk
 is a product of d independent 1D walks, each jumping +1 and -1 at rate
@@ -29,7 +26,14 @@ psi^{L,T}(y - x).  Given the counts, the jump times are iid uniform on
 counts come from inverse CDFs over a table of the Poisson(T/2) masses of
 the distinct T/2 of a batch.  The table ends at the first n >= max T/2
 where the tail bound P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below
-POISSON_TAIL = 1e-16; bridges refuses more than MAX_BRIDGE_CELLS cells.
+POISSON_TAIL = 1e-16.  A call whose table and count columns would
+exceed MAX_BRIDGE_CELLS cells draws in chunks of its walks, each within
+the budget, joined back in the caller's walk order: the walks sorted
+stably from the longest duration down, the first n // 2 of them drawn
+as one call, then the rest, each split again while it exceeds the
+budget.  The longest walk thus comes first, and when it alone exceeds
+the budget the call raises ValueError before any draw.  The budget
+bounds the tables of each chunk, not the jumps of the whole call.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges; draw_multi_window does the same for the grid
 loops of two windows or more.
@@ -94,35 +98,6 @@ def _segments(offsets, index):
     return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
-def walks(torus, x, T, rng):
-    '''Free walks from the sites x over the durations T (arrays of one
-    length n): (end sites, LoopBatch with walk k in configuration k).
-
-    Draws, in order: the jump counts Poisson(d T) of all walks, their
-    uniform signed steps (directions in 0..2d-1, torus.steps order), and
-    their uniform jump times, sorted within each walk.  On L = 1 it
-    draws the counts alone and records no jump.'''
-    x = np.asarray(x, dtype=np.int64)
-    T = np.asarray(T, dtype=float)
-    n, d = len(x), torus.d
-    counts = rng.poisson(d * T)
-    if torus.L == 1:
-        return x.copy(), LoopBatch(n, np.arange(n), x, T,
-                                   np.zeros(n, dtype=np.int64), _NO_TIMES,
-                                   _NO_SITES)
-    dirs = rng.integers(0, 2 * d, int(counts.sum()))
-    step_walk = np.repeat(np.arange(n), counts)
-    # net displacement per coordinate: step k moves coordinate k // 2 by
-    # +1 (k even) or -1 (k odd)
-    disp = np.bincount(step_walk * d + dirs // 2, weights=1 - 2 * (dirs % 2),
-                       minlength=n * d).reshape(n, d).astype(np.int64)
-    end = torus.index_of(torus.coords[x] + disp)
-    sites = _sites(torus, x, counts, dirs)
-    times = rng.random(len(dirs)) * T[step_walk]
-    times = times[np.lexsort((times, step_walk))]
-    return end, LoopBatch(n, np.arange(n), x, T, counts, times, sites)
-
-
 def bridges(torus, x, T, rng, y=None):
     '''Walks from the sites x to the sites y over the durations T
     (arrays of one length n; y None: closed walks, y = x), exactly and
@@ -133,7 +108,10 @@ def bridges(torus, x, T, rng, y=None):
     inverse CDF), then the uniform jump times of all walks; the signed
     steps of a walk take the order of their times.  Where y = x the
     draws and the paths are those of y None.  On L = 1 it draws nothing
-    and records no jump.'''
+    and records no jump.  Over MAX_BRIDGE_CELLS it draws in chunks, by
+    the same rule: the first n // 2 walks in stable order of decreasing
+    duration, then the rest; ValueError, before any draw, when one walk
+    alone is over.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
@@ -146,7 +124,16 @@ def bridges(torus, x, T, rng, y=None):
         shift = None
     lam, row = np.unique(T / 2, return_inverse=True)
     # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
-    table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+    try:
+        table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+    except ValueError:
+        if n == 1:
+            raise
+        order = np.argsort(-T, kind="stable")
+        return LoopBatch.join(n, [
+            (part, bridges(torus, x[part], T[part], rng,
+                           None if y is None else np.asarray(y)[part]), None)
+            for part in (order[:n // 2], order[n // 2:])])
     u = rng.random((n, d, 3))
     q = table.sum(axis=1)
     if shift is None:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .interactions import v_tilde_table
 from .lattice import HeatKernel, laplacian_matrix
+from .paths import bridges, pick
 
 
 # Most cells (states x Hamiltonian terms) one run of blocks may hold; a
@@ -477,9 +478,14 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed):
     '''Compare (e^{t(Delta/2 - V)})_{y,x} with the Monte Carlo estimate
     E_{P^t_x}[1{w(t)=y} e^{-int_0^t V(w(s)) ds}] for all (x, y).  Each
     start site gets n_samples // |Lambda| walks; ValueError if fewer than
-    2, which leave no standard error to compare with.'''
-    from .paths import walks
+    2, which leave no standard error to compare with.
 
+    The walks are bridges, by P^t_x = sum_y psi^{L,t}(y - x) W^t_{x->y}:
+    for each start site x in site order, its end sites (paths.pick over
+    the heat kernel table psi^{L,t}(. - x)), then one paths.bridges call
+    to them.  A standard error below the estimator's resolution, one
+    walk's largest contribution e^{-t min V} over the walk count (an end
+    site no walk reached), is taken at that resolution.'''
     if t <= 0:
         raise ValueError("t must be > 0")
     m = torus.n_sites
@@ -490,11 +496,14 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed):
     gen = 0.5 * laplacian_matrix(torus) - np.diag(V_site)
     w, U = np.linalg.eigh(gen)
     exact = (U * np.exp(t * w)) @ U.T
+    table = HeatKernel(torus).table(t)
     rng = np.random.default_rng(seed)
     sums, sq = np.zeros((2, m, m))
     for x in range(m):
         # all walks from x at once; walk k is configuration k of the batch
-        end, batch = walks(torus, np.full(per_x, x), np.full(per_x, t), rng)
+        end = pick(np.cumsum(np.maximum(table[torus.diff_table[:, x]], 0.0)),
+                   rng, per_x)
+        batch = bridges(torus, np.full(per_x, x), np.full(per_x, t), rng, end)
         walk, site, length = batch.pieces()
         val = np.exp(-np.bincount(walk, weights=length * V_site[site],
                                   minlength=per_x))
@@ -503,7 +512,8 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed):
     mean = sums / per_x
     var = sq / per_x - mean ** 2
     std = np.sqrt(np.maximum(var, 0.0) / per_x)
-    z = np.abs(mean - exact) / np.maximum(std, 1e-15)
-    ok = bool(np.all(np.abs(mean - exact) <= 3.0 * std + 1e-12))
+    se = np.maximum(std, np.exp(-t * V_site.min()) / per_x)
+    z = np.abs(mean - exact) / se
+    ok = bool(np.all(np.abs(mean - exact) <= 3.0 * se + 1e-12))
     return {"pass": ok, "max_z": float(z.max()), "mc": mean, "exact": exact,
             "std": std, "n_per_start": per_x}

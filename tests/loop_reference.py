@@ -1,15 +1,18 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
-The samplers walks, bridges, draw_batch, draw_multi_window and
-open_paths make exactly the random draws of the library's paths.walks,
-paths.bridges, LoopIntensity.draw_batch, LoopIntensity.draw_multi_window
-and loop_mc._OpenPaths.draw, the same calls in the same order, but build each path on its own, stepping through the
-neighbour table one jump at a time, and return lists of Paths.
-rejection_loops is the bridge sampler the library used before exact
-bridges: it re-walks every open loop until it closes, and serves as a
-statistical oracle.  The occupation kernel builds one configuration's
-slices and occupations and its quadratic form at a time.  The tests
-check the batched code against these, number for number.
+The samplers bridges, draw_batch, draw_multi_window and open_paths make
+exactly the random draws of the library's paths.bridges,
+LoopIntensity.draw_batch, LoopIntensity.draw_multi_window and
+loop_mc._OpenPaths.draw, the same calls in the same order, but build
+each path on its own, one signed unit step (step) at a time, and return
+lists of Paths.  walks draws free walks step by step (Poisson(d T) jump
+counts, uniform signed steps, uniform jump times) for tests that need
+open walks as inputs.  rejection_loops is the bridge sampler the library
+used before exact bridges: it re-walks every open loop until it closes,
+and serves as a statistical oracle.  The occupation kernel builds one
+configuration's slices and occupations and its quadratic form at a
+time.  The tests check the batched code against these, number for
+number.
 '''
 
 import itertools
@@ -22,6 +25,12 @@ from loopgas.paths import Path, pick
 
 
 # -- samplers ------------------------------------------------------------------
+
+def step(torus, site, k):
+    '''The site reached from site by the signed unit step k (torus.steps
+    order: +e_j is 2j, -e_j is 2j + 1); arrays broadcast.'''
+    return torus.index_of(torus.coords[site] + torus.steps[k])
+
 
 def walks(torus, x, T, rng):
     '''Free walks from the sites x over the durations T: (end sites, the
@@ -46,7 +55,7 @@ def _walks(torus, x, T, rng, keep):
         for xk, Tk, c in zip(x, T, counts):
             site, sites = int(xk), []
             for k in dirs[lo:lo + c]:
-                site = int(torus.neighbor_table[site, k])
+                site = int(step(torus, site, k))
                 sites.append(site)
             lo += c
             ends.append(site)
@@ -119,7 +128,7 @@ def bridges(torus, x, T, rng, y=None):
         order = np.argsort(t, kind="stable")
         site, sites = int(xk), []
         for i in order:
-            site = int(torus.neighbor_table[site, s[i]])
+            site = int(step(torus, site, s[i]))
             sites.append(site)
         paths.append(Path(int(xk), float(Tk), t[order],
                           np.array(sites, dtype=np.int64)))

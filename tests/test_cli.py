@@ -619,13 +619,23 @@ def test_grid_mode_weight_of_one_exits_2(tmp_path):
 
 
 def test_grid_loops_past_the_bridge_budget_exit_2(tmp_path):
-    # kappa = 1e-5, nu = 50: the first batch's Poisson tables would hold
-    # about 3.7e8 cells (2.8 GiB)
+    # kappa = 1e-9, nu = 50: the first batch's longest loop (T near 3e9)
+    # would need a Poisson table of about 2e9 cells on its own
     from loopgas.paths import MAX_BRIDGE_CELLS
-    run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(kappa=1e-5, nu=50))
+    run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(kappa=1e-9, nu=50))
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.count("\n") == 1
     assert f"MAX_BRIDGE_CELLS = {MAX_BRIDGE_CELLS}" in run.stderr
+
+
+def test_grid_loops_over_the_bridge_budget_draw_in_chunks(tmp_path):
+    # kappa nu = 1e-5: a batch's bridges would need about 5.3e7 table
+    # cells in one call, but each loop fits, so bridges draws in chunks
+    run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(
+        nu=None, nu_list=[0.1], kappa=1e-4, n_samples=200, seed=7))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "" and run.stderr == ""
+    assert (tmp_path / "out" / "ginibre_z.json").exists()
 
 
 def test_grid_monte_carlo_imports_no_scipy():

@@ -519,11 +519,12 @@ def test_pair_interaction_has_its_exact_mean(build):
     10^6 drawn-drawn pairs V_12 and, per configuration, the mean of the
     two fixed-drawn pairs V_01, V_02: both within 4 sigma.'''
     from loopgas.interactions import batch_interaction
-    from loopgas.paths import LoopBatch, walks
+    from loopgas.paths import LoopBatch
+    from loop_reference import sample_free_walk
     spec = build()
     params, intensity = spec.params, spec.intensity
     rng = np.random.default_rng(2026)
-    _, fixed = walks(spec.torus, [0], [1.0], rng)
+    fixed = LoopBatch.from_paths([[sample_free_walk(spec.torus, 0, 1.0, rng)]])
     t1 = intensity.duration_moments[0]
     pair = (params.lam * math.fsum(params.vL.tolist())
             / (params.nu ** 2 * spec.torus.n_sites))

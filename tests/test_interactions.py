@@ -179,7 +179,8 @@ def _on_the_grid(torus, nu, n_win, rng):
     site, sites = int(rng.integers(torus.n_sites)), []
     start = site
     for _ in a:
-        site = int(torus.neighbor_table[site, rng.integers(2 * torus.d)])
+        site = int(loop_reference.step(torus, site,
+                                       rng.integers(2 * torus.d)))
         sites.append(site)
     return Path(start, nu * n_win, nu * a.astype(float),
                 np.array(sites, dtype=np.int64))
@@ -485,7 +486,8 @@ def test_one_window_paths_interact_through_v0_alone(d, nu):
     T = np.full(2000, nu)
     x = rng.integers(torus.n_sites, size=2000)
     closed = paths.bridges(torus, x, T, rng)
-    _, open_walks = paths.walks(torus, x, T, rng)
+    open_walks = LoopBatch.from_paths(
+        [[path] for path in loop_reference.walks(torus, x, T, rng)[1]])
     exact = 0.5 * 0.9 * 0.7
     for batch in (closed, open_walks):
         assert np.diff(batch.offsets).max() >= 2

@@ -55,14 +55,6 @@ def test_centered_box_in_offset_order(d, L, L0):
             torus.centered_box(bad)
 
 
-def test_neighbor_table_is_involutive():
-    torus = Torus(2, 4)
-    for i in range(torus.n_sites):
-        for k in range(2 * torus.d):
-            j = torus.neighbor_table[i, k]
-            assert i in torus.neighbor_table[j]
-
-
 def test_diff_table_definition():
     torus = Torus(2, 3)
     rng = np.random.default_rng(0)
@@ -80,6 +72,25 @@ def test_laplacian_rows_sum_to_zero():
         assert np.allclose(mat, mat.T)
     # L = 1: no off-site neighbors, Delta = 0
     assert np.allclose(laplacian_matrix(Torus(2, 1)), 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_laplacian_matrix_is_the_step_sum(d, L):
+    '''The Laplacian built from its symbol equals the sum over the 2d
+    signed steps, -2d on the diagonal and +1 for each step's site, bit
+    for bit, the signs of its zeros included.'''
+    torus = Torus(d, L)
+    n = torus.n_sites
+    ref = np.zeros((n, n))
+    for i in range(n):
+        ref[i, i] -= 2 * d
+        for e in torus.steps:
+            ref[i, torus.index_of(torus.coords[i] + e)] += 1.0
+    mat = laplacian_matrix(torus)
+    assert mat.dtype == ref.dtype
+    assert np.array_equal(mat, ref)
+    assert np.array_equal(np.signbit(mat), np.signbit(ref))
 
 
 def test_heat_kernel_range_normalization_semigroup():

@@ -1,5 +1,5 @@
-'''Path containers, the free walk, exact bridges, loop intensities and
-the open-path law of the kernel estimates.'''
+'''Path containers, exact bridges, loop intensities and the open-path
+law of the kernel estimates.'''
 
 import collections
 import math
@@ -13,7 +13,7 @@ from loopgas.lattice import HeatKernel, Torus
 from loopgas import paths
 from loopgas.loop_mc import _OpenPaths
 from loopgas.paths import (LoopBatch, LoopIntensity, Path, _residue_table,
-                          bridges, walks)
+                          bridges)
 
 import loop_reference
 
@@ -28,30 +28,6 @@ def test_path_evaluation_and_local_time():
     assert tab[0] == pytest.approx(0.5) and tab[1] == pytest.approx(0.75)
     assert tab.sum() == pytest.approx(p.duration)
     assert tab[3] == 0.0
-
-
-def test_free_walk_endpoint_distribution():
-    # endpoint law of the rate-d walk is the heat kernel (3 sigma)
-    torus = Torus(1, 3)
-    hk = HeatKernel(torus)
-    t = 0.8
-    n = 20000
-    rng = np.random.default_rng(7)
-    end, _ = walks(torus, np.zeros(n, dtype=np.int64), np.full(n, t), rng)
-    counts = np.bincount(end, minlength=torus.n_sites)
-    probs = hk.table(t)[torus.diff_table[:, 0]]
-    for s in range(torus.n_sites):
-        se = math.sqrt(probs[s] * (1 - probs[s]) / n)
-        assert abs(counts[s] / n - probs[s]) <= 3.0 * se
-
-
-def test_free_walk_l1_never_jumps():
-    rng = np.random.default_rng(1)
-    end, batch = walks(Torus(1, 1), np.zeros(4, dtype=np.int64),
-                       np.full(4, 5.0), rng)
-    assert end.tolist() == [0] * 4 and batch.config.tolist() == [0, 1, 2, 3]
-    assert len(batch.times) == len(batch.sites) == 0
-    assert batch.offsets.tolist() == [0] * 5
 
 
 def _open_durations(intensity, n, seed):
@@ -319,7 +295,8 @@ def test_bridges_are_closed_nearest_neighbour_paths(d, L):
     assert np.all(np.diff(batch.times)[same] > 0)
     before = np.concatenate(([0], batch.sites[:-1]))
     before[batch.offsets[:-1][counts > 0]] = x[counts > 0]
-    neighbours = torus.neighbor_table[before]
+    neighbours = loop_reference.step(torus, before[:, None],
+                                     np.arange(2 * d))
     assert np.all((neighbours == batch.sites[:, None]).any(axis=1))
     assert (L == 1) == (len(batch.times) == 0)
 
@@ -384,15 +361,11 @@ class _CountingRng:
         return call
 
 
-def test_low_acceptance_bridges_draw_in_one_pass(monkeypatch):
+def test_low_acceptance_bridges_draw_in_one_pass():
     '''d = 3, L = 7, T = 40 (return probability about 1/343): bridges
     draws a batch with two generator calls, as for a single bridge, and
     its mean jump count is the conditioned law's; draw_batch makes five
-    calls (modes, log-series counts, base sites, bridges) and walks no
-    free walk.'''
-    def no_walks(*args, **kwargs):
-        raise AssertionError("a free walk was drawn")
-    monkeypatch.setattr(paths, "walks", no_walks)
+    calls (modes, log-series counts, base sites, bridges).'''
     torus = Torus(3, 7)
     T = 40.0
     assert HeatKernel(torus).at_origin(T) < 4e-3
@@ -416,15 +389,17 @@ def test_low_acceptance_bridges_draw_in_one_pass(monkeypatch):
 
 def test_bridges_past_the_cell_budget_are_refused_before_any_draw(
         monkeypatch):
-    '''kappa = 1e-5, nu = 50: 4096 loops reach T/2 near 3e5, and their
-    Poisson tables would hold over 3e8 cells.  bridges refuses them
-    before it draws a number or computes a log-factorial.'''
+    '''kappa = 1e-5, nu = 50: 4096 loops reach T/2 near 3e5, and among
+    them one walk of T = 1e8, whose Poisson table alone would hold over
+    6e7 cells.  bridges refuses the batch before it draws a number or
+    computes a log-factorial.'''
     def refuse(*args):
         raise AssertionError("log-factorials were computed")
 
     torus = Torus(1, 3)
     intensity = LoopIntensity(torus, "ginibre", kappa=1e-5, nu=50.0)
-    T = intensity.sample_duration(np.random.default_rng(0), 4096)
+    T = np.insert(intensity.sample_duration(np.random.default_rng(0), 4096),
+                  1000, 1e8)
     monkeypatch.setattr(paths, "_log_factorials", refuse)
     rng = _CountingRng(1)
     with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
@@ -435,19 +410,63 @@ def test_bridges_past_the_cell_budget_are_refused_before_any_draw(
 @pytest.mark.parametrize("closed", [True, False])
 def test_bridge_budget_counts_the_table_and_the_columns(monkeypatch, closed):
     '''The budget is the residue table (distinct T) x M x L plus the
-    cumulative columns n x d x (1 closed, 2 open) x M: bridges draws at
-    exactly that many cells and refuses one fewer.'''
+    cumulative columns n x d x (1 closed, 2 open) x M: bridges draws in
+    one call (two generator calls) at exactly that many cells, and in
+    two chunks at one fewer.'''
     torus = Torus(2, 3)
     x = np.arange(40) % torus.n_sites
     T = np.repeat([0.5, 7.0, 30.0, 61.0], 10)
     y = None if closed else (x + 1) % torus.n_sites
     table = _residue_table(np.unique(T / 2), 3)
     cells = table.size + len(x) * 2 * (1 if closed else 2) * table.shape[1]
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells)
-    bridges(torus, x, T, np.random.default_rng(3), y)
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells - 1)
-    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
-        bridges(torus, x, T, np.random.default_rng(3), y)
+    for budget, calls in ((cells, 2), (cells - 1, 4)):
+        monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
+        rng = _CountingRng(3)
+        bridges(torus, x, T, rng, y)
+        assert rng.calls == calls
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
+    '''12 walks over MAX_BRIDGE_CELLS, each within it: bridges draws
+    them as the chunk calls of its rule on one generator.  In order of
+    decreasing duration, ties in walk order, the first 6 walks are over
+    the budget and split into 3 and 3; the last 6 fit.  Each walk keeps
+    its start, duration and configuration, closed walks close, and open
+    ones reach their end sites.'''
+    torus = Torus(2, 3)
+    T = np.array([0.5, 20.0, 1.0, 40.0, 0.25, 8.0, 0.75, 20.0, 30.0, 1.0,
+                  10.0, 0.5])
+    x = np.arange(12) % torus.n_sites
+    y = x if closed else (x + 1) % torus.n_sites
+    order = np.array([3, 8, 1, 7, 10, 5, 2, 9, 6, 0, 11, 4])
+    chunks = [order[:3], order[3:6], order[6:]]
+    per_walk = torus.d * (1 if closed else 2)
+
+    def cells(walks):
+        table = _residue_table(np.unique(T[walks] / 2), 3)
+        return table.size + len(walks) * per_walk * table.shape[1]
+
+    budget = cells(chunks[0])
+    assert cells(np.arange(12)) > budget and cells(order[:6]) > budget
+    assert all(cells(chunk) <= budget for chunk in chunks)
+    ref = np.random.default_rng(5)
+    expected = LoopBatch.join(12, [
+        (chunk, bridges(torus, x[chunk], T[chunk], ref,
+                        None if closed else y[chunk]), None)
+        for chunk in chunks])
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
+    rng = np.random.default_rng(5)
+    batch = bridges(torus, x, T, rng, None if closed else y)
+    for name in ("config", "start", "duration", "offsets", "times",
+                 "sites"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert batch.config.tolist() == list(range(12))
+    assert np.array_equal(batch.start, x) and np.array_equal(batch.duration,
+                                                             T)
+    assert np.array_equal(_loop_ends(batch), y)
+    assert len(batch.times) > 0
 
 
 def _grid_masses(torus, kappa, nu):
@@ -638,7 +657,7 @@ def _same_path(p, q):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_walk_and_loop_keep_the_reference_stream(d, L):
-    '''Over many seeds, walks, bridges (closed, and to other end sites),
+    '''Over many seeds, bridges (closed, and to other end sites),
     draw_batch and the open paths of a kernel sample (ginibre and
     symanzik) give the per-path reference's paths, durations and
     weights, and the generator state is the same after every draw.'''
@@ -650,13 +669,8 @@ def test_walk_and_loop_keep_the_reference_stream(d, L):
         n = torus.n_sites
         x = np.arange(12) % n
         T = 0.25 + 0.5 * np.arange(12)
-        end, batch = walks(torus, x, T, new)
-        ref_end, paths = loop_reference.walks(torus, x, T, ref)
-        assert end.tolist() == ref_end
-        assert batch.config.tolist() == list(range(12))
-        assert _same_paths(batch, paths)
-        assert new.bit_generator.state == ref.bit_generator.state
         batch = bridges(torus, x, T, new)
+        assert batch.config.tolist() == list(range(12))
         assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref))
         assert new.bit_generator.state == ref.bit_generator.state
         y = (3 * x + seed) % n

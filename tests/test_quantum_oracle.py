@@ -328,12 +328,14 @@ def test_feynman_kac_needs_two_walks_per_start(n_samples):
     '''Fewer than 2 walks from a start site leave no standard error: the
     check refuses them instead of dividing by zero (3 walks on 4 sites)
     or failing correct code with an SE of 0 (4 walks).  8 walks, 2 per
-    site, run.'''
+    site, run and pass: an end site no walk reaches has an SE of 0, and
+    counts at the estimator's resolution, one walk's weight over 2.'''
     torus = Torus(1, 4)
     with pytest.raises(ValueError, match="at least 2"):
         feynman_kac_check(torus, np.zeros(4), 1.0, n_samples, seed=0)
     report = feynman_kac_check(torus, np.zeros(4), 1.0, 8, seed=0)
     assert report["n_per_start"] == 2 and np.isfinite(report["max_z"])
+    assert np.any(report["std"] == 0.0) and report["pass"]
 
 
 def test_reduced_density_matrix_diagonalizes_each_block_once(monkeypatch):
