@@ -134,8 +134,8 @@ class FockBlocks:
         self.lam = params.lam
         self.reach, self._runs = None, []
         vmat = v_tilde_table(params.vL, torus, params.R)[torus.diff_table]
-        h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
         if params.R == 1:
+            h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
             # energy (lam/2) q.v.q + q.diag(h1); hops x -> y move a particle
             self.pair = vmat
             if not np.isfinite(self.pair).all():
