@@ -23,7 +23,7 @@ import jsonschema
 
 from . import cluster, field_oracle, largemass, perturbative, quantum_oracle
 from .interactions import InteractionParams
-from .lattice import (HeatKernel, PotentialSpec, Torus, check_positive_type,
+from .lattice import (PotentialSpec, Torus, check_positive_type,
                       heat_kernel_images, periodize_potential)
 from .loop_mc import EnsembleSpec, estimate_gamma_p, estimate_rel_partition
 from .paths import LoopIntensity
@@ -88,7 +88,9 @@ class ExperimentConfig:
               for key, val in doc.items()
               if key not in ("torus", "potential", "nu", "eps")}
         for one, many in (("nu", "nu_list"), ("eps", "eps_list")):
-            if one in doc and not doc.get(many):
+            if one in doc:
+                if many in doc:
+                    raise ConfigError(f"set {one!r} or {many!r}, not both")
                 kw[many] = [doc[one]]
         return cls(**kw, **doc["torus"], potential=pot)
 
@@ -233,9 +235,8 @@ def run_meanfield_sweep(config):
                                      kappa=kappa) for nu in config.nu_list]
     # the classical side first: a hard core fails it before any output
     if torus.n_sites == 1:
-        origin = torus.index_of(np.zeros(torus.d, dtype=np.int64))
         z_cl, g_cl = field_oracle.quadrature_single_site(
-            kappa, float(vL[origin]), p)
+            kappa, float(vL[0]), p)
         z_cl_se = g_cl_se = 0.0
     else:
         gf = field_oracle.GaussianField(torus, kappa)
@@ -388,10 +389,9 @@ def run_heatkernel(config):
     coordinates of 1D image sums (heat_kernel_images).'''
     config.require("t_list")
     torus = config.torus()
-    hk = HeatKernel(torus)
     rows = []
     for t in config.t_list:
-        table = hk.table(t)
+        table = torus.heat_kernel(t)
         images = heat_kernel_images(t, torus.L)
         for site in range(torus.n_sites):
             xvec = torus.centered(torus.coords[site])
@@ -493,12 +493,11 @@ def run_selftest(config):
         print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
 
     torus = Torus(d=1, L=3)
-    hk = HeatKernel(torus)
-    table = hk.table(0.7)
+    table = torus.heat_kernel(0.7)
     ok = (table.min() >= 0 and table.max() <= 1
           and abs(table.sum() - 1.0) < 1e-12)
-    two_step = sum(hk.table(0.3).ravel()[torus.diff_table[:, 0]]
-                   * hk.table(0.4).ravel()[torus.diff_table[0, :]])
+    two_step = sum(torus.heat_kernel(0.3).ravel()[torus.diff_table[:, 0]]
+                   * torus.heat_kernel(0.4).ravel()[torus.diff_table[0, :]])
     record("lattice.heat_kernel", ok and abs(two_step - table.ravel()[0]) < 1e-10)
 
     vspec = PotentialSpec(d=1, R=0, entries={(0,): 0.3, (1,): 0.1, (-1,): 0.1})
@@ -550,7 +549,7 @@ def run_selftest(config):
     record("loop_mc.free_partition", abs(z0.mean - 1.0) < 1e-12)
     # Gamma_free(u) = sum_k e^{-kappa nu k} psi^{nu k}(u), cut at k = 60;
     # 0 <= psi <= 1 bounds the tail by e^{-61 kappa nu}/(1 - e^{-kappa nu})
-    loops = sum(math.exp(-0.75 * k) * hk.table(0.5 * k)
+    loops = sum(math.exp(-0.75 * k) * torus.heat_kernel(0.5 * k)
                 for k in range(1, 61))[torus.diff_table]
     pert = perturbative.gamma1_first_order(torus, 0.5, 1.5, np.zeros(3), 0.25)
     record("perturbative.free_limit", np.abs(loops - pert).max() < 1e-12)

@@ -308,18 +308,6 @@ def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):
 
 # -- truncated expansion series ---------------------------------------------
 
-def _partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
-
-
 def _weights_and_zeta(V, n_fixed):
     '''From (C, n, n) pair matrices: the self-interaction weights
     prod e^{-V(w, w)/2} of the drawn loops (all but the first n_fixed

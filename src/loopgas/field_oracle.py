@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lattice import HeatKernel, check_positive_type
+from .lattice import check_positive_type
 from .loop_mc import McEstimate, run_mc
 
 
@@ -26,7 +26,7 @@ class GaussianField:
             raise ValueError("kappa must be > 0 (covariance must be SPD)")
         self.torus = torus
         self.kappa = float(kappa)
-        symbol = self.kappa + HeatKernel(torus).rates
+        symbol = self.kappa + torus.rates
         self.covariance = torus.multiplier(1.0 / symbol)
         self.factor = torus.multiplier(symbol ** -0.5)
 

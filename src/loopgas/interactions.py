@@ -75,17 +75,16 @@ class InteractionParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
-        origin = self.torus.index_of(np.zeros(self.torus.d, dtype=np.int64))
         if self.R not in (0, 1) or (self.R == 1) != bool(
-                np.isposinf(self.vL[origin])):
+                np.isposinf(self.vL[0])):
             raise ValueError("R = 1 iff vL is +inf at the origin")
 
 
-def v_tilde_table(vL, torus, R):
+def v_tilde_table(vL, R):
     '''Helper ṽ = v restricted off the hard core (v * 1{|x|_L >= R}).'''
     out = np.array(vL, dtype=float)
     if R == 1:
-        out[torus.min_norm(torus.coords) < 1] = 0.0
+        out[0] = 0.0        # |x|_L < 1 only at the origin
     return out
 
 
@@ -184,7 +183,7 @@ def _evaluate(batch, params, kind, pairs):
     killed = None
     if kind == "ginibre" and params.R == 1 and not pairs:
         killed = np.maximum.reduceat(N.max(axis=(1, 2)), bounds) > 1
-        vL = v_tilde_table(vL, torus, 1)
+        vL = v_tilde_table(vL, 1)
     P = _slice_form(w, N, vL[torus.diff_table])
     if pairs:
         return np.add.reduceat(P, bounds, axis=0)

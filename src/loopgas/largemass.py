@@ -74,7 +74,7 @@ def _site_cap(params):
 def _energy_table(params):
     '''Interaction matrix for occupation fields: v-tilde, the potential
     off the hard core (diagonal-free for R=1), over site pairs.'''
-    return v_tilde_table(params.vL, params.torus, params.R)[
+    return v_tilde_table(params.vL, params.R)[
         params.torus.diff_table]
 
 

@@ -1,5 +1,5 @@
-'''Torus geometry, discrete Laplacian, heat kernels, potential periodization,
-and the torus Fourier layer.
+'''Torus geometry and its Fourier layer: the symbol, heat kernels, the
+free Bose gas's weights; potential periodization.
 
 Convention for degenerate side lengths: the Laplacian acts through the 2d
 signed unit steps with wraparound, so L=2 carries doubled edge weights and
@@ -9,14 +9,17 @@ use L >= 3.
 
 Fourier layer: every translation-invariant kernel is a function of one
 symbol, lambda_xi = d - sum_j cos xi_j (that of -Delta/2), written once as
-HeatKernel.rates, flat in site order (xi = 2 pi c / L at coordinates c).
+Torus.rates, flat in site order (xi = 2 pi c / L at coordinates c).
 Torus.fourier and Torus.inverse_fourier map flat site tables to symbols
 and back, and Torus.multiplier gives a symbol's matrix K(x - y); they take
-the real part, exact for even inputs.  The free Bose gas has weights
-a_xi = e^{-nu(kappa + lambda_xi)} (HeatKernel.free_weights) and needs
-kappa > 0 and nu > 0, else ValueError.
+the real part, exact for even inputs.  The heat kernel psi^{L,t} of
+e^{t Delta/2} has symbol e^{-t lambda_xi} (Torus.heat_kernel).  The free
+Bose gas has weights a_xi = e^{-nu(kappa + lambda_xi)}
+(Torus.free_weights) and needs kappa > 0 and nu > 0, else ValueError.
+The origin is flat site 0.
 '''
 
+import functools
 import itertools
 import math
 
@@ -54,7 +57,6 @@ class Torus:
         # the 2d signed unit steps, +e_j then -e_j for each j
         eye = np.eye(self.d, dtype=np.int64)
         self.steps = np.stack((eye, -eye), axis=1).reshape(2 * self.d, self.d)
-        self._diff_table = None
         self._grid = (self.L,) * self.d        # FFT layout of flat tables
 
     def index_of(self, coords):
@@ -79,31 +81,38 @@ class Torus:
             list(itertools.product(offsets, repeat=self.d)),
             dtype=np.int64))
 
-    def min_norm(self, coords):
-        '''Periodic Euclidean norm |x|_L = min_k |x + Lk|.'''
-        c = np.asarray(coords, dtype=np.int64) % self.L
-        m = np.minimum(c, self.L - c)
-        return np.sqrt(np.sum(m * m, axis=-1))
-
     def check_sites(self, p, xs, ys):
         '''xs and ys as lists of ints; ValueError unless each lists p
-        sites of the torus (0..n_sites-1).'''
+        integer sites of the torus (0..n_sites-1).'''
         out = []
         for name, sites in (("x", xs), ("y", ys)):
-            sites = [int(s) for s in np.atleast_1d(sites)]
-            if len(sites) != p or not all(0 <= s < self.n_sites
+            sites = np.atleast_1d(sites)
+            if len(sites) != p or not all(float(s).is_integer()
+                                          and 0 <= s < self.n_sites
                                           for s in sites):
                 raise ValueError(f"{name} must list p = {p} sites of the "
-                                 f"torus (0..{self.n_sites - 1}), got {sites}")
-            out.append(sites)
+                                 f"torus (0..{self.n_sites - 1}), got "
+                                 f"{sites.tolist()}")
+            out.append([int(s) for s in sites])
         return out
 
-    @property
+    @functools.cached_property
     def diff_table(self):
-        if self._diff_table is None:
-            diff = (self.coords[:, None, :] - self.coords[None, :, :]) % self.L
-            self._diff_table = self.index_of(diff)
-        return self._diff_table
+        '''The read-only table of x - y: diff_table[x, y] is its flat
+        index.'''
+        diff = (self.coords[:, None, :] - self.coords[None, :, :]) % self.L
+        table = self.index_of(diff)
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def rates(self):
+        '''The read-only symbol lambda_xi = d - sum_j cos xi_j of
+        -Delta/2, flat in site order.'''
+        xi = 2.0 * np.pi * self.coords / self.L
+        rates = self.d - np.cos(xi).sum(axis=1)
+        rates.setflags(write=False)
+        return rates
 
     def fourier(self, table):
         '''Symbol xi -> sum_x f(x) e^{-i xi.x} of an even flat site table,
@@ -120,44 +129,23 @@ class Torus:
         operator that multiplies Fourier transforms by the symbol.'''
         return self.inverse_fourier(symbol)[self.diff_table]
 
-
-def laplacian_matrix(torus):
-    '''Discrete Laplacian: (Delta f)(x) = sum over 2d signed steps e of
-    (f(x+e) - f(x)), with periodic wraparound: the multiplier of its
-    symbol -2 lambda_xi.  Its entries are integers, so rounding gives
-    them exactly, and + 0.0 makes the zeros positive.'''
-    return np.rint(torus.multiplier(-2.0 * HeatKernel(torus).rates)) + 0.0
-
-
-class HeatKernel:
-    '''Spectral heat kernel psi^{L,t} of e^{t Delta/2} on the torus, and
-    the free Bose gas on the same symbol.
-
-    psi^{L,t}(x) = L^{-d} sum_xi e^{-t lambda_xi} e^{i xi.x},
-    lambda_xi = d - sum_j cos xi_j, xi in (2 pi/L) {0..L-1}^d.
-    '''
-
-    def __init__(self, torus):
-        self.torus = torus
-        xi = 2.0 * np.pi * torus.coords / torus.L
-        self.rates = torus.d - np.cos(xi).sum(axis=1)   # lambda_xi, site order
-
-    def table(self, t):
-        '''Table x -> psi^{L,t}(x), flat-indexed like the torus sites.'''
+    def heat_kernel(self, t):
+        '''Table x -> psi^{L,t}(x) = L^{-d} sum_xi e^{-t lambda_xi}
+        e^{i xi.x}, flat in site order.'''
         if t < 0:
             raise ValueError("t must be >= 0")
-        return self.torus.inverse_fourier(np.exp(-float(t) * self.rates))
+        return self.inverse_fourier(np.exp(-float(t) * self.rates))
 
-    def at_origin(self, t):
+    def heat_kernel_at_origin(self, t):
         '''psi^{L,t}(0) for scalar or array t (vectorized over t).'''
         t = np.asarray(t, dtype=float)
         return np.mean(np.exp(-np.multiply.outer(t, self.rates)), axis=-1)
 
-    def ratio_to_origin(self, t, shift):
+    def heat_kernel_ratio(self, t, shift):
         '''psi^{L,t}(s) / psi^{L,t}(0) for durations t (n,) and coordinate
         shifts s (n, d): a product over the coordinates of 1D kernels, each
         a cosine sum over the L modes of one coordinate.'''
-        L = self.torus.L
+        L = self.L
         k = np.arange(L)
         rates = 1.0 - np.cos(2.0 * np.pi * k / L)
         modes = np.exp(-np.multiply.outer(t, rates))
@@ -175,6 +163,14 @@ class HeatKernel:
         if a[0] >= 1.0:     # xi = 0 carries the largest weight
             raise ValueError("kappa * nu too small: a mode weight is 1")
         return a
+
+
+def laplacian_matrix(torus):
+    '''Discrete Laplacian: (Delta f)(x) = sum over 2d signed steps e of
+    (f(x+e) - f(x)), with periodic wraparound: the multiplier of its
+    symbol -2 lambda_xi.  Its entries are integers, so rounding gives
+    them exactly, and + 0.0 makes the zeros positive.'''
+    return np.rint(torus.multiplier(-2.0 * torus.rates)) + 0.0
 
 
 # Most sites one ring of heat_kernel_infinite or heat_kernel_images may
@@ -305,7 +301,7 @@ def periodize_potential(spec, L):
         table[torus.index_of(site)] += val
     if spec.R == 1:
         # |x+k| < 1 only at x = 0 mod L
-        table[torus.index_of(np.zeros(spec.d, dtype=np.int64))] = np.inf
+        table[0] = np.inf
     return table
 
 

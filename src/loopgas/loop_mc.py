@@ -404,8 +404,7 @@ class _OpenPaths:
     '''
 
     def __init__(self, intensity, xs, ys):
-        torus, hk = intensity.torus, intensity.hk
-        self.torus, self.hk = torus, hk
+        torus = self.torus = intensity.torus
         # per mode, the geometric law's success probability (grid) or
         # the exponential law's rate (continuum)
         if intensity.kind == "ginibre":
@@ -413,7 +412,7 @@ class _OpenPaths:
             symbol, self._param = a / (1.0 - a), 1.0 - a
             self._nu = intensity.nu
         else:
-            self._param, self._nu = intensity.kappa + hk.rates, None
+            self._param, self._nu = intensity.kappa + torus.rates, None
             symbol = 1.0 / self._param
         self._mode_cdf = np.cumsum(symbol)
         # G(x) >= 0 holds exactly; the clip drops Fourier rounding
@@ -468,7 +467,7 @@ class _OpenPaths:
         moved = delta != 0
         if moved.any():
             ratio = np.ones((m, p))
-            ratio[moved] = self.hk.ratio_to_origin(
+            ratio[moved] = self.torus.heat_kernel_ratio(
                 T[moved], self.torus.coords[delta[moved]])
             weight = weight * ratio.prod(axis=1)
         return self.ends[row], T, weight

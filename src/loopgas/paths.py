@@ -10,7 +10,9 @@ Walks and loops are drawn as arrays, a whole batch at a time, and held
 in a LoopBatch (flat arrays, CSR jumps); Path is the view of one loop.
 There is no separate free-walk sampler: the walk from x over [0, T] has
 the law sum_y psi^{L,T}(y - x) W^T_{x->y}, so it is an end site y drawn
-from the heat kernel, then the bridge to y.
+from the heat kernel, then the bridge to y.  The loop laws take the
+heat kernel at the origin and the free mode weights from the torus
+(Torus.heat_kernel_at_origin, Torus.free_weights).
 
 bridges draws bridges x -> y over [0, T] exactly, in one pass.  The walk
 is a product of d independent 1D walks, each jumping +1 and -1 at rate
@@ -44,8 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .lattice import HeatKernel
 
 
 @dataclass
@@ -376,7 +376,7 @@ class LoopIntensity:
     exactly (paths.bridges).
 
     Grid: with the free mode weights a_xi = e^{-nu(kappa + lambda_xi)}
-    (a, HeatKernel.free_weights) the mass of nu k is sum_xi a_xi^k / k,
+    (a, Torus.free_weights) the mass of nu k is sum_xi a_xi^k / k,
     so m = -sum_xi log(1 - a_xi) and a duration is nu LogSeries(a_xi), of
     a mode xi drawn with weight -log(1 - a_xi): exact, with no table.
     Its one-window loops have mass sum_xi a_xi, and the rest mass sum_xi
@@ -397,12 +397,11 @@ class LoopIntensity:
         self.torus = torus
         self.kind = kind
         self.kappa = float(kappa)
-        self.hk = HeatKernel(torus)
         if kind == "ginibre":
             if nu is None or not nu > 0:
                 raise ValueError("ginibre intensity needs nu > 0")
             self.nu = float(nu)
-            self.a = self.hk.free_weights(self.nu, self.kappa)
+            self.a = torus.free_weights(self.nu, self.kappa)
             w = -np.log1p(-self.a)
             self._mode_cdf, self.metadata = np.cumsum(w), {}
         elif kind == "symanzik_eps":
@@ -421,6 +420,7 @@ class LoopIntensity:
     def _continuum_law(self):
         '''(cell edges, 0 then the cell masses, metadata).'''
         kappa, eps, n = self.kappa, self.eps, self.torus.n_sites
+        psi0 = self.torus.heat_kernel_at_origin
         # T_max so the dropped tail (psi <= 1) is below TAIL relative
         t_max = eps
         while n * np.exp(-kappa * t_max) / (kappa * t_max) > self.TAIL:
@@ -434,7 +434,7 @@ class LoopIntensity:
             integrand is e^{-kappa T} psi(T) |Lambda|, as dT / T = du.'''
             x, w = np.polynomial.legendre.leggauss(points)
             return half * sum(
-                w_k * np.exp(-kappa * T) * self.hk.at_origin(T) * n
+                w_k * np.exp(-kappa * T) * psi0(T) * n
                 for w_k, T in zip(w, np.exp(mid + np.multiply.outer(x, half))))
 
         cells = cell_masses(3)

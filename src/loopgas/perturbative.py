@@ -29,13 +29,11 @@ remain meaningful.
 
 import numpy as np
 
-from .lattice import HeatKernel
-
 
 def _free_gas(torus, nu, kappa):
     '''(a, Gamma_free): the weights a_xi = e^{-nu(kappa + lambda_xi)} and
     the free kernel Gamma_free(u) as a flat table (site 0 is u = 0).'''
-    a = HeatKernel(torus).free_weights(nu, kappa)
+    a = torus.free_weights(nu, kappa)
     return a, torus.inverse_fourier(a / (1.0 - a))
 
 

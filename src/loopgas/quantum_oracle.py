@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interactions import v_tilde_table
-from .lattice import HeatKernel, laplacian_matrix
+from .lattice import laplacian_matrix
 from .paths import bridges, pick
 
 
@@ -133,7 +133,7 @@ class FockBlocks:
         m = self.n_modes = torus.n_sites
         self.lam = params.lam
         self.reach, self._runs = None, []
-        vmat = v_tilde_table(params.vL, torus, params.R)[torus.diff_table]
+        vmat = v_tilde_table(params.vL, params.R)[torus.diff_table]
         if params.R == 1:
             h1 = -(params.nu / 2.0) * laplacian_matrix(torus)
             # energy (lam/2) q.v.q + q.diag(h1); hops x -> y move a particle
@@ -155,7 +155,7 @@ class FockBlocks:
         # sit in pair and one; the rest scatter {k, k'} -> {k+q, k'-q},
         # summed over the orderings that give the same operator
         self.pair = (vhat[0] + np.where(diff == 0, 0.0, vhat[diff])) / m
-        self.one = (params.nu * HeatKernel(torus).rates
+        self.one = (params.nu * torus.rates
                     + 0.5 * self.lam * (vmat[0, 0] - vhat[0] / m))
         k, kp, q = (a.ravel() for a in np.indices((m, m, m)))
         p, pp = torus.index_of(j[k] + j[q]), diff[kp, q]
@@ -368,7 +368,7 @@ def _stop_plan(params, kappa, tol, n_cap, p):
     below tol (else n_limit), where the sum stops at the latest, and
     _n_diag's last diagonalized block.'''
     kappa = params.kappa if kappa is None else kappa
-    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
+    weights = params.torus.free_weights(params.nu, kappa)
     n_limit = min(params.torus.n_sites, n_cap) if params.R == 1 else n_cap
     tails = _free_tail_bound(weights, np.arange(n_limit + 2))
     below = np.flatnonzero(tails[1:n_limit + 1] < tol)
@@ -496,7 +496,7 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed):
     gen = 0.5 * laplacian_matrix(torus) - np.diag(V_site)
     w, U = np.linalg.eigh(gen)
     exact = (U * np.exp(t * w)) @ U.T
-    table = HeatKernel(torus).table(t)
+    table = torus.heat_kernel(t)
     rng = np.random.default_rng(seed)
     sums, sq = np.zeros((2, m, m))
     for x in range(m):

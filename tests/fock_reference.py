@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from loopgas.lattice import HeatKernel, laplacian_matrix
+from loopgas.lattice import laplacian_matrix
 from loopgas.quantum_oracle import FockBlocks, _amplitudes
 
 
@@ -301,7 +301,7 @@ def sector_grand_sum(params, p, kappa, n_diag, n_max):
     diagonalized, summed to block n_max with the free traces of Newton's
     recurrence (Gamma_p None for p = 0).'''
     blocks, m = PerBlockSectors(params), params.torus.n_sites
-    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
+    weights = params.torus.free_weights(params.nu, kappa)
     fugacity = math.exp(-kappa * params.nu)
     tuples = np.array(list(itertools.product(range(m), repeat=p)))
     Xi, G = 1.0, np.zeros((m ** p,) * 2)

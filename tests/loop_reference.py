@@ -212,7 +212,7 @@ def free_symbol(intensity):
     '''The symbol of the free kernel G per mode xi, in site order:
     a/(1-a), a = e^{-nu(kappa + lambda_xi)}, on the grid and
     1/(kappa + lambda_xi) in the continuum.'''
-    rates = intensity.hk.rates
+    rates = intensity.torus.rates
     if intensity.kind == "ginibre":
         a = np.exp(-intensity.nu * (intensity.kappa + rates))
         return a / (1.0 - a)
@@ -243,7 +243,7 @@ def open_paths(intensity, xs, ys, rng, m):
     lambda_xi) in the continuum), in (sample, path) order, then the m p
     bridges x_i -> y_pi(i).  The weight is perm(G) prod_i G(0)
     psi^{T_i}(delta_i) / (G(delta_i) psi^{T_i}(0)).'''
-    torus, hk, p = intensity.torus, intensity.hk, len(xs)
+    torus, p = intensity.torus, len(xs)
     perms = list(itertools.permutations(range(p)))
     G = {(x, y): free_kernel(intensity, torus.diff_table[y, x])
          for x in xs for y in ys}
@@ -253,10 +253,10 @@ def open_paths(intensity, xs, ys, rng, m):
     symbol = free_symbol(intensity)
     modes = [_first_above(symbol, u) for u in rng.random(m * p)]
     if intensity.kind == "ginibre":
-        a = np.exp(-intensity.nu * (intensity.kappa + hk.rates))
+        a = np.exp(-intensity.nu * (intensity.kappa + torus.rates))
         T = [intensity.nu * float(rng.geometric(1.0 - a[k])) for k in modes]
     else:
-        T = [float(rng.exponential(1.0 / (intensity.kappa + hk.rates[k])))
+        T = [float(rng.exponential(1.0 / (intensity.kappa + torus.rates[k])))
              for k in modes]
     ends = [ys[pi[i]] for pi in pis for i in range(p)]
     paths = bridges(torus, list(xs) * m, T, rng, ends)
@@ -265,8 +265,8 @@ def open_paths(intensity, xs, ys, rng, m):
         weight = sum(prob)
         for i in range(p):
             x, y, t = xs[i], ys[pi[i]], T[s * p + i]
-            weight *= (g0 * hk.table(t)[torus.diff_table[y, x]]
-                       / (G[x, y] * hk.table(t)[0]))
+            weight *= (g0 * torus.heat_kernel(t)[torus.diff_table[y, x]]
+                       / (G[x, y] * torus.heat_kernel(t)[0]))
         out.append((paths[s * p:(s + 1) * p], weight))
     return out
 
@@ -339,5 +339,5 @@ def v_total(config, params, kind):
     if kind == "ginibre" and params.R == 1:
         if np.any(n > 1):
             return np.inf
-        vL = v_tilde_table(vL, params.torus, 1)
+        vL = v_tilde_table(vL, 1)
     return 0.5 * float(form(w, n, vL[params.torus.diff_table])[0, 0])

@@ -18,7 +18,7 @@ from loopgas.field_oracle import (
 from loopgas.interactions import InteractionParams
 from loopgas.largemass import LmParams, gamma_lm_matrix
 from loopgas.lattice import (
-    HeatKernel, PotentialSpec, Torus, heat_kernel_infinite,
+    PotentialSpec, Torus, heat_kernel_infinite,
     periodize_potential)
 from loopgas.loop_mc import (
     EnsembleSpec, estimate_gamma_p, estimate_rel_partition)
@@ -58,14 +58,14 @@ def test_criterion_01_heat_kernel_suite():
     for d in (1, 2):
         for L in (3, 5):
             torus = Torus(d, L)
-            hk = HeatKernel(torus)
             radius = math.ceil(15 / L)
             for t in (0.1, 1.0, 3.0):
-                tab = hk.table(t)
+                tab = torus.heat_kernel(t)
                 ok &= bool(np.all(tab >= -1e-14) and np.all(tab <= 1 + 1e-14))
                 ok &= abs(tab.sum() - 1.0) < 1e-12
-                conv = hk.table(t)[torus.diff_table] @ hk.table(t)
-                ok &= float(np.max(np.abs(conv - hk.table(2 * t)))) < 1e-10
+                conv = tab[torus.diff_table] @ tab
+                ok &= float(np.max(np.abs(
+                    conv - torus.heat_kernel(2 * t)))) < 1e-10
                 for site in range(torus.n_sites):
                     x = torus.centered(torus.coords[site])
                     total = 0.0

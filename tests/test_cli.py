@@ -206,6 +206,20 @@ def test_one_nu_experiments_refuse_more_nus(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [{"nu": 0.1, "nu_list": [0.5]},
+                                   {"eps": 0.1, "eps_list": [0.05]}],
+                         ids=["nu", "eps"])
+def test_config_refuses_value_and_list(tmp_path, capsys, extra):
+    # a single value next to its list is refused, not silently dropped
+    cfg = _write_config(tmp_path, _ginibre_doc(**extra))
+    with pytest.raises(ConfigError, match="not both"):
+        ExperimentConfig.from_json(cfg)
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heatkernel_experiment(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": "heatkernel", "torus": {"d": 1, "L": 3},

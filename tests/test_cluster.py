@@ -9,7 +9,7 @@ import pytest
 from loopgas.cluster import (
     MAX_ENUM_N, Graph, connected_graphs, kruskal, kruskal_preimage_bracket,
     lexicographic_order, log_Z_via_expansion, tree_bound_check, tree_count,
-    tree_sum, trees, ursell, _check_enum_budget, _partitions, _prufer_decode)
+    tree_sum, trees, ursell, _check_enum_budget, _prufer_decode)
 
 
 # -- checks of the paper's combinatorial identities and bounds ----------------
@@ -172,6 +172,19 @@ def test_ursell_small_closed_forms():
     expected3 = (z[0, 1] * z[0, 2] + z[0, 1] * z[1, 2] + z[0, 2] * z[1, 2]
                  + z[0, 1] * z[0, 2] * z[1, 2]) / 6.0
     assert ursell(z) == pytest.approx(expected3)
+
+
+def _partitions(items):
+    '''Every set partition of items, as lists of blocks.'''
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+        yield [[first]] + part
 
 
 def test_ursell_partition_identity():

@@ -498,11 +498,10 @@ def test_one_window_paths_interact_through_v0_alone(d, nu):
 
 
 def test_v_tilde_table_zeroes_core():
-    torus = Torus(1, 5)
     vL = np.array([np.inf, 0.2, 0.1, 0.1, 0.2])
-    vt = v_tilde_table(vL, torus, R=1)
+    vt = v_tilde_table(vL, R=1)
     assert vt[0] == 0.0 and vt[1] == 0.2
-    assert np.array_equal(v_tilde_table(vL, torus, R=0), vL)
+    assert np.array_equal(v_tilde_table(vL, R=0), vL)
 
 
 def test_v_total_largemass_decomposition():

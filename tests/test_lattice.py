@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loopgas.lattice import (
-    MAX_RING_SITES, MAX_SITES, HeatKernel, PotentialSpec, Torus, _reach,
+    MAX_RING_SITES, MAX_SITES, PotentialSpec, Torus, _reach,
     check_positive_type, heat_kernel_images, heat_kernel_infinite,
     laplacian_matrix, periodize_potential)
 
@@ -27,11 +27,10 @@ def test_torus_refuses_sites_past_the_budget():
     assert Torus(1, MAX_SITES).n_sites == MAX_SITES
 
 
-def test_torus_centered_and_min_norm():
+def test_torus_centered():
     torus = Torus(1, 5)
     assert list(torus.centered(np.array([[0], [1], [2], [3], [4]])).ravel()) == \
         [0, 1, 2, -2, -1]
-    assert torus.min_norm(np.array([4])) == 1.0
 
 
 @pytest.mark.parametrize("d,L,L0", [(1, 5, 3), (1, 4, 4), (2, 4, 3),
@@ -62,6 +61,19 @@ def test_diff_table_definition():
         i, j = rng.integers(torus.n_sites, size=2)
         expected = torus.index_of(torus.coords[i] - torus.coords[j])
         assert torus.diff_table[i, j] == expected
+
+
+def test_shared_tables_are_read_only():
+    '''rates and diff_table are built once per torus and shared by every
+    user, so none may write them.'''
+    torus = Torus(2, 3)
+    assert torus.rates is torus.rates
+    assert torus.diff_table is torus.diff_table
+    for table in (torus.rates, torus.diff_table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -96,23 +108,38 @@ def test_laplacian_matrix_is_the_step_sum(d, L):
 def test_heat_kernel_range_normalization_semigroup():
     for d, L in [(1, 3), (2, 5)]:
         torus = Torus(d, L)
-        hk = HeatKernel(torus)
         for t in (0.1, 1.0, 3.0):
-            tab = hk.table(t)
+            tab = torus.heat_kernel(t)
             assert np.all(tab >= -1e-14) and np.all(tab <= 1.0 + 1e-14)
             assert abs(tab.sum() - 1.0) < 1e-12
             # semigroup: psi^{t} * psi^{t} = psi^{2t}
-            conv = hk.table(t)[torus.diff_table] @ hk.table(t)
-            assert np.max(np.abs(conv - hk.table(2 * t))) < 1e-10
+            conv = tab[torus.diff_table] @ tab
+            assert np.max(np.abs(conv - torus.heat_kernel(2 * t))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_heat_kernel_ratio_matches_table(d, L):
+    '''psi^t(s) / psi^t(0) from the 1D factors equals the ratio of the
+    d-dimensional table at every shift s, for short and long t, whether s
+    is given in [0, L) or centered; it is never negative.'''
+    torus = Torus(d, L)
+    n = torus.n_sites
+    for t in (1e-3, 0.1, 1.0, 7.0, 50.0):
+        table = torus.heat_kernel(t)
+        for shift in (torus.coords, torus.centered(torus.coords)):
+            ratio = torus.heat_kernel_ratio(np.full(n, t), shift)
+            assert np.all(ratio >= 0.0)
+            assert np.max(np.abs(ratio - table / table[0])) < 1e-12
 
 
 def test_heat_kernel_matches_matrix_exponential():
     torus = Torus(1, 4)
-    hk = HeatKernel(torus)
     t = 0.7
     import scipy.linalg
     E = scipy.linalg.expm(0.5 * t * laplacian_matrix(torus))
-    assert np.max(np.abs(torus.multiplier(np.exp(-t * hk.rates)) - E)) < 1e-12
+    assert np.max(np.abs(torus.multiplier(np.exp(-t * torus.rates)) - E)) \
+        < 1e-12
 
 
 _DEGENERATE = [(d, L) for d in (1, 2, 3) for L in (1, 2, 3, 4)]
@@ -142,7 +169,7 @@ def test_transform_pair_conventions(d, L):
 def test_free_weights_reject_bad_kappa_nu(nu, kappa):
     # kappa * nu <= 0, undefined kappa, and a weight that rounds to 1
     with pytest.raises(ValueError):
-        HeatKernel(Torus(1, 3)).free_weights(nu, kappa)
+        Torus(1, 3).free_weights(nu, kappa)
 
 
 def test_infinite_kernel_ring_vs_bessel_and_quadrature():
@@ -188,16 +215,15 @@ def test_image_sums_match_the_ring_kernel_image_by_image(t, L):
         direct = sum(heat_kernel_infinite(1, t, [y])
                      for y in range(-reach, reach + 1) if y % L == r)
         assert abs(images[r] - direct) < 1e-14
-    assert np.abs(images - HeatKernel(Torus(1, L)).table(t)).max() < 1e-14
+    assert np.abs(images - Torus(1, L).heat_kernel(t)).max() < 1e-14
 
 
 def test_periodization_identity():
     # psi^{L,t}(x) = sum_k psi^{inf,t}(x + Lk), truncated shifts
     for d, L in [(1, 3), (2, 5)]:
         torus = Torus(d, L)
-        hk = HeatKernel(torus)
         for t in (0.1, 1.0, 3.0):
-            tab = hk.table(t)
+            tab = torus.heat_kernel(t)
             import itertools
             for site in range(torus.n_sites):
                 x = torus.coords[site]
@@ -255,6 +281,11 @@ def test_check_sites():
     torus = Torus(2, 2)
     assert torus.check_sites(2, np.array([0, 3]), [3, 0]) == [[0, 3], [3, 0]]
     assert torus.check_sites(1, 2, [1]) == [[2], [1]]
-    for xs, ys in (([0], [0, 1]), ([4], [0]), ([0], [-1])):
-        with pytest.raises(ValueError):
+    # the config schema's integers include 2.0
+    assert torus.check_sites(1, [2.0], np.array([1.0])) == [[2], [1]]
+    # a non-integer site is refused, not truncated to the integer below it
+    for xs, ys in (([0], [0, 1]), ([4], [0]), ([0], [-1]), ([0.7], [2]),
+                   ([0], [2.9]), ([float("nan")], [0]),
+                   ([float("inf")], [0])):
+        with pytest.raises(ValueError, match="must list p = 1 sites"):
             torus.check_sites(1, xs, ys)

@@ -12,7 +12,7 @@ import loop_reference
 
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
-    HeatKernel, PotentialSpec, Torus, periodize_potential)
+    PotentialSpec, Torus, periodize_potential)
 from loopgas import loop_mc
 from loopgas.loop_mc import (
     EnsembleSpec, _OpenPaths, _background_means, _batch_size, _batched,
@@ -142,7 +142,7 @@ def test_hard_core_partition_against_oracle(L, nu, mode):
     # prod_xi (1 - w_xi) with w_xi = e^{-nu (kappa + lambda_xi)}
     from loopgas.quantum_oracle import grand_partition
     spec = _hard_core_spec(L, nu, mode)
-    w = np.exp(-nu * (spec.intensity.kappa + HeatKernel(spec.torus).rates))
+    w = np.exp(-nu * (spec.intensity.kappa + spec.torus.rates))
     exact = grand_partition(spec.params).Xi * float(np.prod(1.0 - w))
     est = estimate_rel_partition(spec, 20000, seed=1, workers=2)
     assert est.std_error < 0.005
@@ -234,7 +234,7 @@ def test_free_continuum_gamma_against_the_resolvent(d):
                                nu=1.0, lam=0.0, mode="generic", kappa=0.5)
     intensity = LoopIntensity(torus, "symanzik_eps", kappa=0.5, eps=0.1)
     spec = EnsembleSpec(torus, params, intensity, "symanzik_eps")
-    G = torus.inverse_fourier(1.0 / (0.5 + HeatKernel(torus).rates))
+    G = torus.inverse_fourier(1.0 / (0.5 + torus.rates))
     y = torus.n_sites - 1
     est = estimate_gamma_p(spec, 1, [0], [y], 20000, seed=6, workers=2)
     assert est.std_error > 0
@@ -304,7 +304,7 @@ def test_ensemble_kind_mismatch_rejected():
 
 def test_free_gas_gamma1_rejects_bad_kappa():
     with pytest.raises(ValueError):
-        HeatKernel(Torus(1, 3)).free_weights(0.5, -0.1)
+        Torus(1, 3).free_weights(0.5, -0.1)
 
 
 def test_estimate_serialization():
@@ -862,7 +862,7 @@ def test_hard_core_estimates_take_the_controls():
     3 sigma, each with a smaller SE than the plain one.'''
     from loopgas.quantum_oracle import grand_sum
     spec = _hard_core_spec(3, 0.5, "generic")
-    w = np.exp(-0.5 * (spec.intensity.kappa + HeatKernel(spec.torus).rates))
+    w = np.exp(-0.5 * (spec.intensity.kappa + spec.torus.rates))
     res, K = grand_sum(spec.params, 1)
     z = estimate_rel_partition(spec, 4000, 9, 2)
     gamma = estimate_gamma_p(spec, 1, [0], [0], 4000, 9, 2)

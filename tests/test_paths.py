@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from loopgas.lattice import HeatKernel, Torus
+from loopgas.lattice import Torus
 from loopgas import paths
 from loopgas.loop_mc import _OpenPaths
 from loopgas.paths import (LoopBatch, LoopIntensity, Path, _residue_table,
@@ -47,11 +47,10 @@ def test_duration_laws_normalization_and_support():
 
 
 def _check_open_duration_law(torus):
-    hk = HeatKernel(torus)
     n = 20000
     grid = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
     k = np.arange(1, 80)
-    mass = np.exp(-0.5 * k) * hk.at_origin(0.5 * k)
+    mass = np.exp(-0.5 * k) * torus.heat_kernel_at_origin(0.5 * k)
     g0 = loop_reference.free_kernel(grid, 0)
     assert mass.sum() == pytest.approx(g0, rel=1e-12)
     steps = _open_durations(grid, n, 5) / 0.5
@@ -63,13 +62,13 @@ def _check_open_duration_law(torus):
     continuum = LoopIntensity(torus, "symanzik_eps", kappa=2.0, eps=0.1)
     g0 = loop_reference.free_kernel(continuum, 0)
     total, _ = integrate.quad(lambda t: math.exp(-2.0 * t)
-                              * float(hk.at_origin(t)), 0, np.inf,
-                              epsabs=0.0, epsrel=1e-12)
+                              * float(torus.heat_kernel_at_origin(t)),
+                              0, np.inf, epsabs=0.0, epsrel=1e-12)
     assert total == pytest.approx(g0, rel=1e-10)
 
     def cdf(t):
         # the mixture of Exp(kappa + lambda_xi), weights 1/(kappa + lambda_xi)
-        rate = 2.0 + hk.rates
+        rate = 2.0 + torus.rates
         return np.mean((1.0 - np.exp(-np.multiply.outer(t, rate))) / rate,
                        axis=-1) / g0
 
@@ -79,20 +78,20 @@ def _check_open_duration_law(torus):
 
 def test_loop_intensity_mass_ginibre():
     torus = Torus(1, 3)
-    hk = HeatKernel(torus)
     intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
-    direct = sum(math.exp(-0.5 * k) * float(hk.at_origin(0.5 * k))
+    direct = sum(math.exp(-0.5 * k)
+                 * float(torus.heat_kernel_at_origin(0.5 * k))
                  * torus.n_sites / k for k in range(1, 200))
     assert intensity.total_mass == pytest.approx(direct, abs=1e-10)
 
 
 def test_loop_intensity_mass_symanzik():
     torus = Torus(1, 3)
-    hk = HeatKernel(torus)
     eps = 0.1
     intensity = LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=eps)
     val, _ = integrate.quad(
-        lambda t: math.exp(-t) * float(hk.at_origin(t)) * torus.n_sites / t,
+        lambda t: math.exp(-t) * float(torus.heat_kernel_at_origin(t))
+        * torus.n_sites / t,
         eps, 60.0, epsabs=0.0, epsrel=1e-13, limit=400)
     assert intensity.total_mass == pytest.approx(val, rel=1e-12)
 
@@ -105,11 +104,10 @@ def test_continuum_mass_matches_adaptive_quadrature(d, L, kappa, eps):
     is the integral of e^{-kappa T} psi(T) |Lambda| / T over [eps, t_max]
     by adaptive quadrature, and the 3- and 2-point rules agree.'''
     torus = Torus(d, L)
-    hk = HeatKernel(torus)
     intensity = LoopIntensity(torus, "symanzik_eps", kappa=kappa, eps=eps)
     t_max = intensity.metadata["t_max"]
     val, err = integrate.quad(
-        lambda t: math.exp(-kappa * t) * float(hk.at_origin(t))
+        lambda t: math.exp(-kappa * t) * float(torus.heat_kernel_at_origin(t))
         * torus.n_sites / t,
         eps, t_max, epsabs=0.0, epsrel=1e-13, limit=500)
     assert err <= 1e-13 * val
@@ -120,11 +118,10 @@ def test_continuum_mass_matches_adaptive_quadrature(d, L, kappa, eps):
 def test_loop_intensity_duration_law():
     # ginibre durations follow e^{-kappa T} psi^T(0)/T on the grid
     torus = Torus(1, 3)
-    hk = HeatKernel(torus)
     intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
     rng = np.random.default_rng(11)
     T = intensity.sample_duration(rng, size=20000)
-    w1 = math.exp(-0.5) * float(hk.at_origin(0.5)) * 3
+    w1 = math.exp(-0.5) * float(torus.heat_kernel_at_origin(0.5)) * 3
     p1 = w1 / intensity.total_mass
     frac = np.mean(np.abs(T - 0.5) < 1e-12)
     assert abs(frac - p1) < 3 * math.sqrt(p1 * (1 - p1) / 20000)
@@ -179,12 +176,12 @@ def test_sample_loop_is_closed_and_uniform_base():
         starts = np.bincount(batch.start, minlength=torus.n_sites)
         p = 1.0 / torus.n_sites
         assert np.all(np.abs(starts / n - p) < 3 * math.sqrt(p * (1 - p) / n))
-        hk, kappa = intensity.hk, intensity.kappa
+        kappa = intensity.kappa
         if intensity.kind == "ginibre":
             # a_xi <= e^{-1/2}: the mass past k = 120 is below 1e-27
             k = np.arange(1, 121)
             probs = np.array([math.exp(-kappa * 0.5 * j)
-                              * hk.table(0.5 * j)[0] / j for j in k])
+                              * torus.heat_kernel(0.5 * j)[0] / j for j in k])
             probs /= probs.sum()
             counts = np.bincount(
                 np.round(batch.duration / 0.5).astype(np.int64) - 1,
@@ -194,7 +191,7 @@ def test_sample_loop_is_closed_and_uniform_base():
             edges = np.interp(np.linspace(0, 1, 21), intensity._cdf,
                               intensity._points)
             probs = np.array([integrate.quad(
-                lambda t: math.exp(-kappa * t) * hk.table(t)[0] / t,
+                lambda t: math.exp(-kappa * t) * torus.heat_kernel(t)[0] / t,
                 lo, hi)[0] for lo, hi in zip(edges, edges[1:])])
             probs /= intensity.total_mass / torus.n_sites
             counts = np.histogram(batch.duration, edges)[0]
@@ -211,7 +208,6 @@ def test_bridge_midpoints_follow_the_heat_kernels(d, L):
     coordinates 1, 0, ...; and of 1 in every coordinate) against
     psi^{t}(z - x) psi^{T-t}(y - z) / psi^{T}(y - x), t = T/2.'''
     torus = Torus(d, L)
-    hk = HeatKernel(torus)
     n, T = 20000, 1.7
     x = np.zeros(n, dtype=np.int64)
     for target in ([1] + [0] * (d - 1), [1] * d):
@@ -227,10 +223,10 @@ def test_bridge_midpoints_follow_the_heat_kernels(d, L):
         last = np.concatenate((batch.sites, [0]))[np.maximum(
             batch.offsets[:-1] + before - 1, 0)]
         mid = np.where(before > 0, last, batch.start)
-        half = hk.table(T / 2)
+        half = torus.heat_kernel(T / 2)
         z = np.arange(torus.n_sites)
         probs = (half[torus.diff_table[z, 0]] * half[torus.diff_table[y, z]]
-                 / hk.table(T)[torus.diff_table[y, 0]])
+                 / torus.heat_kernel(T)[torus.diff_table[y, 0]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         ok, chi2, df = _chi2_ok(np.bincount(mid, minlength=len(z)), probs)
         assert ok, (target, chi2, df)
@@ -238,12 +234,11 @@ def test_bridge_midpoints_follow_the_heat_kernels(d, L):
 def _jump_law(torus, T):
     '''P(n jumps | closed) = Pois(n; d T) (P^n)_00 / psi^{L,T}(0), n =
     0..n_max, with (P^n)_00 = mean over xi of (1 - lambda_xi / d)^n.'''
-    hk = HeatKernel(torus)
     n = np.arange(int(torus.d * T + 12 * math.sqrt(torus.d * T)) + 30)
     pois = np.exp(n * math.log(torus.d * T) - torus.d * T
                   - np.array([math.lgamma(k + 1.0) for k in n]))
-    ret = np.mean((1 - hk.rates / torus.d)[None, :] ** n[:, None], axis=1)
-    return pois * ret / float(hk.at_origin(T))
+    ret = np.mean((1 - torus.rates / torus.d)[None, :] ** n[:, None], axis=1)
+    return pois * ret / float(torus.heat_kernel_at_origin(T))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -253,7 +248,7 @@ def test_residue_masses_give_the_return_probability(d, L):
     T = np.array([1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 150.0])
     q = _residue_table(T / 2, L).sum(axis=1)
     assert np.allclose((q ** 2).sum(axis=1) ** d,
-                       HeatKernel(Torus(d, L)).at_origin(T),
+                       Torus(d, L).heat_kernel_at_origin(T),
                        rtol=0, atol=1e-12)
 
 
@@ -368,7 +363,7 @@ def test_low_acceptance_bridges_draw_in_one_pass():
     calls (modes, log-series counts, base sites, bridges).'''
     torus = Torus(3, 7)
     T = 40.0
-    assert HeatKernel(torus).at_origin(T) < 4e-3
+    assert torus.heat_kernel_at_origin(T) < 4e-3
     n = 4000
     for m in (1, n):
         rng = _CountingRng(37)
@@ -473,9 +468,8 @@ def _grid_masses(torus, kappa, nu):
     '''k = 1..k_top and the masses e^{-kappa nu k} psi^{L,nu k}(0)
     |Lambda| / k of the grid durations nu k, from the heat kernel; k_top
     puts the rest below 1e-14 of the sum.'''
-    hk = HeatKernel(torus)
     k = np.arange(1, math.ceil(35.0 / (kappa * nu)) + 50)
-    psi = np.concatenate([hk.at_origin(nu * part)
+    psi = np.concatenate([torus.heat_kernel_at_origin(nu * part)
                           for part in np.array_split(k, len(k) // 20000 + 1)])
     return k, np.exp(-kappa * nu * k) * psi * torus.n_sites / k
 
@@ -614,14 +608,13 @@ def test_open_path_weighted_sample_heat_kernel_identity():
 
 def _check_open_path_weights(kind):
     torus = Torus(1, 3)
-    hk = HeatKernel(torus)
     intensity = LoopIntensity(torus, kind, kappa=1.0, nu=0.5, eps=0.1)
     if kind == "ginibre":
         target = sum(math.exp(-0.5 * k)
-                     * hk.table(0.5 * k)[torus.diff_table[1, 0]]
+                     * torus.heat_kernel(0.5 * k)[torus.diff_table[1, 0]]
                      for k in range(1, 200))
     else:
-        target = integrate.quad(lambda t: math.exp(-t) * hk.table(t)[
+        target = integrate.quad(lambda t: math.exp(-t) * torus.heat_kernel(t)[
             torus.diff_table[1, 0]], 0, np.inf, epsrel=1e-12)[0]
     rng = np.random.default_rng(17)
     n = 40000

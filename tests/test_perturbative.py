@@ -10,7 +10,7 @@ import pytest
 from loopgas.field_oracle import GaussianField
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
-    HeatKernel, PotentialSpec, Torus, periodize_potential)
+    PotentialSpec, Torus, periodize_potential)
 from loopgas.perturbative import (
     _free_gas, gamma1_first_order, gibbs_potential_first_order,
     log_z_first_order)
@@ -43,8 +43,8 @@ def test_free_limit_exact():
 def test_loop_density_closed_form():
     # rho' = sum_k e^{-kappa nu k} psi^{nu k}(0)
     torus, _ = _setup()
-    hk = HeatKernel(torus)
-    direct = sum(math.exp(-0.5 * k) * float(hk.at_origin(0.5 * k))
+    direct = sum(math.exp(-0.5 * k)
+                 * float(torus.heat_kernel_at_origin(0.5 * k))
                  for k in range(1, 200))
     assert loop_density(torus, 0.5, 1.0) == pytest.approx(direct, abs=1e-12)
 
@@ -154,15 +154,15 @@ def test_hard_core_rejected():
 def _duration_sums(torus, nu, kappa, vL, lam, tol=1e-17):
     '''Reference: (Gamma_1, log Z) as term-by-term sums over loop durations
     nu k, k <= k_max, and window offsets nu m, with k_max set by tol.'''
-    hk = HeatKernel(torus)
     shape = (torus.L,) * torus.d
-    rates = hk.rates
+    rates = torus.rates
     k_max = max(4, int(math.ceil(-math.log(tol) / (kappa * nu))))
-    psi = [hk.table(nu * m) for m in range(k_max + 1)]
+    psi = [torus.heat_kernel(nu * m) for m in range(k_max + 1)]
     f_hat = [np.fft.fftn((vL * psi[m]).reshape(shape)).real.ravel()
              for m in range(k_max + 1)]
     k = np.arange(1, k_max + 1)
-    rho = float(np.sum(np.exp(-kappa * nu * k) * hk.at_origin(nu * k)))
+    rho = float(np.sum(np.exp(-kappa * nu * k)
+                       * torus.heat_kernel_at_origin(nu * k)))
     a = np.exp(-nu * (kappa + rates))
     # open path: (lam/2) sum_k e^{-kappa nu k} sum_{a,b<k}
     #            e^{-(nu k - nu|a-b|) rates} f_hat[|a-b|], plus the

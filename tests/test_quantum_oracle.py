@@ -15,7 +15,7 @@ from fock_reference import (
 from loopgas import quantum_oracle
 from loopgas.interactions import InteractionParams
 from loopgas.lattice import (
-    HeatKernel, PotentialSpec, Torus, periodize_potential)
+    PotentialSpec, Torus, periodize_potential)
 from loopgas.quantum_oracle import (
     FockBlocks, _free_tail_bound, _free_traces,
     _interaction_floor, feynman_kac_check, grand_partition, grand_sum,
@@ -199,7 +199,7 @@ def test_interaction_bound_skips_only_blocks_below_an_ulp(d, L, p, positive,
         assert np.max(np.abs(K - K_full)) <= min(
             2.0 ** -53, 1e-15 * np.max(np.abs(K_full)))
     kappa = params.kappa
-    weights = HeatKernel(params.torus).free_weights(params.nu, kappa)
+    weights = params.torus.free_weights(params.nu, kappa)
     free = _free_traces(weights, res.n_max)
     blocks = FockBlocks(params)
     for n in range(1, res.n_max + 1):
