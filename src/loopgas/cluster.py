@@ -1,7 +1,20 @@
-'''Combinatorics and cluster-expansion engine: connected graphs, trees,
-the Kruskal map and its preimage bracket, Ursell functions, the tree
-bound with its resummation identity, degree-constrained tree counts and
-the truncated expansion series for log Z.
+'''Cluster-expansion engine: Ursell functions as Penrose's sums over
+trees, the tree bound by Kirchhoff's matrix-tree theorem,
+degree-constrained tree counts and the truncated expansion series for
+log Z.
+
+The Ursell function of Mayer factors zeta on n vertices is
+  phi = (1/n!) sum_{G connected} prod_{e in G} zeta_e
+      = (1/n!) sum_T prod_{e in T} zeta_e prod_{e in M(T) \\ T} (1 + zeta_e)
+(Penrose's tree-graph identity, 1967).  Kruskal's map in the
+lexicographic edge order sends each connected graph to a spanning tree
+T, and the graphs it sends to T are exactly those between T and M(T):
+M(T) \\ T holds the non-tree edges (i, j) larger than every edge on T's
+path from i to j.  So phi sums the n^{n-2} trees, and for zeta in
+[-1, 0] every term has the sign (-1)^{n-1}.  The tree bound
+|phi| <= (1/n!) sum_T prod_{e in T} |zeta_e| is a weighted count of
+spanning trees: the determinant of the Laplacian of the weights |zeta_ij|
+with one row and column deleted (Kirchhoff's matrix-tree theorem).
 
 The expansion is built on the loop measure
   mu(dw) = nu sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}(dw) e^{-V(w,w)/2},
@@ -48,7 +61,6 @@ two requests share a stream.
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,75 +69,17 @@ from .interactions import batch_interaction
 from .loop_mc import _batched, _control_step, _controlled, run_mc
 from .paths import LoopBatch
 
-MAX_ENUM_N = 7
 MAX_URSELL_N = 6
-MAX_BRACKET_N = 5
 
 
-@dataclass(frozen=True)
-class Graph:
-    '''Simple graph on vertices 0..n-1; edges are (i, j) pairs with i < j.'''
-    n: int
-    edges: frozenset
-
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j}) on {self.n} vertices")
-
-    def is_connected(self):
-        return _is_connected(self.n, self.edges)
-
-    def is_tree(self):
-        return len(self.edges) == self.n - 1 and self.is_connected()
-
-
-def complete_edges(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _is_connected(n, edges):
-    uf = _UnionFind(n)
-    parts = n
-    for i, j in edges:
-        if uf.union(i, j):
-            parts -= 1
-    return parts == 1
-
-
-def _check_enum_budget(n, cap, what):
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > cap:
-        raise ValueError(f"{what} enumeration budget is n <= {cap}, got {n}")
-
-
-def connected_graphs(n):
-    '''All connected graphs on [n], duplicate-free (n <= 7).'''
-    _check_enum_budget(n, MAX_ENUM_N, "connected graph")
-    all_edges = complete_edges(n)
-    for mask in range(1 << len(all_edges)):
-        edges = frozenset(e for b, e in enumerate(all_edges) if mask >> b & 1)
-        if _is_connected(n, edges):
-            yield Graph(n, edges)
+def _square(zeta_matrix):
+    '''zeta as a float array of (n, n) matrices, n >= 1, over any
+    leading axes.'''
+    zeta_matrix = np.asarray(zeta_matrix, dtype=float)
+    shape = zeta_matrix.shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] < 1:
+        raise ValueError(f"expected (..., n, n) matrices, n >= 1, got {shape}")
+    return zeta_matrix
 
 
 def _prufer_decode(n, seq):
@@ -141,16 +95,6 @@ def _prufer_decode(n, seq):
     u, w = [x for x in range(n) if deg[x] == 1]
     edges.append((u, w))
     return frozenset(edges)
-
-
-def trees(n):
-    '''All labelled trees on [n] via Prufer sequences (n <= 7).'''
-    _check_enum_budget(n, MAX_ENUM_N, "tree")
-    if n == 1:
-        yield Graph(1, frozenset())
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield Graph(n, _prufer_decode(n, seq))
 
 
 def tree_count(deltas):
@@ -170,140 +114,106 @@ def tree_count(deltas):
     return out
 
 
-def lexicographic_order(edge):
-    return edge
-
-
-def kruskal(graph, edge_order=lexicographic_order):
-    '''The spanning tree K(G): grow a forest from the empty set, always
-    adding the smallest edge of G that closes no cycle.'''
-    if not graph.is_connected():
-        raise ValueError("kruskal requires a connected graph")
-    uf = _UnionFind(graph.n)
-    kept = []
-    for e in sorted(graph.edges, key=edge_order):
-        if uf.union(*e):
-            kept.append(e)
-    return Graph(graph.n, frozenset(kept))
-
-
-def kruskal_preimage_bracket(tree, edge_order=lexicographic_order):
-    '''M(T) = union of all connected G with K(G) = T, plus exhaustive
-    verification that K^{-1}(T) = {G : T subset G subset M(T)} (n <= 5).'''
-    _check_enum_budget(tree.n, MAX_BRACKET_N, "preimage bracket")
-    if not tree.is_tree():
-        raise ValueError("expected a tree")
-    preimage = [g for g in connected_graphs(tree.n)
-                if kruskal(g, edge_order).edges == tree.edges]
-    m_edges = frozenset().union(*(g.edges for g in preimage))
-    bracket = {frozenset(tree.edges | set(extra))
-               for r in range(len(m_edges - tree.edges) + 1)
-               for extra in itertools.combinations(m_edges - tree.edges, r)}
-    ok = {g.edges for g in preimage} == bracket
-    return Graph(tree.n, m_edges), ok
-
-
 @lru_cache(maxsize=None)
-def _expansion_tables(n):
-    '''Edge-mask tables over the complete graph on [n] (lex edge order):
-    connected-graph masks, tree masks, and for each tree the extra edges
-    M(T) \\ T of the Kruskal preimage bracket.'''
-    all_edges = complete_edges(n)
-
-    def mask(edges):
-        return [e in edges for e in all_edges]
-
-    def table(rows):
-        return np.array(rows, dtype=bool).reshape(len(rows), len(all_edges))
-
-    conn = table([mask(g.edges) for g in connected_graphs(n)])
+def _penrose_table(n):
+    '''The edges (i, j), i < j, of the complete graph on [n] in lex
+    order, and for each labelled tree T (Prufer order) the edge masks of
+    T and of M(T) \\ T.  Walking the edges in lex order and joining the
+    ends of each tree edge, a non-tree edge is in M(T) iff its ends are
+    already joined: T's path between them uses smaller edges only.'''
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     tree_rows, extra_rows = [], []
-    for t in trees(n):
-        tree_rows.append(mask(t.edges))
-        if n <= MAX_BRACKET_N:
-            m, ok = kruskal_preimage_bracket(t)
-            if not ok:
-                raise AssertionError("Kruskal bracket failed in table build")
-            extra_rows.append(mask(m.edges - t.edges))
-    return (all_edges, conn, table(tree_rows),
-            table(extra_rows) if extra_rows else None)
-
-
-def _edge_values(matrix, all_edges):
-    '''The entries (i, j) of the edges, lex order, of (..., n, n) matrices.'''
-    i, j = np.array(all_edges, dtype=np.int64).reshape(-1, 2).T
-    return matrix[..., i, j]
-
-
-def _graph_sum(z, masks, n):
-    '''(1/n!) sum over the graphs (rows of masks) of the product of their
-    edge values z (..., n_edges), for each leading index; a float for
-    one vector.  The products grow one edge at a time, over chunks of
-    at most 2^16 (index, graph) pairs, so memory stays small at n = 6.'''
-    flat = z.reshape(-1, z.shape[-1])
-    out = np.empty(len(flat))
-    step = max(1, 2 ** 16 // len(masks))
-    for lo in range(0, len(flat), step):
-        rows = flat[lo:lo + step]
-        prods = np.ones((len(rows), len(masks)))
-        for edge, graphs in zip(rows.T, masks.T):
-            prods *= np.where(graphs, edge[:, None], 1.0)
-        out[lo:lo + step] = prods.sum(axis=1)
-    out /= math.factorial(n)
-    return float(out[0]) if z.ndim == 1 else out.reshape(z.shape[:-1])
+    for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
+        tree = _prufer_decode(n, seq) if n > 1 else frozenset()
+        part = list(range(n))
+        extra = []
+        for i, j in edges:
+            if (i, j) in tree:
+                a, b = part[i], part[j]
+                part = [a if c == b else c for c in part]
+            extra.append((i, j) not in tree and part[i] == part[j])
+        tree_rows.append([e in tree for e in edges])
+        extra_rows.append(extra)
+    shape = (len(tree_rows), len(edges))
+    masks = [np.array(rows, dtype=bool).reshape(shape)
+             for rows in (tree_rows, extra_rows)]
+    for mask in masks:
+        mask.flags.writeable = False    # shared by every caller
+    return (edges, *masks)
 
 
 def ursell(zeta_matrix):
-    '''phi = (1/n!) sum over connected graphs of prod of edge zetas (n <= 6);
-    a float for one (n, n) matrix, an array for a (C, n, n) stack.'''
-    zeta_matrix = np.asarray(zeta_matrix, dtype=float)
+    '''phi of zeta by Penrose's tree sum (module docstring), n <= 6; a
+    float for one (n, n) matrix, an array for a (..., n, n) stack.  A
+    tree's factor of edge e is zeta_e on T, 1 + zeta_e on M(T) \\ T and 1
+    elsewhere, one column of [zeta, 1 + zeta, 1].  The products grow one
+    edge at a time, over chunks of at most 2^16 (matrix, tree) pairs, so
+    memory stays small at n = 6.'''
+    zeta_matrix = _square(zeta_matrix)
     n = zeta_matrix.shape[-1]
-    _check_enum_budget(n, MAX_URSELL_N, "Ursell")
-    if n == 1:
-        return 1.0 if zeta_matrix.ndim == 2 else np.ones(len(zeta_matrix))
-    all_edges, conn, _, _ = _expansion_tables(n)
-    return _graph_sum(_edge_values(zeta_matrix, all_edges), conn, n)
+    if n > MAX_URSELL_N:
+        raise ValueError(f"the Ursell budget is n <= {MAX_URSELL_N}, got {n}")
+    edges, trees, extras = _penrose_table(n)
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    lead = zeta_matrix.shape[:-2]
+    z = zeta_matrix[..., i, j].reshape(math.prod(lead), len(edges))
+    factors = np.concatenate([z, 1.0 + z, np.ones((len(z), 1))], axis=1)
+    e = np.arange(len(edges))
+    columns = np.where(trees, e, np.where(extras, len(e) + e, 2 * len(e)))
+    out = np.empty(len(z))
+    step = max(1, 2 ** 16 // len(trees))
+    for lo in range(0, len(z), step):
+        rows = factors[lo:lo + step]
+        prods = np.ones((len(rows), len(trees)))
+        for column in columns.T:
+            prods *= rows[:, column]
+        out[lo:lo + step] = prods.sum(axis=1)
+    out /= math.factorial(n)
+    return float(out[0]) if not lead else out.reshape(lead)
 
 
 def tree_sum(zeta_matrix):
     '''(1/n!) sum over trees of prod of edge |zeta| (the tree bound); a
-    float for one (n, n) matrix, an array for a (C, n, n) stack.'''
-    zeta_matrix = np.asarray(zeta_matrix, dtype=float)
+    float for one (n, n) matrix, an array for a (..., n, n) stack.
+
+    By Kirchhoff's theorem the tree sum is the determinant of the
+    Laplacian of the weights w_ij = |zeta_ij|, i < j, with row and column
+    0 deleted.  Eliminating vertices n-1, ..., 1 in turn, vertex k's pivot
+    is its total weight to the vertices left, and the weights left grow by
+    w_ik w_kj / pivot (the star-mesh transform).  Every pivot is then a
+    sum of nonnegative terms, with no cancellation, so the determinant
+    keeps its relative accuracy when the weights span many decades and is
+    exactly 0 when they do not connect the vertices; an LU determinant
+    loses both.'''
+    zeta_matrix = _square(zeta_matrix)
     n = zeta_matrix.shape[-1]
-    if n == 1:
-        return 1.0 if zeta_matrix.ndim == 2 else np.ones(len(zeta_matrix))
-    all_edges, _, tree_mask, _ = _expansion_tables(n)
-    z = _edge_values(zeta_matrix, all_edges)
-    return _graph_sum(np.abs(z), tree_mask, n)
+    # the weights as (n, n, ...): the stack axes last keep slices contiguous
+    i, j = np.triu_indices(n, 1)
+    w = np.zeros((n, n) + zeta_matrix.shape[:-2])
+    w[i, j] = w[j, i] = np.abs(np.moveaxis(zeta_matrix[..., i, j], -1, 0))
+    out = np.ones(zeta_matrix.shape[:-2])
+    for k in range(n - 1, 0, -1):
+        row = w[k, :k]
+        pivot = row.sum(axis=0)
+        out *= pivot
+        share = row / np.where(pivot > 0, pivot, 1.0)
+        w[:k, :k] += share[:, None] * row[None, :]
+    out /= math.factorial(n)
+    return float(out) if zeta_matrix.ndim == 2 else out
 
 
-def tree_bound_check(zeta_matrix, V_matrix=None, tol=1e-12):
-    '''Report on |ursell(zeta)| <= tree sum of |zeta|, and (when the
-    nonnegative interaction matrix V with zeta = e^{-V/2} - 1 is given)
-    on the exact resummation identity
-    phi = (1/n!) sum_T prod_T zeta * e^{- sum_{M(T)\\T} V/2}.'''
-    zeta_matrix = np.asarray(zeta_matrix, dtype=float)
-    n = len(zeta_matrix)
-    off = zeta_matrix[~np.eye(n, dtype=bool)]
+def tree_bound_check(zeta_matrix, tol=1e-12):
+    '''Report on the tree bound |ursell(zeta)| <= tree_sum(zeta), for
+    zeta in [-1, 0] off the diagonal (one matrix or a stack).'''
+    zeta_matrix = _square(zeta_matrix)
+    n = zeta_matrix.shape[-1]
+    off = zeta_matrix[..., ~np.eye(n, dtype=bool)]
     if np.any(off < -1.0 - 1e-14) or np.any(off > 1e-14):
         raise ValueError("zeta entries must lie in [-1, 0]")
     phi = ursell(zeta_matrix)
     bound = tree_sum(zeta_matrix)
-    report = {"n": n, "ursell": phi, "tree_bound": bound,
-              "bound_ok": bool(abs(phi) <= bound + tol)}
-    if V_matrix is not None and n >= 2:
-        _check_enum_budget(n, MAX_BRACKET_N, "resummation")
-        V_matrix = np.asarray(V_matrix, dtype=float)
-        all_edges, _, tree_mask, extra_mask = _expansion_tables(n)
-        z = _edge_values(zeta_matrix, all_edges)
-        v = _edge_values(V_matrix, all_edges)
-        prods = np.where(tree_mask, z, 1.0).prod(axis=1)
-        resum = float((prods * np.exp(-0.5 * (extra_mask @ v))).sum())
-        resum /= math.factorial(n)
-        report["resummation"] = resum
-        report["resummation_gap"] = abs(resum - phi)
-        report["resummation_ok"] = bool(abs(resum - phi) <= tol)
-    return report
+    return {"n": n, "ursell": phi, "tree_bound": bound,
+            "bound_ok": bool(np.all(np.abs(phi) <= bound + tol))}
 
 
 # -- truncated expansion series ---------------------------------------------

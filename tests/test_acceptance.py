@@ -8,9 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from loopgas.cluster import (
-    kruskal, log_Z_via_expansion, tree_bound_check, tree_count, trees,
-    connected_graphs, lexicographic_order)
+from loopgas.cluster import log_Z_via_expansion, tree_bound_check, tree_count
 from loopgas.field_oracle import (
     GaussianField, correlation_inequality_check, estimate_Zcl,
     estimate_gamma_cl, hubbard_stratonovich_check, quadrature_single_site,
@@ -28,6 +26,7 @@ from loopgas.perturbative import (
 from loopgas.quantum_oracle import (
     feynman_kac_check, grand_partition, reduced_density_matrix)
 
+import cluster_reference
 import heat_kernel_reference
 from largemass_reference import z_lm_particle_sum
 
@@ -205,7 +204,8 @@ def test_criterion_06_cluster_expansion():
                                  workers=4)
     slack = 3 * report["log_Z_se"] + abs(report["remainder"])
     series_ok = abs(report["log_Z"] - oracle) <= slack
-    # tree bound + resummation identity on random instances
+    # the tree bound, and Penrose's resummation (ursell) against the
+    # connected-graph sum within 1e-12 relative, on random instances
     rng = np.random.default_rng(66)
     bound_ok = True
     for _ in range(10000):
@@ -215,32 +215,27 @@ def test_criterion_06_cluster_expansion():
         V = V + V.T
         zeta = np.exp(-0.5 * V) - 1.0
         np.fill_diagonal(zeta, 0.0)
-        rep = tree_bound_check(zeta, V_matrix=V, tol=1e-12)
-        bound_ok &= rep["bound_ok"] and rep["resummation_ok"]
+        rep = tree_bound_check(zeta, tol=1e-12)
+        phi = cluster_reference.ursell(zeta)
+        bound_ok &= (rep["bound_ok"]
+                     and abs(rep["ursell"] - phi) <= 1e-12 * abs(phi))
         if not bound_ok:
             break
-    # Kruskal preimage bracket, exhaustive for n <= 5, three edge orders
-    orders = [lexicographic_order, lambda e: (e[1], e[0]),
-              lambda e: (-e[0], -e[1])]
+    # Kruskal preimage bracket, exhaustive for n <= 5, three edge orders;
+    # in the lex order it is the Penrose table's direct M(T)
     bracket_ok = True
     for n in range(2, 6):
-        graphs = list(connected_graphs(n))
-        for order in orders:
-            by_tree = {}
-            for g in graphs:
-                by_tree.setdefault(kruskal(g, order).edges, set()).add(g.edges)
-            for t_edges, preimage in by_tree.items():
-                m_edges = frozenset().union(*preimage)
-                extra = m_edges - t_edges
-                bracket = {frozenset(t_edges | set(s))
-                           for r in range(len(extra) + 1)
-                           for s in itertools.combinations(extra, r)}
-                bracket_ok &= preimage == bracket
+        by_order = [cluster_reference.kruskal_brackets(n, order)
+                    for order in cluster_reference.EDGE_ORDERS]
+        bracket_ok &= all(ok for brackets in by_order
+                          for _, ok in brackets.values())
+        table, _ = cluster_reference.penrose_brackets(n)
+        bracket_ok &= table == {t: x for t, (x, _) in by_order[0].items()}
     # degree-constrained tree counts vs enumeration, n <= 7
     count_ok = True
     for n in range(2, 8):
         seen = {}
-        for t in trees(n):
+        for t in cluster_reference.trees(n):
             seen[_degree_sequence(t)] = seen.get(_degree_sequence(t), 0) + 1
         count_ok &= all(tree_count(ds) == c for ds, c in seen.items())
     ok = series_ok and bound_ok and bracket_ok and count_ok

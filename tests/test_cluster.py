@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import cluster_reference as ref
+from cluster_reference import Graph, connected_graphs, kruskal, trees
 from loopgas.cluster import (
-    MAX_ENUM_N, Graph, connected_graphs, kruskal, kruskal_preimage_bracket,
-    lexicographic_order, log_Z_via_expansion, tree_bound_check, tree_count,
-    tree_sum, trees, ursell, _check_enum_budget, _prufer_decode)
+    _prufer_decode, log_Z_via_expansion, tree_bound_check, tree_count,
+    tree_sum, ursell)
 
 
 # -- checks of the paper's combinatorial identities and bounds ----------------
@@ -29,7 +30,6 @@ def trees_with_degrees(deltas):
     distinct permutations of that multiset.'''
     deltas = tuple(int(d) for d in deltas)
     n = len(deltas)
-    _check_enum_budget(n, MAX_ENUM_N, "tree")
     if tree_count(deltas) == 0:
         return
     if n == 1:
@@ -43,7 +43,6 @@ def trees_with_degrees(deltas):
 def descendants_identity_check(n):
     '''For every tree on [n] and every root r, check
     sum_{w != r} (1 - |Q(w)|) = |Q(r)| with Q(w) the direct descendants.'''
-    _check_enum_budget(n, MAX_ENUM_N, "descendants")
     for t in trees(n):
         adj = {v: set() for v in range(n)}
         for i, j in t.edges:
@@ -103,6 +102,8 @@ def test_tree_counts_cayley():
         assert len(ts) == (1 if n == 1 else n ** (n - 2))
         assert len({t.edges for t in ts}) == len(ts)
         assert all(t.is_tree() for t in ts)
+        table, rows = ref.penrose_brackets(n)
+        assert len(table) == rows == len(ts)
 
 
 def test_tree_count_formula_vs_enumeration():
@@ -138,15 +139,26 @@ def test_kruskal_fixed_point_on_trees():
 
 
 def test_kruskal_bracket_small():
-    orders = [lexicographic_order,
-              lambda e: (e[1], e[0]),
-              lambda e: (-e[0], -e[1])]
     for n in (2, 3, 4):
-        for t in trees(n):
-            for order in orders:
-                m, ok = kruskal_preimage_bracket(t, order)
+        for order in ref.EDGE_ORDERS:
+            brackets = ref.kruskal_brackets(n, order)
+            assert set(brackets) == {t.edges for t in trees(n)}
+            for t_edges, (extra, ok) in brackets.items():
                 assert ok
-                assert t.edges <= m.edges
+                assert not t_edges & extra
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_penrose_table_is_the_enumerated_bracket(n):
+    '''The direct M(T) \\ T of the Penrose table (a non-tree edge larger
+    than every edge on T's path between its ends) is the lex-order
+    Kruskal bracket found by exhausting the connected graphs, edge set
+    for edge set, and the table holds each tree once.'''
+    table, rows = ref.penrose_brackets(n)
+    assert len(table) == rows == n ** (n - 2)
+    brackets = ref.kruskal_brackets(n)
+    assert all(ok for _, ok in brackets.values())
+    assert table == {t: extra for t, (extra, _) in brackets.items()}
 
 
 def test_graph_validation():
@@ -203,6 +215,8 @@ def test_ursell_partition_identity():
 
 
 def test_tree_bound_and_resummation_random_instances():
+    '''The bound holds, and Penrose's tree resummation (ursell) equals
+    the connected-graph sum within 1e-12 relative.'''
     rng = np.random.default_rng(2)
     for _ in range(500):
         n = int(rng.integers(2, 6))
@@ -211,9 +225,55 @@ def test_tree_bound_and_resummation_random_instances():
         V = V + V.T
         z = np.exp(-0.5 * V) - 1.0
         np.fill_diagonal(z, 0.0)
-        report = tree_bound_check(z, V_matrix=V)
+        report = tree_bound_check(z)
         assert report["bound_ok"]
-        assert report["resummation_ok"], report["resummation_gap"]
+        assert report["ursell"] == pytest.approx(ref.ursell(z), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ursell_is_the_connected_graph_sum(n, scale):
+    rng = np.random.default_rng(10 * n)
+    stack = scale * np.array([_random_zeta(n, rng) for _ in range(20)])
+    phi = ursell(stack)
+    for k, zeta in enumerate(stack):
+        assert phi[k] == pytest.approx(ref.ursell(zeta), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_tree_sum_is_the_prufer_tree_sum(n, scale):
+    '''Kirchhoff's determinant against the sum over the n^{n-2} trees.
+    The mixed stack draws each |zeta| over eight decades and sets 30% of
+    them to 0: its tree sums span many decades, and some are exactly 0
+    where the support does not connect the vertices.'''
+    rng = np.random.default_rng(20 * n)
+    stack = np.array([_random_zeta(n, rng) for _ in range(20)])
+    if scale == "mixed":
+        stack *= 10.0 ** rng.uniform(-8, 0, stack.shape)
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        stack = np.tril(stack, -1) + np.swapaxes(np.tril(stack, -1), 1, 2)
+    else:
+        stack *= scale
+    bound = tree_sum(stack)
+    for k, zeta in enumerate(stack):
+        assert bound[k] == pytest.approx(ref.tree_sum(zeta), rel=1e-12, abs=0)
+
+
+def test_tree_sum_cayley_at_twelve_vertices():
+    # every zeta = x: n^{n-2} trees of weight |x|^{n-1}
+    for x in (0.3, -0.7):
+        zeta = x * (np.ones((12, 12)) - np.eye(12))
+        assert tree_sum(zeta) == pytest.approx(
+            12 ** 10 * abs(x) ** 11 / math.factorial(12), rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", [ursell, tree_sum, tree_bound_check])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (0, 0),
+                                   (5, 0, 0)])
+def test_cluster_sums_reject_malformed_zeta(fn, shape):
+    with pytest.raises(ValueError, match="n >= 1"):
+        fn(np.zeros(shape))
 
 
 def test_tree_bound_rejects_positive_zeta():
@@ -325,6 +385,11 @@ def test_ursell_and_tree_sum_over_a_stack(n):
         assert phi[k] == pytest.approx(ursell(zeta), rel=1e-12, abs=1e-15)
         assert bound[k] == pytest.approx(tree_sum(zeta), rel=1e-12,
                                          abs=1e-15)
+    # any leading axes
+    grid = stack[:6].reshape(2, 3, n, n)
+    assert ursell(grid) == pytest.approx(phi[:6].reshape(2, 3), rel=1e-15)
+    assert tree_sum(grid) == pytest.approx(bound[:6].reshape(2, 3),
+                                           rel=1e-15)
 
 
 def _reference_sampler(spec, fixed, n, phi_of):
