@@ -173,9 +173,8 @@ def laplacian_matrix(torus):
     return np.rint(torus.multiplier(-2.0 * torus.rates)) + 0.0
 
 
-# Most sites one ring of heat_kernel_infinite or heat_kernel_images may
-# hold (8 MB a table): t up to about 1.3e10 for the kernel at the origin,
-# 3.3e9 for the image sums.
+# Most sites one ring of heat_kernel_images may hold (8 MB a table): t up
+# to about 3.3e9.
 MAX_RING_SITES = 2 ** 20
 
 
@@ -200,27 +199,6 @@ def _ring_decay(t, M):
     # t * 1e-16)
     k = np.arange(M) - M // 2
     return k, np.exp(-2.0 * t * np.sin(np.pi * k / M) ** 2)
-
-
-def heat_kernel_infinite(d, t, x):
-    '''Infinite-lattice kernel psi^{inf,t}(x), x an integer vector of length d.
-
-    psi^{inf,t}(x) = prod_j (2 pi)^{-1} int e^{-2t sin^2(xi/2)} cos(xi x_j) dxi,
-    each factor by the trapezoid rule on a ring of M = |x_j| + y0 + 2
-    sites, which sums psi^{inf,t} over x_j + M Z; y0 = _reach(t) keeps
-    the aliasing below 1e-18.  ValueError past MAX_RING_SITES.
-    '''
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if x.size != d:
-        raise ValueError("x must have length d")
-    reach = _reach(t)
-    out = 1.0
-    for xj in x:
-        M = abs(int(xj)) + reach + 2
-        k, decay = _ring_decay(t, M)
-        # (k x_j) mod M keeps the cosine's argument small
-        out *= float(decay @ np.cos(2.0 * np.pi * (k * xj % M) / M)) / M
-    return out
 
 
 def heat_kernel_images(t, L):

@@ -39,8 +39,9 @@ come in this order:
     durations of the open paths, in (sample, path) order, and one
     paths.bridges call for their B p bridges.
 The batch size bounds the memory a chunk holds, since that memory
-follows loops, not samples (the residue table alone is distinct
-durations x M x L, within paths.MAX_BRIDGE_CELLS), and it is part of the
+follows loops, not samples (the residue table alone is at most distinct
+durations x M x L, within paths.MAX_BRIDGE_CELLS, though it holds only
+the durations of the coordinates that may jump), and it is part of the
 stream: the draws of a batch are grouped by kind, not by sample.
 
 Control variates (always on).  Under the free loop soup some quantities

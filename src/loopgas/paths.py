@@ -28,14 +28,22 @@ psi^{L,T}(y - x).  Given the counts, the jump times are iid uniform on
 counts come from inverse CDFs over a table of the Poisson(T/2) masses of
 the distinct T/2 of a batch.  The table ends at the first n >= max T/2
 where the tail bound P(X > n) <= p(n+1) / (1 - (T/2)/(n+2)) falls below
-POISSON_TAIL = 1e-16.  A call whose table and count columns would
-exceed MAX_BRIDGE_CELLS cells draws in chunks of its walks, each within
-the budget, joined back in the caller's walk order: the walks sorted
-stably from the longest duration down, the first n // 2 of them drawn
-as one call, then the rest, each split again while it exceeds the
-budget.  The longest walk thus comes first, and when it alone exceeds
-the budget the call raises ValueError before any draw.  The budget
-bounds the tables of each chunk, not the jumps of the whole call.
+POISSON_TAIL = 1e-16.  A coordinate with delta = 0 (every coordinate of
+a closed loop) inverts to no jump exactly when its three uniforms fall
+in the first cells, and the masses of those cells have L-term closed
+forms (_first_cell_masses); so such a coordinate is tested against them
+first, with a margin, and the table and the inversion serve only the
+coordinates that may jump.  Short loops, most of a small-eps soup, build
+no table row at all; every draw and count is the full inversion's.  A
+call whose table and count columns would exceed MAX_BRIDGE_CELLS cells,
+counted for the whole call as if every coordinate inverted, draws in
+chunks of its walks, each within the budget, joined back in the caller's
+walk order: the walks sorted stably from the longest duration down, the
+first n // 2 of them drawn as one call, then the rest, each split again
+while it exceeds the budget.  The longest walk thus comes first, and
+when it alone exceeds the budget the call raises ValueError before any
+draw.  The budget bounds the tables of each chunk, not the jumps of the
+whole call.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges; draw_multi_window does the same for the grid
 loops of two windows or more.
@@ -108,10 +116,15 @@ def bridges(torus, x, T, rng, y=None):
     inverse CDF), then the uniform jump times of all walks; the signed
     steps of a walk take the order of their times.  Where y = x the
     draws and the paths are those of y None.  On L = 1 it draws nothing
-    and records no jump.  Over MAX_BRIDGE_CELLS it draws in chunks, by
-    the same rule: the first n // 2 walks in stable order of decreasing
-    duration, then the rest; ValueError, before any draw, when one walk
-    alone is over.'''
+    and records no jump.  A coordinate that does not move and whose
+    three uniforms fall in the first cell of each inversion
+    (_first_cell_masses) takes no jump and no table row; the table holds
+    the durations of the other coordinates only, cut at the whole call's
+    longest duration, so every count is the full inversion's.  Over
+    MAX_BRIDGE_CELLS, counted for the whole call as if every coordinate
+    inverted, it draws in chunks, by the same rule: the first n // 2
+    walks in stable order of decreasing duration, then the rest;
+    ValueError, before any draw, when one walk alone is over.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
@@ -125,7 +138,8 @@ def bridges(torus, x, T, rng, y=None):
     lam, row = np.unique(T / 2, return_inverse=True)
     # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
     try:
-        table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+        cut = _table_cut(float(lam[-1]), len(lam) * L
+                         + n * d * (1 if shift is None else 2), L)
     except ValueError:
         if n == 1:
             raise
@@ -135,23 +149,54 @@ def bridges(torus, x, T, rng, y=None):
                            None if y is None else np.asarray(y)[part]), None)
             for part in (order[:n // 2], order[n // 2:])])
     u = rng.random((n, d, 3))
-    q = table.sum(axis=1)
-    if shift is None:
-        q2 = np.cumsum(q ** 2, axis=1)[row][:, None, :]
+    # the coordinates that go through the inversion, flat (walk k, axis j
+    # at k d + j), and their rows of the distinct T/2: all of them, or
+    # all but those that stay put in the first cells
+    still = np.ones((n, d), dtype=bool) if shift is None else shift == 0
+    if not still.any():
+        move, sub, need = slice(None), np.repeat(row, d), slice(None)
     else:
-        up = (np.arange(L) + shift[..., None]) % L
-        q2 = np.cumsum(q[row][:, None, :] * q[row[:, None, None], up], axis=2)
-    residue = np.count_nonzero(
-        q2 < (u[..., 0] * q2[..., -1])[..., None], axis=2)
-    # the residues of the (up, down) counts, one shared column when x = y
-    res = (residue[..., None] if shift is None
-           else np.stack(((residue + shift) % L, residue), axis=-1))
-    # cumulative Poisson mass of each residue class, per walk and coordinate
-    col = np.cumsum(table[row[:, None, None], :, res], axis=3)
-    level = u[..., 1:] * col[..., -1]
+        q0, ret = _first_cell_masses(lam, L)
+        # u_0 up to q_0^2 / sum_r q_r^2, and u_1, u_2 below e^{-lam} / q_0,
+        # invert to the first cells.  Each bound is pulled in by 1e-9, q_0
+        # absolutely (its closed form sums L signed terms of size <= 1),
+        # the rest relatively: far past the rounding of the closed forms
+        # and of the table (below 1e-12 relative wherever e^{-lam} > 0),
+        # so a coordinate near an edge inverts.  Where e^{-lam} = 0 the
+        # strict < leaves every coordinate to invert.
+        first = ((1.0 - 1e-9) * np.maximum(q0 - 1e-9, 0.0) ** 2
+                 / ret)[row][:, None]
+        none = ((1.0 - 1e-9) * np.exp(-lam) / (q0 + 1e-9))[row][:, None]
+        still &= ((u[..., 0] <= first)
+                  & (np.maximum(u[..., 1], u[..., 2]) < none))
+        move = np.flatnonzero(~still)
+        walk_row = row[move // d]
+        need = np.zeros(len(lam), dtype=bool)
+        need[walk_row] = True
+        sub = (np.cumsum(need) - 1)[walk_row]
+    per_dir = np.zeros((n * d, 2), dtype=np.int64)
+    if len(sub):
+        table = _poisson_rows(lam[need], cut, L)
+        q = table.sum(axis=1)
+        um = u.reshape(n * d, 3)[move]
+        if shift is None:
+            q2 = np.cumsum(q ** 2, axis=1)[sub]
+        else:
+            delta = shift.reshape(n * d)[move]
+            up = (np.arange(L) + delta[:, None]) % L
+            q2 = np.cumsum(q[sub] * q[sub[:, None], up], axis=1)
+        residue = np.count_nonzero(q2 < (um[:, 0] * q2[:, -1])[:, None],
+                                   axis=1)
+        # the residues of the (up, down) counts, one shared column when x = y
+        res = (residue[:, None] if shift is None
+               else np.stack(((residue + delta) % L, residue), axis=-1))
+        # cumulative Poisson mass of each residue class, per coordinate
+        col = np.cumsum(table[sub[:, None], :, res], axis=2)
+        level = um[:, 1:] * col[..., -1]
+        per_dir[move] = res + L * np.count_nonzero(col < level[..., None],
+                                                   axis=2)
     # per_dir[k, j] = the (up, down) counts of coordinate j of walk k,
     # that is, of the directions 2j and 2j + 1
-    per_dir = res + L * np.count_nonzero(col < level[..., None], axis=3)
     per_dir = per_dir.reshape(n, 2 * d)
     steps = np.repeat(np.tile(np.arange(2 * d), n), per_dir.ravel())
     counts = per_dir.sum(axis=1)
@@ -160,6 +205,22 @@ def bridges(torus, x, T, rng, y=None):
     order = np.lexsort((times, jump_walk))
     return LoopBatch(n, np.arange(n), x, T, counts, times[order],
                      _sites(torus, x, counts, steps[order]))
+
+
+def _first_cell_masses(lam, L):
+    '''(q_0, sum_r q_r^2) per entry of lam, q_r = P(X = r mod L), X ~
+    Poisson(lam): with z_j = e^{lam (w^j - 1)}, w = e^{2 pi i / L}, q_0 =
+    mean_j Re z_j, and sum_r q_r^2 = mean_j |z_j|^2 (Parseval), the 1D
+    return probability at T = 2 lam.  A coordinate that does not move
+    inverts to no jump exactly when u_0 sum_r q_r^2 <= q_0^2 and u_1 q_0,
+    u_2 q_0 <= e^{-lam}.'''
+    half = np.arange(L) * (np.pi / L)
+    # |z_j| = e^{lam (cos theta_j - 1)}, theta_j = 2 half_j, by sin^2 so
+    # that no digit cancels
+    size = np.exp(np.multiply.outer(lam, -2.0 * np.sin(half) ** 2))
+    mean = np.full(L, 1.0 / L)
+    q0 = (size * np.cos(np.multiply.outer(lam, np.sin(2.0 * half)))) @ mean
+    return q0, (size * size) @ mean
 
 
 def _sites(torus, x, counts, steps):
@@ -198,7 +259,16 @@ def _residue_table(lam, L, columns=0):
     of the largest lam drops below POISSON_TAIL; the rest is 0.
     ValueError, before any table is built, when it and columns more
     columns of M cells exceed MAX_BRIDGE_CELLS.'''
-    top, rows = float(lam.max()), len(lam) * L + columns
+    return _poisson_rows(lam, _table_cut(float(lam.max()),
+                                         len(lam) * L + columns, L), L)
+
+
+def _table_cut(top, rows, L):
+    '''The last count of the residue tables of means up to top: the first
+    n >= top where P(X > n) <= p(n+1) / (1 - top/(n+2)), X ~
+    Poisson(top), falls below POISSON_TAIL.  ValueError, before any
+    log-factorial is computed, when rows rows of n // L + 1 cells exceed
+    MAX_BRIDGE_CELLS.'''
     # the cut is at least top: refusing on that first keeps the
     # log-factorials of the range below within the budget's order
     cut = math.ceil(top)
@@ -209,12 +279,20 @@ def _residue_table(lam, L, columns=0):
         log_bound = (k + 1) * math.log(top) - top - _log_factorials(
             k[-1] + 2)[k + 1] - np.log1p(-top / (k + 2.0))
         cut = int(k[np.flatnonzero(log_bound < math.log(POISSON_TAIL))[0]])
-    M = cut // L + 1
-    if rows * M > MAX_BRIDGE_CELLS:
+    cells = rows * (cut // L + 1)
+    if cells > MAX_BRIDGE_CELLS:
         raise ValueError(
             f"bridges of durations up to {2.0 * top:.4g} need at least "
-            f"{rows * M} Poisson table cells, above MAX_BRIDGE_CELLS = "
+            f"{cells} Poisson table cells, above MAX_BRIDGE_CELLS = "
             f"{MAX_BRIDGE_CELLS}; raise kappa")
+    return cut
+
+
+def _poisson_rows(lam, cut, L):
+    '''The residue table of lam cut at the count cut: (len(lam), cut // L
+    + 1, L), entry [i, m, r] P(X = m L + r) up to m L + r = cut, 0
+    past it.'''
+    M = cut // L + 1
     p = np.zeros((len(lam), M * L))
     log_p = p[:, :cut + 1]
     np.multiply.outer(np.log(lam), np.arange(cut + 1), out=log_p)

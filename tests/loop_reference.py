@@ -7,7 +7,10 @@ loop_mc._OpenPaths.draw, the same calls in the same order, but build
 each path on its own, one signed unit step (step) at a time, and return
 lists of Paths.  walks draws free walks step by step (Poisson(d T) jump
 counts, uniform signed steps, uniform jump times) for tests that need
-open walks as inputs.  rejection_loops is the bridge sampler the library
+open walks as inputs.  full_inversion_bridges is the library's bridges
+as it was before its first-cell shortcut: every coordinate goes through
+the residue table and the inversion, with the same draws, budget and
+chunks; the library's bridges must match it bit for bit.  rejection_loops is the bridge sampler the library
 used before exact bridges: it re-walks every open loop until it closes,
 and serves as a statistical oracle.  The occupation kernel builds one
 configuration's slices and occupations and its quadratic form at a
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from loopgas.interactions import v_tilde_table
-from loopgas.paths import Path, pick
+from loopgas.paths import LoopBatch, Path, _residue_table, _sites, pick
 
 
 # -- samplers ------------------------------------------------------------------
@@ -133,6 +136,56 @@ def bridges(torus, x, T, rng, y=None):
         paths.append(Path(int(xk), float(Tk), t[order],
                           np.array(sites, dtype=np.int64)))
     return paths
+
+
+def full_inversion_bridges(torus, x, T, rng, y=None):
+    '''paths.bridges by full inversion: the residue table holds every
+    distinct T/2 of the call and every coordinate inverts its three
+    uniforms.  The draws, the budget (the library's MAX_BRIDGE_CELLS) and
+    the chunk rule are those of paths.bridges; a LoopBatch.'''
+    x = np.asarray(x, dtype=np.int64)
+    T = np.asarray(T, dtype=float)
+    n, d, L = len(x), torus.d, torus.L
+    if L == 1 or n == 0:
+        return LoopBatch(n, np.arange(n), x, T, np.zeros(n, dtype=np.int64),
+                         np.empty(0), np.empty(0, dtype=np.int64))
+    shift = None if y is None else (torus.coords[y] - torus.coords[x]) % L
+    if shift is not None and not shift.any():
+        shift = None
+    lam, row = np.unique(T / 2, return_inverse=True)
+    try:
+        table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+    except ValueError:
+        if n == 1:
+            raise
+        order = np.argsort(-T, kind="stable")
+        return LoopBatch.join(n, [
+            (part, full_inversion_bridges(
+                torus, x[part], T[part], rng,
+                None if y is None else np.asarray(y)[part]), None)
+            for part in (order[:n // 2], order[n // 2:])])
+    u = rng.random((n, d, 3))
+    q = table.sum(axis=1)
+    if shift is None:
+        q2 = np.cumsum(q ** 2, axis=1)[row][:, None, :]
+    else:
+        up = (np.arange(L) + shift[..., None]) % L
+        q2 = np.cumsum(q[row][:, None, :] * q[row[:, None, None], up], axis=2)
+    residue = np.count_nonzero(
+        q2 < (u[..., 0] * q2[..., -1])[..., None], axis=2)
+    res = (residue[..., None] if shift is None
+           else np.stack(((residue + shift) % L, residue), axis=-1))
+    col = np.cumsum(table[row[:, None, None], :, res], axis=3)
+    level = u[..., 1:] * col[..., -1]
+    per_dir = res + L * np.count_nonzero(col < level[..., None], axis=3)
+    per_dir = per_dir.reshape(n, 2 * d)
+    steps = np.repeat(np.tile(np.arange(2 * d), n), per_dir.ravel())
+    counts = per_dir.sum(axis=1)
+    jump_walk = np.repeat(np.arange(n), counts)
+    times = rng.random(len(steps)) * T[jump_walk]
+    order = np.lexsort((times, jump_walk))
+    return LoopBatch(n, np.arange(n), x, T, counts, times[order],
+                     _sites(torus, x, counts, steps[order]))
 
 
 def draw_batch(intensity, rng, n):

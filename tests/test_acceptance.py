@@ -15,9 +15,7 @@ from loopgas.field_oracle import (
     wick_moment)
 from loopgas.interactions import InteractionParams
 from loopgas.largemass import LmParams, gamma_lm_matrix
-from loopgas.lattice import (
-    PotentialSpec, Torus, heat_kernel_infinite,
-    periodize_potential)
+from loopgas.lattice import PotentialSpec, Torus, periodize_potential
 from loopgas.loop_mc import (
     EnsembleSpec, estimate_gamma_p, estimate_rel_partition)
 from loopgas.paths import LoopIntensity
@@ -28,6 +26,7 @@ from loopgas.quantum_oracle import (
 
 import cluster_reference
 import heat_kernel_reference
+from heat_kernel_reference import heat_kernel_infinite
 from largemass_reference import z_lm_particle_sum
 
 

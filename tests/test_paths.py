@@ -2,6 +2,7 @@
 law of the kernel estimates.'''
 
 import collections
+import decimal
 import math
 import warnings
 
@@ -12,8 +13,8 @@ from scipy import integrate, stats
 from loopgas.lattice import Torus
 from loopgas import paths
 from loopgas.loop_mc import _OpenPaths
-from loopgas.paths import (LoopBatch, LoopIntensity, Path, _residue_table,
-                          bridges)
+from loopgas.paths import (LoopBatch, LoopIntensity, Path, _first_cell_masses,
+                          _residue_table, bridges)
 
 import loop_reference
 
@@ -462,6 +463,118 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
                                                              T)
     assert np.array_equal(_loop_ends(batch), y)
     assert len(batch.times) > 0
+
+
+def _assert_same_bridges(torus, x, T, seed, y):
+    '''bridges and the full-inversion reference give the same LoopBatch
+    fields and leave their generators in the same state.'''
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = bridges(torus, x, T, new, y)
+    expected = loop_reference.full_inversion_bridges(torus, x, T, ref, y)
+    for name in ("config", "start", "duration", "offsets", "times",
+                 "sites"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+    assert new.bit_generator.state == ref.bit_generator.state
+    return batch
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3, 4, 7])
+def test_bridges_match_the_full_inversion(d, L):
+    '''Durations from 1e-9 to 1e3, a third of them tied: closed walks,
+    y = x given, y != x, and y - x zero in some coordinates only, each
+    bit for bit the full inversion's.  Short walks mostly skip the
+    table, long ones never do.'''
+    torus = Torus(d, L)
+    skipped = False
+    for seed in range(8):
+        rng = np.random.default_rng(1000 * d + 10 * L + seed)
+        n = 120
+        T = np.exp(rng.uniform(math.log(1e-9), math.log(1e3), n))
+        T[:n // 3] = T[n // 3:2 * (n // 3)]
+        x = rng.integers(torus.n_sites, size=n)
+        moved = torus.coords[x].copy()
+        moved[:, 0] += 1
+        for y in (None, x, rng.integers(torus.n_sites, size=n),
+                  torus.index_of(moved)):
+            jumps = np.diff(_assert_same_bridges(torus, x, T, seed,
+                                                 y).offsets)
+            skipped |= bool((jumps == 0).any())
+            assert (jumps[T > 400.0] > 0).all()
+    assert skipped
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_chunked_bridges_match_the_full_inversion(monkeypatch, closed):
+    '''Over a budget of a fifth of the call's cells, both samplers draw
+    the same chunks, number for number.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(17)
+    n = 60
+    T = np.repeat(np.exp(rng.uniform(math.log(1e-6), math.log(200.0),
+                                     n // 2)), 2)
+    x = rng.integers(torus.n_sites, size=n)
+    y = None if closed else rng.integers(torus.n_sites, size=n)
+    table = _residue_table(np.unique(T / 2), 3)
+    cells = table.size + n * 2 * (1 if closed else 2) * table.shape[1]
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells // 5)
+    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
+        _residue_table(np.unique(T / 2), 3, n * 2 * (1 if closed else 2))
+    for seed in range(5):
+        _assert_same_bridges(torus, x, T, seed, y)
+
+
+def _decimal_first_cell(lam, L):
+    '''(q_0, sum_r q_r^2) of Poisson(lam) mod L, summed term by term to
+    40 digits.'''
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        mean = decimal.Decimal(lam)
+        p, q = (-mean).exp(), [decimal.Decimal(0)] * L
+        for m in range(int(lam + 40.0 * math.sqrt(lam)) + 60):
+            q[m % L] += p
+            p = p * mean / (m + 1)
+        return float(q[0]), float(sum(qr * qr for qr in q))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
+def test_first_cell_masses_match_the_residue_table(L):
+    '''q_0 and sum_r q_r^2 from the closed forms: within 1e-15 relative
+    of a 40-digit sum, and within 1e-13 (1 + lam / 100) of the residue
+    table, whose log-space rounding grows with lam to 5e-13 relative at
+    lam = 1e3.'''
+    lam = np.geomspace(1e-9, 1e3, 60)
+    q0, ret = _first_cell_masses(lam, L)
+    q = _residue_table(lam, L).sum(axis=1)
+    tol = 1e-13 * (1.0 + lam / 100.0)
+    assert np.all(np.abs(q0 - q[:, 0]) <= tol * q[:, 0])
+    assert np.all(np.abs(ret - (q * q).sum(axis=1)) <= tol * ret)
+    for i in (0, 20, 35, 45, 59):
+        exact = _decimal_first_cell(float(lam[i]), L)
+        assert q0[i] == pytest.approx(exact[0], rel=1e-15, abs=0)
+        assert ret[i] == pytest.approx(exact[1], rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("L", [2, 3, 7])
+def test_bridges_at_extreme_durations_stay_finite(L):
+    '''At T = 1e-12 and 1e-6 nearly every walk skips the table; at T =
+    1e3 and 1e5 e^{-T/2} underflows to 0 and every walk inverts.  No
+    RuntimeWarning, no NaN, and the full inversion's numbers.'''
+    torus = Torus(2, L)
+    x = np.arange(4) % torus.n_sites
+    for T in (1e-12, 1e-6, 1e3, 1e5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q0, ret = _first_cell_masses(np.array([T / 2]), L)
+            batch = _assert_same_bridges(torus, x, np.full(4, T), 3, None)
+            open_batch = _assert_same_bridges(torus, x, np.full(4, T), 4,
+                                              (x + 1) % torus.n_sites)
+        assert np.isfinite([q0, ret]).all()
+        for b in (batch, open_batch):
+            assert np.isfinite(b.times).all()
+        assert np.array_equal(_loop_ends(batch), x)
+        jumps = np.diff(batch.offsets)
+        assert (jumps == 0).all() if T < 1e-5 else (jumps > 0).all()
 
 
 def _grid_masses(torus, kappa, nu):
