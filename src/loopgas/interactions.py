@@ -9,15 +9,17 @@ over slices; there is no quadrature error anywhere in this module.
 
 One kernel, batch_interaction, evaluates every configuration of a
 LoopBatch at once, in one path: occupation cells, a dense field with one
-row per slice (per slice and loop when the caller asks for pair
-matrices), and the quadratic form of each slice.  A grid loop's cells
-follow its constant pieces and jumps, not its windows: the pieces place
-the windows' starts in a configuration's first slice, and each jump
-moves one window from the site it leaves to the site it enters in the
-slice its folded time opens, so the field of a slice is the running sum
-of the cells up to it.  The cells are linear in the jumps, however many
-windows the loops span.  MAX_CELLS bounds the field rows of one
-evaluation.  v_total is the kernel's view of one configuration.
+row per slice (per slice and group when the caller asks for the pair
+matrices of groups of loops: one group per loop, or the open paths and
+the background of a kernel sample), and the quadratic form of each
+slice.  A grid loop's cells follow its constant pieces and jumps, not
+its windows: the pieces place the windows' starts in a configuration's
+first slice, and each jump moves one window from the site it leaves to
+the site it enters in the slice its folded time opens, so the field of
+a slice is the running sum of the cells up to it.  The cells are linear
+in the jumps, however many windows the loops span.  MAX_CELLS bounds
+the field rows of one evaluation.  v_total is the kernel's view of one
+configuration.
 
 +inf is an absorbing interaction value (hard core), mapped downstream to
 Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import LoopBatch
+from .paths import LoopBatch, pair_order
 
-# Dense occupation field rows (slices, or slices x loops with pair
+# Dense occupation field rows (slices, or slices x groups with pair
 # matrices) per kernel evaluation; the field and its product with v take
 # 16 |Lambda| bytes a row
 MAX_CELLS = 2 ** 22
@@ -90,46 +92,69 @@ def v_tilde_table(vL, R):
 
 def batch_interaction(batch, params, kind, pairs=False):
     '''Total interaction of every configuration of a LoopBatch, (C,),
-    or with pairs the (C, n, n) pair matrices of C configurations of n
-    loops each (ValueError if their sizes differ); kind "ginibre" or
+    or with pairs its (C, n, n) group pair matrices; kind "ginibre" or
     "symanzik_eps".
 
     The total is V = 1/2 sum_k w_k n_k^T v n_k, n the occupation field of
-    the configuration, equal to 1/2 sum_{i,j} V(w_i, w_j); the pair
-    matrix holds sum_k w_k N_{i,k} v N_{j,k}^T, N_i the occupation of
-    loop i, self pairs on the diagonal.  In the grid ensemble a hard
-    core (R = 1) is exclusion in the totals, in every mode: the total is
-    +inf iff two windows share a site at some time, and otherwise it
-    interacts through v-tilde (no self term of a window), as the quantum
-    oracle's hard-core bosons do.  Elsewhere an infinite entry of v that
-    meets sites occupied in a common slice of positive weight gives +inf.
+    the configuration.  pairs splits each configuration's loops into n
+    groups, and entry (g, h) of a configuration's matrix is sum_k w_k
+    N_{g,k} v N_{h,k}^T, N_g the summed occupation of the loops of group
+    g, so that V = 1/2 sum_{g,h} P_{g,h}.  pairs is a pair (group, n),
+    group the group of each loop of the batch, in 0..n - 1 (n given by
+    the caller, so a group may be empty anywhere), or True: one group
+    per loop, its slot in its configuration, for configurations of one
+    size n (ValueError if their sizes differ), whose matrices hold the
+    pair interactions V(w_i, w_j) with the self pairs on the diagonal.
+
+    In the grid ensemble a hard core (R = 1) is exclusion, in every mode
+    and every output, as the quantum oracle's hard-core bosons: the
+    finite part interacts through v-tilde (no self term of a window); a
+    total or a diagonal entry is +inf iff its configuration or group
+    alone puts two windows on one site in some slice, and an off-diagonal
+    entry is +inf iff its two groups share a site in some slice.  This
+    holds at any lam, so 1/2 sum P is the total in every mode.
+    Elsewhere an infinite entry of v that meets sites occupied in a
+    common slice of positive weight gives +inf.
 
     The configurations are evaluated in consecutive groups of at most
     MAX_CELLS dense field rows each (slices, times n with pairs), which
     gives the same numbers as one evaluation; a configuration of more
-    than MAX_CELLS rows raises ValueError.
+    than MAX_CELLS rows raises ValueError.  A configuration with n groups
+    thus takes at most MAX_CELLS / n slices: a Gamma_p sample (open
+    paths and background, n = 2) at most 2^21.
     '''
     C = batch.n_configs
-    n = 1
-    if pairs:
+    group, n = None, 1
+    if pairs is True:
         sizes = np.bincount(batch.config, minlength=C)
         n = int(sizes.max(initial=0))
         if np.any(sizes != n):
             raise ValueError("pair matrices need configurations of one "
                              f"size, got sizes {sizes.min()} to {n}")
+        group = (np.arange(len(batch.config))
+                 - (np.cumsum(sizes) - sizes)[batch.config])
+    elif pairs:
+        group, n = pairs
+        group = np.asarray(group, dtype=np.int64)
+        if (group.shape != batch.config.shape or group.min(initial=0) < 0
+                or group.max(initial=0) >= n):
+            raise ValueError(f"need a group in 0..{n - 1} for each of the "
+                             f"{len(batch.config)} loops")
     if C == 0:
-        return np.zeros((0, 0, 0)) if pairs else np.zeros(0)
+        return np.zeros((0, n, n)) if pairs else np.zeros(0)
     slices = (np.bincount(batch.config, np.diff(batch.offsets), C) + 1
               if kind == "ginibre" else np.ones(C))
     bounds = _row_groups(slices * n, pairs)
     if len(bounds) == 2:
-        return _evaluate(batch, params, kind, pairs)
+        return _evaluate(batch, params, kind, group, n)
     parts = []
     for lo, hi in zip(bounds, bounds[1:]):
         first, last = np.searchsorted(batch.config, [lo, hi])
-        group = LoopBatch.join(hi - lo, [(batch.config[first:last] - lo,
-                                          batch, np.arange(first, last))])
-        parts.append(_evaluate(group, params, kind, pairs))
+        part = LoopBatch.join(hi - lo, [(batch.config[first:last] - lo,
+                                         batch, np.arange(first, last))])
+        parts.append(_evaluate(part, params, kind,
+                               None if group is None else group[first:last],
+                               n))
     return np.concatenate(parts)
 
 
@@ -141,7 +166,7 @@ def _row_groups(rows, pairs):
     if rows.max() > MAX_CELLS:
         raise ValueError(
             f"a configuration needs {rows.max():.3g} occupation field rows "
-            f"(slices{' x loops' if pairs else ''}), more than the kernel's "
+            f"(slices{' x groups' if pairs else ''}), more than the kernel's "
             f"budget of {MAX_CELLS}; raise kappa or nu")
     ends = np.cumsum(rows)
     bounds = [0]
@@ -152,51 +177,68 @@ def _row_groups(rows, pairs):
     return bounds
 
 
-def _evaluate(batch, params, kind, pairs):
-    '''batch_interaction of a LoopBatch, in one evaluation.'''
-    torus = params.torus
-    n_sites = torus.n_sites
-    C = batch.n_configs
+def _evaluate(batch, params, kind, group, n):
+    '''batch_interaction of a LoopBatch, in one evaluation: totals when
+    group is None, else the pair matrices of the n groups group.'''
+    w, bounds, N = _field(batch, params, kind, group, n)
+    vL = params.vL
+    exclusion = kind == "ginibre" and params.R == 1
+    if exclusion:
+        vL = v_tilde_table(vL, 1)
+    P = _slice_form(w, N, vL[params.torus.diff_table])
+    if group is None:
+        P = 0.5 * np.add.reduceat(P[:, 0, 0], bounds)
+    else:
+        P = np.add.reduceat(P, bounds, axis=0)
+    if exclusion:
+        killed = _excluded(N, bounds)
+        P[killed[:, 0, 0] if group is None else killed] = np.inf
+    return P
+
+
+def _field(batch, params, kind, group, n):
+    '''(w, bounds, N) of a LoopBatch: the slice weights, the first slice
+    of each configuration, and the occupation field N (slices, n, sites)
+    of the n groups group (one group when group is None).  The cells it
+    is built from are freed on return, before the quadratic form.'''
+    n_sites = params.torus.n_sites
     occupations = _grid_occupations if kind == "ginibre" else _local_times
     w, bounds, cell_slice, cell_loop, cell_site, amount = occupations(
         batch, params)
     S = len(w)
-    # one field row per slice, or per slice and loop with pairs (the
-    # loop's slot in its configuration)
-    n, row = 1, 0
-    if pairs:
-        sizes = np.bincount(batch.config, minlength=C)
-        n = int(sizes[0])
-        row = (np.arange(len(batch.config))
-               - (np.cumsum(sizes) - sizes)[batch.config])[cell_loop]
+    # one field row per slice and group
+    row = 0 if group is None else group[cell_loop]
     N = np.bincount((cell_slice * n + row) * n_sites + cell_site,
                     weights=amount, minlength=S * n * n_sites)
     N = N.reshape(S, n, n_sites)
-    if S > C:
+    if S > batch.n_configs:
         # the cells are increments along each configuration's slices:
         # their running sum within configurations is exact, since only
         # the grid has configurations of several slices and its counts
         # are integers (the continuum's local times are left as they are)
         N[bounds[1:]] -= np.add.reduceat(N, bounds)[:-1]
         np.cumsum(N, axis=0, out=N)
-    vL = params.vL
-    killed = None
-    if kind == "ginibre" and params.R == 1 and not pairs:
-        killed = np.maximum.reduceat(N.max(axis=(1, 2)), bounds) > 1
-        vL = v_tilde_table(vL, 1)
-    P = _slice_form(w, N, vL[torus.diff_table])
-    if pairs:
-        return np.add.reduceat(P, bounds, axis=0)
-    totals = 0.5 * np.add.reduceat(P[:, 0, 0], bounds)
-    if killed is not None:
-        totals[killed] = np.inf
-    return totals
+    return w, bounds, N
+
+
+def _excluded(N, bounds):
+    '''Where the grid hard core kills, (C, n, n) per configuration: a
+    group (a total's one group) alone when it has two windows on one
+    site in some slice, a pair of distinct groups when both occupy one
+    site in some slice.'''
+    occ = N > 0
+    meet = occ @ occ.transpose(0, 2, 1)
+    diagonal = np.arange(N.shape[1])
+    meet[:, diagonal, diagonal] = N.max(axis=2) > 1
+    return np.logical_or.reduceat(meet, bounds, axis=0)
 
 
 def _slice_form(w, N, vmat):
-    '''Per-slice pair terms P[k, i, j] = w_k N[k, i] vmat N[k, j]^T; +inf
-    where an infinite vmat entry meets sites occupied in slice k of
-    positive weight (masked, so that 0 * inf never makes a NaN).'''
+    '''Per-slice group pair terms P[k, g, h] = w_k N[k, g] vmat N[k,
+    h]^T; +inf where an infinite vmat entry meets sites occupied in
+    slice k of positive weight (masked, so that 0 * inf never makes a
+    NaN).  The grid hard core is not here: its callers pass v-tilde and
+    apply exclusion (_excluded).'''
     core = np.isinf(vmat)
     # contiguous, so that BLAS sums in one order whatever N's layout
     Nt = np.ascontiguousarray(N.transpose(0, 2, 1))
@@ -212,9 +254,9 @@ def _grid_occupations(batch, params):
     LoopBatch, and its occupation cells as increments along them.
 
     Each configuration's [0, nu) is cut at 0, nu and every jump time mod
-    nu of its loops; slice k has weight w_k = lam |slice k| / nu.  A jump
-    at time a nu + r (exact divmod) lies in window a and opens the slice
-    that starts at r.  The cells are (slice, loop, site, amount):
+    nu of its loops (_slices); slice k has weight w_k = lam |slice k| /
+    nu.  A jump at time a nu + r (exact divmod) lies in window a and
+    opens the slice that starts at r.  The cells are (slice, loop, site, amount):
     - in the first slice of the configuration, one per constant piece
       of a loop, counting the windows a_s < a <= a_e that start on it,
       a_s and a_e the windows of its ends (a_e = W - 1 for the last
@@ -241,20 +283,8 @@ def _grid_occupations(batch, params):
     counts = np.diff(batch.offsets)
     jump_loop = np.repeat(np.arange(n_loops), counts)
     window, folded = np.divmod(batch.times, nu)
-    # the cuts of each configuration, sorted and without repeats
-    values = np.concatenate((folded, np.zeros(C), np.full(C, nu)))
-    owner = np.concatenate((batch.config[jump_loop], np.arange(C),
-                            np.arange(C)))
-    order = np.lexsort((values, owner))
-    values, owner = values[order], owner[order]
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    cuts, cut_owner = values[new], owner[new]
-    w = params.lam / nu * np.diff(cuts)[cut_owner[1:] == cut_owner[:-1]]
-    n_slices = np.bincount(cut_owner, minlength=C) - 1
-    bounds = np.cumsum(n_slices) - n_slices
+    length, bounds, opens = _slices(folded, batch.config[jump_loop], C, nu)
+    w = params.lam / nu * length
     # the pieces: loop i's first is piece offsets[i] + i, and jump j of
     # loop i ends piece j + i and starts piece j + i + 1
     piece_loop, piece_site, _ = batch.pieces()
@@ -268,10 +298,9 @@ def _grid_occupations(batch, params):
     a_end[first + counts] = n_win - 1
     amount = np.diff(a_end, prepend=0)
     amount[first] = a_end[first] + 1
-    # the jumps in a window of the loop, in the slice each opens (the
-    # k-th cut of configuration c is global slice rank - c)
+    # the jumps in a window of the loop, in the slice each opens
     kept = np.flatnonzero(window <= last_window)
-    jump_slice = rank[kept] - batch.config[jump_loop[kept]]
+    jump_slice = opens[kept]
     loops = jump_loop[kept]
     return (w, bounds,
             np.concatenate((bounds[batch.config[piece_loop]], jump_slice,
@@ -281,6 +310,29 @@ def _grid_occupations(batch, params):
                             batch.sites[kept])),
             np.concatenate((amount, np.full(len(kept), -1),
                             np.ones(len(kept), dtype=np.int64))))
+
+
+def _slices(folded, jump_config, C, nu):
+    '''The slices of the folded time [0, nu) of C configurations: each
+    is cut at 0, nu and the folded times of its jumps, sorted and
+    without repeats (folded and jump_config: each jump's folded time and
+    configuration).  Returns the slice lengths in configuration order,
+    the first slice of each configuration, and the global slice each
+    jump opens.'''
+    values = np.concatenate((folded, np.zeros(C), np.full(C, nu)))
+    owner = np.concatenate((jump_config, np.arange(C), np.arange(C)))
+    order = pair_order(owner, values)
+    values, owner = values[order], owner[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    cuts, cut_owner = values[new], owner[new]
+    n_slices = np.bincount(cut_owner, minlength=C) - 1
+    # the k-th cut of configuration c is global slice rank - c
+    return (np.diff(cuts)[cut_owner[1:] == cut_owner[:-1]],
+            np.cumsum(n_slices) - n_slices,
+            rank[:len(folded)] - jump_config)
 
 
 def _local_times(batch, params):

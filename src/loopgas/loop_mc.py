@@ -29,9 +29,11 @@ interactions.batch_interaction.  A batch holds a budget of drawn loops,
 not of samples: with l the expected loops drawn per sample, known before
 any draw (the Poisson mass, plus the p open paths of a kernel; n for
 order n of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS /
-max(1, l))) samples.  A kernel's call evaluates each background twice,
-with and without its open paths.  Within a batch of B samples the draws
-come in this order:
+max(1, l))) samples.  A kernel's call evaluates each sample once, its
+open paths and its background as two groups of loops: the interaction
+is a quadratic form in the occupation field, so the (2, 2) group pair
+matrix P gives V(open + background) = P.sum() / 2 and V(background) =
+P_11 / 2.  Within a batch of B samples the draws come in this order:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
@@ -323,11 +325,10 @@ class _Tally:
         self.loops += n
         return intensity.draw_batch(rng, n)
 
-    def boltzmann(self, spec, batch):
-        '''e^{-V} of each configuration of a LoopBatch, from one kernel
-        call; a killed configuration (V = +inf) gives 0.'''
-        V = batch_interaction(batch, spec.params, spec.kind)
-        self.configs += len(V)
+    def boltzmann(self, V):
+        '''e^{-V} of the interactions V of configurations; a killed
+        configuration (V = +inf) gives 0.'''
+        self.configs += V.size
         self.killed += int(np.count_nonzero(np.isinf(V)))
         return np.exp(-V)
 
@@ -372,8 +373,8 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
 
     def evaluate(drawn):
         batch, controls = drawn
-        return np.array((tally.boltzmann(spec, batch),) + controls,
-                        dtype=float)
+        V = batch_interaction(batch, spec.params, spec.kind)
+        return np.array((tally.boltzmann(V),) + controls, dtype=float)
 
     sample = _batched(configs, evaluate, spec.intensity.total_mass)
     mean, se, rows = run_mc(sample, n_samples, seed, workers)
@@ -479,7 +480,8 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     '''MC estimate of the kernel entry Gamma_p(x, y) via the relative
     open-path representation (p <= 4).  Each sample is the pair
     (weight e^{-V(open paths + background)}, e^{-V(background)}) on one
-    Poisson background, its open paths drawn by _OpenPaths; the estimate
+    Poisson background, its open paths drawn by _OpenPaths, both from
+    one group pair matrix of the sample (module docstring); the estimate
     is the ratio of the pair's means.  The denominator shares the
     numerator's samples: denom_samples is None or n_samples, else
     ValueError.'''
@@ -502,23 +504,30 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     tally = _Tally()
 
     def configs(rng, m):
-        # configuration s < m: the open paths of sample s and its
-        # background; configuration m + s: the background alone
+        # configuration s: the p open paths of sample s (group 0), then
+        # its background (group 1)
         owner, background, controls = _draw_background(intensity, rng, m,
                                                        tally)
         ends, T, weight = law.draw(rng, m)
         opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rng,
                         ends.ravel())
-        batch = LoopBatch.join(2 * m, [
+        batch = LoopBatch.join(m, [
             (np.repeat(np.arange(m), p), opens, None),
-            (owner, background, None), (owner + m, background, None)])
+            (owner, background, None)])
+        # per configuration, p loops of group 0, then K of group 1
+        counts = np.stack((np.full(m, p), controls[0]), axis=1)
+        group = np.repeat(np.tile([0, 1], m), counts.ravel())
         if not law.moves:
             controls += (T.sum(axis=1), (T * T).sum(axis=1))
-        return batch, weight, controls
+        return batch, group, weight, controls
 
     def evaluate(drawn):
-        batch, weight, controls = drawn
-        boltzmann = tally.boltzmann(spec, batch).reshape(2, -1)
+        batch, group, weight, controls = drawn
+        P = batch_interaction(batch, spec.params, spec.kind,
+                              pairs=(group, 2))
+        # V(open + background) = 1/2 sum P and V(background) = 1/2 P_11
+        boltzmann = tally.boltzmann(0.5 * np.stack((P.sum(axis=(1, 2)),
+                                                    P[:, 1, 1])))
         return np.array((weight * boltzmann[0], boltzmann[1]) + controls,
                         dtype=float)
 

@@ -202,9 +202,21 @@ def bridges(torus, x, T, rng, y=None):
     counts = per_dir.sum(axis=1)
     jump_walk = np.repeat(np.arange(n), counts)
     times = rng.random(len(steps)) * T[jump_walk]
-    order = np.lexsort((times, jump_walk))
+    order = pair_order(jump_walk, times)
     return LoopBatch(n, np.arange(n), x, T, counts, times[order],
                      _sites(torus, x, counts, steps[order]))
+
+
+def pair_order(major, minor):
+    '''The stable order of the pairs (major[i], minor[i]), lexicographic,
+    as np.lexsort((minor, major)) gives it: one stable argsort of the
+    complex key major + i minor, which numpy sorts by real part, then
+    imaginary part.  The key is written in place, with no complex
+    temporary; major must be exact as a float (integers below 2^53).'''
+    key = np.empty(len(major), dtype=complex)
+    key.real = major
+    key.imag = minor
+    return np.argsort(key, kind="stable")
 
 
 def _first_cell_masses(lam, L):

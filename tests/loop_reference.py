@@ -10,12 +10,13 @@ counts, uniform signed steps, uniform jump times) for tests that need
 open walks as inputs.  full_inversion_bridges is the library's bridges
 as it was before its first-cell shortcut: every coordinate goes through
 the residue table and the inversion, with the same draws, budget and
-chunks; the library's bridges must match it bit for bit.  rejection_loops is the bridge sampler the library
-used before exact bridges: it re-walks every open loop until it closes,
-and serves as a statistical oracle.  The occupation kernel builds one
-configuration's slices and occupations and its quadratic form at a
-time.  The tests check the batched code against these, number for
-number.
+chunks; the library's bridges must match it bit for bit.
+rejection_loops is the bridge sampler the library used before exact
+bridges: it re-walks every open loop until it closes, and serves as a
+statistical oracle.  The occupation kernel builds one configuration's
+slices and occupations and its quadratic form at a time, for its total
+and for the pair matrices of groups of its loops (group_matrix).  The
+tests check the batched code against these, number for number.
 '''
 
 import itertools
@@ -378,9 +379,31 @@ def form(w, N, vmat):
     return P
 
 
-def pair_matrix(config, params, kind):
+def group_matrix(config, groups, n, params, kind):
+    '''P[g, h] = sum_k w_k N_g,k v N_h,k^T of a configuration whose loop i
+    is in group groups[i] of 0..n - 1, N_g the summed occupation of group
+    g.  The grid hard core (R = 1) is exclusion with v-tilde: P[g, g] is
+    +inf iff group g alone has two windows on one site in some slice,
+    P[g, h], g != h, iff groups g and h share a site in some slice.'''
     w, N = occupations(config, params, kind)
-    return form(w, N, params.vL[params.torus.diff_table])
+    member = np.zeros((n, len(config)))
+    member[np.asarray(groups, dtype=np.int64), np.arange(len(config))] = 1.0
+    N = np.tensordot(member, N, axes=1)
+    if kind != "ginibre" or params.R != 1:
+        return form(w, N, params.vL[params.torus.diff_table])
+    P = form(w, N, v_tilde_table(params.vL, 1)[params.torus.diff_table])
+    occ = (N > 0).astype(int)
+    hits = np.einsum("gks,hks->gh", occ, occ) > 0
+    np.fill_diagonal(hits, (N > 1).any(axis=(1, 2)))
+    P[hits] = np.inf
+    return P
+
+
+def pair_matrix(config, params, kind):
+    '''The pair interactions V(w_i, w_j) of a configuration, self pairs
+    on the diagonal: group_matrix with one group per loop.'''
+    return group_matrix(config, range(len(config)), len(config), params,
+                        kind)
 
 
 def v_total(config, params, kind):

@@ -204,7 +204,9 @@ def test_kernel_matches_window_overlap_oracle(case):
     '''v_total and pair_matrix against the pairwise oracle on 288 random
     configurations, 16 per (nu, L, d) in {0.5, 0.25, 0.125} x {2, 3, 4}
     x {1, 2}: 12 of up to 4 free walks, then the edge cases of
-    _edge_configs.  Finite values agree to 1e-12 relative; +inf exactly.'''
+    _edge_configs.  Finite values agree to 1e-12 relative; +inf exactly.
+    Under the hard core (largemass_R1) the diagonal is exclusion, the
+    self pair without its a = b windows (skip_diagonal).'''
     rng = np.random.default_rng(CASES.index(case))
     R = 1 if case == "largemass_R1" else 0
     kind = "symanzik_eps" if case == "continuum" else "ginibre"
@@ -250,7 +252,11 @@ def test_kernel_matches_window_overlap_oracle(case):
                     assert P.shape == (n, n)
                     for i in range(n):
                         for j in range(n):
-                            assert _close(P[i, j], pair(config[i], config[j]))
+                            ref = (v_ginibre_pair(config[i], config[i], params,
+                                                  skip_diagonal=True)
+                                   if R and i == j
+                                   else pair(config[i], config[j]))
+                            assert _close(P[i, j], ref)
     assert n_checked == 288
     if R:
         assert 0 < n_inf < n_checked     # both branches exercised
@@ -296,11 +302,16 @@ def test_zero_coupling_with_hard_core_is_zero():
     params = _params(torus, vL, lam=0.0, R=1)
     config = [Path(0, 0.5), Path(0, 1.0)]
     assert v_total(config, params, "symanzik_eps") == 0.0
-    assert not pair_matrix(config, params, "ginibre").any()
     # in the grid ensemble the hard core is exclusion, not coupling: two
-    # windows on one site are killed at any lam, one window per site is free
+    # windows on one site are killed at any lam, one window per site is
+    # free, in the totals and in every pair entry: the second loop has two
+    # windows on site 0, and it shares site 0 with the first
     assert np.isinf(v_total(config, params, "ginibre"))
-    assert v_total([Path(0, 0.5), Path(1, 0.5)], params, "ginibre") == 0.0
+    assert np.array_equal(pair_matrix(config, params, "ginibre"),
+                          [[0.0, np.inf], [np.inf, np.inf]])
+    free = [Path(0, 0.5), Path(1, 0.5)]
+    assert v_total(free, params, "ginibre") == 0.0
+    assert not pair_matrix(free, params, "ginibre").any()
 
 
 @pytest.mark.parametrize("mode", ["generic", "meanfield"])
@@ -642,15 +653,197 @@ def test_pairs_need_configurations_of_one_size(kind):
         batch_interaction(batch, params, kind, pairs=True)
 
 
+def _random_loop(torus, nu, kind, rng):
+    '''A free walk, or a loop without jumps one time in four, of a
+    duration on the grid nu N* (up to 4 windows) or in the continuum.'''
+    T = (rng.exponential(1.0) + 1e-3 if kind != "ginibre"
+         else nu * int(rng.integers(1, 5)))
+    x = int(rng.integers(torus.n_sites))
+    return (Path(x, T) if rng.random() < 0.25
+            else loop_reference.sample_free_walk(torus, x, T, rng))
+
+
+def _check_group_matrices(batch, group, n, configs, groups, params, kind):
+    '''The (C, n, n) group matrices of a batch: the reference's, with
+    the same +inf pattern, and half their sum the batch's totals.'''
+    P = batch_interaction(batch, params, kind, pairs=(group, n))
+    assert P.shape == (len(configs), n, n)
+    for c, g, Pc in zip(configs, groups, P):
+        assert _same(Pc, loop_reference.group_matrix(c, g, n, params, kind))
+    assert _same(0.5 * P.sum(axis=(1, 2)),
+                 batch_interaction(batch, params, kind))
+    return P
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
+@pytest.mark.parametrize("R", [0, 1])
+def test_group_matrices_match_the_two_configuration_totals(kind, R):
+    '''The one-call Gamma_p evaluation against the two configurations
+    per sample it replaces: p in {1, 2, 3} open walks (group 0) and 0 to
+    3 background loops (group 1, in random order with the walks), nu in
+    {0.5, 0.25, 0.1}, d in {1, 2, 3}, L in {1, ..., 4}.  The (m, 2, 2)
+    matrices equal the reference's, and 1/2 sum P, 1/2 P_11 and 1/2 P_00
+    the totals of open + background, background and open evaluated as
+    separate configurations, to 1e-12 relative with the same +inf
+    pattern; a finite P_01 is P_10 and the cross term V(open +
+    background) - V(open) - V(background).'''
+    rng = np.random.default_rng(41 + 2 * R + (kind == "ginibre"))
+    n_inf = n_configs = 0
+    for nu in (0.5, 0.25, 0.1):
+        for d in (1, 2, 3):
+            for L in (1, 2, 3, 4):
+                torus = Torus(d, L)
+                params = _params(torus, _random_potential(d, L, R, rng),
+                                 nu=nu, lam=0.7, R=R)
+                for p in (1, 2, 3):
+                    configs, groups = [], []
+                    for _ in range(4):
+                        g = rng.permutation([0] * p
+                                            + [1] * int(rng.integers(0, 4)))
+                        configs.append([_random_loop(torus, nu, kind, rng)
+                                        for _ in g])
+                        groups.append(g)
+                    batch = LoopBatch.from_paths(configs)
+                    P = _check_group_matrices(
+                        batch, np.concatenate(groups), 2, configs, groups,
+                        params, kind)
+                    # today's evaluation: each part as its own configuration
+                    parts = [[[w for w, gi in zip(c, g) if gi == k]
+                              for c, g in zip(configs, groups)]
+                             for k in (0, 1)]
+                    V_open, V_bg = (
+                        batch_interaction(LoopBatch.from_paths(part),
+                                          params, kind) for part in parts)
+                    V_all = batch_interaction(batch, params, kind)
+                    assert _same(0.5 * P.sum(axis=(1, 2)), V_all)
+                    assert _same(0.5 * P[:, 1, 1], V_bg)
+                    assert _same(0.5 * P[:, 0, 0], V_open)
+                    assert _same(P[:, 0, 1], P[:, 1, 0])
+                    f = np.isfinite(P).all(axis=(1, 2))
+                    cross = V_all[f] - V_open[f] - V_bg[f]
+                    scale = np.abs([V_all[f], V_open[f], V_bg[f],
+                                    np.ones(f.sum())]).max(axis=0)
+                    assert np.all(np.abs(P[f, 0, 1] - cross)
+                                  <= 1e-12 * scale)
+                    n_inf += int(np.isinf(V_all).sum())
+                    n_configs += len(configs)
+    assert n_configs == 432
+    if R and kind == "ginibre":
+        assert 0 < n_inf < n_configs     # both branches exercised
+
+
+def test_group_matrices_take_the_group_count_from_the_caller():
+    '''A batch whose backgrounds are all empty, as a Gamma_p batch with
+    no background loop, still gives (m, 2, 2) matrices, with zero
+    background rows; a third group that no loop is in gives zero rows
+    too.  A group outside 0..n - 1, or groups for other loops, raise.'''
+    torus = Torus(1, 3)
+    params = _params(torus, np.array([0.5, 0.1, 0.1]))
+    rng = np.random.default_rng(5)
+    configs = [[loop_reference.sample_free_walk(torus, 0, 1.0, rng)]
+               for _ in range(3)]
+    batch = LoopBatch.from_paths(configs)
+    totals = batch_interaction(batch, params, "ginibre")
+    for n in (2, 3):
+        P = batch_interaction(batch, params, "ginibre",
+                              pairs=(np.zeros(3, dtype=np.int64), n))
+        assert P.shape == (3, n, n)
+        assert np.array_equal(P[:, 0, 0], 2.0 * totals)
+        assert not P[:, 1:].any() and not P[:, :, 1:].any()
+    for group in ([0, 2, 1], [0, -1, 1], [0, 1]):
+        with pytest.raises(ValueError, match="group"):
+            batch_interaction(batch, params, "ginibre", pairs=(group, 2))
+    empty = LoopBatch.from_paths([])
+    assert batch_interaction(empty, params, "ginibre",
+                             pairs=(np.zeros(0), 2)).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("mode,R,lam", [
+    ("generic", 0, 0.7), ("meanfield", 0, None), ("largemass", 0, None),
+    ("generic", 1, 0.7), ("meanfield", 1, None), ("largemass", 1, None),
+    ("generic", 1, 0.0)])
+def test_half_sum_of_the_group_matrices_is_the_total(mode, R, lam):
+    '''1/2 sum P equals the total of every configuration, with the same
+    +inf pattern, in every grid mode and at lam = 0 under the hard core
+    (where every finite value is 0 and exclusion alone kills), for
+    random groups of 1 to 3 and for one group per loop.'''
+    rng = np.random.default_rng(7 + 3 * R + (lam == 0.0))
+    n_inf = 0
+    for nu in (0.5, 0.25):
+        for d, L in ((1, 3), (2, 2), (1, 4)):
+            torus = Torus(d, L)
+            params = InteractionParams(
+                torus=torus, vL=_random_potential(d, L, R, rng), nu=nu,
+                mode=mode, R=R, lam=lam, kappa0=1.0)
+            size = int(rng.integers(1, 4))
+            configs = [[_random_loop(torus, nu, "ginibre", rng)
+                        for _ in range(size)] for _ in range(8)]
+            batch = LoopBatch.from_paths(configs)
+            totals = batch_interaction(batch, params, "ginibre")
+            for n in (1, 2, 3):
+                groups = [rng.integers(0, n, size) for _ in configs]
+                P = _check_group_matrices(
+                    batch, np.concatenate(groups), n, configs, groups,
+                    params, "ginibre")
+                if lam == 0.0:
+                    assert not P[np.isfinite(P)].any()
+            P = batch_interaction(batch, params, "ginibre", pairs=True)
+            assert _same(0.5 * P.sum(axis=(1, 2)), totals)
+            n_inf += int(np.isinf(totals).sum())
+    assert (n_inf > 0) == bool(R)
+
+
+def test_cut_order_is_lexsort_order_with_ties():
+    '''The kernel's cuts and the bridges' jump times are ordered by
+    paths.pair_order, one stable argsort of a complex key: the same
+    permutation as np.lexsort, ties included: jumps at multiples of nu
+    (folded to 0, tied with the cut at 0), equal folded times across
+    loops and configurations, and repeated owners.'''
+    rng = np.random.default_rng(23)
+    torus = Torus(1, 4)
+    for nu in (0.5, 0.25, 0.1):
+        configs = []
+        for _ in range(30):
+            shared = nu * rng.integers(0, 3, 2) + nu * rng.choice(
+                [0.0, 0.25, 0.5], 2)
+            config = []
+            for _ in range(int(rng.integers(0, 4))):
+                n_win = int(rng.integers(2, 6))
+                t = np.sort(np.concatenate((
+                    nu * rng.integers(1, n_win, 2).astype(float),
+                    np.mod(shared, nu) + nu * rng.integers(0, n_win, 2))))
+                t = np.unique(t[t < nu * n_win])
+                sites = np.arange(1, len(t) + 1) % 4
+                config.append(Path(0, nu * n_win, t, sites))
+            configs.append(config)
+        batch = LoopBatch.from_paths(configs)
+        jump_loop = np.repeat(np.arange(len(batch.start)),
+                              np.diff(batch.offsets))
+        C = batch.n_configs
+        # the values and owners of _grid_occupations' cuts
+        values = np.concatenate((np.mod(batch.times, nu), np.zeros(C),
+                                 np.full(C, nu)))
+        owner = np.concatenate((batch.config[jump_loop], np.arange(C),
+                                np.arange(C)))
+        assert len(np.unique(values)) < len(values)
+        order = paths.pair_order(owner, values)
+        assert np.array_equal(order, np.lexsort((values, owner)))
+        # the bridges' order: walks with tied times
+        assert np.array_equal(paths.pair_order(jump_loop, values[:len(
+            jump_loop)]), np.lexsort((values[:len(jump_loop)], jump_loop)))
+
+
 def test_estimators_request_only_what_they_use(monkeypatch):
-    '''The loop Monte Carlo asks the kernel for totals, in 1-sample
-    chunks too (workers == n_samples); the cluster expansion asks only for
-    pair matrices.'''
+    '''The loop Monte Carlo asks the kernel for totals for Z, and for one
+    matrix of 2 groups (the open paths, the background) over the m
+    configurations of each Gamma_p batch, in 1-sample chunks too (workers
+    == n_samples); the cluster expansion asks only for pair matrices.'''
     requests = []
 
     def spy(batch, params, kind, pairs=False):
-        requests.append((batch.n_configs, pairs))
-        return batch_interaction(batch, params, kind, pairs=pairs)
+        out = batch_interaction(batch, params, kind, pairs=pairs)
+        requests.append((batch.n_configs, pairs, out.shape))
+        return out
 
     monkeypatch.setattr(loop_mc, "batch_interaction", spy)
     monkeypatch.setattr(cluster, "batch_interaction", spy)
@@ -662,14 +855,21 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         "ginibre")
     for workers in (1, 4):
         loop_mc.estimate_rel_partition(spec, 4, seed=1, workers=workers)
+        assert [(n, pairs) for n, pairs, _ in requests] == (
+            [(4, False)] if workers == 1 else [(1, False)] * 4)
+        requests.clear()
         loop_mc.estimate_gamma_p(spec, 1, [0], [0], 4, seed=2,
                                  workers=workers)
-    assert requests and not any(pairs for _, pairs in requests)
-    assert any(n == 1 for n, _ in requests)     # 1-sample chunks
-    requests.clear()
+        assert len(requests) == (1 if workers == 1 else 4)
+        for n, (group, count), shape in requests:
+            assert count == 2 and shape == (n, 2, 2)
+            assert n == 4 // len(requests)
+            # each configuration: its one open path, then its background
+            assert np.count_nonzero(np.asarray(group) == 0) == n
+        requests.clear()
     cluster.log_Z_via_expansion(spec, n_max=2, n_samples=4, seed=3,
                                 workers=4)
-    assert requests and all(pairs for _, pairs in requests)
+    assert requests and all(pairs is True for _, pairs, _ in requests)
 
 
 # -- the kernel's row budget --------------------------------------------------
