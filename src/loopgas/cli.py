@@ -456,11 +456,17 @@ def run_ginibre_z(config):
 
 def run_symanzik_z(config):
     '''MC estimate of the eps-regularized continuum-ensemble partition
-    function.'''
+    function.  lambda_rule "one" or "explicit" sets lam as in the grid
+    experiments; with no rule, lam is lambda, 1 when unset.  The
+    continuum ensemble has no nu, so "nu_squared" is refused.'''
     config.require("kappa", "eps_list")
+    if config.lambda_rule == "nu_squared":
+        raise ConfigError("symanzik-z has no nu: lambda_rule must be "
+                          "'one' or 'explicit'")
     torus = config.torus()
     vL = config.vL(torus)
-    lam = config.lam if config.lam is not None else 1.0
+    lam = (config.lam_for(None) if config.lambda_rule
+           else config.lam if config.lam is not None else 1.0)
     ests = []
     for eps in config.eps_list:
         params = InteractionParams(torus=torus, vL=vL, nu=1.0, lam=lam,

@@ -20,7 +20,13 @@ The expansion is built on the loop measure
   mu(dw) = nu sum_{T in nu N*} (e^{-kappa T}/T) W^{L,T}(dw) e^{-V(w,w)/2},
 with Mayer factor zeta(w, wt) = e^{-V(w,wt)/2} - 1 and
   X(w_1..w_p) = sum_{n >= max(p,1)} n!/(n-p)! int mu^{(n-p)} phi(w_1..w_n),
-phi the Ursell function.  Then log Z = X - X^0.
+phi the Ursell function.  Then log Z = X - X^0.  The series is
+truncated at n_max <= MAX_URSELL_N, the one cap of the expansion.
+
+A sample of order n is one configuration of n paths, the p fixed ones
+(a one-configuration LoopBatch) in slots 0..p - 1 and the drawn loops
+in slots p..n - 1; the kernel takes each loop's slot as its group, so
+the (n, n) group pair matrix of a sample holds its pair interactions.
 
 Each order n of estimate_X is a controlled Monte Carlo estimate, with the
 cross-fitted step of loop_mc (loop_mc._control_step, Glasserman, Monte
@@ -239,12 +245,15 @@ def _require_ginibre(spec):
         raise ValueError("expansion estimators require the grid ensemble")
 
 
-def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
-    '''Per-order MC estimate of the truncated series X(fixed paths):
-    order n draws n - p loops from the free normalized loop law, carries
-    the self-interaction importance weights e^{-V(w,w)/2}, evaluates the
-    Ursell factor over fixed + drawn paths, and multiplies the loop mass
-    to the power n - p and the combinatorial factor n!/(n-p)!.
+def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
+    '''Per-order MC estimate of the truncated series X(fixed paths),
+    the p fixed paths given as a LoopBatch of one configuration: order n
+    draws n - p loops from the free normalized loop law, carries the
+    self-interaction importance weights e^{-V(w,w)/2}, evaluates the
+    Ursell factor over fixed + drawn paths (slots 0..p - 1, then p..n -
+    1), and multiplies the loop mass to the power n - p and the
+    combinatorial factor n!/(n-p)!.  n_max is at most MAX_URSELL_N,
+    checked before any draw.
 
     Order 1 of log Z (p = 0) sums its one-window loops exactly and
     draws only loops of two windows or more, controlled by their
@@ -265,9 +274,10 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     if spec.params.R == 1:
         raise ValueError("the cluster expansion needs a finite potential "
                          "(R = 0): a hard core makes every self weight 0")
-    p = len(fixed_paths)
-    if n_max > 4:
-        raise ValueError("truncation budget is n_max <= 4")
+    p = len(fixed.start)
+    if n_max > MAX_URSELL_N:
+        raise ValueError(f"the truncation budget is n_max <= {MAX_URSELL_N}"
+                         f", got {n_max}")
     if n_max < max(p, 1):
         raise ValueError("n_max below the leading order")
     intensity, params = spec.intensity, spec.params
@@ -276,9 +286,8 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
     # E V_ij = pair * T_i T_j in the mean over a drawn loop's base site
     pair = (params.lam * float(params.vL.sum())
             / (params.nu ** 2 * spec.torus.n_sites))
-    fixed_T = sum(path.duration for path in fixed_paths)
+    fixed_T = sum(fixed.duration.tolist())
     orders = list(range(max(p, 1), n_max + 1))
-    fixed = LoopBatch.from_paths([fixed_paths])
     # order 1 of log Z: the one-window loops' exact part (a window holds
     # one particle at every time, so V(w, w) = lam v_L(0), vL[0] being
     # the origin's entry), then the drawn mass and mean duration of the
@@ -301,17 +310,19 @@ def estimate_X(spec, fixed_paths, n_max, n_samples, seed, workers=1):
         phi_of = tree_sum if bound_mode else ursell
 
         def configs(rng, m):
-            # the fixed paths, if any, in front of the q drawn loops
+            # the fixed paths of every sample, then the drawn loops, each
+            # loop labelled with its slot
             loops = draw(rng, m * q)
-            parts = [(np.repeat(np.arange(m), q), loops, None)]
-            if p:
-                parts.insert(0, (np.repeat(np.arange(m), p), fixed,
-                                 np.tile(np.arange(p), m)))
-            return LoopBatch.join(m, parts), loops.duration.reshape(m, q)
+            fixed_slot = np.tile(np.arange(p), m)
+            batch = LoopBatch.join(m, [
+                (np.repeat(np.arange(m), p), fixed, fixed_slot),
+                (np.repeat(np.arange(m), q), loops, None)])
+            slot = np.concatenate((fixed_slot, np.tile(np.arange(p, n), m)))
+            return batch, slot, loops.duration.reshape(m, q)
 
         def evaluate(drawn):
-            batch, T = drawn
-            V = batch_interaction(batch, params, spec.kind, pairs=True)
+            batch, slot, T = drawn
+            V = batch_interaction(batch, params, spec.kind, (slot, n))
             weight, zeta = _weights_and_zeta(V, p)
             rows = [factor * weight * phi_of(zeta), weight, weight * weight,
                     T.sum(axis=1)]
@@ -379,7 +390,8 @@ def expansion_csv_rows(report):
 def log_Z_via_expansion(spec, n_max, n_samples, seed, workers=1):
     '''log Z = X - X^0 truncated at n_max; X^0 (zero interaction) has
     only the order-1 term, which equals the free loop mass exactly.'''
-    report = estimate_X(spec, [], n_max, n_samples, seed, workers)
+    no_paths = LoopBatch(1, [], [], [], [], [], [])
+    report = estimate_X(spec, no_paths, n_max, n_samples, seed, workers)
     report["X0"] = spec.intensity.total_mass
     report["log_Z"] = report["total"] - report["X0"]
     report["log_Z_se"] = report["total_se"]

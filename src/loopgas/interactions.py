@@ -9,20 +9,22 @@ over slices; there is no quadrature error anywhere in this module.
 
 One kernel, batch_interaction, evaluates every configuration of a
 LoopBatch at once, in one path: occupation cells, a dense field with one
-row per slice (per slice and group when the caller asks for the pair
-matrices of groups of loops: one group per loop, or the open paths and
-the background of a kernel sample), and the quadratic form of each
-slice.  A grid loop's cells follow its constant pieces and jumps, not
-its windows: the pieces place the windows' starts in a configuration's
-first slice, and each jump moves one window from the site it leaves to
-the site it enters in the slice its folded time opens, so the field of
-a slice is the running sum of the cells up to it.  The cells are linear
-in the jumps, however many windows the loops span.  MAX_CELLS bounds
-the field rows of one evaluation.  v_total is the kernel's view of one
-configuration.
+row per slice and group, and the quadratic form of each slice.  A loop's
+configuration and group are labels that the caller gives (one group for
+a total; the open paths and the background of a kernel sample; one group
+per slot of a cluster-expansion sample), so the kernel never reads a
+loop's position in the batch.  A grid loop's cells follow its constant
+pieces and jumps, not its windows: the pieces place the windows' starts
+in a configuration's first slice, and each jump moves one window from
+the site it leaves to the site it enters in the slice its folded time
+opens, so the field of a slice is the running sum of the cells up to it.
+The cells are linear in the jumps, however many windows the loops span.
+MAX_CELLS bounds the field rows of one evaluation.
 
-+inf is an absorbing interaction value (hard core), mapped downstream to
-Boltzmann weight e^{-inf} = 0; no NaNs are ever produced.
++inf is an absorbing interaction value (the grid hard core), mapped
+downstream to Boltzmann weight e^{-inf} = 0.  v is finite everywhere
+else (InteractionParams), and the continuum ensemble refuses a hard
+core, so no NaNs are ever produced.
 '''
 
 from dataclasses import dataclass
@@ -31,9 +33,8 @@ import numpy as np
 
 from .paths import LoopBatch, pair_order
 
-# Dense occupation field rows (slices, or slices x groups with pair
-# matrices) per kernel evaluation; the field and its product with v take
-# 16 |Lambda| bytes a row
+# Dense occupation field rows (slices x groups) per kernel evaluation;
+# the field and its product with v take 16 |Lambda| bytes a row
 MAX_CELLS = 2 ** 22
 
 
@@ -42,7 +43,8 @@ class InteractionParams:
     '''Coupling parameters and the periodized potential table.
 
     mode: "meanfield" fixes lam = nu^2; "largemass" fixes lam = 1 and
-    kappa = kappa0/nu; "generic" takes lam as given.
+    kappa = kappa0/nu; "generic" takes lam as given.  vL is finite but
+    for +inf at the origin when R = 1 (the hard core).
     '''
     torus: object
     vL: np.ndarray
@@ -77,9 +79,11 @@ class InteractionParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
-        if self.R not in (0, 1) or (self.R == 1) != bool(
-                np.isposinf(self.vL[0])):
-            raise ValueError("R = 1 iff vL is +inf at the origin")
+        if (self.R not in (0, 1)
+                or (self.R == 1) != bool(np.isposinf(self.vL[0]))
+                or not np.isfinite(v_tilde_table(self.vL, self.R)).all()):
+            raise ValueError("vL must be finite, but +inf at the origin "
+                             "iff R = 1")
 
 
 def v_tilde_table(vL, R):
@@ -90,21 +94,20 @@ def v_tilde_table(vL, R):
     return out
 
 
-def batch_interaction(batch, params, kind, pairs=False):
+def batch_interaction(batch, params, kind, groups=None):
     '''Total interaction of every configuration of a LoopBatch, (C,),
-    or with pairs its (C, n, n) group pair matrices; kind "ginibre" or
+    or with groups its (C, n, n) group pair matrices; kind "ginibre" or
     "symanzik_eps".
 
     The total is V = 1/2 sum_k w_k n_k^T v n_k, n the occupation field of
-    the configuration.  pairs splits each configuration's loops into n
-    groups, and entry (g, h) of a configuration's matrix is sum_k w_k
-    N_{g,k} v N_{h,k}^T, N_g the summed occupation of the loops of group
-    g, so that V = 1/2 sum_{g,h} P_{g,h}.  pairs is a pair (group, n),
-    group the group of each loop of the batch, in 0..n - 1 (n given by
-    the caller, so a group may be empty anywhere), or True: one group
-    per loop, its slot in its configuration, for configurations of one
-    size n (ValueError if their sizes differ), whose matrices hold the
-    pair interactions V(w_i, w_j) with the self pairs on the diagonal.
+    the configuration.  groups = (group, n) splits each configuration's
+    loops into n groups, group the group of each loop of the batch, in
+    0..n - 1 (n given by the caller, so a group may be empty anywhere),
+    and entry (g, h) of a configuration's matrix is sum_k w_k N_{g,k} v
+    N_{h,k}^T, N_g the summed occupation of the loops of group g, so
+    that V = 1/2 sum_{g,h} P_{g,h}.  With one group per loop the
+    matrices hold the pair interactions V(w_i, w_j), self pairs on the
+    diagonal.  A total is the one-group case.
 
     In the grid ensemble a hard core (R = 1) is exclusion, in every mode
     and every output, as the quantum oracle's hard-core bosons: the
@@ -112,62 +115,55 @@ def batch_interaction(batch, params, kind, pairs=False):
     total or a diagonal entry is +inf iff its configuration or group
     alone puts two windows on one site in some slice, and an off-diagonal
     entry is +inf iff its two groups share a site in some slice.  This
-    holds at any lam, so 1/2 sum P is the total in every mode.
-    Elsewhere an infinite entry of v that meets sites occupied in a
-    common slice of positive weight gives +inf.
+    holds at any lam, so 1/2 sum P is the total in every mode.  The
+    continuum ensemble has no hard core: every loop has positive local
+    time at its own site, so every loop would be killed; ValueError.
 
-    The configurations are evaluated in consecutive groups of at most
-    MAX_CELLS dense field rows each (slices, times n with pairs), which
-    gives the same numbers as one evaluation; a configuration of more
-    than MAX_CELLS rows raises ValueError.  A configuration with n groups
-    thus takes at most MAX_CELLS / n slices: a Gamma_p sample (open
-    paths and background, n = 2) at most 2^21.
+    The configurations are evaluated in consecutive runs of at most
+    MAX_CELLS dense field rows each (slices times n), each run's loops
+    picked by their labels, which gives the same numbers as one
+    evaluation; a configuration of more than MAX_CELLS rows raises
+    ValueError.  A configuration with n groups thus takes at most
+    MAX_CELLS / n slices: a Gamma_p sample (open paths and background,
+    n = 2) at most 2^21.
     '''
+    if kind == "symanzik_eps" and params.R == 1:
+        raise ValueError("the continuum ensemble has no hard core (R = 1): "
+                         "every loop would meet itself")
     C = batch.n_configs
-    group, n = None, 1
-    if pairs is True:
-        sizes = np.bincount(batch.config, minlength=C)
-        n = int(sizes.max(initial=0))
-        if np.any(sizes != n):
-            raise ValueError("pair matrices need configurations of one "
-                             f"size, got sizes {sizes.min()} to {n}")
-        group = (np.arange(len(batch.config))
-                 - (np.cumsum(sizes) - sizes)[batch.config])
-    elif pairs:
-        group, n = pairs
-        group = np.asarray(group, dtype=np.int64)
-        if (group.shape != batch.config.shape or group.min(initial=0) < 0
-                or group.max(initial=0) >= n):
-            raise ValueError(f"need a group in 0..{n - 1} for each of the "
-                             f"{len(batch.config)} loops")
-    if C == 0:
-        return np.zeros((0, n, n)) if pairs else np.zeros(0)
+    group, n = (np.zeros_like(batch.config), 1) if groups is None else groups
+    group = np.asarray(group, dtype=np.int64)
+    if (group.shape != batch.config.shape or group.min(initial=0) < 0
+            or group.max(initial=0) >= n):
+        raise ValueError(f"need a group in 0..{n - 1} for each of the "
+                         f"{len(batch.config)} loops")
     slices = (np.bincount(batch.config, np.diff(batch.offsets), C) + 1
               if kind == "ginibre" else np.ones(C))
-    bounds = _row_groups(slices * n, pairs)
+    bounds = _row_groups(slices * n, n)
     if len(bounds) == 2:
-        return _evaluate(batch, params, kind, group, n)
-    parts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        first, last = np.searchsorted(batch.config, [lo, hi])
-        part = LoopBatch.join(hi - lo, [(batch.config[first:last] - lo,
-                                         batch, np.arange(first, last))])
-        parts.append(_evaluate(part, params, kind,
-                               None if group is None else group[first:last],
-                               n))
-    return np.concatenate(parts)
+        P = _evaluate(batch, params, kind, group, n)
+    else:
+        parts = [np.zeros((0, n, n))]
+        for lo, hi in zip(bounds, bounds[1:]):
+            index = np.flatnonzero((batch.config >= lo) & (batch.config < hi))
+            part = LoopBatch.join(hi - lo, [(batch.config[index] - lo, batch,
+                                             index)])
+            parts.append(_evaluate(part, params, kind, group[index], n))
+        P = np.concatenate(parts)
+    return P if groups is not None else 0.5 * P[:, 0, 0]
 
 
-def _row_groups(rows, pairs):
-    '''Bounds 0 = b_0 < b_1 < ... = C of consecutive groups of
+def _row_groups(rows, n):
+    '''Bounds 0 = b_0 < b_1 < ... = C of consecutive runs of
     configurations with at most MAX_CELLS field rows each, rows[c] those
-    of configuration c (exact unless two of its jump times agree mod
-    nu); ValueError when a configuration alone has more.'''
-    if rows.max() > MAX_CELLS:
+    of configuration c, slices times its n groups (exact unless two of
+    its jump times agree mod nu); ValueError when a configuration alone
+    has more.'''
+    if rows.max(initial=0) > MAX_CELLS:
         raise ValueError(
             f"a configuration needs {rows.max():.3g} occupation field rows "
-            f"(slices{' x groups' if pairs else ''}), more than the kernel's "
-            f"budget of {MAX_CELLS}; raise kappa or nu")
+            f"(slices{' x groups' if n > 1 else ''}), more than the "
+            f"kernel's budget of {MAX_CELLS}; raise kappa or nu")
     ends = np.cumsum(rows)
     bounds = [0]
     while bounds[-1] < len(rows):
@@ -178,38 +174,33 @@ def _row_groups(rows, pairs):
 
 
 def _evaluate(batch, params, kind, group, n):
-    '''batch_interaction of a LoopBatch, in one evaluation: totals when
-    group is None, else the pair matrices of the n groups group.'''
+    '''The (C, n, n) pair matrices of the n groups group of a LoopBatch,
+    in one evaluation.'''
     w, bounds, N = _field(batch, params, kind, group, n)
     vL = params.vL
     exclusion = kind == "ginibre" and params.R == 1
     if exclusion:
         vL = v_tilde_table(vL, 1)
-    P = _slice_form(w, N, vL[params.torus.diff_table])
-    if group is None:
-        P = 0.5 * np.add.reduceat(P[:, 0, 0], bounds)
-    else:
-        P = np.add.reduceat(P, bounds, axis=0)
+    P = np.add.reduceat(_slice_form(w, N, vL[params.torus.diff_table]),
+                        bounds, axis=0)
     if exclusion:
-        killed = _excluded(N, bounds)
-        P[killed[:, 0, 0] if group is None else killed] = np.inf
+        P[_excluded(N, bounds)] = np.inf
     return P
 
 
 def _field(batch, params, kind, group, n):
     '''(w, bounds, N) of a LoopBatch: the slice weights, the first slice
     of each configuration, and the occupation field N (slices, n, sites)
-    of the n groups group (one group when group is None).  The cells it
-    is built from are freed on return, before the quadratic form.'''
+    of the n groups group.  The cells it is built from are freed on
+    return, before the quadratic form.'''
     n_sites = params.torus.n_sites
     occupations = _grid_occupations if kind == "ginibre" else _local_times
     w, bounds, cell_slice, cell_loop, cell_site, amount = occupations(
         batch, params)
     S = len(w)
     # one field row per slice and group
-    row = 0 if group is None else group[cell_loop]
-    N = np.bincount((cell_slice * n + row) * n_sites + cell_site,
-                    weights=amount, minlength=S * n * n_sites)
+    N = np.bincount((cell_slice * n + group[cell_loop]) * n_sites
+                    + cell_site, weights=amount, minlength=S * n * n_sites)
     N = N.reshape(S, n, n_sites)
     if S > batch.n_configs:
         # the cells are increments along each configuration's slices:
@@ -235,18 +226,11 @@ def _excluded(N, bounds):
 
 def _slice_form(w, N, vmat):
     '''Per-slice group pair terms P[k, g, h] = w_k N[k, g] vmat N[k,
-    h]^T; +inf where an infinite vmat entry meets sites occupied in
-    slice k of positive weight (masked, so that 0 * inf never makes a
-    NaN).  The grid hard core is not here: its callers pass v-tilde and
-    apply exclusion (_excluded).'''
-    core = np.isinf(vmat)
+    h]^T, vmat finite.  The grid hard core is not here: its callers pass
+    v-tilde and apply exclusion (_excluded).'''
     # contiguous, so that BLAS sums in one order whatever N's layout
     Nt = np.ascontiguousarray(N.transpose(0, 2, 1))
-    P = (w[:, None, None] * N) @ np.where(core, 0.0, vmat) @ Nt
-    if core.any():
-        occ = (N > 0) & (w > 0)[:, None, None]
-        P[(occ @ core) @ occ.transpose(0, 2, 1)] = np.inf
-    return P
+    return (w[:, None, None] * N) @ vmat @ Nt
 
 
 def _grid_occupations(batch, params):
@@ -347,11 +331,7 @@ def _local_times(batch, params):
             batch.config[cell_loop], cell_loop, cell_site, amount)
 
 
-def v_total(config, params, kind):
-    '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a configuration,
-    n = sum_i N_i its occupation field; equal to 1/2 sum_{i,j} V(w_i, w_j).
-    The one-configuration view of batch_interaction, whose rules
-    (grid hard core as exclusion) it follows.'''
-    return float(batch_interaction(LoopBatch.from_paths([config]), params,
-                                   kind)[0])
-
+def v_total(batch, params, kind):
+    '''Total interaction V = 1/2 sum_k w_k n_k^T v n_k of a LoopBatch of
+    one configuration: batch_interaction's total, under its rules.'''
+    return float(batch_interaction(batch, params, kind)[0])

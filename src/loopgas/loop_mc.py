@@ -29,11 +29,14 @@ interactions.batch_interaction.  A batch holds a budget of drawn loops,
 not of samples: with l the expected loops drawn per sample, known before
 any draw (the Poisson mass, plus the p open paths of a kernel; n for
 order n of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS /
-max(1, l))) samples.  A kernel's call evaluates each sample once, its
-open paths and its background as two groups of loops: the interaction
-is a quadratic form in the occupation field, so the (2, 2) group pair
-matrix P gives V(open + background) = P.sum() / 2 and V(background) =
-P_11 / 2.  Within a batch of B samples the draws come in this order:
+max(1, l))) samples.  A loop's sample is its configuration label, so a
+batch holds its loops in the order they were drawn.  A kernel's call
+evaluates each sample once, its open paths and its background as two
+groups of loops, labelled 0 and 1 as the batch is joined: the
+interaction is a quadratic form in the occupation field, so the (2, 2)
+group pair matrix P gives V(open + background) = P.sum() / 2 and
+V(background) = P_11 / 2.  Within a batch of B samples the draws come in
+this order:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
@@ -142,7 +145,9 @@ class EnsembleSpec:
 
     def __post_init__(self):
         '''ValueError unless the torus, the params, the intensity and
-        the kind describe one ensemble.'''
+        the kind describe one ensemble, and for a hard core in the
+        continuum: every loop has positive local time at its own site, so
+        every configuration but the empty one would be killed.'''
         if self.kind not in ("ginibre", "symanzik_eps"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.intensity.kind != self.kind:
@@ -156,6 +161,9 @@ class EnsembleSpec:
         if self.kind == "ginibre" and self.params.nu != self.intensity.nu:
             raise ValueError(f"params nu = {self.params.nu} does not match "
                              f"the intensity's nu = {self.intensity.nu}")
+        if self.kind == "symanzik_eps" and self.params.R == 1:
+            raise ValueError("the continuum ensemble has no hard core "
+                             "(R = 1): every loop would meet itself")
 
 
 def _chunks(n_samples, workers):
@@ -504,8 +512,8 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
     tally = _Tally()
 
     def configs(rng, m):
-        # configuration s: the p open paths of sample s (group 0), then
-        # its background (group 1)
+        # the open paths of every sample (group 0), then the backgrounds
+        # (group 1)
         owner, background, controls = _draw_background(intensity, rng, m,
                                                        tally)
         ends, T, weight = law.draw(rng, m)
@@ -514,17 +522,14 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         batch = LoopBatch.join(m, [
             (np.repeat(np.arange(m), p), opens, None),
             (owner, background, None)])
-        # per configuration, p loops of group 0, then K of group 1
-        counts = np.stack((np.full(m, p), controls[0]), axis=1)
-        group = np.repeat(np.tile([0, 1], m), counts.ravel())
+        group = np.repeat([0, 1], [m * p, len(owner)])
         if not law.moves:
             controls += (T.sum(axis=1), (T * T).sum(axis=1))
         return batch, group, weight, controls
 
     def evaluate(drawn):
         batch, group, weight, controls = drawn
-        P = batch_interaction(batch, spec.params, spec.kind,
-                              pairs=(group, 2))
+        P = batch_interaction(batch, spec.params, spec.kind, (group, 2))
         # V(open + background) = 1/2 sum P and V(background) = 1/2 P_11
         boltzmann = tally.boltzmann(0.5 * np.stack((P.sum(axis=(1, 2)),
                                                     P[:, 1, 1])))

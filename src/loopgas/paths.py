@@ -1,13 +1,14 @@
 '''Continuous-time simple-random-walk paths, loop intensities, samplers.
 
-Paths are cadlag step functions on a torus: a start site, a duration T,
-and a strictly increasing list of (jump time, new site).  The free walk
-has generator Delta/2: total jump rate d, exponential holding times,
-uniform choice among the 2d signed unit steps.  On L = 1 every step
-wraps onto its site, so no jump is recorded.
+A path is a cadlag step function on a torus: a start site, a duration
+T, and a strictly increasing list of (jump time, new site).  The free
+walk has generator Delta/2: total jump rate d, exponential holding
+times, uniform choice among the 2d signed unit steps.  On L = 1 every
+step wraps onto its site, so no jump is recorded.
 
 Walks and loops are drawn as arrays, a whole batch at a time, and held
-in a LoopBatch (flat arrays, CSR jumps); Path is the view of one loop.
+in a LoopBatch (flat arrays, CSR jumps), in the order they were built;
+each loop carries its configuration as a label.
 There is no separate free-walk sampler: the walk from x over [0, T] has
 the law sum_y psi^{L,T}(y - x) W^T_{x->y}, so it is an end site y drawn
 from the heat kernel, then the bridge to y.  The loop laws take the
@@ -37,8 +38,8 @@ coordinates that may jump.  Short loops, most of a small-eps soup, build
 no table row at all; every draw and count is the full inversion's.  A
 call whose table and count columns would exceed MAX_BRIDGE_CELLS cells,
 counted for the whole call as if every coordinate inverted, draws in
-chunks of its walks, each within the budget, joined back in the caller's
-walk order: the walks sorted stably from the longest duration down, the
+chunks of its walks, each within the budget, and puts walk k back at
+position k: the walks sorted stably from the longest duration down, the
 first n // 2 of them drawn as one call, then the rest, each split again
 while it exceeds the budget.  The longest walk thus comes first, and
 when it alone exceeds the budget the call raises ValueError before any
@@ -51,49 +52,10 @@ loops of two windows or more.
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@dataclass
-class Path:
-    '''A walk trajectory; closed when end == start.'''
-    start: int
-    duration: float
-    jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    jump_sites: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @property
-    def end(self):
-        return int(self.jump_sites[-1]) if len(self.jump_sites) else self.start
-
-    @property
-    def is_constant(self):
-        return len(self.jump_times) == 0
-
-    def position(self, t):
-        '''Right-continuous evaluation; post-jump site at a jump time.'''
-        if t < 0 or t > self.duration:
-            raise ValueError(f"t={t} outside [0, {self.duration}]")
-        k = np.searchsorted(self.jump_times, t, side="right")
-        return self.start if k == 0 else int(self.jump_sites[k - 1])
-
-    def segments(self):
-        '''(start times, end times, sites) of the constant pieces.'''
-        t0 = np.concatenate(([0.0], self.jump_times))
-        t1 = np.concatenate((self.jump_times, [self.duration]))
-        sites = np.concatenate(([self.start], self.jump_sites))
-        return t0, t1, sites
-
-    def local_time_table(self, n_sites):
-        t0, t1, sites = self.segments()
-        return np.bincount(sites, weights=t1 - t0, minlength=n_sites)
-
-
-_NO_TIMES = np.empty(0)
-_NO_SITES = np.empty(0, dtype=np.int64)
-# truncation of the bridge sampler's Poisson tables (_residue_table)
+# truncation of the bridge sampler's Poisson tables (_table_cut)
 POISSON_TAIL = 1e-16
 # Most cells of one bridges call's residue table and count columns
 MAX_BRIDGE_CELLS = 2 ** 25
@@ -123,14 +85,15 @@ def bridges(torus, x, T, rng, y=None):
     longest duration, so every count is the full inversion's.  Over
     MAX_BRIDGE_CELLS, counted for the whole call as if every coordinate
     inverted, it draws in chunks, by the same rule: the first n // 2
-    walks in stable order of decreasing duration, then the rest;
-    ValueError, before any draw, when one walk alone is over.'''
+    walks in stable order of decreasing duration, then the rest, walk k
+    back at position k; ValueError, before any draw, when one walk alone
+    is over.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
     if L == 1 or n == 0:
         return LoopBatch(n, np.arange(n), x, T, np.zeros(n, dtype=np.int64),
-                         _NO_TIMES, _NO_SITES)
+                         [], [])
     # per walk and coordinate, the up count's residue minus the down's
     shift = None if y is None else (torus.coords[y] - torus.coords[x]) % L
     if shift is not None and not shift.any():
@@ -144,10 +107,12 @@ def bridges(torus, x, T, rng, y=None):
         if n == 1:
             raise
         order = np.argsort(-T, kind="stable")
-        return LoopBatch.join(n, [
+        chunks = LoopBatch.join(n, [
             (part, bridges(torus, x[part], T[part], rng,
                            None if y is None else np.asarray(y)[part]), None)
             for part in (order[:n // 2], order[n // 2:])])
+        # chunk position j holds walk order[j]
+        return LoopBatch.join(n, [(np.arange(n), chunks, np.argsort(order))])
     u = rng.random((n, d, 3))
     # the coordinates that go through the inversion, flat (walk k, axis j
     # at k d + j), and their rows of the distinct T/2: all of them, or
@@ -264,17 +229,6 @@ def _log_factorials(size):
     return _LOG_FACT[:size]
 
 
-def _residue_table(lam, L, columns=0):
-    '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
-    [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
-    over m is the residue mass q_r.  The table ends where the tail bound
-    of the largest lam drops below POISSON_TAIL; the rest is 0.
-    ValueError, before any table is built, when it and columns more
-    columns of M cells exceed MAX_BRIDGE_CELLS.'''
-    return _poisson_rows(lam, _table_cut(float(lam.max()),
-                                         len(lam) * L + columns, L), L)
-
-
 def _table_cut(top, rows, L):
     '''The last count of the residue tables of means up to top: the first
     n >= top where P(X > n) <= p(n+1) / (1 - top/(n+2)), X ~
@@ -373,10 +327,11 @@ def mixture_moments(cdf, m1, m2):
 
 class LoopBatch:
     '''The loops of many configurations as flat arrays (struct of arrays),
-    sorted stably by configuration; Path is the view of one loop.
+    in the order they were built.
 
-    Loop i belongs to configuration config[i] (of 0..n_configs-1),
-    starts at site start[i] and lasts duration[i]; its jumps are
+    Loop i belongs to configuration config[i] (of 0..n_configs-1), a
+    label: the loops of a configuration need not be adjacent.  It starts
+    at site start[i] and lasts duration[i]; its jumps are
     times[offsets[i]:offsets[i+1]] to sites[offsets[i]:offsets[i+1]]
     (CSR offsets).  Built from arrays: configuration ids, starts,
     durations, jump counts and the flat jumps in loop order.
@@ -384,23 +339,14 @@ class LoopBatch:
 
     def __init__(self, n_configs, config, start, duration, counts, times,
                  sites):
-        config = np.asarray(config, dtype=np.int64)
-        start = np.asarray(start, dtype=np.int64)
-        duration = np.asarray(duration, dtype=float)
-        counts = np.asarray(counts, dtype=np.int64)
-        times = np.asarray(times, dtype=float)
-        sites = np.asarray(sites, dtype=np.int64)
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if np.any(config[1:] < config[:-1]):
-            order = np.argsort(config, kind="stable")
-            jumps = _segments(offsets, order)
-            config, start, duration = config[order], start[order], duration[order]
-            times, sites = times[jumps], sites[jumps]
-            np.cumsum(counts[order], out=offsets[1:])
         self.n_configs = int(n_configs)
-        self.config, self.start, self.duration = config, start, duration
-        self.offsets, self.times, self.sites = offsets, times, sites
+        self.config = np.asarray(config, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.int64)
+        self.duration = np.asarray(duration, dtype=float)
+        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.times = np.asarray(times, dtype=float)
+        self.sites = np.asarray(sites, dtype=np.int64)
 
     def take(self, index=None):
         '''(starts, durations, jump counts, jump times, jump sites) of the
@@ -416,22 +362,11 @@ class LoopBatch:
     def join(cls, n_configs, parts):
         '''The batch of n_configs configurations made of parts, a list of
         (configuration ids, LoopBatch, loop index or None): the part's
-        loops index go to the configurations ids, one to one.  Within a
-        configuration, loops keep the order of the parts and indices.'''
+        loops index go to the configurations ids, one to one, and the
+        loops follow one another in the order of the parts and indices.'''
         fields = [batch.take(index) for _, batch, index in parts]
         return cls(n_configs, np.concatenate([ids for ids, _, _ in parts]),
                    *(np.concatenate(f) for f in zip(*fields)))
-
-    @classmethod
-    def from_paths(cls, configs):
-        '''The batch of configurations given as lists of Paths.'''
-        loops = [p for config in configs for p in config]
-        sizes = np.array([len(config) for config in configs], dtype=np.int64)
-        return cls(len(configs), np.repeat(np.arange(len(configs)), sizes),
-                   [p.start for p in loops], [p.duration for p in loops],
-                   [len(p.jump_times) for p in loops],
-                   np.concatenate([_NO_TIMES] + [p.jump_times for p in loops]),
-                   np.concatenate([_NO_SITES] + [p.jump_sites for p in loops]))
 
     def pieces(self):
         '''The constant pieces of every loop, in loop and time order, as

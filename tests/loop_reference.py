@@ -1,5 +1,10 @@
 '''Per-loop and per-configuration references for the batched loop code.
 
+Path is the reference loop type: one walk as a start site, a duration
+and its jumps, evaluated point by point; from_paths lays configurations
+given as lists of Paths out as a LoopBatch, and residue_table is the
+bridge sampler's Poisson table of a set of durations.
+
 The samplers bridges, draw_batch, draw_multi_window and open_paths make
 exactly the random draws of the library's paths.bridges,
 LoopIntensity.draw_batch, LoopIntensity.draw_multi_window and
@@ -21,11 +26,75 @@ tests check the batched code against these, number for number.
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from loopgas.interactions import v_tilde_table
-from loopgas.paths import LoopBatch, Path, _residue_table, _sites, pick
+from loopgas.paths import (LoopBatch, _poisson_rows, _sites, _table_cut,
+                           pick)
+
+
+# -- the reference loop type -----------------------------------------------
+
+@dataclass
+class Path:
+    '''A walk trajectory; closed when end == start.'''
+    start: int
+    duration: float
+    jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    jump_sites: np.ndarray = field(default_factory=lambda: np.empty(
+        0, dtype=np.int64))
+
+    @property
+    def end(self):
+        return int(self.jump_sites[-1]) if len(self.jump_sites) else self.start
+
+    @property
+    def is_constant(self):
+        return len(self.jump_times) == 0
+
+    def position(self, t):
+        '''Right-continuous evaluation; post-jump site at a jump time.'''
+        if t < 0 or t > self.duration:
+            raise ValueError(f"t={t} outside [0, {self.duration}]")
+        k = np.searchsorted(self.jump_times, t, side="right")
+        return self.start if k == 0 else int(self.jump_sites[k - 1])
+
+    def segments(self):
+        '''(start times, end times, sites) of the constant pieces.'''
+        t0 = np.concatenate(([0.0], self.jump_times))
+        t1 = np.concatenate((self.jump_times, [self.duration]))
+        sites = np.concatenate(([self.start], self.jump_sites))
+        return t0, t1, sites
+
+    def local_time_table(self, n_sites):
+        t0, t1, sites = self.segments()
+        return np.bincount(sites, weights=t1 - t0, minlength=n_sites)
+
+
+def from_paths(configs):
+    '''The LoopBatch of configurations given as lists of Paths, loop by
+    loop in list order.'''
+    loops = [p for config in configs for p in config]
+    sizes = np.array([len(config) for config in configs], dtype=np.int64)
+    return LoopBatch(len(configs), np.repeat(np.arange(len(configs)), sizes),
+                     [p.start for p in loops], [p.duration for p in loops],
+                     [len(p.jump_times) for p in loops],
+                     np.concatenate([np.empty(0)]
+                                    + [p.jump_times for p in loops]),
+                     np.concatenate([np.empty(0, dtype=np.int64)]
+                                    + [p.jump_sites for p in loops]))
+
+
+def residue_table(lam, L, columns=0):
+    '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
+    [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
+    over m is the residue mass q_r, cut where paths.bridges cuts its
+    table.  ValueError, before any table is built, when it and columns
+    more columns of M cells exceed paths.MAX_BRIDGE_CELLS.'''
+    return _poisson_rows(lam, _table_cut(float(lam.max()),
+                                         len(lam) * L + columns, L), L)
 
 
 # -- samplers ------------------------------------------------------------------
@@ -143,7 +212,8 @@ def full_inversion_bridges(torus, x, T, rng, y=None):
     '''paths.bridges by full inversion: the residue table holds every
     distinct T/2 of the call and every coordinate inverts its three
     uniforms.  The draws, the budget (the library's MAX_BRIDGE_CELLS) and
-    the chunk rule are those of paths.bridges; a LoopBatch.'''
+    the chunk rule are those of paths.bridges; a LoopBatch, walk k at
+    position k.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
@@ -155,16 +225,19 @@ def full_inversion_bridges(torus, x, T, rng, y=None):
         shift = None
     lam, row = np.unique(T / 2, return_inverse=True)
     try:
-        table = _residue_table(lam, L, n * d * (1 if shift is None else 2))
+        table = residue_table(lam, L, n * d * (1 if shift is None else 2))
     except ValueError:
         if n == 1:
             raise
         order = np.argsort(-T, kind="stable")
-        return LoopBatch.join(n, [
+        chunks = LoopBatch.join(n, [
             (part, full_inversion_bridges(
                 torus, x[part], T[part], rng,
                 None if y is None else np.asarray(y)[part]), None)
             for part in (order[:n // 2], order[n // 2:])])
+        back = np.empty(n, dtype=np.int64)
+        back[order] = np.arange(n)
+        return LoopBatch.join(n, [(np.arange(n), chunks, back)])
     u = rng.random((n, d, 3))
     q = table.sum(axis=1)
     if shift is None:

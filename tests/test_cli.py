@@ -264,6 +264,66 @@ def test_symanzik_z_experiment(tmp_path):
     assert rows[0][0] == "eps" and len(rows) == 3
 
 
+_SYMANZIK = {"experiment": "symanzik-z", "torus": {"d": 1, "L": 3},
+             "potential": {"d": 1, "R": 0, "entries": [[[0], 0.5]]},
+             "eps_list": [0.1], "kappa": 1.0, "lambda": 0.3,
+             "n_samples": 200, "seed": 7}
+
+
+@pytest.mark.parametrize("rule", ["one", "explicit", "nu_squared"])
+def test_symanzik_z_honours_lambda_rule(tmp_path, capsys, rule):
+    '''lambda_rule sets lam as in the grid experiments: "one" gives 1
+    and "explicit" gives lambda, each the run with no rule and that
+    lambda; the continuum has no nu, so "nu_squared" exits 2.'''
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, dict(_SYMANZIK, lambda_rule=rule))
+    code = main(["symanzik-z", "--config", cfg, "--out", str(out)])
+    if rule == "nu_squared":
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "has no nu" in err
+        assert not out.exists()
+        return
+    assert code == 0
+    same = tmp_path / "same"
+    lam = 1.0 if rule == "one" else 0.3
+    main(["symanzik-z", "--out", str(same), "--config", _write_config(
+        tmp_path, dict(_SYMANZIK, **{"lambda": lam}), "same.json")])
+    for name in ("symanzik_z.csv", "symanzik_z.json"):
+        assert (out / name).read_bytes() == (same / name).read_bytes()
+    if rule == "one":
+        other = json.loads((out / "symanzik_z.json").read_text())
+        plain = tmp_path / "plain"
+        main(["symanzik-z", "--config", _write_config(
+            tmp_path, _SYMANZIK, "plain.json"), "--out", str(plain)])
+        assert other != json.loads((plain / "symanzik_z.json").read_text())
+
+
+def test_cluster_logz_truncation_cap_is_the_ursell_budget(tmp_path, capsys):
+    '''The schema's n_max maximum is cluster.MAX_URSELL_N, the one
+    truncation cap: n_max = 6 runs, and 7 exits 2 with one line.'''
+    from loopgas import cluster
+    from loopgas.cli import _validator
+    assert (_validator().schema["properties"]["n_max"]["maximum"]
+            == cluster.MAX_URSELL_N == 6)
+    doc = {"experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
+           "potential": {"d": 1, "R": 0, "entries": [[[0], 0.05]]},
+           "nu": 0.5, "kappa": 1.5, "lambda_rule": "nu_squared",
+           "n_samples": 60}
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, dict(doc, n_max=6))
+    assert main(["cluster-logz", "--config", cfg, "--out", str(out)]) == 0
+    rows = _read_csv(out / "cluster_logz.csv")
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4", "5", "6"]
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, dict(doc, n_max=7), "seven.json")
+    assert main(["cluster-logz", "--config", cfg, "--out",
+                 str(tmp_path / "seven")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_max" in err
+    assert not (tmp_path / "seven").exists()
+
+
 def test_cluster_logz_experiment(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": "cluster-logz", "torus": {"d": 1, "L": 3},
@@ -588,6 +648,11 @@ _MEANFIELD = {"experiment": "meanfield", "torus": {"d": 1, "L": 2},
           potential={"d": 1, "R": 1, "entries": []}), "finite potential"),
     (dict(_MEANFIELD, potential={"d": 1, "R": 1, "entries": []}),
      "finite potential"),
+    # every continuum loop has local time at its own site: a hard core
+    # would kill every loop
+    ({"experiment": "symanzik-z", "torus": {"d": 1, "L": 3},
+      "potential": {"d": 1, "R": 1, "entries": []}, "eps_list": [0.1],
+      "kappa": 1.0, "n_samples": 400}, "no hard core"),
 ])
 def test_schema_accepted_inputs_fail_cleanly(tmp_path, capsys, doc, message):
     cfg = _write_config(tmp_path, doc)

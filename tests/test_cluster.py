@@ -8,6 +8,10 @@ import pytest
 
 import cluster_reference as ref
 from cluster_reference import Graph, connected_graphs, kruskal, trees
+from loop_reference import from_paths
+
+# the fixed paths of log Z: none
+NO_PATHS = from_paths([[]])
 from loopgas.cluster import (
     _prufer_decode, log_Z_via_expansion, tree_bound_check, tree_count,
     tree_sum, ursell)
@@ -351,13 +355,39 @@ def test_log_z_expansion_vs_oracle():
     assert all(e > 100 for e in report["ess"])
 
 
-def test_expansion_budget_guards():
-    from loopgas.cluster import estimate_X
+def test_log_z_at_the_largest_truncation_meets_the_oracle():
+    '''n_max = MAX_URSELL_N = 6 on cluster_logz.json's physics: six
+    orders, each with its effective sample size, and log Z within 5
+    sigma plus the order-7 tree-bound remainder of the exact oracle.'''
+    from loopgas.cluster import MAX_URSELL_N
+    from loopgas.quantum_oracle import grand_partition
     spec = _expansion_spec()
+    oracle = math.log(grand_partition(spec.params).Z_rel)
+    report = log_Z_via_expansion(spec, n_max=MAX_URSELL_N, n_samples=2000,
+                                 seed=11)
+    assert report["orders"] == [1, 2, 3, 4, 5, 6]
+    slack = 5.0 * report["log_Z_se"] + abs(report["remainder"])
+    assert abs(report["log_Z"] - oracle) <= slack
+    assert all(e > 1000 for e in report["ess"])
+
+
+def test_expansion_budget_guards(monkeypatch):
+    '''MAX_URSELL_N is the one truncation cap: estimate_X refuses n_max
+    past it before any draw, and ursell a larger matrix.'''
+    from loopgas import cluster
+    from loopgas.cluster import MAX_URSELL_N, estimate_X
+    spec = _expansion_spec()
+
+    def no_draw(*args):
+        raise AssertionError("a loop was drawn")
+
+    monkeypatch.setattr(spec.intensity, "draw_batch", no_draw)
+    monkeypatch.setattr(cluster, "run_mc", no_draw)
+    with pytest.raises(ValueError, match=f"n_max <= {MAX_URSELL_N}"):
+        estimate_X(spec, NO_PATHS, n_max=MAX_URSELL_N + 1,
+                   n_samples=10, seed=0)
     with pytest.raises(ValueError):
-        estimate_X(spec, [], n_max=5, n_samples=10, seed=0)
-    with pytest.raises(ValueError):
-        ursell(np.zeros((7, 7)))
+        ursell(np.zeros((MAX_URSELL_N + 1,) * 2))
 
 
 def test_expansion_rejects_hard_core():
@@ -445,7 +475,8 @@ def test_estimate_x_matches_per_sample_reference(monkeypatch):
     spec = _expansion_spec()
     fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
                                              np.random.default_rng(3))]
-    report = estimate_X(spec, fixed, n_max=3, n_samples=150, seed=9,
+    report = estimate_X(spec, from_paths([fixed]), n_max=3, n_samples=150,
+                        seed=9,
                         workers=2)
     assert 75 > 2 * _batch_size(3)
     for k, n in enumerate(report["orders"]):
@@ -480,7 +511,8 @@ def test_estimate_x_orders_take_the_control_step(p, monkeypatch):
     spec = _expansion_spec()
     fixed = [loop_reference.sample_free_walk(spec.torus, 0, 1.0,
                                              np.random.default_rng(3))][:p]
-    report = estimate_X(spec, fixed, n_max=3, n_samples=240, seed=4,
+    report = estimate_X(spec, from_paths([fixed]), n_max=3, n_samples=240,
+                        seed=4,
                         workers=2)
     a, nu = spec.intensity.a.tolist(), spec.params.nu
     C = math.fsum(loop_reference.multi_window_masses(a))
@@ -531,17 +563,17 @@ def test_estimate_x_plain_below_the_fold_minimum():
     control order 1 alone, and 100 (folds of 50) control every order.'''
     from loopgas.cluster import estimate_X
     spec = _expansion_spec()
-    report = estimate_X(spec, [], n_max=3, n_samples=49, seed=2)
+    report = estimate_X(spec, NO_PATHS, n_max=3, n_samples=49, seed=2)
     assert report["means"] == report["plain_means"]
     assert report["std_errors"] == report["plain_std_errors"]
     assert report["variance_ratios"] == [1.0, 1.0, 1.0]
     for n_samples in (50, 99):
-        one = estimate_X(spec, [], n_max=3, n_samples=n_samples, seed=2)
+        one = estimate_X(spec, NO_PATHS, n_max=3, n_samples=n_samples, seed=2)
         assert one["means"][0] != one["plain_means"][0]
         assert one["means"][1:] == one["plain_means"][1:]
         assert one["std_errors"][1:] == one["plain_std_errors"][1:]
         assert one["variance_ratios"][1:] == [1.0, 1.0]
-    more = estimate_X(spec, [], n_max=3, n_samples=100, seed=2)
+    more = estimate_X(spec, NO_PATHS, n_max=3, n_samples=100, seed=2)
     assert all(c != plain for c, plain in zip(more["means"],
                                               more["plain_means"]))
 
@@ -602,7 +634,7 @@ def test_pair_interaction_has_its_exact_mean(build):
     spec = build()
     params, intensity = spec.params, spec.intensity
     rng = np.random.default_rng(2026)
-    fixed = LoopBatch.from_paths([[sample_free_walk(spec.torus, 0, 1.0, rng)]])
+    fixed = from_paths([[sample_free_walk(spec.torus, 0, 1.0, rng)]])
     t1 = intensity.duration_moments[0]
     pair = (params.lam * math.fsum(params.vL.tolist())
             / (params.nu ** 2 * spec.torus.n_sites))
@@ -613,7 +645,10 @@ def test_pair_interaction_has_its_exact_mean(build):
         batch = LoopBatch.join(m, [
             (np.arange(m), fixed, np.zeros(m, dtype=np.int64)),
             (np.repeat(np.arange(m), 2), loops, None)])
-        V = batch_interaction(batch, params, spec.kind, pairs=True)
+        # slot 0: the fixed walk, slots 1 and 2: the drawn loops
+        slot = np.concatenate((np.zeros(m, dtype=np.int64),
+                               np.tile([1, 2], m)))
+        V = batch_interaction(batch, params, spec.kind, (slot, 3))
         drawn.append(V[:, 1, 2])
         with_fixed.append(0.5 * (V[:, 0, 1] + V[:, 0, 2]))
     for samples, exact in ((np.concatenate(drawn), pair * t1 * t1),
@@ -643,7 +678,7 @@ def test_order_one_is_exact_when_no_loop_has_two_windows(tmp_path):
     cold = EnsembleSpec(spec.torus, params, intensity, "ginibre")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = estimate_X(cold, [], n_max=1, n_samples=100, seed=0)
+        report = estimate_X(cold, NO_PATHS, n_max=1, n_samples=100, seed=0)
         assert intensity.multi_window == (0.0, 0.5)
         assert 0.0 < intensity.a.sum() == intensity.total_mass
         exact = math.exp(-0.5 * 0.25 * 0.05) * float(intensity.a.sum())
@@ -684,7 +719,7 @@ def test_order_one_is_calibrated_in_its_tail():
     cannot see it.'''
     from loopgas.cluster import estimate_X
     spec = _expansion_spec()
-    reports = [estimate_X(spec, [], n_max=1, n_samples=500, seed=seed)
+    reports = [estimate_X(spec, NO_PATHS, n_max=1, n_samples=500, seed=seed)
                for seed in range(1500)]
     mean = np.array([r["means"][0] for r in reports])
     se = np.array([r["std_errors"][0] for r in reports])

@@ -7,21 +7,50 @@ import pytest
 
 from loopgas import cluster, interactions, loop_mc, paths
 from loopgas.interactions import (
-    InteractionParams, batch_interaction, v_tilde_table, v_total)
+    InteractionParams, batch_interaction, v_tilde_table)
 from loopgas.largemass import LmParams
 from loopgas.lattice import PotentialSpec, Torus, periodize_potential
-from loopgas.paths import LoopBatch, LoopIntensity, Path
+from loopgas.paths import LoopBatch, LoopIntensity
 
 import loop_reference
 from largemass_reference import v_lm
-from loop_reference import check_grid as _check_grid, sample_free_walk
+from loop_reference import (Path, check_grid as _check_grid, from_paths,
+                            sample_free_walk)
+
+
+def v_total(config, params, kind):
+    '''The library's v_total of one configuration, a list of Paths.'''
+    return interactions.v_total(from_paths([config]), params, kind)
+
+
+def _slots(sizes):
+    '''(group, n) of one group per loop, its slot in its configuration,
+    for configurations of sizes[c] loops laid out one after another; n
+    is the largest size.'''
+    sizes = np.asarray(sizes, dtype=np.int64)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.arange(sizes.sum()) - start, int(sizes.max(initial=1))
 
 
 def pair_matrix(config, params, kind):
     '''Matrix of pair interactions V(w_i, w_j) of one configuration (a
     list of Paths), self pairs on the diagonal.'''
-    return batch_interaction(LoopBatch.from_paths([config]), params, kind,
-                             pairs=True)[0]
+    n = len(config)
+    return batch_interaction(from_paths([config]), params, kind,
+                             _slots([n]))[0, :n, :n]
+
+
+def _assert_continuum_refuses_hard_core():
+    '''Every loop has positive local time at its own site, so a hard
+    core in the continuum would kill every loop: the kernel refuses it,
+    for totals and for group matrices alike.'''
+    torus = Torus(1, 3)
+    vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.1}), 3)
+    params = _params(torus, vL, nu=1.0, lam=1.0, R=1)
+    batch = from_paths([[Path(0, 1.0)], [Path(1, 0.5)]])
+    for groups in (None, (np.zeros(2, dtype=np.int64), 2)):
+        with pytest.raises(ValueError, match="no hard core"):
+            batch_interaction(batch, params, "symanzik_eps", groups)
 
 
 # -- oracle: the pairwise window-overlap implementation ------------------------
@@ -301,7 +330,6 @@ def test_zero_coupling_with_hard_core_is_zero():
     vL = periodize_potential(PotentialSpec(1, 1, {}), 3)
     params = _params(torus, vL, lam=0.0, R=1)
     config = [Path(0, 0.5), Path(0, 1.0)]
-    assert v_total(config, params, "symanzik_eps") == 0.0
     # in the grid ensemble the hard core is exclusion, not coupling: two
     # windows on one site are killed at any lam, one window per site is
     # free, in the totals and in every pair entry: the second loop has two
@@ -343,15 +371,14 @@ def test_v_cl_pair_vs_quadrature():
 
 
 def test_v_cl_pair_hard_core_absorbing():
+    '''The classical pair oracle is +inf on a hard core, for every loop
+    with itself; so the kernel refuses the continuum hard core.'''
     torus = Torus(1, 3)
     vL = periodize_potential(PotentialSpec(1, 1, {(1,): 0.1}), 3)
     w = Path(0, 1.0)
     assert np.isinf(v_cl_pair(w, w, vL, torus))
-    params = _params(torus, vL, nu=1.0, lam=1.0, R=1)
-    assert np.isinf(v_total([w], params, "symanzik_eps"))
-    P = pair_matrix([w, Path(1, 1.0)], params, "symanzik_eps")
-    assert np.isinf(P[0, 0]) and np.isinf(P[1, 1])
-    assert P[0, 1] == pytest.approx(0.1)
+    assert v_cl_pair(w, Path(1, 1.0), vL, torus) == pytest.approx(0.1)
+    _assert_continuum_refuses_hard_core()
 
 
 def test_v_ginibre_pair_constant_paths():
@@ -497,13 +524,14 @@ def test_one_window_paths_interact_through_v0_alone(d, nu):
     T = np.full(2000, nu)
     x = rng.integers(torus.n_sites, size=2000)
     closed = paths.bridges(torus, x, T, rng)
-    open_walks = LoopBatch.from_paths(
+    open_walks = from_paths(
         [[path] for path in loop_reference.walks(torus, x, T, rng)[1]])
     exact = 0.5 * 0.9 * 0.7
     for batch in (closed, open_walks):
         assert np.diff(batch.offsets).max() >= 2
         totals = batch_interaction(batch, params, "ginibre")
-        pairs = batch_interaction(batch, params, "ginibre", pairs=True)
+        pairs = batch_interaction(batch, params, "ginibre",
+                                  (np.zeros(2000, dtype=np.int64), 1))
         assert np.abs(totals - exact).max() <= 1e-14
         assert np.abs(pairs[:, 0, 0] - 2.0 * exact).max() <= 1e-14
 
@@ -573,6 +601,18 @@ def test_interaction_params_modes():
                              kappa0=1.0, R=1).R == 1
 
 
+def test_interaction_params_refuse_an_infinite_potential_off_the_core():
+    '''v is finite everywhere but at the origin under a hard core (R =
+    1), so that the kernel's quadratic form never meets 0 * inf.'''
+    torus = Torus(1, 3)
+    for vL, R in (([0.5, np.inf, 0.1], 0), ([np.inf, np.inf, 0.1], 1),
+                  ([np.nan, 0.1, 0.1], 0), ([np.inf, 0.1, np.nan], 1),
+                  ([-np.inf, 0.1, 0.1], 0), ([0.5, 0.1, -np.inf], 0)):
+        with pytest.raises(ValueError, match="finite"):
+            _params(torus, np.array(vL), R=R)
+    assert _params(torus, np.array([np.inf, 0.1, 0.1]), R=1).R == 1
+
+
 # -- the batched kernel against the per-configuration reference ------------------
 
 def _same(new, ref):
@@ -589,8 +629,12 @@ def _same(new, ref):
 def test_batch_kernel_matches_per_configuration_reference(kind, R):
     '''batch_interaction on random multi-configuration batches, nu in
     {0.5, 0.25, 0.1}, d in {1, 2, 3}, L in {1, ..., 4}, with empty
-    configurations and loops without jumps: totals and (when the sizes
-    agree) pair matrices equal the reference's per configuration.'''
+    configurations and loops without jumps: totals and pair matrices (one
+    group per slot) equal the reference's per configuration.  The
+    continuum refuses a hard core.'''
+    if kind == "symanzik_eps" and R:
+        _assert_continuum_refuses_hard_core()
+        return
     rng = np.random.default_rng(17 * R + (kind == "ginibre"))
     n_inf = n_configs = 0
     for nu in (0.5, 0.25, 0.1):
@@ -615,18 +659,19 @@ def test_batch_kernel_matches_per_configuration_reference(kind, R):
                                 loop_reference.sample_free_walk(torus, x, T,
                                                                 rng))
                         configs.append(config)
-                    batch = LoopBatch.from_paths(configs)
+                    batch = from_paths(configs)
                     totals = batch_interaction(batch, params, kind)
                     ref = [loop_reference.v_total(c, params, kind)
                            for c in configs]
                     assert _same(totals, ref), (nu, d, L, totals, ref)
-                    if len({len(c) for c in configs}) == 1:
-                        pairs = batch_interaction(batch, params, kind,
-                                                  pairs=True)
-                        assert pairs.shape == (6, size, size)
-                        for c, P in zip(configs, pairs):
-                            assert _same(P, loop_reference.pair_matrix(
-                                c, params, kind))
+                    slots = _slots([len(c) for c in configs])
+                    pairs = batch_interaction(batch, params, kind, slots)
+                    assert pairs.shape == (6, slots[1], slots[1])
+                    for c, P in zip(configs, pairs):
+                        n = len(c)
+                        assert _same(P[:n, :n], loop_reference.pair_matrix(
+                            c, params, kind))
+                        assert not P[n:].any() and not P[:, n:].any()
                     n_inf += int(np.isinf(ref).sum())
                     n_configs += len(configs)
     assert n_configs == 432
@@ -637,20 +682,10 @@ def test_batch_kernel_matches_per_configuration_reference(kind, R):
 def test_batch_kernel_of_no_configuration():
     torus = Torus(1, 3)
     params = _params(torus, np.zeros(3))
-    empty = LoopBatch.from_paths([])
+    empty = from_paths([])
     assert batch_interaction(empty, params, "ginibre").shape == (0,)
     assert batch_interaction(empty, params, "ginibre",
-                             pairs=True).shape == (0, 0, 0)
-
-
-@pytest.mark.parametrize("kind", ["ginibre", "symanzik_eps"])
-def test_pairs_need_configurations_of_one_size(kind):
-    torus = Torus(1, 3)
-    params = _params(torus, np.array([0.5, 0.1, 0.1]))
-    batch = LoopBatch.from_paths([[Path(0, 0.5)], [Path(1, 0.5)] * 2])
-    assert batch_interaction(batch, params, kind).shape == (2,)
-    with pytest.raises(ValueError, match="one size"):
-        batch_interaction(batch, params, kind, pairs=True)
+                             (np.zeros(0), 3)).shape == (0, 3, 3)
 
 
 def _random_loop(torus, nu, kind, rng):
@@ -666,7 +701,7 @@ def _random_loop(torus, nu, kind, rng):
 def _check_group_matrices(batch, group, n, configs, groups, params, kind):
     '''The (C, n, n) group matrices of a batch: the reference's, with
     the same +inf pattern, and half their sum the batch's totals.'''
-    P = batch_interaction(batch, params, kind, pairs=(group, n))
+    P = batch_interaction(batch, params, kind, (group, n))
     assert P.shape == (len(configs), n, n)
     for c, g, Pc in zip(configs, groups, P):
         assert _same(Pc, loop_reference.group_matrix(c, g, n, params, kind))
@@ -686,7 +721,11 @@ def test_group_matrices_match_the_two_configuration_totals(kind, R):
     the totals of open + background, background and open evaluated as
     separate configurations, to 1e-12 relative with the same +inf
     pattern; a finite P_01 is P_10 and the cross term V(open +
-    background) - V(open) - V(background).'''
+    background) - V(open) - V(background).  The continuum refuses a
+    hard core.'''
+    if kind == "symanzik_eps" and R:
+        _assert_continuum_refuses_hard_core()
+        return
     rng = np.random.default_rng(41 + 2 * R + (kind == "ginibre"))
     n_inf = n_configs = 0
     for nu in (0.5, 0.25, 0.1):
@@ -703,7 +742,7 @@ def test_group_matrices_match_the_two_configuration_totals(kind, R):
                         configs.append([_random_loop(torus, nu, kind, rng)
                                         for _ in g])
                         groups.append(g)
-                    batch = LoopBatch.from_paths(configs)
+                    batch = from_paths(configs)
                     P = _check_group_matrices(
                         batch, np.concatenate(groups), 2, configs, groups,
                         params, kind)
@@ -712,7 +751,7 @@ def test_group_matrices_match_the_two_configuration_totals(kind, R):
                               for c, g in zip(configs, groups)]
                              for k in (0, 1)]
                     V_open, V_bg = (
-                        batch_interaction(LoopBatch.from_paths(part),
+                        batch_interaction(from_paths(part),
                                           params, kind) for part in parts)
                     V_all = batch_interaction(batch, params, kind)
                     assert _same(0.5 * P.sum(axis=(1, 2)), V_all)
@@ -742,20 +781,20 @@ def test_group_matrices_take_the_group_count_from_the_caller():
     rng = np.random.default_rng(5)
     configs = [[loop_reference.sample_free_walk(torus, 0, 1.0, rng)]
                for _ in range(3)]
-    batch = LoopBatch.from_paths(configs)
+    batch = from_paths(configs)
     totals = batch_interaction(batch, params, "ginibre")
     for n in (2, 3):
         P = batch_interaction(batch, params, "ginibre",
-                              pairs=(np.zeros(3, dtype=np.int64), n))
+                              (np.zeros(3, dtype=np.int64), n))
         assert P.shape == (3, n, n)
         assert np.array_equal(P[:, 0, 0], 2.0 * totals)
         assert not P[:, 1:].any() and not P[:, :, 1:].any()
     for group in ([0, 2, 1], [0, -1, 1], [0, 1]):
         with pytest.raises(ValueError, match="group"):
-            batch_interaction(batch, params, "ginibre", pairs=(group, 2))
-    empty = LoopBatch.from_paths([])
+            batch_interaction(batch, params, "ginibre", (group, 2))
+    empty = from_paths([])
     assert batch_interaction(empty, params, "ginibre",
-                             pairs=(np.zeros(0), 2)).shape == (0, 2, 2)
+                             (np.zeros(0), 2)).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("mode,R,lam", [
@@ -778,7 +817,7 @@ def test_half_sum_of_the_group_matrices_is_the_total(mode, R, lam):
             size = int(rng.integers(1, 4))
             configs = [[_random_loop(torus, nu, "ginibre", rng)
                         for _ in range(size)] for _ in range(8)]
-            batch = LoopBatch.from_paths(configs)
+            batch = from_paths(configs)
             totals = batch_interaction(batch, params, "ginibre")
             for n in (1, 2, 3):
                 groups = [rng.integers(0, n, size) for _ in configs]
@@ -787,7 +826,8 @@ def test_half_sum_of_the_group_matrices_is_the_total(mode, R, lam):
                     params, "ginibre")
                 if lam == 0.0:
                     assert not P[np.isfinite(P)].any()
-            P = batch_interaction(batch, params, "ginibre", pairs=True)
+            P = batch_interaction(batch, params, "ginibre",
+                                  _slots([size] * len(configs)))
             assert _same(0.5 * P.sum(axis=(1, 2)), totals)
             n_inf += int(np.isinf(totals).sum())
     assert (n_inf > 0) == bool(R)
@@ -816,7 +856,7 @@ def test_cut_order_is_lexsort_order_with_ties():
                 sites = np.arange(1, len(t) + 1) % 4
                 config.append(Path(0, nu * n_win, t, sites))
             configs.append(config)
-        batch = LoopBatch.from_paths(configs)
+        batch = from_paths(configs)
         jump_loop = np.repeat(np.arange(len(batch.start)),
                               np.diff(batch.offsets))
         C = batch.n_configs
@@ -837,12 +877,13 @@ def test_estimators_request_only_what_they_use(monkeypatch):
     '''The loop Monte Carlo asks the kernel for totals for Z, and for one
     matrix of 2 groups (the open paths, the background) over the m
     configurations of each Gamma_p batch, in 1-sample chunks too (workers
-    == n_samples); the cluster expansion asks only for pair matrices.'''
+    == n_samples); the cluster expansion asks for the pair matrices of
+    the n slots of its samples of order n.'''
     requests = []
 
-    def spy(batch, params, kind, pairs=False):
-        out = batch_interaction(batch, params, kind, pairs=pairs)
-        requests.append((batch.n_configs, pairs, out.shape))
+    def spy(batch, params, kind, groups=None):
+        out = batch_interaction(batch, params, kind, groups)
+        requests.append((batch.n_configs, groups, out.shape))
         return out
 
     monkeypatch.setattr(loop_mc, "batch_interaction", spy)
@@ -855,8 +896,8 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         "ginibre")
     for workers in (1, 4):
         loop_mc.estimate_rel_partition(spec, 4, seed=1, workers=workers)
-        assert [(n, pairs) for n, pairs, _ in requests] == (
-            [(4, False)] if workers == 1 else [(1, False)] * 4)
+        assert [(n, groups) for n, groups, _ in requests] == (
+            [(4, None)] if workers == 1 else [(1, None)] * 4)
         requests.clear()
         loop_mc.estimate_gamma_p(spec, 1, [0], [0], 4, seed=2,
                                  workers=workers)
@@ -864,12 +905,17 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         for n, (group, count), shape in requests:
             assert count == 2 and shape == (n, 2, 2)
             assert n == 4 // len(requests)
-            # each configuration: its one open path, then its background
-            assert np.count_nonzero(np.asarray(group) == 0) == n
+            # the open paths, one a configuration, then the backgrounds
+            group = np.asarray(group)
+            assert np.array_equal(group[:n], np.zeros(n))
+            assert (group[n:] == 1).all()
         requests.clear()
     cluster.log_Z_via_expansion(spec, n_max=2, n_samples=4, seed=3,
                                 workers=4)
-    assert requests and all(pairs is True for _, pairs, _ in requests)
+    assert requests
+    for m, (slot, n), shape in requests:
+        assert shape == (m, n, n)
+        assert np.array_equal(np.bincount(slot, minlength=n), np.full(n, m))
 
 
 # -- the kernel's row budget --------------------------------------------------
@@ -885,12 +931,11 @@ def _grid_batch(d, L, sizes, seed, kappa=0.3):
         (np.repeat(np.arange(len(sizes)), sizes), loops, None)])
 
 
-def _config_rows(batch, pairs=False):
+def _config_rows(batch, n=1):
     '''Field rows of each configuration: slices (jumps + 1, exact unless
-    two jump times agree mod nu), times its loops with pairs.'''
+    two jump times agree mod nu), times its n groups.'''
     C = batch.n_configs
-    slices = np.bincount(batch.config, np.diff(batch.offsets), C) + 1
-    return slices * (np.bincount(batch.config, minlength=C) if pairs else 1)
+    return n * (np.bincount(batch.config, np.diff(batch.offsets), C) + 1)
 
 
 @pytest.mark.parametrize("R", [0, 1])
@@ -898,36 +943,37 @@ def _config_rows(batch, pairs=False):
 def test_grid_kernel_in_groups_gives_the_same_numbers(monkeypatch, R,
                                                       same_size):
     '''With the row budget down to the largest configuration, the batch
-    is evaluated in several groups, and totals and (for configurations of
-    one size) pair matrices are bit-identical to one evaluation.'''
+    is evaluated in several runs, and totals and pair matrices (one
+    group per slot) are bit-identical to one evaluation.'''
     rng = np.random.default_rng(3 + R)
     torus = Torus(2, 3)
     params = _params(torus, _random_potential(2, 3, R, rng), nu=0.25,
                      lam=0.7, R=R)
     sizes = np.full(60, 3) if same_size else rng.poisson(3.0, 60)
     batch = _grid_batch(2, 3, sizes, seed=11 + R)
-    for pairs in (False, True) if same_size else (False,):
-        whole = batch_interaction(batch, params, "ginibre", pairs=pairs)
-        rows = _config_rows(batch, pairs)
+    for groups in (None, _slots(sizes)):
+        whole = batch_interaction(batch, params, "ginibre", groups)
+        rows = _config_rows(batch, 1 if groups is None else groups[1])
         monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()))
-        assert len(interactions._row_groups(rows, pairs)) > 4
-        grouped = batch_interaction(batch, params, "ginibre", pairs=pairs)
+        assert len(interactions._row_groups(
+            rows, 1 if groups is None else groups[1])) > 4
+        grouped = batch_interaction(batch, params, "ginibre", groups)
         monkeypatch.undo()
         assert np.array_equal(grouped, whole)
-        if R and not pairs:
+        if R and groups is None:
             assert np.isinf(whole).any() and not np.isinf(whole).all()
 
 
 def test_grid_configuration_over_the_cell_budget_is_refused(monkeypatch):
     batch = _grid_batch(1, 3, np.full(8, 2), seed=5)
     params = _params(Torus(1, 3), np.array([0.5, 0.1, 0.1]), nu=0.25)
-    for pairs in (False, True):
-        rows = _config_rows(batch, pairs)
+    for groups in (None, _slots(np.full(8, 2))):
+        rows = _config_rows(batch, 1 if groups is None else groups[1])
         monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()))
-        batch_interaction(batch, params, "ginibre", pairs=pairs)
+        batch_interaction(batch, params, "ginibre", groups)
         monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()) - 1)
         with pytest.raises(ValueError, match="occupation field rows"):
-            batch_interaction(batch, params, "ginibre", pairs=pairs)
+            batch_interaction(batch, params, "ginibre", groups)
 
 
 def test_long_loops_fit_a_budget_on_rows(monkeypatch):
@@ -938,11 +984,74 @@ def test_long_loops_fit_a_budget_on_rows(monkeypatch):
     params = _params(Torus(1, 3), np.array([0.5, 0.1, 0.1]), nu=0.25)
     windows = np.bincount(batch.config, np.round(batch.duration / 0.25),
                           batch.n_configs)
-    budget = int(_config_rows(batch, pairs=True).max())
+    budget = int(_config_rows(batch, 2).max())
     assert (windows * _config_rows(batch)).max() > budget
-    expected = [batch_interaction(batch, params, "ginibre", pairs=pairs)
-                for pairs in (False, True)]
+    every = (None, _slots(np.full(6, 2)))
+    expected = [batch_interaction(batch, params, "ginibre", groups)
+                for groups in every]
     monkeypatch.setattr(interactions, "MAX_CELLS", budget)
-    for pairs, want in zip((False, True), expected):
+    for groups, want in zip(every, expected):
         assert np.array_equal(
-            batch_interaction(batch, params, "ginibre", pairs=pairs), want)
+            batch_interaction(batch, params, "ginibre", groups), want)
+
+
+# -- loops in any order -------------------------------------------------------
+
+def _shuffle(batch, group, rng, interleave):
+    '''The batch's loops in a random order, with their configuration and
+    group labels: (the shuffled batch, its groups).  With interleave the
+    loops of each configuration keep their relative order, and only the
+    configurations interleave.'''
+    index = rng.permutation(len(batch.config))
+    if interleave:
+        kept = np.empty_like(index)
+        kept[np.argsort(batch.config[index], kind="stable")] = np.argsort(
+            batch.config, kind="stable")
+        index = kept
+    return (LoopBatch.join(batch.n_configs, [(batch.config[index], batch,
+                                              index)]), group[index])
+
+
+@pytest.mark.parametrize("case", ["grid", "grid_hard_core", "continuum",
+                                  "split"])
+def test_loops_in_any_order_give_the_same_numbers(monkeypatch, case):
+    '''Configurations and groups are labels, not positions: shuffled
+    together with their labels, a batch's loops give bit-identical
+    totals and group pair matrices (3 random groups).  On the grid every
+    amount is an integer, so any order sums exactly; the continuum's
+    local times are floats, so there each configuration keeps the order
+    of its own loops while the configurations interleave.  split: with
+    the row budget down to the largest configuration, the shuffled batch
+    is evaluated in runs of configurations picked by their labels.'''
+    R = int(case == "grid_hard_core")
+    kind = "symanzik_eps" if case == "continuum" else "ginibre"
+    rng = np.random.default_rng(("grid", "grid_hard_core", "continuum",
+                                 "split").index(case))
+    torus = Torus(2, 3)
+    params = _params(torus, _random_potential(2, 3, R, rng), nu=0.25,
+                     lam=0.7, R=R)
+    sizes = rng.poisson(3.0, 60)
+    if kind == "ginibre":
+        batch = _grid_batch(2, 3, sizes, seed=11 + R)
+    else:
+        intensity = LoopIntensity(torus, kind, kappa=0.3, eps=0.05)
+        batch = LoopBatch.join(len(sizes), [
+            (np.repeat(np.arange(len(sizes)), sizes),
+             intensity.draw_batch(rng, int(sizes.sum())), None)])
+    group = rng.integers(0, 3, len(batch.config))
+    want = [batch_interaction(batch, params, kind, groups)
+            for groups in (None, (group, 3))]
+    if case == "split":
+        rows = _config_rows(batch, 3)
+        monkeypatch.setattr(interactions, "MAX_CELLS", int(rows.max()))
+        assert len(interactions._row_groups(_config_rows(batch), 1)) > 4
+        assert len(interactions._row_groups(rows, 3)) > 4
+    for _ in range(5):
+        shuffled, moved = _shuffle(batch, group, rng, kind != "ginibre")
+        assert not np.array_equal(shuffled.config, batch.config)
+        got = [batch_interaction(shuffled, params, kind, groups)
+               for groups in (None, (moved, 3))]
+        for new, old in zip(got, want):
+            assert np.array_equal(new, old)
+    assert np.isinf(want[0]).any() == bool(R)
+    assert not np.isinf(want[0]).all()

@@ -302,6 +302,22 @@ def test_ensemble_kind_mismatch_rejected():
     EnsembleSpec(torus, params, continuum, "symanzik_eps")
 
 
+def test_continuum_ensemble_refuses_a_hard_core():
+    '''Every loop has positive local time at its own site, so under a
+    hard core every configuration but the empty one has V = +inf, and Z
+    would only estimate P(no loop) = e^{-m}: the continuum ensemble
+    refuses R = 1, while the grid ensemble takes it as exclusion.'''
+    torus = Torus(1, 3)
+    hard = periodize_potential(PotentialSpec(1, 1, {(1,): 0.1}), 3)
+    params = InteractionParams(torus=torus, vL=hard, nu=1.0, lam=1.0,
+                               mode="generic", R=1, kappa=1.0)
+    continuum = LoopIntensity(torus, "symanzik_eps", kappa=1.0, eps=0.1)
+    with pytest.raises(ValueError, match="no hard core"):
+        EnsembleSpec(torus, params, continuum, "symanzik_eps")
+    EnsembleSpec(torus, params, LoopIntensity(torus, "ginibre", kappa=1.0,
+                                              nu=1.0), "ginibre")
+
+
 def test_free_gas_gamma1_rejects_bad_kappa():
     with pytest.raises(ValueError):
         Torus(1, 3).free_weights(0.5, -0.1)

@@ -13,10 +13,10 @@ from scipy import integrate, stats
 from loopgas.lattice import Torus
 from loopgas import paths
 from loopgas.loop_mc import _OpenPaths
-from loopgas.paths import (LoopBatch, LoopIntensity, Path, _first_cell_masses,
-                          _residue_table, bridges)
+from loopgas.paths import LoopBatch, LoopIntensity, _first_cell_masses, bridges
 
 import loop_reference
+from loop_reference import Path, from_paths, residue_table
 
 
 def test_path_evaluation_and_local_time():
@@ -247,7 +247,7 @@ def _jump_law(torus, T):
 def test_residue_masses_give_the_return_probability(d, L):
     '''(sum_r P(a = r mod L)^2)^d, a ~ Poisson(T/2), is psi^{L,T}(0).'''
     T = np.array([1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 150.0])
-    q = _residue_table(T / 2, L).sum(axis=1)
+    q = residue_table(T / 2, L).sum(axis=1)
     assert np.allclose((q ** 2).sum(axis=1) ** d,
                        Torus(d, L).heat_kernel_at_origin(T),
                        rtol=0, atol=1e-12)
@@ -265,12 +265,12 @@ def test_residue_table_keeps_its_values_with_shared_log_factorials(
     cases = [(np.array([0.3]), 3), (np.array([0.005, 0.5, 2.0]), 2),
              (np.array([40.0, 75.0]), 4), (np.array([600.0]), 7),
              (np.array([1.5, 10.0]), 5), (np.array([0.25]), 1)]
-    shared = [_residue_table(lam, L) for lam, L in cases]
+    shared = [residue_table(lam, L) for lam, L in cases]
     assert np.array_equal(paths._log_factorials(len(paths._LOG_FACT)),
                           fresh(len(paths._LOG_FACT)))
     monkeypatch.setattr(paths, "_log_factorials", fresh)
     for (lam, L), table in zip(cases, shared):
-        assert np.array_equal(table, _residue_table(lam, L))
+        assert np.array_equal(table, residue_table(lam, L))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -333,7 +333,7 @@ def test_bridges_agree_with_the_rejection_sampler(kind, d, L):
                 np.bincount(visits, minlength=n))
 
     new = stats(intensity.draw_batch(np.random.default_rng(23), n))
-    old = stats(LoopBatch.from_paths([loop_reference.rejection_loops(
+    old = stats(from_paths([loop_reference.rejection_loops(
         intensity, np.random.default_rng(29), n)[0]]))
     for a, b in zip(new, old):
         se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
@@ -413,7 +413,7 @@ def test_bridge_budget_counts_the_table_and_the_columns(monkeypatch, closed):
     x = np.arange(40) % torus.n_sites
     T = np.repeat([0.5, 7.0, 30.0, 61.0], 10)
     y = None if closed else (x + 1) % torus.n_sites
-    table = _residue_table(np.unique(T / 2), 3)
+    table = residue_table(np.unique(T / 2), 3)
     cells = table.size + len(x) * 2 * (1 if closed else 2) * table.shape[1]
     for budget, calls in ((cells, 2), (cells - 1, 4)):
         monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
@@ -429,7 +429,7 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
     decreasing duration, ties in walk order, the first 6 walks are over
     the budget and split into 3 and 3; the last 6 fit.  Each walk keeps
     its start, duration and configuration, closed walks close, and open
-    ones reach their end sites.'''
+    ones reach their end sites; walk k comes back at position k.'''
     torus = Torus(2, 3)
     T = np.array([0.5, 20.0, 1.0, 40.0, 0.25, 8.0, 0.75, 20.0, 30.0, 1.0,
                   10.0, 0.5])
@@ -440,17 +440,19 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
     per_walk = torus.d * (1 if closed else 2)
 
     def cells(walks):
-        table = _residue_table(np.unique(T[walks] / 2), 3)
+        table = residue_table(np.unique(T[walks] / 2), 3)
         return table.size + len(walks) * per_walk * table.shape[1]
 
     budget = cells(chunks[0])
     assert cells(np.arange(12)) > budget and cells(order[:6]) > budget
     assert all(cells(chunk) <= budget for chunk in chunks)
     ref = np.random.default_rng(5)
-    expected = LoopBatch.join(12, [
+    drawn = LoopBatch.join(12, [
         (chunk, bridges(torus, x[chunk], T[chunk], ref,
                         None if closed else y[chunk]), None)
         for chunk in chunks])
+    expected = LoopBatch.join(12, [(np.arange(12), drawn,
+                                    np.argsort(drawn.config))])
     monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
     rng = np.random.default_rng(5)
     batch = bridges(torus, x, T, rng, None if closed else y)
@@ -515,11 +517,11 @@ def test_chunked_bridges_match_the_full_inversion(monkeypatch, closed):
                                      n // 2)), 2)
     x = rng.integers(torus.n_sites, size=n)
     y = None if closed else rng.integers(torus.n_sites, size=n)
-    table = _residue_table(np.unique(T / 2), 3)
+    table = residue_table(np.unique(T / 2), 3)
     cells = table.size + n * 2 * (1 if closed else 2) * table.shape[1]
     monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells // 5)
     with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
-        _residue_table(np.unique(T / 2), 3, n * 2 * (1 if closed else 2))
+        residue_table(np.unique(T / 2), 3, n * 2 * (1 if closed else 2))
     for seed in range(5):
         _assert_same_bridges(torus, x, T, seed, y)
 
@@ -545,7 +547,7 @@ def test_first_cell_masses_match_the_residue_table(L):
     lam = 1e3.'''
     lam = np.geomspace(1e-9, 1e3, 60)
     q0, ret = _first_cell_masses(lam, L)
-    q = _residue_table(lam, L).sum(axis=1)
+    q = residue_table(lam, L).sum(axis=1)
     tol = 1e-13 * (1.0 + lam / 100.0)
     assert np.all(np.abs(q0 - q[:, 0]) <= tol * q[:, 0])
     assert np.all(np.abs(ret - (q * q).sum(axis=1)) <= tol * ret)
@@ -817,16 +819,20 @@ def _same_paths(batch, paths):
 
 
 def test_loop_batch_layout():
-    '''Configurations in draw order, CSR offsets into the flat jumps.'''
+    '''Loops in build order, each with its configuration as a label (a
+    configuration's loops need not be adjacent), CSR offsets into the
+    flat jumps; join concatenates its parts' loops in the order of the
+    parts and their indices.'''
     torus = Torus(2, 3)
     rng = np.random.default_rng(4)
-    configs = [[loop_reference.sample_free_walk(torus, 1, 1.5, rng),
-                Path(2, 0.5)], [],
-               [loop_reference.sample_free_walk(torus, 5, 2.0, rng)]]
-    batch = LoopBatch.from_paths(configs)
-    loops = [p for config in configs for p in config]
+    walks = [loop_reference.sample_free_walk(torus, 1, 1.5, rng),
+             Path(2, 0.5), loop_reference.sample_free_walk(torus, 5, 2.0, rng)]
+    one = from_paths([walks])
+    batch = LoopBatch.join(3, [(np.array([2, 0]), one, np.array([2, 0])),
+                               (np.array([2]), one, np.array([1]))])
+    loops = [walks[2], walks[0], walks[1]]
     assert batch.n_configs == 3
-    assert batch.config.tolist() == [0, 0, 2]
+    assert batch.config.tolist() == [2, 0, 2]
     assert batch.start.tolist() == [p.start for p in loops]
     assert batch.duration.tolist() == [p.duration for p in loops]
     for i, p in enumerate(loops):
