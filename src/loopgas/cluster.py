@@ -309,10 +309,11 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
                 else intensity.draw_batch)
         phi_of = tree_sum if bound_mode else ursell
 
-        def configs(rng, m):
+        def configs(rngs, counts):
             # the fixed paths of every sample, then the drawn loops, each
             # loop labelled with its slot
-            loops = draw(rng, m * q)
+            m = sum(counts)
+            loops = draw(rngs, [k * q for k in counts])
             fixed_slot = np.tile(np.arange(p), m)
             batch = LoopBatch.join(m, [
                 (np.repeat(np.arange(m), p), fixed, fixed_slot),

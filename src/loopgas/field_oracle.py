@@ -14,6 +14,7 @@ import numpy as np
 
 from .lattice import check_positive_type
 from .loop_mc import McEstimate, run_mc
+from .paths import _by_stream
 
 
 class GaussianField:
@@ -62,8 +63,8 @@ def estimate_Zcl(gf, vL, n_samples, seed, workers=1, lam=1.0):
     if not np.isfinite(vmat).all():
         raise ValueError("finite potential required")
 
-    def values(rng, count):
-        fields = gf.sample(rng, count)
+    def values(rngs, counts):
+        fields = _by_stream(rngs, counts, gf.sample)
         return np.exp(-lam * _quartic_weight(fields, vmat))
 
     mean, se, _ = run_mc(values, n_samples, seed, workers)
@@ -82,8 +83,8 @@ def estimate_gamma_cl(gf, vL, p, xs, ys, n_samples, seed, workers=1,
     xs, ys = gf.torus.check_sites(p, xs, ys)
     vmat = np.asarray(vL)[gf.torus.diff_table]
 
-    def values(rng, count):
-        fields = gf.sample(rng, count)
+    def values(rngs, counts):
+        fields = _by_stream(rngs, counts, gf.sample)
         mono = np.prod(fields[:, xs], axis=1) * np.prod(
             np.conj(fields[:, ys]), axis=1)
         out = mono * np.exp(-lam * _quartic_weight(fields, vmat))
@@ -147,9 +148,11 @@ def hubbard_stratonovich_check(v_pt, torus, f, n_samples, seed, workers=1):
     # deterministic identity: the sampler's covariance is factor @ factor.T
     exact_gap = abs(math.exp(-0.5 * float(f @ factor @ factor.T @ f)) - target)
 
-    def values(rng, count):
-        sigma = rng.standard_normal((count, len(f))) @ factor.T
-        return np.cos(sigma @ f)
+    def values(rngs, counts):
+        # a stream's normals through the factor, then its cosines: each
+        # product of a stream's own, so its rows are a one-stream call's
+        return _by_stream(rngs, counts, lambda rng, k: np.cos(
+            (rng.standard_normal((k, len(f))) @ factor.T) @ f))
 
     mean, se, _ = run_mc(values, n_samples, seed, workers)
     z = abs(mean - target) / max(se, 1e-15)

@@ -22,28 +22,36 @@ background, so numerator and denominator share their noise; the plain
 ratio's SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r =
 mean(N) / mean(D), from the co-moments of the pairs' rows.
 
-Each worker chunk runs in batches and two phases: the draw phase makes
-every random draw of the batch as arrays, and the compute phase
-evaluates all configurations of the batch with one call of
-interactions.batch_interaction.  A batch holds a budget of drawn loops,
-not of samples: with l the expected loops drawn per sample, known before
-any draw (the Poisson mass, plus the p open paths of a kernel; n for
-order n of the cluster expansion), it holds max(1, floor(_BATCH_LOOPS /
-max(1, l))) samples.  A loop's sample is its configuration label, so a
-batch holds its loops in the order they were drawn.  A kernel's call
+Each worker chunk is cut into batches, and the batches run in groups
+and two phases: the draw phase makes every random draw of the group as
+arrays, and the compute phase evaluates all configurations of the group
+with one call of interactions.batch_interaction.  A batch holds a budget
+of drawn loops, not of samples: with l the expected loops drawn per
+sample, known before any draw (the Poisson mass, plus the p open paths
+of a kernel; n for order n of the cluster expansion), it holds max(1,
+floor(_BATCH_LOOPS / max(1, l))) samples.  Consecutive batches, in
+worker order, are packed into one group while their samples fit one
+batch (_batched), so a group holds at most one batch of each worker and
+at most the loops of one batch; at one worker the groups are the
+batches.  A group draws each worker's batch from that worker's
+generator: every draw site takes the generators and the count of each
+(paths._by_stream), so all workers' loops go through one paths.bridges
+call.  A loop's sample is its configuration label, so a group holds its
+loops in the order they were drawn.  A kernel's call
 evaluates each sample once, its open paths and its background as two
 groups of loops, labelled 0 and 1 as the batch is joined: the
 interaction is a quadratic form in the occupation field, so the (2, 2)
 group pair matrix P gives V(open + background) = P.sum() / 2 and
-V(background) = P_11 / 2.  Within a batch of B samples the draws come in
-this order:
+V(background) = P_11 / 2.  A worker's generator makes the draws of its
+batch of B samples in this order, the workers of a group one after the
+other at each step:
   - the B Poisson loop counts, then all their loops in one
     LoopIntensity.draw_batch call (durations, base sites, then exact
     bridges in one pass, paths.bridges);
   - for a kernel, then, the B permutations, the B p modes and the B p
     durations of the open paths, in (sample, path) order, and one
     paths.bridges call for their B p bridges.
-The batch size bounds the memory a chunk holds, since that memory
+The batch size bounds the memory a group holds, since that memory
 follows loops, not samples (the residue table alone is at most distinct
 durations x M x L, within paths.MAX_BRIDGE_CELLS, though it holds only
 the durations of the coordinates that may jump), and it is part of the
@@ -85,9 +93,12 @@ denominator and denominator_se stay the plain paired denominator.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
-master seed; run_mc joins the chunks' rows in worker order and reduces
-the joined rows once, so results are bit-identical for a fixed worker
-count.
+master seed.  run_mc hands every stream and its chunk to one call of the
+sample function, whose rows come out in worker order, and reduces them
+once.  Each worker's rows are those its chunk gives alone: its
+generator makes the same draws in the same order however the batches
+are grouped, and the kernel evaluates each configuration on its own
+loops.  So results are bit-identical for a fixed worker count.
 '''
 
 import itertools
@@ -98,7 +109,8 @@ import numpy as np
 
 # v_total is unused here; perfbench's tests assert that loop_mc names it
 from .interactions import batch_interaction, v_total
-from .paths import LoopBatch, bridges, mixture_moments, pick
+from .paths import (LoopBatch, _by_stream, _stream_totals, bridges,
+                    mixture_moments, pick)
 
 # Expected loops drawn per batch.  A chunk's memory follows its loops, so
 # this bounds it whatever the loops per sample; see _batch_size.
@@ -172,13 +184,17 @@ def _chunks(n_samples, workers):
 
 
 def run_mc(sample_fn, n_samples, seed, workers=1):
-    '''Average the samples of sample_fn(rng, count) over n_samples with
-    a deterministic reduction; the single reducer of every estimator.
+    '''Average the samples of sample_fn(rngs, counts) over n_samples
+    with a deterministic reduction; the single reducer of every
+    estimator.
 
-    sample_fn returns count samples drawn from rng as rows (k, count),
-    or (count,) for k = 1, and must be a pure function of the rng
-    stream.  The worker chunks are joined in worker order into rows
-    (k, n_samples), and each row gets a two-pass mean and SE.  Returns
+    The streams are the workers': one generator per worker, spawned
+    from seed, and its count the worker's chunk of n_samples (a worker
+    with no sample is left out).  sample_fn is called once, with all of
+    them, and returns counts[i] samples drawn from each rngs[i], joined
+    in stream order, as rows (k, n_samples), or (n_samples,) for k = 1;
+    each stream's samples must be a pure function of that stream and
+    its count alone.  Each row gets a two-pass mean and SE.  Returns
     (mean, se, rows), mean and se of shape (k,), scalars for k = 1.
     Needs n_samples >= 2, so that the standard error is defined;
     ValueError otherwise.
@@ -187,10 +203,10 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
                          f"{n_samples}")
     streams = np.random.SeedSequence(seed).spawn(workers)
-    rows = np.concatenate([
-        sample_fn(np.random.default_rng(stream), n_w)
-        for stream, n_w in zip(streams, _chunks(n_samples, workers))
-        if n_w], axis=-1)
+    chunks = _chunks(n_samples, workers)
+    rows = sample_fn([np.random.default_rng(stream)
+                      for stream, n_w in zip(streams, chunks) if n_w],
+                     [n_w for n_w in chunks if n_w])
     mean = rows.mean(axis=-1)
     dev = rows - mean[..., None]
     se = np.sqrt((dev ** 2).sum(axis=-1) / (n_samples - 1) / n_samples)
@@ -308,15 +324,28 @@ def _batch_size(loops_per_sample):
 
 
 def _batched(draw, evaluate, loops_per_sample):
-    '''A run_mc sample function in two phases per batch (_batch_size
-    samples): draw(rng, m) makes all the draws of m samples, then
-    evaluate(the draws) returns the m samples as run_mc's rows, joined
-    over the batches.'''
-    def sample(rng, count):
+    '''A run_mc sample function in two phases per group of batches.
+    Each stream's samples are cut into batches of _batch_size samples,
+    and consecutive batches, in stream order, are packed into one group
+    while their samples fit one batch, so a group holds at most one
+    batch of each stream.  draw(rngs, counts) makes all the draws of a
+    group, counts[i] samples from the generator rngs[i], then
+    evaluate(the draws) returns the group's samples as run_mc's rows,
+    joined over the groups.'''
+    def sample(rngs, counts):
         size = _batch_size(loops_per_sample)
-        return np.concatenate([
-            evaluate(draw(rng, min(size, count - lo)))
-            for lo in range(0, count, size)], axis=-1)
+        groups, room = [], 0
+        for rng, count in zip(rngs, counts):
+            for lo in range(0, count, size):
+                m = min(size, count - lo)
+                if m > room:
+                    groups.append(([], []))
+                    room = size
+                groups[-1][0].append(rng)
+                groups[-1][1].append(m)
+                room -= m
+        return np.concatenate([evaluate(draw(*group)) for group in groups],
+                              axis=-1)
     return sample
 
 
@@ -327,11 +356,11 @@ class _Tally:
     def __init__(self):
         self.loops = self.configs = self.killed = 0
 
-    def draw_loops(self, intensity, rng, n):
-        '''n loops of the intensity, loop i in configuration i of a
-        LoopBatch.'''
-        self.loops += n
-        return intensity.draw_batch(rng, n)
+    def draw_loops(self, intensity, rngs, counts):
+        '''counts[i] loops of the intensity from each generator rngs[i],
+        loop i in configuration i of a LoopBatch.'''
+        self.loops += sum(counts)
+        return intensity.draw_batch(rngs, counts)
 
     def boltzmann(self, V):
         '''e^{-V} of the interactions V of configurations; a killed
@@ -346,13 +375,16 @@ class _Tally:
                                 if self.configs else 0.0)}
 
 
-def _draw_background(intensity, rng, m, tally):
-    '''The Poisson backgrounds of m samples: (the sample of each loop,
-    the loops in sample order, loop i in configuration i, and the rows
-    (4, m) of the background controls: loop count K, K^2, total
-    duration S, S^2).'''
-    sizes = rng.poisson(intensity.total_mass, m)
-    loops = tally.draw_loops(intensity, rng, int(sizes.sum()))
+def _draw_background(intensity, rngs, counts, tally):
+    '''The Poisson backgrounds of m = sum(counts) samples, counts[i] of
+    them from the generator rngs[i]: (the sample of each loop, the loops
+    in sample order, loop i in configuration i, and the rows (4, m) of
+    the background controls: loop count K, K^2, total duration S, S^2).
+    Each stream draws its loop counts, then (draw_batch) its loops.'''
+    sizes = _by_stream(rngs, counts,
+                       lambda rng, k: rng.poisson(intensity.total_mass, k))
+    loops = tally.draw_loops(intensity, rngs, _stream_totals(sizes, counts))
+    m = len(sizes)
     owner = np.repeat(np.arange(m), sizes)
     S = np.bincount(owner, weights=loops.duration, minlength=m)
     return owner, loops, (sizes, sizes * sizes, S, S * S)
@@ -369,15 +401,16 @@ def _background_means(intensity):
 def estimate_rel_partition(spec, n_samples, seed, workers=1):
     '''MC estimate of the relative partition function Z = E_Poisson[e^{-V}],
     its mean and SE adjusted by the background controls (module
-    docstring).'''
+    docstring).  ArithmeticError when every sample's e^{-V} underflowed
+    to 0 and none was a hard-core kill: such a run holds no number.'''
     if not np.isfinite(spec.intensity.total_mass):
         raise ValueError("loop intensity mass must be finite")
     tally = _Tally()
 
-    def configs(rng, m):
-        owner, loops, controls = _draw_background(spec.intensity, rng, m,
-                                                  tally)
-        return LoopBatch.join(m, [(owner, loops, None)]), controls
+    def configs(rngs, counts):
+        owner, loops, controls = _draw_background(spec.intensity, rngs,
+                                                  counts, tally)
+        return LoopBatch.join(sum(counts), [(owner, loops, None)]), controls
 
     def evaluate(drawn):
         batch, controls = drawn
@@ -386,6 +419,11 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
 
     sample = _batched(configs, evaluate, spec.intensity.total_mass)
     mean, se, rows = run_mc(sample, n_samples, seed, workers)
+    if not rows[0].any() and not tally.killed:
+        raise ArithmeticError(
+            "every sample's e^{-V} underflowed to 0 with no hard-core kill: "
+            "the estimate would read Z = 0 with no error; raise kappa or "
+            "lower lambda")
     step = _control_step(rows[0], mean[0], rows[1:],
                          _background_means(spec.intensity))
     value, value_se, controls = _controlled(float(mean[0]), float(se[0]),
@@ -461,17 +499,22 @@ class _OpenPaths:
         return mixture_moments(self._mode_cdf, 1.0 / self._param,
                                2.0 / self._param ** 2)
 
-    def draw(self, rng, m):
+    def draw(self, rngs, counts):
         '''(end sites (m, p), durations (m, p), weights (m,) in units
-        of unit) of m samples: m permutations, then m p modes, then m p
-        durations.'''
+        of unit) of m = sum(counts) samples, counts[i] of them from the
+        generator rngs[i]: each stream's permutations, then its p modes a
+        sample, then its p durations a sample.'''
         p = len(self.xs)
-        row = pick(self._perm_cdf, rng, m)
-        mode = pick(self._mode_cdf, rng, (m, p))
-        if self._nu is not None:
-            T = self._nu * rng.geometric(self._param[mode])
-        else:
-            T = rng.exponential(1.0 / self._param[mode])
+
+        def draw(rng, k):
+            row = pick(self._perm_cdf, rng, k)
+            mode = pick(self._mode_cdf, rng, (k, p))
+            if self._nu is not None:
+                return row, self._nu * rng.geometric(self._param[mode])
+            return row, rng.exponential(1.0 / self._param[mode])
+
+        row, T = _by_stream(rngs, counts, draw)
+        m = len(row)
         weight = self.scale[row]
         delta = self.delta[row]
         moved = delta != 0
@@ -511,14 +554,15 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         means = np.concatenate((means, [p * t1, p * t2]))
     tally = _Tally()
 
-    def configs(rng, m):
+    def configs(rngs, counts):
         # the open paths of every sample (group 0), then the backgrounds
         # (group 1)
-        owner, background, controls = _draw_background(intensity, rng, m,
-                                                       tally)
-        ends, T, weight = law.draw(rng, m)
-        opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rng,
-                        ends.ravel())
+        m = sum(counts)
+        owner, background, controls = _draw_background(intensity, rngs,
+                                                       counts, tally)
+        ends, T, weight = law.draw(rngs, counts)
+        opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rngs,
+                        [p * k for k in counts], ends.ravel())
         batch = LoopBatch.join(m, [
             (np.repeat(np.arange(m), p), opens, None),
             (owner, background, None)])

@@ -44,7 +44,11 @@ first n // 2 of them drawn as one call, then the rest, each split again
 while it exceeds the budget.  The longest walk thus comes first, and
 when it alone exceeds the budget the call raises ValueError before any
 draw.  The budget bounds the tables of each chunk, not the jumps of the
-whole call.
+whole call.  A call may hold the walks of several streams (the workers'
+generators), and each stream's walks are those of a call of its own:
+they draw from the stream's generator, their table rows are cut at the
+stream's longest duration, and a call over the budget splits by stream
+first.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges; draw_multi_window does the same for the grid
 loops of two windows or more.
@@ -68,26 +72,31 @@ def _segments(offsets, index):
     return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
-def bridges(torus, x, T, rng, y=None):
+def bridges(torus, x, T, rngs, counts, y=None):
     '''Walks from the sites x to the sites y over the durations T
     (arrays of one length n; y None: closed walks, y = x), exactly and
-    in one pass: a LoopBatch with walk k in configuration k.
+    in one pass: a LoopBatch with walk k in configuration k.  The walks
+    come from streams: the first counts[0] draw from the generator
+    rngs[0], the next counts[1] from rngs[1], and so on, and each
+    stream's walks are those of a call of its own.
 
-    Draws, in order: n x d x 3 uniforms (per walk and coordinate, the
-    residue of the down count mod L, then the up and the down count, by
-    inverse CDF), then the uniform jump times of all walks; the signed
-    steps of a walk take the order of their times.  Where y = x the
-    draws and the paths are those of y None.  On L = 1 it draws nothing
-    and records no jump.  A coordinate that does not move and whose
-    three uniforms fall in the first cell of each inversion
-    (_first_cell_masses) takes no jump and no table row; the table holds
-    the durations of the other coordinates only, cut at the whole call's
-    longest duration, so every count is the full inversion's.  Over
-    MAX_BRIDGE_CELLS, counted for the whole call as if every coordinate
-    inverted, it draws in chunks, by the same rule: the first n // 2
-    walks in stable order of decreasing duration, then the rest, walk k
-    back at position k; ValueError, before any draw, when one walk alone
-    is over.'''
+    Draws from each stream, in order: its n_i x d x 3 uniforms (per
+    walk and coordinate, the residue of the down count mod L, then the
+    up and the down count, by inverse CDF), then the uniform jump times
+    of its walks; the signed steps of a walk take the order of their
+    times.  Where y = x the draws and the paths are those of y None.  On
+    L = 1 it draws nothing and records no jump.  A coordinate that does
+    not move and whose three uniforms fall in the first cell of each
+    inversion (_first_cell_masses) takes no jump and no table row; the
+    table holds the durations of the other coordinates only, each row
+    cut at its stream's longest duration, so every count is the full
+    inversion's of a one-stream call.  Over MAX_BRIDGE_CELLS, counted
+    for the whole call as if every coordinate inverted, a call splits by
+    stream first, each stream's walks drawn as a call of their own; a
+    one-stream call draws in chunks: the first n // 2 walks in stable
+    order of decreasing duration, then the rest, walk k back at position
+    k.  ValueError when one walk alone is over, before any draw of its
+    stream.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
@@ -98,22 +107,36 @@ def bridges(torus, x, T, rng, y=None):
     shift = None if y is None else (torus.coords[y] - torus.coords[x]) % L
     if shift is not None and not shift.any():
         shift = None
-    lam, row = np.unique(T / 2, return_inverse=True)
+    # the table rows: each stream's distinct T/2, increasing, stream after
+    # stream, each cut at its stream's longest duration
+    lam, row, last = _distinct_by_stream(T / 2, counts)
     # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
+    rows = len(lam) * L + n * d * (1 if shift is None else 2)
     try:
-        cut = _table_cut(float(lam[-1]), len(lam) * L
-                         + n * d * (1 if shift is None else 2), L)
+        cut = [_table_cut(float(lam[i]), rows, L) for i in last]
     except ValueError:
+        if len(rngs) > 1:
+            ends = np.cumsum(counts)
+            return LoopBatch.join(n, [
+                (np.arange(hi - k, hi), bridges(
+                    torus, x[hi - k:hi], T[hi - k:hi], [rng], [k],
+                    None if y is None else np.asarray(y)[hi - k:hi]), None)
+                for rng, k, hi in zip(rngs, counts, ends)])
         if n == 1:
             raise
         order = np.argsort(-T, kind="stable")
         chunks = LoopBatch.join(n, [
-            (part, bridges(torus, x[part], T[part], rng,
+            (part, bridges(torus, x[part], T[part], rngs, [len(part)],
                            None if y is None else np.asarray(y)[part]), None)
             for part in (order[:n // 2], order[n // 2:])])
         # chunk position j holds walk order[j]
         return LoopBatch.join(n, [(np.arange(n), chunks, np.argsort(order))])
-    u = rng.random((n, d, 3))
+    if len(cut) == 1:
+        cut = cut[0]
+    else:
+        cut = np.repeat(np.array(cut), [b - a for a, b
+                                        in zip([-1] + last[:-1], last)])
+    u = _by_stream(rngs, counts, lambda rng, k: rng.random((k, d, 3)))
     # the coordinates that go through the inversion, flat (walk k, axis j
     # at k d + j), and their rows of the distinct T/2: all of them, or
     # all but those that stay put in the first cells
@@ -141,7 +164,8 @@ def bridges(torus, x, T, rng, y=None):
         sub = (np.cumsum(need) - 1)[walk_row]
     per_dir = np.zeros((n * d, 2), dtype=np.int64)
     if len(sub):
-        table = _poisson_rows(lam[need], cut, L)
+        table = _poisson_rows(lam[need], cut[need] if np.ndim(cut) else cut,
+                              L)
         q = table.sum(axis=1)
         um = u.reshape(n * d, 3)[move]
         if shift is None:
@@ -164,12 +188,60 @@ def bridges(torus, x, T, rng, y=None):
     # that is, of the directions 2j and 2j + 1
     per_dir = per_dir.reshape(n, 2 * d)
     steps = np.repeat(np.tile(np.arange(2 * d), n), per_dir.ravel())
-    counts = per_dir.sum(axis=1)
-    jump_walk = np.repeat(np.arange(n), counts)
-    times = rng.random(len(steps)) * T[jump_walk]
+    jumps = per_dir.sum(axis=1)
+    jump_walk = np.repeat(np.arange(n), jumps)
+    times = _by_stream(rngs, _stream_totals(jumps, counts),
+                       lambda rng, k: rng.random(k)) * T[jump_walk]
     order = pair_order(jump_walk, times)
-    return LoopBatch(n, np.arange(n), x, T, counts, times[order],
-                     _sites(torus, x, counts, steps[order]))
+    return LoopBatch(n, np.arange(n), x, T, jumps, times[order],
+                     _sites(torus, x, jumps, steps[order]))
+
+
+def _distinct_by_stream(values, counts):
+    '''The distinct values of each stream, the segments of counts[i]
+    entries: (those values, increasing, stream after stream; the index
+    among them of each entry; the index of each nonempty stream's
+    largest).'''
+    n = len(values)
+    if len(counts) == 1:
+        order = np.argsort(values)
+        first = [0]
+    else:
+        ends = np.cumsum(counts)
+        first = [hi - k for k, hi in zip(counts, ends) if k]
+        order = np.concatenate([np.argsort(values[lo:hi]) + lo for lo, hi
+                                in zip(first, first[1:] + [n])])
+    ordered = values[order]
+    new = np.empty(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[first] = True
+    rank = np.cumsum(new) - 1
+    index = np.empty(n, dtype=np.int64)
+    index[order] = rank
+    return (ordered[new], index,
+            rank[[hi - 1 for hi in first[1:] + [n]]].tolist())
+
+
+def _by_stream(rngs, counts, draw):
+    '''draw(rng, k) of each generator rngs[i] and its count counts[i],
+    joined in stream order on the first axis (each part of a tuple on
+    its own); one stream's draw as it is, with no copy.'''
+    if len(rngs) == 1:
+        return draw(rngs[0], counts[0])
+    parts = [draw(rng, k) for rng, k in zip(rngs, counts)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _stream_totals(values, counts):
+    '''The sums of values over consecutive segments of counts[i] entries,
+    as a list of ints.'''
+    totals, lo = [], 0
+    for k in counts:
+        totals.append(int(values[lo:lo + k].sum()))
+        lo += k
+    return totals
 
 
 def pair_order(major, minor):
@@ -255,16 +327,20 @@ def _table_cut(top, rows, L):
 
 
 def _poisson_rows(lam, cut, L):
-    '''The residue table of lam cut at the count cut: (len(lam), cut // L
-    + 1, L), entry [i, m, r] P(X = m L + r) up to m L + r = cut, 0
-    past it.'''
-    M = cut // L + 1
+    '''The residue table of lam cut at the count cut, an int or one per
+    row: (len(lam), max cut // L + 1, L), entry [i, m, r] P(X = m L + r)
+    up to m L + r = the row's cut, 0 past it.'''
+    per_row = np.ndim(cut) > 0
+    top = int(cut.max()) if per_row else cut
+    M = top // L + 1
     p = np.zeros((len(lam), M * L))
-    log_p = p[:, :cut + 1]
-    np.multiply.outer(np.log(lam), np.arange(cut + 1), out=log_p)
-    log_p -= _log_factorials(cut + 1)
+    log_p = p[:, :top + 1]
+    np.multiply.outer(np.log(lam), np.arange(top + 1), out=log_p)
+    log_p -= _log_factorials(top + 1)
     log_p -= lam[:, None]
     np.exp(log_p, out=log_p)
+    if per_row:
+        log_p[np.arange(top + 1) > cut[:, None]] = 0.0
     return p.reshape(len(lam), M, L)
 
 
@@ -468,14 +544,17 @@ class LoopIntensity:
             "quad_err": float(np.abs(cells - cell_masses(2)).sum()),
             "grid_points": len(edges)}
 
-    def sample_duration(self, rng, size):
-        '''size loop durations: on the grid, size modes (pick) then
-        their log-series draws; in the continuum, size uniforms through
-        the CDF.  An empty grid law (every a_xi = 0) draws nu.'''
+    def sample_duration(self, rngs, counts):
+        '''counts[i] loop durations from each generator rngs[i], joined
+        in stream order: on the grid, a stream's modes (pick) then their
+        log-series draws; in the continuum, its uniforms through the CDF.
+        An empty grid law (every a_xi = 0) draws nu.'''
         if self.kind == "ginibre":
-            mode = pick(self._mode_cdf, rng, size)
-            return self.nu * rng.logseries(self.a[mode])
-        return np.interp(rng.random(size), self._cdf, self._points)
+            return self.nu * _by_stream(rngs, counts, lambda rng, k: (
+                rng.logseries(self.a[pick(self._mode_cdf, rng, k)])))
+        return np.interp(_by_stream(rngs, counts,
+                                    lambda rng, k: rng.random(k)),
+                         self._cdf, self._points)
 
     @functools.cached_property
     def duration_moments(self):
@@ -519,22 +598,27 @@ class LoopIntensity:
     def _multi_cdf(self):
         return np.cumsum(log_series_excess(self.a))
 
-    def draw_batch(self, rng, n):
-        '''n loops of the normalized intensity, loop i in configuration i
-        of a LoopBatch: n durations (sample_duration), then n uniform base
-        sites, then their bridges (bridges), in one pass.'''
-        return self._loops(rng, self.sample_duration(rng, n))
+    def draw_batch(self, rngs, counts):
+        '''counts[i] loops of the normalized intensity from each
+        generator rngs[i], joined in stream order, loop i in configuration
+        i of a LoopBatch: a stream's durations (sample_duration), then its
+        uniform base sites, then the bridges of all (bridges), in one
+        pass.'''
+        return self._loops(rngs, counts, self.sample_duration(rngs, counts))
 
-    def draw_multi_window(self, rng, n):
-        '''Grid only: n loops of the normalized intensity restricted to
-        two windows or more, as draw_batch draws them, with the mode
-        drawn with weight c_xi and its window count from
-        log_series_past_one.'''
-        mode = pick(self._multi_cdf, rng, n)
-        return self._loops(rng, self.nu * log_series_past_one(self.a[mode],
-                                                              rng))
+    def draw_multi_window(self, rngs, counts):
+        '''Grid only: loops of the normalized intensity restricted to
+        two windows or more, as draw_batch draws them, with a stream's
+        modes drawn with weight c_xi and their window counts from
+        log_series_past_one, whose rejection rounds stay within the
+        stream.'''
+        return self._loops(rngs, counts, self.nu * _by_stream(
+            rngs, counts, lambda rng, k: log_series_past_one(
+                self.a[pick(self._multi_cdf, rng, k)], rng)))
 
-    def _loops(self, rng, T):
-        '''Loops of the durations T: uniform base sites, then bridges.'''
-        x = rng.integers(self.torus.n_sites, size=len(T))
-        return bridges(self.torus, x, T, rng)
+    def _loops(self, rngs, counts, T):
+        '''Loops of the durations T: each stream's uniform base sites,
+        then the bridges.'''
+        x = _by_stream(rngs, counts,
+                       lambda rng, k: rng.integers(self.torus.n_sites, size=k))
+        return bridges(self.torus, x, T, rngs, counts)

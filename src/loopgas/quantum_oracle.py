@@ -503,7 +503,8 @@ def feynman_kac_check(torus, V_site, t, n_samples, seed):
         # all walks from x at once; walk k is configuration k of the batch
         end = pick(np.cumsum(np.maximum(table[torus.diff_table[:, x]], 0.0)),
                    rng, per_x)
-        batch = bridges(torus, np.full(per_x, x), np.full(per_x, t), rng, end)
+        batch = bridges(torus, np.full(per_x, x), np.full(per_x, t), [rng],
+                        [per_x], end)
         walk, site, length = batch.pieces()
         val = np.exp(-np.bincount(walk, weights=length * V_site[site],
                                   minlength=per_x))

@@ -18,10 +18,15 @@ the residue table and the inversion, with the same draws, budget and
 chunks; the library's bridges must match it bit for bit.
 rejection_loops is the bridge sampler the library used before exact
 bridges: it re-walks every open loop until it closes, and serves as a
-statistical oracle.  The occupation kernel builds one configuration's
-slices and occupations and its quadratic form at a time, for its total
-and for the pair matrices of groups of its loops (group_matrix).  The
-tests check the batched code against these, number for number.
+statistical oracle.  per_worker is run_mc's per-worker chunk loop from
+before it drew every worker's stream in one call: it calls a one-stream
+sample function once per stream and joins the rows in stream order, the
+oracle of the library's one call (one_stream_at_a_time turns the
+library's sample functions into such a one-stream function).  The
+occupation kernel builds one configuration's slices and occupations and
+its quadratic form at a time, for its total and for the pair matrices
+of groups of its loops (group_matrix).  The tests check the batched
+code against these, number for number.
 '''
 
 import itertools
@@ -33,6 +38,22 @@ import numpy as np
 from loopgas.interactions import v_tilde_table
 from loopgas.paths import (LoopBatch, _poisson_rows, _sites, _table_cut,
                            pick)
+
+
+# -- the per-worker reduction ------------------------------------------------
+
+def per_worker(sample_fn):
+    '''The run_mc sample function that calls sample_fn(rng, count) on
+    each stream and its count in turn and joins their rows in stream
+    order.'''
+    return lambda rngs, counts: np.concatenate(
+        [sample_fn(rng, n) for rng, n in zip(rngs, counts)], axis=-1)
+
+
+def one_stream_at_a_time(sample_fn):
+    '''The library's run_mc sample function sample_fn(rngs, counts)
+    called on one stream at a time: per_worker of its one-stream calls.'''
+    return per_worker(lambda rng, n: sample_fn([rng], [n]))
 
 
 # -- the reference loop type -----------------------------------------------
@@ -265,7 +286,7 @@ def full_inversion_bridges(torus, x, T, rng, y=None):
 def draw_batch(intensity, rng, n):
     '''n loops of the intensity, as Paths: n durations, n uniform base
     sites, then their bridges.'''
-    T = intensity.sample_duration(rng, n)
+    T = intensity.sample_duration([rng], [n])
     x = rng.integers(intensity.torus.n_sites, size=n)
     return bridges(intensity.torus, x, T, rng)
 
@@ -316,7 +337,7 @@ def rejection_loops(intensity, rng, n):
     '''n loops of the intensity by rejection: n durations, n uniform base
     sites, then rounds of free walks of the loops still open, each kept
     once it closes.  Returns (Paths, number of walks drawn).'''
-    T = intensity.sample_duration(rng, n)
+    T = intensity.sample_duration([rng], [n])
     x = rng.integers(intensity.torus.n_sites, size=n)
     loops, todo, n_walks = [None] * n, list(range(n)), 0
     for _ in range(10000):

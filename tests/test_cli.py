@@ -206,6 +206,22 @@ def test_one_nu_experiments_refuse_more_nus(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_an_estimate_whose_every_weight_underflowed_is_refused(tmp_path,
+                                                               capsys):
+    '''ginibre_z.json's physics at nu = 0.1 and kappa = 1e-4: loops so
+    long that every sample's e^{-V} underflows to 0, none of them a
+    hard-core kill.  The run holds no number, so it exits 2 and writes
+    no output; it does not report Z = 0 with no error.'''
+    doc = json.loads((_CONFIGS / "ginibre_z.json").read_text())
+    doc.update(nu_list=[0.1], kappa=1e-4, n_samples=200)
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["ginibre-z", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ArithmeticError" in err and "underflowed" in err
+    assert not (out / "ginibre_z.csv").exists()
+
+
 @pytest.mark.parametrize("extra", [{"nu": 0.1, "nu_list": [0.5]},
                                    {"eps": 0.1, "eps_list": [0.05]}],
                          ids=["nu", "eps"])
@@ -709,9 +725,12 @@ def test_grid_loops_past_the_bridge_budget_exit_2(tmp_path):
 
 def test_grid_loops_over_the_bridge_budget_draw_in_chunks(tmp_path):
     # kappa nu = 1e-5: a batch's bridges would need about 5.3e7 table
-    # cells in one call, but each loop fits, so bridges draws in chunks
+    # cells in one call, but each loop fits, so bridges draws in chunks;
+    # lambda = 1e-8 keeps the weights of those long loops above 0 (the
+    # chunks follow kappa, not lambda)
     run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(
-        nu=None, nu_list=[0.1], kappa=1e-4, n_samples=200, seed=7))
+        nu=None, nu_list=[0.1], kappa=1e-4, n_samples=200, seed=7,
+        **{"lambda": 1e-8}))
     assert run.returncode == 0, run.stderr
     assert run.stdout == "" and run.stderr == ""
     assert (tmp_path / "out" / "ginibre_z.json").exists()

@@ -456,9 +456,9 @@ def _reference_sampler(spec, fixed, n, phi_of):
 
     size = _batch_size(n)
     # one sample per list entry, then run_mc's rows
-    return lambda rng, m: np.array([
+    return loop_reference.per_worker(lambda rng, m: np.array([
         row for lo in range(0, m, size)
-        for row in batch(rng, min(size, m - lo))]).T
+        for row in batch(rng, min(size, m - lo))]).T)
 
 
 def test_estimate_x_matches_per_sample_reference(monkeypatch):
@@ -641,7 +641,7 @@ def test_pair_interaction_has_its_exact_mean(build):
     drawn, with_fixed = [], []
     for _ in range(10):
         m = 10 ** 5
-        loops = intensity.draw_batch(rng, 2 * m)
+        loops = intensity.draw_batch([rng], [2 * m])
         batch = LoopBatch.join(m, [
             (np.arange(m), fixed, np.zeros(m, dtype=np.int64)),
             (np.repeat(np.arange(m), 2), loops, None)])

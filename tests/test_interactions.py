@@ -523,7 +523,7 @@ def test_one_window_paths_interact_through_v0_alone(d, nu):
     params = _params(torus, vL, nu=nu, lam=0.9)
     T = np.full(2000, nu)
     x = rng.integers(torus.n_sites, size=2000)
-    closed = paths.bridges(torus, x, T, rng)
+    closed = paths.bridges(torus, x, T, [rng], [2000])
     open_walks = from_paths(
         [[path] for path in loop_reference.walks(torus, x, T, rng)[1]])
     exact = 0.5 * 0.9 * 0.7
@@ -876,9 +876,10 @@ def test_cut_order_is_lexsort_order_with_ties():
 def test_estimators_request_only_what_they_use(monkeypatch):
     '''The loop Monte Carlo asks the kernel for totals for Z, and for one
     matrix of 2 groups (the open paths, the background) over the m
-    configurations of each Gamma_p batch, in 1-sample chunks too (workers
-    == n_samples); the cluster expansion asks for the pair matrices of
-    the n slots of its samples of order n.'''
+    configurations of each Gamma_p batch; with 1-sample chunks (workers
+    == n_samples) the chunks share one batch and one request; the
+    cluster expansion asks for the pair matrices of the n slots of its
+    samples of order n.'''
     requests = []
 
     def spy(batch, params, kind, groups=None):
@@ -896,15 +897,14 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         "ginibre")
     for workers in (1, 4):
         loop_mc.estimate_rel_partition(spec, 4, seed=1, workers=workers)
-        assert [(n, groups) for n, groups, _ in requests] == (
-            [(4, None)] if workers == 1 else [(1, None)] * 4)
+        assert [(n, groups) for n, groups, _ in requests] == [(4, None)]
         requests.clear()
         loop_mc.estimate_gamma_p(spec, 1, [0], [0], 4, seed=2,
                                  workers=workers)
-        assert len(requests) == (1 if workers == 1 else 4)
+        assert len(requests) == 1
         for n, (group, count), shape in requests:
             assert count == 2 and shape == (n, 2, 2)
-            assert n == 4 // len(requests)
+            assert n == 4
             # the open paths, one a configuration, then the backgrounds
             group = np.asarray(group)
             assert np.array_equal(group[:n], np.zeros(n))
@@ -925,8 +925,8 @@ def _grid_batch(d, L, sizes, seed, kappa=0.3):
     (nu = 0.25 and kappa = 0.3 by default, so that loops span many
     windows).'''
     intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=kappa, nu=0.25)
-    loops = intensity.draw_batch(np.random.default_rng(seed),
-                                 int(sizes.sum()))
+    loops = intensity.draw_batch([np.random.default_rng(seed)],
+                                 [int(sizes.sum())])
     return LoopBatch.join(len(sizes), [
         (np.repeat(np.arange(len(sizes)), sizes), loops, None)])
 
@@ -1037,7 +1037,7 @@ def test_loops_in_any_order_give_the_same_numbers(monkeypatch, case):
         intensity = LoopIntensity(torus, kind, kappa=0.3, eps=0.05)
         batch = LoopBatch.join(len(sizes), [
             (np.repeat(np.arange(len(sizes)), sizes),
-             intensity.draw_batch(rng, int(sizes.sum())), None)])
+             intensity.draw_batch([rng], [int(sizes.sum())]), None)])
     group = rng.integers(0, 3, len(batch.config))
     want = [batch_interaction(batch, params, kind, groups)
             for groups in (None, (group, 3))]

@@ -39,7 +39,8 @@ def test_welford_merge_matches_numpy():
     def sample(rng, count):
         return rng.normal(size=count)
 
-    mean, se, rows = run_mc(sample, 1000, seed=0, workers=7)
+    mean, se, rows = run_mc(loop_reference.per_worker(sample), 1000, seed=0,
+                            workers=7)
     streams = np.random.SeedSequence(0).spawn(7)
     xs = np.concatenate([sample(np.random.default_rng(s), n) for s, n
                          in zip(streams, _chunks(1000, 7))])
@@ -57,7 +58,8 @@ def test_run_mc_comoments_match_numpy():
         x = rng.normal(size=count)
         return np.stack([x + rng.normal(size=count), np.exp(x)])
 
-    mean, se, rows = run_mc(sample, 1001, seed=4, workers=3)
+    mean, se, rows = run_mc(loop_reference.per_worker(sample), 1001, seed=4,
+                            workers=3)
     streams = np.random.SeedSequence(4).spawn(3)
     values = np.concatenate([sample(np.random.default_rng(s), n) for s, n
                              in zip(streams, _chunks(1001, 3))], axis=1)
@@ -71,8 +73,8 @@ def test_run_mc_comoments_match_numpy():
 
 
 def test_run_mc_deterministic_and_worker_dependent_streams():
-    def sample(rng, count):
-        return rng.random(count)
+    def sample(rngs, counts):
+        return np.concatenate([rng.random(n) for rng, n in zip(rngs, counts)])
 
     a = run_mc(sample, 500, seed=42, workers=3)
     b = run_mc(sample, 500, seed=42, workers=3)
@@ -88,11 +90,12 @@ def test_run_mc_rows_match_one_row_runs():
         x = rng.normal(size=count)
         return np.stack([x, np.exp(x), x * x])
 
-    mean, se, rows = run_mc(sample, 1001, seed=4, workers=3)
+    mean, se, rows = run_mc(loop_reference.per_worker(sample), 1001, seed=4,
+                            workers=3)
     assert mean.shape == se.shape == (3,) and rows.shape == (3, 1001)
     for j in range(3):
-        one = run_mc(lambda rng, n: sample(rng, n)[j], 1001, seed=4,
-                     workers=3)
+        one = run_mc(loop_reference.per_worker(
+            lambda rng, n: sample(rng, n)[j]), 1001, seed=4, workers=3)
         assert one[:2] == (mean[j], se[j])
         assert np.array_equal(one[2], rows[j])
 
@@ -105,7 +108,8 @@ def test_paired_ratio_is_the_delta_method():
     D = rng.uniform(0.5, 1.0, 500)
     N = 0.7 * D + 0.05 * rng.normal(size=500)
     values = np.stack([N, D])
-    mean, se, rows = run_mc(lambda r, n: values[:, :n], 500, seed=1)
+    mean, se, rows = run_mc(lambda rngs, counts: values[:, :sum(counts)],
+                            500, seed=1)
     ratio, ratio_se, meta = _paired_ratio(mean, se, rows)
     r = N.mean() / D.mean()
     assert ratio == pytest.approx(r, rel=1e-13)
@@ -116,9 +120,8 @@ def test_paired_ratio_is_the_delta_method():
 
 
 def test_run_mc_worker_counts_agree():
-    def sample(rng, count):
-        return rng.exponential(size=count)
-
+    sample = loop_reference.per_worker(
+        lambda rng, count: rng.exponential(size=count))
     one = run_mc(sample, 4000, seed=6, workers=1)
     three = run_mc(sample, 4000, seed=6, workers=3)
     assert abs(one[0] - three[0]) <= 3.0 * math.hypot(one[1], three[1])
@@ -252,7 +255,7 @@ def test_permutation_law_is_the_product_of_free_kernels():
                                     eps=0.1)):
         xs, ys = [0, 1, 2], [2, 0, 1]
         law = _OpenPaths(intensity, xs, ys)
-        ends, _, _ = law.draw(np.random.default_rng(12), 30000)
+        ends, _, _ = law.draw([np.random.default_rng(12)], [30000])
         rows = (ends[:, None, :] == law.ends[None]).all(axis=2)
         assert np.all(rows.sum(axis=1) == 1)
         prob = np.array([math.prod(loop_reference.free_kernel(
@@ -364,7 +367,7 @@ def test_free_gamma_at_coinciding_sites_is_exact(kind, p):
 @pytest.mark.parametrize("n", [0, 1])
 def test_run_mc_needs_two_samples(n):
     with pytest.raises(ValueError, match="n_samples >= 2"):
-        run_mc(lambda rng, count: rng.random(count), n, seed=1)
+        run_mc(lambda rngs, counts: rngs[0].random(counts[0]), n, seed=1)
 
 
 @pytest.mark.parametrize("denom_samples", [0, 1])
@@ -372,6 +375,20 @@ def test_gamma_p_rejects_denominators_below_two_samples(denom_samples):
     with pytest.raises(ValueError, match="denom_samples"):
         estimate_gamma_p(_grid_spec(), 1, [0], [0], 10, seed=1,
                          denom_samples=denom_samples)
+
+
+def test_partition_refuses_weights_that_all_underflowed():
+    '''kappa nu = 1e-5 on ginibre_z.json's physics: every sample's
+    e^{-V} underflows to 0 and no sample is a hard-core kill, so the
+    estimate raises instead of reading Z = 0 with SE 0.  Under a hard
+    core whose every sample is killed, Z = 0 stands.'''
+    spec = _grid_spec(nu=0.1, kappa=1e-4)
+    with pytest.raises(ArithmeticError, match="underflowed"):
+        estimate_rel_partition(spec, 20, seed=7)
+    killed = _hard_core_spec(3, 0.5, "generic", lam=1.0, kappa=0.01)
+    est = estimate_rel_partition(killed, 20, seed=7)
+    assert est.metadata["killed_frac"] == 1.0
+    assert (est.mean, est.std_error) == (0.0, 0.0)
 
 
 def test_gamma_p_denominator_shares_the_numerator_samples():
@@ -405,18 +422,39 @@ def test_batch_rule_fills_the_loop_budget(budget, monkeypatch):
             assert size == 1
 
 
+def _recording_draw(groups):
+    def draw(rngs, counts):
+        groups.append(list(counts))
+        return np.concatenate([rng.random(m) for rng, m in zip(rngs, counts)])
+    return draw
+
+
 def test_batched_cuts_a_chunk_by_the_rule(monkeypatch):
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 8)
-    sizes = []
-
-    def draw(rng, m):
-        sizes.append(m)
-        return rng.random(m)
-
-    sample = _batched(draw, lambda values: 2.0 * values, 2.5)
-    values = sample(np.random.default_rng(4), 10)
-    assert sizes == [3, 3, 3, 1]
+    groups = []
+    sample = _batched(_recording_draw(groups), lambda values: 2.0 * values,
+                      2.5)
+    values = sample([np.random.default_rng(4)], [10])
+    assert groups == [[3], [3], [3], [1]]
     assert np.array_equal(values, 2.0 * np.random.default_rng(4).random(10))
+
+
+def test_batched_packs_consecutive_batches_of_the_streams(monkeypatch):
+    '''Batches of 3 samples: the chunks 10, 2, 1 and 3 cut into the
+    batches 3, 3, 3, 1 | 2 | 1 | 3, and consecutive batches share a
+    group while their samples fit one batch: the last 1 of the first
+    stream with the 2 of the second, then the 1 of the third alone,
+    since the full batch after it does not fit.  Each stream draws its
+    own values, in stream order.'''
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 8)
+    groups = []
+    sample = _batched(_recording_draw(groups), lambda values: 2.0 * values,
+                      2.5)
+    counts = [10, 2, 1, 3]
+    values = sample([np.random.default_rng(s) for s in range(4)], counts)
+    assert groups == [[3], [3], [3], [1, 2], [1], [3]]
+    assert np.array_equal(values, 2.0 * np.concatenate([
+        np.random.default_rng(s).random(n) for s, n in enumerate(counts)]))
 
 
 # -- the batched estimators against per-sample references ------------------------
@@ -455,7 +493,8 @@ def _reference_run(spec, n_samples, seed, workers, batch_of, loops_per_sample):
                          for value in batch_of(rng, min(size, count - lo),
                                                backgrounds, boltzmann)]).T
 
-    return run_mc(sample, n_samples, seed, workers), tally
+    return run_mc(loop_reference.per_worker(sample), n_samples, seed,
+                  workers), tally
 
 
 def _check_counters(meta, tally, n_samples):
@@ -544,9 +583,9 @@ def test_gamma_p_draws_one_bridges_call_per_batch(monkeypatch):
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", _SMALL_BUDGET)
     calls = []
 
-    def spy(torus, x, T, rng, y=None):
+    def spy(torus, x, T, rngs, counts, y=None):
         calls.append(len(x))
-        return bridges(torus, x, T, rng, y)
+        return bridges(torus, x, T, rngs, counts, y)
 
     monkeypatch.setattr(loop_mc, "bridges", spy)
     spec = _grid_spec()
@@ -730,7 +769,7 @@ def test_background_controls_have_their_exact_means(spec):
     '''The sample means of K, K^2, S, S^2 over 10^5 drawn backgrounds
     against _background_means: |z| < 4 each.'''
     _, _, controls = _draw_background(spec.intensity,
-                                      np.random.default_rng(5), 10 ** 5,
+                                      [np.random.default_rng(5)], [10 ** 5],
                                       _Tally())
     controls = np.array(controls, dtype=float).T
     z = ((controls.mean(axis=0) - _background_means(spec.intensity))

@@ -34,7 +34,7 @@ def test_path_evaluation_and_local_time():
 def _open_durations(intensity, n, seed):
     '''n open-path durations of the kernel estimates' law (p = 1).'''
     law = _OpenPaths(intensity, [0], [0])
-    return law.draw(np.random.default_rng(seed), n)[1].ravel()
+    return law.draw([np.random.default_rng(seed)], [n])[1].ravel()
 
 
 def test_duration_laws_normalization_and_support():
@@ -121,7 +121,7 @@ def test_loop_intensity_duration_law():
     torus = Torus(1, 3)
     intensity = LoopIntensity(torus, "ginibre", kappa=1.0, nu=0.5)
     rng = np.random.default_rng(11)
-    T = intensity.sample_duration(rng, size=20000)
+    T = intensity.sample_duration([rng], [20000])
     w1 = math.exp(-0.5) * float(torus.heat_kernel_at_origin(0.5)) * 3
     p1 = w1 / intensity.total_mass
     frac = np.mean(np.abs(T - 0.5) < 1e-12)
@@ -169,7 +169,7 @@ def test_sample_loop_is_closed_and_uniform_base():
                       LoopIntensity(torus, "symanzik_eps", kappa=1.0,
                                     eps=0.1)):
         rng = np.random.default_rng(13)
-        batch = intensity.draw_batch(rng, n)
+        batch = intensity.draw_batch([rng], [n])
         assert batch.config.tolist() == list(range(n))
         assert np.array_equal(_loop_ends(batch), batch.start)
         assert np.all(np.diff(batch.times)[
@@ -213,8 +213,8 @@ def test_bridge_midpoints_follow_the_heat_kernels(d, L):
     x = np.zeros(n, dtype=np.int64)
     for target in ([1] + [0] * (d - 1), [1] * d):
         y = int(torus.index_of(target))
-        batch = bridges(torus, x, np.full(n, T), np.random.default_rng(
-            31 + 7 * d + L), np.full(n, y))
+        batch = bridges(torus, x, np.full(n, T), [np.random.default_rng(
+            31 + 7 * d + L)], [n], np.full(n, y))
         assert np.all(_loop_ends(batch) == y)
         # the jumps before T/2 of each bridge, and the site they reach
         counts = np.diff(batch.offsets)
@@ -282,7 +282,7 @@ def test_bridges_are_closed_nearest_neighbour_paths(d, L):
     n = 300
     x = np.arange(n) % torus.n_sites
     T = np.linspace(0.05, 30.0, n)
-    batch = bridges(torus, x, T, np.random.default_rng(d * 10 + L))
+    batch = bridges(torus, x, T, [np.random.default_rng(d * 10 + L)], [n])
     counts = np.diff(batch.offsets)
     loop = np.repeat(np.arange(n), counts)
     assert np.array_equal(_loop_ends(batch), x)
@@ -305,7 +305,7 @@ def test_bridge_jump_counts_follow_the_conditioned_poisson_law(d, L, T):
     torus = Torus(d, L)
     n = 20000
     batch = bridges(torus, np.zeros(n, dtype=np.int64), np.full(n, T),
-                    np.random.default_rng(19))
+                    [np.random.default_rng(19)], [n])
     probs = _jump_law(torus, T)
     counts = np.bincount(np.diff(batch.offsets), minlength=len(probs))
     assert len(counts) == len(probs)
@@ -332,7 +332,7 @@ def test_bridges_agree_with_the_rejection_sampler(kind, d, L):
         return (np.diff(batch.offsets), home,
                 np.bincount(visits, minlength=n))
 
-    new = stats(intensity.draw_batch(np.random.default_rng(23), n))
+    new = stats(intensity.draw_batch([np.random.default_rng(23)], [n]))
     old = stats(from_paths([loop_reference.rejection_loops(
         intensity, np.random.default_rng(29), n)[0]]))
     for a, b in zip(new, old):
@@ -369,7 +369,7 @@ def test_low_acceptance_bridges_draw_in_one_pass():
     for m in (1, n):
         rng = _CountingRng(37)
         batch = bridges(torus, np.arange(m) % torus.n_sites, np.full(m, T),
-                        rng)
+                        [rng], [m])
         assert rng.calls == 2
     assert np.array_equal(_loop_ends(batch), batch.start)
     jumps = np.diff(batch.offsets)
@@ -379,7 +379,7 @@ def test_low_acceptance_bridges_draw_in_one_pass():
     assert abs(jumps.mean() - mean) <= 3 * sd / math.sqrt(n)
     intensity = LoopIntensity(torus, "ginibre", kappa=0.1, nu=0.5)
     rng = _CountingRng(41)
-    intensity.draw_batch(rng, n)
+    intensity.draw_batch([rng], [n])
     assert rng.calls == 5
 
 
@@ -394,12 +394,13 @@ def test_bridges_past_the_cell_budget_are_refused_before_any_draw(
 
     torus = Torus(1, 3)
     intensity = LoopIntensity(torus, "ginibre", kappa=1e-5, nu=50.0)
-    T = np.insert(intensity.sample_duration(np.random.default_rng(0), 4096),
+    T = np.insert(intensity.sample_duration([np.random.default_rng(0)],
+                                            [4096]),
                   1000, 1e8)
     monkeypatch.setattr(paths, "_log_factorials", refuse)
     rng = _CountingRng(1)
     with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
-        bridges(torus, np.zeros(len(T), dtype=np.int64), T, rng)
+        bridges(torus, np.zeros(len(T), dtype=np.int64), T, [rng], [len(T)])
     assert rng.calls == 0
 
 
@@ -418,7 +419,7 @@ def test_bridge_budget_counts_the_table_and_the_columns(monkeypatch, closed):
     for budget, calls in ((cells, 2), (cells - 1, 4)):
         monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
         rng = _CountingRng(3)
-        bridges(torus, x, T, rng, y)
+        bridges(torus, x, T, [rng], [len(x)], y)
         assert rng.calls == calls
 
 
@@ -448,14 +449,14 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
     assert all(cells(chunk) <= budget for chunk in chunks)
     ref = np.random.default_rng(5)
     drawn = LoopBatch.join(12, [
-        (chunk, bridges(torus, x[chunk], T[chunk], ref,
+        (chunk, bridges(torus, x[chunk], T[chunk], [ref], [len(chunk)],
                         None if closed else y[chunk]), None)
         for chunk in chunks])
     expected = LoopBatch.join(12, [(np.arange(12), drawn,
                                     np.argsort(drawn.config))])
     monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
     rng = np.random.default_rng(5)
-    batch = bridges(torus, x, T, rng, None if closed else y)
+    batch = bridges(torus, x, T, [rng], [12], None if closed else y)
     for name in ("config", "start", "duration", "offsets", "times",
                  "sites"):
         assert np.array_equal(getattr(batch, name), getattr(expected, name))
@@ -467,11 +468,114 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
     assert len(batch.times) > 0
 
 
+def test_table_rows_cut_one_by_one_are_the_rows_of_their_own_cut():
+    '''A residue table with a cut per row holds, in each row, the row of
+    a table cut at that row's cut alone, then zeros: a stream's rows in a
+    call of several streams are those of its own call.'''
+    L = 3
+    lam = np.array([0.05, 0.5, 2.0, 2.0, 9.0])
+    cuts = np.array([4, 40, 11, 25, 30])
+    table = paths._poisson_rows(lam, cuts, L)
+    assert table.shape == (5, 40 // L + 1, L)
+    for i in range(5):
+        own = paths._poisson_rows(lam[i:i + 1], int(cuts[i]), L)[0]
+        flat = table[i].ravel()
+        assert np.array_equal(flat[:own.size], own.ravel())
+        assert not flat[own.size:].any()
+
+
+def _assert_streams_draw_alone(torus, x, T, counts, y):
+    '''bridges over the streams of counts (generators seeded 0, 1, ...)
+    gives the LoopBatch of each stream's walks drawn as a call of their
+    own, joined in stream order, walk k at position k, and leaves each
+    generator as its own call does.'''
+    new = [np.random.default_rng(s) for s in range(len(counts))]
+    ref = [np.random.default_rng(s) for s in range(len(counts))]
+    batch = bridges(torus, x, T, new, counts, y)
+    ends = np.cumsum(counts)
+    expected = LoopBatch.join(len(x), [
+        (np.arange(hi - k, hi), bridges(
+            torus, x[hi - k:hi], T[hi - k:hi], [rng], [k],
+            None if y is None else y[hi - k:hi]), None)
+        for rng, k, hi in zip(ref, counts, ends)])
+    for name in ("config", "start", "duration", "offsets", "times",
+                 "sites"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+    assert [g.bit_generator.state for g in new] == [
+        g.bit_generator.state for g in ref]
+    assert batch.config.tolist() == list(range(len(x)))
+    assert np.array_equal(batch.start, x) and np.array_equal(batch.duration,
+                                                             T)
+    assert np.array_equal(_loop_ends(batch), x if y is None else y)
+    return batch
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_streams_draw_as_their_own_calls(closed):
+    '''Four streams of 30, 0, 17 and 45 walks, on durations shared
+    across the streams (each stream's table rows cut at its own longest
+    duration) and on durations that are not, give the walks of the
+    streams' own calls, number for number.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(21)
+    counts = [30, 0, 17, 45]
+    n = sum(counts)
+    x = rng.integers(torus.n_sites, size=n)
+    y = None if closed else rng.integers(torus.n_sites, size=n)
+    shared = 0.5 * rng.integers(1, 60, size=n)
+    for T in (shared, np.exp(rng.uniform(math.log(1e-3), math.log(80.0),
+                                         n))):
+        jumps = np.diff(_assert_streams_draw_alone(torus, x, T, counts,
+                                                   y).offsets)
+        assert (jumps > 0).any() and (jumps == 0).any()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_streams_over_the_budget_split_by_stream_first(monkeypatch,
+                                                       closed):
+    '''Over MAX_BRIDGE_CELLS, a call of three streams draws each stream
+    as a call of its own: the first stream's walks fit the budget alone,
+    the third's do not and draw in chunks, so every draw and every
+    position is the per-stream calls'.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(22)
+    counts = [20, 0, 40]
+    n = sum(counts)
+    x = rng.integers(torus.n_sites, size=n)
+    y = None if closed else rng.integers(torus.n_sites, size=n)
+    T = np.concatenate((rng.uniform(0.1, 2.0, 20),
+                        np.exp(rng.uniform(math.log(1e-3), math.log(200.0),
+                                           40))))
+    per_walk = 2 * (1 if closed else 2)
+
+    def cells(walks):
+        table = residue_table(np.unique(T[walks] / 2), 3)
+        return table.size + len(walks) * per_walk * table.shape[1]
+
+    budget = cells(np.arange(20))
+    assert cells(np.arange(20, 60)) > budget
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
+    calls = []
+    split = paths.bridges
+
+    def spy(torus, x, T, rngs, counts, y=None):
+        calls.append(list(counts))
+        return split(torus, x, T, rngs, counts, y)
+
+    monkeypatch.setattr(paths, "bridges", spy)
+    _assert_streams_draw_alone(torus, x, T, counts, y)
+    # the per-stream calls of the split, then the third stream's chunks,
+    # drawn by the split and again by the reference's call of its own
+    chunks = calls[3:]
+    assert calls[:3] == [[20], [0], [40]] and chunks
+    assert chunks[:len(chunks) // 2] == chunks[len(chunks) // 2:]
+
+
 def _assert_same_bridges(torus, x, T, seed, y):
     '''bridges and the full-inversion reference give the same LoopBatch
     fields and leave their generators in the same state.'''
     new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = bridges(torus, x, T, new, y)
+    batch = bridges(torus, x, T, [new], [len(x)], y)
     expected = loop_reference.full_inversion_bridges(torus, x, T, ref, y)
     for name in ("config", "start", "duration", "offsets", "times",
                  "sites"):
@@ -618,7 +722,7 @@ def test_grid_durations_follow_the_mode_mixture(d, L, kappa, nu):
     torus = Torus(d, L)
     intensity = LoopIntensity(torus, "ginibre", kappa=kappa, nu=nu)
     k, mass = _grid_masses(torus, kappa, nu)
-    T = intensity.sample_duration(np.random.default_rng(43), 100000)
+    T = intensity.sample_duration([np.random.default_rng(43)], [100000])
     steps = np.rint(T / nu).astype(np.int64)
     assert np.all(steps >= 1) and np.array_equal(T, nu * steps)
     edges = np.unique(np.geomspace(1, k[-1] + 1, 60).astype(np.int64))
@@ -689,7 +793,8 @@ def test_multi_window_loops_have_their_exact_mass_and_mean(d, L):
                                              rel=1e-14)
     assert mean == pytest.approx(
         nu * math.fsum(x * x / (1.0 - x) for x in a) / C, rel=1e-14)
-    batch = intensity.draw_multi_window(np.random.default_rng(8), 10 ** 6)
+    batch = intensity.draw_multi_window([np.random.default_rng(8)],
+                                        [10 ** 6])
     T = batch.duration
     steps = np.rint(T / nu)
     assert np.array_equal(T, nu * steps) and steps.min() >= 2
@@ -707,7 +812,7 @@ def test_empty_law_draws_the_shortest_duration(kind):
         warnings.simplefilter("error")
         intensity = LoopIntensity(Torus(1, 3), kind, kappa=1e6, nu=0.5,
                                   eps=0.02)
-        T = intensity.sample_duration(np.random.default_rng(0), 5)
+        T = intensity.sample_duration([np.random.default_rng(0)], [5])
     assert intensity.total_mass == 0.0
     assert intensity.metadata.get("quad_err", 0.0) == 0.0
     assert np.all(T == (0.5 if kind == "ginibre" else 0.02))
@@ -734,10 +839,10 @@ def _check_open_path_weights(kind):
     rng = np.random.default_rng(17)
     n = 40000
     law = _OpenPaths(intensity, [0], [1])
-    ends, T, w = law.draw(rng, n)
+    ends, T, w = law.draw([rng], [n])
     w = law.unit * w
-    batch = bridges(torus, np.zeros(n, dtype=np.int64), T.ravel(), rng,
-                    ends.ravel())
+    batch = bridges(torus, np.zeros(n, dtype=np.int64), T.ravel(), [rng],
+                    [n], ends.ravel())
     assert np.all(_loop_ends(batch) == 1)
     se = w.std(ddof=1) / math.sqrt(n)
     assert abs(w.mean() - target) <= 3.0 * se
@@ -777,26 +882,26 @@ def test_walk_and_loop_keep_the_reference_stream(d, L):
         n = torus.n_sites
         x = np.arange(12) % n
         T = 0.25 + 0.5 * np.arange(12)
-        batch = bridges(torus, x, T, new)
+        batch = bridges(torus, x, T, [new], [12])
         assert batch.config.tolist() == list(range(12))
         assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref))
         assert new.bit_generator.state == ref.bit_generator.state
         y = (3 * x + seed) % n
-        batch = bridges(torus, x, T, new, y)
+        batch = bridges(torus, x, T, [new], [12], y)
         assert _same_paths(batch, loop_reference.bridges(torus, x, T, ref, y))
         assert new.bit_generator.state == ref.bit_generator.state
         xs, ys = [seed % n, 0], [(5 * seed + 1) % n, seed % n]
         for intensity in intensities:
             m = seed % 7
-            batch = intensity.draw_batch(new, m)
+            batch = intensity.draw_batch([new], [m])
             loops = loop_reference.draw_batch(intensity, ref, m)
             assert batch.config.tolist() == list(range(m))
             assert _same_paths(batch, loops)
             assert new.bit_generator.state == ref.bit_generator.state
             law = _OpenPaths(intensity, xs, ys)
-            ends, T_open, w = law.draw(new, m)
-            batch = bridges(torus, np.tile(xs, m), T_open.ravel(), new,
-                            ends.ravel())
+            ends, T_open, w = law.draw([new], [m])
+            batch = bridges(torus, np.tile(xs, m), T_open.ravel(), [new],
+                            [2 * m], ends.ravel())
             opened = loop_reference.open_paths(intensity, xs, ys, ref, m)
             assert _same_paths(batch, [path for paths, _ in opened
                                        for path in paths])
@@ -867,9 +972,9 @@ def test_duration_moments_match_the_draws(kind, d, L, nu):
     intensity = LoopIntensity(Torus(d, L), kind, kappa=1.0, nu=nu,
                               eps=nu / 5)
     rng = np.random.default_rng(2024)
-    loops = intensity.sample_duration(rng, 10 ** 6)
+    loops = intensity.sample_duration([rng], [10 ** 6])
     law = _OpenPaths(intensity, [0], [0])
-    _, opens, _ = law.draw(rng, 10 ** 6)
+    _, opens, _ = law.draw([rng], [10 ** 6])
     for draws, moments in ((loops, intensity.duration_moments),
                            (opens.ravel(), law.duration_moments)):
         z = _moment_z(draws, moments)
@@ -888,7 +993,7 @@ def test_empty_law_moments_are_the_shortest_duration(kind):
         shortest = 0.5 if kind == "ginibre" else 0.02
         assert intensity.duration_moments == (shortest, shortest ** 2)
         law = _OpenPaths(intensity, [0], [0])
-        _, T, _ = law.draw(np.random.default_rng(1), 1000)
+        _, T, _ = law.draw([np.random.default_rng(1)], [1000])
         mean, square = law.duration_moments
     if kind == "ginibre":
         assert np.all(T == 0.5) and (mean, square) == (0.5, 0.25)
