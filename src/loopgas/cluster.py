@@ -60,9 +60,26 @@ mean SE^2 of log Z fell 13x, from 1.64e-7 to 1.24e-8: per order 1.15e-8,
 than 25 samples per control in a fold keeps the plain estimate.  The
 tree-bound remainder and the effective sample sizes stay plain.
 
-Order n of a request at seed s runs on the stream of the seed sequence
-(s, n), and the remainder on (s, n_max + 1), so no two orders of any
-two requests share a stream.
+Order n of a request at seed s runs on the streams of the seed
+sequence (s, n), one a worker as run_mc spawns them, and the remainder
+on (s, n_max + 1), so no two orders of any two requests share a stream.
+Each order keeps its batches of _batch_size(n) samples, but the orders
+and the remainder are drawn together (loop_mc._pack): their batches,
+taken in order of n and then of worker, share a group while their
+expected loops, n a sample, fit loop_mc._BATCH_LOOPS.  A group makes one
+draw pass, every stream's durations (order 1's from its stratum), then
+each stream's base sites, then one paths.bridges call for all its
+loops, and one kernel call with as many groups as its largest order
+has slots; order n reads the top-left n x n block of its samples'
+matrices.  Each order's rows are reduced as run_mc reduces them
+(loop_mc._mean_se), and every stream makes the draws it makes alone, so
+a report equals that of one run_mc call per order, bit for bit
+(tests/cluster_reference.py).  The cluster-logz benchmark's request
+(n_max = 3, 500 samples, one worker) draws orders 1, 2 and 3 in one
+group (3000 loops) and order 4 in another (2000): two bridges and two
+kernel calls where one run_mc call per order made four of each, and its
+wall time per request fell from 7.05 to 6.56 ms (benchmark medians of
+10 alternating runs a side, 2-vCPU x86-64 VM).
 '''
 
 import itertools
@@ -72,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .interactions import batch_interaction
-from .loop_mc import _batched, _control_step, _controlled, run_mc
+from .loop_mc import _control_step, _controlled, _mean_se, _pack, _streams
 from .paths import LoopBatch
 
 MAX_URSELL_N = 6
@@ -245,6 +262,19 @@ def _require_ginibre(spec):
         raise ValueError("expansion estimators require the grid ensemble")
 
 
+def _order_rows(V, T, p, factor, phi_of):
+    '''The rows (value, w, w^2, S[, V]) of the samples of one order
+    from their (C, n, n) pair matrices V and the durations T (C, n - p)
+    of their drawn loops: S the summed durations, and past order 1 the
+    summed pair interactions of the pairs i < j with j drawn.'''
+    weight, zeta = _weights_and_zeta(V, p)
+    rows = [factor * weight * phi_of(zeta), weight, weight * weight,
+            T.sum(axis=1)]
+    if V.shape[1] > 1:
+        rows.append(np.triu(V, 1)[:, :, p:].sum(axis=(1, 2)))
+    return np.stack(rows)
+
+
 def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
     '''Per-order MC estimate of the truncated series X(fixed paths),
     the p fixed paths given as a LoopBatch of one configuration: order n
@@ -252,8 +282,8 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
     self-interaction importance weights e^{-V(w,w)/2}, evaluates the
     Ursell factor over fixed + drawn paths (slots 0..p - 1, then p..n -
     1), and multiplies the loop mass to the power n - p and the
-    combinatorial factor n!/(n-p)!.  n_max is at most MAX_URSELL_N,
-    checked before any draw.
+    combinatorial factor n!/(n-p)!.  n_max is at most MAX_URSELL_N and
+    n_samples at least 2, both checked before any draw.
 
     Order 1 of log Z (p = 0) sums its one-window loops exactly and
     draws only loops of two windows or more, controlled by their
@@ -263,6 +293,10 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
     physics the SE^2 of orders 1, 2 and 3 is 1.15e-8, 8.8e-10 and
     2.4e-11, against 8.1e-8, 8.4e-8 and 5.7e-11 with the S, Q controls
     of the unstratified orders.
+
+    The orders and the remainder are drawn together, in groups of at
+    most _BATCH_LOOPS expected loops, each order on its own streams
+    (module docstring).
 
     Returns a report with per-order means/std errors, the plain means and
     std errors, variance ratios, control names and effective sample
@@ -299,40 +333,52 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
         one_window = (math.exp(-0.5 * params.lam * float(params.vL[0]))
                       * float(intensity.a.sum()))
         drawn_share = drawn_mass / mass if mass > 0 else 0.0
-
-    def sampler(n, bound_mode=False):
-        q = n - p
+    # the orders that draw, order 1 of log Z unless every loop has one
+    # window (then it is exact), and the tree-bound order n_max + 1
+    runs = [n for n in orders if p or n > 1 or drawn_mass > 0] + [n_max + 1]
+    streams = [_streams(n_samples, (seed, n), workers) for n in runs]
+    factors, durations = [], []
+    for n in runs:
         stratum = p == 0 and n == 1
-        factor = (math.factorial(n) // math.factorial(q)
-                  * (drawn_mass if stratum else mass) ** q)
-        draw = (intensity.draw_multi_window if stratum
-                else intensity.draw_batch)
-        phi_of = tree_sum if bound_mode else ursell
-
-        def configs(rngs, counts):
-            # the fixed paths of every sample, then the drawn loops, each
-            # loop labelled with its slot
-            m = sum(counts)
-            loops = draw(rngs, [k * q for k in counts])
-            fixed_slot = np.tile(np.arange(p), m)
-            batch = LoopBatch.join(m, [
-                (np.repeat(np.arange(m), p), fixed, fixed_slot),
-                (np.repeat(np.arange(m), q), loops, None)])
-            slot = np.concatenate((fixed_slot, np.tile(np.arange(p, n), m)))
-            return batch, slot, loops.duration.reshape(m, q)
-
-        def evaluate(drawn):
-            batch, slot, T = drawn
-            V = batch_interaction(batch, params, spec.kind, (slot, n))
-            weight, zeta = _weights_and_zeta(V, p)
-            rows = [factor * weight * phi_of(zeta), weight, weight * weight,
-                    T.sum(axis=1)]
-            if n > 1:
-                # the pairs i < j with j drawn
-                rows.append(np.triu(V, 1)[:, :, p:].sum(axis=(1, 2)))
-            return np.stack(rows)
-
-        return _batched(configs, evaluate, n)
+        factors.append(math.factorial(n) // math.factorial(n - p)
+                       * (drawn_mass if stratum else mass) ** (n - p))
+        durations.append(intensity.sample_multi_window_duration if stratum
+                         else intensity.sample_duration)
+    parts = [[] for _ in runs]
+    for group in _pack([(n, *stream) for n, stream in zip(runs, streams)]):
+        # draw phase: every stream's durations, then each stream's base
+        # sites and all the group's bridges (draw_loops)
+        sizes = [sum(counts) for _, _, counts in group]
+        drawn = [runs[r] - p for r, _, _ in group]
+        T = np.concatenate([durations[r](rngs, [k * q for k in counts])
+                            for (r, rngs, counts), q in zip(group, drawn)])
+        loops = intensity.draw_loops(
+            [rng for _, rngs, _ in group for rng in rngs],
+            [k * q for (_, _, counts), q in zip(group, drawn)
+             for k in counts], T)
+        # the fixed paths of every sample, then the drawn loops, each
+        # loop labelled with its slot
+        m = sum(sizes)
+        fixed_slot = np.tile(np.arange(p), m)
+        batch = LoopBatch.join(m, [
+            (np.repeat(np.arange(m), p), fixed, fixed_slot),
+            (np.repeat(np.arange(m), np.repeat(drawn, sizes)), loops, None)])
+        slot = np.concatenate([fixed_slot] + [
+            np.tile(np.arange(p, p + q), k) for q, k in zip(drawn, sizes)])
+        # compute phase: one kernel call for as many slots as the largest
+        # order has, order n reading the top-left n x n block of its
+        # samples' pair matrices
+        P = batch_interaction(batch, params, spec.kind,
+                              (slot, p + max(drawn)))
+        lo = at = 0
+        for (r, _, _), q, k in zip(group, drawn, sizes):
+            n = p + q
+            parts[r].append(_order_rows(
+                np.ascontiguousarray(P[lo:lo + k, :n, :n]),
+                T[at:at + k * q].reshape(k, q), p, factors[r],
+                tree_sum if n > n_max else ursell))
+            lo, at = lo + k, at + k * q
+    rows = {n: np.concatenate(part, axis=-1) for n, part in zip(runs, parts)}
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "plain_means": [], "plain_std_errors": [],
@@ -341,23 +387,22 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
               "drawn_share": drawn_share}
     for n in orders:
         q = n - p
-        stratum = p == 0 and n == 1
         if n == 1:
             names, means = ["S"], [drawn_T]
         else:
             names = ["S", "V"]
             means = [q * mean_T, pair * mean_T * (q * (q - 1) / 2 * mean_T
                                                   + q * fixed_T)]
-        offset = one_window if stratum else 0.0
-        if stratum and not drawn_mass > 0:
+        offset = one_window if p == 0 and n == 1 else 0.0
+        if n not in rows:
             # every loop has one window: the order is exact
             value, value_se, step, ess = offset, 0.0, None, float(n_samples)
         else:
             # rows (value, w, w^2, controls): ESS = (sum w)^2 / sum w^2
-            mean, se, rows = run_mc(sampler(n), n_samples, (seed, n),
-                                    workers)
+            mean, se = _mean_se(rows[n])
             value, value_se = offset + float(mean[0]), float(se[0])
-            step = _control_step(rows[0], mean[0], rows[3:], np.array(means))
+            step = _control_step(rows[n][0], mean[0], rows[n][3:],
+                                 np.array(means))
             ess = (float(n_samples * mean[1] ** 2 / mean[2]) if mean[2] > 0
                    else 0.0)
         value, value_se, controls = _controlled(value, value_se, step, 1.0,
@@ -369,8 +414,7 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
         report["variance_ratios"].append(controls["variance_ratio"])
         report["controls"].append(controls["controls"])
         report["ess"].append(ess)
-    rem, rem_se, _ = run_mc(sampler(n_max + 1, bound_mode=True), n_samples,
-                            (seed, n_max + 1), workers)
+    rem, rem_se = _mean_se(rows[n_max + 1])
     report["remainder"] = float(rem[0])
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))

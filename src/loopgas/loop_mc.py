@@ -30,15 +30,17 @@ of drawn loops, not of samples: with l the expected loops drawn per
 sample, known before any draw (the Poisson mass, plus the p open paths
 of a kernel; n for order n of the cluster expansion), it holds max(1,
 floor(_BATCH_LOOPS / max(1, l))) samples.  Consecutive batches, in
-worker order, are packed into one group while their samples fit one
-batch (_batched), so a group holds at most one batch of each worker and
-at most the loops of one batch; at one worker the groups are the
-batches.  A group draws each worker's batch from that worker's
-generator: every draw site takes the generators and the count of each
-(paths._by_stream), so all workers' loops go through one paths.bridges
-call.  A loop's sample is its configuration label, so a group holds its
-loops in the order they were drawn.  A kernel's call
-evaluates each sample once, its open paths and its background as two
+worker order, are packed into one group while their expected loops fit
+_BATCH_LOOPS, a sample counting max(1, l) loops (_pack), so a group
+holds at most one batch of each worker and at most the loops of one
+batch; at one worker the groups are the batches.  The cluster
+expansion packs the batches of all its orders so, order after order,
+each order on its own streams (the cluster module docstring).  A group
+draws each worker's batch from that worker's generator: every draw
+site takes the generators and the count of each (paths._by_stream), so
+all workers' loops go through one paths.bridges call.  A loop's sample
+is its configuration label, so a group holds its loops in the order
+they were drawn.  A kernel's call evaluates each sample once, its open paths and its background as two
 groups of loops, labelled 0 and 1 as the batch is joined: the
 interaction is a quadratic form in the occupation field, so the (2, 2)
 group pair matrix P gives V(open + background) = P.sum() / 2 and
@@ -183,6 +185,31 @@ def _chunks(n_samples, workers):
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
+def _streams(n_samples, seed, workers):
+    '''(rngs, counts) of a run: one generator per worker, spawned from
+    seed, and its count the worker's chunk of n_samples, a worker with
+    no sample left out.  ValueError unless n_samples >= 2, so that the
+    standard error is defined; nothing is drawn before the check.'''
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2 for a standard error, got "
+                         f"{n_samples}")
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    chunks = _chunks(n_samples, workers)
+    return ([np.random.default_rng(stream)
+             for stream, n_w in zip(streams, chunks) if n_w],
+            [n_w for n_w in chunks if n_w])
+
+
+def _mean_se(rows):
+    '''The two-pass mean and SE of every row of rows (k, n), or of
+    rows (n,).'''
+    n_samples = rows.shape[-1]
+    mean = rows.mean(axis=-1)
+    dev = rows - mean[..., None]
+    se = np.sqrt((dev ** 2).sum(axis=-1) / (n_samples - 1) / n_samples)
+    return mean, se
+
+
 def run_mc(sample_fn, n_samples, seed, workers=1):
     '''Average the samples of sample_fn(rngs, counts) over n_samples
     with a deterministic reduction; the single reducer of every
@@ -197,20 +224,12 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     its count alone.  Each row gets a two-pass mean and SE.  Returns
     (mean, se, rows), mean and se of shape (k,), scalars for k = 1.
     Needs n_samples >= 2, so that the standard error is defined;
-    ValueError otherwise.
+    ValueError otherwise.  cluster.estimate_X runs its orders on these
+    streams and this reduction too, but draws them together
+    (_pack), not through run_mc.
     '''
-    if n_samples < 2:
-        raise ValueError(f"need n_samples >= 2 for a standard error, got "
-                         f"{n_samples}")
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    chunks = _chunks(n_samples, workers)
-    rows = sample_fn([np.random.default_rng(stream)
-                      for stream, n_w in zip(streams, chunks) if n_w],
-                     [n_w for n_w in chunks if n_w])
-    mean = rows.mean(axis=-1)
-    dev = rows - mean[..., None]
-    se = np.sqrt((dev ** 2).sum(axis=-1) / (n_samples - 1) / n_samples)
-    return mean, se, rows
+    rows = sample_fn(*_streams(n_samples, seed, workers))
+    return (*_mean_se(rows), rows)
 
 
 def _paired_ratio(mean, se, rows):
@@ -323,28 +342,52 @@ def _batch_size(loops_per_sample):
     return max(1, math.floor(_BATCH_LOOPS / max(1.0, loops_per_sample)))
 
 
-def _batched(draw, evaluate, loops_per_sample):
-    '''A run_mc sample function in two phases per group of batches.
-    Each stream's samples are cut into batches of _batch_size samples,
-    and consecutive batches, in stream order, are packed into one group
-    while their samples fit one batch, so a group holds at most one
-    batch of each stream.  draw(rngs, counts) makes all the draws of a
-    group, counts[i] samples from the generator rngs[i], then
-    evaluate(the draws) returns the group's samples as run_mc's rows,
-    joined over the groups.'''
-    def sample(rngs, counts):
-        size = _batch_size(loops_per_sample)
-        groups, room = [], 0
+def _pack(runs):
+    '''The groups of batches of several runs, each run given as
+    (loops_per_sample, rngs, counts).  Each run's streams are cut into
+    batches of _batch_size(loops_per_sample) samples; the batches are
+    taken in run order, then stream order, and consecutive batches share
+    a group while their expected loops fit _BATCH_LOOPS, a sample of a
+    run counting max(1, loops_per_sample) loops; a group always takes
+    its first batch.  So a group holds at most one batch of each stream,
+    and one run's groups are those its own batches pack into: its
+    samples in a group fit one batch.  Returns the groups, each a list
+    of (run index, rngs, counts) of the runs it holds, in run order,
+    counts[i] the samples of the batch of the stream rngs[i].'''
+    groups = []
+    # loops of the group's earlier runs; samples of this run in it
+    spent = taken = 0
+    for r, (loops, rngs, counts) in enumerate(runs):
+        size, cost = _batch_size(loops), max(1.0, loops)
         for rng, count in zip(rngs, counts):
             for lo in range(0, count, size):
                 m = min(size, count - lo)
-                if m > room:
-                    groups.append(([], []))
-                    room = size
-                groups[-1][0].append(rng)
-                groups[-1][1].append(m)
-                room -= m
-        return np.concatenate([evaluate(draw(*group)) for group in groups],
+                if not groups or taken + m > math.floor(
+                        (_BATCH_LOOPS - spent) / cost):
+                    groups.append([])
+                    spent = taken = 0
+                if not groups[-1] or groups[-1][-1][0] != r:
+                    groups[-1].append((r, [], []))
+                groups[-1][-1][1].append(rng)
+                groups[-1][-1][2].append(m)
+                taken += m
+        spent, taken = spent + taken * cost, 0
+    return groups
+
+
+def _batched(draw, evaluate, loops_per_sample):
+    '''A run_mc sample function in two phases per group of batches,
+    the groups of one run (_pack): draw(rngs, counts) makes all the
+    draws of a group, counts[i] samples from the generator rngs[i], then
+    evaluate(the draws) returns the group's samples as run_mc's rows,
+    joined over the groups.  cluster.estimate_X packs the runs of all
+    its orders into shared groups by the same rule, never past
+    _BATCH_LOOPS expected loops, each order on its own (seed, n)
+    streams, so one pass serves several orders.'''
+    def sample(rngs, counts):
+        groups = _pack([(loops_per_sample, rngs, counts)])
+        return np.concatenate([evaluate(draw(group_rngs, group_counts))
+                               for [(_, group_rngs, group_counts)] in groups],
                               axis=-1)
     return sample
 

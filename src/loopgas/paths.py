@@ -113,7 +113,7 @@ def bridges(torus, x, T, rngs, counts, y=None):
     # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
     rows = len(lam) * L + n * d * (1 if shift is None else 2)
     try:
-        cut = [_table_cut(float(lam[i]), rows, L) for i in last]
+        cut = _table_cut(lam[last].tolist(), rows, L)
     except ValueError:
         if len(rngs) > 1:
             ends = np.cumsum(counts)
@@ -301,29 +301,42 @@ def _log_factorials(size):
     return _LOG_FACT[:size]
 
 
-def _table_cut(top, rows, L):
-    '''The last count of the residue tables of means up to top: the first
-    n >= top where P(X > n) <= p(n+1) / (1 - top/(n+2)), X ~
-    Poisson(top), falls below POISSON_TAIL.  ValueError, before any
-    log-factorial is computed, when rows rows of n // L + 1 cells exceed
-    MAX_BRIDGE_CELLS.'''
+def _table_cut(tops, rows, L):
+    '''The last counts of the residue tables of means up to each top of
+    the list tops, as a list of ints: the first n >= top where P(X > n)
+    <= p(n+1) / (1 - top/(n+2)), X ~ Poisson(top), falls below
+    POISSON_TAIL, found for all tops in one evaluation.  ValueError,
+    before any log-factorial is computed, when rows rows of n // L + 1
+    cells exceed MAX_BRIDGE_CELLS for some top.'''
     # the cut is at least top: refusing on that first keeps the
     # log-factorials of the range below within the budget's order
-    cut = math.ceil(top)
-    if rows * (cut // L + 1) <= MAX_BRIDGE_CELLS:
+    cuts = [math.ceil(top) for top in tops]
+    fits = [i for i, cut in enumerate(cuts)
+            if rows * (cut // L + 1) <= MAX_BRIDGE_CELLS]
+    if fits:
+        top = [tops[i] for i in fits]
+        lo = [cuts[i] for i in fits]
         # P(X >= top + t) <= exp(-t^2 / (2 (top + t / 3))) (Bernstein) is
-        # below 1e-20 at the end of this range, so the cut lies inside it
-        k = np.arange(cut, int(top + 12.0 * np.sqrt(top)) + 39)
-        log_bound = (k + 1) * math.log(top) - top - _log_factorials(
-            k[-1] + 2)[k + 1] - np.log1p(-top / (k + 2.0))
-        cut = int(k[np.flatnonzero(log_bound < math.log(POISSON_TAIL))[0]])
-    cells = rows * (cut // L + 1)
-    if cells > MAX_BRIDGE_CELLS:
-        raise ValueError(
-            f"bridges of durations up to {2.0 * top:.4g} need at least "
-            f"{cells} Poisson table cells, above MAX_BRIDGE_CELLS = "
-            f"{MAX_BRIDGE_CELLS}; raise kappa")
-    return cut
+        # below 1e-20 at the end of each range [lo, lo + J), J at least
+        # 12 sqrt(top) + 38, so each cut lies inside its range
+        width = max(int(t + 12.0 * math.sqrt(t)) + 39 - c
+                    for t, c in zip(top, lo))
+        k1 = np.add.outer(lo, np.arange(1, width + 1))
+        t = np.array(top)[:, None]
+        log_bound = (k1 * np.array([math.log(x) for x in top])[:, None] - t
+                     - _log_factorials(max(lo) + width + 1)[k1]
+                     - np.log1p(-t / (k1 + 1.0)))
+        below = log_bound < math.log(POISSON_TAIL)
+        for i, c, j in zip(fits, lo, below.argmax(axis=1).tolist()):
+            cuts[i] = c + j
+    for top, cut in zip(tops, cuts):
+        cells = rows * (cut // L + 1)
+        if cells > MAX_BRIDGE_CELLS:
+            raise ValueError(
+                f"bridges of durations up to {2.0 * top:.4g} need at least "
+                f"{cells} Poisson table cells, above MAX_BRIDGE_CELLS = "
+                f"{MAX_BRIDGE_CELLS}; raise kappa")
+    return cuts
 
 
 def _poisson_rows(lam, cut, L):
@@ -552,9 +565,14 @@ class LoopIntensity:
         if self.kind == "ginibre":
             return self.nu * _by_stream(rngs, counts, lambda rng, k: (
                 rng.logseries(self.a[pick(self._mode_cdf, rng, k)])))
-        return np.interp(_by_stream(rngs, counts,
-                                    lambda rng, k: rng.random(k)),
-                         self._cdf, self._points)
+        u = _by_stream(rngs, counts, lambda rng, k: rng.random(k))
+        # each point inverts on its own, so in sorted order, where
+        # np.interp searches from the previous point's cell, not by a
+        # bisection of all the edges
+        order = np.argsort(u)
+        T = np.empty_like(u)
+        T[order] = np.interp(u[order], self._cdf, self._points)
+        return T
 
     @functools.cached_property
     def duration_moments(self):
@@ -604,21 +622,29 @@ class LoopIntensity:
         i of a LoopBatch: a stream's durations (sample_duration), then its
         uniform base sites, then the bridges of all (bridges), in one
         pass.'''
-        return self._loops(rngs, counts, self.sample_duration(rngs, counts))
+        return self.draw_loops(rngs, counts,
+                               self.sample_duration(rngs, counts))
 
     def draw_multi_window(self, rngs, counts):
         '''Grid only: loops of the normalized intensity restricted to
-        two windows or more, as draw_batch draws them, with a stream's
-        modes drawn with weight c_xi and their window counts from
-        log_series_past_one, whose rejection rounds stay within the
-        stream.'''
-        return self._loops(rngs, counts, self.nu * _by_stream(
-            rngs, counts, lambda rng, k: log_series_past_one(
-                self.a[pick(self._multi_cdf, rng, k)], rng)))
+        two windows or more, as draw_batch draws them, with the durations
+        of sample_multi_window_duration.'''
+        return self.draw_loops(rngs, counts,
+                               self.sample_multi_window_duration(rngs, counts))
 
-    def _loops(self, rngs, counts, T):
-        '''Loops of the durations T: each stream's uniform base sites,
-        then the bridges.'''
+    def sample_multi_window_duration(self, rngs, counts):
+        '''Grid only: counts[i] durations of the loops of two windows or
+        more from each generator rngs[i], joined in stream order: a
+        stream's modes drawn with weight c_xi, then their window counts
+        from log_series_past_one, whose rejection rounds stay within the
+        stream.'''
+        return self.nu * _by_stream(rngs, counts, lambda rng, k: (
+            log_series_past_one(self.a[pick(self._multi_cdf, rng, k)], rng)))
+
+    def draw_loops(self, rngs, counts, T):
+        '''Loops of the durations T, counts[i] of them from each
+        generator rngs[i]: each stream's uniform base sites, then the
+        bridges of all streams in one call.'''
         x = _by_stream(rngs, counts,
                        lambda rng, k: rng.integers(self.torus.n_sites, size=k))
         return bridges(self.torus, x, T, rngs, counts)

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from loopgas import paths
 from loopgas.interactions import v_tilde_table
-from loopgas.paths import (LoopBatch, _poisson_rows, _sites, _table_cut,
-                           pick)
+from loopgas.paths import (LoopBatch, _log_factorials, _poisson_rows, _sites,
+                           _table_cut, pick)
 
 
 # -- the per-worker reduction ------------------------------------------------
@@ -114,8 +115,28 @@ def residue_table(lam, L, columns=0):
     over m is the residue mass q_r, cut where paths.bridges cuts its
     table.  ValueError, before any table is built, when it and columns
     more columns of M cells exceed paths.MAX_BRIDGE_CELLS.'''
-    return _poisson_rows(lam, _table_cut(float(lam.max()),
-                                         len(lam) * L + columns, L), L)
+    return _poisson_rows(lam, _table_cut([float(lam.max())],
+                                         len(lam) * L + columns, L)[0], L)
+
+
+def table_cut(top, rows, L):
+    '''paths._table_cut of one mean, as the library found it for one
+    stream at a time: the first n >= top where the tail bound p(n+1) /
+    (1 - top/(n+2)) falls below paths.POISSON_TAIL, searched over its
+    own range of counts; ValueError, before the search, when rows rows
+    of ceil(top) // L + 1 cells exceed paths.MAX_BRIDGE_CELLS, and when
+    those of the cut do.'''
+    budget = paths.MAX_BRIDGE_CELLS
+    cut = math.ceil(top)
+    if rows * (cut // L + 1) <= budget:
+        k = np.arange(cut, int(top + 12.0 * np.sqrt(top)) + 39)
+        log_bound = (k + 1) * math.log(top) - top - _log_factorials(
+            k[-1] + 2)[k + 1] - np.log1p(-top / (k + 2.0))
+        cut = int(k[np.flatnonzero(
+            log_bound < math.log(paths.POISSON_TAIL))[0]])
+    if rows * (cut // L + 1) > budget:
+        raise ValueError(f"{rows * (cut // L + 1)} cells")
+    return cut
 
 
 # -- samplers ------------------------------------------------------------------

@@ -373,7 +373,8 @@ def test_log_z_at_the_largest_truncation_meets_the_oracle():
 
 def test_expansion_budget_guards(monkeypatch):
     '''MAX_URSELL_N is the one truncation cap: estimate_X refuses n_max
-    past it before any draw, and ursell a larger matrix.'''
+    past it, and n_samples below 2, before any draw or kernel call, and
+    ursell a larger matrix.'''
     from loopgas import cluster
     from loopgas.cluster import MAX_URSELL_N, estimate_X
     spec = _expansion_spec()
@@ -381,13 +382,71 @@ def test_expansion_budget_guards(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a loop was drawn")
 
-    monkeypatch.setattr(spec.intensity, "draw_batch", no_draw)
-    monkeypatch.setattr(cluster, "run_mc", no_draw)
+    for name in ("draw_batch", "draw_multi_window", "draw_loops",
+                 "sample_duration", "sample_multi_window_duration"):
+        monkeypatch.setattr(spec.intensity, name, no_draw)
+    monkeypatch.setattr(cluster, "batch_interaction", no_draw)
     with pytest.raises(ValueError, match=f"n_max <= {MAX_URSELL_N}"):
         estimate_X(spec, NO_PATHS, n_max=MAX_URSELL_N + 1,
                    n_samples=10, seed=0)
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        estimate_X(spec, NO_PATHS, n_max=2, n_samples=1, seed=0)
     with pytest.raises(ValueError):
         ursell(np.zeros((MAX_URSELL_N + 1,) * 2))
+
+
+@pytest.mark.parametrize("n_max", [3, 6])
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("budget", [8, 4096])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_orders_drawn_together_equal_orders_one_at_a_time(
+        workers, budget, p, n_max, monkeypatch):
+    '''The orders and the remainder, drawn in shared groups with one
+    bridges call and one kernel call a group, report what each order's
+    own run_mc call reported (cluster_reference.estimate_X_by_order),
+    bit for bit: log Z (p = 0) and one fixed path (p = 1, whose order 1
+    draws no loop), up to n_max = MAX_URSELL_N.  A budget of 8 loops
+    cuts each order into batches of 8 // n samples and packs a group
+    across orders only around their ends; 4096 packs whole orders.'''
+    from loopgas import loop_mc
+    from loopgas.cluster import estimate_X
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", budget)
+    spec = _expansion_spec()
+    n_samples = 61 if n_max == 6 else 101
+    if p == 0:
+        report = log_Z_via_expansion(spec, n_max, n_samples, 5, workers)
+        expected = ref.log_Z_by_order(spec, n_max, n_samples, 5, workers)
+    else:
+        fixed = spec.intensity.draw_batch([np.random.default_rng(6)], [1])
+        report = estimate_X(spec, fixed, n_max, n_samples, 7, workers)
+        expected = ref.estimate_X_by_order(spec, fixed, n_max, n_samples, 7,
+                                           workers)
+    assert report == expected
+
+
+def test_cluster_logz_request_makes_two_passes(monkeypatch):
+    '''A request shaped like the cluster-logz benchmark (n_max = 3, 500
+    samples, one worker) draws and evaluates in two groups: orders 1, 2
+    and 3 (3000 expected loops), then the tree-bound order 4 (2000):
+    two bridges calls, of 3 streams and of 1, and two kernel calls, of
+    3 and 4 groups.'''
+    from loopgas import cluster, paths
+    bridge_calls, kernel_groups = [], []
+    draw, kernel = paths.bridges, cluster.batch_interaction
+
+    def bridges_spy(torus, x, T, rngs, counts, y=None):
+        bridge_calls.append(len(rngs))
+        return draw(torus, x, T, rngs, counts, y)
+
+    def kernel_spy(batch, params, kind, groups):
+        kernel_groups.append(groups[1])
+        return kernel(batch, params, kind, groups)
+
+    monkeypatch.setattr(paths, "bridges", bridges_spy)
+    monkeypatch.setattr(cluster, "batch_interaction", kernel_spy)
+    log_Z_via_expansion(_expansion_spec(), 3, 500, 0, workers=1)
+    assert bridge_calls == [3, 1]
+    assert kernel_groups == [3, 4]
 
 
 def test_expansion_rejects_hard_core():

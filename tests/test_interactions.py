@@ -878,13 +878,14 @@ def test_estimators_request_only_what_they_use(monkeypatch):
     matrix of 2 groups (the open paths, the background) over the m
     configurations of each Gamma_p batch; with 1-sample chunks (workers
     == n_samples) the chunks share one batch and one request; the
-    cluster expansion asks for the pair matrices of the n slots of its
-    samples of order n.'''
+    cluster expansion asks, for a group of its orders, for the pair
+    matrices of as many slots as its largest order has, and labels the
+    loops of each sample of order n with the slots 0..n - 1.'''
     requests = []
 
     def spy(batch, params, kind, groups=None):
         out = batch_interaction(batch, params, kind, groups)
-        requests.append((batch.n_configs, groups, out.shape))
+        requests.append((batch.n_configs, groups, out.shape, batch.config))
         return out
 
     monkeypatch.setattr(loop_mc, "batch_interaction", spy)
@@ -897,12 +898,12 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         "ginibre")
     for workers in (1, 4):
         loop_mc.estimate_rel_partition(spec, 4, seed=1, workers=workers)
-        assert [(n, groups) for n, groups, _ in requests] == [(4, None)]
+        assert [(n, groups) for n, groups, _, _ in requests] == [(4, None)]
         requests.clear()
         loop_mc.estimate_gamma_p(spec, 1, [0], [0], 4, seed=2,
                                  workers=workers)
         assert len(requests) == 1
-        for n, (group, count), shape in requests:
+        for n, (group, count), shape, _ in requests:
             assert count == 2 and shape == (n, 2, 2)
             assert n == 4
             # the open paths, one a configuration, then the backgrounds
@@ -912,10 +913,12 @@ def test_estimators_request_only_what_they_use(monkeypatch):
         requests.clear()
     cluster.log_Z_via_expansion(spec, n_max=2, n_samples=4, seed=3,
                                 workers=4)
-    assert requests
-    for m, (slot, n), shape in requests:
-        assert shape == (m, n, n)
-        assert np.array_equal(np.bincount(slot, minlength=n), np.full(n, m))
+    # orders 1 and 2 and the tree-bound order 3, 4 one-sample chunks
+    # each, in one group
+    [(m, (slot, n), shape, config)] = requests
+    assert (m, n, shape) == (12, 3, (12, 3, 3))
+    slots = [sorted(slot[config == c]) for c in range(m)]
+    assert slots == [list(range(k)) for k in (1, 2, 3) for _ in range(4)]
 
 
 # -- the kernel's row budget --------------------------------------------------

@@ -13,7 +13,8 @@ from scipy import integrate, stats
 from loopgas.lattice import Torus
 from loopgas import paths
 from loopgas.loop_mc import _OpenPaths
-from loopgas.paths import LoopBatch, LoopIntensity, _first_cell_masses, bridges
+from loopgas.paths import (LoopBatch, LoopIntensity, _first_cell_masses,
+                           _table_cut, bridges)
 
 import loop_reference
 from loop_reference import Path, from_paths, residue_table
@@ -466,6 +467,25 @@ def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
                                                              T)
     assert np.array_equal(_loop_ends(batch), y)
     assert len(batch.times) > 0
+
+
+def test_table_cuts_of_many_streams_are_their_own_cuts():
+    '''The cuts of several tops, found in one evaluation, are those of
+    each top searched alone over its own range (the per-stream search
+    of loop_reference.table_cut), from means far below 1 to thousands,
+    and 3 and 3.01 alone, whose ranges end together though the second
+    starts later; and a top whose table exceeds the budget refuses the whole
+    call.'''
+    rng = np.random.default_rng(8)
+    tops = np.concatenate(([1e-9, 0.01, 0.5, 1.0, 2.5, 3.0, 3.01],
+                           np.exp(rng.uniform(-5.0, 8.0, 40)))).tolist()
+    for L in (1, 3, 8):
+        rows = 5 * L + 7
+        for some in (tops, [3.0, 3.01], [3.01, 3.0]):
+            assert _table_cut(some, rows, L) == [
+                loop_reference.table_cut(top, rows, L) for top in some]
+    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
+        _table_cut([0.5, 1e12, 2.0], 10, 3)
 
 
 def test_table_rows_cut_one_by_one_are_the_rows_of_their_own_cut():

@@ -7,9 +7,10 @@ bit for bit.'''
 import numpy as np
 import pytest
 
+import cluster_reference
 import loop_reference
 
-from loopgas import cluster, field_oracle, interactions, loop_mc, paths
+from loopgas import field_oracle, interactions, loop_mc, paths
 from loopgas.cluster import estimate_X, log_Z_via_expansion
 from loopgas.field_oracle import (GaussianField, estimate_gamma_cl,
                                   estimate_Zcl, hubbard_stratonovich_check)
@@ -30,7 +31,7 @@ def _both(monkeypatch, run):
     drawn and evaluated on its own.'''
     fused = run()
     with monkeypatch.context() as patch:
-        for module in (loop_mc, cluster, field_oracle):
+        for module in (loop_mc, field_oracle):
             patch.setattr(module, "run_mc", _per_worker_run_mc)
         per_worker = run()
     return fused, per_worker
@@ -112,17 +113,20 @@ def test_cluster_orders_run_as_their_workers_run_alone(workers, budget,
                                                        monkeypatch):
     '''Every order of log Z up to n_max = 3 (order 1's stratum of loops
     of two windows or more, orders 2 and 3) and the tree-bound order 4,
-    then the same for one fixed path; a budget of 8 loops cuts each
-    order's chunks into batches of 8 // n samples.'''
+    then the same for one fixed path, drawn together, equal each order
+    run on its own, one worker's stream at a time
+    (cluster_reference.estimate_X_by_order over the per-worker run_mc);
+    a budget of 8 loops cuts each order's chunks into batches of 8 // n
+    samples.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", budget)
     spec = _grid(lam=None, mode="meanfield")
-    fused, per_worker = _both(monkeypatch, lambda: log_Z_via_expansion(
-        spec, 3, 101, (5, workers), workers))
-    assert fused == per_worker
+    assert log_Z_via_expansion(spec, 3, 101, (5, workers), workers) == (
+        cluster_reference.log_Z_by_order(spec, 3, 101, (5, workers), workers,
+                                         _per_worker_run_mc))
     fixed = spec.intensity.draw_batch([np.random.default_rng(6)], [1])
-    fused, per_worker = _both(monkeypatch, lambda: estimate_X(
-        spec, fixed, 3, 101, 7, workers))
-    assert fused == per_worker
+    assert estimate_X(spec, fixed, 3, 101, 7, workers) == (
+        cluster_reference.estimate_X_by_order(spec, fixed, 3, 101, 7, workers,
+                                              _per_worker_run_mc))
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
