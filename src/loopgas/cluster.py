@@ -39,11 +39,11 @@ self-interaction is lam v_L(0) for every path and potential, and with
 the mode weights a_xi (paths.LoopIntensity) the one-window loops give
 X_1 = e^{-lam v_L(0)/2} sum_xi a_xi + C E[e^{-V(w,w)/2} | k >= 2],
 C = sum_xi (-log(1 - a_xi) - a_xi) the mass of the rest.  Only loops of
-k >= 2 windows are drawn (LoopIntensity.draw_multi_window), and their
-duration S = T, of exact conditional mean nu sum_xi a_xi^2/(1 - a_xi)/C,
-is the control.  On cluster_logz.json's physics about 80% of the loop
-mass has one window, a stratum of zero variance that plain sampling
-spends 80% of its samples on.
+k >= 2 windows are drawn (LoopIntensity.sample_multi_window_duration),
+and their duration S = T, of exact conditional mean
+nu sum_xi a_xi^2/(1 - a_xi)/C, is the control.  On cluster_logz.json's
+physics about 80% of the loop mass has one window, a stratum of zero
+variance that plain sampling spends 80% of its samples on.
 
 Every other order draws its n - p loops i.i.d. from the normalized loop
 law and is controlled by their summed durations S and by V, the summed
@@ -60,26 +60,23 @@ mean SE^2 of log Z fell 13x, from 1.64e-7 to 1.24e-8: per order 1.15e-8,
 than 25 samples per control in a fold keeps the plain estimate.  The
 tree-bound remainder and the effective sample sizes stay plain.
 
-Order n of a request at seed s runs on the streams of the seed
-sequence (s, n), one a worker as run_mc spawns them, and the remainder
-on (s, n_max + 1), so no two orders of any two requests share a stream.
-Each order keeps its batches of _batch_size(n) samples, but the orders
-and the remainder are drawn together (loop_mc._pack): their batches,
-taken in order of n and then of worker, share a group while their
-expected loops, n a sample, fit loop_mc._BATCH_LOOPS.  A group makes one
-draw pass, every stream's durations (order 1's from its stratum), then
-each stream's base sites, then one paths.bridges call for all its
-loops, and one kernel call with as many groups as its largest order
-has slots; order n reads the top-left n x n block of its samples'
-matrices.  Each order's rows are reduced as run_mc reduces them
-(loop_mc._mean_se), and every stream makes the draws it makes alone, so
-a report equals that of one run_mc call per order, bit for bit
+The orders and the remainder are runs of one loop_mc.run_groups call:
+order n of a request at seed s on the streams of the seed sequence (s,
+n), one a worker, n expected loops a sample, and the remainder on (s,
+n_max + 1), so no two orders of any two requests share a stream.  Each
+order keeps its batches of _batch_size(n) samples, and the driver packs
+the batches of all the orders into shared groups, in order of n and
+then of worker, while their expected loops fit loop_mc._BATCH_LOOPS.
+A group makes one draw pass, every stream's durations (order 1's from
+its stratum), then each stream's base sites, then one paths.bridges
+call for all its loops, and one kernel call with as many groups as its
+largest order has slots; order n reads the top-left n x n block of its
+samples' matrices.  Every stream makes the draws it makes alone, so a
+report equals that of one driver run per order, bit for bit
 (tests/cluster_reference.py).  The cluster-logz benchmark's request
 (n_max = 3, 500 samples, one worker) draws orders 1, 2 and 3 in one
 group (3000 loops) and order 4 in another (2000): two bridges and two
-kernel calls where one run_mc call per order made four of each, and its
-wall time per request fell from 7.05 to 6.56 ms (benchmark medians of
-10 alternating runs a side, 2-vCPU x86-64 VM).
+kernel calls, where one run per order would make four of each.
 '''
 
 import itertools
@@ -89,7 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .interactions import batch_interaction
-from .loop_mc import _control_step, _controlled, _mean_se, _pack, _streams
+from .loop_mc import _control_step, _controlled, run_groups
 from .paths import LoopBatch
 
 MAX_URSELL_N = 6
@@ -294,9 +291,10 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
     2.4e-11, against 8.1e-8, 8.4e-8 and 5.7e-11 with the S, Q controls
     of the unstratified orders.
 
-    The orders and the remainder are drawn together, in groups of at
-    most _BATCH_LOOPS expected loops, each order on its own streams
-    (module docstring).
+    The orders and the remainder are the runs of one
+    loop_mc.run_groups call, drawn together in groups of at most
+    _BATCH_LOOPS expected loops, each order on its own streams (module
+    docstring).
 
     Returns a report with per-order means/std errors, the plain means and
     std errors, variance ratios, control names and effective sample
@@ -336,7 +334,6 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
     # the orders that draw, order 1 of log Z unless every loop has one
     # window (then it is exact), and the tree-bound order n_max + 1
     runs = [n for n in orders if p or n > 1 or drawn_mass > 0] + [n_max + 1]
-    streams = [_streams(n_samples, (seed, n), workers) for n in runs]
     factors, durations = [], []
     for n in runs:
         stratum = p == 0 and n == 1
@@ -344,8 +341,8 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
                        * (drawn_mass if stratum else mass) ** (n - p))
         durations.append(intensity.sample_multi_window_duration if stratum
                          else intensity.sample_duration)
-    parts = [[] for _ in runs]
-    for group in _pack([(n, *stream) for n, stream in zip(runs, streams)]):
+
+    def sample_group(group):
         # draw phase: every stream's durations, then each stream's base
         # sites and all the group's bridges (draw_loops)
         sizes = [sum(counts) for _, _, counts in group]
@@ -370,15 +367,18 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
         # samples' pair matrices
         P = batch_interaction(batch, params, spec.kind,
                               (slot, p + max(drawn)))
-        lo = at = 0
+        rows, lo, at = [], 0, 0
         for (r, _, _), q, k in zip(group, drawn, sizes):
             n = p + q
-            parts[r].append(_order_rows(
+            rows.append(_order_rows(
                 np.ascontiguousarray(P[lo:lo + k, :n, :n]),
                 T[at:at + k * q].reshape(k, q), p, factors[r],
                 tree_sum if n > n_max else ursell))
             lo, at = lo + k, at + k * q
-    rows = {n: np.concatenate(part, axis=-1) for n, part in zip(runs, parts)}
+        return rows
+
+    results = dict(zip(runs, run_groups(
+        sample_group, [((seed, n), n) for n in runs], n_samples, workers)))
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "plain_means": [], "plain_std_errors": [],
@@ -394,14 +394,14 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
             means = [q * mean_T, pair * mean_T * (q * (q - 1) / 2 * mean_T
                                                   + q * fixed_T)]
         offset = one_window if p == 0 and n == 1 else 0.0
-        if n not in rows:
+        if n not in results:
             # every loop has one window: the order is exact
             value, value_se, step, ess = offset, 0.0, None, float(n_samples)
         else:
             # rows (value, w, w^2, controls): ESS = (sum w)^2 / sum w^2
-            mean, se = _mean_se(rows[n])
+            mean, se, rows = results[n]
             value, value_se = offset + float(mean[0]), float(se[0])
-            step = _control_step(rows[n][0], mean[0], rows[n][3:],
+            step = _control_step(rows[0], mean[0], rows[3:],
                                  np.array(means))
             ess = (float(n_samples * mean[1] ** 2 / mean[2]) if mean[2] > 0
                    else 0.0)
@@ -414,7 +414,7 @@ def estimate_X(spec, fixed, n_max, n_samples, seed, workers=1):
         report["variance_ratios"].append(controls["variance_ratio"])
         report["controls"].append(controls["controls"])
         report["ess"].append(ess)
-    rem, rem_se = _mean_se(rows[n_max + 1])
+    rem, rem_se, _ = results[n_max + 1]
     report["remainder"] = float(rem[0])
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))

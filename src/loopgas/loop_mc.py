@@ -22,25 +22,28 @@ background, so numerator and denominator share their noise; the plain
 ratio's SE is the delta method's sd(N - r D) / (sqrt(n) mean(D)), r =
 mean(N) / mean(D), from the co-moments of the pairs' rows.
 
-Each worker chunk is cut into batches, and the batches run in groups
-and two phases: the draw phase makes every random draw of the group as
-arrays, and the compute phase evaluates all configurations of the group
-with one call of interactions.batch_interaction.  A batch holds a budget
-of drawn loops, not of samples: with l the expected loops drawn per
-sample, known before any draw (the Poisson mass, plus the p open paths
-of a kernel; n for order n of the cluster expansion), it holds max(1,
-floor(_BATCH_LOOPS / max(1, l))) samples.  Consecutive batches, in
-worker order, are packed into one group while their expected loops fit
-_BATCH_LOOPS, a sample counting max(1, l) loops (_pack), so a group
-holds at most one batch of each worker and at most the loops of one
-batch; at one worker the groups are the batches.  The cluster
-expansion packs the batches of all its orders so, order after order,
-each order on its own streams (the cluster module docstring).  A group
-draws each worker's batch from that worker's generator: every draw
-site takes the generators and the count of each (paths._by_stream), so
-all workers' loops go through one paths.bridges call.  A loop's sample
-is its configuration label, so a group holds its loops in the order
-they were drawn.  A kernel's call evaluates each sample once, its open paths and its background as two
+One driver, run_groups, draws and reduces every loop estimator: Z and
+Gamma_p as one run each, the cluster expansion (the cluster module
+docstring) as one run per order.  A run is a seed and the expected
+loops l drawn per sample, known before any draw (the Poisson mass, plus
+the p open paths of a kernel; n for order n of the cluster expansion).
+Its samples are cut into per-worker chunks, each chunk into batches,
+and the batches of all the runs are packed into groups, each drawn and
+evaluated in one call of the estimator's group function: it makes
+every random draw of the group as arrays, then evaluates all its
+configurations with one call of interactions.batch_interaction.  A
+batch holds a budget of drawn loops, not of samples: max(1,
+floor(_BATCH_LOOPS / max(1, l))) samples.  Consecutive batches, in run
+order and then worker order, are packed into one group while their
+expected loops fit _BATCH_LOOPS, a sample counting max(1, l) loops, so
+a group holds at most one batch of each worker of each run and never
+more expected loops than one batch; for one run at one worker the
+groups are the batches.  A group draws each worker's batch from that
+worker's generator: every draw site takes the generators and the count
+of each (paths._by_stream), so all workers' loops go through one
+paths.bridges call.  A loop's sample is its configuration label, so a
+group holds its loops in the order they were drawn.  A kernel's call
+evaluates each sample once, its open paths and its background as two
 groups of loops, labelled 0 and 1 as the batch is joined: the
 interaction is a quadratic form in the occupation field, so the (2, 2)
 group pair matrix P gives V(open + background) = P.sum() / 2 and
@@ -95,12 +98,13 @@ denominator and denominator_se stay the plain paired denominator.
 
 Determinism: a run is a pure function of (seed, workers).  Samples are
 partitioned into per-worker chunks with rng streams spawned from the
-master seed.  run_mc hands every stream and its chunk to one call of the
-sample function, whose rows come out in worker order, and reduces them
-once.  Each worker's rows are those its chunk gives alone: its
-generator makes the same draws in the same order however the batches
-are grouped, and the kernel evaluates each configuration on its own
-loops.  So results are bit-identical for a fixed worker count.
+run's seed, and each run's rows, joined over its groups in worker
+order, are reduced once.  Each worker's rows are those its chunk gives
+alone: its generator makes the same draws in the same order however the
+batches are grouped, and the kernel evaluates each configuration on its
+own loops.  So results are bit-identical for a fixed worker count.
+run_mc, the reducer of the classical-field estimators (field_oracle),
+hands the same streams to one plain call of its sample function.
 '''
 
 import itertools
@@ -188,11 +192,17 @@ def _chunks(n_samples, workers):
 def _streams(n_samples, seed, workers):
     '''(rngs, counts) of a run: one generator per worker, spawned from
     seed, and its count the worker's chunk of n_samples, a worker with
-    no sample left out.  ValueError unless n_samples >= 2, so that the
-    standard error is defined; nothing is drawn before the check.'''
+    no sample left out.  Only the min(workers, n_samples) workers that
+    draw are spawned: seed sequence children are numbered from 0, and
+    past n_samples workers the nonzero chunks are those of n_samples
+    workers, so the streams and counts are those all the workers would
+    give.  ValueError unless
+    n_samples >= 2, so that the standard error is defined; nothing is
+    drawn before the check.'''
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2 for a standard error, got "
                          f"{n_samples}")
+    workers = min(workers, n_samples)
     streams = np.random.SeedSequence(seed).spawn(workers)
     chunks = _chunks(n_samples, workers)
     return ([np.random.default_rng(stream)
@@ -224,9 +234,8 @@ def run_mc(sample_fn, n_samples, seed, workers=1):
     its count alone.  Each row gets a two-pass mean and SE.  Returns
     (mean, se, rows), mean and se of shape (k,), scalars for k = 1.
     Needs n_samples >= 2, so that the standard error is defined;
-    ValueError otherwise.  cluster.estimate_X runs its orders on these
-    streams and this reduction too, but draws them together
-    (_pack), not through run_mc.
+    ValueError otherwise.  The loop estimators draw in batches, through
+    run_groups, on these streams and with this reduction.
     '''
     rows = sample_fn(*_streams(n_samples, seed, workers))
     return (*_mean_se(rows), rows)
@@ -342,22 +351,31 @@ def _batch_size(loops_per_sample):
     return max(1, math.floor(_BATCH_LOOPS / max(1.0, loops_per_sample)))
 
 
-def _pack(runs):
-    '''The groups of batches of several runs, each run given as
-    (loops_per_sample, rngs, counts).  Each run's streams are cut into
-    batches of _batch_size(loops_per_sample) samples; the batches are
-    taken in run order, then stream order, and consecutive batches share
-    a group while their expected loops fit _BATCH_LOOPS, a sample of a
-    run counting max(1, loops_per_sample) loops; a group always takes
-    its first batch.  So a group holds at most one batch of each stream,
-    and one run's groups are those its own batches pack into: its
-    samples in a group fit one batch.  Returns the groups, each a list
-    of (run index, rngs, counts) of the runs it holds, in run order,
-    counts[i] the samples of the batch of the stream rngs[i].'''
+def run_groups(sample_group, runs, n_samples, workers=1):
+    '''The (mean, se, rows) of each run of runs, each given as (seed,
+    loops_per_sample), of n_samples samples on its own streams
+    (_streams, checked for every run before any draw); the driver of
+    every loop estimator (module docstring).
+
+    Each run's streams are cut into batches of
+    _batch_size(loops_per_sample) samples.  The batches are taken in run
+    order, then stream order, and consecutive batches share a group
+    while their expected loops fit _BATCH_LOOPS, a sample of a run
+    counting max(1, loops_per_sample) loops; a group always takes its
+    first batch.  So a group holds at most one batch of each stream, and
+    one run's groups are those its own batches pack into: its samples in
+    a group fit one batch.  sample_group(group) is called once a group,
+    in order, group a list of (run index, rngs, counts) of the runs it
+    holds, in run order, counts[i] the samples of the batch of the
+    stream rngs[i]; it returns the rows of each entry, as run_mc's
+    sample function does, each stream's samples a pure function of that
+    stream and its count.  A run's rows are joined over its groups and
+    reduced as run_mc reduces them.'''
+    streams = [_streams(n_samples, seed, workers) for seed, _ in runs]
     groups = []
     # loops of the group's earlier runs; samples of this run in it
     spent = taken = 0
-    for r, (loops, rngs, counts) in enumerate(runs):
+    for r, ((_, loops), (rngs, counts)) in enumerate(zip(runs, streams)):
         size, cost = _batch_size(loops), max(1.0, loops)
         for rng, count in zip(rngs, counts):
             for lo in range(0, count, size):
@@ -372,38 +390,19 @@ def _pack(runs):
                 groups[-1][-1][2].append(m)
                 taken += m
         spent, taken = spent + taken * cost, 0
-    return groups
-
-
-def _batched(draw, evaluate, loops_per_sample):
-    '''A run_mc sample function in two phases per group of batches,
-    the groups of one run (_pack): draw(rngs, counts) makes all the
-    draws of a group, counts[i] samples from the generator rngs[i], then
-    evaluate(the draws) returns the group's samples as run_mc's rows,
-    joined over the groups.  cluster.estimate_X packs the runs of all
-    its orders into shared groups by the same rule, never past
-    _BATCH_LOOPS expected loops, each order on its own (seed, n)
-    streams, so one pass serves several orders.'''
-    def sample(rngs, counts):
-        groups = _pack([(loops_per_sample, rngs, counts)])
-        return np.concatenate([evaluate(draw(group_rngs, group_counts))
-                               for [(_, group_rngs, group_counts)] in groups],
-                              axis=-1)
-    return sample
+    parts = [[] for _ in runs]
+    for group in groups:
+        for (r, _, _), rows in zip(group, sample_group(group)):
+            parts[r].append(rows)
+    return [(*_mean_se(rows), rows)
+            for rows in (np.concatenate(part, axis=-1) for part in parts)]
 
 
 class _Tally:
-    '''Work counts of an estimator's draw and compute phases; counting
-    draws no random numbers.'''
+    '''Counts of an estimator's evaluated and killed configurations.'''
 
     def __init__(self):
-        self.loops = self.configs = self.killed = 0
-
-    def draw_loops(self, intensity, rngs, counts):
-        '''counts[i] loops of the intensity from each generator rngs[i],
-        loop i in configuration i of a LoopBatch.'''
-        self.loops += sum(counts)
-        return intensity.draw_batch(rngs, counts)
+        self.configs = self.killed = 0
 
     def boltzmann(self, V):
         '''e^{-V} of the interactions V of configurations; a killed
@@ -412,13 +411,15 @@ class _Tally:
         self.killed += int(np.count_nonzero(np.isinf(V)))
         return np.exp(-V)
 
-    def metadata(self, n_samples):
-        return {"loops_per_sample": self.loops / n_samples,
+    def metadata(self, loops_per_sample):
+        '''The metadata of a run whose backgrounds hold loops_per_sample
+        loops on average (the mean of the control K).'''
+        return {"loops_per_sample": float(loops_per_sample),
                 "killed_frac": (self.killed / self.configs
                                 if self.configs else 0.0)}
 
 
-def _draw_background(intensity, rngs, counts, tally):
+def _draw_background(intensity, rngs, counts):
     '''The Poisson backgrounds of m = sum(counts) samples, counts[i] of
     them from the generator rngs[i]: (the sample of each loop, the loops
     in sample order, loop i in configuration i, and the rows (4, m) of
@@ -426,7 +427,7 @@ def _draw_background(intensity, rngs, counts, tally):
     Each stream draws its loop counts, then (draw_batch) its loops.'''
     sizes = _by_stream(rngs, counts,
                        lambda rng, k: rng.poisson(intensity.total_mass, k))
-    loops = tally.draw_loops(intensity, rngs, _stream_totals(sizes, counts))
+    loops = intensity.draw_batch(rngs, _stream_totals(sizes, counts))
     m = len(sizes)
     owner = np.repeat(np.arange(m), sizes)
     S = np.bincount(owner, weights=loops.duration, minlength=m)
@@ -450,18 +451,17 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
         raise ValueError("loop intensity mass must be finite")
     tally = _Tally()
 
-    def configs(rngs, counts):
+    def sample_group(group):
+        [(_, rngs, counts)] = group
         owner, loops, controls = _draw_background(spec.intensity, rngs,
-                                                  counts, tally)
-        return LoopBatch.join(sum(counts), [(owner, loops, None)]), controls
+                                                  counts)
+        V = batch_interaction(LoopBatch.join(sum(counts),
+                                             [(owner, loops, None)]),
+                              spec.params, spec.kind)
+        return [np.array((tally.boltzmann(V),) + controls, dtype=float)]
 
-    def evaluate(drawn):
-        batch, controls = drawn
-        V = batch_interaction(batch, spec.params, spec.kind)
-        return np.array((tally.boltzmann(V),) + controls, dtype=float)
-
-    sample = _batched(configs, evaluate, spec.intensity.total_mass)
-    mean, se, rows = run_mc(sample, n_samples, seed, workers)
+    [(mean, se, rows)] = run_groups(
+        sample_group, [(seed, spec.intensity.total_mass)], n_samples, workers)
     if not rows[0].any() and not tally.killed:
         raise ArithmeticError(
             "every sample's e^{-V} underflowed to 0 with no hard-core kill: "
@@ -474,7 +474,7 @@ def estimate_rel_partition(spec, n_samples, seed, workers=1):
     meta = {"kind": spec.kind, "mass": spec.intensity.total_mass,
             "workers": workers}
     meta.update(spec.intensity.metadata)
-    meta.update(tally.metadata(n_samples))
+    meta.update(tally.metadata(mean[1]))
     meta.update(controls)
     return McEstimate(value, value_se, n_samples, seed, meta)
 
@@ -597,34 +597,31 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         means = np.concatenate((means, [p * t1, p * t2]))
     tally = _Tally()
 
-    def configs(rngs, counts):
+    def sample_group(group):
         # the open paths of every sample (group 0), then the backgrounds
-        # (group 1)
+        # (group 1), from one pair matrix
+        [(_, rngs, counts)] = group
         m = sum(counts)
         owner, background, controls = _draw_background(intensity, rngs,
-                                                       counts, tally)
+                                                       counts)
         ends, T, weight = law.draw(rngs, counts)
         opens = bridges(spec.torus, np.tile(law.xs, m), T.ravel(), rngs,
                         [p * k for k in counts], ends.ravel())
         batch = LoopBatch.join(m, [
             (np.repeat(np.arange(m), p), opens, None),
             (owner, background, None)])
-        group = np.repeat([0, 1], [m * p, len(owner)])
+        label = np.repeat([0, 1], [m * p, len(owner)])
         if not law.moves:
             controls += (T.sum(axis=1), (T * T).sum(axis=1))
-        return batch, group, weight, controls
-
-    def evaluate(drawn):
-        batch, group, weight, controls = drawn
-        P = batch_interaction(batch, spec.params, spec.kind, (group, 2))
+        P = batch_interaction(batch, spec.params, spec.kind, (label, 2))
         # V(open + background) = 1/2 sum P and V(background) = 1/2 P_11
         boltzmann = tally.boltzmann(0.5 * np.stack((P.sum(axis=(1, 2)),
                                                     P[:, 1, 1])))
-        return np.array((weight * boltzmann[0], boltzmann[1]) + controls,
-                        dtype=float)
+        return [np.array((weight * boltzmann[0], boltzmann[1]) + controls,
+                         dtype=float)]
 
-    sample = _batched(configs, evaluate, intensity.total_mass + p)
-    mean, se, rows = run_mc(sample, n_samples, seed, workers)
+    [(mean, se, rows)] = run_groups(
+        sample_group, [(seed, intensity.total_mass + p)], n_samples, workers)
     ratio, ratio_se, den = _paired_ratio(mean, se, rows)
     # y = N - ratio D, whose mean is 0
     step = _control_step(rows[0] - ratio * rows[1], 0.0, rows[2:], means)
@@ -633,6 +630,6 @@ def estimate_gamma_p(spec, p, xs, ys, n_samples, seed, workers=1,
         float(law.unit / mean[1]), names)
     meta = {"kind": spec.kind, "p": p, "x": xs, "y": ys, **den,
             "workers": workers}
-    meta.update(tally.metadata(n_samples))
+    meta.update(tally.metadata(mean[2]))
     meta.update(controls)
     return McEstimate(value, value_se, n_samples, seed, meta)

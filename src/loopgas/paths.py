@@ -50,8 +50,9 @@ they draw from the stream's generator, their table rows are cut at the
 stream's longest duration, and a call over the budget splits by stream
 first.
 LoopIntensity.draw_batch draws loop durations and base sites for a
-batch, then their bridges; draw_multi_window does the same for the grid
-loops of two windows or more.
+batch, then their bridges; draw_loops draws the base sites and bridges
+of given durations, such as those of the grid loops of two windows or
+more (sample_multi_window_duration).
 '''
 
 import functools
@@ -494,7 +495,8 @@ class LoopIntensity:
     so m = -sum_xi log(1 - a_xi) and a duration is nu LogSeries(a_xi), of
     a mode xi drawn with weight -log(1 - a_xi): exact, with no table.
     Its one-window loops have mass sum_xi a_xi, and the rest mass sum_xi
-    c_xi, c = log_series_excess(a) (multi_window, draw_multi_window).
+    c_xi, c = log_series_excess(a) (multi_window,
+    sample_multi_window_duration).
 
     Continuum: one table, the mass of each of 8192 geometric cell edges
     on [eps, t_max] over the one before, each cell integrated in u = log
@@ -604,8 +606,8 @@ class LoopIntensity:
         '''Grid only: (C, E T) of the loops of two windows or more, C =
         sum_xi c_xi their mass (c_xi = log_series_excess(a_xi)) and E T =
         nu sum_xi a_xi^2 / (1 - a_xi) / C their mean duration under the
-        normalized law draw_multi_window draws (nu when C = 0).  The rest
-        of the mass, sum_xi a_xi, is the one-window loops.'''
+        normalized law sample_multi_window_duration draws (nu when C =
+        0).  The rest of the mass, sum_xi a_xi, is the one-window loops.'''
         C = float(self._multi_cdf[-1])
         if not C > 0:
             return 0.0, self.nu
@@ -624,13 +626,6 @@ class LoopIntensity:
         pass.'''
         return self.draw_loops(rngs, counts,
                                self.sample_duration(rngs, counts))
-
-    def draw_multi_window(self, rngs, counts):
-        '''Grid only: loops of the normalized intensity restricted to
-        two windows or more, as draw_batch draws them, with the durations
-        of sample_multi_window_duration.'''
-        return self.draw_loops(rngs, counts,
-                               self.sample_multi_window_duration(rngs, counts))
 
     def sample_multi_window_duration(self, rngs, counts):
         '''Grid only: counts[i] durations of the loops of two windows or

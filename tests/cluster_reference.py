@@ -10,10 +10,10 @@ M(T) \\ T into the form of kruskal_brackets.
 
 estimate_X_by_order and log_Z_by_order are the truncated series as the
 library ran it before it drew its orders together: each order, and the
-tree-bound remainder, one run_mc call of its own on the streams (seed,
-n), its groups those of its own batches (loop_mc._batched), and its
-pair matrices from a kernel call of n groups.  The library's reports
-must equal theirs bit for bit.
+tree-bound remainder, one driver run of its own (loop_mc.run_groups
+with one run) on the streams (seed, n), its groups those of its own
+batches, and its pair matrices from a kernel call of n groups.  The
+library's reports must equal theirs bit for bit.
 '''
 
 import itertools
@@ -180,9 +180,10 @@ def tree_sum(zeta):
 def estimate_X_by_order(spec, fixed, n_max, n_samples, seed, workers=1,
                         run=None):
     '''cluster.estimate_X with each order n, and the remainder n_max +
-    1, drawn and reduced by one call run(sample function, n_samples,
-    (seed, n), workers) of its own (run None: loop_mc.run_mc).'''
-    run = run or loop_mc.run_mc
+    1, drawn and reduced by one driver call run(group function, [((seed,
+    n), n)], n_samples, workers) of its own (run None:
+    loop_mc.run_groups).'''
+    run = run or loop_mc.run_groups
     p = len(fixed.start)
     intensity, params = spec.intensity, spec.params
     mass = intensity.total_mass
@@ -204,31 +205,31 @@ def estimate_X_by_order(spec, fixed, n_max, n_samples, seed, workers=1,
         stratum = p == 0 and n == 1
         factor = (math.factorial(n) // math.factorial(q)
                   * (drawn_mass if stratum else mass) ** q)
-        draw = (intensity.draw_multi_window if stratum
-                else intensity.draw_batch)
+        durations = (intensity.sample_multi_window_duration if stratum
+                     else intensity.sample_duration)
         phi_of = cluster.tree_sum if bound_mode else cluster.ursell
 
-        def configs(rngs, counts):
+        def sample_group(group):
+            [(_, rngs, counts)] = group
             m = sum(counts)
-            loops = draw(rngs, [k * q for k in counts])
+            counts = [k * q for k in counts]
+            loops = intensity.draw_loops(rngs, counts,
+                                         durations(rngs, counts))
             fixed_slot = np.tile(np.arange(p), m)
             batch = LoopBatch.join(m, [
                 (np.repeat(np.arange(m), p), fixed, fixed_slot),
                 (np.repeat(np.arange(m), q), loops, None)])
             slot = np.concatenate((fixed_slot, np.tile(np.arange(p, n), m)))
-            return batch, slot, loops.duration.reshape(m, q)
-
-        def evaluate(drawn):
-            batch, slot, T = drawn
+            T = loops.duration.reshape(m, q)
             V = batch_interaction(batch, params, spec.kind, (slot, n))
             weight, zeta = cluster._weights_and_zeta(V, p)
             rows = [factor * weight * phi_of(zeta), weight, weight * weight,
                     T.sum(axis=1)]
             if n > 1:
                 rows.append(np.triu(V, 1)[:, :, p:].sum(axis=(1, 2)))
-            return np.stack(rows)
+            return [np.stack(rows)]
 
-        return loop_mc._batched(configs, evaluate, n)
+        return sample_group
 
     report = {"p": p, "n_max": n_max, "orders": orders, "means": [],
               "std_errors": [], "plain_means": [], "plain_std_errors": [],
@@ -248,7 +249,8 @@ def estimate_X_by_order(spec, fixed, n_max, n_samples, seed, workers=1,
         if stratum and not drawn_mass > 0:
             value, value_se, step, ess = offset, 0.0, None, float(n_samples)
         else:
-            mean, se, rows = run(sampler(n), n_samples, (seed, n), workers)
+            [(mean, se, rows)] = run(sampler(n), [((seed, n), n)],
+                                     n_samples, workers)
             value, value_se = offset + float(mean[0]), float(se[0])
             step = loop_mc._control_step(rows[0], mean[0], rows[3:],
                                          np.array(means))
@@ -263,8 +265,9 @@ def estimate_X_by_order(spec, fixed, n_max, n_samples, seed, workers=1,
         report["variance_ratios"].append(controls["variance_ratio"])
         report["controls"].append(controls["controls"])
         report["ess"].append(ess)
-    rem, rem_se, _ = run(sampler(n_max + 1, bound_mode=True), n_samples,
-                         (seed, n_max + 1), workers)
+    [(rem, rem_se, _)] = run(sampler(n_max + 1, bound_mode=True),
+                             [((seed, n_max + 1), n_max + 1)], n_samples,
+                             workers)
     report["remainder"] = float(rem[0])
     report["remainder_se"] = float(rem_se[0])
     report["total"] = float(sum(report["means"]))

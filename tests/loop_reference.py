@@ -7,26 +7,29 @@ bridge sampler's Poisson table of a set of durations.
 
 The samplers bridges, draw_batch, draw_multi_window and open_paths make
 exactly the random draws of the library's paths.bridges,
-LoopIntensity.draw_batch, LoopIntensity.draw_multi_window and
-loop_mc._OpenPaths.draw, the same calls in the same order, but build
-each path on its own, one signed unit step (step) at a time, and return
-lists of Paths.  walks draws free walks step by step (Poisson(d T) jump
-counts, uniform signed steps, uniform jump times) for tests that need
-open walks as inputs.  full_inversion_bridges is the library's bridges
-as it was before its first-cell shortcut: every coordinate goes through
-the residue table and the inversion, with the same draws, budget and
-chunks; the library's bridges must match it bit for bit.
-rejection_loops is the bridge sampler the library used before exact
-bridges: it re-walks every open loop until it closes, and serves as a
-statistical oracle.  per_worker is run_mc's per-worker chunk loop from
-before it drew every worker's stream in one call: it calls a one-stream
-sample function once per stream and joins the rows in stream order, the
-oracle of the library's one call (one_stream_at_a_time turns the
-library's sample functions into such a one-stream function).  The
-occupation kernel builds one configuration's slices and occupations and
-its quadratic form at a time, for its total and for the pair matrices
-of groups of its loops (group_matrix).  The tests check the batched
-code against these, number for number.
+LoopIntensity.draw_batch, LoopIntensity.draw_loops over the durations
+of sample_multi_window_duration and loop_mc._OpenPaths.draw, the same
+calls in the same order, but build each path on its own, one signed
+unit step (step) at a time, and return lists of Paths.  walks draws
+free walks step by step (Poisson(d T) jump counts, uniform signed
+steps, uniform jump times) for tests that need open walks as inputs.
+full_inversion_bridges is the library's bridges as it was before its
+first-cell shortcut: every coordinate goes through the residue table
+and the inversion, with the same draws, budget and chunks; the
+library's bridges must match it bit for bit.  rejection_loops is the
+bridge sampler the library used before exact bridges: it re-walks every
+open loop until it closes, and serves as a statistical oracle.
+per_worker is run_mc's per-worker chunk loop from before it drew every
+worker's stream in one call: it calls a one-stream sample function
+once per stream and joins the rows in stream order, the oracle of the
+library's one call (one_stream_at_a_time turns the library's sample
+functions into such a one-stream function).  batch_at_a_time is the
+driver loop_mc.run_groups with no packing: each run one run_mc call,
+each stream's batches drawn and evaluated one at a time, each batch a
+group of its own.  The occupation kernel builds one configuration's
+slices and occupations and its quadratic form at a time, for its total
+and for the pair matrices of groups of its loops (group_matrix).  The
+tests check the batched code against these, number for number.
 '''
 
 import itertools
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from loopgas import paths
+from loopgas import loop_mc, paths
 from loopgas.interactions import v_tilde_table
 from loopgas.paths import (LoopBatch, _log_factorials, _poisson_rows, _sites,
                            _table_cut, pick)
@@ -55,6 +58,27 @@ def one_stream_at_a_time(sample_fn):
     '''The library's run_mc sample function sample_fn(rngs, counts)
     called on one stream at a time: per_worker of its one-stream calls.'''
     return per_worker(lambda rng, n: sample_fn([rng], [n]))
+
+
+def batch_at_a_time(sample_group, runs, n_samples, workers=1):
+    '''loop_mc.run_groups(sample_group, runs, n_samples, workers) with
+    every batch of every stream its own group: each run (seed,
+    loops_per_sample) one run_mc call over per_worker, a stream's
+    batches of loop_mc._batch_size(loops_per_sample) samples drawn and
+    evaluated in stream order, one sample_group call each, and their
+    rows joined.'''
+    out = []
+    for r, (seed, loops) in enumerate(runs):
+        size = loop_mc._batch_size(loops)
+
+        def one_stream(rng, n):
+            return np.concatenate(
+                [sample_group([(r, [rng], [min(size, n - lo)])])[0]
+                 for lo in range(0, n, size)], axis=-1)
+
+        out.append(loop_mc.run_mc(per_worker(one_stream), n_samples, seed,
+                                  workers))
+    return out
 
 
 # -- the reference loop type -----------------------------------------------

@@ -269,6 +269,20 @@ def test_ginibre_z_experiment_and_determinism(tmp_path):
     assert doc3["mean"] != doc["mean"]
 
 
+def test_workers_past_the_samples_run_as_one_a_sample(tmp_path):
+    '''The schema bounds --workers from below only: workers are random
+    streams, not processes, and only those with a sample are spawned.  At
+    20 samples, 10^9 workers write the estimate of 20 workers.'''
+    cfg = _write_config(tmp_path, _ginibre_doc(n_samples=20))
+    outs = {}
+    for workers in ("20", "1000000000"):
+        outs[workers] = tmp_path / workers
+        assert main(["ginibre-z", "--config", cfg, "--out",
+                     str(outs[workers]), "--workers", workers]) == 0
+    assert (outs["20"] / "ginibre_z.csv").read_bytes() == \
+        (outs["1000000000"] / "ginibre_z.csv").read_bytes()
+
+
 def test_symanzik_z_experiment(tmp_path):
     cfg = _write_config(tmp_path, {
         "experiment": "symanzik-z", "torus": {"d": 1, "L": 3},

@@ -382,8 +382,8 @@ def test_expansion_budget_guards(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a loop was drawn")
 
-    for name in ("draw_batch", "draw_multi_window", "draw_loops",
-                 "sample_duration", "sample_multi_window_duration"):
+    for name in ("draw_batch", "draw_loops", "sample_duration",
+                 "sample_multi_window_duration"):
         monkeypatch.setattr(spec.intensity, name, no_draw)
     monkeypatch.setattr(cluster, "batch_interaction", no_draw)
     with pytest.raises(ValueError, match=f"n_max <= {MAX_URSELL_N}"):

@@ -15,9 +15,9 @@ from loopgas.lattice import (
     PotentialSpec, Torus, periodize_potential)
 from loopgas import loop_mc
 from loopgas.loop_mc import (
-    EnsembleSpec, _OpenPaths, _background_means, _batch_size, _batched,
-    _chunks, _control_step, _draw_background, _paired_ratio, _Tally,
-    estimate_gamma_p, estimate_rel_partition, run_mc)
+    EnsembleSpec, _OpenPaths, _background_means, _batch_size, _chunks,
+    _control_step, _draw_background, _mean_se, _paired_ratio,
+    estimate_gamma_p, estimate_rel_partition, run_groups, run_mc)
 from loopgas.paths import LoopIntensity, bridges
 from loopgas.perturbative import gamma1_first_order
 from loopgas.quantum_oracle import reduced_density_matrix
@@ -422,39 +422,68 @@ def test_batch_rule_fills_the_loop_budget(budget, monkeypatch):
             assert size == 1
 
 
-def _recording_draw(groups):
-    def draw(rngs, counts):
-        groups.append(list(counts))
-        return np.concatenate([rng.random(m) for rng, m in zip(rngs, counts)])
-    return draw
+def _recording_group(groups):
+    '''A run_groups group function that records each group as (run,
+    counts) pairs and gives run r's samples r + 2 u, u its streams'
+    uniforms.'''
+    def sample_group(group):
+        groups.append([(r, list(counts)) for r, _, counts in group])
+        return [r + 2.0 * np.concatenate([rng.random(m) for rng, m
+                                          in zip(rngs, counts)])
+                for r, rngs, counts in group]
+    return sample_group
+
+
+def _stream_values(n_samples, seed, workers):
+    '''The uniforms of each worker's chunk of a run, in worker order.'''
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    return np.concatenate([np.random.default_rng(s).random(n) for s, n
+                           in zip(streams, _chunks(n_samples, workers))])
 
 
 def test_batched_cuts_a_chunk_by_the_rule(monkeypatch):
+    '''2.5 loops a sample at a budget of 8 loops: batches of 3.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 8)
     groups = []
-    sample = _batched(_recording_draw(groups), lambda values: 2.0 * values,
-                      2.5)
-    values = sample([np.random.default_rng(4)], [10])
-    assert groups == [[3], [3], [3], [1]]
-    assert np.array_equal(values, 2.0 * np.random.default_rng(4).random(10))
+    [(mean, se, rows)] = run_groups(_recording_group(groups), [(4, 2.5)], 10)
+    assert groups == [[(0, [3])], [(0, [3])], [(0, [3])], [(0, [1])]]
+    assert np.array_equal(rows, 2.0 * _stream_values(10, 4, 1))
+    assert (mean, se) == _mean_se(rows)
 
 
 def test_batched_packs_consecutive_batches_of_the_streams(monkeypatch):
-    '''Batches of 3 samples: the chunks 10, 2, 1 and 3 cut into the
-    batches 3, 3, 3, 1 | 2 | 1 | 3, and consecutive batches share a
-    group while their samples fit one batch: the last 1 of the first
-    stream with the 2 of the second, then the 1 of the third alone,
-    since the full batch after it does not fit.  Each stream draws its
-    own values, in stream order.'''
+    '''Batches of 3 samples: the 7 workers' chunks 2, 2, 2, 1, 1, 1, 1
+    of 10 samples are batches of their own, and consecutive batches
+    share a group while their samples fit one batch: the third 2 with
+    the first 1, then the other three 1s.  Each stream draws its own
+    values, in stream order.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 8)
     groups = []
-    sample = _batched(_recording_draw(groups), lambda values: 2.0 * values,
-                      2.5)
-    counts = [10, 2, 1, 3]
-    values = sample([np.random.default_rng(s) for s in range(4)], counts)
-    assert groups == [[3], [3], [3], [1, 2], [1], [3]]
-    assert np.array_equal(values, 2.0 * np.concatenate([
-        np.random.default_rng(s).random(n) for s, n in enumerate(counts)]))
+    [(_, _, rows)] = run_groups(_recording_group(groups), [(5, 2.5)], 10,
+                                workers=7)
+    assert groups == [[(0, [2])], [(0, [2])], [(0, [2, 1])],
+                      [(0, [1, 1, 1])]]
+    assert np.array_equal(rows, 2.0 * _stream_values(10, 5, 7))
+
+
+def test_runs_pack_into_shared_groups(monkeypatch):
+    '''Three runs of 8 samples at 2 workers (chunks 4, 4) and a budget
+    of 12 loops: run 0 (1 loop a sample, batches of 12) puts both its
+    chunks in one group of 8 loops; run 1 (4 loops a sample, batches of
+    3) cuts each chunk into 3 and 1, and its first batch, 12 loops, does
+    not fit the 4 left, so each of its batches opens a group; run 2 (0.5
+    loops a sample, counted as 1: batches of 12) fills the last group's
+    8 loops left with both its chunks.  Each run's rows are its own
+    streams' values, joined over its groups in worker order.'''
+    monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", 12)
+    groups = []
+    runs = [(0, 1.0), ((1, 2), 4.0), (2, 0.5)]
+    results = run_groups(_recording_group(groups), runs, 8, workers=2)
+    assert groups == [[(0, [4, 4])], [(1, [3])], [(1, [1])], [(1, [3])],
+                      [(1, [1]), (2, [4, 4])]]
+    for r, ((seed, _), (mean, se, rows)) in enumerate(zip(runs, results)):
+        assert np.array_equal(rows, r + 2.0 * _stream_values(8, seed, 2))
+        assert (mean, se) == _mean_se(rows)
 
 
 # -- the batched estimators against per-sample references ------------------------
@@ -769,8 +798,7 @@ def test_background_controls_have_their_exact_means(spec):
     '''The sample means of K, K^2, S, S^2 over 10^5 drawn backgrounds
     against _background_means: |z| < 4 each.'''
     _, _, controls = _draw_background(spec.intensity,
-                                      [np.random.default_rng(5)], [10 ** 5],
-                                      _Tally())
+                                      [np.random.default_rng(5)], [10 ** 5])
     controls = np.array(controls, dtype=float).T
     z = ((controls.mean(axis=0) - _background_means(spec.intensity))
          / (controls.std(axis=0, ddof=1) / math.sqrt(len(controls))))

@@ -801,8 +801,8 @@ def test_multi_window_loops_have_their_exact_mass_and_mean(d, L):
     '''LoopIntensity.multi_window: C is the mass sum_xi c_xi of the
     loops of two windows or more (1e-14 relative), the rest of the mass
     is sum_xi a_xi, and E T = nu sum_xi a_xi^2 / (1 - a_xi) / C matches
-    10^6 loops of draw_multi_window (|z| < 4), every one closed, of two
-    windows or more, on the grid.'''
+    10^6 loops of the durations of sample_multi_window_duration
+    (|z| < 4), every one closed, of two windows or more, on the grid.'''
     nu = 0.5
     intensity = LoopIntensity(Torus(d, L), "ginibre", kappa=1.5, nu=nu)
     a = intensity.a.tolist()
@@ -813,8 +813,9 @@ def test_multi_window_loops_have_their_exact_mass_and_mean(d, L):
                                              rel=1e-14)
     assert mean == pytest.approx(
         nu * math.fsum(x * x / (1.0 - x) for x in a) / C, rel=1e-14)
-    batch = intensity.draw_multi_window([np.random.default_rng(8)],
-                                        [10 ** 6])
+    rngs, counts = [np.random.default_rng(8)], [10 ** 6]
+    batch = intensity.draw_loops(
+        rngs, counts, intensity.sample_multi_window_duration(rngs, counts))
     T = batch.duration
     steps = np.rint(T / nu)
     assert np.array_equal(T, nu * steps) and steps.min() >= 2

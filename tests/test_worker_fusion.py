@@ -1,8 +1,10 @@
 '''One pass for all workers: every estimator's run, with all worker
-streams drawn and evaluated together, against the per-worker chunk loop
-of loop_reference.per_worker (each stream's samples drawn and evaluated
-on their own, as run_mc did before it drew every stream in one call),
-bit for bit.'''
+streams drawn and evaluated together, against its run with each
+stream's samples drawn and evaluated on their own, bit for bit: the loop
+estimators' driver as loop_reference.batch_at_a_time (every batch of
+every stream a group of its own), the field oracle's run_mc over the
+per-worker chunk loop of loop_reference.per_worker (as run_mc did before
+it drew every stream in one call).'''
 
 import numpy as np
 import pytest
@@ -28,12 +30,23 @@ def _per_worker_run_mc(sample_fn, n_samples, seed, workers=1):
 
 def _both(monkeypatch, run):
     '''run() as the library runs it, then with each worker's stream
-    drawn and evaluated on its own.'''
+    drawn and evaluated on its own; asserts that a reference ran, so
+    that the second run is not the first one again.'''
     fused = run()
+    ran = []
+
+    def counted(reference):
+        def call(*args):
+            ran.append(reference)
+            return reference(*args)
+        return call
+
     with monkeypatch.context() as patch:
-        for module in (loop_mc, field_oracle):
-            patch.setattr(module, "run_mc", _per_worker_run_mc)
+        patch.setattr(loop_mc, "run_groups",
+                      counted(loop_reference.batch_at_a_time))
+        patch.setattr(field_oracle, "run_mc", counted(_per_worker_run_mc))
         per_worker = run()
+    assert ran
     return fused, per_worker
 
 
@@ -115,18 +128,19 @@ def test_cluster_orders_run_as_their_workers_run_alone(workers, budget,
     of two windows or more, orders 2 and 3) and the tree-bound order 4,
     then the same for one fixed path, drawn together, equal each order
     run on its own, one worker's stream at a time
-    (cluster_reference.estimate_X_by_order over the per-worker run_mc);
+    (cluster_reference.estimate_X_by_order, each order's driver run
+    loop_reference.batch_at_a_time);
     a budget of 8 loops cuts each order's chunks into batches of 8 // n
     samples.'''
     monkeypatch.setattr(loop_mc, "_BATCH_LOOPS", budget)
     spec = _grid(lam=None, mode="meanfield")
     assert log_Z_via_expansion(spec, 3, 101, (5, workers), workers) == (
         cluster_reference.log_Z_by_order(spec, 3, 101, (5, workers), workers,
-                                         _per_worker_run_mc))
+                                         loop_reference.batch_at_a_time))
     fixed = spec.intensity.draw_batch([np.random.default_rng(6)], [1])
     assert estimate_X(spec, fixed, 3, 101, 7, workers) == (
         cluster_reference.estimate_X_by_order(spec, fixed, 3, 101, 7, workers,
-                                              _per_worker_run_mc))
+                                              loop_reference.batch_at_a_time))
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
