@@ -42,6 +42,8 @@ class LmParams:
     def __post_init__(self):
         if not self.kappa0 > 0:
             raise ValueError("kappa0 must be > 0 (need e^{-kappa0} < 1)")
+        if math.exp(-self.kappa0) >= 1.0:
+            raise ValueError("kappa0 too small: the weight e^{-kappa0} is 1")
         if self.potential.d != self.torus.d:
             raise ValueError("potential dimension mismatch")
         self.vL = periodize_potential(self.potential, self.torus.L)

@@ -193,8 +193,8 @@ def _ring_decay(t, M):
     the symbol of the 1D kernel on a ring of M sites; ValueError past
     MAX_RING_SITES.'''
     if M > MAX_RING_SITES:
-        raise ValueError(f"heat kernel at t={t} needs a ring of {M} sites, "
-                         f"above MAX_RING_SITES={MAX_RING_SITES}")
+        raise ValueError(f"heat kernel at t={t} needs a ring of {M:.3g} "
+                         f"sites, above MAX_RING_SITES={MAX_RING_SITES}")
     # k centred, so sin^2 keeps full relative accuracy (1 - cos would lose
     # t * 1e-16)
     k = np.arange(M) - M // 2

@@ -57,10 +57,11 @@ other at each step:
     durations of the open paths, in (sample, path) order, and one
     paths.bridges call for their B p bridges.
 The batch size bounds the memory a group holds, since that memory
-follows loops, not samples (the residue table alone is at most distinct
-durations x M x L, within paths.MAX_BRIDGE_CELLS, though it holds only
-the durations of the coordinates that may jump), and it is part of the
-stream: the draws of a batch are grouped by kind, not by sample.
+follows loops, not samples (a bridges call holds its draws and jumps
+whole, and inverts the coordinates that may jump in parts of at most
+paths.MAX_BRIDGE_CELLS table and column cells, which leave the draws as
+they are), and it is part of the stream: the draws of a batch are
+grouped by kind, not by sample.
 
 Control variates (always on).  Under the free loop soup some quantities
 of a sample have exact means for every potential, hard core included,

@@ -35,20 +35,18 @@ in the first cells, and the masses of those cells have L-term closed
 forms (_first_cell_masses); so such a coordinate is tested against them
 first, with a margin, and the table and the inversion serve only the
 coordinates that may jump.  Short loops, most of a small-eps soup, build
-no table row at all; every draw and count is the full inversion's.  A
-call whose table and count columns would exceed MAX_BRIDGE_CELLS cells,
-counted for the whole call as if every coordinate inverted, draws in
-chunks of its walks, each within the budget, and puts walk k back at
-position k: the walks sorted stably from the longest duration down, the
-first n // 2 of them drawn as one call, then the rest, each split again
-while it exceeds the budget.  The longest walk thus comes first, and
-when it alone exceeds the budget the call raises ValueError before any
-draw.  The budget bounds the tables of each chunk, not the jumps of the
-whole call.  A call may hold the walks of several streams (the workers'
-generators), and each stream's walks are those of a call of its own:
-they draw from the stream's generator, their table rows are cut at the
-stream's longest duration, and a call over the budget splits by stream
-first.
+no table row at all; every draw and count is the full inversion's.
+MAX_BRIDGE_CELLS bounds memory, not the draws: a call makes its draws
+once, whatever its size, and only the inversion runs in parts when the
+table rows and count columns of the coordinates that invert exceed the
+budget, each part within it (_inversion_parts).  A row holds the same
+masses in every part, so every count is that of one inversion over the
+whole table.  A call in which one coordinate's row and columns alone
+exceed the budget raises ValueError before any draw.  The budget bounds
+the tables, not the jumps of the call.  A call may hold the walks of
+several streams (the workers' generators), and each stream's walks are
+those of a call of its own: they draw from the stream's generator, and
+their table rows are cut at the stream's longest duration.
 LoopIntensity.draw_batch draws loop durations and base sites for a
 batch, then their bridges; draw_loops draws the base sites and bridges
 of given durations, such as those of the grid loops of two windows or
@@ -62,7 +60,8 @@ import numpy as np
 
 # truncation of the bridge sampler's Poisson tables (_table_cut)
 POISSON_TAIL = 1e-16
-# Most cells of one bridges call's residue table and count columns
+# Most cells of the residue table rows and count columns of one part of
+# a bridges call's inversion
 MAX_BRIDGE_CELLS = 2 ** 25
 
 
@@ -91,13 +90,11 @@ def bridges(torus, x, T, rngs, counts, y=None):
     inversion (_first_cell_masses) takes no jump and no table row; the
     table holds the durations of the other coordinates only, each row
     cut at its stream's longest duration, so every count is the full
-    inversion's of a one-stream call.  Over MAX_BRIDGE_CELLS, counted
-    for the whole call as if every coordinate inverted, a call splits by
-    stream first, each stream's walks drawn as a call of their own; a
-    one-stream call draws in chunks: the first n // 2 walks in stable
-    order of decreasing duration, then the rest, walk k back at position
-    k.  ValueError when one walk alone is over, before any draw of its
-    stream.'''
+    inversion's of a one-stream call.  At any MAX_BRIDGE_CELLS these are
+    the draws and the counts: only the inversion runs in parts, each
+    within the budget (_inversion_parts, _invert).  ValueError, before
+    any draw, when one coordinate's table row and count columns alone
+    exceed it.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
     n, d, L = len(x), torus.d, torus.L
@@ -111,40 +108,17 @@ def bridges(torus, x, T, rngs, counts, y=None):
     # the table rows: each stream's distinct T/2, increasing, stream after
     # stream, each cut at its stream's longest duration
     lam, row, last = _distinct_by_stream(T / 2, counts)
-    # the budget counts the cumulative count columns (n, d, 1 or 2, M) too
-    rows = len(lam) * L + n * d * (1 if shift is None else 2)
-    try:
-        cut = _table_cut(lam[last].tolist(), rows, L)
-    except ValueError:
-        if len(rngs) > 1:
-            ends = np.cumsum(counts)
-            return LoopBatch.join(n, [
-                (np.arange(hi - k, hi), bridges(
-                    torus, x[hi - k:hi], T[hi - k:hi], [rng], [k],
-                    None if y is None else np.asarray(y)[hi - k:hi]), None)
-                for rng, k, hi in zip(rngs, counts, ends)])
-        if n == 1:
-            raise
-        order = np.argsort(-T, kind="stable")
-        chunks = LoopBatch.join(n, [
-            (part, bridges(torus, x[part], T[part], rngs, [len(part)],
-                           None if y is None else np.asarray(y)[part]), None)
-            for part in (order[:n // 2], order[n // 2:])])
-        # chunk position j holds walk order[j]
-        return LoopBatch.join(n, [(np.arange(n), chunks, np.argsort(order))])
-    if len(cut) == 1:
-        cut = cut[0]
-    else:
-        cut = np.repeat(np.array(cut), [b - a for a, b
-                                        in zip([-1] + last[:-1], last)])
+    # the count columns a coordinate adds to its table row: one shared by
+    # the up and down counts when x = y, else one each
+    columns = 1 if shift is None else 2
+    cut = _table_cut(lam[last].tolist(), L + columns, L)
+    cut = cut[0] if len(cut) == 1 else np.repeat(cut, np.diff([-1] + last))
     u = _by_stream(rngs, counts, lambda rng, k: rng.random((k, d, 3)))
     # the coordinates that go through the inversion, flat (walk k, axis j
-    # at k d + j), and their rows of the distinct T/2: all of them, or
-    # all but those that stay put in the first cells
+    # at k d + j): all of them, or all but those that stay put in the
+    # first cells
     still = np.ones((n, d), dtype=bool) if shift is None else shift == 0
-    if not still.any():
-        move, sub, need = slice(None), np.repeat(row, d), slice(None)
-    else:
+    if still.any():
         q0, ret = _first_cell_masses(lam, L)
         # u_0 up to q_0^2 / sum_r q_r^2, and u_1, u_2 below e^{-lam} / q_0,
         # invert to the first cells.  Each bound is pulled in by 1e-9, q_0
@@ -158,33 +132,14 @@ def bridges(torus, x, T, rngs, counts, y=None):
         none = ((1.0 - 1e-9) * np.exp(-lam) / (q0 + 1e-9))[row][:, None]
         still &= ((u[..., 0] <= first)
                   & (np.maximum(u[..., 1], u[..., 2]) < none))
-        move = np.flatnonzero(~still)
-        walk_row = row[move // d]
-        need = np.zeros(len(lam), dtype=bool)
-        need[walk_row] = True
-        sub = (np.cumsum(need) - 1)[walk_row]
+    move = np.flatnonzero(~still)
+    rows = row[move // d]
+    um = u.reshape(n * d, 3)[move]
+    delta = None if shift is None else shift.reshape(n * d)[move]
     per_dir = np.zeros((n * d, 2), dtype=np.int64)
-    if len(sub):
-        table = _poisson_rows(lam[need], cut[need] if np.ndim(cut) else cut,
-                              L)
-        q = table.sum(axis=1)
-        um = u.reshape(n * d, 3)[move]
-        if shift is None:
-            q2 = np.cumsum(q ** 2, axis=1)[sub]
-        else:
-            delta = shift.reshape(n * d)[move]
-            up = (np.arange(L) + delta[:, None]) % L
-            q2 = np.cumsum(q[sub] * q[sub[:, None], up], axis=1)
-        residue = np.count_nonzero(q2 < (um[:, 0] * q2[:, -1])[:, None],
-                                   axis=1)
-        # the residues of the (up, down) counts, one shared column when x = y
-        res = (residue[:, None] if shift is None
-               else np.stack(((residue + delta) % L, residue), axis=-1))
-        # cumulative Poisson mass of each residue class, per coordinate
-        col = np.cumsum(table[sub[:, None], :, res], axis=2)
-        level = um[:, 1:] * col[..., -1]
-        per_dir[move] = res + L * np.count_nonzero(col < level[..., None],
-                                                   axis=2)
+    for part in _inversion_parts(rows, cut, L, columns):
+        per_dir[move[part]] = _invert(lam, cut, L, rows[part], um[part],
+                                      None if delta is None else delta[part])
     # per_dir[k, j] = the (up, down) counts of coordinate j of walk k,
     # that is, of the directions 2j and 2j + 1
     per_dir = per_dir.reshape(n, 2 * d)
@@ -198,20 +153,73 @@ def bridges(torus, x, T, rngs, counts, y=None):
                      _sites(torus, x, jumps, steps[order]))
 
 
+def _inversion_parts(rows, cut, L, columns):
+    '''The parts of the inversion of coordinates on the table rows rows
+    (cut at cut, an int or one per row), each coordinate with columns
+    count columns: one slice of them all when their rows and columns hold
+    at most MAX_BRIDGE_CELLS cells, else index arrays of runs of them in
+    order of their rows, each as long as the budget allows.  One
+    coordinate fits alone (_table_cut), so no run is empty.'''
+    m = len(rows)
+    if not m:
+        return []
+    size = (cut[rows] if np.ndim(cut) else np.full(m, cut)) // L + 1
+    if ((np.count_nonzero(np.bincount(rows)) * L + m * columns)
+            * int(size.max()) <= MAX_BRIDGE_CELLS):
+        return [slice(None)]
+    order = np.argsort(rows, kind="stable")
+    rows, size = rows[order], size[order]
+    new = np.diff(rows, prepend=-1) != 0
+    parts, lo = [], 0
+    while lo < m:
+        # the cells of the runs from lo through each later coordinate
+        cells = (((np.cumsum(new[lo:]) - new[lo] + 1) * L
+                  + np.arange(1, m - lo + 1) * columns)
+                 * np.maximum.accumulate(size[lo:]))
+        hi = lo + int(np.searchsorted(cells, MAX_BRIDGE_CELLS, side="right"))
+        parts.append(order[lo:hi])
+        lo = hi
+    return parts
+
+
+def _invert(lam, cut, L, rows, u, delta):
+    '''The (up, down) counts of coordinates on the table rows rows (of
+    the means lam, cut at cut, an int or one per row), each from its
+    three uniforms u (m x 3) and the shift delta of its up count's
+    residue (None: 0 for all): its residue, then its counts, by inverse
+    CDF over the residue table of those rows alone.'''
+    need = np.zeros(len(lam), dtype=bool)
+    need[rows] = True
+    sub = (np.cumsum(need) - 1)[rows]
+    table = _poisson_rows(lam[need], cut[need] if np.ndim(cut) else cut, L)
+    q = table.sum(axis=1)
+    if delta is None:
+        q2 = np.cumsum(q ** 2, axis=1)[sub]
+    else:
+        up = (np.arange(L) + delta[:, None]) % L
+        q2 = np.cumsum(q[sub] * q[sub[:, None], up], axis=1)
+    residue = np.count_nonzero(q2 < (u[:, 0] * q2[:, -1])[:, None], axis=1)
+    # the residues of the (up, down) counts, one shared column when x = y
+    res = (residue[:, None] if delta is None
+           else np.stack(((residue + delta) % L, residue), axis=-1))
+    # cumulative Poisson mass of each residue class, per coordinate, summed
+    # in place once the table is freed: the two share the budget
+    col = table[sub[:, None], :, res]
+    del table
+    np.cumsum(col, axis=2, out=col)
+    level = u[:, 1:] * col[..., -1]
+    return res + L * np.count_nonzero(col < level[..., None], axis=2)
+
+
 def _distinct_by_stream(values, counts):
     '''The distinct values of each stream, the segments of counts[i]
     entries: (those values, increasing, stream after stream; the index
     among them of each entry; the index of each nonempty stream's
     largest).'''
     n = len(values)
-    if len(counts) == 1:
-        order = np.argsort(values)
-        first = [0]
-    else:
-        ends = np.cumsum(counts)
-        first = [hi - k for k, hi in zip(counts, ends) if k]
-        order = np.concatenate([np.argsort(values[lo:hi]) + lo for lo, hi
-                                in zip(first, first[1:] + [n])])
+    first = [hi - k for k, hi in zip(counts, np.cumsum(counts)) if k]
+    order = np.concatenate([np.argsort(values[lo:hi]) + lo for lo, hi
+                            in zip(first, first[1:] + [n])])
     ordered = values[order]
     new = np.empty(n, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
@@ -335,8 +343,8 @@ def _table_cut(tops, rows, L):
         if cells > MAX_BRIDGE_CELLS:
             raise ValueError(
                 f"bridges of durations up to {2.0 * top:.4g} need at least "
-                f"{cells} Poisson table cells, above MAX_BRIDGE_CELLS = "
-                f"{MAX_BRIDGE_CELLS}; raise kappa")
+                f"{cells:.3g} Poisson table cells a coordinate, above "
+                f"MAX_BRIDGE_CELLS = {MAX_BRIDGE_CELLS}; raise kappa")
     return cuts
 
 

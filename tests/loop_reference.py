@@ -14,11 +14,12 @@ unit step (step) at a time, and return lists of Paths.  walks draws
 free walks step by step (Poisson(d T) jump counts, uniform signed
 steps, uniform jump times) for tests that need open walks as inputs.
 full_inversion_bridges is the library's bridges as it was before its
-first-cell shortcut: every coordinate goes through the residue table
-and the inversion, with the same draws, budget and chunks; the
-library's bridges must match it bit for bit.  rejection_loops is the
-bridge sampler the library used before exact bridges: it re-walks every
-open loop until it closes, and serves as a statistical oracle.
+first-cell shortcut and its inversion in parts: every coordinate goes
+through one residue table of all the call's durations, with the same
+draws and refusal; the library's bridges must match it bit for bit at
+any budget.  rejection_loops is the bridge sampler the library used
+before exact bridges: it re-walks every open loop until it closes, and
+serves as a statistical oracle.
 per_worker is run_mc's per-worker chunk loop from before it drew every
 worker's stream in one call: it calls a one-stream sample function
 once per stream and joins the rows in stream order, the oracle of the
@@ -137,10 +138,11 @@ def residue_table(lam, L, columns=0):
     '''Poisson(lam) masses by residue mod L, (len(lam), M, L): entry
     [i, m, r] is P(X = m L + r), X ~ Poisson(lam[i]), so that the sum
     over m is the residue mass q_r, cut where paths.bridges cuts its
-    table.  ValueError, before any table is built, when it and columns
-    more columns of M cells exceed paths.MAX_BRIDGE_CELLS.'''
-    return _poisson_rows(lam, _table_cut([float(lam.max())],
-                                         len(lam) * L + columns, L)[0], L)
+    table.  ValueError, before any table is built, when one row of it
+    and columns more columns of M cells exceed paths.MAX_BRIDGE_CELLS,
+    as paths.bridges refuses a coordinate.'''
+    return _poisson_rows(lam, _table_cut([float(lam.max())], L + columns,
+                                         L)[0], L)
 
 
 def table_cut(top, rows, L):
@@ -275,10 +277,11 @@ def bridges(torus, x, T, rng, y=None):
 
 
 def full_inversion_bridges(torus, x, T, rng, y=None):
-    '''paths.bridges by full inversion: the residue table holds every
-    distinct T/2 of the call and every coordinate inverts its three
-    uniforms.  The draws, the budget (the library's MAX_BRIDGE_CELLS) and
-    the chunk rule are those of paths.bridges; a LoopBatch, walk k at
+    '''paths.bridges by full inversion: one residue table holds every
+    distinct T/2 of the call, whatever its size, and every coordinate
+    inverts its three uniforms.  The draws and the refusal (one row and
+    the count columns of one coordinate over the library's
+    MAX_BRIDGE_CELLS) are those of paths.bridges; a LoopBatch, walk k at
     position k.'''
     x = np.asarray(x, dtype=np.int64)
     T = np.asarray(T, dtype=float)
@@ -290,20 +293,7 @@ def full_inversion_bridges(torus, x, T, rng, y=None):
     if shift is not None and not shift.any():
         shift = None
     lam, row = np.unique(T / 2, return_inverse=True)
-    try:
-        table = residue_table(lam, L, n * d * (1 if shift is None else 2))
-    except ValueError:
-        if n == 1:
-            raise
-        order = np.argsort(-T, kind="stable")
-        chunks = LoopBatch.join(n, [
-            (part, full_inversion_bridges(
-                torus, x[part], T[part], rng,
-                None if y is None else np.asarray(y)[part]), None)
-            for part in (order[:n // 2], order[n // 2:])])
-        back = np.empty(n, dtype=np.int64)
-        back[order] = np.arange(n)
-        return LoopBatch.join(n, [(np.arange(n), chunks, back)])
+    table = residue_table(lam, L, 1 if shift is None else 2)
     u = rng.random((n, d, 3))
     q = table.sum(axis=1)
     if shift is None:

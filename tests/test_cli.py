@@ -737,11 +737,24 @@ def test_grid_loops_past_the_bridge_budget_exit_2(tmp_path):
     assert f"MAX_BRIDGE_CELLS = {MAX_BRIDGE_CELLS}" in run.stderr
 
 
+def test_symanzik_loops_past_the_bridge_budget_exit_2(tmp_path, capsys):
+    '''At kappa = 1e-300 the continuum law reaches durations near 1e300,
+    whose table would need some 1e299 cells a coordinate: the refusal
+    writes the count in three digits, on one short line.'''
+    cfg = _write_config(tmp_path, dict(_SYMANZIK, kappa=1e-300,
+                                       n_samples=50))
+    assert main(["symanzik-z", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_BRIDGE_CELLS" in err
+    assert len(err) < 200 and "e+299 Poisson table cells" in err
+
+
 def test_grid_loops_over_the_bridge_budget_draw_in_chunks(tmp_path):
     # kappa nu = 1e-5: a batch's bridges would need about 5.3e7 table
-    # cells in one call, but each loop fits, so bridges draws in chunks;
-    # lambda = 1e-8 keeps the weights of those long loops above 0 (the
-    # chunks follow kappa, not lambda)
+    # cells in one call, but each coordinate fits, so bridges inverts in
+    # chunks; lambda = 1e-8 keeps the weights of those long loops above 0
+    # (the chunks follow kappa, not lambda)
     run = _run_cli(tmp_path, "ginibre-z", _ginibre_doc(
         nu=None, nu_list=[0.1], kappa=1e-4, n_samples=200, seed=7,
         **{"lambda": 1e-8}))
@@ -891,6 +904,19 @@ def test_heatkernel_past_the_ring_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MAX_RING_SITES" in err
     assert not (out / "heatkernel.csv").exists()
+
+
+def test_heatkernel_ring_refusal_is_one_short_line(tmp_path, capsys):
+    '''At t = 1e300 the ring would need some 1e151 sites: the refusal
+    writes the count in three digits, on one short line.'''
+    cfg = _write_config(tmp_path, {
+        "experiment": "heatkernel", "torus": {"d": 1, "L": 3},
+        "t_list": [1e300]})
+    assert main(["heatkernel", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_RING_SITES" in err
+    assert len(err) < 160 and "e+151 sites" in err
 
 
 def test_heatkernel_sums_every_image_it_needs(tmp_path, capsys):

@@ -30,6 +30,14 @@ def _soft(L=3, kappa0=2.0, v0=0.3):
                     kappa0=kappa0)
 
 
+def test_kappa0_whose_weight_rounds_to_one_is_refused():
+    '''At kappa0 = 1e-300 the weight e^{-kappa0} rounds to 1, so the
+    occupation sums would divide by 1 - a = 0: LmParams refuses it.'''
+    with pytest.raises(ValueError, match="weight e\\^\\{-kappa0\\} is 1"):
+        _soft(kappa0=1e-300)
+    assert _soft(kappa0=1e-15).a < 1.0
+
+
 def test_hard_core_closed_forms():
     # pure hard core, no finite part: sites independent with occupation
     # in {0, 1}: unnormalized Z = (1 + a)^L, relative Z = ((1+a)(1-a))^L

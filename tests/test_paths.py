@@ -343,17 +343,19 @@ def test_bridges_agree_with_the_rejection_sampler(kind, d, L):
 
 class _CountingRng:
     '''A generator that counts the calls made to it, and the variates
-    each of its methods draws.'''
+    each of its methods draws, and records each call's size.'''
 
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), 0
         self.variates = collections.Counter()
+        self.sizes = []
 
     def __getattr__(self, name):
         def call(*args, **kwargs):
             self.calls += 1
             out = getattr(self.rng, name)(*args, **kwargs)
             self.variates[name] += np.size(out)
+            self.sizes.append(np.size(out))
             return out
         return call
 
@@ -405,68 +407,119 @@ def test_bridges_past_the_cell_budget_are_refused_before_any_draw(
     assert rng.calls == 0
 
 
+def _one_coordinate_cells(T, L, columns):
+    '''The cells of one coordinate at the longest duration of T: its
+    table row, M x L, and its columns count columns of M cells.'''
+    table = residue_table(np.array([T.max() / 2]), L)
+    return table.size + columns * table.shape[1]
+
+
+def _walks_of_kind(torus, kind, n, rng):
+    '''Start sites and end sites (None when closed) of n walks: closed,
+    open, or mixed (each walk open or given y = x with probability 1/2).'''
+    x = rng.integers(torus.n_sites, size=n)
+    if kind == "closed":
+        return x, None
+    y = rng.integers(torus.n_sites, size=n)
+    return x, (np.where(rng.random(n) < 0.5, x, y) if kind == "mixed"
+               else y)
+
+
+def _same_batch(batch, expected):
+    '''Asserts that two LoopBatches hold the same loops, field by field.'''
+    for name in ("config", "start", "duration", "offsets", "times",
+                 "sites"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+
+
+def _count_tables(monkeypatch):
+    '''A list that grows by one at each residue table bridges builds,
+    one a part of its inversion.'''
+    tables, rows = [], paths._poisson_rows
+
+    def counted(*args):
+        tables.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(paths, "_poisson_rows", counted)
+    return tables
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "mixed"])
+def test_bridges_at_any_budget_draw_the_unbounded_walks(monkeypatch, kind):
+    '''At budgets from one coordinate's cells up to the default, over 1,
+    2 and 3 streams, bridges returns the walks of the unbounded call and
+    leaves each generator as that call does; only the inversion runs in
+    parts, more of them the smaller the budget.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(31)
+    tables = _count_tables(monkeypatch)
+    for counts in ([50], [30, 0, 25], [12, 40, 9]):
+        n = sum(counts)
+        x, y = _walks_of_kind(torus, kind, n, rng)
+        T = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), n))
+        T[:n // 3] = T[n // 3:2 * (n // 3)]
+
+        def draw(budget):
+            monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
+            gens = [np.random.default_rng(s) for s in range(len(counts))]
+            tables.clear()
+            batch = bridges(torus, x, T, gens, counts, y)
+            return batch, [g.bit_generator.state for g in gens], len(tables)
+
+        expected, states, _ = draw(2 ** 62)
+        one = _one_coordinate_cells(T, 3, 1 if y is None else 2)
+        parts = []
+        for budget in (one, one + 1, 3 * one, 20 * one, 2 ** 25):
+            batch, after, calls = draw(budget)
+            _same_batch(batch, expected)
+            assert after == states
+            parts.append(calls)
+        assert parts[0] > parts[2] > parts[3] >= parts[4] == 1
+        assert np.array_equal(_loop_ends(batch), x if y is None else y)
+
+
 @pytest.mark.parametrize("closed", [True, False])
-def test_bridge_budget_counts_the_table_and_the_columns(monkeypatch, closed):
-    '''The budget is the residue table (distinct T) x M x L plus the
-    cumulative columns n x d x (1 closed, 2 open) x M: bridges draws in
-    one call (two generator calls) at exactly that many cells, and in
-    two chunks at one fewer.'''
+def test_streams_draw_uniforms_then_jump_times_at_any_budget(monkeypatch,
+                                                             closed):
+    '''At one coordinate's cells and at the default budget, each stream
+    of a call draws twice: its uniforms, n_i x d x 3, then the jump
+    times of its walks; an empty stream draws nothing.'''
+    torus = Torus(2, 3)
+    rng = np.random.default_rng(22)
+    counts = [20, 0, 40]
+    x, y = _walks_of_kind(torus, "closed" if closed else "open", 60, rng)
+    T = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), 60))
+    one = _one_coordinate_cells(T, 3, 1 if closed else 2)
+    for budget in (one, 2 ** 25):
+        monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
+        gens = [_CountingRng(s) for s in range(3)]
+        jumps = np.diff(bridges(torus, x, T, gens, counts, y).offsets)
+        for gen, k, hi in zip(gens, counts, np.cumsum(counts)):
+            assert gen.sizes == ([k * 2 * 3, jumps[hi - k:hi].sum()] if k
+                                 else [0, 0])
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_bridge_budget_admits_one_coordinate(monkeypatch, closed):
+    '''The budget is one coordinate's table row (M x L) and count
+    columns (1 closed, 2 open, M each), M from the cut of the longest
+    duration: at that many cells 40 walks draw, with two generator
+    calls; at one cell fewer the call is refused before any draw.'''
     torus = Torus(2, 3)
     x = np.arange(40) % torus.n_sites
     T = np.repeat([0.5, 7.0, 30.0, 61.0], 10)
     y = None if closed else (x + 1) % torus.n_sites
-    table = residue_table(np.unique(T / 2), 3)
-    cells = table.size + len(x) * 2 * (1 if closed else 2) * table.shape[1]
-    for budget, calls in ((cells, 2), (cells - 1, 4)):
-        monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
-        rng = _CountingRng(3)
+    one = _one_coordinate_cells(T, 3, 1 if closed else 2)
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", one)
+    rng = _CountingRng(3)
+    bridges(torus, x, T, [rng], [len(x)], y)
+    assert rng.calls == 2
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", one - 1)
+    rng = _CountingRng(3)
+    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
         bridges(torus, x, T, [rng], [len(x)], y)
-        assert rng.calls == calls
-
-
-@pytest.mark.parametrize("closed", [True, False])
-def test_bridges_over_the_budget_draw_in_chunks(monkeypatch, closed):
-    '''12 walks over MAX_BRIDGE_CELLS, each within it: bridges draws
-    them as the chunk calls of its rule on one generator.  In order of
-    decreasing duration, ties in walk order, the first 6 walks are over
-    the budget and split into 3 and 3; the last 6 fit.  Each walk keeps
-    its start, duration and configuration, closed walks close, and open
-    ones reach their end sites; walk k comes back at position k.'''
-    torus = Torus(2, 3)
-    T = np.array([0.5, 20.0, 1.0, 40.0, 0.25, 8.0, 0.75, 20.0, 30.0, 1.0,
-                  10.0, 0.5])
-    x = np.arange(12) % torus.n_sites
-    y = x if closed else (x + 1) % torus.n_sites
-    order = np.array([3, 8, 1, 7, 10, 5, 2, 9, 6, 0, 11, 4])
-    chunks = [order[:3], order[3:6], order[6:]]
-    per_walk = torus.d * (1 if closed else 2)
-
-    def cells(walks):
-        table = residue_table(np.unique(T[walks] / 2), 3)
-        return table.size + len(walks) * per_walk * table.shape[1]
-
-    budget = cells(chunks[0])
-    assert cells(np.arange(12)) > budget and cells(order[:6]) > budget
-    assert all(cells(chunk) <= budget for chunk in chunks)
-    ref = np.random.default_rng(5)
-    drawn = LoopBatch.join(12, [
-        (chunk, bridges(torus, x[chunk], T[chunk], [ref], [len(chunk)],
-                        None if closed else y[chunk]), None)
-        for chunk in chunks])
-    expected = LoopBatch.join(12, [(np.arange(12), drawn,
-                                    np.argsort(drawn.config))])
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
-    rng = np.random.default_rng(5)
-    batch = bridges(torus, x, T, [rng], [12], None if closed else y)
-    for name in ("config", "start", "duration", "offsets", "times",
-                 "sites"):
-        assert np.array_equal(getattr(batch, name), getattr(expected, name))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert batch.config.tolist() == list(range(12))
-    assert np.array_equal(batch.start, x) and np.array_equal(batch.duration,
-                                                             T)
-    assert np.array_equal(_loop_ends(batch), y)
-    assert len(batch.times) > 0
+    assert rng.calls == 0
 
 
 def test_table_cuts_of_many_streams_are_their_own_cuts():
@@ -513,14 +566,11 @@ def _assert_streams_draw_alone(torus, x, T, counts, y):
     ref = [np.random.default_rng(s) for s in range(len(counts))]
     batch = bridges(torus, x, T, new, counts, y)
     ends = np.cumsum(counts)
-    expected = LoopBatch.join(len(x), [
+    _same_batch(batch, LoopBatch.join(len(x), [
         (np.arange(hi - k, hi), bridges(
             torus, x[hi - k:hi], T[hi - k:hi], [rng], [k],
             None if y is None else y[hi - k:hi]), None)
-        for rng, k, hi in zip(ref, counts, ends)])
-    for name in ("config", "start", "duration", "offsets", "times",
-                 "sites"):
-        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+        for rng, k, hi in zip(ref, counts, ends)]))
     assert [g.bit_generator.state for g in new] == [
         g.bit_generator.state for g in ref]
     assert batch.config.tolist() == list(range(len(x)))
@@ -550,56 +600,13 @@ def test_streams_draw_as_their_own_calls(closed):
         assert (jumps > 0).any() and (jumps == 0).any()
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_streams_over_the_budget_split_by_stream_first(monkeypatch,
-                                                       closed):
-    '''Over MAX_BRIDGE_CELLS, a call of three streams draws each stream
-    as a call of its own: the first stream's walks fit the budget alone,
-    the third's do not and draw in chunks, so every draw and every
-    position is the per-stream calls'.'''
-    torus = Torus(2, 3)
-    rng = np.random.default_rng(22)
-    counts = [20, 0, 40]
-    n = sum(counts)
-    x = rng.integers(torus.n_sites, size=n)
-    y = None if closed else rng.integers(torus.n_sites, size=n)
-    T = np.concatenate((rng.uniform(0.1, 2.0, 20),
-                        np.exp(rng.uniform(math.log(1e-3), math.log(200.0),
-                                           40))))
-    per_walk = 2 * (1 if closed else 2)
-
-    def cells(walks):
-        table = residue_table(np.unique(T[walks] / 2), 3)
-        return table.size + len(walks) * per_walk * table.shape[1]
-
-    budget = cells(np.arange(20))
-    assert cells(np.arange(20, 60)) > budget
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", budget)
-    calls = []
-    split = paths.bridges
-
-    def spy(torus, x, T, rngs, counts, y=None):
-        calls.append(list(counts))
-        return split(torus, x, T, rngs, counts, y)
-
-    monkeypatch.setattr(paths, "bridges", spy)
-    _assert_streams_draw_alone(torus, x, T, counts, y)
-    # the per-stream calls of the split, then the third stream's chunks,
-    # drawn by the split and again by the reference's call of its own
-    chunks = calls[3:]
-    assert calls[:3] == [[20], [0], [40]] and chunks
-    assert chunks[:len(chunks) // 2] == chunks[len(chunks) // 2:]
-
-
 def _assert_same_bridges(torus, x, T, seed, y):
     '''bridges and the full-inversion reference give the same LoopBatch
     fields and leave their generators in the same state.'''
     new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     batch = bridges(torus, x, T, [new], [len(x)], y)
-    expected = loop_reference.full_inversion_bridges(torus, x, T, ref, y)
-    for name in ("config", "start", "duration", "offsets", "times",
-                 "sites"):
-        assert np.array_equal(getattr(batch, name), getattr(expected, name))
+    _same_batch(batch,
+                loop_reference.full_inversion_bridges(torus, x, T, ref, y))
     assert new.bit_generator.state == ref.bit_generator.state
     return batch
 
@@ -632,8 +639,9 @@ def test_bridges_match_the_full_inversion(d, L):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_chunked_bridges_match_the_full_inversion(monkeypatch, closed):
-    '''Over a budget of a fifth of the call's cells, both samplers draw
-    the same chunks, number for number.'''
+    '''At three times one coordinate's cells, bridges inverts in parts,
+    and its walks are those of the full inversion over one table, number
+    for number.'''
     torus = Torus(2, 3)
     rng = np.random.default_rng(17)
     n = 60
@@ -641,13 +649,13 @@ def test_chunked_bridges_match_the_full_inversion(monkeypatch, closed):
                                      n // 2)), 2)
     x = rng.integers(torus.n_sites, size=n)
     y = None if closed else rng.integers(torus.n_sites, size=n)
-    table = residue_table(np.unique(T / 2), 3)
-    cells = table.size + n * 2 * (1 if closed else 2) * table.shape[1]
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", cells // 5)
-    with pytest.raises(ValueError, match="MAX_BRIDGE_CELLS"):
-        residue_table(np.unique(T / 2), 3, n * 2 * (1 if closed else 2))
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", 3 * _one_coordinate_cells(
+        T, 3, 1 if closed else 2))
+    tables = _count_tables(monkeypatch)
     for seed in range(5):
+        tables.clear()
         _assert_same_bridges(torus, x, T, seed, y)
+        assert len(tables) > 1
 
 
 def _decimal_first_cell(lam, L):

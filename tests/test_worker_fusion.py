@@ -158,20 +158,30 @@ def test_field_oracle_runs_as_its_workers_run_alone(workers, monkeypatch):
     assert fused == per_worker
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streams_over_the_bridge_budget_run_as_their_workers(workers,
                                                              monkeypatch):
-    '''kappa = 0.02: loops of hundreds of jumps, and a bridge budget
-    that a group of all the workers' loops exceeds, so that the group's
-    bridges split by stream, and some streams' calls into chunks.'''
-    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", 3000)
+    '''kappa = 0.02: loops of hundreds of jumps, and a bridge budget of
+    3000 cells that a group's bridges exceed many times over, so that
+    their inversions run in parts: Z, Gamma_1(0, 1) and the cluster
+    series of log Z report exactly what they report at the default
+    budget.'''
     spec = _grid(kappa=0.02, lam=1e-3)
-    for p in (0, 1):
-        run = ((lambda: estimate_rel_partition(spec, 40, 11, workers))
-               if p == 0 else
-               (lambda: estimate_gamma_p(spec, 1, [0], [1], 40, 11,
-                                         workers)))
-        _same_estimate(*_both(monkeypatch, run))
+    runs = (lambda: estimate_rel_partition(spec, 40, 11, workers),
+            lambda: estimate_gamma_p(spec, 1, [0], [1], 40, 11, workers),
+            lambda: log_Z_via_expansion(spec, 2, 40, 12, workers))
+    tables, rows = [], paths._poisson_rows
+
+    def counted(*args):
+        tables.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(paths, "_poisson_rows", counted)
+    default = [repr(run()) for run in runs]
+    unsplit = len(tables)
+    monkeypatch.setattr(paths, "MAX_BRIDGE_CELLS", 3000)
+    assert [repr(run()) for run in runs] == default
+    assert len(tables) - unsplit > 2 * unsplit
 
 
 def test_one_batch_request_makes_one_pass_at_three_workers(monkeypatch):
